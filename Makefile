@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race bench bench-snapshot bench-diff cover figures scenarios clean
+.PHONY: all build vet lint lint-json test race bench bench-snapshot bench-diff bench-e2e cover figures scenarios clean
 
 all: build vet lint test
 
@@ -34,19 +34,31 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Capture the per-PR perf snapshot (read/write latency + throughput of the
-# live-cluster benchmarks) as JSON. Bump SNAPSHOT per PR: BENCH_010.json …
-SNAPSHOT ?= BENCH_009.json
+# live-cluster benchmarks, and the engine over a canned connection) as
+# JSON. Bump SNAPSHOT per PR: BENCH_011.json … The iteration count is
+# fixed: the clients are seeded, so the same count is the same op stream
+# (which write draws which level) and allocs/op repeats exactly — the
+# property bench-diff's allocation gate rests on.
+SNAPSHOT_BENCH = -bench 'BenchmarkCluster|BenchmarkTxn|BenchmarkEngine' -benchtime 20000x -benchmem
+SNAPSHOT ?= BENCH_010.json
 bench-snapshot:
-	$(GO) test -run '^$$' -bench 'BenchmarkCluster|BenchmarkTxn' -benchmem . \
+	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o $(SNAPSHOT)
 
-# Compare a fresh snapshot against the committed baseline; WARN (never fail)
-# on throughput regressions beyond 25%.
-BASELINE ?= BENCH_009.json
+# Compare a fresh snapshot against the committed baseline: WARN on
+# throughput regressions beyond 25%, FAIL on any allocs/op increase.
+BASELINE ?= BENCH_010.json
 bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkCluster|BenchmarkTxn' -benchmem . \
+	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o /tmp/bench_current.json
 	$(GO) run ./cmd/benchsnap -diff $(BASELINE) /tmp/bench_current.json
+
+# The reference benchmark of the real path (bench/, a module of its own):
+# its arithmetic tests, then a one-second end-to-end smoke that exits
+# non-zero when what the cluster returned was incorrect.
+bench-e2e:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload read-heavy --seconds 1 --trace 0
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out && $(GO) tool cover -func=cover.out | tail -1

@@ -13,9 +13,11 @@
 // are carried into the environment header or ignored.
 //
 // -diff compares two snapshots benchmark by benchmark and prints the deltas.
-// A throughput drop beyond 25% prints a WARN line; the exit status stays 0
-// either way, because snapshots come from different machines and runs — the
-// warning is a prompt to look, not a gate.
+// A throughput drop beyond 25% prints a WARN line and nothing more, because
+// snapshots come from different machines and runs — the warning is a prompt
+// to look, not a gate. A rise in allocs/op is a gate: allocation counts do
+// not depend on the machine, so any increase prints a FAIL line and the
+// exit status is non-zero.
 package main
 
 import (
@@ -101,7 +103,8 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 const regressionThreshold = 0.25
 
 // diff loads two snapshots and prints per-benchmark deltas, new vs old.
-// Benchmarks present in only one snapshot are listed but not compared.
+// Benchmarks present in only one snapshot are listed but not compared. It
+// returns an error when any benchmark's allocs/op rose.
 func diff(oldPath, newPath string, w io.Writer) error {
 	oldSnap, err := load(oldPath)
 	if err != nil {
@@ -116,7 +119,7 @@ func diff(oldPath, newPath string, w io.Writer) error {
 		oldBy[r.Name] = r
 	}
 	fmt.Fprintf(w, "%s -> %s\n", oldPath, newPath)
-	warned := 0
+	warned, failed := 0, 0
 	for _, nr := range newSnap.Benchmarks {
 		or, ok := oldBy[nr.Name]
 		if !ok {
@@ -136,6 +139,12 @@ func diff(oldPath, newPath string, w io.Writer) error {
 			fmt.Fprintf(w, "  WARN %s: throughput fell %.1f%% (%.0f -> %.0f ops/sec)\n",
 				nr.Name, -pct(or.OpsPerSec, nr.OpsPerSec), or.OpsPerSec, nr.OpsPerSec)
 		}
+		// A snapshot taken without -benchmem reads as zero; only a baseline
+		// that carries memory stats can gate.
+		if (or.BytesPerOp > 0 || or.AllocsPerOp > 0) && nr.AllocsPerOp > or.AllocsPerOp {
+			failed++
+			fmt.Fprintf(w, "  FAIL %s: allocs/op rose %d -> %d\n", nr.Name, or.AllocsPerOp, nr.AllocsPerOp)
+		}
 	}
 	for _, r := range oldSnap.Benchmarks {
 		if _, unmatched := oldBy[r.Name]; unmatched {
@@ -144,6 +153,9 @@ func diff(oldPath, newPath string, w io.Writer) error {
 	}
 	if warned > 0 {
 		fmt.Fprintf(w, "%d benchmark(s) regressed beyond %.0f%%\n", warned, regressionThreshold*100)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d benchmark(s) allocate more per op than in %s", failed, oldPath)
 	}
 	return nil
 }

@@ -121,13 +121,34 @@ func TestDiffReportsDeltasAndWarnsOnRegression(t *testing.T) {
 }
 
 func TestDiffExitsZeroOnRegression(t *testing.T) {
-	// A regression warns but must not fail the run: CI uses the diff as a
-	// smoke signal, not a gate.
+	// A slowdown warns but must not fail the run: timings differ between
+	// machines, so CI uses them as a smoke signal, not a gate.
 	dir := t.TempDir()
 	oldPath := writeSnap(t, dir, "old.json", []Result{{Name: "B", NsPerOp: 100, OpsPerSec: 1e7}})
 	newPath := writeSnap(t, dir, "new.json", []Result{{Name: "B", NsPerOp: 1000, OpsPerSec: 1e6}})
 	if err := run([]string{"-diff", oldPath, newPath}, nil, &strings.Builder{}); err != nil {
 		t.Fatalf("diff with regression returned error: %v", err)
+	}
+}
+
+func TestDiffFailsOnAllocIncrease(t *testing.T) {
+	// Allocation counts do not depend on the machine: a rise is a gate.
+	dir := t.TempDir()
+	oldPath := writeSnap(t, dir, "old.json", []Result{
+		{Name: "BenchmarkLeaner", NsPerOp: 100, OpsPerSec: 1e7, AllocsPerOp: 10},
+		{Name: "BenchmarkFatter", NsPerOp: 100, OpsPerSec: 1e7, AllocsPerOp: 10},
+	})
+	newPath := writeSnap(t, dir, "new.json", []Result{
+		{Name: "BenchmarkLeaner", NsPerOp: 100, OpsPerSec: 1e7, AllocsPerOp: 9},
+		{Name: "BenchmarkFatter", NsPerOp: 90, OpsPerSec: 1e9 / 90, AllocsPerOp: 11},
+	})
+	var out strings.Builder
+	err := run([]string{"-diff", oldPath, newPath}, nil, &out)
+	if err == nil {
+		t.Fatalf("allocs/op increase accepted:\n%s", out.String())
+	}
+	if got := out.String(); !strings.Contains(got, "FAIL BenchmarkFatter: allocs/op rose 10 -> 11") || strings.Contains(got, "FAIL BenchmarkLeaner") {
+		t.Errorf("diff output:\n%s", got)
 	}
 }
 

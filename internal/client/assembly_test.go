@@ -1,0 +1,681 @@
+package client
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"arbor/internal/core"
+	"arbor/internal/obs"
+	"arbor/internal/replica"
+	"arbor/internal/rpc"
+	"arbor/internal/transport"
+	"arbor/internal/tree"
+	"arbor/internal/wire"
+)
+
+// reaction is what the scripted transport does with one request.
+type reaction int
+
+const (
+	answer     reaction = iota // reply at once with the matching response
+	silent                     // accept the request and never reply
+	refuse                     // reply at once with a catching-up refusal
+	shed                       // reply at once with a load-shed carrying shedRetryAfter
+	failSend                   // Send returns an error
+	answerLate                 // reply after lateAfter
+)
+
+const (
+	shedRetryAfter = 7 * time.Millisecond
+	lateAfter      = 25 * time.Millisecond
+)
+
+// scriptConn is a transport.Conn whose peers are a script: react decides
+// what happens to the n-th request sent (counting from 0). Every request is
+// kept in sent, accepted or not — what the transport saw.
+type scriptConn struct {
+	in chan transport.Message
+
+	mu    sync.Mutex
+	sent  []transport.Message
+	react func(n int, m transport.Message) reaction
+	// seen gets one token per request, for tests that act mid-operation.
+	seen chan struct{}
+}
+
+func newScriptConn(react func(n int, m transport.Message) reaction) *scriptConn {
+	// Sized to the requests any one test sends, so signalling never blocks.
+	return &scriptConn{in: make(chan transport.Message, 1<<16), seen: make(chan struct{}, 1<<16), react: react}
+}
+
+func (c *scriptConn) Addr() transport.Addr           { return -1 }
+func (c *scriptConn) Recv() <-chan transport.Message { return c.in }
+
+func (c *scriptConn) Send(to transport.Addr, payload any) error {
+	m := transport.Message{From: -1, To: to, Payload: payload}
+	c.mu.Lock()
+	n := len(c.sent)
+	c.sent = append(c.sent, m)
+	react := c.react
+	c.mu.Unlock()
+	c.seen <- struct{}{}
+	switch react(n, m) {
+	case failSend:
+		return errors.New("script: link down")
+	case answer:
+		c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, false)}
+	case refuse:
+		c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, true)}
+	case shed:
+		id, _ := reqIDOf(payload)
+		c.in <- transport.Message{From: to, To: -1, Payload: wire.OverloadedResp{ReqID: id, RetryAfterMillis: uint64(shedRetryAfter / time.Millisecond)}}
+	case answerLate:
+		time.AfterFunc(lateAfter, func() {
+			c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, false)}
+		})
+	}
+	return nil
+}
+
+// script swaps the reaction function.
+func (c *scriptConn) script(react func(n int, m transport.Message) reaction) {
+	c.mu.Lock()
+	c.react = react
+	c.mu.Unlock()
+}
+
+// requests snapshots what the transport saw so far.
+func (c *scriptConn) requests() []transport.Message {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]transport.Message(nil), c.sent...)
+}
+
+func reqIDOf(req any) (uint64, bool) {
+	switch m := req.(type) {
+	case wire.ReadReq:
+		return m.ReqID, true
+	case wire.VersionReq:
+		return m.ReqID, true
+	case wire.PrepareReq:
+		return m.ReqID, true
+	case wire.CommitReq:
+		return m.ReqID, true
+	case wire.AbortReq:
+		return m.ReqID, true
+	case wire.PingReq:
+		return m.ReqID, true
+	}
+	return 0, false
+}
+
+// replyTo builds the response a healthy (or catching-up) replica storing
+// "v"@1 under every key would give.
+func replyTo(req any, refused bool) any {
+	ts := wire.Timestamp{Version: 1, Site: -1}
+	switch m := req.(type) {
+	case wire.ReadReq:
+		if refused {
+			return wire.ReadResp{ReqID: m.ReqID, Key: m.Key, Refused: true}
+		}
+		return wire.ReadResp{ReqID: m.ReqID, Key: m.Key, Value: []byte("v"), TS: ts, Found: true}
+	case wire.VersionReq:
+		if refused {
+			return wire.VersionResp{ReqID: m.ReqID, Key: m.Key, Refused: true}
+		}
+		return wire.VersionResp{ReqID: m.ReqID, Key: m.Key, TS: ts, Found: true}
+	case wire.PrepareReq:
+		return wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, OK: true}
+	case wire.CommitReq:
+		return wire.CommitResp{ReqID: m.ReqID, TxID: m.TxID, OK: true}
+	case wire.AbortReq:
+		return wire.AbortResp{ReqID: m.ReqID, TxID: m.TxID}
+	case wire.PingReq:
+		return wire.PingResp{ReqID: m.ReqID, Site: 1}
+	}
+	return nil
+}
+
+// byArrival reacts to the n-th request with steps[n], and answers once the
+// steps run out.
+func byArrival(steps ...reaction) func(int, transport.Message) reaction {
+	return func(n int, _ transport.Message) reaction {
+		if n < len(steps) {
+			return steps[n]
+		}
+		return answer
+	}
+}
+
+type scriptHarness struct {
+	conn  *scriptConn
+	cli   *Client
+	proto *core.Protocol
+	obs   *obs.Observer
+}
+
+// newScriptHarness builds a client over a scripted transport. The client
+// timeout is long (400ms) and the hedge delay short (2ms), so a test that
+// finishes fast proves nothing waited out a timeout.
+func newScriptHarness(t *testing.T, spec string, react func(int, transport.Message) reaction, opts ...Option) *scriptHarness {
+	t.Helper()
+	tr, err := tree.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &scriptHarness{conn: newScriptConn(react), proto: proto, obs: obs.NewObserver(16)}
+	opts = append([]Option{WithTimeout(400 * time.Millisecond), WithHedgeDelay(2 * time.Millisecond), WithSeed(1), WithObserver(h.obs)}, opts...)
+	h.cli = New(-1, h.conn, proto, opts...)
+	t.Cleanup(h.cli.Close)
+	return h
+}
+
+// warm gives every site the same small learned latency: hedging is gated
+// on, and the level's floor stays far below the hedge delay.
+func (h *scriptHarness) warm() {
+	for u := 0; u < h.proto.NumPhysicalLevels(); u++ {
+		for _, s := range h.proto.LevelSites(u) {
+			for i := 0; i < 8; i++ {
+				h.cli.scores.record(transport.Addr(s), 5*time.Microsecond, false)
+			}
+		}
+	}
+}
+
+// tripAll opens the breaker of every site by letting direct calls wait out
+// the client timeout.
+func (h *scriptHarness) tripAll(t *testing.T) {
+	t.Helper()
+	h.conn.script(byArrivalAlways(silent))
+	var wg sync.WaitGroup
+	for u := 0; u < h.proto.NumPhysicalLevels(); u++ {
+		for _, s := range h.proto.LevelSites(u) {
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(site transport.Addr) {
+					defer wg.Done()
+					_, _ = h.cli.caller.Call(context.Background(), site, replica.PingReq{})
+				}(transport.Addr(s))
+			}
+		}
+	}
+	wg.Wait()
+	for site, st := range h.cli.BreakerStates() {
+		if st != rpc.BreakerOpen {
+			t.Fatalf("breaker of site %d = %v, want open", site, st)
+		}
+	}
+}
+
+func byArrivalAlways(r reaction) func(int, transport.Message) reaction {
+	return func(int, transport.Message) reaction { return r }
+}
+
+// lastTrace returns the most recent operation trace.
+func (h *scriptHarness) lastTrace(t *testing.T) obs.OpTrace {
+	t.Helper()
+	tr := h.obs.Rec().Last(1)
+	if len(tr) != 1 {
+		t.Fatal("no trace recorded")
+	}
+	return tr[0]
+}
+
+// TestAssemblyTransitions drives one read on a one-level tree ("1-2": two
+// candidate sites) through each transition of the state machine. Requests
+// are scripted by arrival order, so the cases do not depend on which site
+// the shuffle puts first.
+func TestAssemblyTransitions(t *testing.T) {
+	type result struct {
+		res     ReadResult
+		err     error
+		elapsed time.Duration
+		reqs    []transport.Message
+	}
+	cases := []struct {
+		name   string
+		opts   []Option
+		warm   bool
+		before func(t *testing.T, h *scriptHarness)
+		script func(int, transport.Message) reaction
+		check  func(t *testing.T, h *scriptHarness, r result)
+	}{
+		{
+			name:   "healthy: one contact, no hedge",
+			warm:   true,
+			script: byArrival(),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || string(r.res.Value) != "v" {
+					t.Fatalf("read = %q, %v", r.res.Value, r.err)
+				}
+				if r.res.Contacts != 1 || len(r.reqs) != 1 {
+					t.Errorf("contacts = %d, requests = %d, want 1 and 1", r.res.Contacts, len(r.reqs))
+				}
+				if n := h.cli.instr.hedges.Value(); n != 0 {
+					t.Errorf("hedges = %d on a healthy read", n)
+				}
+			},
+		},
+		{
+			name:   "primary silent: hedge wins, primary scored failed",
+			warm:   true,
+			script: byArrival(silent),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || r.elapsed > 200*time.Millisecond {
+					t.Fatalf("read err = %v after %v, want a hedge win well before the timeout", r.err, r.elapsed)
+				}
+				if r.res.Contacts != 2 || len(r.reqs) != 2 {
+					t.Fatalf("contacts = %d, requests = %d, want 2 and 2", r.res.Contacts, len(r.reqs))
+				}
+				if h.cli.instr.hedges.Value() != 1 || h.cli.instr.hedgeWins.Value() != 1 {
+					t.Errorf("hedges = %d, wins = %d, want 1 and 1", h.cli.instr.hedges.Value(), h.cli.instr.hedgeWins.Value())
+				}
+				primary, backup := r.reqs[0].To, r.reqs[1].To
+				if e, _ := h.cli.scores.get(primary); e.fail == 0 {
+					t.Errorf("silent primary %d not scored as a failure: %+v", primary, e)
+				}
+				if e, _ := h.cli.scores.get(backup); e.fail != 0 {
+					t.Errorf("winning backup %d scored as failed: %+v", backup, e)
+				}
+				// The cancelled primary is never breaker-failed either.
+				if st := h.cli.caller.BreakerState(primary); st != rpc.BreakerClosed {
+					t.Errorf("primary breaker = %v after a cancelled probe", st)
+				}
+				at := h.lastTrace(t).Attempts
+				if len(at) != 1 || len(at[0].Contacts) != 2 || !at[0].OK {
+					t.Fatalf("trace attempts = %+v, want one OK level with two contacts", at)
+				}
+				phases := map[string]bool{at[0].Contacts[0].Phase: true, at[0].Contacts[1].Phase: true}
+				if !phases["read"] || !phases["read-hedge"] {
+					t.Errorf("contact phases = %v, want read and read-hedge", phases)
+				}
+			},
+		},
+		{
+			name:   "primary refuses (catching up): sibling at once",
+			script: byArrival(refuse),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || r.elapsed > 200*time.Millisecond {
+					t.Fatalf("read err = %v after %v", r.err, r.elapsed)
+				}
+				if r.res.Contacts != 2 || h.cli.instr.hedges.Value() != 0 {
+					t.Errorf("contacts = %d, hedges = %d, want 2 and 0", r.res.Contacts, h.cli.instr.hedges.Value())
+				}
+				if !h.cli.scores.isRefusing(r.reqs[0].To) {
+					t.Error("refusing site not marked")
+				}
+				if h.cli.instr.siteFallbacks.Value() != 1 {
+					t.Errorf("site fallbacks = %d, want 1", h.cli.instr.siteFallbacks.Value())
+				}
+			},
+		},
+		{
+			name:   "every sibling breaker-open: rescue pass force-probes",
+			opts:   []Option{WithTimeout(30 * time.Millisecond)},
+			before: func(t *testing.T, h *scriptHarness) { h.tripAll(t) },
+			script: byArrivalAlways(answer),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || string(r.res.Value) != "v" {
+					t.Fatalf("read = %q, %v: the breaker cost availability", r.res.Value, r.err)
+				}
+				// Both fast-fails are not contacts; the forced probe is.
+				if r.res.Contacts != 1 || len(r.reqs) != 1 {
+					t.Errorf("contacts = %d, requests = %d, want 1 and 1", r.res.Contacts, len(r.reqs))
+				}
+				at := h.lastTrace(t).Attempts
+				if len(at) != 2 || at[0].OK || !at[1].OK {
+					t.Errorf("trace attempts = %+v, want a failed pass then the rescue pass", at)
+				}
+			},
+		},
+		{
+			name:   "overload shed: sibling at once, site alive",
+			script: byArrival(shed),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || r.elapsed > 200*time.Millisecond {
+					t.Fatalf("read err = %v after %v", r.err, r.elapsed)
+				}
+				if r.res.Contacts != 2 || h.cli.instr.overloadSkips.Value() != 1 {
+					t.Errorf("contacts = %d, overload skips = %d, want 2 and 1", r.res.Contacts, h.cli.instr.overloadSkips.Value())
+				}
+				shedder := r.reqs[0].To
+				if !h.cli.scores.isRefusing(shedder) {
+					t.Error("shedding site not marked refusing")
+				}
+				if e, known := h.cli.scores.get(shedder); known {
+					t.Errorf("shedding site scored: %+v", e)
+				}
+				if st := h.cli.caller.BreakerState(shedder); st != rpc.BreakerClosed {
+					t.Errorf("shedding site's breaker = %v, want closed (a shed is breaker success)", st)
+				}
+			},
+		},
+		{
+			name:   "every candidate sheds: ErrOverloaded and retry-after in the chain",
+			script: byArrivalAlways(shed),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if !errors.Is(r.err, ErrReadUnavailable) || !errors.Is(r.err, ErrOverloaded) {
+					t.Fatalf("err = %v, want ErrReadUnavailable wrapping ErrOverloaded", r.err)
+				}
+				if d, ok := rpc.RetryAfter(r.err); !ok || d != shedRetryAfter {
+					t.Errorf("retry-after = %v, %v, want %v", d, ok, shedRetryAfter)
+				}
+				if r.res.Contacts != 2 || h.cli.instr.overloadSkips.Value() != 2 {
+					t.Errorf("contacts = %d, overload skips = %d, want 2 and 2", r.res.Contacts, h.cli.instr.overloadSkips.Value())
+				}
+			},
+		},
+		{
+			name: "retry budget dry: hedge denied, primary still answers",
+			opts: []Option{WithRetryBudget(0, 1)},
+			warm: true,
+			before: func(t *testing.T, h *scriptHarness) {
+				if !h.cli.budget.spend() {
+					t.Fatal("fresh budget has no token")
+				}
+			},
+			script: byArrival(answerLate),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil || r.elapsed < lateAfter {
+					t.Fatalf("read err = %v after %v, want the late primary's answer", r.err, r.elapsed)
+				}
+				if len(r.reqs) != 1 || h.cli.instr.hedges.Value() != 0 {
+					t.Errorf("requests = %d, hedges = %d, want 1 and 0", len(r.reqs), h.cli.instr.hedges.Value())
+				}
+				if h.cli.instr.budgetDenied.Value() == 0 {
+					t.Error("no hedge was denied")
+				}
+			},
+		},
+		{
+			name:   "failed send is a contact, and the sibling is tried",
+			script: byArrival(failSend),
+			check: func(t *testing.T, h *scriptHarness, r result) {
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				if r.res.Contacts != 2 || len(r.reqs) != 2 {
+					t.Errorf("contacts = %d, requests = %d, want 2 and 2", r.res.Contacts, len(r.reqs))
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			h := newScriptHarness(t, "1-2", tc.script, tc.opts...)
+			if tc.warm {
+				h.warm()
+			}
+			if tc.before != nil {
+				tc.before(t, h)
+				h.conn.script(tc.script)
+			}
+			skip := len(h.conn.requests())
+			start := time.Now()
+			res, err := h.cli.Read(context.Background(), "k")
+			r := result{res: res, err: err, elapsed: time.Since(start)}
+			r.reqs = h.conn.requests()[skip:]
+			tc.check(t, h, r)
+		})
+	}
+}
+
+// TestAssemblyContextCancelled: a context cancelled mid-assembly ends the
+// read at once with the context's error; the abandoned contacts are neither
+// scored nor counted against their sites.
+func TestAssemblyContextCancelled(t *testing.T) {
+	h := newScriptHarness(t, "1-2-2", byArrivalAlways(silent))
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-h.conn.seen
+		<-h.conn.seen // one request per level is out
+		cancel()
+	}()
+	start := time.Now()
+	res, err := h.cli.Read(ctx, "k")
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrReadUnavailable) {
+		t.Fatalf("err = %v, want ErrReadUnavailable wrapping context.Canceled", err)
+	}
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Errorf("cancelled read returned after %v", d)
+	}
+	if res.Contacts != 2 {
+		t.Errorf("contacts = %d, want 2 (one per level)", res.Contacts)
+	}
+	for _, m := range h.conn.requests() {
+		if _, known := h.cli.scores.get(m.To); known {
+			t.Errorf("cancelled contact to site %d was scored", m.To)
+		}
+	}
+}
+
+// TestAssemblyClosedMidOperation: Close while a read waits for replies
+// fails it with ErrClosed.
+func TestAssemblyClosedMidOperation(t *testing.T) {
+	h := newScriptHarness(t, "1-2-2", byArrivalAlways(silent))
+	go func() {
+		<-h.conn.seen
+		<-h.conn.seen
+		h.cli.Close()
+	}()
+	start := time.Now()
+	_, err := h.cli.Read(context.Background(), "k")
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Errorf("read on a closed client returned after %v", d)
+	}
+}
+
+// TestAssemblyLateReplyDropped: the reply of a cancelled hedge loser, and a
+// duplicate of the winner's, arrive after the operation is over. The
+// dispatcher drops both without blocking, and later operations are served.
+func TestAssemblyLateReplyDropped(t *testing.T) {
+	h := newScriptHarness(t, "1-2", byArrival(silent))
+	h.warm()
+	ctx := context.Background()
+	if _, err := h.cli.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	reqs := h.conn.requests()
+	if len(reqs) != 2 {
+		t.Fatalf("requests = %d, want the silent primary and the hedge", len(reqs))
+	}
+	for i := 0; i < 3; i++ {
+		for _, m := range reqs {
+			h.conn.in <- transport.Message{From: m.To, To: -1, Payload: replyTo(m.Payload, false)}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		rd, err := h.cli.Read(ctx, "k")
+		if err != nil || string(rd.Value) != "v" || rd.Contacts != 1 {
+			t.Fatalf("read %d after late replies = %q, %d contacts, %v", i, rd.Value, rd.Contacts, err)
+		}
+	}
+}
+
+// TestAssemblyDeadlineRidesTheWire: each attempt's deadline is the smaller
+// of the client timeout and the context's remaining budget, and it is what
+// the request carries as DeadlineMillis.
+func TestAssemblyDeadlineRidesTheWire(t *testing.T) {
+	h := newScriptHarness(t, "1-2", byArrival())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := h.cli.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.cli.Read(context.Background(), "k"); err != nil {
+		t.Fatal(err)
+	}
+	reqs := h.conn.requests()
+	if ms := reqs[0].Payload.(wire.ReadReq).DeadlineMillis; ms == 0 || ms > 50 {
+		t.Errorf("DeadlineMillis under a 50ms context = %d, want within (0, 50]", ms)
+	}
+	if ms := reqs[1].Payload.(wire.ReadReq).DeadlineMillis; ms != 0 {
+		t.Errorf("DeadlineMillis without a context deadline = %d, want 0", ms)
+	}
+}
+
+// TestFailedReadCountsEveryLevel: with level 0 of 1-3-5 down, a failed read
+// still reports the contacts of every level — as many as the transport saw
+// — not only those up to the first failed level.
+func TestFailedReadCountsEveryLevel(t *testing.T) {
+	var proto *core.Protocol
+	h := newScriptHarness(t, "1-3-5", func(_ int, m transport.Message) reaction {
+		for _, s := range proto.LevelSites(0) {
+			if transport.Addr(s) == m.To {
+				return silent
+			}
+		}
+		return answer
+	}, WithTimeout(30*time.Millisecond), WithHedging(false))
+	proto = h.proto
+	rd, err := h.cli.Read(context.Background(), "k")
+	if !errors.Is(err, ErrReadUnavailable) {
+		t.Fatalf("err = %v, want ErrReadUnavailable", err)
+	}
+	saw := len(h.conn.requests())
+	if want := len(proto.LevelSites(0)) + 1; saw != want {
+		t.Fatalf("transport saw %d requests, want %d (all of level 0, one of level 1)", saw, want)
+	}
+	if rd.Contacts != saw {
+		t.Errorf("ReadResult.Contacts = %d, transport saw %d", rd.Contacts, saw)
+	}
+	if m := h.cli.Metrics(); m.ReadContacts != uint64(saw) {
+		t.Errorf("Metrics.ReadContacts = %d, transport saw %d", m.ReadContacts, saw)
+	}
+	if tr := h.lastTrace(t); tr.Contacts != saw {
+		t.Errorf("trace totalContacts = %d, transport saw %d", tr.Contacts, saw)
+	}
+}
+
+const deepSpec = "1-2-2-2-2-2-2-2-2" // 8 physical levels of 2
+
+// settledGoroutines reads the goroutine count once timers and finished
+// goroutines of earlier tests have drained.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(2 * time.Millisecond)
+		runtime.GC()
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// TestAssemblySpawnsNoGoroutines: a thousand reads on the 8-level tree —
+// plain, hedged and cancelled ones — leave the goroutine count where it
+// was, and a read waiting for withheld replies costs no goroutine beyond
+// its caller however many levels it spans.
+func TestAssemblySpawnsNoGoroutines(t *testing.T) {
+	h := newScriptHarness(t, deepSpec, byArrivalAlways(answer), WithTimeout(time.Second))
+	h.warm()
+	// Every 10th read finds its first request unanswered and hedges; every
+	// 10th+5 is cancelled while all its levels wait. Requests are sent on
+	// the reading goroutine, so the script shares these with the loop.
+	mode, first := 0, false
+	h.conn.script(func(int, transport.Message) reaction {
+		switch {
+		case mode == 1 && first:
+			first = false
+			return silent
+		case mode == 2:
+			return silent
+		}
+		return answer
+	})
+	before := settledGoroutines()
+	for i := 0; i < 1000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		switch {
+		case i%10 == 0:
+			mode, first = 1, true
+		case i%10 == 5:
+			mode = 2
+			time.AfterFunc(time.Millisecond, cancel)
+		default:
+			mode = 0
+		}
+		_, err := h.cli.Read(ctx, "k")
+		cancel()
+		if (err != nil) != (mode == 2) {
+			t.Fatalf("read %d (mode %d): %v", i, mode, err)
+		}
+	}
+	if h.cli.instr.hedges.Value() == 0 {
+		t.Error("no read hedged; the mix did not exercise the hedge transition")
+	}
+	if after := settledGoroutines(); after != before {
+		t.Errorf("goroutines: %d before 1000 reads, %d after", before, after)
+	}
+
+	// Withheld replies: the waiting read is its caller's goroutine and
+	// nothing else, on 1 level as on 8.
+	waiting := func(spec string) int {
+		w := newScriptHarness(t, spec, byArrivalAlways(silent), WithTimeout(time.Second))
+		base := settledGoroutines()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = w.cli.Read(ctx, "k")
+		}()
+		for u := 0; u < w.proto.NumPhysicalLevels(); u++ {
+			<-w.conn.seen
+		}
+		extra := settledGoroutines() - base
+		cancel()
+		<-done
+		return extra
+	}
+	shallow, deep := waiting("1-2"), waiting(deepSpec)
+	if shallow != 1 || deep != 1 {
+		t.Errorf("goroutines held by a waiting read: %d on 1 level, %d on 8 levels; want 1 and 1", shallow, deep)
+	}
+}
+
+// TestSiteSequenceIndependentOfScheduling: the quorum-selection draws of an
+// operation are made in level order on the calling goroutine, so two
+// clients with one seed contact the identical per-level site sequence over
+// 500 reads on the 8-level tree, whether the runtime has one processor or
+// four.
+func TestSiteSequenceIndependentOfScheduling(t *testing.T) {
+	sequence := func(procs int) []transport.Addr {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		h := newScriptHarness(t, deepSpec, byArrivalAlways(answer), WithSeed(42))
+		for i := 0; i < 500; i++ {
+			if _, err := h.cli.Read(context.Background(), "k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var seq []transport.Addr
+		for _, m := range h.conn.requests() {
+			seq = append(seq, m.To)
+		}
+		return seq
+	}
+	one, four := sequence(1), sequence(4)
+	if want := 500 * 8; len(one) != want || len(four) != want {
+		t.Fatalf("requests: %d with GOMAXPROCS=1, %d with 4; want %d each (one per level per read)", len(one), len(four), want)
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("read %d level %d: site %d with GOMAXPROCS=1, site %d with 4", i/8, i%8, one[i], four[i])
+		}
+	}
+}

@@ -142,7 +142,7 @@ func TestRefusingSiteSinksInOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		order := h.cli.orderedSites(h.proto, u)
+		order := h.cli.orderedSites(nil, h.proto, u)
 		if order[len(order)-1] != addr {
 			t.Fatalf("refusing site %d not last in %v", addr, order)
 		}
@@ -180,8 +180,9 @@ func TestCatchingUpRefusalFallsThrough(t *testing.T) {
 		}
 	}
 	// Direct probe of the refusing site surfaces ErrCatchingUp.
-	out := h.cli.readLevelSequential(ctx, []transport.Addr{2}, 1, "k", false, nil, false)
-	if !errors.Is(out.err, ErrCatchingUp) {
-		t.Errorf("direct probe err = %v, want ErrCatchingUp", out.err)
+	a := h.cli.fanout(ctx, []transport.Addr{2}, nil, "read", replica.ReadReq{Key: "k"}, false, false)
+	defer a.release()
+	if err := a.slots[0].err; !errors.Is(err, ErrCatchingUp) {
+		t.Errorf("direct probe err = %v, want ErrCatchingUp", err)
 	}
 }

@@ -214,7 +214,6 @@ type instruments struct {
 	readUnavailable           *obs.Counter
 	writeOK, writeInDoubt     *obs.Counter
 	writeUnavailable          *obs.Counter
-	pingOK                    *obs.Counter
 	siteFallbacks             *obs.Counter
 	levelFallbacks            *obs.Counter
 	hedges, hedgeWins         *obs.Counter
@@ -252,7 +251,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		txnDur:           dur.With("txn"),
 		pingDur:          dur.With("ping"),
 		ops:              ops,
-		pingOK:           ops.With("ping", obs.OutcomeOK),
 		readOK:           ops.With("read", obs.OutcomeOK),
 		readNotFound:     ops.With("read", obs.OutcomeNotFound),
 		readUnavailable:  ops.With("read", obs.OutcomeUnavailable),
@@ -275,7 +273,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 // concurrent use.
 type Client struct {
 	id     int
-	ep     transport.Conn
 	caller *rpc.Caller
 	proto  atomic.Pointer[core.Protocol]
 
@@ -325,7 +322,6 @@ type Client struct {
 func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Client {
 	c := &Client{
 		id:            id,
-		ep:            ep,
 		timeout:       250 * time.Millisecond,
 		commitRetries: 3,
 		hedging:       true,
@@ -387,37 +383,6 @@ func (c *Client) Metrics() Metrics {
 // Close stops the reply dispatcher. Outstanding calls fail with ErrClosed.
 func (c *Client) Close() {
 	c.caller.Close()
-}
-
-// call sends one request (stamped with its allocated request ID) and
-// waits for its reply or a timeout, counting the contact and feeding the
-// site's latency/failure EWMAs. Cancelled calls are not scored: losing a
-// hedge race says nothing about the site. Breaker fast-fails are neither
-// contacts (no message was sent) nor evidence about the site. An overload
-// shed counts as a contact (a message round-tripped) but is scored only as
-// a refusal, not a failure: the site answered instantly, it is alive —
-// ordering it last until it serves again is enough.
-func (c *Client) call(ctx context.Context, to transport.Addr, req rpc.Request, contacts *atomic.Uint64, copts ...rpc.CallOption) (any, error) {
-	start := time.Now()
-	resp, err := c.caller.Call(ctx, to, req, copts...)
-	if errors.Is(err, rpc.ErrClosed) {
-		return nil, ErrClosed
-	}
-	if errors.Is(err, rpc.ErrBreakerOpen) {
-		return nil, err
-	}
-	contacts.Add(1)
-	if errors.Is(err, ErrOverloaded) {
-		c.scores.markRefusing(to)
-		if c.instr != nil {
-			c.instr.overloadSkips.Inc()
-		}
-		return nil, err
-	}
-	if err == nil || errors.Is(err, rpc.ErrTimeout) {
-		c.scores.record(to, time.Since(start), err != nil)
-	}
-	return resp, err
 }
 
 // opCtx derives the context an operation runs under: when WithOpBudget is
@@ -482,31 +447,4 @@ func (c *Client) backoff(ctx context.Context, attempt int, kind string, floor ti
 // has learned; nil when the breaker is disabled.
 func (c *Client) BreakerStates() map[transport.Addr]rpc.BreakerState {
 	return c.caller.BreakerStates()
-}
-
-// shuffledSites returns the level's sites in random order.
-func (c *Client) shuffledSites(proto *core.Protocol, u int) []transport.Addr {
-	sites := proto.LevelSites(u)
-	out := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		out[i] = transport.Addr(s)
-	}
-	c.rngMu.Lock()
-	c.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	c.rngMu.Unlock()
-	return out
-}
-
-// shuffledLevelOrder returns all physical level indices starting from a
-// uniformly random one (the paper's w_write strategy with failover).
-func (c *Client) shuffledLevelOrder(proto *core.Protocol) []int {
-	l := proto.NumPhysicalLevels()
-	c.rngMu.Lock()
-	start := c.rng.Intn(l)
-	c.rngMu.Unlock()
-	out := make([]int, 0, l)
-	for i := 0; i < l; i++ {
-		out = append(out, (start+i)%l)
-	}
-	return out
 }

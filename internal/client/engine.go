@@ -9,16 +9,17 @@
 // back. When a probe is overdue relative to the level's learned latency, a
 // hedged backup probe is launched to the next candidate instead of waiting
 // out the full client timeout; the first response wins and the losers are
-// cancelled. Concurrent reads of one key through one client coalesce into
-// a single quorum assembly.
+// cancelled. All of it — every level of a read, every member of a 2PC
+// round — is one state machine on the calling goroutine (assembly).
+// Concurrent reads of one key through one client coalesce into one of them.
 package client
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbor/internal/core"
@@ -200,20 +201,43 @@ func latBucket(lat, best, material float64) int {
 // is still cheap — a fast-fail or instant refusal, never a timeout).
 const skipBucket = 99
 
-// orderedSites returns level u's sites in probe order: the paper's uniform
-// shuffle stable-sorted by coarse health buckets (failure class first,
-// then latency class relative to the level's best). Healthy sites of the
-// same speed class stay uniformly ordered — preserving the optimal read
+// orderedSites appends level u's sites to dst in probe order: the paper's
+// uniform shuffle stable-sorted by coarse health buckets (failure class
+// first, then latency class relative to the level's best). Healthy sites of
+// the same speed class stay uniformly ordered — preserving the optimal read
 // load of the uniform strategy — while known-slow or failing sites are
 // tried last, and open-breaker or catching-up sites last of all. One in
 // exploreEvery calls promotes a random candidate to the front so scores
-// cannot go permanently stale.
-func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
-	out := c.shuffledSites(proto, u)
-	if len(out) < 2 {
-		return out
+// cannot go permanently stale. An operation orders its levels in level
+// order on its own goroutine, so a seeded client's site sequence does not
+// depend on scheduling.
+func (c *Client) orderedSites(dst []transport.Addr, proto *core.Protocol, u int) []transport.Addr {
+	sites := proto.LevelSites(u)
+	lo := len(dst)
+	for _, s := range sites {
+		dst = append(dst, transport.Addr(s))
 	}
-	health := make([]siteHealth, len(out))
+	out := dst[lo:]
+	c.rngMu.Lock()
+	c.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	explore, idx := false, 0
+	if len(out) >= 2 {
+		if explore = c.rng.Intn(exploreEvery) == 0; explore {
+			idx = c.rng.Intn(len(out))
+		}
+	}
+	c.rngMu.Unlock()
+	if len(out) < 2 {
+		return dst
+	}
+	// Scratch stays on the stack unless the level is unusually wide.
+	var healthBuf [16]siteHealth
+	var bucketBuf [16]int8
+	health, buckets := healthBuf[:], bucketBuf[:]
+	if len(out) > len(healthBuf) {
+		health, buckets = make([]siteHealth, len(out)), make([]int8, len(out))
+	}
+	health, buckets = health[:len(out)], buckets[:len(out)]
 	c.scores.fill(out, health)
 	var best float64 = math.MaxFloat64
 	for i := range health {
@@ -222,7 +246,6 @@ func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
 		}
 	}
 	material := float64(c.hedgeDelay)
-	buckets := make([]int8, len(out))
 	for i, a := range out {
 		h := health[i]
 		switch {
@@ -235,19 +258,12 @@ func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
 		}
 	}
 	stableSortByBucket(out, buckets)
-	c.rngMu.Lock()
-	explore := c.rng.Intn(exploreEvery) == 0
-	idx := 0
-	if explore {
-		idx = c.rng.Intn(len(out))
-	}
-	c.rngMu.Unlock()
 	if explore && idx > 0 {
 		picked := out[idx]
 		copy(out[1:idx+1], out[:idx])
 		out[0] = picked
 	}
-	return out
+	return dst
 }
 
 // orderedLevels returns physical level indices in write-attempt order: the
@@ -259,11 +275,18 @@ func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
 // the max over members. Latency is deliberately ignored: a uniformly far
 // level is still a correct and load-bearing write quorum.)
 func (c *Client) orderedLevels(proto *core.Protocol) []int {
-	order := c.shuffledLevelOrder(proto)
-	if len(order) < 2 {
+	l := proto.NumPhysicalLevels()
+	c.rngMu.Lock()
+	first := c.rng.Intn(l)
+	c.rngMu.Unlock()
+	order := make([]int, l)
+	for i := range order {
+		order[i] = (first + i) % l
+	}
+	if l < 2 {
 		return order
 	}
-	buckets := make([]int8, len(order))
+	buckets := make([]int8, l)
 	for i, u := range order {
 		worst := 0.0
 		for _, s := range proto.LevelSites(u) {
@@ -303,160 +326,411 @@ func stableSortByBucket[T any](items []T, buckets []int8) {
 // levelHedgeDelay decides whether and when this level may hedge: the
 // configured delay, floored at twice the level's best learned round-trip
 // (a uniformly slow level — e.g. a far zone — must not hedge on every
-// probe) and gated off entirely while the level is cold or when the floor
+// probe), or zero — no hedging — while the level is cold or when the floor
 // reaches the client timeout (the sequential fallback fires then anyway).
-func (c *Client) levelHedgeDelay(sites []transport.Addr, cfg readConfig) (time.Duration, bool) {
+func (c *Client) levelHedgeDelay(sites []transport.Addr, cfg readConfig) time.Duration {
 	best, known := c.scores.bestLatency(sites)
-	if !known {
-		return 0, false
+	d := max(cfg.hedgeDelay, 2*best)
+	if !known || d >= c.timeout {
+		return 0
 	}
-	d := cfg.hedgeDelay
-	if floor := 2 * best; floor > d {
-		d = floor
-	}
-	if d >= c.timeout {
-		return 0, false
-	}
-	return d, true
+	return d
 }
 
-// probeReply is one probe's outcome inside a hedged level assembly.
-type probeReply struct {
-	addr  transport.Addr
-	resp  any
-	err   error
+// slot is one independent race inside an assembly, won by the first usable
+// reply: one physical level of a read or version discovery (its sites in
+// probe order), or one member of a 2PC fan-out (a single candidate).
+type slot struct {
+	level   int
+	sites   []transport.Addr // candidates in probe order
+	next    int              // next candidate to start
+	pending int              // contacts in flight
+	force   bool             // contacts go through open breakers
+	span    *obs.LevelSpan
+	start   time.Time
+
+	// hedgeAfter > 0 arms hedging: each time hedgeDue passes undecided, the
+	// next candidate is started beside the outstanding ones.
+	hedgeAfter     time.Duration
+	hedgeDue       time.Time
+	hedges         int
+	primaryReplied bool
+
+	// skipped lists candidates never probed because their circuit breaker
+	// fast-failed the start; the rescue pass force-probes them.
+	skipped []transport.Addr
+
+	// The outcome, valid once done: the winning reply and its sender, or
+	// the last candidate's error. contacts counts requests sent.
+	done      bool
+	responder transport.Addr
+	resp      any
+	err       error
+	contacts  int
+}
+
+// contact is one request in flight.
+type contact struct {
+	pend  rpc.Pending
+	slot  int
+	start time.Time
+	due   time.Time // reply deadline
 	hedge bool
+	live  bool
 }
 
-// readLevelHedged obtains one response from level u with hedged backup
-// probes: candidates are contacted one at a time, but when the outstanding
-// probe is overdue by hedgeAfter the next candidate is probed concurrently
-// (and immediately on a definite failure). The first usable response wins;
-// the losers are cancelled and their replies drained before returning, so
-// no goroutine or trace write outlives the operation.
-func (c *Client) readLevelHedged(ctx context.Context, sites []transport.Addr, u int, key string, versionOnly bool, op *obs.Op, hedgeAfter time.Duration) levelOutcome {
-	phase, spanPhase := "read", "read-quorum"
-	if versionOnly {
-		phase, spanPhase = "version", "version-discovery"
-	}
-	span := op.Level(u, spanPhase)
-	traced := span.On()
+// assembly is the quorum engine's state machine: one phase of an operation
+// — a read quorum, a version discovery, one 2PC round — run to completion
+// on the calling goroutine. Every slot starts its first candidate; run then
+// sits in one select over the reply inbox, one timer armed for the nearest
+// hedge-due or reply-deadline instant, and the context, and each event
+// moves one slot (DESIGN.md §4b has the transition table). An assembly is
+// recycled through assemblyPool, timer, inbox and slices included.
+type assembly struct {
+	c     *Client
+	ctx   context.Context
+	req   rpc.Request
+	phase string // contact label on the trace: read | version | prepare | commit | abort | ping
+	// op and spanPhase are set for read-shaped phases, whose every slot
+	// pass (first and rescue) is a level attempt of its own on the trace; a
+	// fan-out records into the span its slots were given.
+	op        *obs.Op
+	spanPhase string
+	// rescue lets a slot that exhausted its candidates force-probe the ones
+	// its breaker had skipped: the breaker is advice for ordering and
+	// fast-skipping, never grounds for declaring a site unreachable.
+	rescue bool
 
-	var out levelOutcome
-	levelStart := time.Now()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var contacts atomic.Uint64
-	replies := make(chan probeReply, len(sites))
-	launch := func(i int, hedge bool) {
-		addr := sites[i]
-		go func() {
-			var cs time.Time
-			if traced {
-				cs = time.Now()
-			}
-			var resp any
-			var err error
-			if versionOnly {
-				resp, err = c.call(pctx, addr, replica.VersionReq{Key: key, ForWrite: true}, &contacts)
-			} else {
-				resp, err = c.call(pctx, addr, replica.ReadReq{Key: key}, &contacts)
-			}
-			if traced {
-				p := phase
-				if hedge {
-					p += "-hedge"
-				}
-				span.Contact(int(addr), p, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-			}
-			replies <- probeReply{addr: addr, resp: resp, err: err, hedge: hedge}
-		}()
-	}
+	slots    []slot
+	contacts []contact // append-only: a reply's tag is its contact's index
+	sites    []transport.Addr
+	live     int // contacts in flight
+	sent     int // requests handed to the transport: the paper's unit of cost
 
-	launch(0, false)
-	launched, pending, fallbacks := 1, 1, 0
-	timer := time.NewTimer(hedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	won, primaryReplied := false, false
-	for pending > 0 {
+	inbox chan rpc.Reply
+	timer *time.Timer
+	wake  time.Time // the instant the timer is armed for; zero when it is not
+	// stray is set when a request ended any other way than its reply being
+	// received (failed start, timeout, cancellation): a reply may still
+	// land in the inbox, so the inbox is not recycled.
+	stray bool
+}
+
+var assemblyPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &assembly{timer: t}
+}}
+
+// newAssembly prepares an assembly sending req to at most candidates sites.
+func (c *Client) newAssembly(ctx context.Context, req rpc.Request, phase string, candidates int) *assembly {
+	a := assemblyPool.Get().(*assembly)
+	a.c, a.ctx, a.req, a.phase = c, ctx, req, phase
+	if cap(a.inbox) < candidates {
+		a.inbox = make(chan rpc.Reply, candidates)
+	}
+	return a
+}
+
+// release recycles the assembly. Its slots are invalid afterwards.
+func (a *assembly) release() {
+	if !a.timer.Stop() {
 		select {
-		case r := <-replies:
-			pending--
-			if r.addr == sites[0] {
-				primaryReplied = true
-			}
-			if won {
-				continue // a cancelled loser draining
-			}
-			err := r.err
-			if err == nil {
-				var ts replica.Timestamp
-				var value []byte
-				var found bool
-				ts, value, found, err = c.decodeProbe(r.addr, r.resp)
-				if err == nil {
-					out.ts, out.value, out.found = ts, value, found
-				}
-			} else if errors.Is(err, rpc.ErrBreakerOpen) {
-				out.skipped = append(out.skipped, r.addr)
-			}
-			if err == nil {
-				won = true
-				out.err = nil
-				out.responder = r.addr
-				if r.hedge {
-					if c.instr != nil {
-						c.instr.hedgeWins.Inc()
-					}
-					// The win itself says the primary sat overdue past
-					// the hedge delay without answering: score that as a
-					// failure so later reads deprioritize it. (Cancelled
-					// calls are otherwise never scored — losing a fair
-					// race says nothing — but overdue-ness does.)
-					if !primaryReplied {
-						c.scores.record(sites[0], time.Since(levelStart), true)
-					}
-				}
-				cancel() // release the losers; the loop drains their replies
-				continue
-			}
-			lastErr = err
-			if launched < len(sites) && pctx.Err() == nil {
-				launch(launched, false)
-				launched++
-				pending++
-				fallbacks++
-			}
-		case <-timer.C:
-			if !won && launched < len(sites) && pctx.Err() == nil {
-				// A hedge is optional retry traffic: it spends a retry-budget
-				// token. Denied, the overdue primary still resolves at the
-				// client timeout and the plain failure fallback takes over —
-				// the budget trades tail latency for load, never availability.
-				if c.budget.spend() {
-					launch(launched, true)
-					launched++
-					pending++
-					if c.instr != nil {
-						c.instr.hedges.Inc()
-					}
-				} else if c.instr != nil {
-					c.instr.budgetDenied.Inc()
-				}
-			}
-			timer.Reset(hedgeAfter)
+		case <-a.timer.C:
+		default:
 		}
 	}
-	if !won {
-		out.err = lastErr
+	clear(a.slots)
+	clear(a.contacts)
+	inbox := a.inbox
+	if a.stray {
+		inbox = nil
 	}
-	out.contacts = int(contacts.Load())
-	if fallbacks > 0 && c.instr != nil {
-		c.instr.siteFallbacks.Add(uint64(fallbacks))
+	*a = assembly{slots: a.slots[:0], contacts: a.contacts[:0], sites: a.sites[:0], inbox: inbox, timer: a.timer}
+	assemblyPool.Put(a)
+}
+
+// addSlot adds a race over sites and starts its first candidate. span is
+// where contacts are traced (read-shaped phases open their own).
+func (a *assembly) addSlot(level int, sites []transport.Addr, force bool, hedgeAfter time.Duration, span *obs.LevelSpan) {
+	now := time.Now()
+	if a.spanPhase != "" {
+		span = a.op.Level(level, a.spanPhase)
 	}
-	span.Done(out.err == nil, out.err)
-	return out
+	s := slot{level: level, sites: sites, force: force, span: span, start: now}
+	if hedgeAfter > 0 && len(sites) > 1 {
+		s.hedgeAfter, s.hedgeDue = hedgeAfter, now.Add(hedgeAfter)
+		a.wakeBy(s.hedgeDue)
+	}
+	a.slots = append(a.slots, s)
+	a.advance(len(a.slots)-1, false, now)
+}
+
+// wakeBy makes sure the timer fires no later than t.
+func (a *assembly) wakeBy(t time.Time) {
+	if a.wake.IsZero() || t.Before(a.wake) {
+		a.wake = t
+		a.timer.Reset(time.Until(t))
+	}
+}
+
+// run drives the assembly until every slot is decided.
+func (a *assembly) run() {
+	for a.live > 0 {
+		select {
+		case r := <-a.inbox:
+			// A reply to a contact already resolved another way is dropped.
+			if r.Tag < len(a.contacts) && a.contacts[r.Tag].live && a.contacts[r.Tag].pend.ID == r.ID {
+				resp, err := a.c.caller.Answered(a.contacts[r.Tag].pend, r.Payload)
+				a.resolve(r.Tag, resp, err, time.Now())
+			}
+		case <-a.timer.C:
+			a.onTimer(time.Now())
+		case <-a.ctx.Done():
+			a.abandon(a.ctx.Err())
+		}
+	}
+}
+
+// onTimer expires every contact past its reply deadline, starts every hedge
+// that is due, and re-arms the timer for what is due next.
+func (a *assembly) onTimer(now time.Time) {
+	a.wake = time.Time{}
+	for i := 0; i < len(a.contacts); i++ {
+		switch ct := &a.contacts[i]; {
+		case !ct.live:
+		case now.Before(ct.due):
+			a.wakeBy(ct.due)
+		default:
+			a.stray = true
+			a.resolve(i, nil, a.c.caller.Expire(ct.pend), now)
+		}
+	}
+	for si := range a.slots {
+		s := &a.slots[si]
+		if s.done || s.hedgeAfter == 0 {
+			continue
+		}
+		if s.next == len(s.sites) {
+			s.hedgeAfter = 0 // nobody left to hedge with
+			continue
+		}
+		if !now.Before(s.hedgeDue) {
+			s.hedgeDue = now.Add(s.hedgeAfter)
+			// A hedge is optional retry traffic and spends a retry-budget
+			// token. Denied, the overdue contact still resolves at its
+			// deadline and the failure fallback takes over: the budget
+			// trades tail latency for load, never availability.
+			if a.c.budget.spend() {
+				s.hedges++
+				if a.c.instr != nil {
+					a.c.instr.hedges.Inc()
+				}
+				a.advance(si, true, now)
+			} else if a.c.instr != nil {
+				a.c.instr.budgetDenied.Inc()
+			}
+		}
+		a.wakeBy(s.hedgeDue)
+	}
+}
+
+// advance starts candidates of slot si until one is in flight, and decides
+// the slot when none is left and nothing is in flight. A start that fails
+// on the spot (breaker fast-fail, failed send, spent deadline, closed
+// caller) is a failed contact that never was in flight. Under a context
+// already done only a slot's first candidate is started: an abort must go
+// out even when the operation was cancelled.
+func (a *assembly) advance(si int, hedge bool, now time.Time) {
+	s := &a.slots[si]
+	for {
+		for s.next < len(s.sites) && (s.next == 0 || a.ctx.Err() == nil) {
+			addr := s.sites[s.next]
+			s.next++
+			p, err := a.c.caller.Start(a.ctx, addr, a.req, a.inbox, len(a.contacts), s.force)
+			if err == nil {
+				due := now.Add(p.Timeout)
+				a.contacts = append(a.contacts, contact{pend: p, slot: si, start: now, due: due, hedge: hedge, live: true})
+				a.live++
+				a.sent++
+				s.pending++
+				s.contacts++
+				a.wakeBy(due)
+				return
+			}
+			a.stray = true
+			// A breaker fast-fail is not a contact — no message was sent —
+			// and neither is a start on a closed caller; a failed send is.
+			if !errors.Is(err, rpc.ErrBreakerOpen) && !errors.Is(err, rpc.ErrClosed) {
+				a.sent++
+				s.contacts++
+			}
+			a.record(s, addr, hedge, now, now, nil, err)
+			hedge = false
+		}
+		if s.pending > 0 {
+			return
+		}
+		if !a.rescue || s.force || len(s.skipped) == 0 || a.ctx.Err() != nil {
+			if s.err == nil {
+				s.err = fmt.Errorf("level %d has no replicas", s.level)
+			}
+			a.decide(s)
+			return
+		}
+		// Rescue pass: one candidate at a time, no hedging.
+		if a.spanPhase != "" {
+			s.span.Done(false, s.err)
+			s.span = a.op.Level(s.level, a.spanPhase)
+		}
+		s.sites, s.skipped, s.next, s.force, s.hedgeAfter = s.skipped, nil, 0, true, 0
+	}
+}
+
+// resolve takes contact i out of flight with its outcome and moves its slot
+// on: a usable reply wins it, anything else starts the next candidate.
+func (a *assembly) resolve(i int, resp any, err error, now time.Time) {
+	ct := &a.contacts[i]
+	ct.live = false
+	a.live--
+	si, hedge, addr := ct.slot, ct.hedge, ct.pend.To
+	s := &a.slots[si]
+	s.pending--
+	if a.record(s, addr, hedge, ct.start, now, resp, err) != nil {
+		a.advance(si, false, now)
+		return
+	}
+	s.responder, s.resp, s.err = addr, resp, nil
+	if hedge {
+		if a.c.instr != nil {
+			a.c.instr.hedgeWins.Inc()
+		}
+		// The win itself says the primary sat overdue past the hedge delay
+		// without answering: score that as a failure so later operations
+		// deprioritize it. (Cancelled contacts are otherwise never scored —
+		// losing a fair race says nothing — but overdue-ness does.)
+		if !s.primaryReplied {
+			a.c.scores.record(s.sites[0], now.Sub(s.start), true)
+		}
+	}
+	a.cancel(si, context.Canceled, now)
+}
+
+// record books one finished contact — the site's scores and marks, the
+// trace — and returns the error that makes its reply unusable, nil for a
+// reply that wins the slot. A breaker fast-fail or a closed caller is no
+// evidence about the site. An overload shed is scored only as a refusal:
+// the site answered instantly, it is alive, and ordering it last until it
+// serves again is enough. A catching-up refusal is scored like any served
+// reply and then marks the site refusing.
+func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, resp any, err error) error {
+	c := a.c
+	rtt := now.Sub(start)
+	if addr == s.sites[0] {
+		s.primaryReplied = true
+	}
+	switch {
+	case err == nil:
+		c.scores.record(addr, rtt, false)
+	case errors.Is(err, rpc.ErrClosed):
+		err = ErrClosed
+	case errors.Is(err, rpc.ErrBreakerOpen):
+		s.skipped = append(s.skipped, addr)
+	case errors.Is(err, ErrOverloaded):
+		c.scores.markRefusing(addr)
+		if c.instr != nil {
+			c.instr.overloadSkips.Inc()
+		}
+	case errors.Is(err, rpc.ErrTimeout):
+		c.scores.record(addr, rtt, true)
+	}
+	a.trace(s, addr, hedge, start, rtt, err)
+	if err == nil && refused(resp) {
+		c.scores.markRefusing(addr)
+		err = fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
+	}
+	if err != nil {
+		s.err = err
+	}
+	return err
+}
+
+// refused reports whether a probe reply is a catching-up refusal.
+func refused(resp any) bool {
+	switch m := resp.(type) {
+	case replica.ReadResp:
+		return m.Refused
+	case replica.VersionResp:
+		return m.Refused
+	}
+	return false
+}
+
+// trace records one contact on the slot's span.
+func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, err error) {
+	if !s.span.On() {
+		return
+	}
+	phase := a.phase
+	if hedge {
+		phase += "-hedge"
+	}
+	s.span.Contact(int(addr), phase, start, rtt, err, errors.Is(err, rpc.ErrTimeout))
+}
+
+// cancel decides slot si, cancelling whatever it still has in flight.
+// Cancelled contacts are never scored.
+func (a *assembly) cancel(si int, why error, now time.Time) {
+	s := &a.slots[si]
+	for i := 0; s.pending > 0; i++ {
+		ct := &a.contacts[i]
+		if !ct.live || ct.slot != si {
+			continue
+		}
+		a.c.caller.Cancel(ct.pend)
+		ct.live = false
+		a.live--
+		s.pending--
+		a.stray = true
+		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), why)
+	}
+	a.decide(s)
+}
+
+// abandon ends the assembly because its context did: nothing in flight is
+// waited for, and every undecided slot fails with the context's error.
+func (a *assembly) abandon(why error) {
+	now := time.Now()
+	for si := range a.slots {
+		if s := &a.slots[si]; !s.done {
+			s.err = why
+			a.cancel(si, why, now)
+		}
+	}
+}
+
+// decide closes a slot whose race is over.
+func (a *assembly) decide(s *slot) {
+	s.done = true
+	if n := s.contacts - 1 - s.hedges; n > 0 && a.c.instr != nil {
+		a.c.instr.siteFallbacks.Add(uint64(n))
+	}
+	if a.spanPhase != "" {
+		s.span.Done(s.err == nil, s.err)
+	}
+}
+
+// fanout sends req to every address at once — one single-candidate slot per
+// member — and waits for every outcome: reply, reply deadline, or the end
+// of ctx. The caller reads slot i for addrs[i] and releases the assembly.
+func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, phase string, req rpc.Request, force, rescue bool) *assembly {
+	a := c.newAssembly(ctx, req, phase, len(addrs))
+	a.rescue = rescue
+	for i := range addrs {
+		a.addSlot(0, addrs[i:i+1], force, 0, span)
+	}
+	a.run()
+	return a
 }
 
 // flight is one in-progress coalesced read assembly.
@@ -513,33 +787,10 @@ func (c *Client) finishCoalesced(key string, f *flight) (ReadResult, error) {
 	if c.instr != nil {
 		c.instr.coalesced.Inc()
 	}
-	res, err := f.res, f.err
+	res := f.res
 	res.Contacts = 0
-	switch {
-	case err == nil:
-		c.metrics.reads.Add(1)
-		if c.instr != nil {
-			c.instr.readOK.Inc()
-		}
-		op.Finish(obs.OutcomeOK, nil, 0)
-	case errors.Is(err, ErrNotFound):
-		c.metrics.reads.Add(1)
-		if c.instr != nil {
-			c.instr.readNotFound.Inc()
-		}
-		op.Finish(obs.OutcomeNotFound, nil, 0)
-	default:
-		c.metrics.readFailures.Add(1)
-		if c.instr != nil {
-			if errors.Is(err, ErrReadUnavailable) {
-				c.instr.readUnavailable.Inc()
-			} else {
-				c.instr.ops.With("read", obs.OutcomeError).Inc()
-			}
-		}
-		op.Finish(readOutcome(err), err, 0)
-	}
-	return res, err
+	c.finishRead(op, f.err, 0)
+	return res, f.err
 }
 
 // readConfig is the per-operation shape of a read (or of a write's version

@@ -74,8 +74,8 @@ func TestOrderedSitesDeterministicUnderSeed(t *testing.T) {
 	h2 := newMemHarness(t, "1-3-5", WithSeed(7))
 	for i := 0; i < 200; i++ {
 		u := i % h1.proto.NumPhysicalLevels()
-		a := h1.cli.orderedSites(h1.proto, u)
-		b := h2.cli.orderedSites(h2.proto, u)
+		a := h1.cli.orderedSites(nil, h1.proto, u)
+		b := h2.cli.orderedSites(nil, h2.proto, u)
 		if len(a) != len(b) {
 			t.Fatalf("call %d: lengths differ: %v vs %v", i, a, b)
 		}
@@ -110,7 +110,7 @@ func TestOrderedSitesDeprioritizesUnhealthy(t *testing.T) {
 	const draws = 200
 	firstHealthy, lastFailing := 0, 0
 	for i := 0; i < draws; i++ {
-		out := h.cli.orderedSites(h.proto, 0)
+		out := h.cli.orderedSites(nil, h.proto, 0)
 		if out[0] == healthy {
 			firstHealthy++
 		}
@@ -154,27 +154,27 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	addrs := []transport.Addr{transport.Addr(sites[0]), transport.Addr(sites[1])}
 	cfg := readConfig{hedge: true, hedgeDelay: 5 * time.Millisecond}
 
-	if _, ok := h.cli.levelHedgeDelay(addrs, cfg); ok {
+	if d := h.cli.levelHedgeDelay(addrs, cfg); d != 0 {
 		t.Error("cold level must not hedge")
 	}
 	h.cli.scores.record(addrs[0], time.Millisecond, false)
-	if d, ok := h.cli.levelHedgeDelay(addrs, cfg); !ok || d != 5*time.Millisecond {
-		t.Errorf("warm level: delay = %v, %v; want 5ms, true", d, ok)
+	if d := h.cli.levelHedgeDelay(addrs, cfg); d != 5*time.Millisecond {
+		t.Errorf("warm level: delay = %v; want 5ms", d)
 	}
 	// A best round-trip of 10ms floors the 5ms configured delay to 20ms.
 	h2 := newMemHarness(t, "1-2")
 	for i := 0; i < 20; i++ {
 		h2.cli.scores.record(addrs[0], 10*time.Millisecond, false)
 	}
-	if d, ok := h2.cli.levelHedgeDelay(addrs, cfg); !ok || d != 20*time.Millisecond {
-		t.Errorf("floored delay = %v, %v; want 20ms, true", d, ok)
+	if d := h2.cli.levelHedgeDelay(addrs, cfg); d != 20*time.Millisecond {
+		t.Errorf("floored delay = %v; want 20ms", d)
 	}
 	// A uniformly slow level (floor >= timeout) must not hedge at all.
 	h3 := newMemHarness(t, "1-2")
 	for i := 0; i < 20; i++ {
 		h3.cli.scores.record(addrs[0], 60*time.Millisecond, false)
 	}
-	if _, ok := h3.cli.levelHedgeDelay(addrs, cfg); ok {
+	if d := h3.cli.levelHedgeDelay(addrs, cfg); d != 0 {
 		t.Error("level with 2×best >= timeout must not hedge")
 	}
 }

@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
-	"arbor/internal/rpc"
 	"arbor/internal/transport"
 )
 
@@ -61,46 +57,45 @@ func (c *Client) readDirect(ctx context.Context, key string, cfg readConfig) (Re
 		start = time.Now()
 	}
 	res, err := c.readQuorum(ctx, key, false, op, cfg)
-	if err != nil {
-		c.metrics.readFailures.Add(1)
-		if c.instr != nil {
-			c.instr.readDur.Observe(time.Since(start))
-			if errors.Is(err, ErrReadUnavailable) {
-				c.instr.readUnavailable.Inc()
-			} else {
-				c.instr.ops.With("read", obs.OutcomeError).Inc()
-			}
-		}
-		op.Finish(readOutcome(err), err, res.Contacts)
-		return res, err
+	if err == nil && !res.Found {
+		err = ErrNotFound
 	}
-	c.metrics.reads.Add(1)
 	if c.instr != nil {
 		c.instr.readDur.Observe(time.Since(start))
 	}
-	if !res.Found {
+	c.finishRead(op, err, res.Contacts)
+	return res, err
+}
+
+// finishRead books a read's outcome — err is nil, ErrNotFound (the quorum
+// assembled, nobody stores the key: still a completed read) or a failure —
+// on the counters, the instruments and the trace.
+func (c *Client) finishRead(op *obs.Op, err error, contacts int) {
+	switch {
+	case err == nil:
+		c.metrics.reads.Add(1)
+		if c.instr != nil {
+			c.instr.readOK.Inc()
+		}
+		op.Finish(obs.OutcomeOK, nil, contacts)
+	case errors.Is(err, ErrNotFound):
+		c.metrics.reads.Add(1)
 		if c.instr != nil {
 			c.instr.readNotFound.Inc()
 		}
-		op.Finish(obs.OutcomeNotFound, nil, res.Contacts)
-		return res, ErrNotFound
-	}
-	if c.instr != nil {
-		c.instr.readOK.Inc()
-	}
-	op.Finish(obs.OutcomeOK, nil, res.Contacts)
-	return res, nil
-}
-
-// readOutcome maps a read error to a trace outcome label.
-func readOutcome(err error) string {
-	switch {
-	case err == nil:
-		return obs.OutcomeOK
+		op.Finish(obs.OutcomeNotFound, nil, contacts)
 	case errors.Is(err, ErrReadUnavailable):
-		return obs.OutcomeUnavailable
+		c.metrics.readFailures.Add(1)
+		if c.instr != nil {
+			c.instr.readUnavailable.Inc()
+		}
+		op.Finish(obs.OutcomeUnavailable, err, contacts)
 	default:
-		return obs.OutcomeError
+		c.metrics.readFailures.Add(1)
+		if c.instr != nil {
+			c.instr.ops.With("read", obs.OutcomeError).Inc()
+		}
+		op.Finish(obs.OutcomeError, err, contacts)
 	}
 }
 
@@ -113,188 +108,91 @@ func (c *Client) ReadVersion(ctx context.Context, key string) (ReadResult, error
 	return c.readQuorum(ctx, key, true, nil, c.readDefaults())
 }
 
-// levelOutcome is one physical level's contribution to a read quorum.
-type levelOutcome struct {
-	ts        replica.Timestamp
-	value     []byte
-	found     bool
-	contacts  int
-	err       error
-	responder transport.Addr
-	// skipped lists sites the attempt never actually probed because their
-	// circuit breaker fast-failed the call; a failed level retries them
-	// with ForceProbe before giving up (the rescue pass).
-	skipped []transport.Addr
+// readQuorum gathers one response per physical level: one assembly with a
+// slot per level, its sites engine-ordered and hedged when warranted. When
+// op is live, every level probe is recorded as a LevelAttempt on it. The
+// contact count covers every level, failed ones included.
+func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
+	proto := c.Protocol()
+	levels := proto.NumPhysicalLevels()
+	total := 0
+	for u := 0; u < levels; u++ {
+		total += len(proto.LevelSites(u))
+	}
+	var a *assembly
+	if versionOnly {
+		a = c.newAssembly(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", total)
+		a.spanPhase = "version-discovery"
+	} else {
+		a = c.newAssembly(ctx, replica.ReadReq{Key: key}, "read", total)
+		a.spanPhase = "read-quorum"
+	}
+	defer a.release()
+	a.op, a.rescue = op, true
+	if cap(a.sites) < total {
+		a.sites = make([]transport.Addr, 0, total)
+	}
+	for u := 0; u < levels; u++ {
+		lo := len(a.sites)
+		a.sites = c.orderedSites(a.sites, proto, u)
+		sites := a.sites[lo:len(a.sites):len(a.sites)]
+		var hedgeAfter time.Duration
+		if cfg.hedge {
+			hedgeAfter = c.levelHedgeDelay(sites, cfg)
+		}
+		a.addSlot(u, sites, false, hedgeAfter, nil)
+	}
+	a.run()
+
+	var res ReadResult
+	res.Contacts = a.sent
+	c.metrics.readContacts.Add(uint64(res.Contacts))
+	for u := range a.slots {
+		s := &a.slots[u]
+		if s.err != nil {
+			return res, fmt.Errorf("%w: level %d: %w", ErrReadUnavailable, u, s.err)
+		}
+		ts, value, found, err := decodeProbe(s.resp)
+		if err != nil {
+			return res, fmt.Errorf("%w: level %d: site %d: %w", ErrReadUnavailable, u, s.responder, err)
+		}
+		if found && (!res.Found || ts.After(res.TS)) {
+			res.TS, res.Value, res.Found = ts, value, true
+		}
+	}
+	if c.readRepair && !versionOnly && res.Found {
+		c.repair(key, res, a.slots)
+	}
+	return res, nil
 }
 
-// decodeProbe extracts a read/version probe response. A catching-up
-// refusal maps to ErrCatchingUp and marks the site as refusing in the
-// scoreboard (ordering it last until it serves again); a real serve clears
-// the mark.
-func (c *Client) decodeProbe(addr transport.Addr, resp any) (ts replica.Timestamp, value []byte, found bool, err error) {
+// decodeProbe extracts a read or version probe's reply.
+func decodeProbe(resp any) (ts replica.Timestamp, value []byte, found bool, err error) {
 	switch m := resp.(type) {
 	case replica.ReadResp:
-		if m.Refused {
-			c.scores.markRefusing(addr)
-			return ts, nil, false, fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
-		}
 		return m.TS, m.Value, m.Found, nil
 	case replica.VersionResp:
-		if m.Refused {
-			c.scores.markRefusing(addr)
-			return ts, nil, false, fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
-		}
 		return m.TS, nil, m.Found, nil
 	default:
 		return ts, nil, false, fmt.Errorf("unexpected response %T", resp)
 	}
 }
 
-// readQuorum gathers one response per physical level, in parallel across
-// levels and engine-ordered (hedged when warranted) within a level. When
-// op is live, every level probe is recorded as a LevelAttempt on it.
-func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
-	proto := c.Protocol()
-	levels := proto.NumPhysicalLevels()
-	outcomes := make([]levelOutcome, levels)
-	var wg sync.WaitGroup
-	for u := 0; u < levels; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			outcomes[u] = c.readLevel(ctx, proto, u, key, versionOnly, op, cfg)
-		}(u)
-	}
-	wg.Wait()
-
-	var res ReadResult
-	for u, out := range outcomes {
-		res.Contacts += out.contacts
-		if out.err != nil {
-			c.metrics.readContacts.Add(uint64(res.Contacts))
-			return res, fmt.Errorf("%w: level %d: %w", ErrReadUnavailable, u, out.err)
-		}
-		if out.found && (!res.Found || out.ts.After(res.TS)) {
-			res.TS = out.ts
-			res.Value = out.value
-			res.Found = true
-		}
-	}
-	c.metrics.readContacts.Add(uint64(res.Contacts))
-	if c.readRepair && !versionOnly && res.Found {
-		c.repair(key, res, outcomes)
-	}
-	return res, nil
-}
-
 // repair pushes the winning value to contacted replicas that answered with
 // stale or missing data. Repairs are fire-and-forget timestamped commits
 // (request ID 0 is never registered, so any acknowledgement is dropped by
 // the dispatcher) and cannot regress replica state.
-func (c *Client) repair(key string, res ReadResult, outcomes []levelOutcome) {
-	for _, out := range outcomes {
-		if out.err != nil || (out.found && !res.TS.After(out.ts)) {
+func (c *Client) repair(key string, res ReadResult, levels []slot) {
+	for i := range levels {
+		ts, _, found, _ := decodeProbe(levels[i].resp)
+		if found && !res.TS.After(ts) {
 			continue
 		}
-		_ = c.caller.Send(out.responder, replica.CommitReq{
+		_ = c.caller.Send(levels[i].responder, replica.CommitReq{
 			TxID:  0,
 			Key:   key,
 			Value: res.Value,
 			TS:    res.TS,
 		})
 	}
-}
-
-// readLevel obtains one response from any physical node of level u,
-// probing candidates in the engine's learned order — hedged when the level
-// is warm and hedging is on, sequentially otherwise. If the attempt fails
-// while some sites were only breaker-skipped (never actually probed), a
-// rescue pass force-probes them: the breaker is advice for ordering and
-// fast-skipping, never grounds for declaring a level unavailable.
-func (c *Client) readLevel(ctx context.Context, proto *core.Protocol, u int, key string, versionOnly bool, op *obs.Op, cfg readConfig) levelOutcome {
-	sites := c.orderedSites(proto, u)
-	var out levelOutcome
-	hedged := false
-	if cfg.hedge && len(sites) > 1 {
-		if d, ok := c.levelHedgeDelay(sites, cfg); ok {
-			out = c.readLevelHedged(ctx, sites, u, key, versionOnly, op, d)
-			hedged = true
-		}
-	}
-	if !hedged {
-		out = c.readLevelSequential(ctx, sites, u, key, versionOnly, op, false)
-	}
-	if out.err != nil && len(out.skipped) > 0 && ctx.Err() == nil {
-		rescue := c.readLevelSequential(ctx, out.skipped, u, key, versionOnly, op, true)
-		rescue.contacts += out.contacts
-		return rescue
-	}
-	return out
-}
-
-// readLevelSequential probes the level's candidates one at a time, each
-// bounded by the full client timeout, recording each site contact (and the
-// eventual fallback within the level) on the operation trace. With force
-// set, calls carry ForceProbe and go through open circuit breakers (the
-// rescue pass).
-func (c *Client) readLevelSequential(ctx context.Context, sites []transport.Addr, u int, key string, versionOnly bool, op *obs.Op, force bool) levelOutcome {
-	phase := "read"
-	spanPhase := "read-quorum"
-	if versionOnly {
-		phase = "version"
-		spanPhase = "version-discovery"
-	}
-	span := op.Level(u, spanPhase)
-	traced := span.On()
-
-	var copts []rpc.CallOption
-	if force {
-		copts = []rpc.CallOption{rpc.ForceProbe()}
-	}
-	var out levelOutcome
-	var contacts atomic.Uint64
-	for _, addr := range sites {
-		var cs time.Time
-		if traced {
-			cs = time.Now()
-		}
-		var resp any
-		var err error
-		if versionOnly {
-			resp, err = c.call(ctx, addr, replica.VersionReq{Key: key, ForWrite: true}, &contacts, copts...)
-		} else {
-			resp, err = c.call(ctx, addr, replica.ReadReq{Key: key}, &contacts, copts...)
-		}
-		if traced {
-			span.Contact(int(addr), phase, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-		}
-		if err != nil {
-			if errors.Is(err, rpc.ErrBreakerOpen) {
-				out.skipped = append(out.skipped, addr)
-			}
-			out.err = err
-			continue
-		}
-		out.err = nil
-		var ts replica.Timestamp
-		var value []byte
-		var found bool
-		ts, value, found, err = c.decodeProbe(addr, resp)
-		if err != nil {
-			out.err = err
-			continue
-		}
-		out.responder = addr
-		out.ts, out.value, out.found = ts, value, found
-		break
-	}
-	out.contacts = int(contacts.Load())
-	if out.contacts == 0 && out.err == nil {
-		out.err = fmt.Errorf("level %d has no replicas", u)
-	}
-	if out.contacts > 1 && c.instr != nil {
-		c.instr.siteFallbacks.Add(uint64(out.contacts - 1))
-	}
-	span.Done(out.err == nil, out.err)
-	return out
 }

@@ -4,15 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
-	"arbor/internal/rpc"
-	"arbor/internal/transport"
 )
 
 // Txn is a client-side transaction: a partially ordered set of reads and
@@ -126,7 +122,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	op := t.c.traces.Start("txn", traceKey, t.c.id)
 	var start time.Time
-	var contacts atomic.Uint64
+	var contacts int
 	if t.c.instr != nil {
 		start = time.Now()
 	}
@@ -135,7 +131,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			t.c.instr.txnDur.Observe(time.Since(start))
 			t.c.instr.ops.With("txn", outcome).Inc()
 		}
-		op.Finish(outcome, err, int(contacts.Load()))
+		op.Finish(outcome, err, contacts)
 	}
 
 	// Per-key timestamps: cached read versions where available, fresh
@@ -155,155 +151,61 @@ func (t *Txn) Commit(ctx context.Context) error {
 		tss[key] = replica.Timestamp{Version: base.TS.Version + 1, Site: t.c.id}
 	}
 
-	defer func() {
-		t.c.metrics.writeContacts.Add(contacts.Load())
-	}()
-
-	var lastErr error
-	for i, u := range t.c.orderedLevels(t.proto) {
-		if i > 0 {
-			if !t.c.budget.spend() {
-				if t.c.instr != nil {
-					t.c.instr.budgetDenied.Inc()
-				}
-				break
-			}
-			if t.c.instr != nil {
-				t.c.instr.levelFallbacks.Inc()
-			}
-			floor, _ := rpc.RetryAfter(lastErr)
-			if berr := t.c.backoff(ctx, i-1, "level", floor); berr != nil {
-				break
-			}
-		}
-		err := t.commitLevel(ctx, u, tss, &contacts, op)
-		if err == nil {
-			t.c.metrics.writes.Add(1)
-			finish(obs.OutcomeOK, nil)
-			return nil
-		}
-		if errors.Is(err, ErrInDoubt) {
-			t.c.metrics.writes.Add(1)
-			finish(obs.OutcomeInDoubt, err)
-			return err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	t.c.metrics.writeFailures.Add(1)
-	if lastErr != nil {
-		err := fmt.Errorf("%w: %w", ErrTxnConflict, lastErr)
+	var err error
+	_, contacts, err = t.c.tryLevels(ctx, t.c.orderedLevels(t.proto), func(u int) (int, error) {
+		return t.commitLevel(ctx, u, tss, op)
+	})
+	t.c.metrics.writeContacts.Add(uint64(contacts))
+	switch {
+	case err == nil:
+		t.c.metrics.writes.Add(1)
+		finish(obs.OutcomeOK, nil)
+	case errors.Is(err, ErrInDoubt):
+		t.c.metrics.writes.Add(1)
+		finish(obs.OutcomeInDoubt, err)
+	default:
+		t.c.metrics.writeFailures.Add(1)
+		err = fmt.Errorf("%w: %w", ErrTxnConflict, err)
 		finish(obs.OutcomeConflict, err)
-		return err
 	}
-	finish(obs.OutcomeConflict, ErrTxnConflict)
-	return ErrTxnConflict
+	return err
 }
 
 // commitLevel prepares every (key, site) pair of level u, then commits them
-// all, aborting everything on any prepare failure.
-func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, contacts *atomic.Uint64, op *obs.Op) error {
-	sites := t.proto.LevelSites(u)
-	addrs := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		addrs[i] = transport.Addr(s)
-	}
+// all, aborting everything on any prepare failure. contacts is every
+// prepare sent.
+func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, op *obs.Op) (contacts int, err error) {
+	addrs := levelAddrs(t.proto, u)
 	txID := t.c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
-	var uncounted atomic.Uint64
-
-	abortAll := func(keys []string) {
-		for _, key := range keys {
-			t.c.fanout(ctx, addrs, &uncounted, span, "abort",
-				replica.AbortReq{TxID: txID, Key: key}, func(any) error { return nil })
-		}
-	}
 
 	// Phase 1: prepare every key on every member of the level.
-	checkPrepare := func(resp any) error {
-		pr, ok := resp.(replica.PrepareResp)
-		if !ok {
-			return fmt.Errorf("unexpected response %T", resp)
-		}
-		if !pr.OK {
-			return fmt.Errorf("prepare refused: %s", pr.Reason)
-		}
-		return nil
-	}
-	var prepared []string
-	for _, key := range t.order {
-		prepare := replica.PrepareReq{TxID: txID, Key: key, TS: tss[key]}
-		err := t.c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare)
-		if err != nil && errors.Is(err, rpc.ErrBreakerOpen) && ctx.Err() == nil {
-			// Rescue pass: don't fail the level over a breaker fast-fail —
-			// force the prepares through once (see writeLevel).
-			err = t.c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare, rpc.ForceProbe())
-		}
+	for i, key := range t.order {
+		n, err := t.c.prepareAll(ctx, addrs, span, replica.PrepareReq{TxID: txID, Key: key, TS: tss[key]})
+		contacts += n
 		if err != nil {
-			abortAll(append(prepared, key))
+			for _, locked := range t.order[:i+1] {
+				t.c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: locked}, false, false).release()
+			}
 			err = fmt.Errorf("level %d key %q: %w", u, key, err)
 			span.Done(false, err)
-			return err
+			return contacts, err
 		}
-		prepared = append(prepared, key)
 	}
 
-	// Phase 2: the whole transaction is committed; push every key's
-	// commit until acknowledged.
+	// Phase 2: the whole transaction is committed; push every key's commit
+	// until acknowledged. A context that ends midway leaves the commit
+	// decision standing and the outcome in doubt.
 	inDoubt := false
 	for _, key := range t.order {
-		key := key
-		ts := tss[key]
-		value := t.writes[key]
-		remaining := addrs
-		acked := false
-		for attempt := 0; attempt <= t.c.commitRetries; attempt++ {
-			if attempt > 0 {
-				if !t.c.budget.spend() {
-					if t.c.instr != nil {
-						t.c.instr.budgetDenied.Inc()
-					}
-					break // budget dry: outcome in doubt, no retry storm
-				}
-				// Back off instead of re-sending immediately: the failed
-				// member is likely still recovering, and a hot loop just
-				// burns its inbox. ForceProbe below keeps the commit
-				// decision flowing through open breakers.
-				if t.c.backoff(ctx, attempt-1, "commit", 0) != nil {
-					break // context done mid-backoff: outcome in doubt
-				}
-			}
-			var mu sync.Mutex
-			var failed []transport.Addr
-			err := t.c.fanoutCollect(ctx, remaining, &uncounted, span, "commit",
-				replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts},
-				func(addr transport.Addr, _ any, callErr error) {
-					if callErr != nil {
-						mu.Lock()
-						failed = append(failed, addr)
-						mu.Unlock()
-					}
-				}, rpc.ForceProbe())
-			if err != nil {
-				break // context done: commit decision stands, outcome in doubt
-			}
-			if len(failed) == 0 {
-				acked = true
-				break
-			}
-			remaining = failed
-		}
-		if !acked {
-			inDoubt = true
-		}
+		acked, _ := t.c.pushCommit(ctx, addrs, span, replica.CommitReq{TxID: txID, Key: key, Value: t.writes[key], TS: tss[key]})
+		inDoubt = inDoubt || !acked
 	}
 	if inDoubt {
 		err := fmt.Errorf("level %d: %w", u, ErrInDoubt)
 		span.Done(false, err)
-		return err
+		return contacts, err
 	}
 	span.Done(true, nil)
-	return nil
+	return contacts, nil
 }

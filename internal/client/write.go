@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbor/internal/core"
@@ -84,7 +82,6 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 	if c.instr != nil {
 		start = time.Now()
 	}
-	var contacts atomic.Uint64
 	finish := func(outcome string, err error) {
 		if c.instr != nil {
 			c.instr.writeDur.Observe(time.Since(start))
@@ -93,22 +90,18 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 				c.instr.writeOK.Inc()
 			case obs.OutcomeInDoubt:
 				c.instr.writeInDoubt.Inc()
-			case obs.OutcomeUnavailable:
-				c.instr.writeUnavailable.Inc()
 			default:
-				c.instr.ops.With("write", outcome).Inc()
+				c.instr.writeUnavailable.Inc()
 			}
 		}
-		// The deferred contact accounting below runs after finish, so the
-		// trace adds the in-flight 2PC contacts explicitly.
-		op.Finish(outcome, err, res.Contacts+int(contacts.Load()))
+		op.Finish(outcome, err, res.Contacts)
 	}
 
 	// Phase 0 (§3.2.2): obtain the highest version number. This needs a
 	// read-shaped quorum, so a write inherits the read operation's
 	// availability requirement for its version-discovery step.
 	ver, err := c.readQuorum(ctx, key, true, op, rcfg)
-	res.Contacts += ver.Contacts
+	res.Contacts = ver.Contacts
 	if err != nil {
 		c.metrics.writeFailures.Add(1)
 		c.metrics.writeContacts.Add(uint64(ver.Contacts))
@@ -118,122 +111,142 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 	}
 	ts := replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}
 
-	defer func() {
-		n := int(contacts.Load())
-		res.Contacts += n
-		c.metrics.writeContacts.Add(uint64(n))
-	}()
+	level, contacts, err := c.tryLevels(ctx, order, func(u int) (int, error) {
+		return c.writeLevel(ctx, proto, u, key, value, ts, op)
+	})
+	res.Contacts += contacts
+	c.metrics.writeContacts.Add(uint64(contacts))
+	switch {
+	case err == nil:
+		res.TS, res.Level = ts, level
+		c.metrics.writes.Add(1)
+		finish(obs.OutcomeOK, nil)
+	case errors.Is(err, ErrInDoubt):
+		res.TS, res.Level = ts, level
+		c.metrics.writes.Add(1)
+		finish(obs.OutcomeInDoubt, err)
+	default:
+		c.metrics.writeFailures.Add(1)
+		err = fmt.Errorf("%w: %w", ErrWriteUnavailable, err)
+		finish(obs.OutcomeUnavailable, err)
+	}
+	return res, err
+}
 
-	var lastErr error
+// tryLevels attempts a 2PC on each level of order in turn until one commits
+// — cleanly, or in doubt (the decision was commit: retrying elsewhere would
+// double-write) — and returns that level, the contacts of every attempt,
+// and the last attempt's error. A fallback to the next level is optional
+// retry traffic: it spends a retry-budget token (with the bucket dry the
+// operation stops with its honest outcome instead of amplifying load) and
+// backs off first — the failed attempt usually means timeouts or
+// contention, and an immediate retry storm only feeds it. An overloaded
+// member's retry-after hint floors the sleep.
+func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int) (contacts int, err error)) (level, contacts int, err error) {
 	for i, u := range order {
 		if i > 0 {
-			// A next-level fallback is optional retry traffic: it spends a
-			// retry-budget token, and when the bucket is dry the write stops
-			// here with its honest outcome instead of amplifying load.
 			if !c.budget.spend() {
 				if c.instr != nil {
 					c.instr.budgetDenied.Inc()
 				}
-				lastErr = fmt.Errorf("retry budget exhausted: %w", lastErr)
-				break
+				return u, contacts, fmt.Errorf("retry budget exhausted: %w", err)
 			}
 			if c.instr != nil {
 				c.instr.levelFallbacks.Inc()
 			}
-			// Back off before attacking the next level: the failed attempt
-			// usually means timeouts or contention, and an immediate retry
-			// storm only feeds it. An overloaded member's retry-after hint
-			// floors the sleep.
-			floor, _ := rpc.RetryAfter(lastErr)
-			if berr := c.backoff(ctx, i-1, "level", floor); berr != nil {
-				if lastErr == nil {
-					lastErr = berr
-				}
-				break
+			floor, _ := rpc.RetryAfter(err)
+			if c.backoff(ctx, i-1, "level", floor) != nil {
+				return u, contacts, err
 			}
 		}
-		err := c.writeLevel(ctx, proto, u, key, value, ts, &contacts, op)
-		if err == nil {
-			res.TS = ts
-			res.Level = u
-			c.metrics.writes.Add(1)
-			finish(obs.OutcomeOK, nil)
-			return res, nil
-		}
-		if errors.Is(err, ErrInDoubt) {
-			// The decision was commit; report it rather than retrying
-			// elsewhere and double-writing.
-			res.TS = ts
-			res.Level = u
-			c.metrics.writes.Add(1)
-			finish(obs.OutcomeInDoubt, err)
-			return res, err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
+		var n int
+		n, err = attempt(u)
+		contacts += n
+		if err == nil || errors.Is(err, ErrInDoubt) || ctx.Err() != nil {
+			return u, contacts, err
 		}
 	}
-	c.metrics.writeFailures.Add(1)
-	err = fmt.Errorf("%w: %w", ErrWriteUnavailable, lastErr)
-	finish(obs.OutcomeUnavailable, err)
-	return res, err
+	return 0, contacts, err
 }
 
 // writeLevel runs two-phase commit over every physical node of level u,
 // recording the attempt (prepare, commit and abort contacts) on the trace.
-func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, key string, value []byte, ts replica.Timestamp, contacts *atomic.Uint64, op *obs.Op) error {
+// contacts is every replica a prepare was sent to; phase two targets the
+// same members and is not counted again.
+func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, key string, value []byte, ts replica.Timestamp, op *obs.Op) (contacts int, err error) {
+	addrs := levelAddrs(proto, u)
+	txID := c.txID.Add(1)
+	span := op.Level(u, "write-2pc")
+
+	// Phase 1: prepare everywhere, in parallel.
+	contacts, err = c.prepareAll(ctx, addrs, span, replica.PrepareReq{TxID: txID, Key: key, TS: ts})
+	if err != nil {
+		// Release whatever we locked and report the level as unusable. Best
+		// effort: a member that cannot be reached (its breaker open, its
+		// reply late) drops the lock when it expires.
+		c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: key}, false, false).release()
+		err = fmt.Errorf("level %d: %w", u, err)
+		span.Done(false, err)
+		return contacts, err
+	}
+
+	// Phase 2: all replicas prepared — the transaction is committed.
+	acked, err := c.pushCommit(ctx, addrs, span, replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts})
+	if err == nil && !acked {
+		err = fmt.Errorf("level %d: %w", u, ErrInDoubt)
+	}
+	span.Done(err == nil, err)
+	return contacts, err
+}
+
+// levelAddrs returns level u's members as transport addresses.
+func levelAddrs(proto *core.Protocol, u int) []transport.Addr {
 	sites := proto.LevelSites(u)
 	addrs := make([]transport.Addr, len(sites))
 	for i, s := range sites {
 		addrs[i] = transport.Addr(s)
 	}
-	txID := c.txID.Add(1)
-	span := op.Level(u, "write-2pc")
+	return addrs
+}
 
-	// Replica accesses in phase two target the same quorum members phase
-	// one already counted, so they accumulate into a throwaway counter.
-	var uncounted atomic.Uint64
-
-	// Phase 1: prepare everywhere, in parallel.
-	checkPrepare := func(resp any) error {
-		pr, ok := resp.(replica.PrepareResp)
-		if !ok {
-			return fmt.Errorf("unexpected response %T", resp)
+// prepareAll is phase one of 2PC: it sends the prepare to every member at
+// once and returns the number of contacts made and the first failure — a
+// transport error or a refused prepare — or nil when every member is
+// prepared. A member whose open breaker fast-failed the prepare is
+// force-probed before it counts as failed: the breaker must not cost
+// availability the protocol would have had.
+func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.PrepareReq) (contacts int, err error) {
+	a := c.fanout(ctx, addrs, span, "prepare", req, false, true)
+	defer a.release()
+	for i := range a.slots {
+		s := &a.slots[i]
+		err := s.err
+		if err == nil {
+			switch pr, ok := s.resp.(replica.PrepareResp); {
+			case !ok:
+				err = fmt.Errorf("unexpected response %T", s.resp)
+			case !pr.OK:
+				err = fmt.Errorf("prepare refused: %s", pr.Reason)
+			}
 		}
-		if !pr.OK {
-			return fmt.Errorf("prepare refused: %s", pr.Reason)
+		if err != nil {
+			return a.sent, fmt.Errorf("site %d: %w", addrs[i], err)
 		}
-		return nil
 	}
-	prepare := replica.PrepareReq{TxID: txID, Key: key, TS: ts}
-	prepErrs := c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare)
-	if prepErrs != nil && errors.Is(prepErrs, rpc.ErrBreakerOpen) && ctx.Err() == nil {
-		// Rescue pass: a member's open breaker fast-failed the fanout. The
-		// breaker must not cost availability the protocol would have had —
-		// force the prepares through once before declaring the level dead.
-		prepErrs = c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare, rpc.ForceProbe())
-	}
-	if prepErrs != nil {
-		// Release whatever we locked and report the level as unusable.
-		c.fanout(ctx, addrs, &uncounted, span, "abort",
-			replica.AbortReq{TxID: txID, Key: key}, func(any) error { return nil })
-		err := fmt.Errorf("level %d: %w", u, prepErrs)
-		span.Done(false, err)
-		return err
-	}
+	return a.sent, nil
+}
 
-	// Phase 2: all replicas prepared — the transaction is committed.
-	// Push commits until everyone acknowledges or retries run out, backing
-	// off between rounds. Commits always carry ForceProbe: every prepared
-	// member must hear the decision, open breaker or not.
-	remaining := addrs
+// pushCommit is phase two for one key: every member of addrs is sent the
+// commit — through open breakers: every prepared member must hear the
+// decision — and those that did not acknowledge are sent it again after a
+// backoff, until all have or the retries run out. A re-send spends a
+// retry-budget token; with the bucket dry the outcome stays in doubt rather
+// than storming (the decision is durable on every replica that did
+// acknowledge, and lock expiry plus anti-entropy finish the stragglers).
+// err is non-nil when ctx ended before a round could be sent.
+func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.CommitReq) (acked bool, err error) {
 	for attempt := 0; attempt <= c.commitRetries; attempt++ {
 		if attempt > 0 {
-			// A commit re-send spends a retry-budget token; with the bucket
-			// dry the write reports in doubt now rather than storming. The
-			// decision is durable on every replica that did acknowledge, and
-			// lock expiry plus anti-entropy finish the stragglers.
 			if !c.budget.spend() {
 				if c.instr != nil {
 					c.instr.budgetDenied.Inc()
@@ -241,89 +254,26 @@ func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, ke
 				break
 			}
 			if err := c.backoff(ctx, attempt-1, "commit", 0); err != nil {
-				span.Done(false, err)
-				return err
+				return false, err
 			}
 		}
-		var failed []transport.Addr
-		var mu sync.Mutex
-		err := c.fanoutCollect(ctx, remaining, &uncounted, span, "commit",
-			replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts},
-			func(addr transport.Addr, resp any, callErr error) {
-				if callErr != nil {
-					mu.Lock()
-					failed = append(failed, addr)
-					mu.Unlock()
-				}
-			}, rpc.ForceProbe())
-		if err != nil {
-			span.Done(false, err)
-			return err
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
-		if len(failed) == 0 {
-			span.Done(true, nil)
-			return nil
-		}
-		remaining = failed
-	}
-	err := fmt.Errorf("level %d: %w", u, ErrInDoubt)
-	span.Done(false, err)
-	return err
-}
-
-// fanout sends one request to every address in parallel and returns the
-// first validation or transport error (nil when all succeed). Breaker
-// fast-fails are preferred as the reported error so callers can recognize
-// a fanout that failed without actually probing some member.
-func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, contacts *atomic.Uint64, span *obs.LevelSpan, phase string, req rpc.Request, check func(resp any) error, copts ...rpc.CallOption) error {
-	var firstErr error
-	var mu sync.Mutex
-	err := c.fanoutCollect(ctx, addrs, contacts, span, phase, req, func(addr transport.Addr, resp any, callErr error) {
-		err := callErr
-		if err == nil {
-			err = check(resp)
-		}
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil || (errors.Is(err, rpc.ErrBreakerOpen) && !errors.Is(firstErr, rpc.ErrBreakerOpen)) {
-				firstErr = fmt.Errorf("site %d: %w", addr, err)
+		a := c.fanout(ctx, addrs, span, "commit", req, true, false)
+		var unacked []transport.Addr
+		for i := range a.slots {
+			if a.slots[i].err != nil {
+				unacked = append(unacked, addrs[i])
 			}
-			mu.Unlock()
 		}
-	}, copts...)
-	if err != nil {
-		return err
+		a.release()
+		if len(unacked) == 0 {
+			return true, nil
+		}
+		addrs = unacked
 	}
-	return firstErr
-}
-
-// fanoutCollect sends one request per address in parallel and invokes the
-// callback with each outcome, recording every contact on the span. It
-// returns an error only when the client is closed or the context is done
-// before dispatch.
-func (c *Client) fanoutCollect(ctx context.Context, addrs []transport.Addr, contacts *atomic.Uint64, span *obs.LevelSpan, phase string, req rpc.Request, done func(addr transport.Addr, resp any, err error), copts ...rpc.CallOption) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	traced := span.On()
-	var wg sync.WaitGroup
-	for _, addr := range addrs {
-		wg.Add(1)
-		go func(addr transport.Addr) {
-			defer wg.Done()
-			var cs time.Time
-			if traced {
-				cs = time.Now()
-			}
-			resp, err := c.call(ctx, addr, req, contacts, copts...)
-			if traced {
-				span.Contact(int(addr), phase, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-			}
-			done(addr, resp, err)
-		}(addr)
-	}
-	wg.Wait()
-	return nil
+	return false, nil
 }
 
 // Ping probes one replica site, returning nil if it answers in time.
@@ -335,25 +285,22 @@ func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
 	if c.instr != nil {
 		start = time.Now()
 	}
-	var contacts atomic.Uint64
-	resp, err := c.call(ctx, site, replica.PingReq{}, &contacts)
+	a := c.fanout(ctx, []transport.Addr{site}, nil, "ping", replica.PingReq{}, false, false)
+	resp, err, contacts := a.slots[0].resp, a.slots[0].err, a.sent
+	a.release()
 	if err == nil {
 		if _, ok := resp.(replica.PingResp); !ok {
 			err = fmt.Errorf("client: unexpected ping response %T", resp)
 		}
 	}
+	outcome := obs.OutcomeOK
+	if err != nil {
+		outcome = obs.OutcomeError
+	}
 	if c.instr != nil {
 		c.instr.pingDur.Observe(time.Since(start))
-		if err == nil {
-			c.instr.pingOK.Inc()
-		} else {
-			c.instr.ops.With("ping", obs.OutcomeError).Inc()
-		}
+		c.instr.ops.With("ping", outcome).Inc()
 	}
-	if err == nil {
-		op.Finish(obs.OutcomeOK, nil, int(contacts.Load()))
-	} else {
-		op.Finish(obs.OutcomeError, err, int(contacts.Load()))
-	}
+	op.Finish(outcome, err, contacts)
 	return err
 }

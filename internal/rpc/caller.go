@@ -1,7 +1,8 @@
 // Package rpc provides the request/response plumbing protocol clients use
 // over the message transport: request-ID allocation, a reply dispatcher,
-// and timeout-based calls. Both the arbitrary-protocol client and the
-// tree-quorum comparator client are built on it.
+// asynchronous requests (Start and its resolve step) and the blocking Call
+// built on them. Both the arbitrary-protocol client and the tree-quorum
+// comparator client use it.
 package rpc
 
 import (
@@ -60,26 +61,47 @@ func WithMetrics(reg *obs.Registry) Option {
 // consecutive failures to a site, further calls to it fast-fail with
 // ErrBreakerOpen (no message, no timeout) until a cooldown expires and a
 // single half-open probe decides whether to close again. ForceProbe on an
-// individual Call bypasses the fast-fail.
+// individual request bypasses the fast-fail.
 func WithBreaker(cfg BreakerConfig) Option {
 	return func(c *Caller) {
 		c.breakers = newBreakerSet(cfg)
 	}
 }
 
-// CallOption adjusts a single Call.
-type CallOption func(*callConfig)
+// CallOption adjusts a single request.
+type CallOption struct{ force bool }
 
-type callConfig struct {
-	force bool
+// ForceProbe lets the request through an open circuit breaker. Use it when
+// the request must be attempted regardless of the site's recent history:
+// phase-two commits (every prepared site has to hear the decision) and
+// last-resort availability rescues. The outcome still feeds the breaker.
+func ForceProbe() CallOption { return CallOption{force: true} }
+
+// Reply is a started request's answer as delivered to its inbox. Tag is the
+// integer the request was started with, so one inbox can serve every
+// request of an operation; ID is the request ID, by which a receiver drops
+// a late reply to a request it already cancelled or expired. A nil Payload
+// means the caller was closed with the request outstanding.
+type Reply struct {
+	Tag     int
+	ID      uint64
+	Payload any
 }
 
-// ForceProbe lets the call through an open circuit breaker. Use it when the
-// call must be attempted regardless of the site's recent history: phase-two
-// commits (every prepared site has to hear the decision) and last-resort
-// availability rescues. The outcome still feeds the breaker.
-func ForceProbe() CallOption {
-	return func(cc *callConfig) { cc.force = true }
+// Pending is a started request awaiting its resolve step. Timeout is the
+// attempt's reply deadline counted from Start: the smaller of the caller's
+// per-request timeout and the context's remaining budget.
+type Pending struct {
+	ID      uint64
+	To      transport.Addr
+	Timeout time.Duration
+	start   time.Time // set only when the latency histogram is on
+}
+
+// waiter is an outstanding request's entry in the pending map.
+type waiter struct {
+	inbox chan<- Reply
+	tag   int
 }
 
 // Caller matches replica replies to outstanding requests by request ID.
@@ -89,7 +111,7 @@ type Caller struct {
 	timeout time.Duration
 
 	mu      sync.Mutex
-	pending map[uint64]chan any
+	pending map[uint64]waiter
 	closed  bool
 
 	reqID atomic.Uint64
@@ -100,7 +122,7 @@ type Caller struct {
 
 	// sendHook, when set, observes every fire-and-forget Send (test
 	// synchronization for repair traffic).
-	sendHook func(to transport.Addr, payload any)
+	sendHook atomic.Pointer[func(to transport.Addr, payload any)]
 
 	// Optional instruments (nil when observability is off; recording on
 	// nil obs instruments is a no-op, but the guards skip timestamping).
@@ -122,7 +144,7 @@ func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller
 	c := &Caller{
 		ep:      ep,
 		timeout: timeout,
-		pending: make(map[uint64]chan any),
+		pending: make(map[uint64]waiter),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -155,10 +177,8 @@ func (c *Caller) BreakerStates() map[transport.Addr]BreakerState {
 	return c.breakers.states()
 }
 
-// Timeout returns the per-request reply deadline.
-func (c *Caller) Timeout() time.Duration { return c.timeout }
-
-// Close stops the dispatcher; outstanding calls fail with ErrClosed.
+// Close stops the dispatcher; every outstanding request is answered with a
+// nil payload, which resolves to ErrClosed.
 func (c *Caller) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -167,8 +187,8 @@ func (c *Caller) Close() {
 		return
 	}
 	c.closed = true
-	for id, ch := range c.pending {
-		close(ch)
+	for id, w := range c.pending {
+		deliver(w, Reply{Tag: w.tag, ID: id})
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
@@ -176,86 +196,72 @@ func (c *Caller) Close() {
 	<-c.done
 }
 
-// replyChanPool recycles reply channels across calls. A channel is only
-// returned to the pool when ownership is provably exclusive and the buffer
-// provably empty: either the caller received the reply, or the caller's
-// deferred cleanup found the pending entry unclaimed (the dispatcher sends
-// exactly once, and only after claiming the entry under the mutex).
-// Channels closed by Close are never recycled.
-var replyChanPool = sync.Pool{New: func() any { return make(chan any, 1) }}
-
-// Call sends one request — req, stamped with the allocated request ID —
-// and waits for its reply, the timeout, or context cancellation. Because
-// the ID is stamped per call, one request value can be fanned out to many
-// sites. With a circuit breaker armed, a call to a site whose breaker is
-// open fast-fails with ErrBreakerOpen (unless ForceProbe is given), and
-// every real outcome feeds the breaker; context cancellation is not
-// counted against the site — and, over the TCP transport, cancels only
-// this request, never the multiplexed connection under it.
-func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts ...CallOption) (any, error) {
-	var cc callConfig
-	for _, opt := range opts {
-		opt(&cc)
+// deliver hands a reply to the request's inbox without ever blocking; the
+// default branch guards the dispatcher against an inbox smaller than Start
+// requires.
+func deliver(w waiter, r Reply) {
+	select {
+	case w.inbox <- r:
+	default:
 	}
-	// The attempt's reply deadline is the smaller of the per-request
-	// timeout and the caller's remaining context budget, so a retry or
-	// rescue pass late in an operation never overshoots the operation's
-	// deadline. A spent budget fails locally before any message is sent.
-	attempt := c.timeout
+}
+
+// Start sends one request — req, stamped with the allocated request ID, so
+// one request value can be fanned out to many sites — and returns at once;
+// the reply arrives on inbox carrying tag. The inbox must have buffer room
+// for every request started on it and not yet received from it: a reply
+// that finds no room is dropped. A Pending returned with a nil error must
+// be resolved exactly once: Answered when its reply was received, Expire
+// when Pending.Timeout passed without one, Cancel when the caller lost
+// interest.
+//
+// The context's remaining budget bounds the attempt — a retry late in an
+// operation never overshoots the operation's deadline — and rides the wire
+// as the request's deadline; a spent budget fails locally before any
+// message is sent. A request to a site whose circuit breaker is open
+// fast-fails with ErrBreakerOpen unless force is set (see ForceProbe), and
+// a failed Send counts against the site.
+func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int, force bool) (Pending, error) {
+	p := Pending{To: to, Timeout: c.timeout}
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
 		budget = time.Until(deadline)
 		if budget <= 0 {
 			c.deadlineSkips.Inc()
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return p, err
 			}
-			return nil, fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
+			return p, fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
 		}
-		if budget < attempt {
-			attempt = budget
+		if budget < p.Timeout {
+			p.Timeout = budget
 		}
 	}
 	probe := false
-	if c.breakers != nil && !cc.force {
-		ok, p := c.breakers.admit(to)
+	if c.breakers != nil && !force {
+		ok, half := c.breakers.admit(to)
 		if !ok {
-			return nil, fmt.Errorf("site %d: %w", to, ErrBreakerOpen)
+			return p, fmt.Errorf("site %d: %w", to, ErrBreakerOpen)
 		}
-		probe = p
+		probe = half
 	}
-	id := c.reqID.Add(1)
-	ch := replyChanPool.Get().(chan any)
+	p.ID = c.reqID.Add(1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		replyChanPool.Put(ch)
 		if probe {
 			c.breakers.release(to)
 		}
-		return nil, ErrClosed
+		return p, ErrClosed
 	}
-	c.pending[id] = ch
+	c.pending[p.ID] = waiter{inbox: inbox, tag: tag}
 	c.mu.Unlock()
-	received := false
-	defer func() {
-		c.mu.Lock()
-		_, unclaimed := c.pending[id]
-		if unclaimed {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if unclaimed || received {
-			replyChanPool.Put(ch)
-		}
-	}()
 
 	c.calls.Inc()
-	var start time.Time
 	if c.callDur != nil {
-		start = time.Now()
+		p.start = time.Now()
 	}
-	payload := req.WithReqID(id)
+	payload := req.WithReqID(p.ID)
 	if budget > 0 {
 		if dc, ok := payload.(wire.DeadlineCarrier); ok {
 			// Round up so a sub-millisecond budget still rides as 1ms
@@ -265,48 +271,101 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts 
 		}
 	}
 	if err := c.ep.Send(to, payload); err != nil {
+		c.forget(p.ID)
 		if c.breakers != nil {
 			c.breakers.failure(to)
 		}
-		return nil, fmt.Errorf("rpc: send to %d: %w", to, err)
+		return p, fmt.Errorf("rpc: send to %d: %w", to, err)
 	}
-	timer := time.NewTimer(attempt)
+	return p, nil
+}
+
+// forget drops a request's pending entry: the dispatcher discards a reply
+// still on its way.
+func (c *Caller) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// Answered resolves p with the payload of the reply received for it. Any
+// reply is breaker success — an overload shed included: the site answered
+// instantly, it is alive, just refusing work — and a shed maps to an
+// ErrOverloaded error carrying the site's retry-after hint. A nil payload
+// (the caller was closed) yields ErrClosed and no verdict on the site.
+func (c *Caller) Answered(p Pending, payload any) (any, error) {
+	if payload == nil {
+		if c.breakers != nil {
+			c.breakers.release(p.To)
+		}
+		return nil, ErrClosed
+	}
+	if c.callDur != nil {
+		c.callDur.Observe(time.Since(p.start))
+	}
+	if c.breakers != nil {
+		c.breakers.success(p.To)
+	}
+	if ov, shed := payload.(wire.OverloadedResp); shed {
+		c.overloads.Inc()
+		return nil, &overloadedError{site: p.To, retryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond}
+	}
+	return payload, nil
+}
+
+// Expire resolves p as timed out — the failure detector firing — and
+// returns the ErrTimeout error naming the site.
+func (c *Caller) Expire(p Pending) error {
+	c.forget(p.ID)
+	c.timeouts.Inc()
+	if c.callDur != nil {
+		c.callDur.Observe(time.Since(p.start))
+	}
+	if c.breakers != nil {
+		c.breakers.failure(p.To)
+	}
+	return fmt.Errorf("site %d: %w", p.To, ErrTimeout)
+}
+
+// Cancel resolves p as abandoned: the caller stopped waiting (its context
+// ended, or another site's reply made this one moot). That says nothing
+// about the site, so the breaker only gets its half-open probe slot back —
+// and, over the TCP transport, only this request is cancelled, never the
+// multiplexed connection under it.
+func (c *Caller) Cancel(p Pending) {
+	c.forget(p.ID)
+	if c.breakers != nil {
+		c.breakers.release(p.To)
+	}
+}
+
+// replyChanPool recycles the one-reply inboxes of blocking calls. An inbox
+// goes back only after its reply was received from it: then nothing else
+// can be on its way to it.
+var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
+
+// Call is Start, a wait for the reply, the attempt's timeout or context
+// cancellation, and the matching resolve step.
+func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts ...CallOption) (any, error) {
+	force := false
+	for _, opt := range opts {
+		force = force || opt.force
+	}
+	inbox := replyChanPool.Get().(chan Reply)
+	p, err := c.Start(ctx, to, req, inbox, 0, force)
+	if err != nil {
+		return nil, err
+	}
+	timer := time.NewTimer(p.Timeout)
 	defer timer.Stop()
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			if c.breakers != nil {
-				c.breakers.release(to)
-			}
-			return nil, ErrClosed
-		}
-		received = true
-		if c.callDur != nil {
-			c.callDur.Observe(time.Since(start))
-		}
-		if c.breakers != nil {
-			// An overload reply counts as breaker success: the site
-			// answered instantly, it is alive — just refusing work.
-			c.breakers.success(to)
-		}
-		if ov, shed := resp.(wire.OverloadedResp); shed {
-			c.overloads.Inc()
-			return nil, &overloadedError{site: to, retryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond}
-		}
-		return resp, nil
+	case r := <-inbox:
+		replyChanPool.Put(inbox)
+		return c.Answered(p, r.Payload)
 	case <-timer.C:
-		c.timeouts.Inc()
-		if c.callDur != nil {
-			c.callDur.Observe(time.Since(start))
-		}
-		if c.breakers != nil {
-			c.breakers.failure(to)
-		}
-		return nil, fmt.Errorf("site %d: %w", to, ErrTimeout)
+		return nil, c.Expire(p)
 	case <-ctx.Done():
-		if c.breakers != nil {
-			c.breakers.release(to)
-		}
+		c.Cancel(p)
 		return nil, ctx.Err()
 	}
 }
@@ -315,11 +374,8 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts 
 func (c *Caller) Send(to transport.Addr, payload any) error {
 	c.sends.Inc()
 	err := c.ep.Send(to, payload)
-	c.mu.Lock()
-	hook := c.sendHook
-	c.mu.Unlock()
-	if hook != nil {
-		hook(to, payload)
+	if hook := c.sendHook.Load(); hook != nil {
+		(*hook)(to, payload)
 	}
 	return err
 }
@@ -328,12 +384,14 @@ func (c *Caller) Send(to transport.Addr, payload any) error {
 // (tests use it to wait for repair traffic instead of sleeping). Pass nil
 // to remove it.
 func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
-	c.mu.Lock()
-	c.sendHook = fn
-	c.mu.Unlock()
+	if fn == nil {
+		c.sendHook.Store(nil)
+		return
+	}
+	c.sendHook.Store(&fn)
 }
 
-// dispatch routes replies to waiting calls.
+// dispatch routes replies to the inboxes of the requests they answer.
 func (c *Caller) dispatch() {
 	defer close(c.done)
 	for {
@@ -346,13 +404,13 @@ func (c *Caller) dispatch() {
 				continue
 			}
 			c.mu.Lock()
-			ch, ok := c.pending[id]
+			w, ok := c.pending[id]
 			if ok {
 				delete(c.pending, id)
 			}
 			c.mu.Unlock()
 			if ok {
-				ch <- msg.Payload
+				deliver(w, Reply{Tag: w.tag, ID: id, Payload: msg.Payload})
 			}
 		}
 	}

@@ -49,9 +49,6 @@ func TestCallRoundTrip(t *testing.T) {
 	if !ok || pong.Site != 1 {
 		t.Errorf("resp = %#v", resp)
 	}
-	if c.Timeout() != time.Second {
-		t.Errorf("Timeout = %v", c.Timeout())
-	}
 }
 
 func TestCallTimeout(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"arbor/internal/wire"
 )
@@ -121,9 +122,33 @@ type TCPEndpoint struct {
 	routes map[Addr]*peerRoute
 	closed bool
 	done   sync.WaitGroup
+
+	framesOut, framesIn, inboxDrops, decodeDrops atomic.Uint64
 }
 
 var _ Conn = (*TCPEndpoint)(nil)
+
+// TCPStats counts what an endpoint moved and what it dropped. Every frame
+// read off a socket is delivered, or counted in exactly one drop counter.
+type TCPStats struct {
+	// FramesOut is frames written to a socket; FramesIn is complete frames
+	// read off one (handshakes excluded).
+	FramesOut, FramesIn uint64
+	// InboxDrops is decoded messages discarded because the delivery channel
+	// was full; DecodeDrops is frames whose addresses or payload did not
+	// decode.
+	InboxDrops, DecodeDrops uint64
+}
+
+// Stats snapshots the endpoint's frame and drop counters.
+func (e *TCPEndpoint) Stats() TCPStats {
+	return TCPStats{
+		FramesOut:   e.framesOut.Load(),
+		FramesIn:    e.framesIn.Load(),
+		InboxDrops:  e.inboxDrops.Load(),
+		DecodeDrops: e.decodeDrops.Load(),
+	}
+}
 
 // peerRoute is the connection pool toward one peer: connections this
 // endpoint dialed plus connections the peer opened to us, used round-robin.
@@ -282,6 +307,7 @@ func (e *TCPEndpoint) Send(to Addr, payload any) error {
 			_, werr := wc.c.Write(buf)
 			wc.mu.Unlock()
 			if werr == nil {
+				e.framesOut.Add(1)
 				err = nil
 				break
 			}
@@ -526,6 +552,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
 			frameBufPool.Put(bp)
 			return
 		}
+		e.framesIn.Add(1)
 		from, k1 := binary.Varint(buf)
 		var to int64
 		var k2 int
@@ -545,12 +572,14 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
 			// Framing is intact (the length prefix was honored), so a
 			// payload that fails to decode is dropped like a lost message
 			// rather than killing every other request on the connection.
+			e.decodeDrops.Add(1)
 			continue
 		}
 		select {
 		case e.in <- Message{From: Addr(from), To: Addr(to), Payload: payload}:
 		default:
 			// Inbox full: drop, like the in-memory transport.
+			e.inboxDrops.Add(1)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -288,4 +290,78 @@ func TestTCPCloseStopsGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines: baseline %d, after close %d", baseline, countGoroutines())
+}
+
+// waitStats polls the endpoint's counters until ok accepts them.
+func waitStats(t *testing.T, ep *TCPEndpoint, ok func(TCPStats) bool) TCPStats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := ep.Stats()
+		if ok(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never settled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPStatsCountInboxDrop: one frame more than the delivery channel
+// holds, with nobody receiving, moves InboxDrops by exactly one and no
+// other drop counter.
+func TestTCPStatsCountInboxDrop(t *testing.T) {
+	_, a, b := newTCPPair(t)
+	frames := uint64(cap(b.in) + 1)
+	for i := uint64(0); i < frames; i++ {
+		if err := a.Send(2, ping(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out := a.Stats().FramesOut; out != frames {
+		t.Errorf("sender FramesOut = %d, want %d", out, frames)
+	}
+	st := waitStats(t, b, func(st TCPStats) bool { return st.FramesIn == frames })
+	if st.InboxDrops != 1 || st.DecodeDrops != 0 {
+		t.Errorf("after %d frames into a %d-slot inbox: %+v, want exactly one inbox drop", frames, cap(b.in), st)
+	}
+	if len(b.in) != cap(b.in) {
+		t.Errorf("inbox holds %d messages, want it full at %d", len(b.in), cap(b.in))
+	}
+}
+
+// TestTCPStatsCountDecodeDrop: a well-framed payload the codec cannot
+// decode moves DecodeDrops by exactly one, is not delivered, and leaves the
+// connection serving the frames behind it.
+func TestTCPStatsCountDecodeDrop(t *testing.T) {
+	_, a, b := newTCPPair(t)
+	c, err := net.Dial("tcp", b.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(payload []byte) []byte {
+		buf := []byte{0, 0, 0, 0}
+		buf = binary.AppendVarint(buf, int64(a.addr))
+		buf = binary.AppendVarint(buf, int64(b.addr))
+		buf = append(buf, payload...)
+		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+		return buf
+	}
+	good, err := b.net.opts.codec.Encode(nil, ping(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := append(a.hello(), frame([]byte{0xff, 0xfe, 0xfd})...)
+	raw = append(raw, frame(good)...)
+	if _, err := c.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, b); got.Payload.(wire.PingReq).ReqID != 9 {
+		t.Fatalf("frame behind the corrupt one = %#v", got.Payload)
+	}
+	if st := b.Stats(); st.FramesIn != 2 || st.DecodeDrops != 1 || st.InboxDrops != 0 {
+		t.Errorf("stats = %+v, want 2 frames in, exactly one decode drop", st)
+	}
 }
