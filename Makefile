@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race bench bench-snapshot bench-diff bench-e2e cover figures scenarios clean
+.PHONY: all build vet lint lint-json test race loc bench bench-snapshot bench-diff bench-e2e cover figures scenarios clean
 
 all: build vet lint test
 
@@ -30,24 +30,36 @@ test:
 race:
 	$(GO) test ./... -race
 
+# Non-test Go lines per package and in total — the figure ROADMAP asks every
+# PR to track. Two columns: all lines, and code lines (neither blank nor a
+# // comment), so a drop carried by deleted comments alone shows as such.
+# Tests, testdata, the bench/ module and build output are left out.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
+		-not -path '*/testdata/*' -not -path './.bench_build/*' -print0 \
+	| xargs -0 awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } \
+		!/^[ \t]*($$|\/\/)/ { c[d]++; tc++ } \
+		END { for (d in n) printf "%7d %7d  %s\n", n[d], c[d], d | "sort -k3"; close("sort -k3"); \
+		      printf "%7d %7d  total (lines, code lines)\n", t, tc }'
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Capture the per-PR perf snapshot (read/write latency + throughput of the
 # live-cluster benchmarks, and the engine over a canned connection) as
-# JSON. Bump SNAPSHOT per PR: BENCH_011.json … The iteration count is
+# JSON. Bump SNAPSHOT per PR: BENCH_012.json … The iteration count is
 # fixed: the clients are seeded, so the same count is the same op stream
 # (which write draws which level) and allocs/op repeats exactly — the
 # property bench-diff's allocation gate rests on.
 SNAPSHOT_BENCH = -bench 'BenchmarkCluster|BenchmarkTxn|BenchmarkEngine' -benchtime 20000x -benchmem
-SNAPSHOT ?= BENCH_010.json
+SNAPSHOT ?= BENCH_011.json
 bench-snapshot:
 	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o $(SNAPSHOT)
 
 # Compare a fresh snapshot against the committed baseline: WARN on
 # throughput regressions beyond 25%, FAIL on any allocs/op increase.
-BASELINE ?= BENCH_010.json
+BASELINE ?= BENCH_011.json
 bench-diff:
 	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o /tmp/bench_current.json

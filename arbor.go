@@ -151,15 +151,13 @@ var (
 
 // Codec is a wire codec: a versioned, self-contained encoding of the
 // protocol's message set. BinaryCodec is the default length-prefixed binary
-// format; GobCodec keeps the legacy encoding/gob format available.
+// format.
 type Codec = rpc.Codec
 
 // Wire codec constructors, re-exported from internal/rpc.
 var (
 	// BinaryCodec returns the hand-rolled length-prefixed binary codec.
 	BinaryCodec = rpc.BinaryCodec
-	// GobCodec returns the encoding/gob-based codec.
-	GobCodec = rpc.GobCodec
 )
 
 // Observer bundles a metrics registry and an operation trace recorder.

@@ -52,7 +52,7 @@ func run(args []string) error {
 		walDir   = fs.String("wal-dir", "", "write-ahead-log directory (replayed at startup)")
 		traceCap = fs.Int("trace-cap", obs.DefaultTraceCapacity, "operation traces kept in memory for /traces")
 		adapt    = fs.Bool("adapt", false, "start with the adaptation controller enabled (toggle later via /controller)")
-		codec    = fs.String("codec", "", `wire codec to round-trip every message through ("binary" or "gob"; empty = in-memory delivery without serialization)`)
+		codec    = fs.String("codec", "", `wire codec to round-trip every message through ("binary"; empty = in-memory delivery without serialization)`)
 		inflight = fs.Int("maxinflight", 0, "per-replica admission limit on in-flight gated requests (0 = replica default; excess work sheds with a typed overload reply)")
 		budget   = fs.String("retrybudget", "", `serving client's retry budget as "perOp:burst", e.g. "0.1:10" (empty = retries ungated)`)
 	)

@@ -63,7 +63,7 @@ func run(args []string) error {
 		compare      = fs.Bool("compare", false, "run the spectrum's configurations side by side and compare measured costs to theory")
 		metrics      = fs.Bool("metrics", false, "instrument the run and print per-level load and latency quantile tables")
 		traceN       = fs.Int("trace", 0, "record operation traces and print the last N after the run")
-		codec        = fs.String("codec", "", `wire codec to round-trip every message through ("binary" or "gob"; empty = in-memory delivery without serialization)`)
+		codec        = fs.String("codec", "", `wire codec to round-trip every message through ("binary"; empty = in-memory delivery without serialization)`)
 		scen         = fs.String("scenario", "", "drive the run from a .arb scenario file (overrides topology, workload, latency and schedule flags)")
 	)
 	if err := fs.Parse(args); err != nil {

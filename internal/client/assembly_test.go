@@ -10,7 +10,6 @@ import (
 
 	"arbor/internal/core"
 	"arbor/internal/obs"
-	"arbor/internal/replica"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
 	"arbor/internal/tree"
@@ -184,14 +183,14 @@ func (h *scriptHarness) warm() {
 	for u := 0; u < h.proto.NumPhysicalLevels(); u++ {
 		for _, s := range h.proto.LevelSites(u) {
 			for i := 0; i < 8; i++ {
-				h.cli.scores.record(transport.Addr(s), 5*time.Microsecond, false)
+				h.cli.book.observe(time.Now(), transport.Addr(s), outcomeServed, 5*time.Microsecond)
 			}
 		}
 	}
 }
 
-// tripAll opens the breaker of every site by letting direct calls wait out
-// the client timeout.
+// tripAll opens the breaker of every site by letting pings wait out the
+// client timeout.
 func (h *scriptHarness) tripAll(t *testing.T) {
 	t.Helper()
 	h.conn.script(byArrivalAlways(silent))
@@ -202,14 +201,14 @@ func (h *scriptHarness) tripAll(t *testing.T) {
 				wg.Add(1)
 				go func(site transport.Addr) {
 					defer wg.Done()
-					_, _ = h.cli.caller.Call(context.Background(), site, replica.PingReq{})
+					_ = h.cli.Ping(context.Background(), site)
 				}(transport.Addr(s))
 			}
 		}
 	}
 	wg.Wait()
 	for site, st := range h.cli.BreakerStates() {
-		if st != rpc.BreakerOpen {
+		if st != BreakerOpen {
 			t.Fatalf("breaker of site %d = %v, want open", site, st)
 		}
 	}
@@ -279,14 +278,14 @@ func TestAssemblyTransitions(t *testing.T) {
 					t.Errorf("hedges = %d, wins = %d, want 1 and 1", h.cli.instr.hedges.Value(), h.cli.instr.hedgeWins.Value())
 				}
 				primary, backup := r.reqs[0].To, r.reqs[1].To
-				if e, _ := h.cli.scores.get(primary); e.fail == 0 {
+				if e := h.cli.book.peek(primary); e.fail == 0 {
 					t.Errorf("silent primary %d not scored as a failure: %+v", primary, e)
 				}
-				if e, _ := h.cli.scores.get(backup); e.fail != 0 {
+				if e := h.cli.book.peek(backup); e.fail != 0 {
 					t.Errorf("winning backup %d scored as failed: %+v", backup, e)
 				}
 				// The cancelled primary is never breaker-failed either.
-				if st := h.cli.caller.BreakerState(primary); st != rpc.BreakerClosed {
+				if st := h.cli.BreakerStates()[primary]; st != BreakerClosed {
 					t.Errorf("primary breaker = %v after a cancelled probe", st)
 				}
 				at := h.lastTrace(t).Attempts
@@ -309,7 +308,7 @@ func TestAssemblyTransitions(t *testing.T) {
 				if r.res.Contacts != 2 || h.cli.instr.hedges.Value() != 0 {
 					t.Errorf("contacts = %d, hedges = %d, want 2 and 0", r.res.Contacts, h.cli.instr.hedges.Value())
 				}
-				if !h.cli.scores.isRefusing(r.reqs[0].To) {
+				if !h.cli.book.peek(r.reqs[0].To).refusing {
 					t.Error("refusing site not marked")
 				}
 				if h.cli.instr.siteFallbacks.Value() != 1 {
@@ -347,13 +346,13 @@ func TestAssemblyTransitions(t *testing.T) {
 					t.Errorf("contacts = %d, overload skips = %d, want 2 and 1", r.res.Contacts, h.cli.instr.overloadSkips.Value())
 				}
 				shedder := r.reqs[0].To
-				if !h.cli.scores.isRefusing(shedder) {
+				if !h.cli.book.peek(shedder).refusing {
 					t.Error("shedding site not marked refusing")
 				}
-				if e, known := h.cli.scores.get(shedder); known {
+				if e := h.cli.book.peek(shedder); e.samples > 0 {
 					t.Errorf("shedding site scored: %+v", e)
 				}
-				if st := h.cli.caller.BreakerState(shedder); st != rpc.BreakerClosed {
+				if st := h.cli.BreakerStates()[shedder]; st != BreakerClosed {
 					t.Errorf("shedding site's breaker = %v, want closed (a shed is breaker success)", st)
 				}
 			},
@@ -453,7 +452,7 @@ func TestAssemblyContextCancelled(t *testing.T) {
 		t.Errorf("contacts = %d, want 2 (one per level)", res.Contacts)
 	}
 	for _, m := range h.conn.requests() {
-		if _, known := h.cli.scores.get(m.To); known {
+		if h.cli.book.peek(m.To).samples > 0 {
 			t.Errorf("cancelled contact to site %d was scored", m.To)
 		}
 	}
@@ -560,6 +559,34 @@ func TestFailedReadCountsEveryLevel(t *testing.T) {
 	}
 }
 
+// TestFailedDiscoveryCountsContactsOnce: a write whose version discovery
+// fails (level 0 of 1-3-5 down) sent only discovery requests. They are read
+// contacts — readQuorum counts them — and must not be counted again as
+// write contacts: the two counters together are what the transport saw.
+func TestFailedDiscoveryCountsContactsOnce(t *testing.T) {
+	var proto *core.Protocol
+	h := newScriptHarness(t, "1-3-5", func(_ int, m transport.Message) reaction {
+		for _, s := range proto.LevelSites(0) {
+			if transport.Addr(s) == m.To {
+				return silent
+			}
+		}
+		return answer
+	}, WithTimeout(30*time.Millisecond), WithHedging(false))
+	proto = h.proto
+	wr, err := h.cli.Write(context.Background(), "k", []byte("v"))
+	if !errors.Is(err, ErrWriteUnavailable) || !errors.Is(err, ErrReadUnavailable) {
+		t.Fatalf("err = %v, want ErrWriteUnavailable from a failed version discovery", err)
+	}
+	saw := len(h.conn.requests())
+	if wr.Contacts != saw {
+		t.Errorf("WriteResult.Contacts = %d, transport saw %d", wr.Contacts, saw)
+	}
+	if m := h.cli.Metrics(); m.ReadContacts+m.WriteContacts != uint64(saw) {
+		t.Errorf("ReadContacts %d + WriteContacts %d, transport saw %d", m.ReadContacts, m.WriteContacts, saw)
+	}
+}
+
 const deepSpec = "1-2-2-2-2-2-2-2-2" // 8 physical levels of 2
 
 // settledGoroutines reads the goroutine count once timers and finished
@@ -657,7 +684,10 @@ func TestAssemblySpawnsNoGoroutines(t *testing.T) {
 func TestSiteSequenceIndependentOfScheduling(t *testing.T) {
 	sequence := func(procs int) []transport.Addr {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		h := newScriptHarness(t, deepSpec, byArrivalAlways(answer), WithSeed(42))
+		// The draws are what is under test: with the hedge delay out of
+		// reach, a reply the scheduler stalls past the harness's 2ms neither
+		// launches a hedge nor counts as a material latency that reorders.
+		h := newScriptHarness(t, deepSpec, byArrivalAlways(answer), WithSeed(42), WithHedgeDelay(time.Hour))
 		for i := 0; i < 500; i++ {
 			if _, err := h.cli.Read(context.Background(), "k"); err != nil {
 				t.Fatal(err)

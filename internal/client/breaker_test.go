@@ -8,12 +8,11 @@ import (
 	"time"
 
 	"arbor/internal/replica"
-	"arbor/internal/rpc"
 	"arbor/internal/transport"
 )
 
-// tripBreaker burns the given site's breaker open with concurrent direct
-// calls (each times out against the crashed replica).
+// tripBreaker burns the given site's breaker open with concurrent pings
+// (each times out against the crashed replica).
 func tripBreaker(t *testing.T, h *memHarness, site transport.Addr, n int) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -21,11 +20,11 @@ func tripBreaker(t *testing.T, h *memHarness, site transport.Addr, n int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = h.cli.caller.Call(context.Background(), site, replica.PingReq{})
+			_ = h.cli.Ping(context.Background(), site)
 		}()
 	}
 	wg.Wait()
-	if st := h.cli.caller.BreakerState(site); st != rpc.BreakerOpen {
+	if st := h.cli.BreakerStates()[site]; st != BreakerOpen {
 		t.Fatalf("breaker for site %d = %v after %d failures, want open", site, st, n)
 	}
 }
@@ -62,7 +61,7 @@ func TestOpenBreakerSiteSkippedWithoutTimeout(t *testing.T) {
 		t.Errorf("read contacts = %d, want %d (breaker fast-fails are not contacts)",
 			rd.Contacts, h.proto.NumPhysicalLevels())
 	}
-	if st := h.cli.BreakerStates()[2]; st != rpc.BreakerOpen {
+	if st := h.cli.BreakerStates()[2]; st != BreakerOpen {
 		t.Errorf("breaker state for site 2 = %v, want still open", st)
 	}
 }
@@ -132,7 +131,7 @@ func TestRefusingSiteSinksInOrdering(t *testing.T) {
 	h := newMemHarness(t, "1-2-3")
 	addr := transport.Addr(2)
 
-	h.cli.scores.markRefusing(addr)
+	h.cli.book.observe(time.Now(), addr, outcomeShed, 0)
 	var u = -1
 	for lvl := 0; lvl < h.proto.NumPhysicalLevels(); lvl++ {
 		for _, s := range h.proto.LevelSites(lvl) {
@@ -142,14 +141,14 @@ func TestRefusingSiteSinksInOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		order := h.cli.orderedSites(nil, h.proto, u)
+		order, _ := h.cli.orderedSites(time.Now(), nil, h.proto, u)
 		if order[len(order)-1] != addr {
 			t.Fatalf("refusing site %d not last in %v", addr, order)
 		}
 	}
 	// A successful record clears the refusal mark.
-	h.cli.scores.record(addr, time.Millisecond, false)
-	if h.cli.scores.isRefusing(addr) {
+	h.cli.book.observe(time.Now(), addr, outcomeServed, time.Millisecond)
+	if h.cli.book.peek(addr).refusing {
 		t.Error("refusal mark survived a successful serve")
 	}
 }

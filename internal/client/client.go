@@ -128,8 +128,8 @@ type breakerOption bool
 func (o breakerOption) apply(c *Client) { c.breaker = bool(o) }
 
 // WithBreaker enables or disables the per-site circuit breaker (default
-// enabled). With it on, a site that fails several calls in a row is
-// fast-failed locally — no message, no timeout — until a cooldown expires
+// enabled). With it on, a site that fails several contacts in a row is
+// skipped locally — no message, no timeout — until a cooldown expires
 // and a half-open probe re-tests it; the engine orders open-breaker sites
 // last and quorum paths that must reach a site anyway (phase-two commits,
 // last-resort rescues) force through. Disable it where wall-clock cooldowns
@@ -289,9 +289,9 @@ type Client struct {
 	// budget caps optional retry traffic (nil = budgets disabled).
 	budget *retryBudget
 
-	// scores holds the per-site latency/failure EWMAs fed by every call;
-	// flights holds the in-progress coalesced read assemblies.
-	scores   *scoreboard
+	// book is the per-site record behind every ordering and admission
+	// decision; flights holds the in-progress coalesced read assemblies.
+	book     *siteBook
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
@@ -329,7 +329,6 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		retryBase:     2 * time.Millisecond,
 		seed:          int64(id),
 		rng:           rand.New(rand.NewSource(int64(id))),
-		scores:        newScoreboard(),
 		flights:       make(map[string]*flight),
 	}
 	c.proto.Store(proto)
@@ -342,14 +341,8 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 	c.backoffRng = rand.New(rand.NewSource(c.seed ^ 0x9e3779b9))
 	c.instr = newInstruments(c.obs.Reg())
 	c.traces = c.obs.Rec()
-	copts := []rpc.Option{rpc.WithMetrics(c.obs.Reg())}
-	if c.breaker {
-		copts = append(copts, rpc.WithBreaker(rpc.BreakerConfig{
-			Cooldown: 2 * c.timeout,
-			Seed:     c.seed ^ 0x51f15eed,
-		}))
-	}
-	c.caller = rpc.NewCaller(ep, c.timeout, copts...)
+	c.book = newSiteBook(c.breaker, c.timeout, c.seed, c.obs.Reg())
+	c.caller = rpc.NewCaller(ep, c.timeout, rpc.WithMetrics(c.obs.Reg()))
 	return c
 }
 
@@ -445,6 +438,6 @@ func (c *Client) backoff(ctx context.Context, attempt int, kind string, floor ti
 
 // BreakerStates snapshots the per-site circuit-breaker states this client
 // has learned; nil when the breaker is disabled.
-func (c *Client) BreakerStates() map[transport.Addr]rpc.BreakerState {
-	return c.caller.BreakerStates()
+func (c *Client) BreakerStates() map[transport.Addr]BreakerState {
+	return c.book.states(time.Now())
 }

@@ -1,11 +1,11 @@
 // The quorum engine: latency-aware site selection, hedged probes and read
 // coalescing shared by the read, version-discovery and write paths.
 //
-// Every replica call feeds a per-site EWMA of round-trip latency and
-// failure rate. Within a level, candidates are probed in the paper's
-// uniform random order stable-sorted by coarse health buckets, so healthy
-// replicas keep the load-optimal uniform distribution while sites with
-// learned failures or latencies far above the level's best sink to the
+// Every contact's outcome goes into the site book (book.go), the client's
+// one record per site. Within a level, candidates are probed in the paper's
+// uniform random order stable-sorted by the book's coarse health buckets, so
+// healthy replicas keep the load-optimal uniform distribution while sites
+// with learned failures or latencies far above the level's best sink to the
 // back. When a probe is overdue relative to the level's learned latency, a
 // hedged backup probe is launched to the next candidate instead of waiting
 // out the full client timeout; the first response wins and the losers are
@@ -18,7 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,194 +29,26 @@ import (
 	"arbor/internal/transport"
 )
 
-// Engine tuning constants.
-const (
-	// scoreAlpha is the EWMA smoothing factor for site latency and
-	// failure estimates (higher = faster adaptation).
-	scoreAlpha = 0.25
-	// exploreEvery makes one in N level probes promote a random candidate
-	// to the front, so stale scores (a recovered or newly fast site) get
-	// refreshed; with hedging on, the cost of a bad exploration is
-	// bounded by the hedge delay, not the client timeout.
-	exploreEvery = 16
-	// latSlowFactor and latDeadFactor bound the "same speed class" bucket:
-	// a site whose latency EWMA is within latSlowFactor of the level's
-	// best keeps its uniform-shuffle position (preserving the paper's
-	// optimal load); beyond that it is deprioritized, and beyond
-	// latDeadFactor it is tried last.
-	latSlowFactor = 4
-	latDeadFactor = 16
-)
-
-// siteScore is one site's learned health: latency and failure EWMAs.
-type siteScore struct {
-	lat     float64 // round-trip EWMA, nanoseconds
-	fail    float64 // failure-rate EWMA in [0,1]
-	samples uint64
-}
-
-// scoreboard tracks per-site scores for one client. Safe for concurrent
-// use.
-type scoreboard struct {
-	mu sync.Mutex
-	m  map[transport.Addr]siteScore
-	// refusing marks sites that answered a probe with a catching-up
-	// refusal: alive but not serving reads. Cleared on the next successful
-	// serve. Kept out of the latency/failure EWMAs — a refusal is neither
-	// slow nor dead, and folding it in would poison the site's scores for
-	// long after it rejoins.
-	refusing map[transport.Addr]bool
-}
-
-func newScoreboard() *scoreboard {
-	return &scoreboard{
-		m:        make(map[transport.Addr]siteScore),
-		refusing: make(map[transport.Addr]bool),
-	}
-}
-
-// record folds one observed call into the site's EWMAs. Timeouts count as
-// failures at their full observed latency; cancelled calls are never
-// recorded (losing a hedge race says nothing about the site). A successful
-// serve also clears the site's refusing mark.
-func (s *scoreboard) record(addr transport.Addr, d time.Duration, failed bool) {
-	f := 0.0
-	if failed {
-		f = 1.0
-	}
-	x := float64(d)
-	s.mu.Lock()
-	e := s.m[addr]
-	if e.samples == 0 {
-		e.lat, e.fail = x, f
-	} else {
-		e.lat = scoreAlpha*x + (1-scoreAlpha)*e.lat
-		e.fail = scoreAlpha*f + (1-scoreAlpha)*e.fail
-	}
-	e.samples++
-	s.m[addr] = e
-	if !failed {
-		delete(s.refusing, addr)
-	}
-	s.mu.Unlock()
-}
-
-// markRefusing records a catching-up refusal from the site.
-func (s *scoreboard) markRefusing(addr transport.Addr) {
-	s.mu.Lock()
-	s.refusing[addr] = true
-	s.mu.Unlock()
-}
-
-// isRefusing reports whether the site's last probe was refused.
-func (s *scoreboard) isRefusing(addr transport.Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refusing[addr]
-}
-
-// get returns the site's score and whether anything was ever recorded.
-func (s *scoreboard) get(addr transport.Addr) (siteScore, bool) {
-	s.mu.Lock()
-	e, ok := s.m[addr]
-	s.mu.Unlock()
-	return e, ok && e.samples > 0
-}
-
-// siteHealth is one site's scoreboard state as seen by an ordering pass.
-type siteHealth struct {
-	lat      float64
-	fail     float64
-	known    bool
-	refusing bool
-}
-
-// fill snapshots every site's health into out (len(out) == len(sites))
-// under a single lock acquisition — the ordering passes run on every
-// operation, so they must not take the scoreboard lock per site.
-func (s *scoreboard) fill(sites []transport.Addr, out []siteHealth) {
-	s.mu.Lock()
-	for i, a := range sites {
-		e, ok := s.m[a]
-		out[i] = siteHealth{
-			lat:      e.lat,
-			fail:     e.fail,
-			known:    ok && e.samples > 0,
-			refusing: s.refusing[a],
-		}
-	}
-	s.mu.Unlock()
-}
-
-// bestLatency returns the lowest latency EWMA among the given sites.
-func (s *scoreboard) bestLatency(sites []transport.Addr) (time.Duration, bool) {
-	best := math.MaxFloat64
-	known := false
-	s.mu.Lock()
-	for _, a := range sites {
-		if e, ok := s.m[a]; ok && e.samples > 0 && e.lat < best {
-			best, known = e.lat, true
-		}
-	}
-	s.mu.Unlock()
-	if !known {
-		return 0, false
-	}
-	return time.Duration(best), true
-}
-
-// failBucket coarsens a failure EWMA into three classes so that sampling
-// noise cannot break the uniform strategy's load balance.
-func failBucket(fail float64) int {
-	switch {
-	case fail < 0.25:
-		return 0
-	case fail < 0.5:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// latBucket coarsens a latency EWMA relative to the level's best. A site
-// only leaves the healthy bucket when its latency is material — at least
-// the hedge delay, where probing it first would actually cost a hedge or a
-// timeout. Below that, scheduling noise can make identical sites' EWMAs
-// diverge by large factors, and deprioritizing on it would break the
-// uniform strategy's load balance for no operational gain.
-func latBucket(lat, best, material float64) int {
-	switch {
-	case lat < material || best <= 0 || lat <= latSlowFactor*best:
-		return 0
-	case lat <= latDeadFactor*best:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// skipBucket sorts past every health bucket: sites whose circuit breaker
-// is open or whose last probe was a catching-up refusal are known to be
-// non-serving right now, so they go behind everything else (probing them
-// is still cheap — a fast-fail or instant refusal, never a timeout).
-const skipBucket = 99
+// exploreEvery makes one in N level probes promote a random candidate to
+// the front, so stale scores (a recovered or newly fast site) get refreshed;
+// with hedging on, the cost of a bad exploration is bounded by the hedge
+// delay, not the client timeout.
+const exploreEvery = 16
 
 // orderedSites appends level u's sites to dst in probe order: the paper's
 // uniform shuffle stable-sorted by coarse health buckets (failure class
 // first, then latency class relative to the level's best). Healthy sites of
 // the same speed class stay uniformly ordered — preserving the optimal read
 // load of the uniform strategy — while known-slow or failing sites are
-// tried last, and open-breaker or catching-up sites last of all. One in
+// tried last, and open-breaker or refusing sites last of all. One in
 // exploreEvery calls promotes a random candidate to the front so scores
 // cannot go permanently stale. An operation orders its levels in level
 // order on its own goroutine, so a seeded client's site sequence does not
-// depend on scheduling.
-func (c *Client) orderedSites(dst []transport.Addr, proto *core.Protocol, u int) []transport.Addr {
-	sites := proto.LevelSites(u)
+// depend on scheduling. The level's health comes back with the order (the
+// zero value for a one-site level, which has nothing to sort or hedge).
+func (c *Client) orderedSites(now time.Time, dst []transport.Addr, proto *core.Protocol, u int) ([]transport.Addr, levelHealth) {
 	lo := len(dst)
-	for _, s := range sites {
-		dst = append(dst, transport.Addr(s))
-	}
+	dst = appendLevel(dst, proto, u)
 	out := dst[lo:]
 	c.rngMu.Lock()
 	c.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -228,42 +60,23 @@ func (c *Client) orderedSites(dst []transport.Addr, proto *core.Protocol, u int)
 	}
 	c.rngMu.Unlock()
 	if len(out) < 2 {
-		return dst
+		return dst, levelHealth{}
 	}
 	// Scratch stays on the stack unless the level is unusually wide.
-	var healthBuf [16]siteHealth
 	var bucketBuf [16]int8
-	health, buckets := healthBuf[:], bucketBuf[:]
-	if len(out) > len(healthBuf) {
-		health, buckets = make([]siteHealth, len(out)), make([]int8, len(out))
+	buckets := bucketBuf[:]
+	if len(out) > len(bucketBuf) {
+		buckets = make([]int8, len(out))
 	}
-	health, buckets = health[:len(out)], buckets[:len(out)]
-	c.scores.fill(out, health)
-	var best float64 = math.MaxFloat64
-	for i := range health {
-		if health[i].known && health[i].lat < best {
-			best = health[i].lat
-		}
-	}
-	material := float64(c.hedgeDelay)
-	for i, a := range out {
-		h := health[i]
-		switch {
-		case h.refusing || c.caller.BreakerState(a) == rpc.BreakerOpen:
-			buckets[i] = skipBucket
-		case !h.known:
-			buckets[i] = 0 // cold site: treat as healthy until probed
-		default:
-			buckets[i] = int8(failBucket(h.fail)*3 + latBucket(h.lat, best, material))
-		}
-	}
+	buckets = buckets[:len(out)]
+	lv := c.book.snapshot(now, out, float64(c.hedgeDelay), buckets)
 	stableSortByBucket(out, buckets)
 	if explore && idx > 0 {
 		picked := out[idx]
 		copy(out[1:idx+1], out[:idx])
 		out[0] = picked
 	}
-	return dst
+	return dst, lv
 }
 
 // orderedLevels returns physical level indices in write-attempt order: the
@@ -287,24 +100,24 @@ func (c *Client) orderedLevels(proto *core.Protocol) []int {
 		return order
 	}
 	buckets := make([]int8, l)
+	now := time.Now()
+	var memberBuf [16]transport.Addr // on the stack unless a level is unusually wide
 	for i, u := range order {
-		worst := 0.0
-		for _, s := range proto.LevelSites(u) {
-			a := transport.Addr(s)
-			if c.caller.BreakerState(a) == rpc.BreakerOpen {
-				// An open breaker means the member just failed repeatedly;
-				// a 2PC through this level would stall on it.
-				worst = 1.0
-				break
-			}
-			if e, ok := c.scores.get(a); ok && e.fail > worst {
-				worst = e.fail
-			}
-		}
-		buckets[i] = int8(failBucket(worst))
+		buckets[i] = c.book.snapshot(now, appendLevel(memberBuf[:0], proto, u), 0, nil).fail
 	}
 	stableSortByBucket(order, buckets)
 	return order
+}
+
+// appendLevel appends level u's members to dst as transport addresses,
+// growing dst at most once.
+func appendLevel(dst []transport.Addr, proto *core.Protocol, u int) []transport.Addr {
+	sites := proto.LevelSites(u)
+	dst = slices.Grow(dst, len(sites))
+	for _, s := range sites {
+		dst = append(dst, transport.Addr(s))
+	}
+	return dst
 }
 
 // stableSortByBucket stable-sorts items by ascending bucket, moving the two
@@ -328,10 +141,9 @@ func stableSortByBucket[T any](items []T, buckets []int8) {
 // (a uniformly slow level — e.g. a far zone — must not hedge on every
 // probe), or zero — no hedging — while the level is cold or when the floor
 // reaches the client timeout (the sequential fallback fires then anyway).
-func (c *Client) levelHedgeDelay(sites []transport.Addr, cfg readConfig) time.Duration {
-	best, known := c.scores.bestLatency(sites)
-	d := max(cfg.hedgeDelay, 2*best)
-	if !known || d >= c.timeout {
+func (c *Client) levelHedgeDelay(lv levelHealth, cfg readConfig) time.Duration {
+	d := max(cfg.hedgeDelay, 2*lv.best)
+	if !lv.known || d >= c.timeout {
 		return 0
 	}
 	return d
@@ -347,17 +159,15 @@ type slot struct {
 	pending int              // contacts in flight
 	force   bool             // contacts go through open breakers
 	span    *obs.LevelSpan
-	start   time.Time
 
 	// hedgeAfter > 0 arms hedging: each time hedgeDue passes undecided, the
 	// next candidate is started beside the outstanding ones.
-	hedgeAfter     time.Duration
-	hedgeDue       time.Time
-	hedges         int
-	primaryReplied bool
+	hedgeAfter time.Duration
+	hedgeDue   time.Time
+	hedges     int
 
-	// skipped lists candidates never probed because their circuit breaker
-	// fast-failed the start; the rescue pass force-probes them.
+	// skipped lists candidates the site book did not admit (breaker open);
+	// the rescue pass force-probes them.
 	skipped []transport.Addr
 
 	// The outcome, valid once done: the winning reply and its sender, or
@@ -452,12 +262,11 @@ func (a *assembly) release() {
 
 // addSlot adds a race over sites and starts its first candidate. span is
 // where contacts are traced (read-shaped phases open their own).
-func (a *assembly) addSlot(level int, sites []transport.Addr, force bool, hedgeAfter time.Duration, span *obs.LevelSpan) {
-	now := time.Now()
+func (a *assembly) addSlot(now time.Time, level int, sites []transport.Addr, force bool, hedgeAfter time.Duration, span *obs.LevelSpan) {
 	if a.spanPhase != "" {
 		span = a.op.Level(level, a.spanPhase)
 	}
-	s := slot{level: level, sites: sites, force: force, span: span, start: now}
+	s := slot{level: level, sites: sites, force: force, span: span}
 	if hedgeAfter > 0 && len(sites) > 1 {
 		s.hedgeAfter, s.hedgeDue = hedgeAfter, now.Add(hedgeAfter)
 		a.wakeBy(s.hedgeDue)
@@ -482,7 +291,7 @@ func (a *assembly) run() {
 			// A reply to a contact already resolved another way is dropped.
 			if r.Tag < len(a.contacts) && a.contacts[r.Tag].live && a.contacts[r.Tag].pend.ID == r.ID {
 				resp, err := a.c.caller.Answered(a.contacts[r.Tag].pend, r.Payload)
-				a.resolve(r.Tag, resp, err, time.Now())
+				a.resolve(r.Tag, replyOutcome(resp, err), resp, err, time.Now())
 			}
 		case <-a.timer.C:
 			a.onTimer(time.Now())
@@ -503,7 +312,7 @@ func (a *assembly) onTimer(now time.Time) {
 			a.wakeBy(ct.due)
 		default:
 			a.stray = true
-			a.resolve(i, nil, a.c.caller.Expire(ct.pend), now)
+			a.resolve(i, outcomeTimedOut, nil, a.c.caller.Expire(ct.pend), now)
 		}
 	}
 	for si := range a.slots {
@@ -536,18 +345,27 @@ func (a *assembly) onTimer(now time.Time) {
 }
 
 // advance starts candidates of slot si until one is in flight, and decides
-// the slot when none is left and nothing is in flight. A start that fails
-// on the spot (breaker fast-fail, failed send, spent deadline, closed
-// caller) is a failed contact that never was in flight. Under a context
-// already done only a slot's first candidate is started: an abort must go
-// out even when the operation was cancelled.
+// the slot when none is left and nothing is in flight. A candidate the site
+// book does not admit is skipped: nothing is sent, so it is no contact, only
+// a name the rescue pass may come back to. A start that fails on the spot
+// (failed send, spent deadline, closed caller) is a failed contact that
+// never was in flight. Under a context already done only a slot's first
+// candidate is started: an abort must go out even when the operation was
+// cancelled.
 func (a *assembly) advance(si int, hedge bool, now time.Time) {
 	s := &a.slots[si]
 	for {
 		for s.next < len(s.sites) && (s.next == 0 || a.ctx.Err() == nil) {
 			addr := s.sites[s.next]
 			s.next++
-			p, err := a.c.caller.Start(a.ctx, addr, a.req, a.inbox, len(a.contacts), s.force)
+			if !a.c.book.admit(now, addr, s.force) {
+				s.skipped = append(s.skipped, addr)
+				s.err = fmt.Errorf("site %d: %w", addr, errSkipped)
+				a.trace(s, addr, hedge, now, 0, s.err)
+				hedge = false
+				continue
+			}
+			p, err := a.c.caller.Start(a.ctx, addr, a.req, a.inbox, len(a.contacts))
 			if err == nil {
 				due := now.Add(p.Timeout)
 				a.contacts = append(a.contacts, contact{pend: p, slot: si, start: now, due: due, hedge: hedge, live: true})
@@ -559,13 +377,20 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 				return
 			}
 			a.stray = true
-			// A breaker fast-fail is not a contact — no message was sent —
-			// and neither is a start on a closed caller; a failed send is.
-			if !errors.Is(err, rpc.ErrBreakerOpen) && !errors.Is(err, rpc.ErrClosed) {
+			o := outcomeSendFailed
+			switch {
+			case errors.Is(err, rpc.ErrClosed):
+				o = outcomeClosed
+			case errors.Is(err, rpc.ErrTimeout), errors.Is(err, a.ctx.Err()):
+				o = outcomeCancelled // the deadline was spent before anything was sent
+			}
+			// A start on a closed caller is not a contact; every other
+			// failed start counts as one, like the failed send it usually is.
+			if o != outcomeClosed {
 				a.sent++
 				s.contacts++
 			}
-			a.record(s, addr, hedge, now, now, nil, err)
+			a.record(s, addr, hedge, now, now, o, err)
 			hedge = false
 		}
 		if s.pending > 0 {
@@ -587,66 +412,60 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 	}
 }
 
+// errSkipped is what a slot reports when its last candidate was not
+// admitted and no rescue pass was allowed to force it.
+var errSkipped = errors.New("client: circuit breaker open, site skipped")
+
+// replyOutcome classifies what rpc.Caller.Answered made of a reply.
+func replyOutcome(resp any, err error) outcome {
+	switch {
+	case err == nil && refused(resp):
+		return outcomeCatchingUp
+	case err == nil:
+		return outcomeServed
+	case errors.Is(err, rpc.ErrClosed):
+		return outcomeClosed
+	default:
+		return outcomeShed
+	}
+}
+
 // resolve takes contact i out of flight with its outcome and moves its slot
-// on: a usable reply wins it, anything else starts the next candidate.
-func (a *assembly) resolve(i int, resp any, err error, now time.Time) {
+// on: a served reply wins it, anything else starts the next candidate.
+func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time) {
 	ct := &a.contacts[i]
 	ct.live = false
 	a.live--
 	si, hedge, addr := ct.slot, ct.hedge, ct.pend.To
 	s := &a.slots[si]
 	s.pending--
-	if a.record(s, addr, hedge, ct.start, now, resp, err) != nil {
+	if a.record(s, addr, hedge, ct.start, now, o, err) != nil {
 		a.advance(si, false, now)
 		return
 	}
 	s.responder, s.resp, s.err = addr, resp, nil
-	if hedge {
-		if a.c.instr != nil {
-			a.c.instr.hedgeWins.Inc()
-		}
-		// The win itself says the primary sat overdue past the hedge delay
-		// without answering: score that as a failure so later operations
-		// deprioritize it. (Cancelled contacts are otherwise never scored —
-		// losing a fair race says nothing — but overdue-ness does.)
-		if !s.primaryReplied {
-			a.c.scores.record(s.sites[0], now.Sub(s.start), true)
-		}
+	if hedge && a.c.instr != nil {
+		a.c.instr.hedgeWins.Inc()
 	}
-	a.cancel(si, context.Canceled, now)
+	a.cancel(si, context.Canceled, now, hedge)
 }
 
-// record books one finished contact — the site's scores and marks, the
-// trace — and returns the error that makes its reply unusable, nil for a
-// reply that wins the slot. A breaker fast-fail or a closed caller is no
-// evidence about the site. An overload shed is scored only as a refusal:
-// the site answered instantly, it is alive, and ordering it last until it
-// serves again is enough. A catching-up refusal is scored like any served
-// reply and then marks the site refusing.
-func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, resp any, err error) error {
-	c := a.c
+// record books one finished contact — its outcome on the site book, the
+// contact on the trace — and returns the error that makes its reply
+// unusable, nil for a served reply, which wins the slot.
+func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, err error) error {
 	rtt := now.Sub(start)
-	if addr == s.sites[0] {
-		s.primaryReplied = true
-	}
-	switch {
-	case err == nil:
-		c.scores.record(addr, rtt, false)
-	case errors.Is(err, rpc.ErrClosed):
+	a.c.book.observe(now, addr, o, rtt)
+	switch o {
+	case outcomeClosed:
 		err = ErrClosed
-	case errors.Is(err, rpc.ErrBreakerOpen):
-		s.skipped = append(s.skipped, addr)
-	case errors.Is(err, ErrOverloaded):
-		c.scores.markRefusing(addr)
-		if c.instr != nil {
-			c.instr.overloadSkips.Inc()
+	case outcomeShed:
+		if a.c.instr != nil {
+			a.c.instr.overloadSkips.Inc()
 		}
-	case errors.Is(err, rpc.ErrTimeout):
-		c.scores.record(addr, rtt, true)
 	}
 	a.trace(s, addr, hedge, start, rtt, err)
-	if err == nil && refused(resp) {
-		c.scores.markRefusing(addr)
+	if o == outcomeCatchingUp {
 		err = fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
 	}
 	if err != nil {
@@ -678,9 +497,12 @@ func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Ti
 	s.span.Contact(int(addr), phase, start, rtt, err, errors.Is(err, rpc.ErrTimeout))
 }
 
-// cancel decides slot si, cancelling whatever it still has in flight.
-// Cancelled contacts are never scored.
-func (a *assembly) cancel(si int, why error, now time.Time) {
+// cancel decides slot si, cancelling whatever it still has in flight. That
+// says nothing about the cancelled sites — losing a fair race is no evidence
+// — with one exception: when a hedge won the level, the primary still in
+// flight sat unanswered past the hedge delay, and is booked as overdue so
+// later operations deprioritize it.
+func (a *assembly) cancel(si int, why error, now time.Time, hedgeWon bool) {
 	s := &a.slots[si]
 	for i := 0; s.pending > 0; i++ {
 		ct := &a.contacts[i]
@@ -692,6 +514,11 @@ func (a *assembly) cancel(si int, why error, now time.Time) {
 		a.live--
 		s.pending--
 		a.stray = true
+		o := outcomeCancelled
+		if hedgeWon && ct.pend.To == s.sites[0] {
+			o = outcomeOverdue
+		}
+		a.c.book.observe(now, ct.pend.To, o, now.Sub(ct.start))
 		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), why)
 	}
 	a.decide(s)
@@ -704,7 +531,7 @@ func (a *assembly) abandon(why error) {
 	for si := range a.slots {
 		if s := &a.slots[si]; !s.done {
 			s.err = why
-			a.cancel(si, why, now)
+			a.cancel(si, why, now, false)
 		}
 	}
 }
@@ -727,7 +554,7 @@ func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, span *obs.L
 	a := c.newAssembly(ctx, req, phase, len(addrs))
 	a.rescue = rescue
 	for i := range addrs {
-		a.addSlot(0, addrs[i:i+1], force, 0, span)
+		a.addSlot(time.Now(), 0, addrs[i:i+1], force, 0, span)
 	}
 	a.run()
 	return a

@@ -74,8 +74,8 @@ func TestOrderedSitesDeterministicUnderSeed(t *testing.T) {
 	h2 := newMemHarness(t, "1-3-5", WithSeed(7))
 	for i := 0; i < 200; i++ {
 		u := i % h1.proto.NumPhysicalLevels()
-		a := h1.cli.orderedSites(nil, h1.proto, u)
-		b := h2.cli.orderedSites(nil, h2.proto, u)
+		a, _ := h1.cli.orderedSites(time.Now(), nil, h1.proto, u)
+		b, _ := h2.cli.orderedSites(time.Now(), nil, h2.proto, u)
 		if len(a) != len(b) {
 			t.Fatalf("call %d: lengths differ: %v vs %v", i, a, b)
 		}
@@ -94,7 +94,7 @@ func TestOrderedSitesDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// TestOrderedSitesDeprioritizesUnhealthy feeds the scoreboard a healthy, a
+// TestOrderedSitesDeprioritizesUnhealthy feeds the site book a healthy, a
 // failing and a very slow site: ordering must put the healthy site first
 // and the failing site last in the vast majority of draws (exploration
 // occasionally promotes a random candidate — that is by design).
@@ -103,14 +103,14 @@ func TestOrderedSitesDeprioritizesUnhealthy(t *testing.T) {
 	sites := h.proto.LevelSites(0)
 	healthy, failing, slow := transport.Addr(sites[0]), transport.Addr(sites[1]), transport.Addr(sites[2])
 	for i := 0; i < 8; i++ {
-		h.cli.scores.record(healthy, time.Millisecond, false)
-		h.cli.scores.record(failing, time.Millisecond, true)
-		h.cli.scores.record(slow, 50*time.Millisecond, false)
+		h.cli.book.observe(time.Now(), healthy, outcomeServed, time.Millisecond)
+		h.cli.book.observe(time.Now(), failing, outcomeOverdue, time.Millisecond)
+		h.cli.book.observe(time.Now(), slow, outcomeServed, 50*time.Millisecond)
 	}
 	const draws = 200
 	firstHealthy, lastFailing := 0, 0
 	for i := 0; i < draws; i++ {
-		out := h.cli.orderedSites(nil, h.proto, 0)
+		out, _ := h.cli.orderedSites(time.Now(), nil, h.proto, 0)
 		if out[0] == healthy {
 			firstHealthy++
 		}
@@ -135,7 +135,7 @@ func TestOrderedLevelsDeprioritizesFailingMember(t *testing.T) {
 	h := newMemHarness(t, "1-2-2")
 	bad := transport.Addr(h.proto.LevelSites(0)[0])
 	for i := 0; i < 8; i++ {
-		h.cli.scores.record(bad, time.Millisecond, true)
+		h.cli.book.observe(time.Now(), bad, outcomeOverdue, time.Millisecond)
 	}
 	for i := 0; i < 50; i++ {
 		order := h.cli.orderedLevels(h.proto)
@@ -154,27 +154,31 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	addrs := []transport.Addr{transport.Addr(sites[0]), transport.Addr(sites[1])}
 	cfg := readConfig{hedge: true, hedgeDelay: 5 * time.Millisecond}
 
-	if d := h.cli.levelHedgeDelay(addrs, cfg); d != 0 {
+	// levelHedgeDelay judges the level's health as an ordering pass reads it.
+	hedgeDelay := func(c *Client) time.Duration {
+		return c.levelHedgeDelay(c.book.snapshot(time.Now(), addrs, 0, nil), cfg)
+	}
+	if d := hedgeDelay(h.cli); d != 0 {
 		t.Error("cold level must not hedge")
 	}
-	h.cli.scores.record(addrs[0], time.Millisecond, false)
-	if d := h.cli.levelHedgeDelay(addrs, cfg); d != 5*time.Millisecond {
+	h.cli.book.observe(time.Now(), addrs[0], outcomeServed, time.Millisecond)
+	if d := hedgeDelay(h.cli); d != 5*time.Millisecond {
 		t.Errorf("warm level: delay = %v; want 5ms", d)
 	}
 	// A best round-trip of 10ms floors the 5ms configured delay to 20ms.
 	h2 := newMemHarness(t, "1-2")
 	for i := 0; i < 20; i++ {
-		h2.cli.scores.record(addrs[0], 10*time.Millisecond, false)
+		h2.cli.book.observe(time.Now(), addrs[0], outcomeServed, 10*time.Millisecond)
 	}
-	if d := h2.cli.levelHedgeDelay(addrs, cfg); d != 20*time.Millisecond {
+	if d := hedgeDelay(h2.cli); d != 20*time.Millisecond {
 		t.Errorf("floored delay = %v; want 20ms", d)
 	}
 	// A uniformly slow level (floor >= timeout) must not hedge at all.
 	h3 := newMemHarness(t, "1-2")
 	for i := 0; i < 20; i++ {
-		h3.cli.scores.record(addrs[0], 60*time.Millisecond, false)
+		h3.cli.book.observe(time.Now(), addrs[0], outcomeServed, 60*time.Millisecond)
 	}
-	if d := h3.cli.levelHedgeDelay(addrs, cfg); d != 0 {
+	if d := hedgeDelay(h3.cli); d != 0 {
 		t.Error("level with 2×best >= timeout must not hedge")
 	}
 }
@@ -198,8 +202,8 @@ func TestHedgedReadRescuesCrashedSite(t *testing.T) {
 	// picking the crashed site first about half the time, the hedge gate is
 	// on, and the learned floor stays far below the hedge delay.
 	for i := 0; i < 20; i++ {
-		h.cli.scores.record(transport.Addr(sites[0]), 5*time.Microsecond, false)
-		h.cli.scores.record(transport.Addr(sites[1]), 5*time.Microsecond, false)
+		h.cli.book.observe(time.Now(), transport.Addr(sites[0]), outcomeServed, 5*time.Microsecond)
+		h.cli.book.observe(time.Now(), transport.Addr(sites[1]), outcomeServed, 5*time.Microsecond)
 	}
 
 	for i := 0; i < 40; i++ {
@@ -362,33 +366,28 @@ func TestPerOpReadWriteOptions(t *testing.T) {
 	}
 }
 
-// TestScoreboardEWMA sanity-checks the fold: a step change in latency must
-// move the estimate toward the new value without jumping to it, and the
-// failure estimate must decay when a site recovers.
-func TestScoreboardEWMA(t *testing.T) {
-	s := newScoreboard()
-	a := transport.Addr(1)
-	s.record(a, 10*time.Millisecond, false)
+// TestSiteEWMA sanity-checks the fold: a step change in latency must move
+// the estimate toward the new value without jumping to it, and the failure
+// estimate must decay when a site recovers.
+func TestSiteEWMA(t *testing.T) {
+	var e site
+	e.score(10*time.Millisecond, false)
 	for i := 0; i < 3; i++ {
-		s.record(a, 20*time.Millisecond, false)
-	}
-	e, ok := s.get(a)
-	if !ok {
-		t.Fatal("no score recorded")
+		e.score(20*time.Millisecond, false)
 	}
 	if e.lat <= float64(10*time.Millisecond) || e.lat >= float64(20*time.Millisecond) {
 		t.Errorf("latency EWMA %v outside (10ms, 20ms)", time.Duration(e.lat))
 	}
 	for i := 0; i < 4; i++ {
-		s.record(a, 10*time.Millisecond, true)
+		e.score(10*time.Millisecond, true)
 	}
-	if e, _ = s.get(a); failBucket(e.fail) == 0 {
+	if failBucket(e.fail) == 0 {
 		t.Errorf("failure EWMA %v still in the healthy bucket after 4 failures", e.fail)
 	}
 	for i := 0; i < 12; i++ {
-		s.record(a, 10*time.Millisecond, false)
+		e.score(10*time.Millisecond, false)
 	}
-	if e, _ = s.get(a); failBucket(e.fail) != 0 {
+	if failBucket(e.fail) != 0 {
 		t.Errorf("failure EWMA %v did not decay after recovery", e.fail)
 	}
 }

@@ -133,14 +133,14 @@ func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, o
 		a.sites = make([]transport.Addr, 0, total)
 	}
 	for u := 0; u < levels; u++ {
-		lo := len(a.sites)
-		a.sites = c.orderedSites(a.sites, proto, u)
-		sites := a.sites[lo:len(a.sites):len(a.sites)]
+		lo, now := len(a.sites), time.Now()
+		var lv levelHealth
+		a.sites, lv = c.orderedSites(now, a.sites, proto, u)
 		var hedgeAfter time.Duration
 		if cfg.hedge {
-			hedgeAfter = c.levelHedgeDelay(sites, cfg)
+			hedgeAfter = c.levelHedgeDelay(lv, cfg)
 		}
-		a.addSlot(u, sites, false, hedgeAfter, nil)
+		a.addSlot(now, u, a.sites[lo:len(a.sites):len(a.sites)], false, hedgeAfter, nil)
 	}
 	a.run()
 

@@ -1,0 +1,241 @@
+package client
+
+import (
+	"context"
+	"strings"
+	"testing"
+	"time"
+
+	"arbor/internal/transport"
+)
+
+// The pinned history's clock classes. A timeout costs pinTimeout; a breaker
+// stays open for at least pinTimeout and less than 3×pinTimeout (cooldown
+// 2×timeout, jittered over [½d, 1½d)). The history keeps every stretch with
+// an open breaker far shorter than the former or sleeps past the latter, so
+// the destination sequence does not depend on how fast the machine is.
+const (
+	pinTimeout = 100 * time.Millisecond
+	pinHedge   = 20 * time.Millisecond
+)
+
+// pinRun drives one scripted history and writes down where every request
+// went: one letter per request ('a' is site 1), one word per operation ("-"
+// for an operation that sent nothing), one string per phase.
+type pinRun struct {
+	t      *testing.T
+	h      *scriptHarness
+	mode   map[transport.Addr]reaction
+	n      int // operations so far
+	mark   int // requests already written down
+	cur    strings.Builder
+	phases []string
+	opened time.Time // when the phase's breaker opened
+}
+
+// did writes down what the operation just finished sent.
+func (p *pinRun) did() {
+	reqs := p.h.conn.requests()
+	if len(reqs) == p.mark {
+		p.cur.WriteByte('-')
+	}
+	for _, m := range reqs[p.mark:] {
+		p.cur.WriteByte(byte('a' + m.To - 1))
+	}
+	p.cur.WriteByte(' ')
+	p.mark = len(reqs)
+	p.n++
+}
+
+// ops runs count operations on four keys, every fifth a write. Operations
+// may fail — the script makes some — and only where they sent requests is
+// recorded. With read options every operation is a read.
+func (p *pinRun) ops(count int, opts ...ReadOption) {
+	ctx := context.Background()
+	for i := 0; i < count; i++ {
+		key := string(rune('w' + p.n%4))
+		if p.n%5 == 4 && len(opts) == 0 {
+			_, _ = p.h.cli.Write(ctx, key, []byte("v"))
+		} else {
+			_, _ = p.h.cli.Read(ctx, key, opts...)
+		}
+		p.did()
+	}
+}
+
+// pings sends count pings to site.
+func (p *pinRun) pings(site transport.Addr, count int) {
+	for i := 0; i < count; i++ {
+		_ = p.h.cli.Ping(context.Background(), site)
+		p.did()
+	}
+}
+
+// end closes the current phase.
+func (p *pinRun) end() {
+	p.phases = append(p.phases, strings.TrimSpace(p.cur.String()))
+	p.cur.Reset()
+}
+
+// stillOpen skips the test when the stretch since the breaker opened ran so
+// long that its cooldown may have expired: the sequence would then depend on
+// the wall clock, and the test has no verdict to give.
+func (p *pinRun) stillOpen() {
+	if d := time.Since(p.opened); d > pinTimeout/2 {
+		p.t.Skipf("%v with a breaker open, cooldown may be as short as %v: machine too slow for a verdict", d, pinTimeout)
+	}
+}
+
+// pinnedHistory runs the history on spec: ≥300 seeded operations while the
+// script makes chosen sites lose hedge races, refuse, shed, fail sends, time
+// out and recover, so that failure buckets move, two breakers open (one
+// closed by a half-open probe after its cooldown, one by a rescue pass
+// inside it) and refusing marks are set and cleared.
+func pinnedHistory(t *testing.T, spec string, seed int64) []string {
+	p := &pinRun{t: t, mode: map[transport.Addr]reaction{}}
+	// A client-level hedge delay above the timeout turns hedging off and
+	// keeps every latency EWMA in the healthy bucket (a latency below the
+	// hedge delay is never material), so measured round-trip times cannot
+	// move the order; failure EWMAs, marks and breakers do.
+	p.h = newScriptHarness(t, spec, func(_ int, m transport.Message) reaction { return p.mode[m.To] },
+		WithTimeout(pinTimeout), WithHedgeDelay(time.Hour), WithSeed(seed))
+	level := func(u int) []transport.Addr {
+		var out []transport.Addr
+		for _, s := range p.h.proto.LevelSites(u) {
+			out = append(out, transport.Addr(s))
+		}
+		return out
+	}
+	first, second, last := level(0), level(1), level(p.h.proto.NumPhysicalLevels()-1)
+	hedged, shedder := last[0], last[1]
+	sendFailer, refuser := first[0], first[1]
+	silenced, siblings := second[len(second)-1], second[:len(second)-1]
+
+	p.ops(40)
+	p.end() // warm
+
+	// A silent primary loses hedge races: scored failed, breaker untouched.
+	p.mode[hedged] = silent
+	p.ops(15, ReadWithHedgeDelay(pinHedge))
+	p.end()
+	p.mode[hedged] = answer
+	p.ops(25)
+	p.end()
+
+	// Catching-up refusals of reads and version probes; prepares are served.
+	p.mode[refuser] = refuse
+	p.ops(30)
+	p.end()
+	p.mode[refuser] = answer
+	p.ops(20)
+	p.end()
+
+	p.mode[shedder] = shed
+	p.ops(30)
+	p.end()
+	p.mode[shedder] = answer
+	p.ops(20)
+	p.end()
+
+	// Failed sends open the breaker without touching the EWMAs; the site is
+	// then skipped, and its level sorts last for writes.
+	p.mode[sendFailer] = failSend
+	p.pings(sendFailer, 4)
+	p.opened = time.Now()
+	p.ops(25)
+	p.stillOpen()
+	p.end()
+	// Past the cooldown the recovered site is half-open: its next contact is
+	// the probe, and the reply closes the breaker.
+	time.Sleep(time.Until(p.opened.Add(3*pinTimeout + 20*time.Millisecond)))
+	p.mode[sendFailer] = answer
+	p.ops(30)
+	p.end()
+
+	// Timeouts open the breaker and move the EWMAs; a ping to the open site
+	// sends nothing.
+	p.mode[silenced] = silent
+	p.pings(silenced, 4)
+	p.opened = time.Now()
+	p.pings(silenced, 1)
+	p.ops(20)
+	p.stillOpen()
+	p.end()
+	// The site is back but its breaker still open, and its siblings refuse:
+	// the rescue pass force-probes it, and the reply closes the breaker.
+	p.mode[silenced] = answer
+	for _, s := range siblings {
+		p.mode[s] = refuse
+	}
+	p.ops(1)
+	p.stillOpen()
+	p.ops(4)
+	p.end()
+	for _, s := range siblings {
+		p.mode[s] = answer
+	}
+	p.ops(40)
+	p.end()
+	if p.n < 300 {
+		t.Fatalf("history has %d operations, want at least 300", p.n)
+	}
+	return p.phases
+}
+
+// TestSiteSequencePinned holds the engine's site selection — ordering,
+// skipping, rescue, exploration — to the destination sequence the parent of
+// the site-book fold (PR 15) produced for the same seeded histories.
+func TestSiteSequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		seed int64
+		want []string
+	}{
+		{"1-3-5", 7, pinned135},
+		{deepSpec, 11, pinnedDeep},
+	} {
+		tc := tc
+		t.Run(tc.spec, func(t *testing.T) {
+			t.Parallel()
+			got := pinnedHistory(t, tc.spec, tc.seed)
+			if len(got) != len(tc.want) {
+				t.Fatalf("history has %d phases, pinned %d:\n%#v", len(got), len(tc.want), got)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("phase %d:\n got %q\nwant %q", i, got[i], tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+var pinned135 = []string{
+	"be ch af ad afabcabc af ch ae ah cgdefghdefgh ad ae cd cg bfabcabc ae bd cd bf bhdefghdefgh bd cf ad af cdabcabc ch ag ah bf bhabcabc af ad af ah cfabcabc bf ae ad ad bgdefghdefgh",
+	"bdg af cg ch ae bg ae cg ae bh bg af be ah ae",
+	"be ag cf cf chabcabc bh ag bg be beabcabc ad ad bh ch bdabcabc ah ae bf bd cgdefghdefgh bf be af ch ceabcabc",
+	"bga ae cf cg aedefghdefgh cf af cd ch adabcabc cg bda cd ah cgdefghdefgh cf ah af cf cdabcabc ag bea ce cg ceabcabc bfc cf ah ad cfabcabc",
+	"ad cg af ce cgdefghdefgh bh bd ch ag addefghdefgh bg be cg bf bgdefghdefgh cg cg af bh ceabcabc",
+	"cf ch bh ag cfabcabc ch bd bg ch afabcabc bh aed ch cd agabcabc cg bd bd bg addefghdefghabcabc cf ch bd cd bgdefghdefghabcabc ad bf ad ad cdabcabc",
+	"ce cf ae ce ahabcabc bf ae ad ae chabcabc bf bd ce be bfdefghdefgh ah ad cd ag bhdefghdefgh",
+	"a a a a cedefghdefgh ch be ch bh cddefghdefgh be cg bd ch bhdefghdefgh cd ce bg bf cgdefghdefgh bh bd cg cg bedefghdefgh bh cg cf bh",
+	"bgdefghdefgh bh be bh cg cfdefghdefgh bh ag ch cf bfabcabc bd bf ag cf chabcabc af ag ce cf bgdefghdefgh ag bf cg ce bfdefghdefgh af ad ah be",
+	"h h h h - beabcabc ae cf bg ag aeabcabc cd ad af ad aeabcabc ad ae be cf bfabcabc ae ae cd cf",
+	"cfegdhabcabc ah ah ah ah",
+	"ahabcabc ah ah bh ch bhabcabc bh ch ch ch chdefghdefgh bg cg ad ad aeabcabc bh ad bd bg cgdefghdefgh bh ad af bh cddefghdefgh bg bf ad af addefghdefgh be bg cg af aeabcabc bf ad cd ch",
+}
+
+var pinnedDeep = []string{
+	"bcegjlmp adegjlmo bcehjlmp acegikmp bdfgilmpcdcd adfgilnp acfhjkno bdfhjkmp bdfgilno acfgjlmoklkl adfhjkmp adfhilno adfhjkno bcfhilno acegikmomnmn adehjlnp bdfhjkmp bdfhjkmp bdfgikno bcegjlnoklkl acegjknp acfgikno bdegilmo bcehilmo bcfhjkmpijij adfhilno acegilmo bdegjknp acfhjknp bcegjlmomnmn bdfgilmp acfgjkmo adfhiknp bcfgjlmo adfgilmpefef adfhjlmo acfhilmo adehilmp bcegilmp adehilmoabab",
+	"adehilnop bcegjlnp bdehjkmp acfhjlnp acfhikmp acfgikmp acegjlmp acehjknp bdfhilmp acfgilmp acfgiknp adehilmp adfhjlnp adfhjlnp adegiknp",
+	"bdegjkmp acehiknp adehjlmp acfhilnp acehilmpmnmn adegilnp acegilnp acehilmp acehilmp acfgjlnpcdcd bdfgjknp bcfhilmp acfhjlmp bdegjlmp adehjkmpklkl acfhikmp bcfgjknp acegjkmp acfhjlnp bcfhilmpabab acehikmp bdfhjknp bcehikno bcfgiknp acfhjlnoabab",
+	"bdegjknoa acehikno adegikmo adehilmp adfhjlmpabab bcegjkmoa adegjkno adfgjlmo acegjlmp acfgjlnoijij adehjkmo acfgiknp acfgjlmo acehjlmp adfgjkmoopop adehjkmo acfgjlmo adfhilno acfhiknp acfhjkmocdcd acfhikmo acegiknp acegilmp adegilno acehiknoklkl adfhikno acehjlno adfgilno acfhjlmo adfgjkmomnmn",
+	"acfgiknp acehilmp adehjkmo acfhjlmo acfhikmpghgh acfhilno acehjlno adehikmo adegikno adfhikmoijij adegjlno adehjknp adegjknp adfgilmo acfhjlnocdcd acegjkmp adfhjkmo acehikmo adfhjknp adfhikmpghgh",
+	"adehikmo adfhjknpo acfhjkno adehikmo acegjknoabab adegjkno adfhilmo bdfhjlmo bdfhikmo bcfgjkmomnmn bdegikno adegilno bcehjkno acehikno bdfhjlnoijij acfhjkno bcfhilmo bcfhjlno acehikno acfhjlnoklkl bcegikmo bdfhjlno bdehjkmo acfhjkmo adehjlnoijij acfhjlmo acfgjkno bdegjkmo bdegjkno bcfhjknoghgh",
+	"acfgikmo bdfhikmo adegilmo bcehjkno adegiknocdcd adfgjlmo adehikno bdfhilno bcfhjlno bcegjlnomnmn adehikno bdfhjkmo acehilno bcehjlmo adegjlmoghgh adegjlno bcehilmo bdfgjkmo bdfhjlno bcehjknocdcd",
+	"a a a a bdfgjknoghgh bdfhilmo bdehjkno bcfgjlmo bcfgilmo bdfgjknoefef bdfhikmo bcehilno bcfgikno bcegjlmo bcegjknocdcd bdfhjlmo bdfgikno bcehjlno bdehjkmo bcfhjlmocdcd bcfgilno bcegjkno bcehjlmo bcegikmo bcfhjkmoklkl bcfgilmo bcehjlno bdfgikmo bcehjlmp",
+	"bdfhiknpcdcd bcehjlno bdegjlno bdehjkno bdegilmp bcfhjknpabab acfgjlmo bcegjlno adfhilno bcegikmp acfgilmpghgh acfhjknp acegilmo bcfgilnp bcehjlno bcfgjlnoabab adfhikmp acehiknp acfgjlmp bcegjkmo acfhilmoabab bcehjkmp acfhilmo bcegjlmp bcfhjlmo bcfgilmpefef bdfhjknp bcehjkmo bdegjlnp adehilno",
+	"d d d d - acfhjlnoghgh acfhjlno bcfgiknp acehjlno acfhilnp bcegjkmoopop acfhiknp bcfhilmo acfgilnp acehilno acehikmpabab bcegjlno acfgikmo acehjkno acfgilno bcfgjlmpmnmn acfhjknp bcegjknp bcfgiknp bcfhilno",
+	"acegikmodghgh bcfhjlmod adegikmp adegjkno bdehiknp",
+	"adfgilmomnmn adehiknp adfgjknp adehjlmo adehikno adfgikmpmnmn bdegjkmp bdehjlno bdehjlno adehjlno bcehiknomnmn adfhjlmo adegjknp bdfgikmo adehjkno bdehjlnpghgh adehilmp adehjkmp adfhikno bcegikmp acfhjknoijij adegjlmo acehjkno acehjlnp bdehilmp bcegjlmoabab adegilno bdehilmp bdehjlmo adehilno adfhikmoopop bdegilnp acfgikmp bcfgilno adfhjlno adegjkmpklkl acfgikmp adegikmo acehjkno adfhikmo",
+}

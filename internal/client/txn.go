@@ -175,7 +175,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 // all, aborting everything on any prepare failure. contacts is every
 // prepare sent.
 func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, op *obs.Op) (contacts int, err error) {
-	addrs := levelAddrs(t.proto, u)
+	addrs := appendLevel(nil, t.proto, u)
 	txID := t.c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
 

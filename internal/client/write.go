@@ -104,7 +104,6 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 	res.Contacts = ver.Contacts
 	if err != nil {
 		c.metrics.writeFailures.Add(1)
-		c.metrics.writeContacts.Add(uint64(ver.Contacts))
 		err = fmt.Errorf("%w: version discovery: %w", ErrWriteUnavailable, err)
 		finish(obs.OutcomeUnavailable, err)
 		return res, err
@@ -174,7 +173,7 @@ func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int)
 // contacts is every replica a prepare was sent to; phase two targets the
 // same members and is not counted again.
 func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, key string, value []byte, ts replica.Timestamp, op *obs.Op) (contacts int, err error) {
-	addrs := levelAddrs(proto, u)
+	addrs := appendLevel(nil, proto, u)
 	txID := c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
 
@@ -197,16 +196,6 @@ func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, ke
 	}
 	span.Done(err == nil, err)
 	return contacts, err
-}
-
-// levelAddrs returns level u's members as transport addresses.
-func levelAddrs(proto *core.Protocol, u int) []transport.Addr {
-	sites := proto.LevelSites(u)
-	addrs := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		addrs[i] = transport.Addr(s)
-	}
-	return addrs
 }
 
 // prepareAll is phase one of 2PC: it sends the prepare to every member at

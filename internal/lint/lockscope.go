@@ -6,7 +6,7 @@ import (
 )
 
 // LockScope reports mutexes held across blocking operations. A mutex
-// guarding hot-path state (the scoreboard's EWMAs, the caller's pending
+// guarding hot-path state (the site book's records, the caller's pending
 // map, the coalescing flight table) must bound its critical section by CPU
 // work only: a channel send/receive, select, time.Sleep or WaitGroup.Wait
 // under the lock stalls every other operation on the client — and with the

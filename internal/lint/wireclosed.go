@@ -21,9 +21,8 @@ var wireScope = segSuffix(`internal/wire`)
 // the decode tag switch, and a golden vector in testdata/golden_*.txt (the
 // byte-level compatibility contract — a message that can be encoded but has
 // no pinned vector can change layout silently). Outside internal/wire any
-// encoding/gob import is a finding: the gob fallback lives behind the Codec
-// interface, and a second serialization path is exactly how version skew
-// slipped into the pre-codec WAL.
+// encoding/gob import is a finding: a second serialization path is exactly
+// how version skew slipped into the pre-codec WAL.
 var WireClosed = &Analyzer{
 	Name: "wireclosed",
 	Doc:  "the wire message set is closed: tags, switches and golden vectors in lockstep; gob stays in internal/wire",

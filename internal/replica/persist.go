@@ -3,8 +3,6 @@ package replica
 import (
 	"bufio"
 	"encoding/binary"
-	//lint:ignore wireclosed legacy snapshot fallback: pre-codec snapshots on disk are gob; decode-only, never written
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,14 +10,10 @@ import (
 	"arbor/internal/wire"
 )
 
-// snapshotEntry is the legacy (gob) serialized form of one stored key,
-// kept only so snapshots written by earlier releases restore through the
-// fallback path.
-type snapshotEntry struct {
-	Key   string
-	Value []byte
-	TS    Timestamp
-}
+// errLegacyFormat rejects snapshots and journals written before the binary
+// record format (PR 7): their gob decoder is gone. A file that old has to
+// be rewritten by a release that still read it.
+var errLegacyFormat = errors.New("legacy gob format is no longer supported")
 
 // Snapshot serializes the store's full contents: a two-byte header
 // followed by one length-prefixed, self-contained binary record per key
@@ -58,21 +52,17 @@ func (s *Store) Snapshot(w io.Writer) error {
 
 // Restore merges a snapshot into the store. Entries older than what the
 // store already holds are ignored (timestamp-ordered Apply), so restoring
-// an old snapshot never regresses state. Legacy streaming-gob snapshots
-// are detected by their first byte (a binary snapshot starts with a magic
-// byte no gob stream can begin with) and restored through the fallback.
+// an old snapshot never regresses state. A stream that does not open with
+// the snapshot magic byte — a gob-era snapshot, or not a snapshot at all —
+// is rejected with errLegacyFormat.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return fmt.Errorf("replica: restore: %w", err)
-	}
-	if first[0] != wire.SnapshotMagic {
-		return s.restoreGob(br)
-	}
 	hdr := make([]byte, 2)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return fmt.Errorf("replica: restore: %w", err)
+	}
+	if hdr[0] != wire.SnapshotMagic {
+		return fmt.Errorf("replica: restore: first byte %#x is not a binary snapshot: %w", hdr[0], errLegacyFormat)
 	}
 	if err := wire.CheckSnapshotHeader(hdr); err != nil {
 		return fmt.Errorf("replica: restore: %w", err)
@@ -99,17 +89,4 @@ func (s *Store) Restore(r io.Reader) error {
 		}
 		s.Apply(rec.Key, rec.Value, rec.TS)
 	}
-}
-
-// restoreGob restores a legacy snapshot: one streaming gob encoding of the
-// full entry slice.
-func (s *Store) restoreGob(r io.Reader) error {
-	var entries []snapshotEntry
-	if err := gob.NewDecoder(r).Decode(&entries); err != nil {
-		return fmt.Errorf("replica: restore: %w", err)
-	}
-	for _, e := range entries {
-		s.Apply(e.Key, e.Value, e.TS)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -67,10 +68,17 @@ func TestRestoreMergesNewerEntries(t *testing.T) {
 	}
 }
 
-func TestRestoreGarbage(t *testing.T) {
+// TestRestoreRejectsLegacySnapshot: a stream that does not open with the
+// snapshot magic byte — every gob-era snapshot, and any other garbage — is
+// refused with an error naming the unsupported format, the store untouched.
+func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	s := NewStore()
-	if err := s.Restore(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage restore succeeded")
+	err := s.Restore(strings.NewReader("\x0c\xff\x81\x02\x01\x02 gob-era bytes"))
+	if !errors.Is(err, errLegacyFormat) {
+		t.Fatalf("err = %v, want errLegacyFormat", err)
+	}
+	if s.Len() != 0 {
+		t.Errorf("store holds %d keys after a refused restore", s.Len())
 	}
 }
 

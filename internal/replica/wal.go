@@ -1,10 +1,7 @@
 package replica
 
 import (
-	"bytes"
 	"encoding/binary"
-	//lint:ignore wireclosed legacy WAL fallback: journals from pre-codec sessions hold gob records; decode-only, never written
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,14 +10,6 @@ import (
 
 	"arbor/internal/wire"
 )
-
-// walRecord is the legacy (gob) form of one journaled write, kept only so
-// journals written by earlier releases replay through the fallback path.
-type walRecord struct {
-	Key   string
-	Value []byte
-	TS    Timestamp
-}
 
 // walMaxRecord bounds a record's encoded size during replay, so a corrupt
 // length prefix cannot ask for an absurd allocation.
@@ -59,9 +48,7 @@ func (w *WAL) Path() string { return w.path }
 // sessions appended by successive process incarnations replay seamlessly
 // (a single streaming encoder with cross-record state would poison replay
 // of everything after the first session — the bug class the chaos harness
-// caught in the original gob WAL). Journals may freely mix legacy gob
-// records and binary records; replay tells them apart by the record's
-// first byte.
+// caught in the original gob WAL).
 func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -94,24 +81,12 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// decodeWALBody parses one record body: a binary wire record, or — for
-// journals written by earlier releases — a self-contained gob blob.
-func decodeWALBody(buf []byte) (wire.Record, bool) {
-	if rec, err := wire.DecodeRecord(buf); err == nil {
-		return rec, true
-	} else if !errors.Is(err, wire.ErrNotRecord) {
-		return wire.Record{}, false
-	}
-	var legacy walRecord
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&legacy); err != nil {
-		return wire.Record{}, false
-	}
-	return wire.Record{Key: legacy.Key, Value: legacy.Value, TS: legacy.TS}, true
-}
-
 // ReplayWAL reads the journal at path and applies every decodable record to
 // the store, stopping silently at a truncated tail (the record being
 // written when the process died). It returns the number of records applied.
+// A whole record body that does not open with the record magic byte is not a
+// torn tail but a journal from before the binary format: replay stops there
+// with errLegacyFormat rather than quietly dropping the rest of the journal.
 func ReplayWAL(path string, s *Store) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -135,8 +110,11 @@ func ReplayWAL(path string, s *Store) (int, error) {
 		if _, err := io.ReadFull(f, buf); err != nil {
 			return applied, nil
 		}
-		rec, ok := decodeWALBody(buf)
-		if !ok {
+		if buf[0] != wire.RecordMagic {
+			return applied, fmt.Errorf("replica: replay wal: record %d starts with %#x, not a binary record: %w", applied, buf[0], errLegacyFormat)
+		}
+		rec, err := wire.DecodeRecord(buf)
+		if err != nil {
 			return applied, nil
 		}
 		s.Apply(rec.Key, rec.Value, rec.TS)

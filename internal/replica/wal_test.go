@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -179,5 +180,38 @@ func TestWALAppendAcrossSessions(t *testing.T) {
 		if v, _, ok := fresh.Get(key); !ok || string(v) != key {
 			t.Errorf("key %q = %q, %v after multi-session replay", key, v, ok)
 		}
+	}
+}
+
+// TestReplayRejectsLegacyWAL: a whole, plausibly-sized record body that
+// does not open with the record magic byte — what a journal from before the
+// binary format holds — ends replay with an error naming the format, after
+// the binary records before it were applied. (A short read stays a torn
+// tail: TestWALReplayToleratesTornTail.)
+func TestReplayRejectsLegacyWAL(t *testing.T) {
+	w, path := newWAL(t)
+	s := NewStore()
+	s.AttachJournal(w)
+	s.Apply("k", []byte("v"), Timestamp{Version: 1, Site: 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A framed body whose first byte is in gob's range (a segment length).
+	if _, err := f.Write([]byte{0, 0, 0, 3, 0x2b, 0xff, 0x81}); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+
+	fresh := NewStore()
+	applied, err := ReplayWAL(path, fresh)
+	if !errors.Is(err, errLegacyFormat) {
+		t.Fatalf("err = %v, want errLegacyFormat", err)
+	}
+	if applied != 1 {
+		t.Errorf("replayed %d records before the legacy one, want 1", applied)
 	}
 }

@@ -4,10 +4,8 @@ import "arbor/internal/wire"
 
 // Bridges between the store's durability layers and the wire record
 // format. The WAL and snapshots both persist store entries as
-// self-contained, length-prefixed binary records (wire.Record); nothing on
-// the request path — and, since the binary codec became the default,
-// nothing here — touches gob. Legacy gob-encoded files are still read
-// through the explicit fallbacks in wal.go and persist.go.
+// self-contained, length-prefixed binary records (wire.Record). Files from
+// before that format (gob) are rejected by name in wal.go and persist.go.
 
 // appendStoreRecord appends one store entry in the framed binary record
 // form shared by the WAL and snapshots.

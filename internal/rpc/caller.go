@@ -45,37 +45,12 @@ func WithMetrics(reg *obs.Registry) Option {
 			"Replica calls whose reply deadline expired (failure-detector hits).")
 		c.sends = reg.Counter("arbor_rpc_sends_total",
 			"Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).")
-		c.breakerTransitions = reg.CounterVec("arbor_rpc_breaker_transitions_total",
-			"Circuit-breaker state transitions, by destination state (open counts re-opens after failed probes).",
-			"state")
-		c.breakerFastFails = reg.Counter("arbor_rpc_breaker_fastfails_total",
-			"Calls refused locally because the destination site's circuit breaker was open.")
 		c.overloads = reg.Counter("arbor_rpc_overloaded_total",
 			"Calls answered by a replica's admission gate with a load-shed reply.")
 		c.deadlineSkips = reg.Counter("arbor_rpc_deadline_skips_total",
 			"Calls failed locally because the caller's deadline budget was already spent.")
 	}
 }
-
-// WithBreaker arms a per-site circuit breaker: after BreakerConfig.Threshold
-// consecutive failures to a site, further calls to it fast-fail with
-// ErrBreakerOpen (no message, no timeout) until a cooldown expires and a
-// single half-open probe decides whether to close again. ForceProbe on an
-// individual request bypasses the fast-fail.
-func WithBreaker(cfg BreakerConfig) Option {
-	return func(c *Caller) {
-		c.breakers = newBreakerSet(cfg)
-	}
-}
-
-// CallOption adjusts a single request.
-type CallOption struct{ force bool }
-
-// ForceProbe lets the request through an open circuit breaker. Use it when
-// the request must be attempted regardless of the site's recent history:
-// phase-two commits (every prepared site has to hear the decision) and
-// last-resort availability rescues. The outcome still feeds the breaker.
-func ForceProbe() CallOption { return CallOption{force: true} }
 
 // Reply is a started request's answer as delivered to its inbox. Tag is the
 // integer the request was started with, so one inbox can serve every
@@ -116,24 +91,18 @@ type Caller struct {
 
 	reqID atomic.Uint64
 
-	// breakers is the optional per-site circuit-breaker set (nil when
-	// WithBreaker was not given: every call is admitted).
-	breakers *breakerSet
-
 	// sendHook, when set, observes every fire-and-forget Send (test
 	// synchronization for repair traffic).
 	sendHook atomic.Pointer[func(to transport.Addr, payload any)]
 
 	// Optional instruments (nil when observability is off; recording on
 	// nil obs instruments is a no-op, but the guards skip timestamping).
-	callDur            *obs.Histogram
-	calls              *obs.Counter
-	timeouts           *obs.Counter
-	sends              *obs.Counter
-	breakerTransitions *obs.CounterVec
-	breakerFastFails   *obs.Counter
-	overloads          *obs.Counter
-	deadlineSkips      *obs.Counter
+	callDur       *obs.Histogram
+	calls         *obs.Counter
+	timeouts      *obs.Counter
+	sends         *obs.Counter
+	overloads     *obs.Counter
+	deadlineSkips *obs.Counter
 
 	stop chan struct{}
 	done chan struct{}
@@ -151,30 +120,8 @@ func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.breakers != nil {
-		c.breakers.transitions = c.breakerTransitions
-		c.breakers.fastFails = c.breakerFastFails
-	}
 	go c.dispatch()
 	return c
-}
-
-// BreakerState reports the site's circuit-breaker state (BreakerClosed when
-// breakers are disabled).
-func (c *Caller) BreakerState(to transport.Addr) BreakerState {
-	if c.breakers == nil {
-		return BreakerClosed
-	}
-	return c.breakers.state(to)
-}
-
-// BreakerStates snapshots the breaker state of every site this caller has
-// tracked; nil when breakers are disabled.
-func (c *Caller) BreakerStates() map[transport.Addr]BreakerState {
-	if c.breakers == nil {
-		return nil
-	}
-	return c.breakers.states()
 }
 
 // Close stops the dispatcher; every outstanding request is answered with a
@@ -218,10 +165,8 @@ func deliver(w waiter, r Reply) {
 // The context's remaining budget bounds the attempt — a retry late in an
 // operation never overshoots the operation's deadline — and rides the wire
 // as the request's deadline; a spent budget fails locally before any
-// message is sent. A request to a site whose circuit breaker is open
-// fast-fails with ErrBreakerOpen unless force is set (see ForceProbe), and
-// a failed Send counts against the site.
-func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int, force bool) (Pending, error) {
+// message is sent.
+func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int) (Pending, error) {
 	p := Pending{To: to, Timeout: c.timeout}
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
@@ -237,21 +182,10 @@ func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbo
 			p.Timeout = budget
 		}
 	}
-	probe := false
-	if c.breakers != nil && !force {
-		ok, half := c.breakers.admit(to)
-		if !ok {
-			return p, fmt.Errorf("site %d: %w", to, ErrBreakerOpen)
-		}
-		probe = half
-	}
 	p.ID = c.reqID.Add(1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if probe {
-			c.breakers.release(to)
-		}
 		return p, ErrClosed
 	}
 	c.pending[p.ID] = waiter{inbox: inbox, tag: tag}
@@ -272,9 +206,6 @@ func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbo
 	}
 	if err := c.ep.Send(to, payload); err != nil {
 		c.forget(p.ID)
-		if c.breakers != nil {
-			c.breakers.failure(to)
-		}
 		return p, fmt.Errorf("rpc: send to %d: %w", to, err)
 	}
 	return p, nil
@@ -288,23 +219,15 @@ func (c *Caller) forget(id uint64) {
 	c.mu.Unlock()
 }
 
-// Answered resolves p with the payload of the reply received for it. Any
-// reply is breaker success — an overload shed included: the site answered
-// instantly, it is alive, just refusing work — and a shed maps to an
-// ErrOverloaded error carrying the site's retry-after hint. A nil payload
-// (the caller was closed) yields ErrClosed and no verdict on the site.
+// Answered resolves p with the payload of the reply received for it. An
+// overload shed maps to an ErrOverloaded error carrying the site's
+// retry-after hint; a nil payload (the caller was closed) yields ErrClosed.
 func (c *Caller) Answered(p Pending, payload any) (any, error) {
 	if payload == nil {
-		if c.breakers != nil {
-			c.breakers.release(p.To)
-		}
 		return nil, ErrClosed
 	}
 	if c.callDur != nil {
 		c.callDur.Observe(time.Since(p.start))
-	}
-	if c.breakers != nil {
-		c.breakers.success(p.To)
 	}
 	if ov, shed := payload.(wire.OverloadedResp); shed {
 		c.overloads.Inc()
@@ -321,22 +244,15 @@ func (c *Caller) Expire(p Pending) error {
 	if c.callDur != nil {
 		c.callDur.Observe(time.Since(p.start))
 	}
-	if c.breakers != nil {
-		c.breakers.failure(p.To)
-	}
 	return fmt.Errorf("site %d: %w", p.To, ErrTimeout)
 }
 
 // Cancel resolves p as abandoned: the caller stopped waiting (its context
-// ended, or another site's reply made this one moot). That says nothing
-// about the site, so the breaker only gets its half-open probe slot back —
-// and, over the TCP transport, only this request is cancelled, never the
-// multiplexed connection under it.
+// ended, or another site's reply made this one moot). Over the TCP
+// transport only this request is cancelled, never the multiplexed
+// connection under it.
 func (c *Caller) Cancel(p Pending) {
 	c.forget(p.ID)
-	if c.breakers != nil {
-		c.breakers.release(p.To)
-	}
 }
 
 // replyChanPool recycles the one-reply inboxes of blocking calls. An inbox
@@ -346,13 +262,9 @@ var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
 
 // Call is Start, a wait for the reply, the attempt's timeout or context
 // cancellation, and the matching resolve step.
-func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts ...CallOption) (any, error) {
-	force := false
-	for _, opt := range opts {
-		force = force || opt.force
-	}
+func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any, error) {
 	inbox := replyChanPool.Get().(chan Reply)
-	p, err := c.Start(ctx, to, req, inbox, 0, force)
+	p, err := c.Start(ctx, to, req, inbox, 0)
 	if err != nil {
 		return nil, err
 	}

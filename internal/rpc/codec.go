@@ -16,7 +16,3 @@ type Request = wire.Request
 // BinaryCodec returns the default hand-rolled, length-prefixed binary
 // codec.
 func BinaryCodec() Codec { return wire.Binary() }
-
-// GobCodec returns the legacy gob codec, retained for one release so
-// deployments can roll the binary format out incrementally.
-func GobCodec() Codec { return wire.Gob() }

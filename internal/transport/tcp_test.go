@@ -173,6 +173,12 @@ func TestTCPDialOnlyEndpointHearsReplies(t *testing.T) {
 	}
 }
 
+// otherCodec is the binary codec under another name: what the HELLO
+// handshake compares.
+type otherCodec struct{ wire.Codec }
+
+func (otherCodec) Name() string { return "other" }
+
 func TestTCPCodecMismatchRefusesConnection(t *testing.T) {
 	nBin := NewTCPNetwork()
 	defer nBin.Close()
@@ -180,19 +186,20 @@ func TestTCPCodecMismatchRefusesConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second registry speaking gob, sharing the listener table by dialing
-	// the binary listener's port directly: simulate by pointing a gob
-	// network's lookup at the same endpoint via a cross-registered address.
-	nGob := NewTCPNetwork(WithTCPCodec(wire.Gob()))
-	defer nGob.Close()
-	cli, err := nGob.Dial(-1)
+	// A second registry speaking a codec of another name, sharing the
+	// listener table by dialing the binary listener's port directly:
+	// simulate by pointing the other network's lookup at the same endpoint
+	// via a cross-registered address.
+	nOther := NewTCPNetwork(WithTCPCodec(otherCodec{wire.Binary()}))
+	defer nOther.Close()
+	cli, err := nOther.Dial(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Splice the binary listener into the gob registry so Dial can route.
-	nGob.mu.Lock()
-	nGob.listeners[1] = srv
-	nGob.mu.Unlock()
+	// Splice the binary listener into the other registry so Dial can route.
+	nOther.mu.Lock()
+	nOther.listeners[1] = srv
+	nOther.mu.Unlock()
 
 	cep := cli.(*TCPEndpoint)
 	_ = cep.Send(1, ping(1)) // first write may succeed into OS buffers

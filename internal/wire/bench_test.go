@@ -2,8 +2,8 @@ package wire
 
 import "testing"
 
-// The encode/decode benchmarks compare the binary codec against gob on the
-// two hot messages of the request path: the read probe and the commit.
+// The encode/decode benchmarks time the binary codec on the two hot
+// messages of the request path: the read probe and the commit.
 // go test -bench=Codec -benchmem ./internal/wire/
 
 func benchMessages() (ReadResp, CommitReq) {
@@ -55,6 +55,4 @@ func benchmarkDecode(b *testing.B, c Codec) {
 }
 
 func BenchmarkCodecEncodeBinary(b *testing.B) { benchmarkEncode(b, Binary()) }
-func BenchmarkCodecEncodeGob(b *testing.B)    { benchmarkEncode(b, Gob()) }
 func BenchmarkCodecDecodeBinary(b *testing.B) { benchmarkDecode(b, Binary()) }
-func BenchmarkCodecDecodeGob(b *testing.B)    { benchmarkDecode(b, Gob()) }

@@ -11,7 +11,7 @@ import "fmt"
 // Implementations must be stateless and safe for concurrent use: one codec
 // value serves every connection of a transport.
 type Codec interface {
-	// Name identifies the codec family ("binary", "gob").
+	// Name identifies the codec family ("binary").
 	Name() string
 	// Version is the codec's wire-format version byte. Bump it on any
 	// incompatible layout change.
@@ -53,9 +53,7 @@ func ByName(name string) (Codec, error) {
 	switch name {
 	case "", "binary":
 		return Binary(), nil
-	case "gob":
-		return Gob(), nil
 	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (have binary, gob)", name)
+		return nil, fmt.Errorf("wire: unknown codec %q (have binary)", name)
 	}
 }

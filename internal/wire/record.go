@@ -21,7 +21,7 @@ type Record struct {
 // is chosen from the range 0x80–0xF7, which can never start a gob stream
 // (gob's leading segment length is either a single byte ≤ 0x7F or a
 // multi-byte marker ≥ 0xF8), so one peeked byte tells a binary record from
-// a legacy gob blob and old files keep replaying through the fallback.
+// a legacy gob blob, which replay rejects by name instead of misreading.
 const RecordMagic byte = 0xA6
 
 // recordVersion is the record layout version.
@@ -38,7 +38,7 @@ func AppendRecord(dst []byte, r Record) []byte {
 }
 
 // ErrNotRecord reports that the buffer does not start with a binary
-// record; callers holding possibly-legacy data fall back to gob on it.
+// record.
 var ErrNotRecord = errors.New("wire: not a binary record")
 
 // DecodeRecord parses one binary-encoded record. The returned record never
@@ -65,7 +65,7 @@ func DecodeRecord(data []byte) (Record, error) {
 // Snapshot framing: a snapshot file is [SnapshotMagic][version] followed by
 // length-prefixed records ([4-byte big-endian length][record]) until EOF.
 // Like RecordMagic, SnapshotMagic can never start a gob stream, so Restore
-// distinguishes the formats from the first byte.
+// tells a gob-era snapshot from the first byte.
 
 // SnapshotMagic is the first byte of a binary snapshot file.
 const SnapshotMagic byte = 0xA7
