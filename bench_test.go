@@ -17,6 +17,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,9 @@ import (
 	"arbor/internal/core"
 	"arbor/internal/figures"
 	"arbor/internal/quorum"
+	"arbor/internal/replica"
+	"arbor/internal/rpc"
+	"arbor/internal/transport"
 	"arbor/internal/tree"
 )
 
@@ -375,5 +379,65 @@ func BenchmarkClusterReadTailLatency(b *testing.B) {
 	})
 	b.Run("unhedged", func(b *testing.B) {
 		run(b, arbor.WithHedging(false))
+	})
+}
+
+// BenchmarkTCPContact measures one contact on the real path, the unit the
+// paper's operation costs are counted in: rpc.Caller.Call of a ReadReq for
+// a 128 B value to a started replica over loopback TCP with the binary
+// codec. Every goroutine hand-over between the two sockets is in it and
+// nothing else is — no engine, no quorum, no journal. "parallel" runs one
+// caller, each on an endpoint of its own, per GOMAXPROCS (2 on the
+// reference box).
+func BenchmarkTCPContact(b *testing.B) {
+	setup := func(b *testing.B) func() *rpc.Caller {
+		net := transport.NewTCPNetwork()
+		b.Cleanup(net.Close)
+		ep, err := net.Listen(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := replica.New(1, ep)
+		r.Store().Apply("k", make([]byte, 128), replica.Timestamp{Version: 1, Site: 1})
+		r.Start()
+		b.Cleanup(r.Stop)
+		var clients atomic.Int64
+		return func() *rpc.Caller {
+			cep, err := net.Dial(transport.Addr(-clients.Add(1)))
+			if err != nil {
+				b.Error(err)
+				return nil
+			}
+			c := rpc.NewCaller(cep, time.Second)
+			b.Cleanup(c.Close)
+			return c
+		}
+	}
+	read := func(b *testing.B, c *rpc.Caller) {
+		resp, err := c.Call(context.Background(), 1, replica.ReadReq{Key: "k"})
+		if rr, ok := resp.(replica.ReadResp); err != nil || !ok || len(rr.Value) != 128 {
+			b.Errorf("read = %#v, %v", resp, err)
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		c := setup(b)()
+		read(b, c) // twice: one call over each pool connection, so both are dialled
+		read(b, c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, c)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		newCaller := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			c := newCaller()
+			for c != nil && pb.Next() {
+				read(b, c)
+			}
+		})
 	})
 }

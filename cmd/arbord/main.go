@@ -14,6 +14,7 @@
 //	POST /reconfigure?spec=1-4-4    reshape the tree live
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller
+//	GET  /debug/pprof/              net/http/pprof: goroutine, heap, profile, trace, …
 //
 // Usage:
 //

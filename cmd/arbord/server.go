@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -84,6 +85,12 @@ func newServer(t *tree.Tree, seed int64, traceCap int, cliOpts []client.Option, 
 	s.mux.HandleFunc("/reconfigure", s.handleReconfigure)
 	s.mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("/controller", s.handleController)
+	// Profiles, mounted by name (the package's init knows only DefaultServeMux).
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile: goroutine, heap, …
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s, nil
 }
 

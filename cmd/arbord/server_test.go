@@ -527,3 +527,11 @@ func TestHealthEndpoint(t *testing.T) {
 		}
 	}
 }
+
+func TestPprofEndpoint(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, body := do(t, http.MethodGet, ts.URL+"/debug/pprof/goroutine?debug=1", "")
+	if code != http.StatusOK || !strings.Contains(body, "goroutine profile:") {
+		t.Errorf("/debug/pprof/goroutine: %d %q", code, body)
+	}
+}

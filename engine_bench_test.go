@@ -1,7 +1,7 @@
 // Micro-benchmarks of the client's quorum engine alone: a full Client.Read
 // or Client.Write over a canned connection that answers every request from
 // inside Send, so what is timed is site ordering, the assembly state
-// machine, rpc.Caller and the reply dispatcher — no replica, no codec, no
+// machine, rpc.Caller and the reply pump — no replica, no codec, no
 // socket. The per-layer budget's "engine over a canned caller" row.
 package arbor_test
 

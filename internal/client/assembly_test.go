@@ -479,7 +479,7 @@ func TestAssemblyClosedMidOperation(t *testing.T) {
 
 // TestAssemblyLateReplyDropped: the reply of a cancelled hedge loser, and a
 // duplicate of the winner's, arrive after the operation is over. The
-// dispatcher drops both without blocking, and later operations are served.
+// caller drops both without blocking, and later operations are served.
 func TestAssemblyLateReplyDropped(t *testing.T) {
 	h := newScriptHarness(t, "1-2", byArrival(silent))
 	h.warm()

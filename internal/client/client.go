@@ -317,8 +317,8 @@ type Client struct {
 }
 
 // New creates a client with the given ID (used as the site component of
-// write timestamps) attached to the endpoint, and starts its reply
-// dispatcher. Call Close when done.
+// write timestamps) attached to the endpoint, and starts routing the
+// replies that arrive on it. Call Close when done.
 func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Client {
 	c := &Client{
 		id:            id,
@@ -373,7 +373,7 @@ func (c *Client) Metrics() Metrics {
 	}
 }
 
-// Close stops the reply dispatcher. Outstanding calls fail with ErrClosed.
+// Close stops reply routing. Outstanding calls fail with ErrClosed.
 func (c *Client) Close() {
 	c.caller.Close()
 }

@@ -181,7 +181,7 @@ func decodeProbe(resp any) (ts replica.Timestamp, value []byte, found bool, err 
 // repair pushes the winning value to contacted replicas that answered with
 // stale or missing data. Repairs are fire-and-forget timestamped commits
 // (request ID 0 is never registered, so any acknowledgement is dropped by
-// the dispatcher) and cannot regress replica state.
+// the caller) and cannot regress replica state.
 func (c *Client) repair(key string, res ReadResult, levels []slot) {
 	for i := range levels {
 		ts, _, found, _ := decodeProbe(levels[i].resp)

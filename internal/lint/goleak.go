@@ -17,8 +17,8 @@ var doneChanName = regexp.MustCompile(`(?i)(done|stop|quit|exit|close)`)
 //   - a goroutine whose body has no path to the function exit at all — on
 //     its control-flow graph the exit block is unreachable and no reachable
 //     block receives from ctx.Done() or a done/stop-named channel — which
-//     outlives every caller (the dispatcher and replica event loops all
-//     select on a stop channel for exactly this reason);
+//     outlives every caller (transport.Serve's pump selects on a stop
+//     channel for exactly this reason);
 //   - a goroutine performing a bare blocking send, outside any select, on a
 //     channel created unbuffered in the surrounding function: if the
 //     receiver gives up (the hedging engine's loser-probe pattern), the

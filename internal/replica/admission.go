@@ -76,8 +76,8 @@ type gateItem struct {
 // the gated classes either start immediately (a slot is free), wait in a
 // small per-class FIFO, or are shed with a typed OverloadedResp. Serving
 // happens on worker goroutines — the store and lock table are already
-// mutex-guarded for the anti-entropy syncer, so gated handlers are safe off
-// the event loop — which is what makes "in flight" a real quantity to bound.
+// mutex-guarded, so gated handlers are safe off the delivering goroutine —
+// which is what makes "in flight" a real quantity to bound.
 type gate struct {
 	r        *Replica
 	limit    int

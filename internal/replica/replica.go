@@ -38,12 +38,15 @@ type Stats struct {
 	// Sheds counts gated requests the admission controller answered with a
 	// typed overload reply instead of serving (gate closed, queue full, or
 	// budget expired while queued).
-	Sheds    uint64
-	Messages uint64
+	Sheds uint64
+	// ReplyErrors counts replies whose Send failed (broken connection, closed endpoint).
+	ReplyErrors uint64
+	Messages    uint64
 }
 
-// Replica is one replica site. Create with New, start its event loop with
-// Start, and stop it with Stop.
+// Replica is one replica site. Create with New, start serving its endpoint
+// with Start, and stop it with Stop. Requests are handled on the goroutine
+// transport.Serve delivers them on: concurrently over TCP, one per connection.
 type Replica struct {
 	site int
 	ep   transport.Conn
@@ -60,7 +63,7 @@ type Replica struct {
 
 	// syncer state: the anti-entropy driver goroutine and its reply router.
 	// syncMu guards the lifecycle fields; syncPending routes SyncDigestResp/
-	// SyncFetchResp messages from the event loop to in-flight sync calls.
+	// SyncFetchResp messages from deliver to in-flight sync calls.
 	syncMu      sync.Mutex
 	syncStop    chan struct{} // closes to abort the running syncer
 	syncDone    chan struct{} // closes when the syncer goroutine exits; nil if none
@@ -75,7 +78,7 @@ type Replica struct {
 	}
 
 	stats struct {
-		reads, versions, versionsForWrite, prepares, commits, aborts, pings, syncServes, refusals, sheds, messages atomic.Uint64
+		reads, versions, versionsForWrite, prepares, commits, aborts, pings, syncServes, refusals, sheds, replyErrors, messages atomic.Uint64
 	}
 
 	// Admission control: gate bounds in-flight gated work; saturated and
@@ -91,8 +94,7 @@ type Replica struct {
 	// off; all recording methods are nil-safe no-ops then).
 	instr *instruments
 
-	stop chan struct{}
-	done chan struct{}
+	stopServe func() // detaches deliver from the endpoint; set by Start
 }
 
 // instruments are the replica's pre-resolved obs handles: per-site serve
@@ -117,6 +119,7 @@ type instruments struct {
 	lockWait          *obs.Histogram
 	sheds             *obs.CounterVec // reason: refused | queue_full | expired
 	admitQueueDepth   *obs.Gauge
+	replyErrors       *obs.Counter
 	site              string
 }
 
@@ -190,6 +193,9 @@ func (o observerOption) apply(r *Replica) {
 		admitQueueDepth: o.reg.GaugeVec("arbor_replica_admission_queue_depth",
 			"Requests waiting in the replica's admission queue, by site.",
 			"site").With(site),
+		replyErrors: o.reg.CounterVec("arbor_replica_reply_errors_total",
+			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site.",
+			"site").With(site),
 	}
 }
 
@@ -205,8 +211,6 @@ func New(site int, ep transport.Conn, opts ...Option) *Replica {
 		store:   NewStore(),
 		locks:   make(map[string]lockState),
 		lockTTL: 2 * time.Second,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt.apply(r)
@@ -222,22 +226,14 @@ func (r *Replica) Site() int { return r.site }
 // cluster to inspect state).
 func (r *Replica) Store() *Store { return r.store }
 
-// Start launches the replica's event loop.
-func (r *Replica) Start() {
-	go r.run()
-}
+// Start begins serving the endpoint's messages.
+func (r *Replica) Start() { r.stopServe = transport.Serve(r.ep, r.deliver) }
 
-// Stop terminates the event loop (and any running syncer), waits for both
-// to exit, and waits out any gated handlers still running on the admission
-// gate's workers.
+// Stop ends delivery and any running syncer: once it returns no handler is
+// running — on a transport goroutine or a gate worker — and none will start.
 func (r *Replica) Stop() {
 	r.abortSync()
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.done
+	r.stopServe()
 	r.gate.wg.Wait()
 }
 
@@ -266,7 +262,8 @@ func (r *Replica) SetFailPoint(fp FailPoint) {
 }
 
 // shouldFail reports whether the armed fail point matches the message, and
-// disarms it.
+// disarms it — by compare-and-swap, as deliveries race: of the matching
+// messages in flight exactly one is told to fail.
 func (r *Replica) shouldFail(payload any) bool {
 	fp := FailPoint(r.failpoint.Load())
 	if fp == FailNone {
@@ -279,10 +276,7 @@ func (r *Replica) shouldFail(payload any) bool {
 	case CommitReq:
 		hit = fp == FailOnCommit
 	}
-	if hit {
-		r.failpoint.Store(int32(FailNone))
-	}
-	return hit
+	return hit && r.failpoint.CompareAndSwap(int32(fp), int32(FailNone))
 }
 
 // Crash makes the replica fail-stop: all incoming messages are ignored and
@@ -332,29 +326,25 @@ func (r *Replica) Stats() Stats {
 		SyncServes:       r.stats.syncServes.Load(),
 		Refusals:         r.stats.refusals.Load(),
 		Sheds:            r.stats.sheds.Load(),
+		ReplyErrors:      r.stats.replyErrors.Load(),
 		Messages:         r.stats.messages.Load(),
 	}
 }
 
-// run is the replica's event loop.
-func (r *Replica) run() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.stop:
-			return
-		case msg := <-r.ep.Recv():
-			if r.Health() == HealthDown {
-				continue // fail-stop: no replies while down
-			}
-			if r.shouldFail(msg.Payload) {
-				r.Crash() // fail point: die before processing the request
-				continue
-			}
-			r.stats.messages.Add(1)
-			r.handle(msg)
-		}
+// deliver takes one message from the transport. Over TCP it runs on the
+// arriving connection's read loop, so deliveries are concurrent and nothing
+// below may block on anything but its own reply Send, a mutex or the journal:
+// waiting for another message would stall the connection that carries it.
+func (r *Replica) deliver(msg transport.Message) {
+	if r.Health() == HealthDown {
+		return // fail-stop: no replies while down
 	}
+	if r.shouldFail(msg.Payload) {
+		r.Crash() // fail point: die before processing the request
+		return
+	}
+	r.stats.messages.Add(1)
+	r.handle(msg)
 }
 
 // handle dispatches one request and sends the reply. Replies are sent
@@ -363,8 +353,8 @@ func (r *Replica) run() {
 // tryAdmit claims a slot and the handler runs inline right here (the
 // pre-gate hot path, unchanged); under pressure or fault injection submit
 // queues, sheds, or hands the request to a worker goroutine. Phase-two
-// commits and aborts, pings and sync traffic stay on the event loop and
-// are never shed.
+// commits and aborts, pings and sync traffic stay on the delivering
+// goroutine and are never shed.
 func (r *Replica) handle(msg transport.Message) {
 	switch req := msg.Payload.(type) {
 	case ReadReq:
@@ -470,7 +460,7 @@ func (r *Replica) serveVersion(from transport.Addr, req VersionReq) {
 
 // servePrepare answers a PrepareReq (admission-gated; runs on a gate
 // worker — the lock table is mutex-guarded, so concurrent prepares are
-// serialized exactly as they were on the event loop).
+// serialized).
 func (r *Replica) servePrepare(from transport.Addr, req PrepareReq) {
 	r.stats.prepares.Add(1)
 	if r.instr != nil {
@@ -493,8 +483,15 @@ func (r *Replica) refuse(to transport.Addr, payload any) {
 	r.reply(to, payload)
 }
 
+// reply sends best-effort: the requester's timeout covers a lost reply, so a
+// failed Send is counted and the handler (over TCP, a read loop) carries on.
 func (r *Replica) reply(to transport.Addr, payload any) {
-	_ = r.ep.Send(to, payload) // best-effort; the caller handles timeouts
+	if err := r.ep.Send(to, payload); err != nil {
+		r.stats.replyErrors.Add(1)
+		if r.instr != nil {
+			r.instr.replyErrors.Inc()
+		}
+	}
 }
 
 // prepare locks the key for the transaction if it is free (or its lock

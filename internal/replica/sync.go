@@ -290,7 +290,7 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 	return !dig.More, nil
 }
 
-// syncCall sends one sync request and waits for the event loop to route the
+// syncCall sends one sync request and waits for deliver to route the
 // matching reply back (the syncer shares the replica's endpoint, so replies
 // arrive as ordinary inbound messages keyed by ReqID).
 func (r *Replica) syncCall(to transport.Addr, timeout time.Duration, stop <-chan struct{}, build func(reqID uint64) any) (any, error) {
@@ -322,8 +322,8 @@ func (r *Replica) syncCall(to transport.Addr, timeout time.Duration, stop <-chan
 	}
 }
 
-// deliverSyncReply routes a sync response from the event loop to the
-// in-flight call that issued it.
+// deliverSyncReply routes a sync response to the in-flight call that issued
+// it, without blocking the delivering goroutine.
 func (r *Replica) deliverSyncReply(reqID uint64, payload any) {
 	r.syncMu.Lock()
 	ch := r.syncPending[reqID]

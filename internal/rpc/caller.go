@@ -1,5 +1,5 @@
 // Package rpc provides the request/response plumbing protocol clients use
-// over the message transport: request-ID allocation, a reply dispatcher,
+// over the message transport: request-ID allocation, reply routing,
 // asynchronous requests (Start and its resolve step) and the blocking Call
 // built on them. Both the arbitrary-protocol client and the tree-quorum
 // comparator client use it.
@@ -104,48 +104,39 @@ type Caller struct {
 	overloads     *obs.Counter
 	deadlineSkips *obs.Counter
 
-	stop chan struct{}
-	done chan struct{}
+	stopServe func() // detaches route from the endpoint
 }
 
-// NewCaller attaches a caller to the endpoint and starts its dispatcher.
+// NewCaller attaches a caller to the endpoint and starts routing its replies.
 func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller {
 	c := &Caller{
 		ep:      ep,
 		timeout: timeout,
 		pending: make(map[uint64]waiter),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	go c.dispatch()
+	c.stopServe = transport.Serve(ep, c.route)
 	return c
 }
 
-// Close stops the dispatcher; every outstanding request is answered with a
+// Close stops reply routing; every outstanding request is answered with a
 // nil payload, which resolves to ErrClosed.
 func (c *Caller) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.done
-		return
-	}
 	c.closed = true
 	for id, w := range c.pending {
 		deliver(w, Reply{Tag: w.tag, ID: id})
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	close(c.stop)
-	<-c.done
+	c.stopServe()
 }
 
 // deliver hands a reply to the request's inbox without ever blocking; the
-// default branch guards the dispatcher against an inbox smaller than Start
-// requires.
+// default branch guards route — over TCP it runs on the connection's read
+// loop — against an inbox smaller than Start requires.
 func deliver(w waiter, r Reply) {
 	select {
 	case w.inbox <- r:
@@ -211,8 +202,8 @@ func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbo
 	return p, nil
 }
 
-// forget drops a request's pending entry: the dispatcher discards a reply
-// still on its way.
+// forget drops a request's pending entry: route discards a reply still on
+// its way.
 func (c *Caller) forget(id uint64) {
 	c.mu.Lock()
 	delete(c.pending, id)
@@ -303,28 +294,22 @@ func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
 	c.sendHook.Store(&fn)
 }
 
-// dispatch routes replies to the inboxes of the requests they answer.
-func (c *Caller) dispatch() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.stop:
-			return
-		case msg := <-c.ep.Recv():
-			id, ok := ReqIDOf(msg.Payload)
-			if !ok {
-				continue
-			}
-			c.mu.Lock()
-			w, ok := c.pending[id]
-			if ok {
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
-			if ok {
-				deliver(w, Reply{Tag: w.tag, ID: id, Payload: msg.Payload})
-			}
-		}
+// route hands one arrived reply to the inbox of the request it answers. It
+// never blocks, which is what lets a replica's read loop always finish the
+// reply it is writing to this caller.
+func (c *Caller) route(msg transport.Message) {
+	id, ok := ReqIDOf(msg.Payload)
+	if !ok {
+		return
+	}
+	c.mu.Lock()
+	w, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if ok {
+		deliver(w, Reply{Tag: w.tag, ID: id, Payload: msg.Payload})
 	}
 }
 

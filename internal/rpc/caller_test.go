@@ -90,6 +90,30 @@ func TestCallAfterClose(t *testing.T) {
 	}
 }
 
+// TestCloseStopsServe: once Close returns, the caller no longer consumes its
+// endpoint — a reply that arrives later stays readable on it.
+func TestCloseStopsServe(t *testing.T) {
+	n := transport.NewNetwork()
+	defer n.Close()
+	srv, err := n.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := n.Register(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewCaller(cli, time.Second).Close()
+	if err := srv.Send(-1, replica.PingResp{ReqID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cli.Recv():
+	case <-time.After(2 * time.Second):
+		t.Error("a closed caller still took the message off its endpoint")
+	}
+}
+
 func TestCallUnknownDestination(t *testing.T) {
 	c, _ := newPair(t, time.Second)
 	if _, err := c.Call(context.Background(), 99, replica.PingReq{}); err == nil {

@@ -87,7 +87,7 @@ func New(id int, ep transport.Conn, height int, opts ...Option) (*Client, error)
 // N returns the number of replicas.
 func (c *Client) N() int { return c.n }
 
-// Close stops the client's dispatcher.
+// Close stops the client's reply routing.
 func (c *Client) Close() { c.caller.Close() }
 
 // ReadResult is the outcome of a tree-quorum read.

@@ -31,8 +31,8 @@ import (
 //
 // Connections are multiplexed and pipelined: any number of requests can be
 // in flight per connection, tagged with rpc-layer request IDs and matched
-// out of order by the caller's dispatcher; cancelling one request never
-// touches the connection. Each endpoint keeps a small fixed pool of
+// out of order by the caller; cancelling one request never touches the
+// connection. Each endpoint keeps a small fixed pool of
 // connections per peer (round-robin across dialed and accepted ones) so
 // head-of-line blocking on one socket's write lock is bounded.
 const (
@@ -117,6 +117,10 @@ type TCPEndpoint struct {
 	net  *TCPNetwork
 	ln   net.Listener // nil for dial-only (client) endpoints
 	in   chan Message
+	// handler is Serve's consumer (nil: messages go to in). Read loops hold
+	// serveMu shared across a delivery; swapping the handler takes it whole.
+	serveMu sync.RWMutex
+	handler func(Message)
 
 	mu     sync.Mutex
 	routes map[Addr]*peerRoute
@@ -135,8 +139,8 @@ type TCPStats struct {
 	// read off one (handshakes excluded).
 	FramesOut, FramesIn uint64
 	// InboxDrops is decoded messages discarded because the delivery channel
-	// was full; DecodeDrops is frames whose addresses or payload did not
-	// decode.
+	// was full — possible only on an endpoint nobody Serves; DecodeDrops is
+	// frames whose addresses or payload did not decode.
 	InboxDrops, DecodeDrops uint64
 }
 
@@ -265,7 +269,7 @@ func (n *TCPNetwork) Close() {
 // Addr returns the endpoint's logical address.
 func (e *TCPEndpoint) Addr() Addr { return e.addr }
 
-// Recv returns the endpoint's delivery channel.
+// Recv returns the endpoint's delivery channel, idle while a Serve handler is installed.
 func (e *TCPEndpoint) Recv() <-chan Message { return e.in }
 
 // Conns reports how many live connections the endpoint currently pools
@@ -525,9 +529,9 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	e.readLoop(wc, peer)
 }
 
-// readLoop decodes frames from one pooled connection into the inbox until
-// the connection dies, then evicts it. Decode buffers are pooled; the
-// decoded payload never aliases them.
+// readLoop decodes frames from one pooled connection and delivers each — to
+// the Serve handler on this goroutine, else the inbox — until the connection
+// dies, then evicts it. Decode buffers are pooled; payloads never alias them.
 func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
 	defer e.done.Done()
 	defer e.dropConn(peer, wc)
@@ -575,12 +579,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
 			e.decodeDrops.Add(1)
 			continue
 		}
-		select {
-		case e.in <- Message{From: Addr(from), To: Addr(to), Payload: payload}:
-		default:
-			// Inbox full: drop, like the in-memory transport.
-			e.inboxDrops.Add(1)
-		}
+		e.deliver(Message{From: Addr(from), To: Addr(to), Payload: payload})
 	}
 }
 

@@ -202,8 +202,8 @@ type AbortResp struct {
 // source's key/timestamp digest in key order, and SyncFetchReq pulls the
 // values for exactly the keys whose source timestamp beats the local one.
 // Unlike the client messages above, both sides of this exchange are
-// replicas; responses are routed by ReqID inside the recovering replica's
-// event loop.
+// replicas; the recovering replica routes responses by ReqID as they are
+// delivered to it.
 
 // SyncDigestReq asks a source replica for one page of its digest: up to
 // Limit key/timestamp pairs in ascending key order, strictly after
