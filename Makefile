@@ -47,19 +47,19 @@ bench:
 
 # Capture the per-PR perf snapshot (read/write latency + throughput of the
 # live-cluster benchmarks, the engine over a canned connection, and one
-# contact over loopback TCP) as JSON. Bump SNAPSHOT per PR: BENCH_013.json …
+# contact over loopback TCP) as JSON. Bump SNAPSHOT per PR: BENCH_014.json …
 # The iteration count is fixed: the clients are seeded, so the same count is
 # the same op stream (which write draws which level) and allocs/op repeats
 # exactly — the property bench-diff's allocation gate rests on.
 SNAPSHOT_BENCH = -bench 'BenchmarkCluster|BenchmarkTxn|BenchmarkEngine|BenchmarkTCPContact' -benchtime 20000x -benchmem
-SNAPSHOT ?= BENCH_012.json
+SNAPSHOT ?= BENCH_013.json
 bench-snapshot:
 	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o $(SNAPSHOT)
 
 # Compare a fresh snapshot against the committed baseline: WARN on
 # throughput regressions beyond 25%, FAIL on any allocs/op increase.
-BASELINE ?= BENCH_012.json
+BASELINE ?= BENCH_013.json
 bench-diff:
 	$(GO) test -run '^$$' $(SNAPSHOT_BENCH) . \
 		| $(GO) run ./cmd/benchsnap -o /tmp/bench_current.json

@@ -388,9 +388,10 @@ func BenchmarkClusterReadTailLatency(b *testing.B) {
 // codec. Every goroutine hand-over between the two sockets is in it and
 // nothing else is — no engine, no quorum, no journal. "parallel" runs one
 // caller, each on an endpoint of its own, per GOMAXPROCS (2 on the
-// reference box).
+// reference box). "large" is the serial contact with a 16 KiB value, where
+// the bytes moved, not the hand-overs, are the cost.
 func BenchmarkTCPContact(b *testing.B) {
-	setup := func(b *testing.B) func() *rpc.Caller {
+	setup := func(b *testing.B, size int) func() *rpc.Caller {
 		net := transport.NewTCPNetwork()
 		b.Cleanup(net.Close)
 		ep, err := net.Listen(1)
@@ -398,7 +399,7 @@ func BenchmarkTCPContact(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := replica.New(1, ep)
-		r.Store().Apply("k", make([]byte, 128), replica.Timestamp{Version: 1, Site: 1})
+		r.Store().Apply("k", make([]byte, size), replica.Timestamp{Version: 1, Site: 1})
 		r.Start()
 		b.Cleanup(r.Stop)
 		var clients atomic.Int64
@@ -413,31 +414,35 @@ func BenchmarkTCPContact(b *testing.B) {
 			return c
 		}
 	}
-	read := func(b *testing.B, c *rpc.Caller) {
+	read := func(b *testing.B, c *rpc.Caller, size int) {
 		resp, err := c.Call(context.Background(), 1, replica.ReadReq{Key: "k"})
-		if rr, ok := resp.(replica.ReadResp); err != nil || !ok || len(rr.Value) != 128 {
-			b.Errorf("read = %#v, %v", resp, err)
+		if rr, ok := resp.(replica.ReadResp); err != nil || !ok || len(rr.Value) != size {
+			b.Errorf("read answered %T, %v", resp, err)
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		c := setup(b)()
-		read(b, c) // twice: one call over each pool connection, so both are dialled
-		read(b, c)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			read(b, c)
+	serial := func(size int) func(b *testing.B) {
+		return func(b *testing.B) {
+			c := setup(b, size)()
+			read(b, c, size) // twice: one call over each pool connection, so both are dialled
+			read(b, c, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read(b, c, size)
+			}
 		}
-	})
+	}
+	b.Run("serial", serial(128))
 	b.Run("parallel", func(b *testing.B) {
-		newCaller := setup(b)
+		newCaller := setup(b, 128)
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			c := newCaller()
 			for c != nil && pb.Next() {
-				read(b, c)
+				read(b, c, 128)
 			}
 		})
 	})
+	b.Run("large", serial(16<<10))
 }

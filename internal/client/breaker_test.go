@@ -141,7 +141,7 @@ func TestRefusingSiteSinksInOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		order, _ := h.cli.orderedSites(time.Now(), nil, h.proto, u)
+		order, _ := h.cli.orderedSites(time.Now(), nil, h.cli.levels.Load(), u)
 		if order[len(order)-1] != addr {
 			t.Fatalf("refusing site %d not last in %v", addr, order)
 		}

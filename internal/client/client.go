@@ -274,7 +274,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 type Client struct {
 	id     int
 	caller *rpc.Caller
-	proto  atomic.Pointer[core.Protocol]
+	levels atomic.Pointer[levelTable] // the current protocol, see SetProtocol
 
 	timeout       time.Duration
 	commitRetries int
@@ -331,7 +331,7 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		rng:           rand.New(rand.NewSource(int64(id))),
 		flights:       make(map[string]*flight),
 	}
-	c.proto.Store(proto)
+	c.levels.Store(newLevelTable(proto))
 	for _, opt := range opts {
 		opt.apply(c)
 	}
@@ -352,11 +352,11 @@ func (c *Client) ID() int { return c.id }
 // Protocol returns the protocol instance the client currently operates
 // under. Each operation snapshots it once, so an operation never mixes
 // quorums from two configurations.
-func (c *Client) Protocol() *core.Protocol { return c.proto.Load() }
+func (c *Client) Protocol() *core.Protocol { return c.levels.Load().proto }
 
 // SetProtocol switches the client to a new tree configuration. In-flight
 // operations finish under the configuration they started with.
-func (c *Client) SetProtocol(p *core.Protocol) { c.proto.Store(p) }
+func (c *Client) SetProtocol(p *core.Protocol) { c.levels.Store(newLevelTable(p)) }
 
 // Metrics returns a snapshot of the client's counters.
 func (c *Client) Metrics() Metrics {

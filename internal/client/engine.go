@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -46,9 +45,9 @@ const exploreEvery = 16
 // order on its own goroutine, so a seeded client's site sequence does not
 // depend on scheduling. The level's health comes back with the order (the
 // zero value for a one-site level, which has nothing to sort or hedge).
-func (c *Client) orderedSites(now time.Time, dst []transport.Addr, proto *core.Protocol, u int) ([]transport.Addr, levelHealth) {
+func (c *Client) orderedSites(now time.Time, dst []transport.Addr, lt *levelTable, u int) ([]transport.Addr, levelHealth) {
 	lo := len(dst)
-	dst = appendLevel(dst, proto, u)
+	dst = append(dst, lt.addrs[u]...)
 	out := dst[lo:]
 	c.rngMu.Lock()
 	c.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -79,45 +78,60 @@ func (c *Client) orderedSites(now time.Time, dst []transport.Addr, proto *core.P
 	return dst, lv
 }
 
-// orderedLevels returns physical level indices in write-attempt order: the
-// paper's uniform rotation stable-sorted by each level's worst member
-// failure bucket, so a level whose 2PC would stall on a known-failing
+// orderedLevels appends physical level indices to order in write-attempt
+// order: the paper's uniform rotation stable-sorted by each level's worst
+// member failure bucket, so a level whose 2PC would stall on a known-failing
 // member is tried last. Healthy levels keep the uniform rotation,
 // preserving the optimal write load. (A level is as available as its least
 // available member — the write quorum needs all of them — so the bucket is
 // the max over members. Latency is deliberately ignored: a uniformly far
-// level is still a correct and load-bearing write quorum.)
-func (c *Client) orderedLevels(proto *core.Protocol) []int {
-	l := proto.NumPhysicalLevels()
-	c.rngMu.Lock()
-	first := c.rng.Intn(l)
-	c.rngMu.Unlock()
-	order := make([]int, l)
-	for i := range order {
-		order[i] = (first + i) % l
+// level is still a correct and load-bearing write quorum.) A pin ≥ 0 is the
+// caller's choice of first level: the rotation starts there and is not sorted.
+func (c *Client) orderedLevels(lt *levelTable, order []int, pin int) []int {
+	l, first := len(lt.addrs), pin
+	if pin < 0 {
+		c.rngMu.Lock()
+		first = c.rng.Intn(l)
+		c.rngMu.Unlock()
 	}
-	if l < 2 {
+	for i := 0; i < l; i++ {
+		order = append(order, (first+i)%l)
+	}
+	if l < 2 || pin >= 0 {
 		return order
 	}
-	buckets := make([]int8, l)
+	var bucketBuf [maxStackLevels]int8
+	buckets := bucketBuf[:0]
 	now := time.Now()
-	var memberBuf [16]transport.Addr // on the stack unless a level is unusually wide
-	for i, u := range order {
-		buckets[i] = c.book.snapshot(now, appendLevel(memberBuf[:0], proto, u), 0, nil).fail
+	for _, u := range order {
+		buckets = append(buckets, c.book.snapshot(now, lt.addrs[u], 0, nil).fail)
 	}
 	stableSortByBucket(order, buckets)
 	return order
 }
 
-// appendLevel appends level u's members to dst as transport addresses,
-// growing dst at most once.
-func appendLevel(dst []transport.Addr, proto *core.Protocol, u int) []transport.Addr {
-	sites := proto.LevelSites(u)
-	dst = slices.Grow(dst, len(sites))
-	for _, s := range sites {
-		dst = append(dst, transport.Addr(s))
+// maxStackLevels sizes a write's on-stack level-order scratch; more levels spill to the heap.
+const maxStackLevels = 16
+
+// levelTable is a protocol with each physical level's members as transport
+// addresses, converted once per protocol, not per operation. Read-only.
+type levelTable struct {
+	proto *core.Protocol
+	addrs [][]transport.Addr
+	sites int // members over all levels
+}
+
+func newLevelTable(proto *core.Protocol) *levelTable {
+	lt := &levelTable{proto: proto, addrs: make([][]transport.Addr, proto.NumPhysicalLevels())}
+	for u := range lt.addrs {
+		sites := proto.LevelSites(u)
+		lt.addrs[u] = make([]transport.Addr, len(sites))
+		for i, s := range sites {
+			lt.addrs[u][i] = transport.Addr(s)
+		}
+		lt.sites += len(sites)
 	}
-	return dst
+	return lt
 }
 
 // stableSortByBucket stable-sorts items by ascending bucket, moving the two
@@ -607,8 +621,7 @@ func (c *Client) readShared(ctx context.Context, key string) (ReadResult, error)
 // finishCoalesced accounts a follower's share of a coalesced read: the
 // operation counts as a read (with zero contacts of its own) and records
 // its trace. The value is handed off zero-copy: every follower shares the
-// leader's buffer (see ReadResult.Value), which the replica store never
-// aliases, so no caller can observe another's mutation through the store.
+// leader's buffer (see ReadResult.Value).
 func (c *Client) finishCoalesced(key string, f *flight) (ReadResult, error) {
 	op := c.traces.Start("read", key, c.id)
 	if c.instr != nil {

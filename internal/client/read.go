@@ -15,9 +15,7 @@ import (
 type ReadResult struct {
 	// Value is the winning replica's value and must be treated as
 	// read-only: callers whose reads coalesced into one quorum assembly
-	// share a single buffer (the handoff is zero-copy). The replica store
-	// never aliases it, so mutating it — besides corrupting co-readers —
-	// still cannot corrupt stored state.
+	// share a single buffer (the handoff is zero-copy).
 	Value []byte
 	TS    replica.Timestamp
 	Found bool
@@ -113,12 +111,8 @@ func (c *Client) ReadVersion(ctx context.Context, key string) (ReadResult, error
 // op is live, every level probe is recorded as a LevelAttempt on it. The
 // contact count covers every level, failed ones included.
 func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
-	proto := c.Protocol()
-	levels := proto.NumPhysicalLevels()
-	total := 0
-	for u := 0; u < levels; u++ {
-		total += len(proto.LevelSites(u))
-	}
+	lt := c.levels.Load()
+	levels, total := len(lt.addrs), lt.sites
 	var a *assembly
 	if versionOnly {
 		a = c.newAssembly(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", total)
@@ -135,7 +129,7 @@ func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, o
 	for u := 0; u < levels; u++ {
 		lo, now := len(a.sites), time.Now()
 		var lv levelHealth
-		a.sites, lv = c.orderedSites(now, a.sites, proto, u)
+		a.sites, lv = c.orderedSites(now, a.sites, lt, u)
 		var hedgeAfter time.Duration
 		if cfg.hedge {
 			hedgeAfter = c.levelHedgeDelay(lv, cfg)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
 )
@@ -24,7 +23,7 @@ import (
 // at slightly different instants.
 type Txn struct {
 	c      *Client
-	proto  *core.Protocol
+	levels *levelTable
 	writes map[string][]byte
 	order  []string
 	reads  map[string]ReadResult
@@ -46,7 +45,7 @@ var (
 func (c *Client) NewTxn() *Txn {
 	return &Txn{
 		c:      c,
-		proto:  c.Protocol(),
+		levels: c.levels.Load(),
 		writes: make(map[string][]byte),
 		reads:  make(map[string]ReadResult),
 	}
@@ -152,7 +151,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 
 	var err error
-	_, contacts, err = t.c.tryLevels(ctx, t.c.orderedLevels(t.proto), func(u int) (int, error) {
+	var orderBuf [maxStackLevels]int
+	_, contacts, err = t.c.tryLevels(ctx, t.c.orderedLevels(t.levels, orderBuf[:0], -1), func(u int) (int, error) {
 		return t.commitLevel(ctx, u, tss, op)
 	})
 	t.c.metrics.writeContacts.Add(uint64(contacts))
@@ -175,7 +175,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 // all, aborting everything on any prepare failure. contacts is every
 // prepare sent.
 func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, op *obs.Op) (contacts int, err error) {
-	addrs := appendLevel(nil, t.proto, u)
+	addrs := t.levels.addrs[u]
 	txID := t.c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
 

@@ -1,12 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
@@ -35,27 +35,20 @@ type WriteResult struct {
 // uniform rotation, with levels containing a known-failing member
 // deprioritized (their 2PC would stall on a timeout); per-operation
 // options can pin the first level (WriteToLevel) or disable discovery
-// hedging (WriteWithoutHedge).
+// hedging (WriteWithoutHedge). What is sent is a copy of value: replicas on a
+// by-reference transport store the very slice a commit carries.
 func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...WriteOption) (WriteResult, error) {
-	proto := c.Protocol()
+	lt := c.levels.Load()
 	cfg := writeConfig{read: c.readDefaults(), level: -1}
 	for _, o := range opts {
 		o.applyWrite(&cfg)
 	}
-	var order []int
-	if cfg.level >= 0 {
-		n := proto.NumPhysicalLevels()
-		if cfg.level >= n {
-			return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, n)
-		}
-		order = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			order = append(order, (cfg.level+i)%n)
-		}
-	} else {
-		order = c.orderedLevels(proto)
+	if cfg.level >= len(lt.addrs) {
+		return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, len(lt.addrs))
 	}
-	return c.writeWithOrder(ctx, key, value, proto, order, cfg.read)
+	var orderBuf [maxStackLevels]int
+	order := c.orderedLevels(lt, orderBuf[:0], cfg.level)
+	return c.writeWithOrder(ctx, key, bytes.Clone(value), lt, order, cfg.read)
 }
 
 // WriteAt performs a write preferring the given physical level's quorum
@@ -73,7 +66,7 @@ func (c *Client) WriteAt(ctx context.Context, key string, value []byte, level in
 
 // writeWithOrder runs the write protocol trying levels in the given order,
 // with version discovery shaped by rcfg.
-func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, proto *core.Protocol, order []int, rcfg readConfig) (res WriteResult, err error) {
+func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, lt *levelTable, order []int, rcfg readConfig) (res WriteResult, err error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
 	c.budget.earnOp()
@@ -111,7 +104,7 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 	ts := replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}
 
 	level, contacts, err := c.tryLevels(ctx, order, func(u int) (int, error) {
-		return c.writeLevel(ctx, proto, u, key, value, ts, op)
+		return c.writeLevel(ctx, lt.addrs[u], u, key, value, ts, op)
 	})
 	res.Contacts += contacts
 	c.metrics.writeContacts.Add(uint64(contacts))
@@ -168,12 +161,11 @@ func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int)
 	return 0, contacts, err
 }
 
-// writeLevel runs two-phase commit over every physical node of level u,
+// writeLevel runs two-phase commit over addrs, every physical node of level u,
 // recording the attempt (prepare, commit and abort contacts) on the trace.
 // contacts is every replica a prepare was sent to; phase two targets the
 // same members and is not counted again.
-func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, key string, value []byte, ts replica.Timestamp, op *obs.Op) (contacts int, err error) {
-	addrs := appendLevel(nil, proto, u)
+func (c *Client) writeLevel(ctx context.Context, addrs []transport.Addr, u int, key string, value []byte, ts replica.Timestamp, op *obs.Op) (contacts int, err error) {
 	txID := c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
 

@@ -27,9 +27,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.Lock()
 	entries := make([]wire.Record, 0, len(s.data))
 	for k, e := range s.data {
-		v := make([]byte, len(e.value))
-		copy(v, e.value)
-		entries = append(entries, wire.Record{Key: k, Value: v, TS: e.ts})
+		entries = append(entries, wire.Record{Key: k, Value: e.value, TS: e.ts})
 	}
 	s.mu.Unlock()
 

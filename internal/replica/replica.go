@@ -41,7 +41,9 @@ type Stats struct {
 	Sheds uint64
 	// ReplyErrors counts replies whose Send failed (broken connection, closed endpoint).
 	ReplyErrors uint64
-	Messages    uint64
+	// JournalErrors counts applied writes the journal failed to append (acknowledged, in memory only).
+	JournalErrors uint64
+	Messages      uint64
 }
 
 // Replica is one replica site. Create with New, start serving its endpoint
@@ -197,6 +199,9 @@ func (o observerOption) apply(r *Replica) {
 			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site.",
 			"site").With(site),
 	}
+	r.store.journalErrorsInstr = o.reg.CounterVec("arbor_replica_journal_errors_total",
+		"Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.",
+		"site").With(site)
 }
 
 // WithObserver instruments the replica against the registry (a nil registry
@@ -327,6 +332,7 @@ func (r *Replica) Stats() Stats {
 		Refusals:         r.stats.refusals.Load(),
 		Sheds:            r.stats.sheds.Load(),
 		ReplyErrors:      r.stats.replyErrors.Load(),
+		JournalErrors:    r.store.journalErrors.Load(),
 		Messages:         r.stats.messages.Load(),
 	}
 }

@@ -113,11 +113,30 @@ func TestStoreApplyOrdering(t *testing.T) {
 	if s.Len() != 1 || len(s.Keys()) != 1 {
 		t.Errorf("Len=%d Keys=%v", s.Len(), s.Keys())
 	}
-	// Returned value is a copy.
-	v[0] = 'X'
-	v2, _, _ := s.Get("k")
-	if string(v2) != "v1c" {
-		t.Error("Get returned aliased storage")
+}
+
+// TestStoredValueImmutable pins the ownership rule: Apply keeps the slice it
+// is given, Get hands that slice out, and a newer Apply replaces the slice
+// without touching the bytes an earlier Get returned.
+func TestStoredValueImmutable(t *testing.T) {
+	s := NewStore()
+	v1 := []byte("first value")
+	s.Apply("k", v1, Timestamp{Version: 1, Site: 1})
+	got, _, _ := s.Get("k")
+	if &got[0] != &v1[0] || len(got) != len(v1) {
+		t.Fatal("Apply did not store the slice it was given, or Get copied it")
+	}
+	s.Apply("k", []byte("second, longer value"), Timestamp{Version: 2, Site: 1})
+	if string(got) != "first value" {
+		t.Errorf("a newer Apply changed a slice an earlier Get returned: %q", got)
+	}
+	if now, _, _ := s.Get("k"); string(now) != "second, longer value" {
+		t.Errorf("Get after the newer Apply = %q", now)
+	}
+	// A rejected Apply keeps nothing.
+	s.Apply("k", []byte("stale"), Timestamp{Version: 1, Site: 9})
+	if now, _, _ := s.Get("k"); string(now) != "second, longer value" {
+		t.Errorf("Get after a stale Apply = %q", now)
 	}
 }
 

@@ -3,6 +3,9 @@ package replica
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
+
+	"arbor/internal/obs"
 )
 
 // entry is one stored version of a key.
@@ -13,11 +16,16 @@ type entry struct {
 
 // Store is the replica's stable storage: a timestamped key-value map.
 // Writes only apply if their timestamp is newer than the stored one, making
-// commit application idempotent and reordering-safe.
+// commit application idempotent and reordering-safe. A stored value is
+// immutable: Apply keeps the slice it is given and Get hands that slice out,
+// so neither caller may write to it; a newer Apply replaces the slice.
 type Store struct {
 	mu      sync.Mutex
 	data    map[string]entry
 	journal *WAL
+	// Failed journal appends, and the same count on the replica's observer.
+	journalErrors      atomic.Uint64
+	journalErrorsInstr *obs.Counter
 }
 
 // NewStore creates an empty store.
@@ -25,17 +33,12 @@ func NewStore() *Store {
 	return &Store{data: make(map[string]entry)}
 }
 
-// Get returns the stored value and timestamp for key.
+// Get returns the stored value (shared, read-only) and timestamp for key.
 func (s *Store) Get(key string) (value []byte, ts Timestamp, found bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.data[key]
-	if !ok {
-		return nil, Timestamp{}, false
-	}
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
-	return out, e.ts, true
+	return e.value, e.ts, ok
 }
 
 // Version returns only the stored timestamp for key.
@@ -47,22 +50,21 @@ func (s *Store) Version(key string) (ts Timestamp, found bool) {
 }
 
 // Apply installs value under key if ts is newer than what is stored. It
-// reports whether the write took effect. When a journal is attached,
-// effective writes are appended to it (best-effort: a journal failure does
-// not roll back the in-memory apply).
+// reports whether the write took effect; the store then owns value. When a
+// journal is attached, effective writes are appended to it (best-effort: a
+// journal failure is counted and does not roll back the in-memory apply).
 func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 	s.mu.Lock()
 	if e, ok := s.data[key]; ok && !ts.After(e.ts) {
 		s.mu.Unlock()
 		return false
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	s.data[key] = entry{value: v, ts: ts}
+	s.data[key] = entry{value: value, ts: ts}
 	journal := s.journal
 	s.mu.Unlock()
-	if journal != nil {
-		_ = journal.Append(key, v, ts)
+	if journal != nil && journal.Append(key, value, ts) != nil {
+		s.journalErrors.Add(1)
+		s.journalErrorsInstr.Inc()
 	}
 	return true
 }

@@ -11,10 +11,6 @@ import (
 	"arbor/internal/wire"
 )
 
-// walMaxRecord bounds a record's encoded size during replay, so a corrupt
-// length prefix cannot ask for an absurd allocation.
-const walMaxRecord = wire.MaxRecord
-
 // walBufPool recycles append buffers; WAL appends sit on every committed
 // write, so the encode must not allocate per record.
 var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -56,10 +52,12 @@ func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 		return errors.New("replica: wal closed")
 	}
 	bp := walBufPool.Get().(*[]byte)
-	buf := appendStoreRecord((*bp)[:0], key, value, ts)
+	buf := wire.AppendFramedRecord((*bp)[:0], wire.Record{Key: key, Value: value, TS: ts})
 	_, err := w.f.Write(buf)
-	*bp = buf
-	walBufPool.Put(bp)
+	if cap(buf) <= wire.MaxPooledBuf {
+		*bp = buf
+		walBufPool.Put(bp)
+	}
 	if err != nil {
 		return fmt.Errorf("replica: wal append: %w", err)
 	}
@@ -103,7 +101,7 @@ func ReplayWAL(path string, s *Store) (int, error) {
 			return applied, nil
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > walMaxRecord {
+		if n == 0 || n > wire.MaxRecord {
 			return applied, nil
 		}
 		buf := make([]byte, n)

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"arbor/internal/obs"
 )
 
 func newWAL(t *testing.T) (*WAL, string) {
@@ -129,6 +132,46 @@ func TestWALAppendAfterClose(t *testing.T) {
 	}
 	if err := w.Append("k", []byte("v"), Timestamp{Version: 1}); err == nil {
 		t.Error("append after close succeeded")
+	}
+}
+
+// TestJournalErrorsCounted: a commit whose journal append fails is still
+// applied and acknowledged, and the dropped error is counted — in Stats and
+// in the site's metric — once per failed append, never for a rejected apply.
+func TestJournalErrorsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := newHarness(t, WithObserver(reg))
+	w, _ := newWAL(t)
+	h.rep.Store().AttachJournal(w)
+	commit := func(version uint64) {
+		t.Helper()
+		resp := h.call(t, CommitReq{ReqID: version, TxID: version, Key: "k", Value: []byte("v"), TS: Timestamp{Version: version, Site: 1}})
+		if cr, ok := resp.(CommitResp); !ok || !cr.OK {
+			t.Fatalf("commit %d answered %+v", version, resp)
+		}
+	}
+	commit(1)
+	if got := h.rep.Stats().JournalErrors; got != 0 {
+		t.Fatalf("JournalErrors = %d with the journal open", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	commit(2)
+	commit(3)
+	commit(2) // stale: not applied, so not journaled either
+	if got := h.rep.Stats().JournalErrors; got != 2 {
+		t.Errorf("Stats.JournalErrors = %d, want 2", got)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := `arbor_replica_journal_errors_total{site="1"} 2`; !strings.Contains(out.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", want, out.String())
+	}
+	if v, ts, _ := h.rep.Store().Get("k"); string(v) != "v" || ts.Version != 3 {
+		t.Errorf("store holds %q at %v, want the unjournaled commit 3", v, ts)
 	}
 }
 

@@ -10,6 +10,7 @@
 package tqclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -139,8 +140,10 @@ func (c *Client) Read(ctx context.Context, key string) (ReadResult, error) {
 }
 
 // Write assembles a quorum, discovers the highest version on it, and
-// installs the value on every member with two-phase commit.
+// installs a copy of value (replicas keep the slice a commit carries) on
+// every member with two-phase commit.
 func (c *Client) Write(ctx context.Context, key string, value []byte) (WriteResult, error) {
+	value = bytes.Clone(value)
 	var res WriteResult
 	q, contacts, err := c.assemble(ctx)
 	res.Contacts = contacts

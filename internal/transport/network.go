@@ -317,8 +317,7 @@ func (e *Endpoint) Send(to Addr, payload any) error {
 			payload, err = c.Decode(buf)
 		}
 		wireBytes = len(buf)
-		*bp = buf
-		frameBufPool.Put(bp)
+		putFrameBuf(bp, buf)
 		if err != nil {
 			return fmt.Errorf("transport: codec round-trip to %d: %w", to, err)
 		}

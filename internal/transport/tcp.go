@@ -41,14 +41,24 @@ const (
 	tcpMaxFrame = 1 << 26
 	// defaultConnsPerPeer is the outbound pool size per destination.
 	defaultConnsPerPeer = 2
+	// tcpReadBuf is each connection's read buffer.
+	tcpReadBuf = 64 << 10
 )
 
 // helloMagic opens every HELLO frame.
 var helloMagic = [4]byte{'A', 'R', 'B', 'W'}
 
-// frameBufPool recycles encode and decode buffers; framing sits on every
-// message, so the hot path must not allocate per frame.
+// frameBufPool recycles encode buffers; framing sits on every message, so
+// the hot path must not allocate per frame.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putFrameBuf returns an encode buffer to the pool, unless it grew too large.
+func putFrameBuf(bp *[]byte, buf []byte) {
+	if cap(buf) <= wire.MaxPooledBuf {
+		*bp = buf
+		frameBufPool.Put(bp)
+	}
+}
 
 // TCPOption configures a TCPNetwork.
 type TCPOption interface {
@@ -319,8 +329,7 @@ func (e *TCPEndpoint) Send(to Addr, payload any) error {
 			err = fmt.Errorf("transport: send to %d: %w", to, werr)
 		}
 	}
-	*bp = buf
-	frameBufPool.Put(bp)
+	putFrameBuf(bp, buf)
 	return err
 }
 
@@ -402,7 +411,7 @@ func (e *TCPEndpoint) growRoute(to Addr, r *peerRoute) error {
 	r.dialed++
 	e.done.Add(1)
 	e.mu.Unlock()
-	go e.readLoop(wc, to)
+	go e.readLoop(wc, to, newFrameReader(c))
 	return nil
 }
 
@@ -487,38 +496,20 @@ func (e *TCPEndpoint) acceptLoop() {
 // dial-only clients hear back), and then reads frames until the peer goes
 // away. A failed handshake closes the connection immediately.
 func (e *TCPEndpoint) serveConn(c net.Conn) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		e.done.Done()
-		_ = c.Close()
-		return
+	fr := newFrameReader(c)
+	var peer Addr
+	body, err := fr.next()
+	if err == nil {
+		peer, err = e.parseHello(body)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > tcpMaxFrame {
-		e.done.Done()
-		_ = c.Close()
-		return
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c, body); err != nil {
-		e.done.Done()
-		_ = c.Close()
-		return
-	}
-	peer, err := e.parseHello(body)
-	if err != nil {
-		e.done.Done()
-		_ = c.Close()
-		return
-	}
-	wc := &wireConn{c: c}
 	e.mu.Lock()
-	if e.closed {
+	if err != nil || e.closed {
 		e.mu.Unlock()
 		e.done.Done()
 		_ = c.Close()
 		return
 	}
+	wc := &wireConn{c: c}
 	r := e.routes[peer]
 	if r == nil {
 		r = &peerRoute{}
@@ -526,55 +517,67 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	}
 	r.conns = append(r.conns, wc)
 	e.mu.Unlock()
-	e.readLoop(wc, peer)
+	e.readLoop(wc, peer, fr)
+}
+
+// frameReader splits a connection's byte stream into frame bodies.
+type frameReader struct {
+	br   *bufio.Reader
+	held int // bytes of br the frame last returned still occupies
+}
+
+func newFrameReader(c net.Conn) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(c, tcpReadBuf)}
+}
+
+// next returns the next frame's body, valid until the following call: a view
+// into the reader when it fits (Codec.Decode never aliases its input, so
+// nothing decoded outlives it), else a buffer of exactly its size.
+func (r *frameReader) next() ([]byte, error) {
+	_, _ = r.br.Discard(r.held) // cannot fail: these bytes were peeked
+	r.held = 0
+	hdr, err := r.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n == 0 || n > tcpMaxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes", n)
+	}
+	_, _ = r.br.Discard(4)
+	if n > r.br.Size() {
+		body := make([]byte, n)
+		_, err = io.ReadFull(r.br, body)
+		return body, err
+	}
+	body, err := r.br.Peek(n)
+	if err == nil {
+		r.held = n
+	}
+	return body, err
 }
 
 // readLoop decodes frames from one pooled connection and delivers each — to
 // the Serve handler on this goroutine, else the inbox — until the connection
-// dies, then evicts it. Decode buffers are pooled; payloads never alias them.
-func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
+// dies, then evicts it.
+func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, fr *frameReader) {
 	defer e.done.Done()
 	defer e.dropConn(peer, wc)
-	br := bufio.NewReaderSize(wc.c, 64<<10)
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > tcpMaxFrame {
-			return
-		}
-		bp := frameBufPool.Get().(*[]byte)
-		buf := *bp
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			*bp = buf
-			frameBufPool.Put(bp)
+		frame, err := fr.next()
+		if err != nil {
 			return
 		}
 		e.framesIn.Add(1)
-		from, k1 := binary.Varint(buf)
-		var to int64
-		var k2 int
-		if k1 > 0 {
-			to, k2 = binary.Varint(buf[k1:])
-		}
+		from, k1 := binary.Varint(frame)
+		to, k2 := binary.Varint(frame[max(k1, 0):])
 		var payload any
-		var err error
-		if k1 <= 0 || k2 <= 0 {
-			err = errors.New("transport: malformed frame addresses")
-		} else {
-			payload, err = e.net.opts.codec.Decode(buf[k1+k2:])
+		if k1 > 0 && k2 > 0 {
+			payload, err = e.net.opts.codec.Decode(frame[k1+k2:])
 		}
-		*bp = buf
-		frameBufPool.Put(bp)
-		if err != nil {
+		if err != nil || k1 <= 0 || k2 <= 0 {
 			// Framing is intact (the length prefix was honored), so a
-			// payload that fails to decode is dropped like a lost message
+			// frame that fails to decode is dropped like a lost message
 			// rather than killing every other request on the connection.
 			e.decodeDrops.Add(1)
 			continue

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -338,6 +339,16 @@ func TestTCPStatsCountInboxDrop(t *testing.T) {
 	}
 }
 
+// rawFrame frames already-encoded payload bytes the way Send does.
+func rawFrame(from, to Addr, payload []byte) []byte {
+	buf := []byte{0, 0, 0, 0}
+	buf = binary.AppendVarint(buf, int64(from))
+	buf = binary.AppendVarint(buf, int64(to))
+	buf = append(buf, payload...)
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	return buf
+}
+
 // TestTCPStatsCountDecodeDrop: a well-framed payload the codec cannot
 // decode moves DecodeDrops by exactly one, is not delivered, and leaves the
 // connection serving the frames behind it.
@@ -348,14 +359,7 @@ func TestTCPStatsCountDecodeDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	frame := func(payload []byte) []byte {
-		buf := []byte{0, 0, 0, 0}
-		buf = binary.AppendVarint(buf, int64(a.addr))
-		buf = binary.AppendVarint(buf, int64(b.addr))
-		buf = append(buf, payload...)
-		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-		return buf
-	}
+	frame := func(payload []byte) []byte { return rawFrame(a.addr, b.addr, payload) }
 	good, err := b.net.opts.codec.Encode(nil, ping(9))
 	if err != nil {
 		t.Fatal(err)
@@ -370,5 +374,75 @@ func TestTCPStatsCountDecodeDrop(t *testing.T) {
 	}
 	if st := b.Stats(); st.FramesIn != 2 || st.DecodeDrops != 1 || st.InboxDrops != 0 {
 		t.Errorf("stats = %+v, want 2 frames in, exactly one decode drop", st)
+	}
+}
+
+// TestTCPFrameSizes pushes frames around the read buffer's size through one
+// connection, pipelined in a single write: bodies of tcpReadBuf-1, tcpReadBuf
+// (the largest decoded in place), tcpReadBuf+1 and 1 MiB (each read into a
+// buffer of its own), small frames in between, and two 40000-byte frames back
+// to back, the second of which is decoded over the reader bytes the first
+// occupied. Every value is checked only after all frames were decoded, so a
+// payload aliasing the reader would show as a corrupted earlier message. A
+// last frame arrives one byte per write.
+func TestTCPFrameSizes(t *testing.T) {
+	_, a, b := newTCPPair(t)
+	c, err := net.Dial("tcp", b.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fill := func(id uint64, v []byte) []byte {
+		for i := range v {
+			v[i] = byte(id) + byte(i*7)
+		}
+		return v
+	}
+	// frame builds message id as a ReadResp whose frame body is bodyLen bytes.
+	frame := func(id uint64, bodyLen int) []byte {
+		var buf []byte
+		for vlen := bodyLen - 32; ; vlen += bodyLen - (len(buf) - 4) {
+			payload, err := b.net.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Key: "k", Value: fill(id, make([]byte, vlen)), Found: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf = rawFrame(a.addr, b.addr, payload); len(buf)-4 == bodyLen {
+				return buf
+			}
+		}
+	}
+	sizes := []int{64, tcpReadBuf - 1, 64, tcpReadBuf, tcpReadBuf + 1, 64, 1 << 20, 64, 40000, 40000, 64}
+	raw := a.hello()
+	for i, n := range sizes {
+		raw = append(raw, frame(uint64(i+1), n)...)
+	}
+	if _, err := c.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	trickled := frame(uint64(len(sizes)+1), 300)
+	for i := range trickled {
+		if _, err := c.Write(trickled[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := make([]Message, len(sizes)+1)
+	for i := range msgs {
+		msgs[i] = recvOne(t, b)
+	}
+	for i, msg := range msgs {
+		id := uint64(i + 1)
+		p, ok := msg.Payload.(wire.ReadResp)
+		if !ok || p.ReqID != id || msg.From != a.addr || msg.To != b.addr {
+			t.Fatalf("message %d = %+v from %d to %d", id, msg.Payload, msg.From, msg.To)
+		}
+		if want := fill(id, make([]byte, len(p.Value))); !bytes.Equal(p.Value, want) {
+			t.Errorf("message %d: its %d-byte value changed after later frames were decoded", id, len(p.Value))
+		}
+		if cap(p.Value) != len(p.Value) {
+			t.Errorf("message %d: value of %d bytes sits in %d: not an exact-size copy", id, len(p.Value), cap(p.Value))
+		}
+	}
+	if st := b.Stats(); st.FramesIn != uint64(len(msgs)) || st.DecodeDrops != 0 || st.InboxDrops != 0 {
+		t.Errorf("stats = %+v, want %d frames in and no drops", st, len(msgs))
 	}
 }

@@ -20,10 +20,16 @@ type Codec interface {
 	// extended slice, like append. Unknown payload types are an error —
 	// the message set is closed.
 	Encode(dst []byte, payload any) ([]byte, error)
-	// Decode parses one encoded message. The returned payload never
-	// aliases data, so callers may recycle the buffer immediately.
+	// Decode parses one encoded message. The returned payload must never
+	// alias data: the TCP read loop passes a view into its bufio.Reader
+	// (Peek) that the next frame overwrites, and replicas store decoded
+	// values as they are — each an allocation of exactly its size.
 	Decode(data []byte) (any, error)
 }
+
+// MaxPooledBuf is the largest encode buffer a pool takes back: frames and
+// journal records reach tens of MiB, and a pool never shrinks what it holds.
+const MaxPooledBuf = 1 << 20
 
 // Message type tags used by the binary codec (and by any future compact
 // codec). Tag 0 is reserved so a zeroed buffer never decodes.
