@@ -1,12 +1,13 @@
 // Command arborsim runs deterministic chaos campaigns against the
-// tree-structured replica control protocol and replays their reproducers.
+// tree-structured replica control protocol and replays .arb scenario
+// files, the one textual description of a run.
 //
 // Campaign mode (the default) executes -runs seeded runs, each a fresh
 // cluster driven through a random fault schedule interleaved with client
 // traffic, and checks one-copy semantics plus the durability and
 // quorum-structure invariants after every run. On the first violation the
 // failing run is shrunk to a minimal fault schedule and op list, written to
-// -o as a portable reproducer, and the command exits nonzero.
+// -o as a .arb scenario, and the command exits nonzero.
 //
 // With -adapt the adaptation controller runs live inside every run, so
 // migrations interleave with the chaos schedule and the history checker
@@ -15,15 +16,14 @@
 // violation the failing run's decision journal is written as JSON next to
 // the reproducer.
 //
-// Replay mode (-repro file) re-executes a reproducer byte-for-byte and
-// exits nonzero when the violation still reproduces.
-//
 // Scenario mode (-scenario file-or-dir) replays .arb scenario files — a
 // single file or every *.arb under a directory — through the same
 // deterministic harness and judges each run against the file's expect
-// assertions. A failing scenario leaves a replayable reproducer (and,
-// with adaptation on, the decision journal) under -artifacts, and the
-// command exits nonzero after trying the whole corpus.
+// assertions. A file without any, which is what a campaign's reproducer
+// is, fails on every invariant violation, so replaying a reproducer is
+// this mode too. A failing adaptive scenario leaves its decision journal
+// under -artifacts, and the command exits nonzero after trying the whole
+// corpus.
 //
 // Self-test mode (-selftest) arms a deliberate durability bug — restarts
 // skip write-ahead-journal replay — and fails unless the campaign both
@@ -68,19 +68,15 @@ func run(args []string) error {
 		adapt   = fs.Bool("adapt", false, "run the adaptation controller during each run (live migrations under chaos)")
 		every   = fs.Int("adapt-every", 0, "op stride between controller steps (default 10)")
 		phases  = fs.String("phases", "", `workload phases "profile:ops[,profile:ops...]" (overrides -profile and -ops)`)
-		repro   = fs.String("repro", "", "replay this reproducer file instead of running a campaign")
 		scen    = fs.String("scenario", "", "replay a .arb scenario file (or every *.arb in a directory) and check its expect assertions")
-		artDir  = fs.String("artifacts", ".", "directory for failing scenarios' reproducers and journals (with -scenario)")
-		out     = fs.String("o", "arborsim-repro.txt", "write the shrunk reproducer here on campaign failure")
+		artDir  = fs.String("artifacts", ".", "directory for failing scenarios' decision journals (with -scenario)")
+		out     = fs.String("o", "arborsim-repro.arb", "write the shrunk reproducer here on campaign failure (replay it with -scenario)")
 		journal = fs.String("journal", "arborsim-journal.json", "write the failing run's decision journal here on campaign failure (with -adapt)")
 		trace   = fs.Bool("trace", false, "print the per-op trace")
 		self    = fs.Bool("selftest", false, "inject a WAL-replay bug and verify the campaign catches it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *repro != "" {
-		return replay(*repro, *trace)
 	}
 	if *scen != "" {
 		return replayScenarios(*scen, *artDir, *trace)
@@ -146,7 +142,7 @@ func campaign(cfg sim.Config, runs int, out, journal string, trace bool) error {
 	if trace {
 		printTrace(f.Input)
 	}
-	if err := os.WriteFile(out, []byte(f.Repro.Format()), 0o644); err != nil {
+	if err := os.WriteFile(out, []byte(scenario.FromInput(f.Input).String()), 0o644); err != nil {
 		return fmt.Errorf("write reproducer: %w", err)
 	}
 	// With the controller live, the failing run's decision journal is part
@@ -162,7 +158,7 @@ func campaign(cfg sim.Config, runs int, out, journal string, trace bool) error {
 		}
 		fmt.Printf("campaign: decision journal (%d entries) written to %s\n", len(f.Decisions), journal)
 	}
-	return fmt.Errorf("run %d (seed %d) violated %d invariant(s); shrunk reproducer written to %s (replay: arborsim -repro %s)",
+	return fmt.Errorf("run %d (seed %d) violated %d invariant(s); shrunk reproducer written to %s (replay: arborsim -scenario %s)",
 		f.Run, f.Seed, len(f.Violations), out, out)
 }
 
@@ -207,11 +203,11 @@ func replayScenario(path, artifacts string, trace bool) error {
 	if err != nil {
 		return err
 	}
-	c, err := spec.Compile()
+	in, err := spec.Compile()
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	res, err := sim.Execute(c.Input)
+	res, err := sim.Execute(in)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -227,9 +223,10 @@ func replayScenario(path, artifacts string, trace bool) error {
 	fmt.Printf("scenario %s: %d ops, %d faults applied, %d unavailable, %d margin gap(s), %d reconfiguration(s), final spec %s\n",
 		name, res.OpsRun, res.FaultsApplied, res.Failures, len(res.MarginGaps), res.Reconfigurations, res.FinalSpec)
 	fails := spec.Check(res)
-	if len(spec.Expects) == 0 && res.Failed() {
-		fails = append(fails, fmt.Sprintf("no expects declared and %d invariant violation(s) (first: %v)",
-			len(res.Violations), res.Violations[0]))
+	if len(spec.Expects) == 0 {
+		for _, v := range res.Violations {
+			fails = append(fails, fmt.Sprintf("no expects declared and an invariant violated: %v", v))
+		}
 	}
 	if len(fails) == 0 {
 		fmt.Printf("scenario %s: all %d expectation(s) held\n", name, len(spec.Expects))
@@ -238,11 +235,7 @@ func replayScenario(path, artifacts string, trace bool) error {
 	for _, f := range fails {
 		fmt.Printf("scenario %s: FAIL %s\n", name, f)
 	}
-	reproPath := filepath.Join(artifacts, name+".repro.txt")
-	if err := os.WriteFile(reproPath, []byte(c.Input.Reproducer().Format()), 0o644); err != nil {
-		return fmt.Errorf("%s: write reproducer: %w", path, err)
-	}
-	if c.Cfg.Adapt {
+	if in.Cfg.Adapt {
 		data, err := json.MarshalIndent(res.AdaptDecisions, "", "  ")
 		if err != nil {
 			return fmt.Errorf("%s: encode decision journal: %w", path, err)
@@ -252,43 +245,7 @@ func replayScenario(path, artifacts string, trace bool) error {
 			return fmt.Errorf("%s: write decision journal: %w", path, err)
 		}
 	}
-	return fmt.Errorf("%s: %d expectation(s) failed; reproducer written to %s", path, len(fails), reproPath)
-}
-
-func replay(path string, trace bool) error {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	r, err := sim.ParseReproducer(string(text))
-	if err != nil {
-		return err
-	}
-	in, err := r.Input()
-	if err != nil {
-		return err
-	}
-	res, err := sim.Execute(in)
-	if err != nil {
-		return err
-	}
-	if trace {
-		for _, line := range res.Trace {
-			fmt.Println(line)
-		}
-	}
-	fmt.Printf("replay: %d ops, %d faults applied\n", res.OpsRun, res.FaultsApplied)
-	if in.Cfg.Adapt {
-		fmt.Printf("replay: %d controller-driven reconfiguration(s)\n", res.Reconfigurations)
-	}
-	if !res.Failed() {
-		fmt.Println("replay: no violation reproduced")
-		return nil
-	}
-	for _, v := range res.Violations {
-		fmt.Println("violation:", v.Error())
-	}
-	return fmt.Errorf("reproducer violates %d invariant(s)", len(res.Violations))
+	return fmt.Errorf("%s: %d expectation(s) failed", path, len(fails))
 }
 
 // selftest proves the harness end to end: with WAL replay skipped on
@@ -304,11 +261,12 @@ func selftest(cfg sim.Config, runs int) error {
 		return fmt.Errorf("selftest: campaign of %d runs missed the injected WAL-replay bug", rep.Runs)
 	}
 	f := rep.Failure
-	if n := len(f.Input.Events); n > 5 {
-		return fmt.Errorf("selftest: shrunk schedule still has %d events (want ≤ 5): %q", n, f.Repro.Schedule)
+	sched := scenario.FromInput(f.Input).Schedule // the faults, without phase markers
+	if n := len(sched); n > 5 {
+		return fmt.Errorf("selftest: shrunk schedule still has %d events (want ≤ 5): %q", n, sched)
 	}
 	fmt.Printf("selftest: bug found at run %d (seed %d) and shrunk to %d op(s), schedule %q\n",
-		f.Run, f.Seed, len(f.Input.Ops), f.Repro.Schedule)
+		f.Run, f.Seed, len(f.Input.Ops), sched)
 	return nil
 }
 

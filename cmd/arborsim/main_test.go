@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"arbor/internal/adapt"
+	"arbor/internal/scenario"
 	"arbor/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func TestRunCampaignClean(t *testing.T) {
 	args := []string{
 		"-runs", "2", "-ops", "25", "-faults", "3",
 		"-seed", "5", "-timeout", "30ms", "-keys", "3",
-		"-o", filepath.Join(t.TempDir(), "repro.txt"),
+		"-o", filepath.Join(t.TempDir(), "repro.arb"),
 	}
 	if err := run(args); err != nil {
 		t.Fatalf("run: %v", err)
@@ -33,24 +34,31 @@ func TestRunSelftestCatchesInjectedBug(t *testing.T) {
 	}
 }
 
+// TestRunReplayReproducesViolation replays a hand-written reproducer: one
+// acknowledged write, then a restart that (with the bug armed) discards the
+// journals. A scenario without expect lines fails on the violation; the
+// same file without the bug line passes, so the failure is the armed bug.
 func TestRunReplayReproducesViolation(t *testing.T) {
-	// Build a failing run directly: one acknowledged write, then a restart
-	// that (with the bug armed) discards the journals.
-	r := sim.Reproducer{
-		Seed:          3,
-		Spec:          "1-2",
-		Profile:       sim.ProfileMostlyWrite,
-		Ops:           4,
-		SkipWALReplay: true,
-		Schedule:      "4ms:restart",
+	const clean = "tree 1-2\nseed 3\nops 4\nprofile mostly-write\nfault 4ms:restart\n"
+	dir := t.TempDir()
+	for name, text := range map[string]string{"bug.arb": clean + "bug skip-wal-replay\n", "clean.arb": clean} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "repro.txt")
-	if err := os.WriteFile(path, []byte(r.Format()), 0o644); err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-scenario", filepath.Join(dir, "bug.arb"), "-trace"}); err == nil {
+		t.Error("replay of the armed reproducer reported no violation")
 	}
-	err := run([]string{"-repro", path, "-trace"})
-	if err == nil || !strings.Contains(err.Error(), "invariant") {
-		t.Fatalf("replay err = %v, want invariant violation", err)
+	if err := run([]string{"-scenario", filepath.Join(dir, "clean.arb")}); err != nil {
+		t.Errorf("replay without the bug line: %v", err)
+	}
+}
+
+// TestRunRejectsReproFlag: reproducers are .arb files replayed with
+// -scenario; the separate -repro format and flag are gone.
+func TestRunRejectsReproFlag(t *testing.T) {
+	if err := run([]string{"-repro", "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-repro err = %v, want an unknown-flag error", err)
 	}
 }
 
@@ -74,7 +82,7 @@ func TestRunAdaptiveCampaignClean(t *testing.T) {
 		"-runs", "2", "-faults", "3", "-seed", "7",
 		"-timeout", "30ms", "-keys", "3", "-spec", "1-8",
 		"-adapt", "-phases", "mostly-read:30,mostly-write:40",
-		"-o", filepath.Join(t.TempDir(), "repro.txt"),
+		"-o", filepath.Join(t.TempDir(), "repro.arb"),
 	}
 	if err := run(args); err != nil {
 		t.Fatalf("run: %v", err)
@@ -83,7 +91,8 @@ func TestRunAdaptiveCampaignClean(t *testing.T) {
 
 // TestCampaignWritesDecisionJournalOnFailure arms the WAL-replay bug with
 // the controller live and checks the failing run's decision journal lands
-// on disk as JSON next to the reproducer.
+// on disk as JSON next to the reproducer — which is a canonical .arb file
+// that -scenario replays to the same failure.
 func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	cfg := sim.Config{
@@ -96,7 +105,7 @@ func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 		SkipWALReplay: true,
 		Adapt:         true,
 	}
-	out := filepath.Join(dir, "repro.txt")
+	out := filepath.Join(dir, "repro.arb")
 	journal := filepath.Join(dir, "journal.json")
 	err := campaign(cfg, 15, out, journal, false)
 	if err == nil {
@@ -110,7 +119,15 @@ func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 	if jerr := json.Unmarshal(data, &decisions); jerr != nil {
 		t.Fatalf("decision journal is not valid JSON: %v\n%s", jerr, data)
 	}
-	if _, rerr := os.ReadFile(out); rerr != nil {
+	text, rerr := os.ReadFile(out)
+	if rerr != nil {
 		t.Fatalf("reproducer not written: %v", rerr)
+	}
+	spec, perr := scenario.Parse(string(text))
+	if perr != nil || spec.String() != string(text) {
+		t.Fatalf("reproducer is not a canonical scenario (parse err %v):\n%s", perr, text)
+	}
+	if err := run([]string{"-scenario", out, "-artifacts", dir}); err == nil {
+		t.Errorf("replaying the written reproducer reported no violation:\n%s", text)
 	}
 }

@@ -7,12 +7,6 @@
 //	simrun -spec 1-3-5 -ops 2000 -read-fraction 0.8
 //	simrun -algorithm1 100 -ops 5000 -crash 3,17
 //	simrun -spec 1-4-4-8 -latency 2ms -drop 0.01
-//	simrun -scenario scenarios/geo-latency.arb
-//
-// With -scenario, the .arb file supplies topology, workload phases,
-// latency geometry and the failure schedule (overriding those flags);
-// expect assertions are a deterministic-harness contract, so simrun
-// skips them — arborsim -scenario checks them.
 package main
 
 import (
@@ -28,9 +22,6 @@ import (
 	"arbor/internal/cluster"
 	"arbor/internal/core"
 	"arbor/internal/obs"
-	"arbor/internal/scenario"
-	"arbor/internal/sim"
-	"arbor/internal/transport"
 	"arbor/internal/tree"
 	"arbor/internal/wire"
 	"arbor/internal/workload"
@@ -64,45 +55,12 @@ func run(args []string) error {
 		metrics      = fs.Bool("metrics", false, "instrument the run and print per-level load and latency quantile tables")
 		traceN       = fs.Int("trace", 0, "record operation traces and print the last N after the run")
 		codec        = fs.String("codec", "", `wire codec to round-trip every message through ("binary"; empty = in-memory delivery without serialization)`)
-		scen         = fs.String("scenario", "", "drive the run from a .arb scenario file (overrides topology, workload, latency and schedule flags)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// A scenario lowers onto the same flag values the command already
-	// understands, so everything downstream (cluster options, schedule,
-	// reporting) is shared; phases and the geo RTT map ride alongside.
-	var scenCfg *sim.Config
-	if *scen != "" {
-		sp, err := scenario.Load(*scen)
-		if err != nil {
-			return err
-		}
-		compiled, err := sp.Compile()
-		if err != nil {
-			return err
-		}
-		cfg := compiled.Cfg
-		scenCfg = &cfg
-		*spec = cfg.Spec
-		*seed = cfg.Seed
-		*ops = cfg.Ops
-		*keys = cfg.Keys
-		*zipf = cfg.Zipf
-		*clients = cfg.Clients
-		*timeout = cfg.Timeout
-		*latency = cfg.Latency
-		*jitter = cfg.Jitter
-		if rf, err := cfg.Profile.ReadFraction(); err == nil {
-			*readFraction = rf
-		}
-		if len(sp.Schedule) > 0 {
-			*schedule = sp.Schedule.String()
-		}
-		if len(sp.Expects) > 0 {
-			fmt.Printf("scenario %s: %d expect assertion(s) skipped (wall-clock run; use arborsim -scenario to check them)\n",
-				*scen, len(sp.Expects))
-		}
+	if *clients < 1 {
+		return fmt.Errorf("-clients must be at least 1, not %d", *clients)
 	}
 	if *compare {
 		n := *algorithm1
@@ -143,18 +101,6 @@ func run(args []string) error {
 	}
 	if *latency > 0 || *jitter > 0 {
 		opts = append(opts, cluster.WithLatency(*latency, *jitter))
-	}
-	if scenCfg != nil {
-		if scenCfg.JitterDist != "" {
-			dist, err := transport.ParseJitterDist(scenCfg.JitterDist)
-			if err != nil {
-				return err
-			}
-			opts = append(opts, cluster.WithJitterDistribution(dist))
-		}
-		if len(scenCfg.SiteRTT) > 0 {
-			opts = append(opts, cluster.WithSiteRTT(scenCfg.SiteRTT))
-		}
 	}
 	if *drop > 0 {
 		opts = append(opts, cluster.WithDropProbability(*drop))
@@ -202,22 +148,7 @@ func run(args []string) error {
 		fmt.Printf("running failure schedule with %d events\n", len(sched))
 	}
 
-	var total cluster.RunReport
-	if scenCfg != nil && len(scenCfg.Phases) > 0 {
-		// Phased workloads run their phases back to back, each with its own
-		// profile, skew and salted seed — the wall-clock analogue of the
-		// deterministic harness's phase-aware stream.
-		for i, p := range scenCfg.Phases {
-			rf, err := p.Profile.ReadFraction()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("phase %d: profile %s, %d ops\n", i, p.Profile, p.Ops)
-			mergeReport(&total, runClients(c, *clients, p.Ops, rf, *keys, p.Zipf, *seed+int64(i)))
-		}
-	} else {
-		total = runClients(c, *clients, *ops, *readFraction, *keys, *zipf, *seed)
-	}
+	total := runClients(c, *clients, *ops, *readFraction, *keys, *zipf, *seed)
 	if schedErr != nil {
 		if err := schedErr(); err != nil && !errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "schedule:", err)
@@ -346,21 +277,14 @@ func runClients(c *cluster.Cluster, clients, ops int, readFraction float64, keys
 			fmt.Fprintln(os.Stderr, "client error:", r.err)
 			continue
 		}
-		mergeReport(&total, r.rep)
+		total.Reads += r.rep.Reads
+		total.Writes += r.rep.Writes
+		total.ReadFailures += r.rep.ReadFailures
+		total.WriteFailures += r.rep.WriteFailures
+		total.NotFound += r.rep.NotFound
+		total.ReadLatency = total.ReadLatency.Merge(r.rep.ReadLatency)
+		total.WriteLatency = total.WriteLatency.Merge(r.rep.WriteLatency)
 	}
 	total.Elapsed = time.Since(start)
 	return total
-}
-
-// mergeReport folds one run report into the running total, summing the
-// counters and elapsed time and merging the latency sketches.
-func mergeReport(total *cluster.RunReport, r cluster.RunReport) {
-	total.Reads += r.Reads
-	total.Writes += r.Writes
-	total.ReadFailures += r.ReadFailures
-	total.WriteFailures += r.WriteFailures
-	total.NotFound += r.NotFound
-	total.ReadLatency = total.ReadLatency.Merge(r.ReadLatency)
-	total.WriteLatency = total.WriteLatency.Merge(r.WriteLatency)
-	total.Elapsed += r.Elapsed
 }

@@ -62,6 +62,9 @@ func TestRunErrors(t *testing.T) {
 		{"-spec", "1-3-5", "-crash", "99"},
 		{"-spec", "1-3-5", "-schedule", "bad"},
 		{"-bogus"},
+		{"-spec", "1-3-5", "-clients", "0"},
+		{"-spec", "1-3-5", "-clients", "-2"},
+		{"-spec", "1-3-5", "-scenario", "../../scenarios/geo-latency.arb"}, // no such flag: arborsim replays scenarios
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

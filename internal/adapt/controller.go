@@ -28,15 +28,18 @@ import (
 	"arbor/internal/tree"
 )
 
-// Defaults for the controller knobs.
+// Defaults for the controller knobs, and its two fixed parameters.
 const (
 	DefaultInterval      = time.Second
 	DefaultWindow        = 5
-	DefaultMinWindowOps  = 20
 	DefaultMinLevelDelta = 2
 	DefaultCooldown      = 30 * time.Second
 	DefaultAvailability  = 0.9
-	DefaultJournalCap    = 256
+	// MinWindowOps is the minimum operations a window must contain to
+	// count as signal; quieter windows always hold.
+	MinWindowOps = 20
+	// JournalCap bounds the decision journal.
+	JournalCap = 256
 	// DefaultDegradeTolerance is how much worse (fractionally) the windowed
 	// weighted empirical load may get after a migration before the guard
 	// reverts it; windowed maxima are noisy, so the bar is generous.
@@ -65,12 +68,6 @@ func WithWindow(n int) Option {
 	return optionFunc(func(c *Controller) { c.window = n })
 }
 
-// WithMinWindowOps sets the minimum operations a window must contain to
-// count as signal; quieter windows always hold (default 20).
-func WithMinWindowOps(n uint64) Option {
-	return optionFunc(func(c *Controller) { c.minWindowOps = n })
-}
-
 // WithMinLevelDelta sets how many physical levels the advised tree must
 // differ by before drift registers at all (default 2, damping oscillation).
 func WithMinLevelDelta(d int) Option {
@@ -92,11 +89,6 @@ func WithAvailability(p float64) Option {
 // WithObjective sets the advisor objective (default config.MinimizeLoad).
 func WithObjective(obj config.Objective) Option {
 	return optionFunc(func(c *Controller) { c.obj = obj })
-}
-
-// WithJournalCap bounds the decision journal (default 256 entries).
-func WithJournalCap(n int) Option {
-	return optionFunc(func(c *Controller) { c.journalCap = n })
 }
 
 // WithDegradeTolerance sets the abort-on-degradation guard's threshold: a
@@ -136,12 +128,10 @@ type Controller struct {
 
 	interval      time.Duration
 	window        int
-	minWindowOps  uint64
 	minLevelDelta int
 	cooldown      time.Duration
 	p             float64
 	obj           config.Objective
-	journalCap    int
 	degradeTol    float64
 	clock         func() time.Time
 
@@ -180,12 +170,10 @@ func New(c *cluster.Cluster, opts ...Option) (*Controller, error) {
 		c:             c,
 		interval:      DefaultInterval,
 		window:        DefaultWindow,
-		minWindowOps:  DefaultMinWindowOps,
 		minLevelDelta: DefaultMinLevelDelta,
 		cooldown:      DefaultCooldown,
 		p:             DefaultAvailability,
 		obj:           config.MinimizeLoad,
-		journalCap:    DefaultJournalCap,
 		degradeTol:    DefaultDegradeTolerance,
 		now:           time.Unix(0, 0).UTC(),
 	}
@@ -212,7 +200,7 @@ func New(c *cluster.Cluster, opts ...Option) (*Controller, error) {
 	if ctl.degradeTol < 0 {
 		return nil, fmt.Errorf("adapt: degrade tolerance %v must be non-negative", ctl.degradeTol)
 	}
-	ctl.j = newJournal(ctl.journalCap)
+	ctl.j = newJournal(JournalCap)
 	ctl.registerMetrics(c.Observer().Reg())
 	return ctl, nil
 }
@@ -427,8 +415,8 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 		a.driftStreak = 0
 		return a.record(d)
 	}
-	if w.Ops() < a.minWindowOps {
-		d.Reason = fmt.Sprintf("low signal: %d op(s) in window, need %d", w.Ops(), a.minWindowOps)
+	if w.Ops() < MinWindowOps {
+		d.Reason = fmt.Sprintf("low signal: %d op(s) in window, need %d", w.Ops(), MinWindowOps)
 		a.driftStreak = 0
 		return a.record(d)
 	}
@@ -499,7 +487,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 // the tolerance. The caller holds the lock.
 func (a *Controller) judgeMigration(d Decision, w WindowStats) Decision {
 	post := weightedLoad(w, a.preFrac)
-	if w.Ops() < a.minWindowOps || a.preScore <= 0 || post <= a.preScore*(1+a.degradeTol) {
+	if w.Ops() < MinWindowOps || a.preScore <= 0 || post <= a.preScore*(1+a.degradeTol) {
 		d.Reason = fmt.Sprintf("probation passed: windowed load %.4f vs %.4f before migration", post, a.preScore)
 		a.prevTree = nil
 		return a.record(d)
@@ -552,7 +540,7 @@ func (a *Controller) State() State {
 		Enabled:          a.enabled,
 		Interval:         a.interval,
 		Window:           a.window,
-		MinWindowOps:     a.minWindowOps,
+		MinWindowOps:     MinWindowOps,
 		MinLevelDelta:    a.minLevelDelta,
 		Cooldown:         a.cooldown,
 		Availability:     a.p,

@@ -414,7 +414,7 @@ func TestControllerStateSnapshot(t *testing.T) {
 	if st.CurrentSpec != "1-3-5" {
 		t.Errorf("current spec = %q", st.CurrentSpec)
 	}
-	if st.MinWindowOps != DefaultMinWindowOps || st.MinLevelDelta != DefaultMinLevelDelta {
+	if st.MinWindowOps != MinWindowOps || st.MinLevelDelta != DefaultMinLevelDelta {
 		t.Errorf("defaults not applied: %+v", st)
 	}
 }

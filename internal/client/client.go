@@ -136,15 +136,9 @@ func (o breakerOption) apply(c *Client) { c.breaker = bool(o) }
 // are unwelcome, e.g. the deterministic simulation harness.
 func WithBreaker(enabled bool) Option { return breakerOption(enabled) }
 
-type retryBackoffOption time.Duration
-
-func (o retryBackoffOption) apply(c *Client) { c.retryBase = time.Duration(o) }
-
-// WithRetryBackoff sets the base delay of the jittered exponential backoff
-// applied between commit re-sends and level-fallback attempts (default
-// 2ms). Attempt n sleeps base·2ⁿ jittered uniformly in [½d, 1½d), capped
-// at 16×base.
-func WithRetryBackoff(base time.Duration) Option { return retryBackoffOption(base) }
+// retryBase is the base delay of the jittered exponential backoff applied
+// between commit re-sends and level-fallback attempts.
+const retryBase = 2 * time.Millisecond
 
 type retryBudgetOption struct {
 	perOp float64
@@ -282,7 +276,6 @@ type Client struct {
 	hedging       bool
 	hedgeDelay    time.Duration
 	breaker       bool
-	retryBase     time.Duration
 	opBudget      time.Duration
 	seed          int64
 
@@ -326,7 +319,6 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		commitRetries: 3,
 		hedging:       true,
 		breaker:       true,
-		retryBase:     2 * time.Millisecond,
 		seed:          int64(id),
 		rng:           rand.New(rand.NewSource(int64(id))),
 		flights:       make(map[string]*flight),
@@ -406,19 +398,10 @@ func (c *Client) backoff(ctx context.Context, attempt int, kind string, floor ti
 			c.instr.retryLevel.Inc()
 		}
 	}
-	d := c.retryBase
-	maxd := 16 * c.retryBase
+	d := retryBase
+	const maxd = 16 * retryBase
 	for i := 0; i < attempt && d < maxd; i++ {
 		d *= 2
-	}
-	if d > maxd {
-		d = maxd
-	}
-	if d <= 0 {
-		if floor <= 0 {
-			return ctx.Err()
-		}
-		d = floor
 	}
 	c.rngMu.Lock()
 	j := d/2 + time.Duration(c.backoffRng.Int63n(int64(d)))

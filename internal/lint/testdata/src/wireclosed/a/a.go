@@ -3,7 +3,7 @@ package a
 
 import (
 	"bytes"
-	"encoding/gob" // want `encoding/gob outside internal/wire opens a second serialization path`
+	"encoding/gob" // want `encoding/gob opens a second serialization path`
 )
 
 // RoundTrip gob-encodes a value outside the wire package.

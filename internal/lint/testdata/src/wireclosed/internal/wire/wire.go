@@ -3,6 +3,8 @@
 // vectors, with deliberate holes for the analyzer to find.
 package wire
 
+import _ "encoding/gob" // want `encoding/gob opens a second serialization path`
+
 type PingReq struct{ ReqID uint64 }
 
 type PingResp struct{ ReqID uint64 }

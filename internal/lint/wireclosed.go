@@ -20,26 +20,26 @@ var wireScope = segSuffix(`internal/wire`)
 // unique value, a message type, a case in the encode type switch, a case in
 // the decode tag switch, and a golden vector in testdata/golden_*.txt (the
 // byte-level compatibility contract — a message that can be encoded but has
-// no pinned vector can change layout silently). Outside internal/wire any
-// encoding/gob import is a finding: a second serialization path is exactly
-// how version skew slipped into the pre-codec WAL.
+// no pinned vector can change layout silently). In every package, the wire
+// package included, an encoding/gob import is a finding: a second
+// serialization path is exactly how version skew slipped into the pre-codec
+// WAL.
 var WireClosed = &Analyzer{
 	Name: "wireclosed",
-	Doc:  "the wire message set is closed: tags, switches and golden vectors in lockstep; gob stays in internal/wire",
+	Doc:  "the wire message set is closed: tags, switches and golden vectors in lockstep; no encoding/gob anywhere",
 	Run:  runWireClosed,
 }
 
 func runWireClosed(pass *Pass) {
-	if pathMatches(pass.Pkg.Path, wireScope) {
-		checkWireRegistry(pass)
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		for _, imp := range f.Imports {
 			if strings.Trim(imp.Path.Value, `"`) == "encoding/gob" {
-				pass.Reportf(imp.Pos(), "encoding/gob outside internal/wire opens a second serialization path; route through wire.Codec instead")
+				pass.Reportf(imp.Pos(), "encoding/gob opens a second serialization path; route through wire.Codec instead")
 			}
 		}
+	}
+	if pathMatches(pass.Pkg.Path, wireScope) {
+		checkWireRegistry(pass)
 	}
 }
 

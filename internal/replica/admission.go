@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"arbor/internal/obs"
 	"arbor/internal/transport"
 	"arbor/internal/wire"
 )
@@ -267,19 +268,23 @@ func (g *gate) next() (gateItem, bool) {
 
 // updateQueueDepth publishes the combined queue depth; callers hold g.mu.
 func (g *gate) updateQueueDepth() {
-	if g.r.instr != nil && g.r.instr.admitQueueDepth != nil {
-		g.r.instr.admitQueueDepth.Set(float64(len(g.queues[classRead]) + len(g.queues[classPrepare])))
-	}
+	g.r.instr.admitQueueDepth.Set(float64(len(g.queues[classRead]) + len(g.queues[classPrepare])))
 }
 
 // shed answers a gated request with the typed overload reply and counts it.
 // reason is refused (gate closed: saturated or draining), queue_full, or
 // expired (budget spent while queued).
 func (r *Replica) shed(to transport.Addr, reqID uint64, reason string, retryAfter time.Duration) {
-	r.stats.sheds.Add(1)
-	if r.instr != nil {
-		r.instr.sheds.With(r.instr.site, reason).Inc()
+	r.shedMu.Lock()
+	shed := r.shedBy[reason]
+	if shed == nil {
+		if shed = r.instr.sheds.With(r.instr.site, reason); shed == nil {
+			shed = new(obs.Counter) // unobserved: a private counter
+		}
+		r.shedBy[reason] = shed
 	}
+	r.shedMu.Unlock()
+	shed.Inc()
 	r.reply(to, wire.OverloadedResp{ReqID: reqID, RetryAfterMillis: uint64(retryAfter / time.Millisecond)})
 }
 

@@ -74,14 +74,9 @@ type Replica struct {
 	syncCursors map[int]string // per-source-level resume point (next StartAfter)
 	syncHook    func(level int, cursor string)
 
-	syncStats struct {
-		keysPulled, batches, retries, completions atomic.Uint64
-		active                                    atomic.Bool
-	}
+	syncActive atomic.Bool
 
-	stats struct {
-		reads, versions, versionsForWrite, prepares, commits, aborts, pings, syncServes, refusals, sheds, replyErrors, messages atomic.Uint64
-	}
+	messages atomic.Uint64 // Stats.Messages; no registry series
 
 	// Admission control: gate bounds in-flight gated work; saturated and
 	// draining force immediate sheds (deterministic fault / graceful
@@ -92,17 +87,24 @@ type Replica struct {
 	draining    atomic.Bool
 	slowBy      atomic.Int64
 
-	// instr holds the optional obs instruments (nil when observability is
-	// off; all recording methods are nil-safe no-ops then).
-	instr *instruments
+	// instr holds every counter once (see instruments); shedBy are its
+	// per-reason shed counters (refused | queue_full | expired), each bound
+	// on its first shed so a reason that never fired has no series.
+	instr  instruments
+	shedMu sync.Mutex
+	shedBy map[string]*obs.Counter
 
 	stopServe func() // detaches deliver from the endpoint; set by Start
 }
 
-// instruments are the replica's pre-resolved obs handles: per-site serve
-// counters split by message type, lock refusal counters and a lock-wait
-// histogram.
+// instruments are the replica's pre-resolved obs handles. Each counter is
+// the only count of its fact: Stats and SyncProgress read it, and on an
+// observed replica it is the registry's own series, so /metrics and Stats
+// cannot disagree; an unobserved replica counts into private counters. The
+// handles at the end record nothing Stats reports and are nil (no-ops)
+// unless the replica is observed.
 type instruments struct {
+	site              string // the "site" label value
 	serveRead         *obs.Counter
 	serveVersionRead  *obs.Counter
 	serveVersionWrite *obs.Counter
@@ -117,12 +119,73 @@ type instruments struct {
 	syncBatches       *obs.Counter
 	syncRetries       *obs.Counter
 	syncCompletions   *obs.Counter
+	replyErrors       *obs.Counter
+	sheds             *obs.CounterVec // reason-labelled; see Replica.shedBy
 	lockRefusals      *obs.CounterVec // reason: locked | stale
 	lockWait          *obs.Histogram
-	sheds             *obs.CounterVec // reason: refused | queue_full | expired
 	admitQueueDepth   *obs.Gauge
-	replyErrors       *obs.Counter
-	site              string
+}
+
+// instrument binds the instruments to reg's series or, with a nil reg, to
+// private counters and nil handles. The literal's order is the order the
+// families register in, which is the order /metrics lists them.
+func (r *Replica) instrument(reg *obs.Registry) {
+	site := strconv.Itoa(r.site)
+	// An unobserved replica's counters are one block of its own (sized to
+	// the counters bound below): allocated one by one they would be packed
+	// beside those of the replicas built before and after it, and replicas
+	// serving on different cores would contend for the shared cache lines.
+	var own [16]obs.Counter
+	next := 0
+	counterOf := func(v *obs.CounterVec, values ...string) *obs.Counter {
+		if v == nil {
+			next++
+			return &own[next-1]
+		}
+		return v.With(values...)
+	}
+	bySite := func(name, help string) *obs.Counter {
+		return counterOf(reg.CounterVec(name, help, "site"), site)
+	}
+	serves := reg.CounterVec("arbor_replica_serves_total",
+		"Requests served by a replica, by site and message type.", "site", "type")
+	r.instr = instruments{
+		site:              site,
+		serveRead:         counterOf(serves, site, "read"),
+		serveVersionRead:  counterOf(serves, site, "version_read"),
+		serveVersionWrite: counterOf(serves, site, "version_write"),
+		servePrepare:      counterOf(serves, site, "prepare"),
+		serveCommit:       counterOf(serves, site, "commit"),
+		serveAbort:        counterOf(serves, site, "abort"),
+		servePing:         counterOf(serves, site, "ping"),
+		serveSyncDigest:   counterOf(serves, site, "sync_digest"),
+		serveSyncFetch:    counterOf(serves, site, "sync_fetch"),
+		catchupRefusals: bySite("arbor_replica_catchup_refusals_total",
+			"Read/version probes refused while the replica was catching up, by site."),
+		syncKeysPulled: bySite("arbor_replica_sync_keys_pulled_total",
+			"Keys whose value the anti-entropy syncer pulled from a live peer, by site."),
+		syncBatches: bySite("arbor_replica_sync_batches_total",
+			"Digest pages the anti-entropy syncer processed, by site."),
+		syncRetries: bySite("arbor_replica_sync_retries_total",
+			"Anti-entropy rounds retried after every candidate source failed, by site."),
+		syncCompletions: bySite("arbor_replica_sync_completions_total",
+			"Anti-entropy passes completed (replica converged to its sources), by site."),
+		lockRefusals: reg.CounterVec("arbor_replica_lock_refusals_total",
+			"Prepare requests refused, by site and reason (locked = lock contention, stale = superseded timestamp).",
+			"site", "reason"),
+		lockWait: reg.Histogram("arbor_replica_lock_wait_seconds",
+			"Time prepare handlers spent acquiring the replica's lock-table mutex."),
+		sheds: reg.CounterVec("arbor_replica_sheds_total",
+			"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, queue_full = wait queue overflow, expired = deadline budget spent while queued).",
+			"site", "reason"),
+		admitQueueDepth: reg.GaugeVec("arbor_replica_admission_queue_depth",
+			"Requests waiting in the replica's admission queue, by site.",
+			"site").With(site),
+		replyErrors: bySite("arbor_replica_reply_errors_total",
+			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site."),
+	}
+	r.store.journalErrors = bySite("arbor_replica_journal_errors_total",
+		"Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.")
 }
 
 // Option configures a Replica.
@@ -152,56 +215,9 @@ func WithMaxInflight(n int) Option { return maxInflightOption(n) }
 type observerOption struct{ reg *obs.Registry }
 
 func (o observerOption) apply(r *Replica) {
-	if o.reg == nil {
-		return
+	if o.reg != nil {
+		r.instrument(o.reg)
 	}
-	serves := o.reg.CounterVec("arbor_replica_serves_total",
-		"Requests served by a replica, by site and message type.", "site", "type")
-	site := strconv.Itoa(r.site)
-	r.instr = &instruments{
-		site:              site,
-		serveRead:         serves.With(site, "read"),
-		serveVersionRead:  serves.With(site, "version_read"),
-		serveVersionWrite: serves.With(site, "version_write"),
-		servePrepare:      serves.With(site, "prepare"),
-		serveCommit:       serves.With(site, "commit"),
-		serveAbort:        serves.With(site, "abort"),
-		servePing:         serves.With(site, "ping"),
-		serveSyncDigest:   serves.With(site, "sync_digest"),
-		serveSyncFetch:    serves.With(site, "sync_fetch"),
-		catchupRefusals: o.reg.CounterVec("arbor_replica_catchup_refusals_total",
-			"Read/version probes refused while the replica was catching up, by site.",
-			"site").With(site),
-		syncKeysPulled: o.reg.CounterVec("arbor_replica_sync_keys_pulled_total",
-			"Keys whose value the anti-entropy syncer pulled from a live peer, by site.",
-			"site").With(site),
-		syncBatches: o.reg.CounterVec("arbor_replica_sync_batches_total",
-			"Digest pages the anti-entropy syncer processed, by site.",
-			"site").With(site),
-		syncRetries: o.reg.CounterVec("arbor_replica_sync_retries_total",
-			"Anti-entropy rounds retried after every candidate source failed, by site.",
-			"site").With(site),
-		syncCompletions: o.reg.CounterVec("arbor_replica_sync_completions_total",
-			"Anti-entropy passes completed (replica converged to its sources), by site.",
-			"site").With(site),
-		lockRefusals: o.reg.CounterVec("arbor_replica_lock_refusals_total",
-			"Prepare requests refused, by site and reason (locked = lock contention, stale = superseded timestamp).",
-			"site", "reason"),
-		lockWait: o.reg.Histogram("arbor_replica_lock_wait_seconds",
-			"Time prepare handlers spent acquiring the replica's lock-table mutex."),
-		sheds: o.reg.CounterVec("arbor_replica_sheds_total",
-			"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, queue_full = wait queue overflow, expired = deadline budget spent while queued).",
-			"site", "reason"),
-		admitQueueDepth: o.reg.GaugeVec("arbor_replica_admission_queue_depth",
-			"Requests waiting in the replica's admission queue, by site.",
-			"site").With(site),
-		replyErrors: o.reg.CounterVec("arbor_replica_reply_errors_total",
-			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site.",
-			"site").With(site),
-	}
-	r.store.journalErrorsInstr = o.reg.CounterVec("arbor_replica_journal_errors_total",
-		"Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.",
-		"site").With(site)
 }
 
 // WithObserver instruments the replica against the registry (a nil registry
@@ -216,7 +232,9 @@ func New(site int, ep transport.Conn, opts ...Option) *Replica {
 		store:   NewStore(),
 		locks:   make(map[string]lockState),
 		lockTTL: 2 * time.Second,
+		shedBy:  make(map[string]*obs.Counter),
 	}
+	r.instrument(nil)
 	for _, opt := range opts {
 		opt.apply(r)
 	}
@@ -320,21 +338,28 @@ func (r *Replica) Crashed() bool { return r.Health() == HealthDown }
 
 // Stats returns a snapshot of the replica's served-operation counters.
 func (r *Replica) Stats() Stats {
-	return Stats{
-		Reads:            r.stats.reads.Load(),
-		Versions:         r.stats.versions.Load(),
-		VersionsForWrite: r.stats.versionsForWrite.Load(),
-		Prepares:         r.stats.prepares.Load(),
-		Commits:          r.stats.commits.Load(),
-		Aborts:           r.stats.aborts.Load(),
-		Pings:            r.stats.pings.Load(),
-		SyncServes:       r.stats.syncServes.Load(),
-		Refusals:         r.stats.refusals.Load(),
-		Sheds:            r.stats.sheds.Load(),
-		ReplyErrors:      r.stats.replyErrors.Load(),
-		JournalErrors:    r.store.journalErrors.Load(),
-		Messages:         r.stats.messages.Load(),
+	in := &r.instr
+	versionsForWrite := in.serveVersionWrite.Value()
+	st := Stats{
+		Reads:            in.serveRead.Value(),
+		Versions:         in.serveVersionRead.Value() + versionsForWrite,
+		VersionsForWrite: versionsForWrite,
+		Prepares:         in.servePrepare.Value(),
+		Commits:          in.serveCommit.Value(),
+		Aborts:           in.serveAbort.Value(),
+		Pings:            in.servePing.Value(),
+		SyncServes:       in.serveSyncDigest.Value() + in.serveSyncFetch.Value(),
+		Refusals:         in.catchupRefusals.Value(),
+		ReplyErrors:      in.replyErrors.Value(),
+		JournalErrors:    r.store.journalErrors.Value(),
+		Messages:         r.messages.Load(),
 	}
+	r.shedMu.Lock()
+	for _, shed := range r.shedBy {
+		st.Sheds += shed.Value()
+	}
+	r.shedMu.Unlock()
+	return st
 }
 
 // deliver takes one message from the transport. Over TCP it runs on the
@@ -349,7 +374,7 @@ func (r *Replica) deliver(msg transport.Message) {
 		r.Crash() // fail point: die before processing the request
 		return
 	}
-	r.stats.messages.Add(1)
+	r.messages.Add(1)
 	r.handle(msg)
 }
 
@@ -393,37 +418,22 @@ func (r *Replica) handle(msg transport.Message) {
 			r.gate.submit(msg.From, req.ReqID, classPrepare, req.DeadlineMillis, func() { r.servePrepare(msg.From, req) })
 		}
 	case CommitReq:
-		r.stats.commits.Add(1)
-		if r.instr != nil {
-			r.instr.serveCommit.Inc()
-		}
+		r.instr.serveCommit.Inc()
 		ok := r.commit(req)
 		r.reply(msg.From, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok})
 	case AbortReq:
-		r.stats.aborts.Add(1)
-		if r.instr != nil {
-			r.instr.serveAbort.Inc()
-		}
+		r.instr.serveAbort.Inc()
 		r.abort(req)
 		r.reply(msg.From, AbortResp{ReqID: req.ReqID, TxID: req.TxID})
 	case PingReq:
-		r.stats.pings.Add(1)
-		if r.instr != nil {
-			r.instr.servePing.Inc()
-		}
+		r.instr.servePing.Inc()
 		r.reply(msg.From, PingResp{ReqID: req.ReqID, Site: r.site})
 	case SyncDigestReq:
-		r.stats.syncServes.Add(1)
-		if r.instr != nil {
-			r.instr.serveSyncDigest.Inc()
-		}
+		r.instr.serveSyncDigest.Inc()
 		entries, more := r.store.DigestPage(req.StartAfter, req.Limit)
 		r.reply(msg.From, SyncDigestResp{ReqID: req.ReqID, Entries: entries, More: more})
 	case SyncFetchReq:
-		r.stats.syncServes.Add(1)
-		if r.instr != nil {
-			r.instr.serveSyncFetch.Inc()
-		}
+		r.instr.serveSyncFetch.Inc()
 		items := make([]SyncItem, 0, len(req.Keys))
 		for _, key := range req.Keys {
 			value, ts, found := r.store.Get(key)
@@ -439,26 +449,17 @@ func (r *Replica) handle(msg transport.Message) {
 
 // serveRead answers a ReadReq (admission-gated; runs on a gate worker).
 func (r *Replica) serveRead(from transport.Addr, req ReadReq) {
-	r.stats.reads.Add(1)
-	if r.instr != nil {
-		r.instr.serveRead.Inc()
-	}
+	r.instr.serveRead.Inc()
 	value, ts, found := r.store.Get(req.Key)
 	r.reply(from, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
 }
 
 // serveVersion answers a VersionReq (admission-gated; runs on a gate worker).
 func (r *Replica) serveVersion(from transport.Addr, req VersionReq) {
-	r.stats.versions.Add(1)
 	if req.ForWrite {
-		r.stats.versionsForWrite.Add(1)
-	}
-	if r.instr != nil {
-		if req.ForWrite {
-			r.instr.serveVersionWrite.Inc()
-		} else {
-			r.instr.serveVersionRead.Inc()
-		}
+		r.instr.serveVersionWrite.Inc()
+	} else {
+		r.instr.serveVersionRead.Inc()
 	}
 	ts, found := r.store.Version(req.Key)
 	r.reply(from, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
@@ -468,12 +469,9 @@ func (r *Replica) serveVersion(from transport.Addr, req VersionReq) {
 // worker — the lock table is mutex-guarded, so concurrent prepares are
 // serialized).
 func (r *Replica) servePrepare(from transport.Addr, req PrepareReq) {
-	r.stats.prepares.Add(1)
-	if r.instr != nil {
-		r.instr.servePrepare.Inc()
-	}
+	r.instr.servePrepare.Inc()
 	ok, reason := r.prepare(req)
-	if !ok && r.instr != nil {
+	if !ok {
 		r.instr.lockRefusals.With(r.instr.site, reason).Inc()
 	}
 	r.reply(from, PrepareResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok, Reason: reason})
@@ -482,10 +480,7 @@ func (r *Replica) servePrepare(from transport.Addr, req PrepareReq) {
 // refuse turns a probe away while catching up: a fast negative reply beats
 // silence, which would cost the client a full timeout.
 func (r *Replica) refuse(to transport.Addr, payload any) {
-	r.stats.refusals.Add(1)
-	if r.instr != nil {
-		r.instr.catchupRefusals.Inc()
-	}
+	r.instr.catchupRefusals.Inc()
 	r.reply(to, payload)
 }
 
@@ -493,17 +488,14 @@ func (r *Replica) refuse(to transport.Addr, payload any) {
 // failed Send is counted and the handler (over TCP, a read loop) carries on.
 func (r *Replica) reply(to transport.Addr, payload any) {
 	if err := r.ep.Send(to, payload); err != nil {
-		r.stats.replyErrors.Add(1)
-		if r.instr != nil {
-			r.instr.replyErrors.Inc()
-		}
+		r.instr.replyErrors.Inc()
 	}
 }
 
 // prepare locks the key for the transaction if it is free (or its lock
 // expired) and the proposed timestamp supersedes the stored one.
 func (r *Replica) prepare(req PrepareReq) (bool, string) {
-	if r.instr != nil {
+	if r.instr.lockWait != nil {
 		waitStart := time.Now()
 		r.mu.Lock()
 		r.instr.lockWait.Observe(time.Since(waitStart))

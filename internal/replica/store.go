@@ -3,7 +3,6 @@ package replica
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"arbor/internal/obs"
 )
@@ -23,14 +22,14 @@ type Store struct {
 	mu      sync.Mutex
 	data    map[string]entry
 	journal *WAL
-	// Failed journal appends, and the same count on the replica's observer.
-	journalErrors      atomic.Uint64
-	journalErrorsInstr *obs.Counter
+	// journalErrors counts failed journal appends; a replica rebinds it to
+	// its observer's series.
+	journalErrors *obs.Counter
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string]entry)}
+	return &Store{data: make(map[string]entry), journalErrors: new(obs.Counter)}
 }
 
 // Get returns the stored value (shared, read-only) and timestamp for key.
@@ -63,8 +62,7 @@ func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 	journal := s.journal
 	s.mu.Unlock()
 	if journal != nil && journal.Append(key, value, ts) != nil {
-		s.journalErrors.Add(1)
-		s.journalErrorsInstr.Inc()
+		s.journalErrors.Inc()
 	}
 	return true
 }

@@ -117,7 +117,7 @@ func (r *Replica) StartSync(plan SyncPlan) bool {
 	done := make(chan struct{})
 	r.syncStop, r.syncDone = stop, done
 	r.syncMu.Unlock()
-	r.syncStats.active.Store(true)
+	r.syncActive.Store(true)
 	go r.runSync(plan, stop, done)
 	return true
 }
@@ -126,11 +126,11 @@ func (r *Replica) StartSync(plan SyncPlan) bool {
 func (r *Replica) SyncProgress() SyncProgress {
 	return SyncProgress{
 		Health:      r.Health(),
-		Active:      r.syncStats.active.Load(),
-		KeysPulled:  r.syncStats.keysPulled.Load(),
-		Batches:     r.syncStats.batches.Load(),
-		Retries:     r.syncStats.retries.Load(),
-		Completions: r.syncStats.completions.Load(),
+		Active:      r.syncActive.Load(),
+		KeysPulled:  r.instr.syncKeysPulled.Value(),
+		Batches:     r.instr.syncBatches.Value(),
+		Retries:     r.instr.syncRetries.Value(),
+		Completions: r.instr.syncCompletions.Value(),
 	}
 }
 
@@ -157,7 +157,7 @@ func (r *Replica) abortSync() {
 // source level, plus a fresh full pass if the first was a resume.
 func (r *Replica) runSync(plan SyncPlan, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	defer r.syncStats.active.Store(false)
+	defer r.syncActive.Store(false)
 	cfg := plan.Config.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	passes := 1
@@ -175,10 +175,7 @@ func (r *Replica) runSync(plan SyncPlan, stop <-chan struct{}, done chan<- struc
 		}
 	}
 	r.resetCursors()
-	r.syncStats.completions.Add(1)
-	if r.instr != nil {
-		r.instr.syncCompletions.Inc()
-	}
+	r.instr.syncCompletions.Inc()
 	r.health.CompareAndSwap(int32(HealthCatchingUp), int32(HealthLive))
 }
 
@@ -198,10 +195,7 @@ func (r *Replica) syncLevel(li int, peers []transport.Addr, cfg SyncConfig, rng 
 			return err
 		}
 		if err != nil {
-			r.syncStats.retries.Add(1)
-			if r.instr != nil {
-				r.instr.syncRetries.Inc()
-			}
+			r.instr.syncRetries.Inc()
 			d := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
 			if !sleepInterruptible(d, stop) {
 				return errSyncAborted
@@ -272,17 +266,11 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 				continue
 			}
 			if r.store.Apply(it.Key, it.Value, it.TS) {
-				r.syncStats.keysPulled.Add(1)
-				if r.instr != nil {
-					r.instr.syncKeysPulled.Inc()
-				}
+				r.instr.syncKeysPulled.Inc()
 			}
 		}
 	}
-	r.syncStats.batches.Add(1)
-	if r.instr != nil {
-		r.instr.syncBatches.Inc()
-	}
+	r.instr.syncBatches.Inc()
 	if n := len(dig.Entries); n > 0 {
 		r.setCursor(li, dig.Entries[n-1].Key)
 	}

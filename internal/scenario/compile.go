@@ -14,51 +14,45 @@ import (
 // say "steps" (clamped to the ramp's op count).
 const defaultRampSteps = 4
 
-// Compiled is a scenario lowered onto the chaos harness: the effective
-// configuration (defaults applied) and the fully-derived input, with the
-// scenario's explicit fault events merged into the generated schedule.
-// sim.Execute(c.Input) runs it; Spec.Check judges the result.
-type Compiled struct {
-	Spec  *Spec
-	Cfg   sim.Config
-	Input sim.Input
-}
-
-// Compile lowers the spec. Workload phases become sim phase specs (ramps
+// Compile lowers the spec onto the chaos harness: the fully-derived input
+// (its Cfg the effective configuration, defaults applied) that sim.Execute
+// runs and Spec.Check judges. Workload phases become sim phase specs (ramps
 // expand into interpolated numeric-profile steps), the latency matrix
 // becomes a per-site RTT map over the tree's physical levels, and the
 // explicit fault lines merge tick-ordered with whatever the faults
 // directive asked the harness to generate. Without a faults directive the
-// run injects only the scenario's own events.
-func (s *Spec) Compile() (*Compiled, error) {
+// run injects only the scenario's own events. A keep list masks the
+// generated op stream last, so the kept ops carry their original indices.
+func (s *Spec) Compile() (sim.Input, error) {
 	tr, err := tree.ParseSpec(s.Tree)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return sim.Input{}, fmt.Errorf("scenario: %w", err)
 	}
 	cfg := sim.Config{
-		Spec:        s.Tree,
-		Seed:        s.Seed,
-		Profile:     s.Profile,
-		Zipf:        s.Zipf,
-		Ops:         s.Ops,
-		Clients:     s.Clients,
-		Keys:        s.Keys,
-		Timeout:     s.Timeout,
-		LockTTL:     s.LockTTL,
-		AntiEntropy: s.AntiEntropy,
-		Adapt:       s.Adapt,
-		AdaptEvery:  s.AdaptEvery,
-		Latency:     s.Latency.Base,
-		Jitter:      s.Latency.Jitter,
-		JitterDist:  s.Latency.Dist,
-		Faults:      -1,
+		Spec:          s.Tree,
+		Seed:          s.Seed,
+		Profile:       s.Profile,
+		Zipf:          s.Zipf,
+		Ops:           s.Ops,
+		Clients:       s.Clients,
+		Keys:          s.Keys,
+		Timeout:       s.Timeout,
+		LockTTL:       s.LockTTL,
+		SkipWALReplay: s.SkipWALReplay,
+		AntiEntropy:   s.AntiEntropy,
+		Adapt:         s.Adapt,
+		AdaptEvery:    s.AdaptEvery,
+		Latency:       s.Latency.Base,
+		Jitter:        s.Latency.Jitter,
+		JitterDist:    s.Latency.Dist,
+		Faults:        -1,
 	}
 	if s.Faults > 0 {
 		cfg.Faults = s.Faults
 	}
 	phases, err := expandPhases(s.Phases)
 	if err != nil {
-		return nil, err
+		return sim.Input{}, err
 	}
 	cfg.Phases = phases
 	if len(s.Latency.Levels)+len(s.Latency.Sites) > 0 {
@@ -76,13 +70,75 @@ func (s *Spec) Compile() (*Compiled, error) {
 	}
 	in, err := sim.BuildInput(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return sim.Input{}, fmt.Errorf("scenario: %w", err)
 	}
 	if len(s.Schedule) > 0 {
 		in.Events = append(in.Events, s.Schedule...)
 		sort.SliceStable(in.Events, func(i, j int) bool { return in.Events[i].At < in.Events[j].At })
 	}
-	return &Compiled{Spec: s, Cfg: in.Cfg, Input: in}, nil
+	if s.Keep != nil {
+		kept := make([]sim.OpSpec, len(s.Keep))
+		for i, k := range s.Keep {
+			kept[i] = in.Ops[k]
+		}
+		in.Ops = kept
+	}
+	return in, nil
+}
+
+// FromInput writes a fully-determined run — one BuildInput, Compile or
+// Shrink produced — back as a scenario, the form a shrunk failure is saved
+// and replayed in: Compile of the result (also after String and Parse)
+// rebuilds the same ops and the same events. Every fault becomes an
+// explicit fault line with faults unset, a shorter op list a keep line;
+// the workload= phase markers are left out because BuildInput derives them
+// from the phases again. There are no expect lines: replaying a scenario
+// without any fails on every invariant violation.
+func FromInput(in sim.Input) *Spec {
+	cfg := in.Cfg
+	s := &Spec{
+		Tree:          cfg.Spec,
+		Seed:          cfg.Seed,
+		Keys:          cfg.Keys,
+		Clients:       cfg.Clients,
+		Timeout:       cfg.Timeout,
+		LockTTL:       cfg.LockTTL,
+		SkipWALReplay: cfg.SkipWALReplay,
+		AntiEntropy:   cfg.AntiEntropy,
+		Adapt:         cfg.Adapt,
+		Latency:       Latency{Base: cfg.Latency, Jitter: cfg.Jitter, Dist: cfg.JitterDist},
+	}
+	if tr, err := tree.ParseSpec(cfg.Spec); err == nil {
+		s.Tree = tr.Spec() // -spec may have been given in a non-canonical form
+	}
+	if cfg.Adapt {
+		s.AdaptEvery = cfg.AdaptEvery
+	}
+	for site, rtt := range cfg.SiteRTT {
+		s.Latency.Sites = append(s.Latency.Sites, SiteRTT{Site: site, RTT: rtt})
+	}
+	sort.Slice(s.Latency.Sites, func(i, j int) bool { return s.Latency.Sites[i].Site < s.Latency.Sites[j].Site })
+	for _, p := range cfg.Phases {
+		if p.Profile == "" {
+			p.Profile = sim.ProfileBalanced
+		}
+		s.Phases = append(s.Phases, Phase{Profile: p.Profile, Ops: p.Ops, Zipf: p.Zipf})
+	}
+	if len(cfg.Phases) == 0 {
+		s.Ops, s.Profile, s.Zipf = cfg.Ops, cfg.Profile, cfg.Zipf
+	}
+	if len(in.Ops) != cfg.Ops {
+		s.Keep = make([]int, len(in.Ops))
+		for i, op := range in.Ops {
+			s.Keep[i] = op.Index
+		}
+	}
+	for _, ev := range in.Events {
+		if !sim.IsMarker(ev) {
+			s.Schedule = append(s.Schedule, ev)
+		}
+	}
+	return s
 }
 
 // expandPhases lowers the workload timeline. Plain phases map one-to-one;

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"arbor/internal/adapt"
+	"arbor/internal/cluster"
 	"arbor/internal/sim"
 	"arbor/internal/tree"
 )
@@ -66,7 +67,7 @@ func TestCompileLowersOntoSim(t *testing.T) {
 	// tick order.
 	var ticks []time.Duration
 	crashes := 0
-	for _, ev := range c.Input.Events {
+	for _, ev := range c.Events {
 		ticks = append(ticks, ev.At)
 		if len(ev.Crash) > 0 {
 			crashes++
@@ -80,8 +81,8 @@ func TestCompileLowersOntoSim(t *testing.T) {
 			t.Errorf("merged schedule out of order: %v", ticks)
 		}
 	}
-	if len(c.Input.Ops) != 50 {
-		t.Errorf("op stream has %d ops, want 50", len(c.Input.Ops))
+	if len(c.Ops) != 50 {
+		t.Errorf("op stream has %d ops, want 50", len(c.Ops))
 	}
 }
 
@@ -198,12 +199,7 @@ func TestCheckExpectations(t *testing.T) {
 // any change to parsing, lowering, generation or execution that alters a
 // single op or fault application shows up here.
 func TestScenarioGoldenTraces(t *testing.T) {
-	golden := map[string]string{
-		"chaos-mostly-read":      "6fcabaa0b34ae4ece47c2978d3929510bce591fa3100f4a7affa79c5c364ece6",
-		"workload-flip-adapt":    "9142b9c7f83caa7eece015384cb500fc199f11d30ca804217e0723bb45fe9535",
-		"partition-anti-entropy": "44e727710d33915a4899c194b11cea41e7dfcfaa5df23c5422a0dda554948943",
-	}
-	for name, want := range golden {
+	for name, want := range goldenTraces {
 		name, want := name, want
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -215,14 +211,195 @@ func TestScenarioGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Execute(c.Input)
+			checkTraceHash(t, c, want)
+		})
+	}
+}
+
+// goldenTraces pins the trace hash of three corpus scenarios.
+var goldenTraces = map[string]string{
+	"chaos-mostly-read":      "6fcabaa0b34ae4ece47c2978d3929510bce591fa3100f4a7affa79c5c364ece6",
+	"workload-flip-adapt":    "9142b9c7f83caa7eece015384cb500fc199f11d30ca804217e0723bb45fe9535",
+	"partition-anti-entropy": "44e727710d33915a4899c194b11cea41e7dfcfaa5df23c5422a0dda554948943",
+}
+
+func checkTraceHash(t *testing.T, in sim.Input, want string) {
+	t.Helper()
+	res, err := sim.Execute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256([]byte(strings.Join(res.Trace, "\n")))
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Errorf("trace hash = %s, want %s (%d trace lines)\nfirst lines:\n%s",
+			got, want, len(res.Trace), strings.Join(res.Trace[:min(5, len(res.Trace))], "\n"))
+	}
+}
+
+// reproduce writes the input as a reproducer, checks the text is a
+// canonical scenario, and compiles what reading it back yields.
+func reproduce(t *testing.T, in sim.Input) (string, sim.Input) {
+	t.Helper()
+	text := FromInput(in).String()
+	back, err := Parse(text)
+	if err != nil {
+		t.Fatalf("reproducer does not parse: %v\n%s", err, text)
+	}
+	if got := back.String(); got != text {
+		t.Fatalf("reproducer is not canonical:\nwritten:\n%s\nrendered:\n%s", text, got)
+	}
+	if len(back.Expects) != 0 || back.Faults != 0 {
+		t.Errorf("reproducer declares expects or generated faults:\n%s", text)
+	}
+	c, err := back.Compile()
+	if err != nil {
+		t.Fatalf("reproducer does not compile: %v\n%s", err, text)
+	}
+	return text, c
+}
+
+// TestReproducerRoundTrip: a run written as a .arb reproducer and read
+// back is the same run — the same ops and the same events, phase markers
+// included — for every corpus scenario (the three golden ones also replay
+// to their pinned trace hashes) and for generated inputs covering each
+// thing a reproducer has to carry.
+func TestReproducerRoundTrip(t *testing.T) {
+	check := func(t *testing.T, in sim.Input, wantLines ...string) sim.Input {
+		t.Helper()
+		text, again := reproduce(t, in)
+		for _, want := range wantLines {
+			if !strings.Contains("\n"+text, "\n"+want+"\n") {
+				t.Errorf("reproducer lacks the line %q:\n%s", want, text)
+			}
+		}
+		if !reflect.DeepEqual(in.Ops, again.Ops) {
+			t.Errorf("ops differ after the round trip:\n%+v\n%+v\n%s", in.Ops, again.Ops, text)
+		}
+		if !reflect.DeepEqual(in.Events, again.Events) {
+			t.Errorf("events differ after the round trip:\n%v\n%v\n%s", in.Events, again.Events, text)
+		}
+		return again
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.arb"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scenario corpus: %v", err)
+	}
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".arb")
+		t.Run("corpus/"+name, func(t *testing.T) {
+			t.Parallel()
+			spec, err := Load(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.Sum256([]byte(strings.Join(res.Trace, "\n")))
-			if got := hex.EncodeToString(h[:]); got != want {
-				t.Errorf("trace hash = %s, want %s (%d trace lines)\nfirst lines:\n%s",
-					got, want, len(res.Trace), strings.Join(res.Trace[:min(5, len(res.Trace))], "\n"))
+			c, err := spec.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := check(t, c)
+			if want, ok := goldenTraces[name]; ok {
+				checkTraceHash(t, again, want)
+			}
+		})
+	}
+	base := sim.Config{
+		Seed: 9, Ops: 30, Faults: 4, Keys: 3, Clients: 2,
+		Timeout: 30 * time.Millisecond, LockTTL: 500 * time.Millisecond,
+	}
+	generated := []struct {
+		name  string
+		tweak func(*sim.Config)
+		lines []string
+	}{
+		{"antientropy", func(c *sim.Config) { c.AntiEntropy = true }, []string{"antientropy"}},
+		{"phases+adapt", func(c *sim.Config) {
+			c.Spec, c.Adapt = "1-8", true
+			c.Phases = []sim.PhaseSpec{{Profile: sim.ProfileMostlyRead, Ops: 40}, {Ops: 30}, {Profile: "r0.7", Ops: 20, Zipf: 1.2}}
+		}, []string{"tree 1-8", "adapt every 10", "phase mostly-read 40", "phase balanced 30", "phase r0.7 20 zipf 1.2"}},
+		{"latency+zipf+sitertt", func(c *sim.Config) {
+			c.Zipf, c.Latency, c.Jitter, c.JitterDist = 1.4, time.Millisecond, 500*time.Microsecond, "pareto"
+			c.SiteRTT = map[tree.SiteID]time.Duration{5: 8 * time.Millisecond, 1: 2 * time.Millisecond}
+		}, []string{"zipf 1.4", "latency base 1ms", "latency jitter 500µs", "latency dist pareto", "latency site 1 2ms", "latency site 5 8ms"}},
+		{"overload", func(c *sim.Config) { c.Overload = true }, nil},
+		{"bug", func(c *sim.Config) { c.SkipWALReplay = true }, []string{"bug skip-wal-replay"}},
+	}
+	for _, g := range generated {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := base
+			g.tweak(&cfg)
+			in, err := sim.BuildInput(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := check(t, in, g.lines...)
+			got, want := again.Cfg, in.Cfg
+			got.Faults, got.Overload, want.Faults, want.Overload = 0, false, 0, false // carried as explicit events
+			want.Phases = append([]sim.PhaseSpec(nil), want.Phases...)
+			for i, p := range want.Phases {
+				if p.Profile == "" {
+					want.Phases[i].Profile = sim.ProfileBalanced // what the empty profile means
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("config differs after the round trip:\n%+v\n%+v", want, got)
+			}
+			// What the shrinker does: fewer ops and fewer faults, both by
+			// removal only; the phase markers stay.
+			in.Ops = append(in.Ops[2:9:9], in.Ops[20:]...)
+			var events []cluster.Event
+			for i, ev := range in.Events {
+				if sim.IsMarker(ev) || i%2 == 0 {
+					events = append(events, ev)
+				}
+			}
+			in.Events = events
+			check(t, in)
+			in.Ops = in.Ops[:0]
+			check(t, in, "keep -")
+		})
+	}
+}
+
+// TestShrunkReproducerReplays is the loop a nightly failure goes through:
+// the self-test's armed bug is found and shrunk, the shrunk input is
+// written as a .arb file, and replaying the file shows the same violations
+// and the same trace, line for line, as the input it was written from —
+// with a phased workload too, whose markers the file does not carry.
+func TestShrunkReproducerReplays(t *testing.T) {
+	for name, phases := range map[string][]sim.PhaseSpec{
+		"plain":  nil,
+		"phased": {{Profile: sim.ProfileMostlyWrite, Ops: 15}, {Profile: sim.ProfileBalanced, Ops: 10}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := sim.Campaign(sim.Config{
+				Seed: 1, Ops: 25, Faults: 5, Keys: 3, Clients: 2, Phases: phases,
+				Timeout: 30 * time.Millisecond, SkipWALReplay: true,
+			}, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failure == nil {
+				t.Fatal("campaign missed the injected WAL-replay bug")
+			}
+			text, again := reproduce(t, rep.Failure.Input)
+			if n := len(FromInput(again).Schedule); n > 5 {
+				t.Errorf("reproducer has %d fault events, want ≤ 5:\n%s", n, text)
+			}
+			want, err := sim.Execute(rep.Failure.Input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.Execute(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Failed() || !reflect.DeepEqual(got.Violations, rep.Failure.Violations) {
+				t.Errorf("replay shows %v, the campaign reported %v\n%s", got.Violations, rep.Failure.Violations, text)
+			}
+			if !reflect.DeepEqual(got.Trace, want.Trace) {
+				t.Errorf("replayed trace differs from the shrunk input's:\n%s\n--- want ---\n%s\n%s",
+					strings.Join(got.Trace, "\n"), strings.Join(want.Trace, "\n"), text)
 			}
 		})
 	}
@@ -264,7 +441,7 @@ func TestScenarioCorpusReplaysGreen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Execute(c.Input)
+			res, err := sim.Execute(c)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,8 @@ import (
 // FuzzParseScenario drives random text through the parser and demands
 // the canonical-form fixpoint: whatever Parse accepts must render to a
 // form that reparses to the structurally identical Spec and renders
-// identically again. This is the same discipline the schedule and
-// reproducer parsers are held to.
+// identically again. This is the same discipline the schedule parser is
+// held to; reproducers are scenario files, so it covers them too.
 func FuzzParseScenario(f *testing.F) {
 	seeds := []string{
 		"tree 1-3-5\nops 10\n",
@@ -22,6 +22,8 @@ func FuzzParseScenario(f *testing.F) {
 		"tree 1-3-5\nops 10\nexpect margin-gaps 0\nexpect no-history-violations\n",
 		"# comment\n\ntree 1-3-5 # tail\nops 10\n",
 		"tree 1-3-5\nops 10\nfault 10ms:heal\nfault 5ms:crash=1\n",
+		"tree 1-2\nseed 3\nops 25\nprofile mostly-write\nkeys 3\nclients 2\ntimeout 30ms\nlockttl 1s\nbug skip-wal-replay\nkeep 0,7\nfault 9ms:restart\n",
+		"tree 1-8\nphase r0.7 20 zipf 1.2\nlatency site 4 80ms\nadapt every 10\nantientropy\nkeep -\n",
 		"tree 1-x\nops 10\n",
 		"tree 1-3-5\nops 10\nexpect margin-gaps >=\n",
 		"tree 1-3-5\nops 10\nlatency level 9 1ms\n",

@@ -143,6 +143,35 @@ func Parse(text string) (*Spec, error) {
 			if err := parsePositiveDuration(f, &s.LockTTL, once, errf); err != nil {
 				return nil, err
 			}
+		case "bug":
+			if err := once("bug"); err != nil {
+				return nil, err
+			}
+			if len(f) != 2 || f[1] != "skip-wal-replay" {
+				return nil, errf("bug needs a known defect name (skip-wal-replay)")
+			}
+			s.SkipWALReplay = true
+		case "keep":
+			if err := once("keep"); err != nil {
+				return nil, err
+			}
+			if len(f) != 2 {
+				return nil, errf("keep needs op indices like 0,3,7 (or - for none)")
+			}
+			s.Keep = []int{}
+			if f[1] == "-" {
+				break
+			}
+			for _, tok := range strings.Split(f[1], ",") {
+				k, err := strconv.Atoi(tok)
+				if err != nil || k < 0 {
+					return nil, errf("keep needs op indices like 0,3,7 (or - for none), not %q", f[1])
+				}
+				if n := len(s.Keep); n > 0 && k <= s.Keep[n-1] {
+					return nil, errf("keep indices must be ascending and unique: %d after %d", k, s.Keep[n-1])
+				}
+				s.Keep = append(s.Keep, k)
+			}
 		case "antientropy":
 			if err := once("antientropy"); err != nil {
 				return nil, err
@@ -458,6 +487,13 @@ func (s *Spec) validate() error {
 	}
 	if len(s.Phases) > 0 && (s.Ops != 0 || s.Profile != "" || s.Zipf != 0) {
 		return fmt.Errorf("scenario: ops, profile and zipf conflict with phase/ramp lines (phases define the workload)")
+	}
+	ops := s.Ops
+	for _, p := range s.Phases {
+		ops += p.Ops
+	}
+	if n := len(s.Keep); n > 0 && s.Keep[n-1] >= ops {
+		return fmt.Errorf("scenario: keep index %d: the workload has ops 0..%d", s.Keep[n-1], ops-1)
 	}
 	if s.Latency.Dist != "" && s.Latency.Jitter == 0 {
 		return fmt.Errorf("scenario: latency dist needs latency jitter")

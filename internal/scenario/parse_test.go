@@ -79,6 +79,21 @@ func TestParseScenarioTable(t *testing.T) {
 			want: "tree 1-3-5\nops 10\nantientropy\n",
 		},
 		{
+			name: "reproducer: bug and keep render in canonical position",
+			in:   "tree 1-2\nfault 4ms:restart\nkeep 0,2,3\nbug skip-wal-replay\nops 4\n",
+			want: "tree 1-2\nops 4\nbug skip-wal-replay\nkeep 0,2,3\nfault 4ms:restart\n",
+		},
+		{
+			name: "keep - keeps no op",
+			in:   "tree 1-2\nops 4\nkeep -\n",
+			want: "tree 1-2\nops 4\nkeep -\n",
+		},
+		{
+			name: "keep indexes the phase total",
+			in:   "tree 1-2\nphase balanced 3\nramp mostly-read mostly-write 4\nkeep 06\n",
+			want: "tree 1-2\nphase balanced 3\nramp mostly-read mostly-write 4\nkeep 6\n",
+		},
+		{
 			name: "latency classes sort by level and site",
 			in:   "tree 1-3-5\nops 10\nlatency level 1 4ms\nlatency level 0 2ms\nlatency site 8 9ms\nlatency site 2 3ms\n",
 			want: "tree 1-3-5\nops 10\nlatency level 0 2ms\nlatency level 1 4ms\nlatency site 2 3ms\nlatency site 8 9ms\n",
@@ -204,7 +219,67 @@ func TestParseScenarioTable(t *testing.T) {
 			in:   "tree 1-8\nops 10\nadapt every 0\n",
 			err:  `scenario: line 3: adapt every needs a positive op stride, not "0"`,
 		},
+		{
+			name: "bug unknown",
+			in:   "tree 1-2\nops 4\nbug eat-ram\n",
+			err:  "scenario: line 3: bug needs a known defect name (skip-wal-replay)",
+		},
+		{
+			name: "bug without a name",
+			in:   "tree 1-2\nops 4\nbug\n",
+			err:  "scenario: line 3: bug needs a known defect name (skip-wal-replay)",
+		},
+		{
+			name: "keep without indices",
+			in:   "tree 1-2\nops 4\nkeep\n",
+			err:  "scenario: line 3: keep needs op indices like 0,3,7 (or - for none)",
+		},
+		{
+			name: "keep not a number",
+			in:   "tree 1-2\nops 4\nkeep 0,x\n",
+			err:  `scenario: line 3: keep needs op indices like 0,3,7 (or - for none), not "0,x"`,
+		},
+		{
+			name: "keep negative",
+			in:   "tree 1-2\nops 4\nkeep -1\n",
+			err:  `scenario: line 3: keep needs op indices like 0,3,7 (or - for none), not "-1"`,
+		},
+		{
+			name: "keep with spaces",
+			in:   "tree 1-2\nops 4\nkeep 0, 2\n",
+			err:  "scenario: line 3: keep needs op indices like 0,3,7 (or - for none)",
+		},
+		{
+			name: "keep unsorted",
+			in:   "tree 1-2\nops 4\nkeep 0,3,2\n",
+			err:  "scenario: line 3: keep indices must be ascending and unique: 2 after 3",
+		},
+		{
+			name: "keep repeats an index",
+			in:   "tree 1-2\nops 4\nkeep 1,1\n",
+			err:  "scenario: line 3: keep indices must be ascending and unique: 1 after 1",
+		},
+		{
+			name: "keep out of range",
+			in:   "tree 1-2\nkeep 0,4\nops 4\n",
+			err:  "scenario: keep index 4: the workload has ops 0..3",
+		},
+		{
+			name: "keep out of range of the phase total",
+			in:   "tree 1-2\nphase balanced 3\nphase mostly-read 4\nkeep 7\n",
+			err:  "scenario: keep index 7: the workload has ops 0..6",
+		},
 		// --- rejections: duplicates ---
+		{
+			name: "duplicate bug",
+			in:   "tree 1-2\nops 4\nbug skip-wal-replay\nbug skip-wal-replay\n",
+			err:  "scenario: line 4: duplicate bug directive",
+		},
+		{
+			name: "duplicate keep",
+			in:   "tree 1-2\nops 4\nkeep 0\nkeep 1\n",
+			err:  "scenario: line 4: duplicate keep directive",
+		},
 		{
 			name: "duplicate tree",
 			in:   "tree 1-3-5\ntree 1-8\nops 10\n",
@@ -467,6 +542,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 		"faults 2",
 		"timeout 100ms",
 		"lockttl 2s",
+		"bug skip-wal-replay",
 		"antientropy",
 		"adapt every 10",
 		"latency base 1ms",
@@ -476,6 +552,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 		"latency site 5 6ms",
 		"phase mostly-read 40",
 		"ramp mostly-read mostly-write 40 steps 4",
+		"keep 0,39,40,79",
 		"fault 5ms:crash=2;20ms:recoversync=2",
 		"expect no-violations",
 		"expect final-spec 1-3-5",
@@ -484,14 +561,14 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != -7 || !spec.AntiEntropy || spec.AdaptEvery != 10 {
+	if spec.Seed != -7 || !spec.AntiEntropy || spec.AdaptEvery != 10 || !spec.SkipWALReplay {
 		t.Errorf("scalar fields wrong: %+v", spec)
 	}
 	if len(spec.Phases) != 2 || !spec.Phases[1].Ramp || spec.Phases[1].Steps != 4 {
 		t.Errorf("phases wrong: %+v", spec.Phases)
 	}
-	if len(spec.Schedule) != 2 || len(spec.Expects) != 2 {
-		t.Errorf("schedule/expects wrong: %d events, %d expects", len(spec.Schedule), len(spec.Expects))
+	if len(spec.Schedule) != 2 || len(spec.Expects) != 2 || !reflect.DeepEqual(spec.Keep, []int{0, 39, 40, 79}) {
+		t.Errorf("schedule/expects/keep wrong: %d events, %d expects, keep %v", len(spec.Schedule), len(spec.Expects), spec.Keep)
 	}
 	again, err := Parse(spec.String())
 	if err != nil {

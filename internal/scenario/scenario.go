@@ -7,10 +7,11 @@
 // duplicate directives are errors, every reference is validated against
 // the declared tree), String renders the canonical form (parse→format→
 // parse is a fixpoint, fuzz-verified), and Compile lowers the spec onto
-// the deterministic chaos harness: a sim.Config plus a fully-derived
-// sim.Input whose generated events are merged with the scenario's explicit
-// fault lines. Check then judges a finished run against the expect
+// the deterministic chaos harness: a fully-derived sim.Input whose
+// generated events are merged with the scenario's explicit fault lines. Check then judges a finished run against the expect
 // assertions, so a scenarios/ corpus replays green or explains why not.
+// FromInput goes the other way — a shrunk failing run written back as a
+// scenario — so the .arb file is the only textual description of a run.
 //
 // A scenario file looks like:
 //
@@ -27,6 +28,17 @@
 //	expect no-violations
 //	expect reconfigurations >=2
 //	expect final-spec 1-8
+//
+// A reproducer is the same language with no expect lines (any invariant
+// violation then fails the replay) and the two directives only a shrunk
+// run needs: keep, the op indices the shrinker retained, and bug, the
+// self-test's armed defect:
+//
+//	tree 1-2
+//	ops 4
+//	bug skip-wal-replay
+//	keep 0,2
+//	fault 4ms:restart
 //
 // Blank lines are skipped and # starts a comment anywhere on a line.
 package scenario
@@ -69,6 +81,9 @@ type Spec struct {
 	// Timeout and LockTTL tune the cluster.
 	Timeout time.Duration
 	LockTTL time.Duration
+	// SkipWALReplay arms the self-test's durability defect (the bug
+	// skip-wal-replay directive): restarts discard the journals.
+	SkipWALReplay bool
 	// AntiEntropy recovers replicas through the catch-up path and turns
 	// durability-margin gaps into hard violations.
 	AntiEntropy bool
@@ -79,6 +94,10 @@ type Spec struct {
 	Latency Latency
 	// Phases is the workload timeline, in file order.
 	Phases []Phase
+	// Keep lists, ascending, the op indices a shrunk run retains of the
+	// generated stream (ops keep their index, so write values and fault
+	// ticks stay aligned). Nil keeps every op; empty ("keep -") keeps none.
+	Keep []int
 	// Schedule is the explicit fault schedule, the concatenation of the
 	// file's fault lines in cluster.Schedule syntax.
 	Schedule cluster.Schedule
@@ -211,6 +230,9 @@ func (s *Spec) String() string {
 	if s.LockTTL != 0 {
 		fmt.Fprintf(&b, "lockttl %s\n", s.LockTTL)
 	}
+	if s.SkipWALReplay {
+		b.WriteString("bug skip-wal-replay\n")
+	}
 	if s.AntiEntropy {
 		b.WriteString("antientropy\n")
 	}
@@ -239,6 +261,16 @@ func (s *Spec) String() string {
 	for _, p := range s.Phases {
 		b.WriteString(p.line())
 		b.WriteByte('\n')
+	}
+	if s.Keep != nil {
+		idx := make([]string, len(s.Keep))
+		for i, k := range s.Keep {
+			idx[i] = strconv.Itoa(k)
+		}
+		if len(idx) == 0 {
+			idx = []string{"-"}
+		}
+		fmt.Fprintf(&b, "keep %s\n", strings.Join(idx, ","))
 	}
 	if len(s.Schedule) > 0 {
 		fmt.Fprintf(&b, "fault %s\n", s.Schedule.String())

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"arbor/internal/adapt"
+	"arbor/internal/cluster"
 )
 
 // flipConfig is a fault-free phased run: read-heavy on the read-optimized
@@ -129,48 +130,12 @@ func TestSimAdaptationCampaignHoldsInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Failure != nil {
-		t.Fatalf("adaptation campaign found a violation (run %d, seed %d):\n%v\njournal: %v\nreproducer:\n%s",
+		t.Fatalf("adaptation campaign found a violation (run %d, seed %d):\n%v\njournal: %v\nschedule: %s",
 			rep.Failure.Run, rep.Failure.Seed, rep.Failure.Violations,
-			rep.Failure.Decisions, rep.Failure.Repro.Format())
+			rep.Failure.Decisions, cluster.Schedule(rep.Failure.Input.Events))
 	}
 	if rep.Runs != 3 || rep.OpsExecuted == 0 {
 		t.Errorf("report = %+v, want 3 full runs", rep)
-	}
-}
-
-// TestReproducerCarriesPhasesAndAdapt: the phased-adaptive configuration
-// round-trips through the textual reproducer and regenerates the same run.
-func TestReproducerCarriesPhasesAndAdapt(t *testing.T) {
-	in, err := BuildInput(flipConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := in.Reproducer()
-	if !r.Adapt || len(r.Phases) != 3 {
-		t.Fatalf("reproducer dropped adaptation state: %+v", r)
-	}
-	text := r.Format()
-	for _, want := range []string{"phases mostly-read:40,mostly-write:60,mostly-read:80", "adapt 10"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("formatted reproducer missing %q:\n%s", want, text)
-		}
-	}
-	back, err := ParseReproducer(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, r) {
-		t.Fatalf("reproducer round trip changed:\n first: %+v\nsecond: %+v", r, back)
-	}
-	again, err := back.Input()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Ops, in.Ops) {
-		t.Error("regenerated op stream differs from the original")
-	}
-	if !again.Cfg.Adapt || again.Cfg.AdaptEvery != 10 {
-		t.Errorf("regenerated config lost adaptation: %+v", again.Cfg)
 	}
 }
 
@@ -184,13 +149,10 @@ func TestParsePhases(t *testing.T) {
 	if !reflect.DeepEqual(ps, want) {
 		t.Errorf("ParsePhases = %+v, want %+v", ps, want)
 	}
-	if got := FormatPhases(ps); got != "mostly-read:30,mostly-write:50" {
-		t.Errorf("FormatPhases = %q", got)
-	}
 	if ps, err := ParsePhases(""); err != nil || ps != nil {
 		t.Errorf("empty phases = %v, %v", ps, err)
 	}
-	// Per-phase zipf skew and numeric profiles round-trip too.
+	// Per-phase zipf skew and numeric profiles.
 	ps, err = ParsePhases("balanced:20:zipf1.4,r0.7:10")
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +160,6 @@ func TestParsePhases(t *testing.T) {
 	want = []PhaseSpec{{Profile: ProfileBalanced, Ops: 20, Zipf: 1.4}, {Profile: "r0.7", Ops: 10}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Errorf("ParsePhases with zipf = %+v, want %+v", ps, want)
-	}
-	if got := FormatPhases(ps); got != "balanced:20:zipf1.4,r0.7:10" {
-		t.Errorf("FormatPhases with zipf = %q", got)
 	}
 	for _, bad := range []string{"mostly-read", "bogus:10", "mostly-read:0", "mostly-read:x",
 		"balanced:10:zipf0.5", "balanced:10:1.4", "balanced:10:zipfx", "r1.5:10", "rx:10"} {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"arbor/internal/cluster"
 )
 
 // aeConfig is testConfig with the anti-entropy recovery path armed.
@@ -51,8 +53,8 @@ func TestSimAntiEntropyCampaignHoldsMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Failure != nil {
-		t.Fatalf("anti-entropy campaign found a violation (run %d, seed %d):\n%v\nreproducer:\n%s",
-			rep.Failure.Run, rep.Failure.Seed, rep.Failure.Violations, rep.Failure.Repro.Format())
+		t.Fatalf("anti-entropy campaign found a violation (run %d, seed %d):\n%v\nschedule: %s",
+			rep.Failure.Run, rep.Failure.Seed, rep.Failure.Violations, cluster.Schedule(rep.Failure.Input.Events))
 	}
 	if rep.MarginGaps != 0 || rep.GappedRuns != 0 {
 		t.Errorf("anti-entropy campaign reported %d gaps over %d runs; convergence should leave none",
@@ -105,40 +107,5 @@ func TestAntiEntropySchedulesAlign(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("event %d differs beyond the recovery verb:\n%s\n%s", i, a.String(), on.Events[i].String())
 		}
-	}
-}
-
-// TestReproducerCarriesAntiEntropy: the antientropy directive survives the
-// textual round trip, so a shrunken anti-entropy failure replays in the same
-// mode it was found in.
-func TestReproducerCarriesAntiEntropy(t *testing.T) {
-	in, err := BuildInput(aeConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := in.Reproducer()
-	text := r.Format()
-	if !strings.Contains(text, "antientropy\n") {
-		t.Fatalf("reproducer text missing antientropy directive:\n%s", text)
-	}
-	parsed, err := ParseReproducer(text)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, text)
-	}
-	if !parsed.AntiEntropy {
-		t.Error("parsed reproducer lost AntiEntropy")
-	}
-	if !reflect.DeepEqual(r, parsed) {
-		t.Errorf("reproducer round-trip mismatch:\n%+v\n%+v", r, parsed)
-	}
-	in2, err := parsed.Input()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in2.Cfg.AntiEntropy {
-		t.Error("rebuilt input lost AntiEntropy")
-	}
-	if !reflect.DeepEqual(in.Events, in2.Events) {
-		t.Errorf("events differ after round trip:\n%+v\n%+v", in.Events, in2.Events)
 	}
 }

@@ -11,9 +11,9 @@ type Failure struct {
 	// Violations are the invariant failures the shrunken input still
 	// reproduces.
 	Violations []Violation
-	// Input is the shrunken run; Repro is its portable form.
+	// Input is the shrunken run; scenario.FromInput writes it as a
+	// replayable .arb file.
 	Input Input
-	Repro Reproducer
 	// Decisions is the adaptation controller's journal from the shrunken
 	// failing run (nil without Config.Adapt) — the evidence trail for "what
 	// was the controller doing when the invariant broke".
@@ -83,7 +83,6 @@ func Campaign(cfg Config, runs int) (*Report, error) {
 				Seed:       rcfg.Seed,
 				Violations: sres.Violations,
 				Input:      shrunk,
-				Repro:      shrunk.Reproducer(),
 				Decisions:  sres.AdaptDecisions,
 			}
 			return rep, nil

@@ -27,7 +27,9 @@ func BuildInput(cfg Config) (Input, error) {
 	if err != nil {
 		return Input{}, err
 	}
-	events = append(events, phaseMarkers(cfg)...)
+	// Markers sort ahead of the faults of their tick, wherever those come
+	// from (generated here, or explicit lines a scenario merges in later).
+	events = append(phaseMarkers(cfg), events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	return Input{Cfg: cfg, Ops: ops, Events: events}, nil
 }
@@ -36,8 +38,8 @@ func BuildInput(cfg Config) (Input, error) {
 // one at each phase's first tick. The markers carry no cluster action —
 // the op stream itself is generated phase-aware — but they make the shift
 // visible in traces and keep the schedule self-describing. The op stream
-// deliberately does NOT depend on these events: the shrinker may drop
-// markers while minimizing a failure without changing the workload.
+// deliberately does NOT depend on these events, and a run written out as a
+// scenario leaves them out: BuildInput derives them again on replay.
 func phaseMarkers(cfg Config) []cluster.Event {
 	var out []cluster.Event
 	tick := 0
@@ -55,14 +57,20 @@ func phaseMarkers(cfg Config) []cluster.Event {
 	return out
 }
 
+// IsMarker reports whether ev is a bare workload= marker: trace-only, no
+// cluster action.
+func IsMarker(ev cluster.Event) bool {
+	return ev.Workload != "" && ev.String() == cluster.Event{At: ev.At, Workload: ev.Workload}.String()
+}
+
 // opSource is the common face of the plain and phased generators.
 type opSource interface {
 	Next() workload.Op
 }
 
 // buildOps generates the full operation stream. Write values encode the
-// seed and op index, so they are reconstructible from a Reproducer's
-// keep-list without shipping payloads. With Phases set, the stream is
+// seed and op index, so they are reconstructible from a reproducer's
+// keep list without shipping payloads. With Phases set, the stream is
 // phase-aware: each phase draws from its own profile, with a per-phase
 // salted seed so consecutive phases don't mirror each other's key picks.
 func buildOps(cfg Config) ([]OpSpec, error) {

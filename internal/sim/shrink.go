@@ -6,9 +6,11 @@ import "arbor/internal/cluster"
 // fault events, then over the workload ops, then the events once more
 // (removing ops often unlocks further event removals). Ops keep their
 // original Index, so event ticks and generated write values stay aligned
-// however much of the stream is cut away. The result still fails — every
-// candidate is re-executed — and is returned unchanged if the input does
-// not fail to begin with.
+// however much of the stream is cut away. Phase markers do nothing, so they
+// are no part of the failure: they all stay, which is what lets a replay
+// that derives them again (scenario.FromInput) reproduce the shrunk trace
+// line for line. The result still fails — every candidate is re-executed —
+// and is returned unchanged if the input does not fail to begin with.
 func Shrink(in Input) Input {
 	fails := func(c Input) bool {
 		res, err := Execute(c)
@@ -17,11 +19,12 @@ func Shrink(in Input) Input {
 	if !fails(in) {
 		return in
 	}
+	markers := countMarkers(in.Events)
 	shrinkEvents := func(in Input) Input {
 		in.Events = shrinkSlice(in.Events, func(evs []cluster.Event) bool {
 			c := in
 			c.Events = evs
-			return fails(c)
+			return countMarkers(evs) == markers && fails(c)
 		})
 		return in
 	}
@@ -32,6 +35,16 @@ func Shrink(in Input) Input {
 		return fails(c)
 	})
 	return shrinkEvents(in)
+}
+
+func countMarkers(evs []cluster.Event) int {
+	n := 0
+	for _, ev := range evs {
+		if IsMarker(ev) {
+			n++
+		}
+	}
+	return n
 }
 
 // shrinkSlice is ddmin: it partitions items into n chunks and tries

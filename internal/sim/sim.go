@@ -15,8 +15,8 @@
 // recorded history uses a logical clock, so a given Input replays the same
 // op-by-op trace every time. When a run fails, a delta-debugging shrinker
 // (Shrink) minimizes first the fault schedule and then the workload, and
-// the result round-trips through a textual Reproducer that cmd/arborsim
-// can replay.
+// internal/scenario writes the result as a .arb file that cmd/arborsim
+// replays.
 package sim
 
 import (
@@ -195,22 +195,6 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 		out = append(out, ps)
 	}
 	return out, nil
-}
-
-// FormatPhases renders phases in the syntax ParsePhases accepts.
-func FormatPhases(ps []PhaseSpec) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		profile := p.Profile
-		if profile == "" {
-			profile = ProfileBalanced
-		}
-		parts[i] = fmt.Sprintf("%s:%d", profile, p.Ops)
-		if p.Zipf > 1 {
-			parts[i] += ":zipf" + strconv.FormatFloat(p.Zipf, 'g', -1, 64)
-		}
-	}
-	return strings.Join(parts, ",")
 }
 
 func (c Config) withDefaults() Config {

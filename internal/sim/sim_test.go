@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"arbor/internal/tree"
+	"arbor/internal/cluster"
 )
 
 // testConfig keeps runs small enough for the tier-1 suite while still
@@ -94,8 +94,8 @@ func TestSimSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Failure != nil {
-		t.Fatalf("campaign found a violation (run %d, seed %d):\n%v\nreproducer:\n%s",
-			rep.Failure.Run, rep.Failure.Seed, rep.Failure.Violations, rep.Failure.Repro.Format())
+		t.Fatalf("campaign found a violation (run %d, seed %d):\n%v\nschedule: %s",
+			rep.Failure.Run, rep.Failure.Seed, rep.Failure.Violations, cluster.Schedule(rep.Failure.Input.Events))
 	}
 	if rep.Runs != 2 || rep.OpsExecuted == 0 {
 		t.Errorf("report = %+v, want 2 runs with ops executed", rep)
@@ -104,8 +104,9 @@ func TestSimSmoke(t *testing.T) {
 
 // TestSimFindsInjectedWALBug arms the deliberate durability bug (restarts
 // discard the journals) and requires the campaign to catch it, shrink the
-// schedule to a handful of events, and reproduce it from the textual
-// reproducer.
+// schedule to a handful of events, and reproduce it from the shrunk input.
+// (Its round trip through a .arb file is internal/scenario's
+// TestShrunkReproducerReplays.)
 func TestSimFindsInjectedWALBug(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.SkipWALReplay = true
@@ -117,113 +118,49 @@ func TestSimFindsInjectedWALBug(t *testing.T) {
 	if rep.Failure == nil {
 		t.Fatal("campaign missed the injected WAL-replay bug")
 	}
-	if n := len(rep.Failure.Input.Events); n > 5 {
-		t.Errorf("shrunk schedule has %d events, want ≤ 5: %q", n, rep.Failure.Repro.Schedule)
+	sched := cluster.Schedule(rep.Failure.Input.Events)
+	if n := len(sched); n > 5 {
+		t.Errorf("shrunk schedule has %d events, want ≤ 5: %q", n, sched)
 	}
 	restarts := 0
-	for _, ev := range rep.Failure.Input.Events {
+	for _, ev := range sched {
 		if ev.Restart {
 			restarts++
 		}
 	}
 	if restarts == 0 {
-		t.Errorf("shrunk schedule %q kept no restart event, but the bug needs one", rep.Failure.Repro.Schedule)
+		t.Errorf("shrunk schedule %q kept no restart event, but the bug needs one", sched)
 	}
-
-	parsed, err := ParseReproducer(rep.Failure.Repro.Format())
-	if err != nil {
-		t.Fatalf("parse reproducer: %v\n%s", err, rep.Failure.Repro.Format())
-	}
-	in, err := parsed.Input()
+	res, err := Execute(rep.Failure.Input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Errorf("replayed reproducer shows no violation:\n%s", rep.Failure.Repro.Format())
+	if !reflect.DeepEqual(res.Violations, rep.Failure.Violations) {
+		t.Errorf("replayed shrunk input shows %v, campaign reported %v", res.Violations, rep.Failure.Violations)
 	}
 }
 
-func TestReproducerRoundTrip(t *testing.T) {
-	in, err := BuildInput(testConfig(9))
+// TestShrinkKeepsPhaseMarkers: the workload= markers are derived from the
+// phases and carry no action, so minimizing a failure leaves all of them in
+// place — a reproducer that derives them again then replays the same trace.
+func TestShrinkKeepsPhaseMarkers(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.SkipWALReplay = true
+	cfg.Faults = 5
+	cfg.Phases = []PhaseSpec{{Profile: ProfileMostlyWrite, Ops: 15}, {Profile: ProfileBalanced, Ops: 10}}
+	rep, err := Campaign(cfg, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Ops = in.Ops[5:20] // pretend the shrinker cut the stream down
-	r := in.Reproducer()
-	parsed, err := ParseReproducer(r.Format())
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, r.Format())
+	if rep.Failure == nil {
+		t.Fatal("campaign missed the injected WAL-replay bug")
 	}
-	if !reflect.DeepEqual(r, parsed) {
-		t.Errorf("reproducer round-trip mismatch:\n%+v\n%+v", r, parsed)
+	sched := cluster.Schedule(rep.Failure.Input.Events)
+	if n := countMarkers(sched); n != 2 {
+		t.Errorf("shrunk schedule %q kept %d phase markers, want both", sched, n)
 	}
-	in2, err := parsed.Input()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Ops, in2.Ops) {
-		t.Errorf("ops differ after round trip:\n%+v\n%+v", in.Ops, in2.Ops)
-	}
-	if !reflect.DeepEqual(in.Events, in2.Events) {
-		t.Errorf("events differ after round trip:\n%+v\n%+v", in.Events, in2.Events)
-	}
-}
-
-// TestReproducerCarriesLatencyAndZipf: the scenario-lowered fields —
-// plain-workload skew and the full network geometry — survive the
-// textual round trip, so a geo scenario's failure replays with its
-// delays intact.
-func TestReproducerCarriesLatencyAndZipf(t *testing.T) {
-	cfg := testConfig(3)
-	cfg.Zipf = 1.4
-	cfg.Latency = time.Millisecond
-	cfg.Jitter = 500 * time.Microsecond
-	cfg.JitterDist = "pareto"
-	cfg.SiteRTT = map[tree.SiteID]time.Duration{1: 2 * time.Millisecond, 5: 8 * time.Millisecond}
-	in, err := BuildInput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := in.Reproducer()
-	text := r.Format()
-	for _, want := range []string{"zipf 1.4", "latency 1ms 500µs pareto", "sitertt 1=2ms,5=8ms"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("formatted reproducer missing %q:\n%s", want, text)
-		}
-	}
-	parsed, err := ParseReproducer(text)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, text)
-	}
-	if !reflect.DeepEqual(r, parsed) {
-		t.Errorf("reproducer round-trip mismatch:\n%+v\n%+v", r, parsed)
-	}
-	in2, err := parsed.Input()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Ops, in2.Ops) {
-		t.Error("zipf-skewed op stream differs after round trip")
-	}
-	if in2.Cfg.JitterDist != "pareto" || !reflect.DeepEqual(in2.Cfg.SiteRTT, cfg.SiteRTT) {
-		t.Errorf("network geometry lost: %+v", in2.Cfg)
-	}
-}
-
-func TestParseReproducerRejectsGarbage(t *testing.T) {
-	for _, text := range []string{
-		"",                      // missing spec
-		"spec 1-3\nwobble 3",    // unknown directive
-		"spec 1-3\nbug eat-ram", // unknown bug
-		"spec 1-3\nseed zz",     // bad integer
-	} {
-		if _, err := ParseReproducer(text); err == nil {
-			t.Errorf("ParseReproducer(%q) accepted garbage", text)
-		}
+	if n := len(sched) - 2; n > 5 {
+		t.Errorf("shrunk schedule %q has %d fault events, want ≤ 5", sched, n)
 	}
 }
 
