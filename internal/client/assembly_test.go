@@ -42,13 +42,52 @@ type scriptConn struct {
 	mu    sync.Mutex
 	sent  []transport.Message
 	react func(n int, m transport.Message) reaction
+	// stored is the newest commit each site acknowledged, per key: the site
+	// answers reads and version probes at that version from then on (at
+	// replyTo's "v"@1 before), and a read whose floor is above it with the
+	// timestamp alone, as a replica does.
+	stored map[siteKey]wire.Timestamp
 	// seen gets one token per request, for tests that act mid-operation.
 	seen chan struct{}
 }
 
+type siteKey struct {
+	site transport.Addr
+	key  string
+}
+
 func newScriptConn(react func(n int, m transport.Message) reaction) *scriptConn {
 	// Sized to the requests any one test sends, so signalling never blocks.
-	return &scriptConn{in: make(chan transport.Message, 1<<16), seen: make(chan struct{}, 1<<16), react: react}
+	return &scriptConn{in: make(chan transport.Message, 1<<16), seen: make(chan struct{}, 1<<16), react: react, stored: make(map[siteKey]wire.Timestamp)}
+}
+
+// replyFrom is replyTo as site would give it after the commits it has
+// acknowledged.
+func (c *scriptConn) replyFrom(site transport.Addr, req any, refused bool) any {
+	resp := replyTo(req, refused)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch m := resp.(type) {
+	case wire.ReadResp:
+		if ts, ok := c.stored[siteKey{site, m.Key}]; ok && !refused {
+			m.TS = ts
+		}
+		if !refused && req.(wire.ReadReq).ValueOmitted(m.TS) {
+			m.Value = nil
+		}
+		return m
+	case wire.VersionResp:
+		if ts, ok := c.stored[siteKey{site, m.Key}]; ok && !refused {
+			m.TS = ts
+		}
+		return m
+	case wire.CommitResp:
+		cr := req.(wire.CommitReq)
+		if k := (siteKey{site, cr.Key}); cr.TS.After(c.stored[k]) {
+			c.stored[k] = cr.TS
+		}
+	}
+	return resp
 }
 
 func (c *scriptConn) Addr() transport.Addr           { return -1 }
@@ -66,15 +105,15 @@ func (c *scriptConn) Send(to transport.Addr, payload any) error {
 	case failSend:
 		return errors.New("script: link down")
 	case answer:
-		c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, false)}
+		c.in <- transport.Message{From: to, To: -1, Payload: c.replyFrom(to, payload, false)}
 	case refuse:
-		c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, true)}
+		c.in <- transport.Message{From: to, To: -1, Payload: c.replyFrom(to, payload, true)}
 	case shed:
 		id, _ := reqIDOf(payload)
 		c.in <- transport.Message{From: to, To: -1, Payload: wire.OverloadedResp{ReqID: id, RetryAfterMillis: uint64(shedRetryAfter / time.Millisecond)}}
 	case answerLate:
 		time.AfterFunc(lateAfter, func() {
-			c.in <- transport.Message{From: to, To: -1, Payload: replyTo(payload, false)}
+			c.in <- transport.Message{From: to, To: -1, Payload: c.replyFrom(to, payload, false)}
 		})
 	}
 	return nil
@@ -113,7 +152,7 @@ func reqIDOf(req any) (uint64, bool) {
 }
 
 // replyTo builds the response a healthy (or catching-up) replica storing
-// "v"@1 under every key would give.
+// "v"@1 under every key would give to a request without a floor.
 func replyTo(req any, refused bool) any {
 	ts := wire.Timestamp{Version: 1, Site: -1}
 	switch m := req.(type) {

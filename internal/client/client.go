@@ -64,6 +64,9 @@ type Metrics struct {
 	WriteFailures uint64
 	ReadContacts  uint64
 	WriteContacts uint64
+	// ReadRefetches counts reads whose every reply was older than the floor
+	// sent (see floorTable) and which were read again without one.
+	ReadRefetches uint64
 	// RetriesSpent and RetriesDenied account the retry budget (always zero
 	// with budgets disabled): tokens spent on admitted retries and retry
 	// attempts denied because the bucket was empty.
@@ -211,7 +214,7 @@ type instruments struct {
 	siteFallbacks             *obs.Counter
 	levelFallbacks            *obs.Counter
 	hedges, hedgeWins         *obs.Counter
-	coalesced                 *obs.Counter
+	coalesced, readRefetches  *obs.Counter
 	retryCommit, retryLevel   *obs.Counter
 	overloadSkips             *obs.Counter
 	budgetDenied              *obs.Counter
@@ -233,6 +236,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Hedged backup probes: launched = a backup probe started because the primary was overdue, win = a level was satisfied by a hedge probe's response.", "event")
 	coalesced := reg.Counter("arbor_client_coalesced_reads_total",
 		"Reads served by joining another in-flight read of the same key through the same client (singleflight).")
+	refetches := reg.Counter("arbor_client_read_refetches_total",
+		"Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.")
 	retries := reg.CounterVec("arbor_client_retries_total",
 		"Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.", "kind")
 	overloadSkips := reg.Counter("arbor_client_overload_skips_total",
@@ -256,6 +261,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 		hedges:           hedgeEvents.With("launched"),
 		hedgeWins:        hedgeEvents.With("win"),
 		coalesced:        coalesced,
+		readRefetches:    refetches,
 		retryCommit:      retries.With("commit"),
 		retryLevel:       retries.With("level"),
 		overloadSkips:    overloadSkips,
@@ -287,6 +293,7 @@ type Client struct {
 	book     *siteBook
 	flightMu sync.Mutex
 	flights  map[string]*flight
+	floors   floorTable // the per-key floor a read sends along
 
 	// obs is the optional observability hook; instr and traces are its
 	// pre-resolved halves (nil when no observer is attached).
@@ -305,7 +312,7 @@ type Client struct {
 	txID atomic.Uint64
 
 	metrics struct {
-		reads, readFailures, writes, writeFailures, readContacts, writeContacts atomic.Uint64
+		reads, readFailures, writes, writeFailures, readContacts, writeContacts, readRefetches atomic.Uint64
 	}
 }
 
@@ -360,6 +367,7 @@ func (c *Client) Metrics() Metrics {
 		WriteFailures: c.metrics.writeFailures.Load(),
 		ReadContacts:  c.metrics.readContacts.Load(),
 		WriteContacts: c.metrics.writeContacts.Load(),
+		ReadRefetches: c.metrics.readRefetches.Load(),
 		RetriesSpent:  spent,
 		RetriesDenied: denied,
 	}

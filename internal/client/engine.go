@@ -375,7 +375,7 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 			if !a.c.book.admit(now, addr, s.force) {
 				s.skipped = append(s.skipped, addr)
 				s.err = fmt.Errorf("site %d: %w", addr, errSkipped)
-				a.trace(s, addr, hedge, now, 0, s.err)
+				a.trace(s, addr, hedge, now, 0, nil, s.err)
 				hedge = false
 				continue
 			}
@@ -404,7 +404,7 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 				a.sent++
 				s.contacts++
 			}
-			a.record(s, addr, hedge, now, now, o, err)
+			a.record(s, addr, hedge, now, now, o, nil, err)
 			hedge = false
 		}
 		if s.pending > 0 {
@@ -453,7 +453,7 @@ func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time)
 	si, hedge, addr := ct.slot, ct.hedge, ct.pend.To
 	s := &a.slots[si]
 	s.pending--
-	if a.record(s, addr, hedge, ct.start, now, o, err) != nil {
+	if a.record(s, addr, hedge, ct.start, now, o, resp, err) != nil {
 		a.advance(si, false, now)
 		return
 	}
@@ -467,7 +467,7 @@ func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time)
 // record books one finished contact — its outcome on the site book, the
 // contact on the trace — and returns the error that makes its reply
 // unusable, nil for a served reply, which wins the slot.
-func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, err error) error {
+func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, resp any, err error) error {
 	rtt := now.Sub(start)
 	a.c.book.observe(now, addr, o, rtt)
 	switch o {
@@ -478,7 +478,7 @@ func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now t
 			a.c.instr.overloadSkips.Inc()
 		}
 	}
-	a.trace(s, addr, hedge, start, rtt, err)
+	a.trace(s, addr, hedge, start, rtt, resp, err)
 	if o == outcomeCatchingUp {
 		err = fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
 	}
@@ -499,12 +499,18 @@ func refused(resp any) bool {
 	return false
 }
 
-// trace records one contact on the slot's span.
-func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, err error) {
+// trace records one contact on the slot's span. A read answered with the
+// timestamp alone is labelled read-ts.
+func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, resp any, err error) {
 	if !s.span.On() {
 		return
 	}
 	phase := a.phase
+	if m, ok := resp.(replica.ReadResp); ok && m.Found {
+		if req, ok := a.req.(replica.ReadReq); ok && req.ValueOmitted(m.TS) {
+			phase = "read-ts"
+		}
+	}
 	if hedge {
 		phase += "-hedge"
 	}
@@ -533,7 +539,7 @@ func (a *assembly) cancel(si int, why error, now time.Time, hedgeWon bool) {
 			o = outcomeOverdue
 		}
 		a.c.book.observe(now, ct.pend.To, o, now.Sub(ct.start))
-		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), why)
+		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), nil, why)
 	}
 	a.decide(s)
 }

@@ -8,6 +8,7 @@ import (
 
 	"arbor/internal/obs"
 	"arbor/internal/replica"
+	"arbor/internal/rpc"
 	"arbor/internal/transport"
 )
 
@@ -54,7 +55,7 @@ func (c *Client) readDirect(ctx context.Context, key string, cfg readConfig) (Re
 	if c.instr != nil {
 		start = time.Now()
 	}
-	res, err := c.readQuorum(ctx, key, false, op, cfg)
+	res, err := c.readQuorum(ctx, key, op, cfg)
 	if err == nil && !res.Found {
 		err = ErrNotFound
 	}
@@ -97,30 +98,45 @@ func (c *Client) finishRead(op *obs.Op, err error, contacts int) {
 	}
 }
 
-// ReadVersion performs the version-discovery half of a write: like Read,
-// but asking only for timestamps. A fully assembled quorum over replicas
-// that never stored the key yields Found=false with a zero timestamp.
-func (c *Client) ReadVersion(ctx context.Context, key string) (ReadResult, error) {
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
-	return c.readQuorum(ctx, key, true, nil, c.readDefaults())
+// readQuorum runs a read quorum and returns the newest reply. It sends the
+// floor recorded for key and checks the winner against it: at or above the
+// floor it carried its value; below it the floor was wrong for this quorum
+// (a shared table entry, a member that missed a write this client saw) and
+// the quorum is read once more without one, as if there were no table.
+func (c *Client) readQuorum(ctx context.Context, key string, op *obs.Op, cfg readConfig) (ReadResult, error) {
+	h := keyHash(key)
+	req := replica.ReadReq{Key: key, Floor: c.floors.get(h)}
+	res, err := c.probeLevels(ctx, req, "read", "read-quorum", op, cfg)
+	if err == nil && res.Found && req.ValueOmitted(res.TS) {
+		c.metrics.readRefetches.Add(1)
+		if c.instr != nil {
+			c.instr.readRefetches.Inc()
+		}
+		hinted := res.Contacts
+		res, err = c.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-refetch", op, cfg)
+		res.Contacts += hinted
+	}
+	if err == nil && res.Found {
+		c.floors.put(h, res.TS)
+	}
+	return res, err
 }
 
-// readQuorum gathers one response per physical level: one assembly with a
-// slot per level, its sites engine-ordered and hedged when warranted. When
-// op is live, every level probe is recorded as a LevelAttempt on it. The
-// contact count covers every level, failed ones included.
-func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
+// discoverVersion is the version-discovery quorum of a write. It neither
+// consults nor feeds the floor table: a write's floor is its clean commit.
+func (c *Client) discoverVersion(ctx context.Context, key string, op *obs.Op, cfg readConfig) (ReadResult, error) {
+	return c.probeLevels(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", "version-discovery", op, cfg)
+}
+
+// probeLevels gathers one response to req per physical level: one assembly
+// with a slot per level, its sites engine-ordered and hedged when warranted.
+// When op is live, every level probe is a LevelAttempt labelled spanPhase on
+// it. The contact count covers every level, failed ones included.
+func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPhase string, op *obs.Op, cfg readConfig) (ReadResult, error) {
 	lt := c.levels.Load()
 	levels, total := len(lt.addrs), lt.sites
-	var a *assembly
-	if versionOnly {
-		a = c.newAssembly(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", total)
-		a.spanPhase = "version-discovery"
-	} else {
-		a = c.newAssembly(ctx, replica.ReadReq{Key: key}, "read", total)
-		a.spanPhase = "read-quorum"
-	}
+	a := c.newAssembly(ctx, req, phase, total)
+	a.spanPhase = spanPhase
 	defer a.release()
 	a.op, a.rescue = op, true
 	if cap(a.sites) < total {
@@ -154,8 +170,9 @@ func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, o
 			res.TS, res.Value, res.Found = ts, value, true
 		}
 	}
-	if c.readRepair && !versionOnly && res.Found {
-		c.repair(key, res, a.slots)
+	// Repair pushes the winner's value, so only a winner that carried one.
+	if rr, ok := req.(replica.ReadReq); ok && c.readRepair && res.Found && !rr.ValueOmitted(res.TS) {
+		c.repair(rr.Key, res, a.slots)
 	}
 	return res, nil
 }

@@ -139,7 +139,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	for _, key := range t.order {
 		base, ok := t.reads[key]
 		if !ok {
-			v, err := t.c.readQuorum(ctx, key, true, op, t.c.readDefaults())
+			v, err := t.c.discoverVersion(ctx, key, op, t.c.readDefaults())
 			if err != nil {
 				err = fmt.Errorf("%w: version discovery for %q: %w", ErrWriteUnavailable, key, err)
 				finish(obs.OutcomeUnavailable, err)
@@ -159,6 +159,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 	switch {
 	case err == nil:
 		t.c.metrics.writes.Add(1)
+		for _, key := range t.order {
+			t.c.floors.put(keyHash(key), tss[key])
+		}
 		finish(obs.OutcomeOK, nil)
 	case errors.Is(err, ErrInDoubt):
 		t.c.metrics.writes.Add(1)

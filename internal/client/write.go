@@ -93,7 +93,7 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, l
 	// Phase 0 (§3.2.2): obtain the highest version number. This needs a
 	// read-shaped quorum, so a write inherits the read operation's
 	// availability requirement for its version-discovery step.
-	ver, err := c.readQuorum(ctx, key, true, op, rcfg)
+	ver, err := c.discoverVersion(ctx, key, op, rcfg)
 	res.Contacts = ver.Contacts
 	if err != nil {
 		c.metrics.writeFailures.Add(1)
@@ -112,8 +112,10 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, l
 	case err == nil:
 		res.TS, res.Level = ts, level
 		c.metrics.writes.Add(1)
+		c.floors.put(keyHash(key), ts) // every member of the level has it: reads need no older value
 		finish(obs.OutcomeOK, nil)
 	case errors.Is(err, ErrInDoubt):
+		// No floor: a read through a member that missed it would refetch.
 		res.TS, res.Level = ts, level
 		c.metrics.writes.Add(1)
 		finish(obs.OutcomeInDoubt, err)

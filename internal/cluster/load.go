@@ -78,19 +78,3 @@ func (r LoadReport) MaxWriteLoad(ops int) float64 {
 	}
 	return float64(max) / float64(ops)
 }
-
-// MaxDiscoveryLoad returns the largest per-site DiscoveryServes divided by
-// the number of write operations issued: the read-shaped load writes add
-// on top of their write quorums.
-func (r LoadReport) MaxDiscoveryLoad(ops int) float64 {
-	if ops <= 0 {
-		return 0
-	}
-	var max uint64
-	for _, s := range r.Sites {
-		if s.DiscoveryServes > max {
-			max = s.DiscoveryServes
-		}
-	}
-	return float64(max) / float64(ops)
-}

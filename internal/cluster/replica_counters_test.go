@@ -17,6 +17,9 @@ import (
 // counter per fact: the series and the Stats fields are now the same
 // counters, and must still say what the two separate sets said. Only the
 // lock-wait histogram's buckets and sum, which are timings, are left out.
+// Since reads carry a floor, a read is counted under type="read" when it
+// shipped the value and under "read_ts_only" when it did not; Stats.Reads is
+// their sum, so the totals are the ones captured then.
 func TestReplicaCountersPinned(t *testing.T) {
 	o := obs.NewObserver(16)
 	c, tr := newObservedCluster(t, "1-2-2", o)
@@ -84,10 +87,10 @@ func TestReplicaCountersPinned(t *testing.T) {
 }
 
 var pinnedReplicaStats = []string{
-	"{Reads:3 Versions:3 VersionsForWrite:3 Prepares:4 Commits:4 Aborts:0 Pings:0 SyncServes:2 Refusals:0 Sheds:5 ReplyErrors:0 JournalErrors:0 Messages:21}",
-	"{Reads:6 Versions:2 VersionsForWrite:2 Prepares:4 Commits:4 Aborts:0 Pings:0 SyncServes:0 Refusals:0 Sheds:5 ReplyErrors:0 JournalErrors:0 Messages:21}",
-	"{Reads:5 Versions:3 VersionsForWrite:3 Prepares:1 Commits:1 Aborts:0 Pings:0 SyncServes:0 Refusals:0 Sheds:0 ReplyErrors:0 JournalErrors:0 Messages:12}",
-	"{Reads:8 Versions:3 VersionsForWrite:3 Prepares:2 Commits:1 Aborts:1 Pings:0 SyncServes:0 Refusals:0 Sheds:0 ReplyErrors:0 JournalErrors:0 Messages:15}",
+	"{Reads:3 ReadsTSOnly:0 Versions:3 VersionsForWrite:3 Prepares:4 Commits:4 Aborts:0 Pings:0 SyncServes:2 Refusals:0 Sheds:5 ReplyErrors:0 JournalErrors:0 Messages:21}",
+	"{Reads:6 ReadsTSOnly:0 Versions:2 VersionsForWrite:2 Prepares:4 Commits:4 Aborts:0 Pings:0 SyncServes:0 Refusals:0 Sheds:5 ReplyErrors:0 JournalErrors:0 Messages:21}",
+	"{Reads:5 ReadsTSOnly:1 Versions:3 VersionsForWrite:3 Prepares:1 Commits:1 Aborts:0 Pings:0 SyncServes:0 Refusals:0 Sheds:0 ReplyErrors:0 JournalErrors:0 Messages:12}",
+	"{Reads:8 ReadsTSOnly:1 Versions:3 VersionsForWrite:3 Prepares:2 Commits:1 Aborts:1 Pings:0 SyncServes:0 Refusals:0 Sheds:0 ReplyErrors:0 JournalErrors:0 Messages:15}",
 }
 
 const pinnedReplicaMetrics = `# HELP arbor_replica_serves_total Requests served by a replica, by site and message type.
@@ -97,6 +100,7 @@ arbor_replica_serves_total{site="1",type="commit"} 4
 arbor_replica_serves_total{site="1",type="ping"} 0
 arbor_replica_serves_total{site="1",type="prepare"} 4
 arbor_replica_serves_total{site="1",type="read"} 3
+arbor_replica_serves_total{site="1",type="read_ts_only"} 0
 arbor_replica_serves_total{site="1",type="sync_digest"} 1
 arbor_replica_serves_total{site="1",type="sync_fetch"} 1
 arbor_replica_serves_total{site="1",type="version_read"} 0
@@ -106,6 +110,7 @@ arbor_replica_serves_total{site="2",type="commit"} 4
 arbor_replica_serves_total{site="2",type="ping"} 0
 arbor_replica_serves_total{site="2",type="prepare"} 4
 arbor_replica_serves_total{site="2",type="read"} 6
+arbor_replica_serves_total{site="2",type="read_ts_only"} 0
 arbor_replica_serves_total{site="2",type="sync_digest"} 0
 arbor_replica_serves_total{site="2",type="sync_fetch"} 0
 arbor_replica_serves_total{site="2",type="version_read"} 0
@@ -114,7 +119,8 @@ arbor_replica_serves_total{site="3",type="abort"} 0
 arbor_replica_serves_total{site="3",type="commit"} 1
 arbor_replica_serves_total{site="3",type="ping"} 0
 arbor_replica_serves_total{site="3",type="prepare"} 1
-arbor_replica_serves_total{site="3",type="read"} 5
+arbor_replica_serves_total{site="3",type="read"} 4
+arbor_replica_serves_total{site="3",type="read_ts_only"} 1
 arbor_replica_serves_total{site="3",type="sync_digest"} 0
 arbor_replica_serves_total{site="3",type="sync_fetch"} 0
 arbor_replica_serves_total{site="3",type="version_read"} 0
@@ -123,7 +129,8 @@ arbor_replica_serves_total{site="4",type="abort"} 1
 arbor_replica_serves_total{site="4",type="commit"} 1
 arbor_replica_serves_total{site="4",type="ping"} 0
 arbor_replica_serves_total{site="4",type="prepare"} 2
-arbor_replica_serves_total{site="4",type="read"} 8
+arbor_replica_serves_total{site="4",type="read"} 7
+arbor_replica_serves_total{site="4",type="read_ts_only"} 1
 arbor_replica_serves_total{site="4",type="sync_digest"} 0
 arbor_replica_serves_total{site="4",type="sync_fetch"} 0
 arbor_replica_serves_total{site="4",type="version_read"} 0

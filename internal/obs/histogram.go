@@ -46,9 +46,6 @@ type Histogram struct {
 
 func newHistogram() *Histogram { return &Histogram{} }
 
-// NewHistogram creates a standalone histogram (outside any registry).
-func NewHistogram() *Histogram { return newHistogram() }
-
 // Observe records one latency sample. Safe on a nil receiver (no-op).
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {

@@ -28,14 +28,13 @@ const (
 	gaugeType
 	histogramType
 	counterFuncType
-	gaugeFuncType
 )
 
 func (t metricType) String() string {
 	switch t {
 	case counterType, counterFuncType:
 		return "counter"
-	case gaugeType, gaugeFuncType:
+	case gaugeType:
 		return "gauge"
 	default:
 		return "histogram"
@@ -119,8 +118,7 @@ type family struct {
 	series map[string]*series
 	order  []string
 
-	cfn func() uint64  // counterFuncType
-	gfn func() float64 // gaugeFuncType
+	cfn func() uint64 // counterFuncType
 }
 
 // Registry holds named metric families. All methods are safe for concurrent
@@ -249,15 +247,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	f.cfn = fn
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.getFamily(name, help, gaugeFuncType)
-	f.gfn = fn
-}
-
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
@@ -368,12 +357,8 @@ func (f *family) write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 		return err
 	}
-	switch f.typ {
-	case counterFuncType:
+	if f.typ == counterFuncType {
 		_, err := fmt.Fprintf(w, "%s %d\n", f.name, f.cfn())
-		return err
-	case gaugeFuncType:
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gfn()))
 		return err
 	}
 	f.mu.Lock()

@@ -18,7 +18,7 @@ const (
 // SiteContact is one request sent to one replica site during an operation.
 type SiteContact struct {
 	Site     int           `json:"site"`
-	Phase    string        `json:"phase"` // read | version | prepare | commit | abort
+	Phase    string        `json:"phase"` // read | read-ts (answered without the value) | version | prepare | commit | abort
 	Start    time.Time     `json:"start"`
 	RTT      time.Duration `json:"rttNs"`
 	TimedOut bool          `json:"timedOut,omitempty"`
@@ -31,7 +31,7 @@ type SiteContact struct {
 // attempt on another level).
 type LevelAttempt struct {
 	Level    int           `json:"level"`
-	Phase    string        `json:"phase"` // read-quorum | version-discovery | write-2pc
+	Phase    string        `json:"phase"` // read-quorum | read-refetch | version-discovery | write-2pc
 	Start    time.Time     `json:"start"`
 	End      time.Time     `json:"end"`
 	OK       bool          `json:"ok"`

@@ -13,14 +13,16 @@ import (
 // lockState tracks a prepared (phase-one) transaction on one key.
 type lockState struct {
 	txID    uint64
-	ts      Timestamp
 	expires time.Time
 }
 
 // Stats counts the operations a replica served; the cluster uses them to
 // measure empirical per-replica load.
 type Stats struct {
-	Reads uint64
+	// Reads counts all read requests served; ReadsTSOnly is the subset
+	// answered without the value (wire.ReadReq.ValueOmitted).
+	Reads       uint64
+	ReadsTSOnly uint64
 	// Versions counts all version requests served; VersionsForWrite is the
 	// subset issued as the version-discovery step of writes, so
 	// Versions-VersionsForWrite are the read-side version serves.
@@ -106,6 +108,7 @@ type Replica struct {
 type instruments struct {
 	site              string // the "site" label value
 	serveRead         *obs.Counter
+	serveReadTSOnly   *obs.Counter // reads answered without the value; serveRead counts the others
 	serveVersionRead  *obs.Counter
 	serveVersionWrite *obs.Counter
 	servePrepare      *obs.Counter
@@ -135,7 +138,7 @@ func (r *Replica) instrument(reg *obs.Registry) {
 	// the counters bound below): allocated one by one they would be packed
 	// beside those of the replicas built before and after it, and replicas
 	// serving on different cores would contend for the shared cache lines.
-	var own [16]obs.Counter
+	var own [17]obs.Counter
 	next := 0
 	counterOf := func(v *obs.CounterVec, values ...string) *obs.Counter {
 		if v == nil {
@@ -152,6 +155,7 @@ func (r *Replica) instrument(reg *obs.Registry) {
 	r.instr = instruments{
 		site:              site,
 		serveRead:         counterOf(serves, site, "read"),
+		serveReadTSOnly:   counterOf(serves, site, "read_ts_only"),
 		serveVersionRead:  counterOf(serves, site, "version_read"),
 		serveVersionWrite: counterOf(serves, site, "version_write"),
 		servePrepare:      counterOf(serves, site, "prepare"),
@@ -339,9 +343,10 @@ func (r *Replica) Crashed() bool { return r.Health() == HealthDown }
 // Stats returns a snapshot of the replica's served-operation counters.
 func (r *Replica) Stats() Stats {
 	in := &r.instr
-	versionsForWrite := in.serveVersionWrite.Value()
+	versionsForWrite, readsTSOnly := in.serveVersionWrite.Value(), in.serveReadTSOnly.Value()
 	st := Stats{
-		Reads:            in.serveRead.Value(),
+		Reads:            in.serveRead.Value() + readsTSOnly,
+		ReadsTSOnly:      readsTSOnly,
 		Versions:         in.serveVersionRead.Value() + versionsForWrite,
 		VersionsForWrite: versionsForWrite,
 		Prepares:         in.servePrepare.Value(),
@@ -447,10 +452,16 @@ func (r *Replica) handle(msg transport.Message) {
 	}
 }
 
-// serveRead answers a ReadReq (admission-gated; runs on a gate worker).
+// serveRead answers a ReadReq (admission-gated; runs on a gate worker). A
+// caller whose floor is newer than what is stored gets Found and TS alone.
 func (r *Replica) serveRead(from transport.Addr, req ReadReq) {
-	r.instr.serveRead.Inc()
 	value, ts, found := r.store.Get(req.Key)
+	if found && req.ValueOmitted(ts) {
+		value = nil
+		r.instr.serveReadTSOnly.Inc()
+	} else {
+		r.instr.serveRead.Inc()
+	}
 	r.reply(from, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
 }
 
@@ -510,7 +521,7 @@ func (r *Replica) prepare(req PrepareReq) (bool, string) {
 	if ts, found := r.store.Version(req.Key); found && !req.TS.After(ts) {
 		return false, "stale"
 	}
-	r.locks[req.Key] = lockState{txID: req.TxID, ts: req.TS, expires: now.Add(r.lockTTL)}
+	r.locks[req.Key] = lockState{txID: req.TxID, expires: now.Add(r.lockTTL)}
 	return true, ""
 }
 

@@ -297,3 +297,38 @@ func TestCommitIsIdempotentAndOrdered(t *testing.T) {
 		t.Errorf("duplicate commit changed value to %q", v)
 	}
 }
+
+// TestReadBelowFloorOmitsValue: a read carrying a floor newer than what is
+// stored is answered with Found and TS alone and counted apart; a floor at
+// or below the stored timestamp, or none, gets the value.
+func TestReadBelowFloorOmitsValue(t *testing.T) {
+	h := newHarness(t)
+	stored := Timestamp{Version: 5, Site: -1}
+	h.rep.Store().Apply("k", []byte("v"), stored)
+	h.rep.Store().Apply("empty", nil, stored)
+	for _, tc := range []struct {
+		name, key string
+		floor     Timestamp
+		value     string
+		found     bool
+		tsOnly    bool
+	}{
+		{"no floor", "k", Timestamp{}, "v", true, false},
+		{"floor older", "k", Timestamp{Version: 4, Site: -9}, "v", true, false},
+		{"floor equal", "k", stored, "v", true, false},
+		{"floor newer", "k", Timestamp{Version: 6, Site: -1}, "", true, true},
+		{"floor same version, winning site", "k", Timestamp{Version: 5, Site: -2}, "", true, true},
+		{"empty value at the floor", "empty", stored, "", true, false},
+		{"nothing stored", "absent", Timestamp{Version: 6, Site: -1}, "", false, false},
+	} {
+		before := h.rep.Stats()
+		resp := h.call(t, ReadReq{ReqID: 1, Key: tc.key, Floor: tc.floor}).(ReadResp)
+		after := h.rep.Stats()
+		if string(resp.Value) != tc.value || resp.Found != tc.found || (tc.found && resp.TS != stored) {
+			t.Errorf("%s: reply = %+v, want value %q found %v at %v", tc.name, resp, tc.value, tc.found, stored)
+		}
+		if after.Reads-before.Reads != 1 || (after.ReadsTSOnly-before.ReadsTSOnly == 1) != tc.tsOnly {
+			t.Errorf("%s: Reads %d→%d, ReadsTSOnly %d→%d", tc.name, before.Reads, after.Reads, before.ReadsTSOnly, after.ReadsTSOnly)
+		}
+	}
+}

@@ -52,6 +52,9 @@ func (s *Store) Version(key string) (ts Timestamp, found bool) {
 // reports whether the write took effect; the store then owns value. When a
 // journal is attached, effective writes are appended to it (best-effort: a
 // journal failure is counted and does not roll back the in-memory apply).
+// The append runs after the store lock is released, so journal order may
+// differ from apply order; replay goes through Apply, where a record older
+// than what is stored is a no-op, and so ends at the same state.
 func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 	s.mu.Lock()
 	if e, ok := s.data[key]; ok && !ts.After(e.ts) {

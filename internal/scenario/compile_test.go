@@ -193,7 +193,7 @@ func TestCheckExpectations(t *testing.T) {
 	}
 }
 
-// TestScenarioGoldenTraces replays three checked-in scenarios end to end
+// TestScenarioGoldenTraces replays four checked-in scenarios end to end
 // and pins the hash of the op-by-op trace. These hashes are the
 // harness's determinism promise extended through the scenario compiler:
 // any change to parsing, lowering, generation or execution that alters a
@@ -216,11 +216,14 @@ func TestScenarioGoldenTraces(t *testing.T) {
 	}
 }
 
-// goldenTraces pins the trace hash of three corpus scenarios.
+// goldenTraces pins the trace hash of four corpus scenarios. The last one's
+// was taken on the parent of the floor-hinted read (ISSUE 20), where every
+// level of a read shipped its value: what a read returns did not change.
 var goldenTraces = map[string]string{
 	"chaos-mostly-read":      "6fcabaa0b34ae4ece47c2978d3929510bce591fa3100f4a7affa79c5c364ece6",
 	"workload-flip-adapt":    "9142b9c7f83caa7eece015384cb500fc199f11d30ca804217e0723bb45fe9535",
 	"partition-anti-entropy": "44e727710d33915a4899c194b11cea41e7dfcfaa5df23c5422a0dda554948943",
+	"hinted-read-instant":    "3e36ae99a67c1d3d6c76cc1d0881a8735fdcd24118780a4f08d860ec0e46d3be",
 }
 
 func checkTraceHash(t *testing.T, in sim.Input, want string) {
@@ -260,7 +263,7 @@ func reproduce(t *testing.T, in sim.Input) (string, sim.Input) {
 
 // TestReproducerRoundTrip: a run written as a .arb reproducer and read
 // back is the same run — the same ops and the same events, phase markers
-// included — for every corpus scenario (the three golden ones also replay
+// included — for every corpus scenario (the golden ones also replay
 // to their pinned trace hashes) and for generated inputs covering each
 // thing a reproducer has to carry.
 func TestReproducerRoundTrip(t *testing.T) {

@@ -56,3 +56,20 @@ func benchmarkDecode(b *testing.B, c Codec) {
 
 func BenchmarkCodecEncodeBinary(b *testing.B) { benchmarkEncode(b, Binary()) }
 func BenchmarkCodecDecodeBinary(b *testing.B) { benchmarkDecode(b, Binary()) }
+
+// BenchmarkDecodeReadResp16K times the decode of a large-value read reply:
+// one allocation and one copy of the value, nothing cleared first.
+func BenchmarkDecodeReadResp16K(b *testing.B) {
+	c := Binary()
+	enc, err := c.Encode(nil, ReadResp{ReqID: 123456, Key: "user/profile/42", Value: make([]byte, 16<<10), TS: Timestamp{Version: 987, Site: -3}, Found: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,9 +9,9 @@ import (
 
 // binaryVersion is the current wire-format version of the binary codec.
 // Version 2 appended a deadline (uvarint millis-remaining) to every request
-// type and added OverloadedResp; Decode still accepts version-1 frames,
-// which simply carry no deadline.
-const binaryVersion byte = 2
+// type and added OverloadedResp; version 3 appended a floor timestamp to
+// ReadReq. Decode still accepts version-1 and version-2 frames.
+const binaryVersion byte = 3
 
 // binaryVersionLegacy is the oldest frame version Decode still accepts.
 const binaryVersionLegacy byte = 1
@@ -61,6 +62,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
+		dst = appendTS(dst, m.Floor)
 	case ReadResp:
 		dst = append(dst, tagReadResp)
 		dst = binary.AppendUvarint(dst, m.ReqID)
@@ -157,8 +159,8 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 }
 
 // Decode parses one binary-encoded message. Returned payloads never alias
-// data (byte-slice fields are copied out). Version-1 frames (pre-deadline)
-// are still accepted: their requests decode with a zero DeadlineMillis.
+// data (byte-slice fields are copied out). Version-1 (pre-deadline) and
+// version-2 (pre-floor) frames still decode, the fields they lack as zero.
 func (binaryCodec) Decode(data []byte) (any, error) {
 	if len(data) < 2 {
 		return nil, errors.New("wire: short message")
@@ -184,7 +186,11 @@ func (binaryCodec) Decode(data []byte) (any, error) {
 	case tagVersionResp:
 		out = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagReadReq:
-		out = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
+		m := ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
+		if ver >= 3 {
+			m.Floor = r.ts()
+		}
+		out = m
 	case tagReadResp:
 		out = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagPrepareReq:
@@ -339,7 +345,8 @@ func (r *reader) str() string {
 }
 
 // bytes copies the field out, so the decoded message never aliases the
-// input buffer; a zero length decodes as nil.
+// input buffer; a zero length decodes as nil. Clone appends to nil, which
+// does not clear what it is about to overwrite (make+copy does), then clip.
 func (r *reader) bytes() []byte {
 	if r.err != nil {
 		return nil
@@ -348,8 +355,7 @@ func (r *reader) bytes() []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[:n])
+	b := bytes.Clone(r.buf[:n])[:n:n]
 	r.buf = r.buf[n:]
 	return b
 }

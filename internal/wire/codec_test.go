@@ -54,6 +54,7 @@ func vectors() []struct {
 		{"overloaded_resp", OverloadedResp{ReqID: 20, RetryAfterMillis: 40}},
 		{"read_req_deadline", ReadReq{ReqID: 21, Key: "k", DeadlineMillis: 1500}},
 		{"prepare_req_deadline", PrepareReq{ReqID: 22, TxID: 101, Key: "k", TS: Timestamp{Version: 3, Site: -4}, DeadlineMillis: 250}},
+		{"read_req_floor", ReadReq{ReqID: 23, Key: "k", DeadlineMillis: 40, Floor: Timestamp{Version: 300, Site: -2}}},
 	}
 }
 
@@ -87,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 // that alters any encoding must bump the codec version and regenerate the
 // file with -update, not slide by silently.
 func TestGoldenVectors(t *testing.T) {
-	path := filepath.Join("testdata", "golden_binary_v2.txt")
+	path := filepath.Join("testdata", "golden_binary_v3.txt")
 	c := Binary()
 	if *update {
 		var sb strings.Builder
@@ -150,48 +151,66 @@ func TestGoldenVectors(t *testing.T) {
 }
 
 // TestLegacyV1FramesDecode pins backward compatibility: every byte vector
-// of the version-1 corpus (frozen when the deadline field did not exist)
-// must still decode, requests coming back with a zero DeadlineMillis, and
-// must re-encode as a stable version-2 frame. The v1 file is never
-// regenerated — it IS the compatibility contract.
+// of the version-1 corpus (frozen when the deadline field did not exist) and
+// of the version-2 corpus (frozen when ReadReq had no floor) must still
+// decode — v1 requests with a zero DeadlineMillis, every ReadReq with a zero
+// Floor, v2 frames to exactly the message a current frame of the same name
+// carries — and must re-encode as a stable current frame. The legacy files
+// are never regenerated — they ARE the compatibility contract.
 func TestLegacyV1FramesDecode(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_binary_v1.txt"))
-	if err != nil {
-		t.Fatalf("legacy golden file missing: %v", err)
+	current := make(map[string]any)
+	for _, v := range vectors() {
+		current[v.name] = v.msg
 	}
 	c := Binary()
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, hexEnc, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed legacy golden line %q", line)
-		}
-		raw, err := hex.DecodeString(hexEnc)
+	for _, ver := range []byte{1, 2} {
+		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("golden_binary_v%d.txt", ver)))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("legacy golden file missing: %v", err)
 		}
-		msg, err := c.Decode(raw)
-		if err != nil {
-			t.Errorf("%s: v1 frame no longer decodes: %v", name, err)
-			continue
-		}
-		if dc, ok := msg.(DeadlineCarrier); ok {
-			if stamped := dc.WithDeadline(0); !reflect.DeepEqual(stamped, msg) {
-				t.Errorf("%s: v1 frame decoded with a non-zero deadline: %#v", name, msg)
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			vec, hexEnc, ok := strings.Cut(line, " ")
+			if !ok {
+				t.Fatalf("malformed legacy golden line %q", line)
 			}
-		}
-		// The legacy frame upgrades to a stable v2 encoding.
-		enc, err := c.Encode(nil, msg)
-		if err != nil {
-			t.Errorf("%s: upgraded message does not re-encode: %v", name, err)
-			continue
-		}
-		dec, err := c.Decode(enc)
-		if err != nil {
-			t.Errorf("%s: upgraded frame does not decode: %v", name, err)
-			continue
-		}
-		if !reflect.DeepEqual(dec, msg) {
-			t.Errorf("%s: upgrade round trip diverged:\n got %#v\nwant %#v", name, dec, msg)
+			name := fmt.Sprintf("v%d/%s", ver, vec)
+			raw, err := hex.DecodeString(hexEnc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw[0] != ver {
+				t.Fatalf("%s: frame has version byte %d", name, raw[0])
+			}
+			msg, err := c.Decode(raw)
+			if err != nil {
+				t.Errorf("%s: legacy frame no longer decodes: %v", name, err)
+				continue
+			}
+			if dc, ok := msg.(DeadlineCarrier); ok && ver == 1 {
+				if stamped := dc.WithDeadline(0); !reflect.DeepEqual(stamped, msg) {
+					t.Errorf("%s: v1 frame decoded with a non-zero deadline: %#v", name, msg)
+				}
+			}
+			if rr, ok := msg.(ReadReq); ok && rr.Floor != (Timestamp{}) {
+				t.Errorf("%s: legacy frame decoded with a floor: %#v", name, msg)
+			}
+			if want, ok := current[vec]; ver == 2 && ok && !reflect.DeepEqual(msg, want) {
+				t.Errorf("%s: v2 frame decodes to %#v, want %#v", name, msg, want)
+			}
+			// The legacy frame upgrades to a stable current encoding.
+			enc, err := c.Encode(nil, msg)
+			if err != nil {
+				t.Errorf("%s: upgraded message does not re-encode: %v", name, err)
+				continue
+			}
+			dec, err := c.Decode(enc)
+			if err != nil {
+				t.Errorf("%s: upgraded frame does not decode: %v", name, err)
+				continue
+			}
+			if !reflect.DeepEqual(dec, msg) {
+				t.Errorf("%s: upgrade round trip diverged:\n got %#v\nwant %#v", name, dec, msg)
+			}
 		}
 	}
 }

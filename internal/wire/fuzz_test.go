@@ -16,11 +16,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id, tx uint64, site int64, key string, value []byte, b1, b2 bool) {
 		ts := Timestamp{Version: tx, Site: int(site)}
 		// tx doubles as the fuzzed deadline so the millis-remaining field
-		// sees the full uint64 range without widening the seed signature.
+		// sees the full uint64 range without widening the seed signature;
+		// ts doubles as the read's floor for the same reason.
 		msgs := []any{
 			VersionReq{ReqID: id, Key: key, ForWrite: b1, DeadlineMillis: tx},
 			VersionResp{ReqID: id, Key: key, TS: ts, Found: b1, Refused: b2},
-			ReadReq{ReqID: id, Key: key, DeadlineMillis: tx},
+			ReadReq{ReqID: id, Key: key, DeadlineMillis: tx, Floor: ts},
 			ReadResp{ReqID: id, Key: key, Value: value, TS: ts, Found: b1, Refused: b2},
 			PrepareReq{ReqID: id, TxID: tx, Key: key, TS: ts, DeadlineMillis: tx},
 			PrepareResp{ReqID: id, TxID: tx, OK: b1, Reason: key},
@@ -95,6 +96,9 @@ func FuzzBinaryDecode(f *testing.F) {
 	// A version-1 legacy frame (read_req without the trailing deadline):
 	// the decoder must keep accepting the old layout.
 	f.Add([]byte{binaryVersionLegacy, tagReadReq, 1, 1, 'k'})
+	// Version 2 (deadline, no floor) and the current layout with a floor.
+	f.Add([]byte{2, tagReadReq, 1, 1, 'k', 40})
+	f.Add([]byte{binaryVersion, tagReadReq, 1, 1, 'k', 40, 0xAC, 0x02, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := c.Decode(data)
 		if err != nil {

@@ -103,6 +103,15 @@ type ReadReq struct {
 	Key   string
 	// DeadlineMillis is the remaining budget at send time; zero = none.
 	DeadlineMillis uint64
+	// Floor is the newest timestamp the caller has seen for Key; zero =
+	// none. A replica storing something older leaves the value out.
+	Floor Timestamp
+}
+
+// ValueOmitted reports whether a replica storing Key at ts answers with
+// Found and TS alone: a pure function, so the caller can tell from a reply.
+func (m ReadReq) ValueOmitted(ts Timestamp) bool {
+	return m.Floor != (Timestamp{}) && m.Floor.After(ts)
 }
 
 // WithReqID implements Request.
