@@ -1,14 +1,14 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"arbor/internal/wire"
 )
@@ -43,6 +43,11 @@ const (
 	defaultConnsPerPeer = 2
 	// tcpReadBuf is each connection's read buffer.
 	tcpReadBuf = 64 << 10
+	// acceptBackoffMin and acceptBackoffMax bound the pause after a failed
+	// Accept (EMFILE and the like): it doubles from the first to the second
+	// and a success resets it — net/http.Server's schedule.
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
 )
 
 // helloMagic opens every HELLO frame.
@@ -134,10 +139,11 @@ type TCPEndpoint struct {
 
 	mu     sync.Mutex
 	routes map[Addr]*peerRoute
+	live   map[*wireConn]struct{} // every connection with a read loop, handshaking ones included
 	closed bool
 	done   sync.WaitGroup
 
-	framesOut, framesIn, inboxDrops, decodeDrops atomic.Uint64
+	framesOut, framesIn, inboxDrops, decodeDrops, reads atomic.Uint64
 }
 
 var _ Conn = (*TCPEndpoint)(nil)
@@ -152,15 +158,19 @@ type TCPStats struct {
 	// was full — possible only on an endpoint nobody Serves; DecodeDrops is
 	// frames whose addresses or payload did not decode.
 	InboxDrops, DecodeDrops uint64
+	// Reads is read(2) calls the read loops made, those that found the
+	// socket empty (EAGAIN) included; Reads/FramesIn is about one.
+	Reads uint64
 }
 
-// Stats snapshots the endpoint's frame and drop counters.
+// Stats snapshots the endpoint's frame, drop and read counters.
 func (e *TCPEndpoint) Stats() TCPStats {
 	return TCPStats{
 		FramesOut:   e.framesOut.Load(),
 		FramesIn:    e.framesIn.Load(),
 		InboxDrops:  e.inboxDrops.Load(),
 		DecodeDrops: e.decodeDrops.Load(),
+		Reads:       e.reads.Load(),
 	}
 }
 
@@ -186,11 +196,19 @@ func (r *peerRoute) pickLocked() *wireConn {
 }
 
 // wireConn is one pooled connection. The write lock makes frames atomic;
-// reads run in a dedicated goroutine per connection.
+// reads run in a dedicated goroutine per connection, the read loop, which
+// once started alone may Close it (see readLoop).
 type wireConn struct {
-	c      net.Conn
+	c      *net.TCPConn
 	mu     sync.Mutex // guards writes
 	dialed bool
+}
+
+// shutdown ends both directions without closing: a write blocked toward the
+// peer fails, and the read loop finds EOF, exits and closes the connection.
+func (wc *wireConn) shutdown() {
+	_ = wc.c.CloseRead() // fails only on a connection its loop already closed
+	_ = wc.c.CloseWrite()
 }
 
 // Register creates a listener endpoint on an ephemeral loopback port.
@@ -243,6 +261,7 @@ func (n *TCPNetwork) newEndpoint(addr Addr) *TCPEndpoint {
 		net:    n,
 		in:     make(chan Message, 1024),
 		routes: make(map[Addr]*peerRoute),
+		live:   make(map[*wireConn]struct{}),
 	}
 }
 
@@ -343,11 +362,7 @@ func (e *TCPEndpoint) pick(to Addr) (*wireConn, error) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	r := e.routes[to]
-	if r == nil {
-		r = &peerRoute{}
-		e.routes[to] = r
-	}
+	r := e.routeLocked(to)
 	grow := r.dialed < e.net.opts.connsPerPeer && len(r.conns) == r.dialed
 	if wc := r.pickLocked(); wc != nil && !grow {
 		e.mu.Unlock()
@@ -400,19 +415,38 @@ func (e *TCPEndpoint) growRoute(to Addr, r *peerRoute) error {
 		_ = c.Close()
 		return fmt.Errorf("transport: hello to %d: %w", to, err)
 	}
-	wc := &wireConn{c: c, dialed: true}
+	wc := &wireConn{c: c.(*net.TCPConn), dialed: true}
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if !e.startLocked(wc, to, false) {
 		_ = c.Close()
 		return ErrClosed
 	}
 	r.conns = append(r.conns, wc)
 	r.dialed++
-	e.done.Add(1)
-	e.mu.Unlock()
-	go e.readLoop(wc, to, newFrameReader(c))
 	return nil
+}
+
+// routeLocked returns the route toward peer, creating it. Callers hold mu.
+func (e *TCPEndpoint) routeLocked(peer Addr) *peerRoute {
+	r := e.routes[peer]
+	if r == nil {
+		r = &peerRoute{}
+		e.routes[peer] = r
+	}
+	return r
+}
+
+// startLocked runs wc's read loop and puts it where close shuts it down,
+// unless the endpoint is closed. Callers hold mu.
+func (e *TCPEndpoint) startLocked(wc *wireConn, peer Addr, hello bool) bool {
+	if e.closed {
+		return false
+	}
+	e.live[wc] = struct{}{}
+	e.done.Add(1)
+	go e.readLoop(wc, peer, hello)
+	return true
 }
 
 // hello builds the handshake frame announcing this endpoint's address and
@@ -457,9 +491,12 @@ func (e *TCPEndpoint) parseHello(body []byte) (Addr, error) {
 	return Addr(peer), nil
 }
 
-// dropConn evicts a broken pooled connection and closes it.
+// dropConn evicts a broken connection — from peer's route, so no Send
+// picks it, and from close's reach — and shuts it down; its read loop then
+// closes it.
 func (e *TCPEndpoint) dropConn(peer Addr, wc *wireConn) {
 	e.mu.Lock()
+	delete(e.live, wc)
 	if r := e.routes[peer]; r != nil {
 		for i, c := range r.conns {
 			if c == wc {
@@ -472,122 +509,179 @@ func (e *TCPEndpoint) dropConn(peer Addr, wc *wireConn) {
 		}
 	}
 	e.mu.Unlock()
-	_ = wc.c.Close()
+	wc.shutdown()
 }
 
-// acceptLoop serves inbound connections until the listener closes.
+// acceptLoop serves inbound connections until the listener closes. A failed
+// Accept backs off before the next (see acceptBackoffMin); the first
+// failure that is not a closed listener would otherwise recur at once.
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.done.Done()
+	var delay time.Duration
 	for {
 		c, err := e.ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
+			delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+			time.Sleep(delay)
 			continue
 		}
-		e.done.Add(1)
-		go e.serveConn(c)
-	}
-}
-
-// serveConn handles one accepted connection: it reads the HELLO, registers
-// the connection on the dialer's route (replies reuse it — that is how
-// dial-only clients hear back), and then reads frames until the peer goes
-// away. A failed handshake closes the connection immediately.
-func (e *TCPEndpoint) serveConn(c net.Conn) {
-	fr := newFrameReader(c)
-	var peer Addr
-	body, err := fr.next()
-	if err == nil {
-		peer, err = e.parseHello(body)
-	}
-	e.mu.Lock()
-	if err != nil || e.closed {
+		delay = 0
+		e.mu.Lock()
+		if !e.startLocked(&wireConn{c: c.(*net.TCPConn)}, 0, true) {
+			_ = c.Close()
+		}
 		e.mu.Unlock()
-		e.done.Done()
-		_ = c.Close()
-		return
 	}
-	wc := &wireConn{c: c}
-	r := e.routes[peer]
-	if r == nil {
-		r = &peerRoute{}
-		e.routes[peer] = r
-	}
-	r.conns = append(r.conns, wc)
-	e.mu.Unlock()
-	e.readLoop(wc, peer, fr)
 }
 
-// frameReader splits a connection's byte stream into frame bodies.
+// frameReader splits one connection's byte stream into frame bodies, in a
+// buffer it owns and reads into straight from the socket.
 type frameReader struct {
-	br   *bufio.Reader
-	held int // bytes of br the frame last returned still occupies
+	buf  []byte // tcpReadBuf bytes; never grown
+	r, w int    // buf[r:w] is read and not yet delivered
+	need int    // body length of the frame whose header was taken; 0: none
+	big  []byte // a body larger than buf, filled up to its capacity
 }
 
-func newFrameReader(c net.Conn) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(c, tcpReadBuf)}
+// run hands every frame body to frame, in order, until the connection fails
+// or ends or frame returns an error. It costs one read(2) per batch of
+// frames: the loop lives in one RawConn.Read callback for the connection's
+// whole life, and a read that returns less than it asked for drained the
+// socket, so the callback parks on readiness instead of reading again to be
+// told EAGAIN. That is sound only because Go's poller registers sockets
+// edge-triggered (EPOLLET) and clears pending readiness in one place, the
+// entry of RawConn.Read: bytes that arrive after the short read, while its
+// frames are handled, raise a fresh edge that the wait after the callback
+// sees. Leaving RawConn.Read between frames would clear that edge and park
+// on a socket holding data — which is why a reader over net.Conn, whose
+// every Read re-enters the poller, must read until EAGAIN.
+func (fr *frameReader) run(c *net.TCPConn, reads *atomic.Uint64, frame func([]byte) error) {
+	rc, _ := c.SyscallConn() // fails only on a nil connection
+	_ = rc.Read(func(fd uintptr) bool {
+		for {
+			p := fr.space()
+			n, err := syscall.Read(int(fd), p)
+			reads.Add(1)
+			switch {
+			case err == syscall.EINTR:
+				continue
+			case err == syscall.EAGAIN:
+				return false // drained after all: park
+			case err != nil || n == 0: // failed, or EOF
+				return true
+			case fr.got(n, frame) != nil:
+				return true
+			case n < len(p):
+				return false // drained: park until the next edge
+			}
+		}
+	})
 }
 
-// next returns the next frame's body, valid until the following call: a view
-// into the reader when it fits (Codec.Decode never aliases its input, so
-// nothing decoded outlives it), else a buffer of exactly its size.
-func (r *frameReader) next() ([]byte, error) {
-	_, _ = r.br.Discard(r.held) // cannot fail: these bytes were peeked
-	r.held = 0
-	hdr, err := r.br.Peek(4)
-	if err != nil {
-		return nil, err
+// space returns where the next read goes: the rest of a large body, or buf
+// behind what it holds, compacted to its start first. A partial frame in buf
+// needs at most len(buf) bytes, so the space is never empty.
+func (fr *frameReader) space() []byte {
+	if fr.big != nil {
+		return fr.big[len(fr.big):cap(fr.big)]
 	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n == 0 || n > tcpMaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes", n)
+	if fr.r > 0 {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
 	}
-	_, _ = r.br.Discard(4)
-	if n > r.br.Size() {
-		body := make([]byte, n)
-		_, err = io.ReadFull(r.br, body)
-		return body, err
-	}
-	body, err := r.br.Peek(n)
-	if err == nil {
-		r.held = n
-	}
-	return body, err
+	return fr.buf[fr.w:]
 }
 
-// readLoop decodes frames from one pooled connection and delivers each — to
-// the Serve handler on this goroutine, else the inbox — until the connection
-// dies, then evicts it.
-func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, fr *frameReader) {
-	defer e.done.Done()
-	defer e.dropConn(peer, wc)
+// got takes n bytes just read into space and passes every body they complete
+// to frame. A body is valid only during the call: a view into buf when it
+// fits (Codec.Decode never aliases its input, so nothing decoded outlives
+// it), else a buffer of exactly its size.
+func (fr *frameReader) got(n int, frame func([]byte) error) error {
+	if fr.big != nil {
+		if fr.big = fr.big[:len(fr.big)+n]; len(fr.big) < cap(fr.big) {
+			return nil
+		}
+		body := fr.big
+		fr.big = nil
+		return frame(body)
+	}
+	fr.w += n
 	for {
-		frame, err := fr.next()
-		if err != nil {
-			return
+		if fr.need == 0 && fr.w-fr.r >= 4 {
+			fr.need = int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+			fr.r += 4
+			if fr.need == 0 || fr.need > tcpMaxFrame {
+				return fmt.Errorf("transport: frame of %d bytes", fr.need)
+			}
+			if fr.need > len(fr.buf) {
+				fr.big = append(make([]byte, 0, fr.need), fr.buf[fr.r:fr.w]...)
+				fr.r, fr.need = fr.w, 0
+				return nil
+			}
+		}
+		if fr.need == 0 || fr.w-fr.r < fr.need {
+			return nil
+		}
+		body := fr.buf[fr.r : fr.r+fr.need]
+		fr.r, fr.need = fr.r+fr.need, 0
+		if err := frame(body); err != nil {
+			return err
+		}
+	}
+}
+
+// readLoop decodes one connection's frames and delivers each — to the Serve
+// handler on this goroutine, else the inbox — until the connection dies. On
+// an accepted connection (hello) the first frame is the HELLO, which puts
+// the connection on the dialer's route: replies reuse it, which is how
+// dial-only clients hear back.
+//
+// Handlers run while the loop holds the connection's read lock, and
+// net.Conn.Close waits for that lock, so only the read loop closes its
+// connection: Send's eviction and close shut it down instead, and the loop
+// then finds EOF, evicts the connection and closes it. A handler whose
+// failed reply evicted its own connection would deadlock otherwise.
+func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
+	fr := frameReader{buf: make([]byte, tcpReadBuf)}
+	fr.run(wc.c, &e.reads, func(frame []byte) error {
+		if hello {
+			p, err := e.parseHello(frame)
+			if err != nil {
+				return err
+			}
+			e.mu.Lock()
+			r := e.routeLocked(p)
+			r.conns = append(r.conns, wc)
+			e.mu.Unlock()
+			peer, hello = p, false
+			return nil
 		}
 		e.framesIn.Add(1)
 		from, k1 := binary.Varint(frame)
 		to, k2 := binary.Varint(frame[max(k1, 0):])
-		var payload any
 		if k1 > 0 && k2 > 0 {
-			payload, err = e.net.opts.codec.Decode(frame[k1+k2:])
+			if payload, err := e.net.opts.codec.Decode(frame[k1+k2:]); err == nil {
+				e.deliver(Message{From: Addr(from), To: Addr(to), Payload: payload})
+				return nil
+			}
 		}
-		if err != nil || k1 <= 0 || k2 <= 0 {
-			// Framing is intact (the length prefix was honored), so a
-			// frame that fails to decode is dropped like a lost message
-			// rather than killing every other request on the connection.
-			e.decodeDrops.Add(1)
-			continue
-		}
-		e.deliver(Message{From: Addr(from), To: Addr(to), Payload: payload})
-	}
+		// Framing is intact (the length prefix was honored), so a frame that
+		// fails to decode is dropped like a lost message rather than killing
+		// every other request on the connection.
+		e.decodeDrops.Add(1)
+		return nil
+	})
+	e.dropConn(peer, wc)
+	_ = wc.c.Close()
+	e.done.Done()
 }
 
-// close tears the endpoint down: listener first (stops accepts), then
-// every pooled connection; read loops exit on their closed connections.
+// close tears the endpoint down: it shuts down every connection, pooled or
+// still handshaking, and closes the listener; the read loops exit and close
+// their connections.
 func (e *TCPEndpoint) close() {
 	e.mu.Lock()
 	if e.closed {
@@ -596,17 +690,13 @@ func (e *TCPEndpoint) close() {
 		return
 	}
 	e.closed = true
-	var conns []*wireConn
 	//lint:ignore detrand shutdown fan-out: close order is not observable in any seed-reproducible output
-	for _, r := range e.routes {
-		conns = append(conns, r.conns...)
+	for wc := range e.live {
+		wc.shutdown()
 	}
 	e.mu.Unlock()
 	if e.ln != nil {
 		_ = e.ln.Close()
-	}
-	for _, wc := range conns {
-		_ = wc.c.Close()
 	}
 	e.done.Wait()
 }

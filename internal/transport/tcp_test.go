@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -445,4 +449,365 @@ func TestTCPFrameSizes(t *testing.T) {
 	if st := b.Stats(); st.FramesIn != uint64(len(msgs)) || st.DecodeDrops != 0 || st.InboxDrops != 0 {
 		t.Errorf("stats = %+v, want %d frames in and no drops", st, len(msgs))
 	}
+}
+
+// TestTCPNoLostWakeup streams 20 000 frames on each of 8 connections at
+// once, bodies from 1 B to three read buffers, each stream written in random
+// chunks — single bytes, a few KiB, several frames at a time — with yields
+// and pauses of up to 50 µs between writes. Reads end mid-header, mid-body
+// and on frame boundaries, and bytes arrive while the read loop handles the
+// last ones. A loop that parks on a socket holding data (a lost edge) stalls
+// its connection, and the deadline turns the stall into a failure.
+func TestTCPNoLostWakeup(t *testing.T) {
+	const (
+		conns  = 8
+		frames = 20000
+	)
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	n := NewTCPNetwork()
+	t.Cleanup(n.Close)
+	b, err := n.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame i of a stream carries a ReadResp with ReqID i whose value is
+	// pat[i%4096:][:size], size drawn by a per-stream generator the receiver
+	// replays.
+	pat := make([]byte, 3*tcpReadBuf+4096)
+	rand.New(rand.NewSource(seed)).Read(pat)
+	sizeGen := func(c int) func() int {
+		r := rand.New(rand.NewSource(seed + int64(c)))
+		return func() int {
+			switch r.Intn(64) {
+			case 0:
+				return 1 + r.Intn(3*tcpReadBuf)
+			case 1, 2, 3, 4, 5, 6, 7, 8:
+				return 1 + r.Intn(4096)
+			default:
+				return 1 + r.Intn(128)
+			}
+		}
+	}
+	value := func(id uint64, size int) []byte { return pat[id%4096:][:size] }
+
+	type stream struct {
+		next atomic.Uint64
+		size func() int
+		done chan struct{}
+	}
+	streams := make([]stream, conns)
+	for c := range streams {
+		streams[c].size, streams[c].done = sizeGen(c), make(chan struct{})
+	}
+	stop := Serve(b, func(m Message) {
+		s := &streams[-int(m.From)-1] // only this stream's read loop touches s
+		id := s.next.Load()
+		p, ok := m.Payload.(wire.ReadResp)
+		if size := s.size(); !ok || p.ReqID != id || !bytes.Equal(p.Value, value(id, size)) {
+			t.Errorf("stream %d, frame %d: got %T id %d with %d bytes, want %d bytes", -m.From, id, m.Payload, p.ReqID, len(p.Value), size)
+		}
+		if s.next.Add(1) == frames {
+			close(s.done)
+		}
+	})
+	defer stop()
+
+	var senders sync.WaitGroup
+	defer senders.Wait()
+	for c := 0; c < conns; c++ {
+		conn, err := net.Dial("tcp", b.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close() // before senders.Wait: unblocks a sender of a stalled stream
+		from := Addr(-c - 1)
+		senders.Add(1)
+		go func(c int) {
+			defer senders.Done()
+			size, r := sizeGen(c), rand.New(rand.NewSource(seed^int64(c+1)<<32))
+			pending := (&TCPEndpoint{addr: from, net: n}).hello()
+			var id uint64
+			frame := func() {
+				payload, err := n.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Value: value(id, size()), Found: true})
+				if err != nil {
+					t.Error(err)
+				}
+				pending = append(pending, rawFrame(from, b.addr, payload)...)
+				id++
+			}
+			for id < frames || len(pending) > 0 {
+				var chunk int
+				switch r.Intn(8) {
+				case 0: // a run of single bytes
+					chunk = 1
+				case 1, 2:
+					chunk = 1 + r.Intn(64)
+				case 3, 4, 5:
+					chunk = 1 + r.Intn(8192)
+				default: // several whole frames in one write
+					for k := 2 + r.Intn(6); k > 0 && id < frames; k-- {
+						frame()
+					}
+					chunk = len(pending)
+				}
+				for len(pending) < chunk && id < frames {
+					frame()
+				}
+				chunk = min(chunk, len(pending))
+				for k := 1 + r.Intn(8); chunk == 1 && k > 1 && len(pending) > 1; k-- {
+					if _, err := conn.Write(pending[:1]); err != nil {
+						t.Error(err)
+						return
+					}
+					pending = pending[1:]
+				}
+				if _, err := conn.Write(pending[:chunk]); err != nil {
+					t.Error(err)
+					return
+				}
+				pending = append(pending[:0], pending[chunk:]...)
+				switch r.Intn(4) {
+				case 0:
+					runtime.Gosched()
+				case 1:
+					time.Sleep(time.Duration(r.Intn(51)) * time.Microsecond)
+				}
+			}
+		}(c)
+	}
+	deadline := time.After(20 * time.Second)
+	for c := range streams {
+		select {
+		case <-streams[c].done:
+		case <-deadline:
+			got := make([]uint64, conns)
+			for i := range streams {
+				got[i] = streams[i].next.Load()
+			}
+			t.Fatalf("stalled: frames delivered per stream %v of %d", got, frames)
+		}
+	}
+	if st := b.Stats(); st.FramesIn != conns*frames || st.DecodeDrops != 0 || st.InboxDrops != 0 {
+		t.Errorf("stats = %+v, want %d frames in and no drops", st, conns*frames)
+	}
+}
+
+// TestTCPReadsPerFrame: over sequential ping-pongs the served endpoint's
+// read loops make one read(2) per frame. A loop that reads on until EAGAIN
+// before it parks makes two.
+func TestTCPReadsPerFrame(t *testing.T) {
+	n := NewTCPNetwork()
+	t.Cleanup(n.Close)
+	srv, err := n.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliConn, err := n.Dial(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := cliConn.(*TCPEndpoint)
+	stopSrv := Serve(srv, func(m Message) {
+		if err := srv.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
+			t.Error(err)
+		}
+	})
+	defer stopSrv()
+	pongs := make(chan uint64, 1)
+	stopCli := Serve(cli, func(m Message) { pongs <- m.Payload.(wire.PingResp).ReqID })
+	defer stopCli()
+	const rounds = 2000
+	for i := 0; i < rounds; i++ {
+		if err := cli.Send(2, ping(i)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case id := <-pongs:
+			if id != uint64(i) {
+				t.Fatalf("pong %d answered ping %d", id, i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no pong for ping %d", i)
+		}
+	}
+	st := srv.Stats()
+	if st.FramesIn != rounds || st.Reads > st.FramesIn+st.FramesIn/20+2 {
+		t.Errorf("%d read(2) calls for %d frames in, want at most %d", st.Reads, st.FramesIn, st.FramesIn+st.FramesIn/20+2)
+	}
+	t.Logf("%d reads for %d frames (%.3f per frame)", st.Reads, st.FramesIn, float64(st.Reads)/float64(st.FramesIn))
+}
+
+// TestTCPEviction pins the close rule: handlers run while their read loop
+// holds the connection's read lock and closing a connection waits for that
+// lock, so eviction and Close shut connections down and leave closing to
+// each connection's own read loop.
+func TestTCPEviction(t *testing.T) {
+	t.Run("a failed reply evicts the handler's own connection", func(t *testing.T) {
+		n := NewTCPNetwork()
+		t.Cleanup(n.Close)
+		srv, err := n.Register(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := n.Dial(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replied := make(chan error, 1)
+		stop := Serve(srv, func(m Message) {
+			srv.mu.Lock()
+			own := srv.routes[m.From].conns[0] // the client's only connection: the one this handler runs on
+			srv.mu.Unlock()
+			_ = own.c.CloseWrite() // so the reply's write fails
+			replied <- srv.Send(m.From, wire.PingResp{ReqID: pingID(m)})
+		})
+		defer stop()
+		if err := cli.Send(2, ping(1)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-replied:
+			if err == nil {
+				t.Error("a reply over a shut connection succeeded")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the handler never returned from a Send that evicts its own connection")
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			srv.mu.Lock()
+			live, pooled := len(srv.live), len(srv.routes[-1].conns)
+			srv.mu.Unlock()
+			if live == 0 && pooled == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("evicted connection still pooled (%d) or its read loop still running (%d)", pooled, live)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	t.Run("Close returns while a handler is blocked writing", func(t *testing.T) {
+		n := NewTCPNetwork()
+		srv, err := n.Register(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := net.Dial("tcp", srv.ln.Addr().String()) // sends one request, never reads
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		entered, sendErr := make(chan struct{}), make(chan error, 1)
+		stop := Serve(srv, func(m Message) {
+			close(entered)
+			big := wire.ReadResp{ReqID: 1, Value: make([]byte, tcpReadBuf), Found: true}
+			for {
+				if err := srv.Send(m.From, big); err != nil {
+					sendErr <- err
+					return
+				}
+			}
+		})
+		defer stop()
+		req, err := n.opts.codec.Encode(nil, ping(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.Write(append((&TCPEndpoint{addr: -7, net: n}).hello(), rawFrame(-7, 2, req)...)); err != nil {
+			t.Fatal(err)
+		}
+		within(t, entered, "the handler to start")
+		// The socket buffers fill: wait until the writes stop moving.
+		for last, still := srv.Stats().FramesOut, 0; still < 5; {
+			time.Sleep(5 * time.Millisecond)
+			if now := srv.Stats().FramesOut; now != last {
+				last, still = now, 0
+			} else {
+				still++
+			}
+		}
+		closed := make(chan struct{})
+		go func() {
+			n.Close()
+			close(closed)
+		}()
+		within(t, closed, "Close with a handler blocked writing")
+		select {
+		case <-sendErr:
+		default:
+			t.Error("the blocked Send did not fail")
+		}
+	})
+}
+
+// TestTCPSilentPeerDoesNotHangClose: a connection that never sends its
+// HELLO — a health probe, a port scan — is shut down by Close like a
+// pooled one.
+func TestTCPSilentPeerDoesNotHangClose(t *testing.T) {
+	n := NewTCPNetwork()
+	srv, err := n.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for accepted := false; !accepted; {
+		srv.mu.Lock()
+		accepted = len(srv.live) == 1
+		srv.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		n.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked after 1s on a peer that never spoke")
+	}
+}
+
+// failingListener fails every Accept, as with EMFILE, until it is closed.
+type failingListener struct {
+	calls  atomic.Int64
+	closed atomic.Bool
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.calls.Add(1)
+	if l.closed.Load() {
+		return nil, net.ErrClosed
+	}
+	return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+}
+func (l *failingListener) Close() error   { l.closed.Store(true); return nil }
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestTCPAcceptBackoff: a listener whose Accept keeps failing is retried on a
+// doubling back-off from 5 ms, not in a loop that spins a core, and the
+// accept loop still exits once the listener is closed.
+func TestTCPAcceptBackoff(t *testing.T) {
+	ln := &failingListener{}
+	e := NewTCPNetwork().newEndpoint(1)
+	e.ln = ln
+	e.done.Add(1)
+	go e.acceptLoop()
+	time.Sleep(50 * time.Millisecond)
+	if calls := ln.calls.Load(); calls > 10 {
+		t.Errorf("Accept called %d times in 50ms of failures, want at most 10", calls)
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.close()
+		close(closed)
+	}()
+	within(t, closed, "the accept loop to exit on a closed listener")
 }
