@@ -139,9 +139,6 @@ var (
 	// WithObserver attaches an Observer: metrics from every replica,
 	// client and the cluster itself, plus per-operation traces.
 	WithObserver = cluster.WithObserver
-	// WithCodec runs the simulated network in codec fidelity mode: every
-	// message is round-tripped through the wire codec in flight.
-	WithCodec = cluster.WithCodec
 	// WithMaxInflight bounds each replica's admitted-but-unfinished gated
 	// requests (reads and prepares; commits, aborts and recovery traffic
 	// are never gated). Excess work queues briefly, then sheds with a

@@ -1,6 +1,7 @@
 // Command arbord runs a replicated key-value service backed by the
 // arbitrary tree-structured replica control protocol and exposes it over
-// HTTP:
+// HTTP. Its replicas and serving client talk over loopback TCP with the
+// binary codec:
 //
 //	GET  /get?key=K                 read through a read quorum
 //	PUT  /put?key=K (body = value)  write through a write quorum (2PC)
@@ -10,7 +11,7 @@
 //	POST /checkpoint                persist all replica stores to -data-dir
 //	POST /crash?site=S              fail-stop a replica
 //	POST /drain?site=S              gracefully drain a replica (finish in-flight 2PC, then down)
-//	POST /recover?site=S            recover a replica (or all with site=all)
+//	POST /recover?site=S            recover a replica (or all with site=all; sync=true to catch up first)
 //	POST /reconfigure?spec=1-4-4    reshape the tree live
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller
@@ -33,7 +34,6 @@ import (
 	"arbor/internal/cluster"
 	"arbor/internal/obs"
 	"arbor/internal/tree"
-	"arbor/internal/wire"
 )
 
 func main() {
@@ -53,7 +53,6 @@ func run(args []string) error {
 		walDir   = fs.String("wal-dir", "", "write-ahead-log directory (replayed at startup)")
 		traceCap = fs.Int("trace-cap", obs.DefaultTraceCapacity, "operation traces kept in memory for /traces")
 		adapt    = fs.Bool("adapt", false, "start with the adaptation controller enabled (toggle later via /controller)")
-		codec    = fs.String("codec", "", `wire codec to round-trip every message through ("binary"; empty = in-memory delivery without serialization)`)
 		inflight = fs.Int("maxinflight", 0, "per-replica admission limit on in-flight gated requests (0 = replica default; excess work sheds with a typed overload reply)")
 		budget   = fs.String("retrybudget", "", `serving client's retry budget as "perOp:burst", e.g. "0.1:10" (empty = retries ungated)`)
 	)
@@ -67,13 +66,6 @@ func run(args []string) error {
 	var extra []cluster.Option
 	if *walDir != "" {
 		extra = append(extra, cluster.WithWALDir(*walDir))
-	}
-	if *codec != "" {
-		c, err := wire.ByName(*codec)
-		if err != nil {
-			return err
-		}
-		extra = append(extra, cluster.WithCodec(c))
 	}
 	if *inflight > 0 {
 		extra = append(extra, cluster.WithMaxInflight(*inflight))

@@ -47,12 +47,12 @@ type server struct {
 
 var _ http.Handler = (*server)(nil)
 
-// newServer builds the cluster and its HTTP routes. traceCap bounds the
-// in-memory operation trace ring served by /traces; cliOpts configure the
-// serving client (retry budget, op deadline).
+// newServer builds the cluster over loopback TCP and its HTTP routes.
+// traceCap bounds the in-memory operation trace ring served by /traces;
+// cliOpts configure the serving client (retry budget, op deadline).
 func newServer(t *tree.Tree, seed int64, traceCap int, cliOpts []client.Option, extra ...cluster.Option) (*server, error) {
 	o := obs.NewObserver(traceCap)
-	opts := append([]cluster.Option{cluster.WithSeed(seed), cluster.WithObserver(o)}, extra...)
+	opts := append([]cluster.Option{cluster.WithTCP(), cluster.WithSeed(seed), cluster.WithObserver(o)}, extra...)
 	c, err := cluster.New(t, opts...)
 	if err != nil {
 		return nil, err
@@ -188,11 +188,12 @@ type statsResponse struct {
 	Load          loadStats           `json:"load"`
 }
 
+// networkStats sums the TCP counters of every replica and client endpoint.
 type networkStats struct {
-	Sent      uint64 `json:"sent"`
-	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
-	Delayed   uint64 `json:"delayed"`
+	FramesOut   uint64 `json:"framesOut"`
+	FramesIn    uint64 `json:"framesIn"`
+	InboxDrops  uint64 `json:"inboxDrops"`
+	DecodeDrops uint64 `json:"decodeDrops"`
 }
 
 type participationStat struct {
@@ -226,10 +227,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Levels: snap.Proto.NumPhysicalLevels(),
 		Client: s.cli.Metrics(),
 		Network: networkStats{
-			Sent:      snap.Network.Sent,
-			Delivered: snap.Network.Delivered,
-			Dropped:   snap.Network.Dropped,
-			Delayed:   snap.Network.Delayed,
+			FramesOut:   snap.Network.TCP.FramesOut,
+			FramesIn:    snap.Network.TCP.FramesIn,
+			InboxDrops:  snap.Network.TCP.InboxDrops,
+			DecodeDrops: snap.Network.TCP.DecodeDrops,
 		},
 		Load: loadStats{
 			TheoryRead:     check.TheoryReadLoad,
@@ -393,8 +394,17 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	arg := r.URL.Query().Get("site")
 	// sync=true rejoins through the anti-entropy catch-up path: the replica
 	// serves 2PC immediately but is excluded from reads until it has pulled
-	// every version it missed. Watch /health for the transition to live.
-	withSync, _ := strconv.ParseBool(r.URL.Query().Get("sync"))
+	// every version it missed. Watch /health for the transition to live. A
+	// value that does not parse is refused rather than read as false, which
+	// would skip the catch-up the caller asked for.
+	withSync := false
+	if v := r.URL.Query().Get("sync"); v != "" {
+		var err error
+		if withSync, err = strconv.ParseBool(v); err != nil {
+			http.Error(w, "bad sync", http.StatusBadRequest)
+			return
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if arg == "all" {

@@ -535,3 +535,65 @@ func TestPprofEndpoint(t *testing.T) {
 		t.Errorf("/debug/pprof/goroutine: %d %q", code, body)
 	}
 }
+
+// metricValue returns the value of the unlabelled series name in a
+// Prometheus text exposition, failing the test when it is absent.
+func metricValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
+
+// TestMetricsTCPFrames: the daemon's replicas and serving client talk over
+// TCP, so a PUT and a GET raise the frame counters on /metrics and nothing
+// is dropped.
+func TestMetricsTCPFrames(t *testing.T) {
+	_, ts := newTestServer(t)
+	_, before := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	if code, body := do(t, http.MethodPut, ts.URL+"/put?key=f", "v"); code != http.StatusOK {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	if code, body := do(t, http.MethodGet, ts.URL+"/get?key=f", ""); code != http.StatusOK {
+		t.Fatalf("get: %d %s", code, body)
+	}
+	_, after := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	for _, name := range []string{"arbor_network_frames_out_total", "arbor_network_frames_in_total"} {
+		if b, a := metricValue(t, before, name), metricValue(t, after, name); a <= b {
+			t.Errorf("%s did not rise across a PUT and a GET: %v → %v", name, b, a)
+		}
+	}
+	for _, name := range []string{"arbor_network_decode_drops_total", "arbor_network_inbox_drops_total"} {
+		if v := metricValue(t, after, name); v != 0 {
+			t.Errorf("%s = %v, want 0", name, v)
+		}
+	}
+}
+
+// TestServerRecoverRejectsBadSync: a sync value Go cannot parse is a 400, not
+// an instant recovery that skips the catch-up the caller asked for.
+func TestServerRecoverRejectsBadSync(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if code, body := do(t, http.MethodPost, ts.URL+"/crash?site=4", ""); code != http.StatusOK {
+		t.Fatalf("crash: %d %s", code, body)
+	}
+	for _, q := range []string{"site=4&sync=yes", "site=all&sync=yes"} {
+		if code, body := do(t, http.MethodPost, ts.URL+"/recover?"+q, ""); code != http.StatusBadRequest {
+			t.Errorf("recover?%s: %d %s, want 400", q, code, body)
+		}
+	}
+	if !srv.cluster.Replica(4).Crashed() {
+		t.Fatal("site 4 recovered although sync did not parse")
+	}
+	if code, body := do(t, http.MethodPost, ts.URL+"/recover?site=4&sync=1", ""); code != http.StatusOK || !strings.Contains(body, "catch-up") {
+		t.Errorf("recover?site=4&sync=1: %d %q", code, body)
+	}
+}

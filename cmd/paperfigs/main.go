@@ -1,11 +1,13 @@
 // Command paperfigs regenerates every table and figure of the paper's
 // evaluation: Table 1, the §3.4 worked example, Figures 2–4, the §3.3
-// asymptotic availabilities, and the new lower-bound comparison.
+// asymptotic availabilities, and the new lower-bound comparison — and, with
+// -exp live, Figure 2's costs measured on a running cluster.
 //
 // Usage:
 //
 //	paperfigs                  # everything
 //	paperfigs -exp fig3        # one experiment
+//	paperfigs -exp live        # measured contacts across the spectrum, n=65
 //	paperfigs -maxn 500 -p 0.8 # sweep and availability parameters
 //	paperfigs -csv             # machine-readable series output
 package main
@@ -32,7 +34,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
 	var (
-		exp  = fs.String("exp", "all", "experiment: table1, example34, fig2, fig3, fig4, limits, lowerbound, validate, ablation, context, availability, correlated or all")
+		exp  = fs.String("exp", "all", "experiment: table1, example34, fig2, fig3, fig4, limits, lowerbound, validate, ablation, context, availability, correlated, live or all")
 		maxN = fs.Int("maxn", 300, "largest system size in the figure sweeps")
 		p    = fs.Float64("p", figures.DefaultP, "per-replica availability for expected loads")
 		csv  = fs.Bool("csv", false, "emit figure series as CSV instead of text tables")
@@ -123,6 +125,12 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(out)
+		ran = true
+	}
+	if wants("live") {
+		if err := emitLive(os.Stdout); err != nil {
+			return err
+		}
 		ran = true
 	}
 	if !ran {

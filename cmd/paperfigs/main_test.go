@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func TestRunSingleExperiments(t *testing.T) {
 	for _, exp := range []string{"table1", "example34", "limits", "lowerbound"} {
@@ -57,5 +61,27 @@ func TestRunPlotAndExtras(t *testing.T) {
 func TestRunCorrelated(t *testing.T) {
 	if err := run([]string{"-exp", "correlated"}); err != nil {
 		t.Fatalf("correlated: %v", err)
+	}
+}
+
+// TestRunLive pins the measured X-LIVE table EXPERIMENTS.md quotes: reads
+// cost the closed form exactly, writes the closed form up to which levels
+// the seeded client drew.
+func TestRunLive(t *testing.T) {
+	var buf bytes.Buffer
+	if err := emitLive(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"MOSTLY-READ    1-65                           1.00          1         66.00       66.00",
+		"BALANCED       1-4-4-4-4-4-4-4-37             8.00          8         17.36       16.12",
+		"MOSTLY-WRITE   1-2-2-2-2-2-2-2-2-2...        32.00         32         34.02       34.03",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("live table lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if err := run([]string{"-exp", "live"}); err != nil {
+		t.Errorf("run(-exp live): %v", err)
 	}
 }

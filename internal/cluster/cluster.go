@@ -1,11 +1,13 @@
 // Package cluster wires a replica tree, a transport network, replica
-// servers and protocol clients into a runnable simulated distributed
-// system, with failure injection (crashes, recoveries, partitions) and
-// per-replica load accounting.
+// servers and protocol clients into a runnable distributed system, with
+// failure injection (crashes, recoveries, partitions) and per-replica load
+// accounting. The network is the simulated in-memory one by default, or
+// loopback TCP with the binary codec under WithTCP.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,7 +20,6 @@ import (
 	"arbor/internal/replica"
 	"arbor/internal/transport"
 	"arbor/internal/tree"
-	"arbor/internal/wire"
 )
 
 // Option configures a Cluster.
@@ -37,8 +38,11 @@ type options struct {
 	lockTTL       time.Duration
 	walDir        string
 	observer      *obs.Observer
-	codec         wire.Codec
+	tcp           bool
 	maxInflight   int
+	// simOnly names the last in-memory-only fault option given, which
+	// WithTCP refuses.
+	simOnly string
 }
 
 type seedOption int64
@@ -51,14 +55,18 @@ func WithSeed(seed int64) Option { return seedOption(seed) }
 
 type latencyOption struct{ base, jitter time.Duration }
 
-func (o latencyOption) apply(opts *options) { opts.latency, opts.jitter = o.base, o.jitter }
+func (o latencyOption) apply(opts *options) {
+	opts.latency, opts.jitter, opts.simOnly = o.base, o.jitter, "WithLatency"
+}
 
 // WithLatency adds per-message delivery delay (base plus uniform jitter).
 func WithLatency(base, jitter time.Duration) Option { return latencyOption{base: base, jitter: jitter} }
 
 type jitterDistOption transport.JitterDist
 
-func (o jitterDistOption) apply(opts *options) { opts.jitterDist = transport.JitterDist(o) }
+func (o jitterDistOption) apply(opts *options) {
+	opts.jitterDist, opts.simOnly = transport.JitterDist(o), "WithJitterDistribution"
+}
 
 // WithJitterDistribution selects the shape of the random delay component
 // configured by WithLatency (default uniform). Draws come from the
@@ -67,7 +75,9 @@ func WithJitterDistribution(d transport.JitterDist) Option { return jitterDistOp
 
 type linkLatencyOption func(from, to transport.Addr) time.Duration
 
-func (o linkLatencyOption) apply(opts *options) { opts.linkFn = o }
+func (o linkLatencyOption) apply(opts *options) {
+	opts.linkFn, opts.simOnly = o, "WithLinkLatency/WithSiteRTT"
+}
 
 // WithLinkLatency adds per-link delay, modeling geographic topologies.
 // Replica sites use positive addresses (their site IDs); clients negative
@@ -88,7 +98,9 @@ func WithSiteRTT(rtt map[tree.SiteID]time.Duration) Option {
 
 type dropOption float64
 
-func (o dropOption) apply(opts *options) { opts.dropProb = float64(o) }
+func (o dropOption) apply(opts *options) {
+	opts.dropProb, opts.simOnly = float64(o), "WithDropProbability"
+}
 
 // WithDropProbability makes the network lose each message independently
 // with probability p.
@@ -109,15 +121,17 @@ func (o lockTTLOption) apply(opts *options) { opts.lockTTL = time.Duration(o) }
 // WithLockTTL sets the replicas' prepared-transaction lock expiry.
 func WithLockTTL(d time.Duration) Option { return lockTTLOption(d) }
 
-type codecOption struct{ c wire.Codec }
+type tcpOption struct{}
 
-func (o codecOption) apply(opts *options) { opts.codec = o.c }
+func (tcpOption) apply(opts *options) { opts.tcp = true }
 
-// WithCodec runs the in-memory network in codec fidelity mode: every
-// message is encoded and decoded with c in flight, so simulations exercise
-// the wire format end to end (and count wire bytes in NetworkStats). Off by
-// default — plain in-memory delivery skips serialization entirely.
-func WithCodec(c wire.Codec) Option { return codecOption{c: c} }
+// WithTCP runs the cluster over loopback TCP with the binary codec instead
+// of the in-memory network: every message crosses a socket through the same
+// framing and read loops a deployment runs. Faults that are properties of
+// the simulated network do not exist there: New refuses WithLatency,
+// WithJitterDistribution, WithLinkLatency, WithSiteRTT and
+// WithDropProbability alongside it, and Partition and Heal fail.
+func WithTCP() Option { return tcpOption{} }
 
 type maxInflightOption int
 
@@ -140,11 +154,12 @@ func (o walDirOption) apply(opts *options) { opts.walDir = string(o) }
 // explicit checkpoint.
 func WithWALDir(dir string) Option { return walDirOption(dir) }
 
-// Cluster is a running simulated replica system. All methods are safe for
-// concurrent use; the replica map is immutable after New, and the mutable
-// fields (tree, protocol, client list) are guarded by mu.
+// Cluster is a running replica system. All methods are safe for concurrent
+// use; the replica map is immutable after New, and the mutable fields (tree,
+// protocol, client list, TCP endpoints) are guarded by mu.
 type Cluster struct {
-	net      *transport.Network
+	net      transport.Transport
+	sim      *transport.Network // the in-memory network; nil under WithTCP
 	replicas map[tree.SiteID]*replica.Replica
 	opts     options
 
@@ -152,13 +167,15 @@ type Cluster struct {
 	tree    *tree.Tree
 	proto   *core.Protocol
 	clients []*client.Client
+	tcpEPs  []*transport.TCPEndpoint // every endpoint under WithTCP, for NetworkStats
 	wals    []*replica.WAL
 	nextCli int
 	closed  bool
 }
 
-// New builds and starts a cluster for the given tree: one replica goroutine
-// per physical node, all attached to a fresh in-memory network.
+// New builds and starts a cluster for the given tree: one replica per
+// physical node, all attached to a fresh network — in-memory, or loopback
+// TCP under WithTCP.
 func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 	o := options{
 		seed:          1,
@@ -172,28 +189,33 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	netOpts := []transport.Option{transport.WithSeed(o.seed)}
-	if o.latency > 0 || o.jitter > 0 {
-		netOpts = append(netOpts, transport.WithLatency(o.latency, o.jitter))
-	}
-	if o.jitterDist != transport.JitterUniform {
-		netOpts = append(netOpts, transport.WithJitterDistribution(o.jitterDist))
-	}
-	if o.dropProb > 0 {
-		netOpts = append(netOpts, transport.WithDropProbability(o.dropProb))
-	}
-	if o.linkFn != nil {
-		netOpts = append(netOpts, transport.WithLinkLatency(o.linkFn))
-	}
-	if o.codec != nil {
-		netOpts = append(netOpts, transport.WithWireCodec(o.codec))
-	}
 	c := &Cluster{
 		tree:     t,
 		proto:    proto,
-		net:      transport.NewNetwork(netOpts...),
 		replicas: make(map[tree.SiteID]*replica.Replica, t.N()),
 		opts:     o,
+	}
+	if o.tcp {
+		if o.simOnly != "" {
+			return nil, fmt.Errorf("cluster: %s needs the in-memory network, not WithTCP", o.simOnly)
+		}
+		c.net = transport.NewTCPNetwork()
+	} else {
+		netOpts := []transport.Option{transport.WithSeed(o.seed)}
+		if o.latency > 0 || o.jitter > 0 {
+			netOpts = append(netOpts, transport.WithLatency(o.latency, o.jitter))
+		}
+		if o.jitterDist != transport.JitterUniform {
+			netOpts = append(netOpts, transport.WithJitterDistribution(o.jitterDist))
+		}
+		if o.dropProb > 0 {
+			netOpts = append(netOpts, transport.WithDropProbability(o.dropProb))
+		}
+		if o.linkFn != nil {
+			netOpts = append(netOpts, transport.WithLinkLatency(o.linkFn))
+		}
+		c.sim = transport.NewNetwork(netOpts...)
+		c.net = c.sim
 	}
 	for _, site := range t.Sites() {
 		ep, err := c.net.Listen(transport.Addr(site))
@@ -201,6 +223,7 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("cluster: register site %d: %w", site, err)
 		}
+		c.track(ep)
 		ropts := []replica.Option{replica.WithLockTTL(o.lockTTL)}
 		if o.maxInflight > 0 {
 			ropts = append(ropts, replica.WithMaxInflight(o.maxInflight))
@@ -224,6 +247,14 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 		c.registerMetrics(o.observer.Reg())
 	}
 	return c, nil
+}
+
+// track keeps a TCP endpoint for NetworkStats. Callers other than New hold
+// mu.
+func (c *Cluster) track(ep transport.Conn) {
+	if tep, ok := ep.(*transport.TCPEndpoint); ok {
+		c.tcpEPs = append(c.tcpEPs, tep)
+	}
 }
 
 // attachWAL replays and attaches the site's write-ahead journal.
@@ -290,6 +321,7 @@ func (c *Cluster) NewClient(opts ...client.Option) (*client.Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: register client: %w", err)
 	}
+	c.track(ep)
 	copts := []client.Option{
 		client.WithTimeout(c.opts.clientTimeout),
 		client.WithSeed(c.opts.seed + int64(c.nextCli)),
@@ -377,11 +409,17 @@ func (c *Cluster) RecoverAll() {
 	}
 }
 
+// errNotSimulated is what a simulated-network fault returns under WithTCP.
+var errNotSimulated = errors.New("cluster: partitions need the in-memory network, not WithTCP")
+
 // Partition splits the network into the given site groups. Clients not
 // listed (all of them, usually) fall into the implicit extra group, so a
 // partition with all clients on one side is expressed by grouping replica
-// sites only.
-func (c *Cluster) Partition(groups ...[]tree.SiteID) {
+// sites only. It fails under WithTCP.
+func (c *Cluster) Partition(groups ...[]tree.SiteID) error {
+	if c.sim == nil {
+		return errNotSimulated
+	}
 	addrGroups := make([][]transport.Addr, len(groups))
 	for i, g := range groups {
 		addrs := make([]transport.Addr, len(g))
@@ -390,14 +428,45 @@ func (c *Cluster) Partition(groups ...[]tree.SiteID) {
 		}
 		addrGroups[i] = addrs
 	}
-	c.net.Partition(addrGroups...)
+	c.sim.Partition(addrGroups...)
+	return nil
 }
 
-// Heal removes any network partition.
-func (c *Cluster) Heal() { c.net.Heal() }
+// Heal removes any network partition. It fails under WithTCP.
+func (c *Cluster) Heal() error {
+	if c.sim == nil {
+		return errNotSimulated
+	}
+	c.sim.Heal()
+	return nil
+}
 
-// NetworkStats returns the transport counters.
-func (c *Cluster) NetworkStats() transport.Stats { return c.net.Stats() }
+// NetworkStats counts what the cluster's network moved: Stats on the
+// in-memory network, TCP summed over every endpoint under WithTCP. The
+// other half stays zero.
+type NetworkStats struct {
+	transport.Stats
+	TCP transport.TCPStats
+}
+
+// NetworkStats returns the network counters.
+func (c *Cluster) NetworkStats() NetworkStats {
+	if c.sim != nil {
+		return NetworkStats{Stats: c.sim.Stats()}
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var st NetworkStats
+	for _, ep := range c.tcpEPs {
+		e := ep.Stats()
+		st.TCP.FramesOut += e.FramesOut
+		st.TCP.FramesIn += e.FramesIn
+		st.TCP.InboxDrops += e.InboxDrops
+		st.TCP.DecodeDrops += e.DecodeDrops
+		st.TCP.Reads += e.Reads
+	}
+	return st
+}
 
 // Close stops all clients, replicas and the network. It is idempotent.
 func (c *Cluster) Close() {

@@ -249,11 +249,15 @@ func TestPartitionBlocksMinorityLevels(t *testing.T) {
 	// Cut level 0 (sites 1,2) away: they form their own partition group,
 	// while the unlisted level-1 sites and all clients share the implicit
 	// group. No read quorum can reach level 0 anymore.
-	c.Partition([]tree.SiteID{1, 2})
+	if err := c.Partition([]tree.SiteID{1, 2}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cli.Read(ctx, "k"); !errors.Is(err, client.ErrReadUnavailable) {
 		t.Errorf("read across partition = %v, want ErrReadUnavailable", err)
 	}
-	c.Heal()
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cli.Read(ctx, "k"); err != nil {
 		t.Errorf("read after heal: %v", err)
 	}

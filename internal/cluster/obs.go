@@ -7,7 +7,6 @@ import (
 	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
-	"arbor/internal/transport"
 	"arbor/internal/tree"
 )
 
@@ -24,7 +23,8 @@ func (o observerOption) apply(opts *options) { opts.observer = o.o }
 func WithObserver(o *obs.Observer) Option { return observerOption{o: o} }
 
 // registerMetrics installs the cluster-scoped metric families: network
-// counters read at scrape time, per-level participation gauges recomputed
+// counters read at scrape time (messages on the in-memory network, frames
+// and drops under WithTCP), per-level participation gauges recomputed
 // from replica stats on every collection (Reset-ing first, so a
 // reconfiguration that changes the number of levels never leaves stale
 // series), and the Eq 3.2 closed-form loads next to their measured
@@ -33,18 +33,33 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc("arbor_network_messages_sent_total",
-		"Messages handed to the simulated network.",
-		func() uint64 { return c.net.Stats().Sent })
-	reg.CounterFunc("arbor_network_messages_delivered_total",
-		"Messages delivered to an endpoint.",
-		func() uint64 { return c.net.Stats().Delivered })
-	reg.CounterFunc("arbor_network_messages_dropped_total",
-		"Messages lost to random drop, partition or congestion.",
-		func() uint64 { return c.net.Stats().Dropped })
-	reg.CounterFunc("arbor_network_messages_delayed_total",
-		"Messages whose delivery was deferred by configured latency.",
-		func() uint64 { return c.net.Stats().Delayed })
+	if c.sim != nil {
+		reg.CounterFunc("arbor_network_messages_sent_total",
+			"Messages handed to the simulated network.",
+			func() uint64 { return c.sim.Stats().Sent })
+		reg.CounterFunc("arbor_network_messages_delivered_total",
+			"Messages delivered to an endpoint.",
+			func() uint64 { return c.sim.Stats().Delivered })
+		reg.CounterFunc("arbor_network_messages_dropped_total",
+			"Messages lost to random drop, partition or congestion.",
+			func() uint64 { return c.sim.Stats().Dropped })
+		reg.CounterFunc("arbor_network_messages_delayed_total",
+			"Messages whose delivery was deferred by configured latency.",
+			func() uint64 { return c.sim.Stats().Delayed })
+	} else {
+		reg.CounterFunc("arbor_network_frames_out_total",
+			"Frames written to a TCP socket, summed over the cluster's endpoints.",
+			func() uint64 { return c.NetworkStats().TCP.FramesOut })
+		reg.CounterFunc("arbor_network_frames_in_total",
+			"Complete frames read off a TCP socket, summed over the cluster's endpoints.",
+			func() uint64 { return c.NetworkStats().TCP.FramesIn })
+		reg.CounterFunc("arbor_network_inbox_drops_total",
+			"Decoded messages discarded because an unserved endpoint's delivery channel was full.",
+			func() uint64 { return c.NetworkStats().TCP.InboxDrops })
+		reg.CounterFunc("arbor_network_decode_drops_total",
+			"Frames whose addresses or payload did not decode.",
+			func() uint64 { return c.NetworkStats().TCP.DecodeDrops })
+	}
 
 	levelSize := reg.GaugeVec("arbor_cluster_level_size",
 		"Physical nodes on each physical level of the current tree.", "level")
@@ -156,7 +171,7 @@ type StatsView struct {
 	Tree    *tree.Tree
 	Proto   *core.Protocol
 	Load    LoadReport
-	Network transport.Stats
+	Network NetworkStats
 	Ops     OpTotals
 }
 
@@ -167,7 +182,7 @@ func (c *Cluster) StatsSnapshot() StatsView {
 	clients := c.clients
 	c.mu.RUnlock()
 	snap.Load = c.LoadReport()
-	snap.Network = c.net.Stats()
+	snap.Network = c.NetworkStats()
 	for _, cli := range clients {
 		m := cli.Metrics()
 		snap.Ops.Reads += m.Reads

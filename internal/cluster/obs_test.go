@@ -236,6 +236,74 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestClientMetricsSumToRegistry: the per-client Metrics() counters, summed
+// over a cluster's clients, equal the registry's arbor_client_* series the
+// same clients feed — after successes, not-found reads and, with a whole
+// level down, failed reads and writes.
+func TestClientMetricsSumToRegistry(t *testing.T) {
+	o := obs.NewObserver(16)
+	c, _ := newObservedCluster(t, "1-3-5", o)
+	ctx := context.Background()
+	clients := []*client.Client{newClient(t, c), newClient(t, c), newClient(t, c)}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			for j, cli := range clients {
+				key := fmt.Sprintf("k%d", (i+j)%5)
+				if (i+j)%3 == 0 {
+					_, _ = cli.Write(ctx, key, []byte("v")) // outcomes are what is counted
+				} else {
+					_, _ = cli.Read(ctx, key)
+				}
+			}
+		}
+	}
+	run(30)
+	if err := c.CrashLevel(0); err != nil {
+		t.Fatal(err)
+	}
+	run(4)
+	c.RecoverAll()
+
+	var sum client.Metrics
+	for _, cli := range c.Clients() {
+		m := cli.Metrics()
+		sum.Reads += m.Reads
+		sum.ReadFailures += m.ReadFailures
+		sum.Writes += m.Writes
+		sum.WriteFailures += m.WriteFailures
+		sum.ReadRefetches += m.ReadRefetches
+	}
+	if sum.Reads == 0 || sum.ReadFailures == 0 || sum.Writes == 0 || sum.WriteFailures == 0 {
+		t.Fatalf("workload missed an outcome: %+v", sum)
+	}
+	reg := o.Registry
+	ops := reg.CounterVec("arbor_client_ops_total", "", "op", "outcome")
+	count := func(op string, outcomes ...string) uint64 {
+		var n uint64
+		for _, out := range outcomes {
+			n += ops.With(op, out).Value()
+		}
+		return n
+	}
+	dur := reg.HistogramVec("arbor_client_op_duration_seconds", "", "op")
+	for _, tc := range []struct {
+		name          string
+		perClient, in uint64
+	}{
+		{"reads", sum.Reads, count("read", obs.OutcomeOK, obs.OutcomeNotFound)},
+		{"read failures", sum.ReadFailures, count("read", obs.OutcomeUnavailable, obs.OutcomeError)},
+		{"writes", sum.Writes, count("write", obs.OutcomeOK, obs.OutcomeInDoubt)},
+		{"write failures", sum.WriteFailures, count("write", obs.OutcomeUnavailable)},
+		{"timed reads", sum.Reads + sum.ReadFailures, dur.With("read").Count()},
+		{"timed writes", sum.Writes + sum.WriteFailures, dur.With("write").Count()},
+		{"read refetches", sum.ReadRefetches, reg.Counter("arbor_client_read_refetches_total", "").Value()},
+	} {
+		if tc.perClient != tc.in {
+			t.Errorf("%s: clients' Metrics() sum to %d, the registry holds %d", tc.name, tc.perClient, tc.in)
+		}
+	}
+}
+
 // TestStatsSnapshotConsistent reconfigures concurrently with snapshots and
 // checks every snapshot holds a matching (tree, protocol) pair.
 func TestStatsSnapshotConsistent(t *testing.T) {

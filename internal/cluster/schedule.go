@@ -14,9 +14,8 @@ import (
 
 // Event is one timed failure-injection action.
 type Event struct {
-	// At is the offset from schedule start. Harnesses that drive a
-	// deterministic event clock (internal/sim) interpret it as a logical
-	// tick instead of wall time.
+	// At is the offset from schedule start. The deterministic harness
+	// (internal/sim) interprets it as a logical tick.
 	At time.Duration
 	// Crash lists sites to fail-stop.
 	Crash []tree.SiteID
@@ -210,7 +209,7 @@ func formatSites(sites []tree.SiteID) string {
 // operation stream; the cluster takes no action on it.
 //
 // '+' joins several actions into one event, applied in the order the verbs
-// are listed above (the order Cluster.apply uses); each action kind may
+// are listed above (the order ApplyEvent uses); each action kind may
 // appear at most once per event. Because '+' separates actions, a workload
 // phase name may not contain it.
 //
@@ -350,12 +349,8 @@ func parseSlowdowns(s string) ([]SiteSlowdown, error) {
 
 // ApplyEvent executes one event against the cluster immediately, ignoring
 // its offset. It is the hook a deterministic harness (internal/sim) uses to
-// fire schedule events on its own logical clock instead of RunSchedule's
-// wall-clock timers.
-func (c *Cluster) ApplyEvent(ev Event) error { return c.apply(ev) }
-
-// apply executes one event against the cluster.
-func (c *Cluster) apply(ev Event) error {
+// fire schedule events on its own logical clock.
+func (c *Cluster) ApplyEvent(ev Event) error {
 	for _, s := range ev.Crash {
 		if err := c.Crash(s); err != nil {
 			return err
@@ -378,10 +373,14 @@ func (c *Cluster) apply(ev Event) error {
 		c.RecoverAllWithSync()
 	}
 	if len(ev.Partition) > 0 {
-		c.Partition(ev.Partition...)
+		if err := c.Partition(ev.Partition...); err != nil {
+			return err
+		}
 	}
 	if ev.Heal {
-		c.Heal()
+		if err := c.Heal(); err != nil {
+			return err
+		}
 	}
 	if ev.Restart {
 		// Power-cycle: every replica fail-stops (volatile lock state is
@@ -419,34 +418,4 @@ func (c *Cluster) apply(ev Event) error {
 		}
 	}
 	return nil
-}
-
-// RunSchedule executes the schedule's events at their offsets, starting
-// now. It returns a channel that is closed when the schedule completes (or
-// the context is cancelled) and a function to retrieve any error.
-func (c *Cluster) RunSchedule(ctx context.Context, sched Schedule) (done <-chan struct{}, errf func() error) {
-	ch := make(chan struct{})
-	var runErr error
-	go func() {
-		defer close(ch)
-		start := time.Now()
-		for _, ev := range sched {
-			wait := time.Until(start.Add(ev.At))
-			if wait > 0 {
-				timer := time.NewTimer(wait)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-					runErr = ctx.Err()
-					return
-				}
-			}
-			if err := c.apply(ev); err != nil {
-				runErr = err
-				return
-			}
-		}
-	}()
-	return ch, func() error { return runErr }
 }

@@ -182,55 +182,23 @@ func TestParseScheduleErrors(t *testing.T) {
 	}
 }
 
-func TestRunScheduleAppliesEvents(t *testing.T) {
+// TestApplyEventUnknownSite: every verb that names a site refuses one the
+// cluster does not have.
+func TestApplyEventUnknownSite(t *testing.T) {
 	c := newCluster(t, "1-3-5")
-	sched, err := ParseSchedule("10ms:crash=1;40ms:recoverall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, errf := c.RunSchedule(context.Background(), sched)
-
-	// After the first event fires, site 1 is down.
-	time.Sleep(25 * time.Millisecond)
-	if !c.Replica(tree.SiteID(1)).Crashed() {
-		t.Error("site 1 not crashed after first event")
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("schedule never completed")
-	}
-	if err := errf(); err != nil {
-		t.Fatalf("schedule error: %v", err)
-	}
-	if c.Replica(tree.SiteID(1)).Crashed() {
-		t.Error("site 1 still crashed after recoverall")
-	}
-}
-
-func TestRunScheduleHonorsContext(t *testing.T) {
-	c := newCluster(t, "1-3-5")
-	sched := Schedule{{At: 10 * time.Second, RecoverAll: true}}
-	ctx, cancel := context.WithCancel(context.Background())
-	done, errf := c.RunSchedule(ctx, sched)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("cancelled schedule did not stop")
-	}
-	if errf() == nil {
-		t.Error("cancelled schedule reported no error")
-	}
-}
-
-func TestRunScheduleBadEvent(t *testing.T) {
-	c := newCluster(t, "1-3-5")
-	sched := Schedule{{At: 0, Crash: []tree.SiteID{99}}}
-	done, errf := c.RunSchedule(context.Background(), sched)
-	<-done
-	if errf() == nil {
-		t.Error("crash of unknown site reported no error")
+	bad := []tree.SiteID{99}
+	for _, ev := range []Event{
+		{Crash: bad},
+		{Recover: bad},
+		{RecoverSync: bad},
+		{Saturate: bad},
+		{Unsaturate: bad},
+		{SlowSite: []SiteSlowdown{{Site: 99, By: time.Millisecond}}},
+		{Drain: bad},
+	} {
+		if err := c.ApplyEvent(ev); err == nil {
+			t.Errorf("ApplyEvent(%s) accepted site 99", ev)
+		}
 	}
 }
 

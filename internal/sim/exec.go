@@ -317,7 +317,9 @@ func Execute(in Input) (*Result, error) {
 		_ = w.cluster.Saturate(site, false)
 		_ = w.cluster.SlowSite(site, 0)
 	}
-	w.cluster.Heal()
+	if err := w.cluster.Heal(); err != nil {
+		return nil, err
+	}
 	if cfg.AntiEntropy {
 		w.cluster.SyncAll()
 		w.awaitSync(res, "final recovery")

@@ -12,8 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"arbor/internal/wire"
 )
 
 // Addr addresses an endpoint. Clusters map replica site IDs onto positive
@@ -47,7 +45,6 @@ type options struct {
 	dropProb   float64
 	seed       int64
 	bufferSize int
-	codec      wire.Codec
 }
 
 type latencyOption struct{ base, jitter time.Duration }
@@ -97,8 +94,8 @@ func (d JitterDist) String() string {
 }
 
 // ParseJitterDist resolves a distribution by name. It is the inverse of
-// JitterDist.String, so configuration front ends (simrun flags, scenario
-// files) can round-trip the choice textually.
+// JitterDist.String, so configuration front ends (scenario files) can
+// round-trip the choice textually.
 func ParseJitterDist(name string) (JitterDist, error) {
 	switch name {
 	case "", "uniform":
@@ -172,30 +169,14 @@ func (o bufferOption) apply(opts *options) { opts.bufferSize = int(o) }
 // further messages to it are dropped (and counted), like a congested link.
 func WithBufferSize(n int) Option { return bufferOption(n) }
 
-type codecOption struct{ c wire.Codec }
-
-func (o codecOption) apply(opts *options) { opts.codec = o.c }
-
-// WithWireCodec makes every delivery round-trip through the given codec
-// (encode, then decode the bytes the receiver would see) instead of
-// handing the payload pointer across. It costs the serialization work real
-// deployments pay, which is the point: the whole simulation stack — chaos
-// schedules included — exercises the codec end to end, and the encoded
-// volume shows up in Stats.WireBytes. Off by default; the -codec flags on
-// arbord and simrun switch it on.
-func WithWireCodec(c wire.Codec) Option { return codecOption{c: c} }
-
 // Stats counts network activity. Dropped counts both random loss and
 // partition/congestion drops. Delayed counts messages whose delivery was
-// deferred by latency, jitter or per-link delay. WireBytes accumulates the
-// encoded size of every message when a codec is armed (WithWireCodec), and
-// stays zero otherwise.
+// deferred by latency, jitter or per-link delay.
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
 	Dropped   uint64
 	Delayed   uint64
-	WireBytes uint64
 }
 
 // Network is an in-memory message network.
@@ -307,28 +288,12 @@ func (e *Endpoint) Recv() <-chan Message { return e.in }
 // accepted by the network, not that it will be delivered.
 func (e *Endpoint) Send(to Addr, payload any) error {
 	n := e.net
-	wireBytes := 0
-	if c := n.opts.codec; c != nil {
-		// Codec fidelity mode: deliver what the receiver would decode, not
-		// the sender's pointer. Encode buffers are pooled; Decode copies.
-		bp := frameBufPool.Get().(*[]byte)
-		buf, err := c.Encode((*bp)[:0], payload)
-		if err == nil {
-			payload, err = c.Decode(buf)
-		}
-		wireBytes = len(buf)
-		putFrameBuf(bp, buf)
-		if err != nil {
-			return fmt.Errorf("transport: codec round-trip to %d: %w", to, err)
-		}
-	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
 	}
 	n.stats.Sent++
-	n.stats.WireBytes += uint64(wireBytes)
 	dst, ok := n.endpoints[to]
 	if !ok {
 		n.stats.Dropped++

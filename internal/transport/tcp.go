@@ -94,10 +94,9 @@ func WithConnsPerPeer(n int) TCPOption { return connsPerPeerOption(n) }
 
 // TCPNetwork is a real-sockets counterpart to Network: listeners bind
 // ephemeral loopback ports, an in-process registry maps logical addresses
-// to them, and frames carry codec-encoded protocol messages. It exists to
-// demonstrate that the protocol stack is transport-agnostic; the in-memory
-// Network remains the default for simulations because it can inject faults
-// deterministically.
+// to them, and frames carry codec-encoded protocol messages. arbord and the
+// benchmark run over it; the in-memory Network remains the simulator's
+// because it can inject faults deterministically.
 type TCPNetwork struct {
 	opts tcpOptions
 
@@ -205,10 +204,15 @@ type wireConn struct {
 }
 
 // shutdown ends both directions without closing: a write blocked toward the
-// peer fails, and the read loop finds EOF, exits and closes the connection.
+// peer fails, and the read loop exits and closes the connection. The expired
+// read deadline is what guarantees the exit: EOF alone does not, because a
+// read loop that had not yet entered RawConn.Read when the shutdown's
+// readiness edge fired clears that edge on entry, reads the data still
+// queued, and parks after the short read with no edge left to wake it.
 func (wc *wireConn) shutdown() {
 	_ = wc.c.CloseRead() // fails only on a connection its loop already closed
 	_ = wc.c.CloseWrite()
+	_ = wc.c.SetReadDeadline(time.Unix(1, 0))
 }
 
 // Register creates a listener endpoint on an ephemeral loopback port.

@@ -811,3 +811,45 @@ func TestTCPAcceptBackoff(t *testing.T) {
 	}()
 	within(t, closed, "the accept loop to exit on a closed listener")
 }
+
+// TestTCPShutdownBeforeReadLoop: a connection shut down before its read loop
+// first reads — the peer's bytes already queued, so that read returns data,
+// not EOF, and no packet is left in flight to raise a later readiness edge —
+// still ends its loop instead of parking for good. This is how TCPNetwork.Close
+// hung when it shut down a connection its acceptor had only just started.
+func TestTCPShutdownBeforeReadLoop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close() // unparks a stuck loop, so a failure does not leak it
+	e := NewTCPNetwork().newEndpoint(2)
+	if _, err := c.Write((&TCPEndpoint{addr: 7, net: e.net}).hello()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // the HELLO lands in the receive queue
+	wc := &wireConn{c: sc.(*net.TCPConn)}
+	wc.shutdown()
+	time.Sleep(10 * time.Millisecond) // and the shutdown's FIN is acknowledged
+	done := make(chan struct{})
+	e.done.Add(1)
+	go func() {
+		e.readLoop(wc, 0, true)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("read loop of a shut-down connection still parked after 2s")
+	}
+}
