@@ -141,8 +141,8 @@ var (
 	WithObserver = cluster.WithObserver
 	// WithMaxInflight bounds each replica's admitted-but-unfinished gated
 	// requests (reads and prepares; commits, aborts and recovery traffic
-	// are never gated). Excess work queues briefly, then sheds with a
-	// typed overload reply — reads first, prepares only when saturated.
+	// are never gated). Excess work sheds at once with a typed overload
+	// reply — reads first, prepares only when even their reserve is gone.
 	WithMaxInflight = cluster.WithMaxInflight
 )
 

@@ -163,18 +163,20 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.cli.Write(r.Context(), key, value)
+	code, outcome := http.StatusOK, "ok"
 	switch {
 	case errors.Is(err, client.ErrWriteUnavailable):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case errors.Is(err, client.ErrInDoubt):
-		w.WriteHeader(http.StatusAccepted) // committed, acks incomplete
+		code, outcome = http.StatusAccepted, "in doubt" // committed, acks incomplete
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("X-Arbor-Version", res.TS.String())
-	fmt.Fprintf(w, "ok level=%d contacts=%d\n", res.Level, res.Contacts)
+	w.WriteHeader(code)
+	fmt.Fprintf(w, "%s level=%d contacts=%d\n", outcome, res.Level, res.Contacts)
 }
 
 // statsResponse is the /stats JSON document.
@@ -194,6 +196,8 @@ type networkStats struct {
 	FramesIn    uint64 `json:"framesIn"`
 	InboxDrops  uint64 `json:"inboxDrops"`
 	DecodeDrops uint64 `json:"decodeDrops"`
+	Dials       uint64 `json:"dials"`
+	Evictions   uint64 `json:"evictions"`
 }
 
 type participationStat struct {
@@ -231,6 +235,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			FramesIn:    snap.Network.TCP.FramesIn,
 			InboxDrops:  snap.Network.TCP.InboxDrops,
 			DecodeDrops: snap.Network.TCP.DecodeDrops,
+			Dials:       snap.Network.TCP.Dials,
+			Evictions:   snap.Network.TCP.Evictions,
 		},
 		Load: loadStats{
 			TheoryRead:     check.TheoryReadLoad,

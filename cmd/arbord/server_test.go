@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"arbor/internal/client"
 	"arbor/internal/cluster"
 	"arbor/internal/obs"
+	"arbor/internal/replica"
 	"arbor/internal/tree"
 )
 
@@ -68,6 +70,42 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutInDoubt: a write whose commits all go unacknowledged is committed
+// but in doubt — 202 with its version header set and a body that says so.
+func TestPutInDoubt(t *testing.T) {
+	tr, err := tree.ParseSpec("1-3-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(tr, 1, 64, []client.Option{client.WithTimeout(50 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	for _, site := range srv.cluster.Tree().Sites() {
+		srv.cluster.Replica(site).SetFailPoint(replica.FailOnCommit)
+	}
+	resp, err := http.Post(ts.URL+"/put?key=k", "text/plain", strings.NewReader("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || !strings.HasPrefix(string(body), "in doubt level=") {
+		t.Errorf("in-doubt put: %d %q, want 202 \"in doubt level=…\"", resp.StatusCode, body)
+	}
+	if v := resp.Header.Get("X-Arbor-Version"); v == "" {
+		t.Error("in-doubt put answered without X-Arbor-Version")
+	}
+}
+
 func TestGetMissingKey(t *testing.T) {
 	_, ts := newTestServer(t)
 	if code, _ := do(t, http.MethodGet, ts.URL+"/get?key=nope", ""); code != http.StatusNotFound {
@@ -108,6 +146,9 @@ func TestStats(t *testing.T) {
 	}
 	if len(st.Participation) != 8 {
 		t.Errorf("participation rows: %d", len(st.Participation))
+	}
+	if st.Network.Dials == 0 || st.Network.Evictions != 0 {
+		t.Errorf("network: %+v, want dials and no eviction", st.Network)
 	}
 }
 
@@ -554,8 +595,8 @@ func metricValue(t *testing.T, text, name string) float64 {
 }
 
 // TestMetricsTCPFrames: the daemon's replicas and serving client talk over
-// TCP, so a PUT and a GET raise the frame counters on /metrics and nothing
-// is dropped.
+// TCP, so a PUT and a GET raise the frame counters on /metrics, the client
+// has dialed, and nothing is dropped or evicted.
 func TestMetricsTCPFrames(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, before := do(t, http.MethodGet, ts.URL+"/metrics", "")
@@ -571,10 +612,13 @@ func TestMetricsTCPFrames(t *testing.T) {
 			t.Errorf("%s did not rise across a PUT and a GET: %v → %v", name, b, a)
 		}
 	}
-	for _, name := range []string{"arbor_network_decode_drops_total", "arbor_network_inbox_drops_total"} {
+	for _, name := range []string{"arbor_network_decode_drops_total", "arbor_network_inbox_drops_total", "arbor_network_evictions_total"} {
 		if v := metricValue(t, after, name); v != 0 {
 			t.Errorf("%s = %v, want 0", name, v)
 		}
+	}
+	if v := metricValue(t, after, "arbor_network_dials_total"); v == 0 {
+		t.Error("arbor_network_dials_total = 0 after a PUT and a GET")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -680,8 +681,12 @@ func ReadWithHedgeDelay(d time.Duration) ReadOption { return readHedgeDelay(d) }
 // writeConfig is the per-operation shape of a write.
 type writeConfig struct {
 	read  readConfig // version-discovery probing
-	level int        // preferred first level, -1 = engine-ordered
+	level int        // preferred first level, anyLevel = engine-ordered
 }
+
+// anyLevel is writeConfig.level when no WriteToLevel was given; any other
+// value outside the protocol's levels, negative ones included, is an error.
+const anyLevel = math.MinInt
 
 // WriteOption adjusts a single Write call without reconfiguring the
 // client.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -277,6 +278,26 @@ func TestReadCoalescing(t *testing.T) {
 	}
 	if h.cli.instr.coalesced.Value() == 0 {
 		t.Error("no reads accounted as coalesced")
+	}
+}
+
+// TestWriteToLevelRejectsNegative: a negative level is an error on both
+// write paths, the same error, and nothing is written.
+func TestWriteToLevelRejectsNegative(t *testing.T) {
+	h := newMemHarness(t, "1-2-3")
+	ctx := context.Background()
+	for _, u := range []int{-1, -2} {
+		_, err := h.cli.Write(ctx, "k", []byte("v"), WriteToLevel(u))
+		if err == nil {
+			t.Fatalf("Write with WriteToLevel(%d) succeeded", u)
+		}
+		_, atErr := h.cli.WriteAt(ctx, "k", []byte("v"), u)
+		if atErr == nil || atErr.Error() != err.Error() {
+			t.Errorf("WriteAt(%d) = %v, Write with WriteToLevel(%d) = %v: want the same error", u, atErr, u, err)
+		}
+	}
+	if _, err := h.cli.Read(ctx, "k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("read after rejected writes: %v, want ErrNotFound", err)
 	}
 }
 

@@ -39,15 +39,19 @@ type WriteResult struct {
 // by-reference transport store the very slice a commit carries.
 func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...WriteOption) (WriteResult, error) {
 	lt := c.levels.Load()
-	cfg := writeConfig{read: c.readDefaults(), level: -1}
+	cfg := writeConfig{read: c.readDefaults(), level: anyLevel}
 	for _, o := range opts {
 		o.applyWrite(&cfg)
 	}
-	if cfg.level >= len(lt.addrs) {
-		return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, len(lt.addrs))
+	pin := -1
+	if cfg.level != anyLevel {
+		if cfg.level < 0 || cfg.level >= len(lt.addrs) {
+			return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, len(lt.addrs))
+		}
+		pin = cfg.level
 	}
 	var orderBuf [maxStackLevels]int
-	order := c.orderedLevels(lt, orderBuf[:0], cfg.level)
+	order := c.orderedLevels(lt, orderBuf[:0], pin)
 	return c.writeWithOrder(ctx, key, bytes.Clone(value), lt, order, cfg.read)
 }
 
@@ -58,9 +62,6 @@ func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...Wr
 // geo-replicated layout) trades the uniform strategy's balanced load for
 // locality. It is shorthand for Write with WriteToLevel(level).
 func (c *Client) WriteAt(ctx context.Context, key string, value []byte, level int) (WriteResult, error) {
-	if level < 0 {
-		return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", level, c.Protocol().NumPhysicalLevels())
-	}
 	return c.Write(ctx, key, value, WriteToLevel(level))
 }
 

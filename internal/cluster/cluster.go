@@ -139,9 +139,9 @@ func (o maxInflightOption) apply(opts *options) { opts.maxInflight = int(o) }
 
 // WithMaxInflight bounds each replica's concurrently served gated requests
 // (reads, version probes and phase-one prepares; phase two is never gated).
-// Work beyond the bound waits in a small queue and is shed with a typed
-// overload reply once the queue fills — reads before prepares, commits and
-// aborts never. Zero or less keeps the replica default.
+// Work beyond the bound is shed at once with a typed overload reply — reads
+// before prepares, commits and aborts never. Zero or less keeps the replica
+// default.
 func WithMaxInflight(n int) Option { return maxInflightOption(n) }
 
 type walDirOption string
@@ -464,6 +464,8 @@ func (c *Cluster) NetworkStats() NetworkStats {
 		st.TCP.InboxDrops += e.InboxDrops
 		st.TCP.DecodeDrops += e.DecodeDrops
 		st.TCP.Reads += e.Reads
+		st.TCP.Dials += e.Dials
+		st.TCP.Evictions += e.Evictions
 	}
 	return st
 }

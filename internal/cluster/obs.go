@@ -59,6 +59,12 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		reg.CounterFunc("arbor_network_decode_drops_total",
 			"Frames whose addresses or payload did not decode.",
 			func() uint64 { return c.NetworkStats().TCP.DecodeDrops })
+		reg.CounterFunc("arbor_network_dials_total",
+			"TCP connections dialed, summed over the cluster's endpoints.",
+			func() uint64 { return c.NetworkStats().TCP.Dials })
+		reg.CounterFunc("arbor_network_evictions_total",
+			"TCP connections removed from a route, broken or ended by the peer, summed over the cluster's endpoints.",
+			func() uint64 { return c.NetworkStats().TCP.Evictions })
 	}
 
 	levelSize := reg.GaugeVec("arbor_cluster_level_size",

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"arbor/internal/client"
+	"arbor/internal/replica"
+	"arbor/internal/transport"
+	"arbor/internal/tree"
 )
 
 // TestRetryBudgetBoundsRetryStorm pins the retry-storm regression: with one
@@ -103,6 +106,62 @@ func TestDrainPreservesAckedWrites(t *testing.T) {
 		rd, err := cli.Read(ctx, fmt.Sprintf("k%d", i))
 		if err != nil || string(rd.Value) != fmt.Sprintf("v%d", i) {
 			t.Errorf("read k%d after drain cycle = %q, %v; want v%d", i, rd.Value, err, i)
+		}
+	}
+}
+
+// TestSlowSiteDelaysGatedWorkNotCommits pins what slowsite= means: a slowed
+// site answers its gated requests no sooner than the delay, acknowledges a
+// commit well inside it, and the cluster's reads and writes still succeed.
+func TestSlowSiteDelaysGatedWorkNotCommits(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	const slow = tree.SiteID(2)
+	c := newCluster(t, "1-3-5")
+	if err := c.SlowSite(slow, delay); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := c.sim.Register(-100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(payload any) (any, time.Duration) {
+		t.Helper()
+		start := time.Now()
+		if err := ep.Send(transport.Addr(slow), payload); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-ep.Recv():
+			return m.Payload, time.Since(start)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no reply to %T", payload)
+			return nil, 0
+		}
+	}
+	ts := replica.Timestamp{Version: 1, Site: -100}
+	for _, req := range []any{
+		replica.ReadReq{ReqID: 1, Key: "probe"},
+		replica.VersionReq{ReqID: 2, Key: "probe"},
+		replica.PrepareReq{ReqID: 3, TxID: 3, Key: "probe", TS: ts},
+	} {
+		if resp, took := call(req); took < delay {
+			t.Errorf("%T answered in %v (%T), before the %v delay", req, took, resp, delay)
+		}
+	}
+	resp, took := call(replica.CommitReq{ReqID: 4, TxID: 3, Key: "probe", Value: []byte("v"), TS: ts})
+	if ack, ok := resp.(replica.CommitResp); !ok || !ack.OK || took >= delay/2 {
+		t.Errorf("commit answered %+v in %v, want an acknowledgement well inside %v", resp, took, delay)
+	}
+
+	cli := newClient(t, c)
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		key, value := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		if _, err := cli.Write(ctx, key, []byte(value)); err != nil {
+			t.Fatalf("write %s with site %d slowed: %v", key, slow, err)
+		}
+		if rd, err := cli.Read(ctx, key); err != nil || string(rd.Value) != value {
+			t.Fatalf("read %s with site %d slowed = %q, %v; want %s", key, slow, rd.Value, err, value)
 		}
 	}
 }

@@ -170,16 +170,10 @@ arbor_replica_sync_completions_total{site="4"} 0
 # HELP arbor_replica_lock_wait_seconds Time prepare handlers spent acquiring the replica's lock-table mutex.
 # TYPE arbor_replica_lock_wait_seconds histogram
 arbor_replica_lock_wait_seconds_count 11
-# HELP arbor_replica_sheds_total Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, queue_full = wait queue overflow, expired = deadline budget spent while queued).
+# HELP arbor_replica_sheds_total Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, busy = over the in-flight limit).
 # TYPE arbor_replica_sheds_total counter
 arbor_replica_sheds_total{site="1",reason="refused"} 5
 arbor_replica_sheds_total{site="2",reason="refused"} 5
-# HELP arbor_replica_admission_queue_depth Requests waiting in the replica's admission queue, by site.
-# TYPE arbor_replica_admission_queue_depth gauge
-arbor_replica_admission_queue_depth{site="1"} 0
-arbor_replica_admission_queue_depth{site="2"} 0
-arbor_replica_admission_queue_depth{site="3"} 0
-arbor_replica_admission_queue_depth{site="4"} 0
 # HELP arbor_replica_reply_errors_total Replies the transport refused to send (requester's connection broken or endpoint closed), by site.
 # TYPE arbor_replica_reply_errors_total counter
 arbor_replica_reply_errors_total{site="1"} 0

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arbor/internal/obs"
@@ -10,37 +11,17 @@ import (
 	"arbor/internal/wire"
 )
 
-// opClass partitions the sheddable request types by shed priority. Phase-two
-// traffic (commit, abort) and liveness/sync traffic never pass through the
-// gate at all: a prepared site must always hear the transaction's outcome,
-// so overload can delay phase two but never refuse it.
-type opClass int
-
-const (
-	// classRead: reads and read-side version probes — shed first. A shed
-	// read costs the client one skip to a sibling site.
-	classRead opClass = iota
-	// classPrepare: phase-one prepares — shed only when even the reserved
-	// headroom is gone. A shed prepare is a clean abort, never an in-doubt
-	// write.
-	classPrepare
-	numClasses
-)
-
-// Default admission-gate sizing. The limits are deliberately generous: the
+// Default admission-gate sizing. The limit is deliberately generous: the
 // gate should be invisible until a site is genuinely saturated, so ordinary
 // unit tests and sim traces never see a shed.
 const (
 	// DefaultMaxInflight bounds concurrently served gated requests per
 	// replica (reads, version probes and prepares; never phase two).
 	DefaultMaxInflight = 64
-	// defaultQueueFactor sizes each class's wait queue relative to the
-	// in-flight limit.
-	defaultQueueFactor = 2
-	// admitRetryAfterUnit scales the retry-after hint by queue occupancy:
-	// an empty queue hints one unit, a full one proportionally more. The
-	// hint is a pure function of queue state, so deterministic schedules
-	// produce deterministic hints.
+	// admitRetryAfterUnit scales the retry-after hint by the requests in
+	// flight: a shed on an otherwise idle site hints one unit. The hint is a
+	// pure function of the count, so deterministic schedules produce
+	// deterministic hints.
 	admitRetryAfterUnit = 2 * time.Millisecond
 )
 
@@ -48,8 +29,7 @@ const (
 // use: reads saturate earlier, so phase-one work still finds a slot on a
 // busy-but-healthy site (shed priority: reads before prepares). The reserve
 // never consumes the whole limit — reads must keep at least one slot, or a
-// read-only workload on a tiny limit would queue forever with no prepare
-// traffic to drain it.
+// tiny limit would shed every read.
 func prepareReserve(limit int) int {
 	reserve := limit / 4
 	if reserve < 1 {
@@ -61,219 +41,104 @@ func prepareReserve(limit int) int {
 	return reserve
 }
 
-// gateItem is one queued (or running) gated request.
-type gateItem struct {
-	from  transport.Addr
-	reqID uint64
-	class opClass
-	// budget is the request's remaining deadline at arrival (zero = none);
-	// enq anchors the expiry check on dequeue.
-	budget time.Duration
-	enq    time.Time
-	serve  func()
-}
-
-// gate is the replica's bounded in-flight admission controller. Requests of
-// the gated classes either start immediately (a slot is free), wait in a
-// small per-class FIFO, or are shed with a typed OverloadedResp. Serving
-// happens on worker goroutines — the store and lock table are already
-// mutex-guarded, so gated handlers are safe off the delivering goroutine —
-// which is what makes "in flight" a real quantity to bound.
+// gate is the replica's admission controller: a count of the gated requests
+// in flight. A request takes a slot and is served on the goroutine that
+// delivered it, or is shed at once with a typed OverloadedResp; nothing
+// waits for a slot. Only the slowsite= fault defers work: a slowed request
+// keeps its slot and is served from a timer. Phase-two traffic (commit,
+// abort) and liveness/sync traffic never pass the gate: a prepared site must
+// always hear the transaction's outcome, so overload never refuses it.
 type gate struct {
-	r        *Replica
-	limit    int
-	reserve  int
-	queueCap int
+	// readLimit bounds reads and read-side version probes, shed first (a
+	// shed read costs the client one skip to a sibling site); limit bounds
+	// prepares, which alone may use the reserve between the two (a shed
+	// prepare is a clean abort, never an in-doubt write).
+	readLimit, limit int64
+	inflight         atomic.Int64
 
-	mu       sync.Mutex
-	inflight int
-	queues   [numClasses][]gateItem
-
-	wg sync.WaitGroup
+	// slowed holds the timers of deferred requests not yet due; slowWG
+	// counts the deferred requests not yet finished. Stop cancels the one
+	// and waits out the other.
+	slowMu sync.Mutex
+	slowed map[*time.Timer]struct{}
+	slowWG sync.WaitGroup
 }
 
-func newGate(r *Replica, maxInflight int) *gate {
+func newGate(maxInflight int) *gate {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMaxInflight
 	}
 	return &gate{
-		r:        r,
-		limit:    maxInflight,
-		reserve:  prepareReserve(maxInflight),
-		queueCap: maxInflight * defaultQueueFactor,
+		readLimit: int64(maxInflight - prepareReserve(maxInflight)),
+		limit:     int64(maxInflight),
+		slowed:    make(map[*time.Timer]struct{}),
 	}
 }
 
-// classLimit is the in-flight ceiling for the class: reads stop short of
-// the prepare reserve.
-func (g *gate) classLimit(class opClass) int {
-	if class == classRead {
-		return g.limit - g.reserve
-	}
-	return g.limit
-}
-
-// depth reports the total queued work (both classes).
-func (g *gate) depth() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.queues[classRead]) + len(g.queues[classPrepare])
-}
-
-// idle reports whether nothing gated is running or queued.
-func (g *gate) idle() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight == 0 && len(g.queues[classRead]) == 0 && len(g.queues[classPrepare]) == 0
-}
-
-// tryAdmit is the gate's fast path: when the site is healthy (not
-// saturated, draining or browning out) and a slot is free with nothing
-// queued ahead, it claims the slot and the caller serves the request
-// inline on its own goroutine — no closure, no worker, no handoff. The
-// caller must call finish() afterwards. This is what keeps the gate
-// invisible on the hot path: an unloaded site pays one atomic load and one
-// uncontended mutex over the ungated code.
-func (g *gate) tryAdmit(class opClass) bool {
-	if g.r.saturated.Load() || g.r.draining.Load() || g.r.slowBy.Load() != 0 {
-		return false
-	}
-	g.mu.Lock()
-	if g.inflight < g.classLimit(class) &&
-		len(g.queues[classPrepare]) == 0 && len(g.queues[classRead]) == 0 {
-		g.inflight++
-		g.mu.Unlock()
-		return true
-	}
-	g.mu.Unlock()
-	return false
-}
-
-// finish releases an inline-admitted slot, first draining any work that
-// queued behind it (same loop as a worker's run).
-func (g *gate) finish() {
-	for {
-		next, ok := g.next()
-		if !ok {
+// gated passes a read, version probe or prepare through the gate: it takes
+// a slot and serves msg right here, defers it by the slowsite= delay, or
+// sheds it at once — refused while the site is saturated or draining, busy
+// when limit slots are taken — hinting (in flight + 1) × 2 ms. The slot
+// is taken before the flags are read, so every request a quiescing Drain
+// did not count sees the drain.
+func (r *Replica) gated(msg transport.Message, reqID uint64, limit int64) {
+	g := r.gate
+	n := g.inflight.Add(1)
+	reason := "busy"
+	switch {
+	case r.saturated.Load() || r.draining.Load():
+		reason = "refused"
+	case n <= limit:
+		if d := time.Duration(r.slowBy.Load()); d > 0 {
+			r.serveAfter(d, msg)
 			return
 		}
-		g.serveOne(next)
-	}
-}
-
-// submit admits, queues, or sheds one gated request. serve runs on a worker
-// goroutine once a slot is free. Dispatch only reaches submit when tryAdmit
-// declined — under pressure or fault injection — so the closure and the
-// goroutine are off the hot path.
-func (g *gate) submit(from transport.Addr, reqID uint64, class opClass, deadlineMillis uint64, serve func()) {
-	if g.r.saturated.Load() || g.r.draining.Load() {
-		// Deterministic overload (the sim's saturate= verb) and drain both
-		// refuse all gated work outright.
-		g.r.shed(from, reqID, "refused", g.retryAfterHint(class))
+		r.serveGated(msg)
+		g.inflight.Add(-1)
 		return
 	}
-	item := gateItem{from: from, reqID: reqID, class: class, serve: serve}
-	if deadlineMillis > 0 {
-		item.budget = time.Duration(deadlineMillis) * time.Millisecond
-		item.enq = time.Now()
-	}
-	g.mu.Lock()
-	if g.inflight < g.classLimit(class) {
-		g.inflight++
-		g.wg.Add(1)
-		g.mu.Unlock()
-		go g.run(item)
-		return
-	}
-	if len(g.queues[class]) >= g.queueCap {
-		g.mu.Unlock()
-		g.r.shed(from, reqID, "queue_full", g.retryAfterHint(class))
-		return
-	}
-	g.queues[class] = append(g.queues[class], item)
-	g.updateQueueDepth()
-	g.mu.Unlock()
+	g.inflight.Add(-1)
+	r.shed(msg.From, reqID, reason, time.Duration(n)*admitRetryAfterUnit)
 }
 
-// retryAfterHint derives the overload reply's backoff hint from queue
-// occupancy — a pure function of gate state, so deterministic runs shed
-// with deterministic hints.
-func (g *gate) retryAfterHint(class opClass) time.Duration {
-	g.mu.Lock()
-	queued := len(g.queues[class])
-	g.mu.Unlock()
-	return time.Duration(queued+1) * admitRetryAfterUnit
-}
-
-// run serves the admitted item, then keeps draining the wait queues until
-// they are empty, preferring prepares (phase-one work beats read work on a
-// recovering-from-pressure site).
-func (g *gate) run(item gateItem) {
-	defer g.wg.Done()
-	g.serveOne(item)
-	for {
-		next, ok := g.next()
-		if !ok {
-			return
+// serveAfter serves an admitted request d from now, from a timer, and then
+// releases its slot; a replica that went down meanwhile stays silent.
+func (r *Replica) serveAfter(d time.Duration, msg transport.Message) {
+	g := r.gate
+	g.slowMu.Lock()
+	defer g.slowMu.Unlock()
+	g.slowWG.Add(1)
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		g.slowMu.Lock()
+		delete(g.slowed, t)
+		g.slowMu.Unlock()
+		if r.Health() != HealthDown {
+			r.serveGated(msg)
 		}
-		g.serveOne(next)
-	}
+		g.inflight.Add(-1)
+		g.slowWG.Done()
+	})
+	g.slowed[t] = struct{}{}
 }
 
-// serveOne executes one admitted request, honoring the slowsite= delay and
-// dropping (not answering) work addressed to a crashed replica.
-func (g *gate) serveOne(item gateItem) {
-	if d := time.Duration(g.r.slowBy.Load()); d > 0 {
-		time.Sleep(d)
-	}
-	if g.r.Health() == HealthDown {
-		return // fail-stop: no replies while down
-	}
-	item.serve()
-}
-
-// next pops the oldest queued item, prepares first. Items whose deadline
-// budget expired while they waited are shed ("expired") and skipped — the
-// caller has already given up on them. Returns ok=false (releasing the
-// slot) when both queues are empty.
-func (g *gate) next() (gateItem, bool) {
-	now := time.Now()
-	for {
-		g.mu.Lock()
-		var item gateItem
-		found := false
-		for _, class := range [...]opClass{classPrepare, classRead} {
-			if len(g.queues[class]) > 0 {
-				item = g.queues[class][0]
-				g.queues[class] = g.queues[class][1:]
-				found = true
-				break
-			}
+// stop cancels the deferred requests not yet due and waits out those being
+// served.
+func (g *gate) stop() {
+	g.slowMu.Lock()
+	for t := range g.slowed {
+		if t.Stop() {
+			g.inflight.Add(-1)
+			g.slowWG.Done()
 		}
-		if !found {
-			g.inflight--
-			g.updateQueueDepth()
-			g.mu.Unlock()
-			return gateItem{}, false
-		}
-		g.updateQueueDepth()
-		g.mu.Unlock()
-		if item.budget > 0 && now.Sub(item.enq) > item.budget {
-			g.r.shed(item.from, item.reqID, "expired", 0)
-			continue
-		}
-		return item, true
+		delete(g.slowed, t)
 	}
-}
-
-// updateQueueDepth publishes the combined queue depth; callers hold g.mu.
-func (g *gate) updateQueueDepth() {
-	g.r.instr.admitQueueDepth.Set(float64(len(g.queues[classRead]) + len(g.queues[classPrepare])))
+	g.slowMu.Unlock()
+	g.slowWG.Wait()
 }
 
 // shed answers a gated request with the typed overload reply and counts it.
-// reason is refused (gate closed: saturated or draining), queue_full, or
-// expired (budget spent while queued).
+// reason is refused (saturated or draining) or busy (over the limit).
 func (r *Replica) shed(to transport.Addr, reqID uint64, reason string, retryAfter time.Duration) {
 	r.shedMu.Lock()
 	shed := r.shedBy[reason]
@@ -300,6 +165,7 @@ func (r *Replica) Saturated() bool { return r.saturated.Load() }
 
 // SlowBy injects d of extra service time into every gated request (zero
 // clears it) — the sim's slowsite= fault, a brownout rather than a refusal.
+// A slowed request holds its slot for the delay; commits are never slowed.
 func (r *Replica) SlowBy(d time.Duration) {
 	r.slowBy.Store(int64(d))
 }
@@ -335,10 +201,10 @@ func (r *Replica) Drain(ctx context.Context) error {
 	}
 }
 
-// quiesced reports whether no gated work is running or queued and no
-// unexpired prepared transaction still holds a lock.
+// quiesced reports whether no gated work is in flight and no unexpired
+// prepared transaction still holds a lock.
 func (r *Replica) quiesced() bool {
-	if !r.gate.idle() {
+	if r.gate.inflight.Load() != 0 {
 		return false
 	}
 	r.mu.Lock()

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
@@ -56,122 +55,68 @@ func TestSaturateShedsGatedNeverPhaseTwo(t *testing.T) {
 	}
 }
 
-// TestGateDrainsPreparesFirst fills the single slot, queues a read and then
-// a prepare, and checks the worker drains the prepare first: phase-one work
-// beats read work on a site recovering from pressure.
-func TestGateDrainsPreparesFirst(t *testing.T) {
-	h := newHarness(t, WithMaxInflight(1))
-	g := h.rep.gate
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var order []string
-	record := func(name string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-		}
-	}
-	g.submit(0, 1, classRead, 0, func() { close(started); <-release })
-	<-started
-	g.submit(0, 2, classRead, 0, record("read"))
-	g.submit(0, 3, classPrepare, 0, record("prepare"))
-	close(release)
-	g.wg.Wait()
-
-	if len(order) != 2 || order[0] != "prepare" || order[1] != "read" {
-		t.Errorf("drain order = %v, want [prepare read]", order)
-	}
-}
-
-// TestGatePrepareReserveAdmitsUnderReadPressure saturates the read share of
-// a limit-4 gate (reserve 1) and checks a prepare still starts immediately
-// while a fourth read has to queue.
+// TestGatePrepareReserveAdmitsUnderReadPressure holds the read share of a
+// limit-4 gate (reserve 1) with three slowed reads. A fourth read is shed
+// busy at once, hinting (3 in flight + 1) × 2 ms; a prepare still takes the
+// reserved slot; a commit is served at once; and a second prepare, finding
+// every slot taken, is shed busy too.
 func TestGatePrepareReserveAdmitsUnderReadPressure(t *testing.T) {
 	h := newHarness(t, WithMaxInflight(4))
-	g := h.rep.gate
-
-	release := make(chan struct{})
-	var started sync.WaitGroup
+	h.rep.SlowBy(time.Minute) // the harness's Stop cancels what is still held
 	for i := uint64(1); i <= 3; i++ {
-		started.Add(1)
-		g.submit(0, i, classRead, 0, func() { started.Done(); <-release })
+		if err := h.client.Send(1, ReadReq{ReqID: i, Key: "k"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	started.Wait()
+	busy := func(reqID, hintMillis uint64, payload any) {
+		t.Helper()
+		resp, ok := h.call(t, payload).(OverloadedResp)
+		if !ok || resp.ReqID != reqID || resp.RetryAfterMillis != hintMillis {
+			t.Fatalf("reply = %+v, want OverloadedResp{ReqID: %d, RetryAfterMillis: %d}", resp, reqID, hintMillis)
+		}
+	}
+	busy(4, 8, ReadReq{ReqID: 4, Key: "k"})
 
-	g.submit(0, 4, classRead, 0, func() {}) // read share exhausted: queues
-	if got := g.depth(); got != 1 {
-		t.Errorf("queue depth after fourth read = %d, want 1", got)
+	if err := h.client.Send(1, PrepareReq{ReqID: 5, TxID: 5, Key: "k", TS: Timestamp{Version: 1, Site: 1}}); err != nil {
+		t.Fatal(err)
 	}
-	prepareRan := make(chan struct{})
-	g.submit(0, 5, classPrepare, 0, func() { close(prepareRan) })
-	select {
-	case <-prepareRan:
-	case <-time.After(2 * time.Second):
-		t.Fatal("prepare did not run while the read share was saturated (reserve not honored)")
+	if resp, ok := h.call(t, CommitReq{ReqID: 6, TxID: 6, Key: "other", TS: Timestamp{Version: 1, Site: 1}}).(CommitResp); !ok || !resp.OK {
+		t.Fatalf("commit under read pressure = %+v, want an immediate CommitResp", resp)
 	}
-	close(release)
-	g.wg.Wait()
+	busy(7, 10, PrepareReq{ReqID: 7, TxID: 7, Key: "k2", TS: Timestamp{Version: 1, Site: 1}})
+
+	if got := h.rep.gate.inflight.Load(); got != 4 {
+		t.Errorf("in flight = %d, want 4 (three reads and the prepare)", got)
+	}
+	if got := h.rep.shedBy["busy"].Value(); got != 2 {
+		t.Errorf("busy sheds = %d, want 2", got)
+	}
 }
 
-// TestGateQueueFullSheds overflows the limit-1 gate's wait queue and checks
-// the overflowing request comes back as a typed overload reply.
-func TestGateQueueFullSheds(t *testing.T) {
-	h := newHarness(t, WithMaxInflight(1))
-	g := h.rep.gate
-	from := h.client.Addr()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	g.submit(from, 1, classRead, 0, func() { close(started); <-release })
-	<-started
-	for i := uint64(2); i <= 3; i++ { // queueCap = 2×limit = 2
-		g.submit(from, i, classRead, 0, func() {})
+// TestGateStopCancelsSlowedWork: Stop does not wait out a slowed request's
+// delay. It cancels the timer, frees the slot, and the request is never
+// answered.
+func TestGateStopCancelsSlowedWork(t *testing.T) {
+	h := newHarness(t)
+	h.rep.SlowBy(time.Minute)
+	if err := h.client.Send(1, ReadReq{ReqID: 1, Key: "k"}); err != nil {
+		t.Fatal(err)
 	}
-	g.submit(from, 4, classRead, 0, func() { t.Error("over-queue-cap request was served") })
-
+	for h.rep.gate.inflight.Load() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	start := time.Now()
+	h.rep.Stop()
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("Stop took %v with a slowed request pending", d)
+	}
+	if got := h.rep.gate.inflight.Load(); got != 0 {
+		t.Errorf("in flight after Stop = %d, want 0", got)
+	}
 	select {
 	case msg := <-h.client.Recv():
-		resp, ok := msg.Payload.(OverloadedResp)
-		if !ok || resp.ReqID != 4 {
-			t.Fatalf("overflow reply = %+v, want OverloadedResp{ReqID: 4}", msg.Payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no shed reply for the over-queue-cap request")
-	}
-	if got := h.rep.Stats().Sheds; got != 1 {
-		t.Errorf("Sheds = %d, want 1", got)
-	}
-	close(release)
-	g.wg.Wait()
-}
-
-// TestGateShedsExpiredQueuedWork queues a request carrying a 1ms deadline
-// budget behind a slow slot and checks it is shed as expired on dequeue —
-// the caller has already given up, so serving it would be wasted work.
-func TestGateShedsExpiredQueuedWork(t *testing.T) {
-	h := newHarness(t, WithMaxInflight(1))
-	g := h.rep.gate
-	from := h.client.Addr()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	g.submit(from, 1, classRead, 0, func() { close(started); <-release })
-	<-started
-	g.submit(from, 2, classRead, 1, func() { t.Error("expired request was served") })
-	time.Sleep(10 * time.Millisecond) // let the 1ms budget lapse in the queue
-	close(release)
-	g.wg.Wait()
-
-	select {
-	case msg := <-h.client.Recv():
-		if resp, ok := msg.Payload.(OverloadedResp); !ok || resp.ReqID != 2 {
-			t.Fatalf("expired reply = %+v, want OverloadedResp{ReqID: 2}", msg.Payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no shed reply for the expired queued request")
+		t.Errorf("a cancelled request was answered: %+v", msg.Payload)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
@@ -201,16 +146,17 @@ func TestDrainQuiescesAndGoesDown(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForInflight holds a gated slot while a drain starts and
-// checks Drain only returns after the in-flight request finishes.
+// TestDrainWaitsForInflight holds a gated slot with a slowed read while a
+// drain starts and checks Drain only returns after that read is answered.
 func TestDrainWaitsForInflight(t *testing.T) {
 	h := newHarness(t, WithMaxInflight(1))
-	g := h.rep.gate
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	g.submit(0, 1, classRead, 0, func() { close(started); <-release })
-	<-started
+	h.rep.SlowBy(200 * time.Millisecond)
+	if err := h.client.Send(1, ReadReq{ReqID: 1, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	for h.rep.gate.inflight.Load() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
 
 	drained := make(chan error, 1)
 	go func() {
@@ -229,9 +175,16 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	if _, ok := midDrain.(OverloadedResp); !ok {
 		t.Fatalf("mid-drain read reply = %T, want OverloadedResp", midDrain)
 	}
-	close(release)
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain after quiesce: %v", err)
+	}
+	select {
+	case msg := <-h.client.Recv():
+		if resp, ok := msg.Payload.(ReadResp); !ok || resp.ReqID != 1 {
+			t.Fatalf("in-flight read reply = %+v, want ReadResp{ReqID: 1}", msg.Payload)
+		}
+	default:
+		t.Fatal("Drain returned before the in-flight read was answered")
 	}
 	if got := h.rep.Health(); got != HealthDown {
 		t.Errorf("health after drain = %v, want HealthDown", got)

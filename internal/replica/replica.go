@@ -37,9 +37,9 @@ type Stats struct {
 	// while this replica was catching up.
 	SyncServes uint64
 	Refusals   uint64
-	// Sheds counts gated requests the admission controller answered with a
-	// typed overload reply instead of serving (gate closed, queue full, or
-	// budget expired while queued).
+	// Sheds counts gated requests the admission gate answered with a typed
+	// overload reply instead of serving (refused: saturated or draining;
+	// busy: over the in-flight limit).
 	Sheds uint64
 	// ReplyErrors counts replies whose Send failed (broken connection, closed endpoint).
 	ReplyErrors uint64
@@ -80,7 +80,7 @@ type Replica struct {
 
 	messages atomic.Uint64 // Stats.Messages; no registry series
 
-	// Admission control: gate bounds in-flight gated work; saturated and
+	// Admission control: gate counts in-flight gated work; saturated and
 	// draining force immediate sheds (deterministic fault / graceful
 	// drain); slowBy injects extra service time into gated requests.
 	gate        *gate
@@ -90,8 +90,8 @@ type Replica struct {
 	slowBy      atomic.Int64
 
 	// instr holds every counter once (see instruments); shedBy are its
-	// per-reason shed counters (refused | queue_full | expired), each bound
-	// on its first shed so a reason that never fired has no series.
+	// per-reason shed counters (refused | busy), each bound on its first
+	// shed so a reason that never fired has no series.
 	instr  instruments
 	shedMu sync.Mutex
 	shedBy map[string]*obs.Counter
@@ -126,7 +126,6 @@ type instruments struct {
 	sheds             *obs.CounterVec // reason-labelled; see Replica.shedBy
 	lockRefusals      *obs.CounterVec // reason: locked | stale
 	lockWait          *obs.Histogram
-	admitQueueDepth   *obs.Gauge
 }
 
 // instrument binds the instruments to reg's series or, with a nil reg, to
@@ -180,11 +179,8 @@ func (r *Replica) instrument(reg *obs.Registry) {
 		lockWait: reg.Histogram("arbor_replica_lock_wait_seconds",
 			"Time prepare handlers spent acquiring the replica's lock-table mutex."),
 		sheds: reg.CounterVec("arbor_replica_sheds_total",
-			"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, queue_full = wait queue overflow, expired = deadline budget spent while queued).",
+			"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, busy = over the in-flight limit).",
 			"site", "reason"),
-		admitQueueDepth: reg.GaugeVec("arbor_replica_admission_queue_depth",
-			"Requests waiting in the replica's admission queue, by site.",
-			"site").With(site),
 		replyErrors: bySite("arbor_replica_reply_errors_total",
 			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site."),
 	}
@@ -211,9 +207,9 @@ type maxInflightOption int
 func (o maxInflightOption) apply(r *Replica) { r.maxInflight = int(o) }
 
 // WithMaxInflight bounds how many gated requests (reads, version probes,
-// prepares) the replica serves concurrently before queuing and then
-// shedding; n <= 0 keeps DefaultMaxInflight. Phase-two commits and aborts
-// are never gated.
+// prepares) the replica serves concurrently; excess work is shed at once
+// with a typed overload reply. n <= 0 keeps DefaultMaxInflight. Phase-two
+// commits and aborts are never gated.
 func WithMaxInflight(n int) Option { return maxInflightOption(n) }
 
 type observerOption struct{ reg *obs.Registry }
@@ -242,7 +238,7 @@ func New(site int, ep transport.Conn, opts ...Option) *Replica {
 	for _, opt := range opts {
 		opt.apply(r)
 	}
-	r.gate = newGate(r, r.maxInflight)
+	r.gate = newGate(r.maxInflight)
 	return r
 }
 
@@ -257,11 +253,12 @@ func (r *Replica) Store() *Store { return r.store }
 func (r *Replica) Start() { r.stopServe = transport.Serve(r.ep, r.deliver) }
 
 // Stop ends delivery and any running syncer: once it returns no handler is
-// running — on a transport goroutine or a gate worker — and none will start.
+// running — on a transport goroutine or a slowsite= timer — and none will
+// start.
 func (r *Replica) Stop() {
 	r.abortSync()
 	r.stopServe()
-	r.gate.wg.Wait()
+	r.gate.stop()
 }
 
 // FailPoint names a deterministic crash trigger: the replica fail-stops
@@ -385,12 +382,9 @@ func (r *Replica) deliver(msg transport.Message) {
 
 // handle dispatches one request and sends the reply. Replies are sent
 // best-effort; a send failure means the requester vanished. Reads, version
-// probes and prepares pass through the admission gate: on an unloaded site
-// tryAdmit claims a slot and the handler runs inline right here (the
-// pre-gate hot path, unchanged); under pressure or fault injection submit
-// queues, sheds, or hands the request to a worker goroutine. Phase-two
-// commits and aborts, pings and sync traffic stay on the delivering
-// goroutine and are never shed.
+// probes and prepares pass through the admission gate (gated), which serves
+// them right here or sheds them at once. Phase-two commits and aborts, pings
+// and sync traffic are never gated and never shed.
 func (r *Replica) handle(msg transport.Message) {
 	switch req := msg.Payload.(type) {
 	case ReadReq:
@@ -398,30 +392,15 @@ func (r *Replica) handle(msg transport.Message) {
 			r.refuse(msg.From, ReadResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
 			return
 		}
-		if r.gate.tryAdmit(classRead) {
-			r.serveRead(msg.From, req)
-			r.gate.finish()
-		} else {
-			r.gate.submit(msg.From, req.ReqID, classRead, req.DeadlineMillis, func() { r.serveRead(msg.From, req) })
-		}
+		r.gated(msg, req.ReqID, r.gate.readLimit)
 	case VersionReq:
 		if r.Health() == HealthCatchingUp {
 			r.refuse(msg.From, VersionResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
 			return
 		}
-		if r.gate.tryAdmit(classRead) {
-			r.serveVersion(msg.From, req)
-			r.gate.finish()
-		} else {
-			r.gate.submit(msg.From, req.ReqID, classRead, req.DeadlineMillis, func() { r.serveVersion(msg.From, req) })
-		}
+		r.gated(msg, req.ReqID, r.gate.readLimit)
 	case PrepareReq:
-		if r.gate.tryAdmit(classPrepare) {
-			r.servePrepare(msg.From, req)
-			r.gate.finish()
-		} else {
-			r.gate.submit(msg.From, req.ReqID, classPrepare, req.DeadlineMillis, func() { r.servePrepare(msg.From, req) })
-		}
+		r.gated(msg, req.ReqID, r.gate.limit)
 	case CommitReq:
 		r.instr.serveCommit.Inc()
 		ok := r.commit(req)
@@ -452,40 +431,36 @@ func (r *Replica) handle(msg transport.Message) {
 	}
 }
 
-// serveRead answers a ReadReq (admission-gated; runs on a gate worker). A
-// caller whose floor is newer than what is stored gets Found and TS alone.
-func (r *Replica) serveRead(from transport.Addr, req ReadReq) {
-	value, ts, found := r.store.Get(req.Key)
-	if found && req.ValueOmitted(ts) {
-		value = nil
-		r.instr.serveReadTSOnly.Inc()
-	} else {
-		r.instr.serveRead.Inc()
+// serveGated answers an admitted read, version probe or prepare. A read
+// whose floor is newer than what is stored gets Found and TS alone; the
+// lock table is mutex-guarded, so concurrent prepares are serialized.
+func (r *Replica) serveGated(msg transport.Message) {
+	switch req := msg.Payload.(type) {
+	case ReadReq:
+		value, ts, found := r.store.Get(req.Key)
+		if found && req.ValueOmitted(ts) {
+			value = nil
+			r.instr.serveReadTSOnly.Inc()
+		} else {
+			r.instr.serveRead.Inc()
+		}
+		r.reply(msg.From, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
+	case VersionReq:
+		if req.ForWrite {
+			r.instr.serveVersionWrite.Inc()
+		} else {
+			r.instr.serveVersionRead.Inc()
+		}
+		ts, found := r.store.Version(req.Key)
+		r.reply(msg.From, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
+	case PrepareReq:
+		r.instr.servePrepare.Inc()
+		ok, reason := r.prepare(req)
+		if !ok {
+			r.instr.lockRefusals.With(r.instr.site, reason).Inc()
+		}
+		r.reply(msg.From, PrepareResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok, Reason: reason})
 	}
-	r.reply(from, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
-}
-
-// serveVersion answers a VersionReq (admission-gated; runs on a gate worker).
-func (r *Replica) serveVersion(from transport.Addr, req VersionReq) {
-	if req.ForWrite {
-		r.instr.serveVersionWrite.Inc()
-	} else {
-		r.instr.serveVersionRead.Inc()
-	}
-	ts, found := r.store.Version(req.Key)
-	r.reply(from, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
-}
-
-// servePrepare answers a PrepareReq (admission-gated; runs on a gate
-// worker — the lock table is mutex-guarded, so concurrent prepares are
-// serialized).
-func (r *Replica) servePrepare(from transport.Addr, req PrepareReq) {
-	r.instr.servePrepare.Inc()
-	ok, reason := r.prepare(req)
-	if !ok {
-		r.instr.lockRefusals.With(r.instr.site, reason).Inc()
-	}
-	r.reply(from, PrepareResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok, Reason: reason})
 }
 
 // refuse turns a probe away while catching up: a fast negative reply beats

@@ -142,7 +142,7 @@ type TCPEndpoint struct {
 	closed bool
 	done   sync.WaitGroup
 
-	framesOut, framesIn, inboxDrops, decodeDrops, reads atomic.Uint64
+	framesOut, framesIn, inboxDrops, decodeDrops, reads, dials, evictions atomic.Uint64
 }
 
 var _ Conn = (*TCPEndpoint)(nil)
@@ -160,9 +160,12 @@ type TCPStats struct {
 	// Reads is read(2) calls the read loops made, those that found the
 	// socket empty (EAGAIN) included; Reads/FramesIn is about one.
 	Reads uint64
+	// Dials is connections this endpoint dialed; Evictions is connections
+	// removed from a route, broken or ended, while the endpoint was open.
+	Dials, Evictions uint64
 }
 
-// Stats snapshots the endpoint's frame, drop and read counters.
+// Stats snapshots the endpoint's frame, drop, read and connection counters.
 func (e *TCPEndpoint) Stats() TCPStats {
 	return TCPStats{
 		FramesOut:   e.framesOut.Load(),
@@ -170,6 +173,8 @@ func (e *TCPEndpoint) Stats() TCPStats {
 		InboxDrops:  e.inboxDrops.Load(),
 		DecodeDrops: e.decodeDrops.Load(),
 		Reads:       e.reads.Load(),
+		Dials:       e.dials.Load(),
+		Evictions:   e.evictions.Load(),
 	}
 }
 
@@ -428,6 +433,7 @@ func (e *TCPEndpoint) growRoute(to Addr, r *peerRoute) error {
 	}
 	r.conns = append(r.conns, wc)
 	r.dialed++
+	e.dials.Add(1)
 	return nil
 }
 
@@ -507,6 +513,9 @@ func (e *TCPEndpoint) dropConn(peer Addr, wc *wireConn) {
 				r.conns = append(r.conns[:i], r.conns[i+1:]...)
 				if wc.dialed {
 					r.dialed--
+				}
+				if !e.closed {
+					e.evictions.Add(1)
 				}
 				break
 			}

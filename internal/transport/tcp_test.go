@@ -334,12 +334,63 @@ func TestTCPStatsCountInboxDrop(t *testing.T) {
 	if out := a.Stats().FramesOut; out != frames {
 		t.Errorf("sender FramesOut = %d, want %d", out, frames)
 	}
-	st := waitStats(t, b, func(st TCPStats) bool { return st.FramesIn == frames })
+	// A frame is counted in before it is delivered or dropped: wait for both.
+	st := waitStats(t, b, func(st TCPStats) bool {
+		return st.FramesIn == frames && uint64(len(b.in))+st.InboxDrops+st.DecodeDrops == frames
+	})
 	if st.InboxDrops != 1 || st.DecodeDrops != 0 {
 		t.Errorf("after %d frames into a %d-slot inbox: %+v, want exactly one inbox drop", frames, cap(b.in), st)
 	}
 	if len(b.in) != cap(b.in) {
 		t.Errorf("inbox holds %d messages, want it full at %d", len(b.in), cap(b.in))
+	}
+}
+
+// TestTCPStatsCountDialsAndEvictions: a warm route has dialed connsPerPeer
+// connections; each one that breaks is evicted exactly once on each side and
+// dialed again by the next sends; closing the network evicts nothing.
+func TestTCPStatsCountDialsAndEvictions(t *testing.T) {
+	n, a, b := newTCPPair(t)
+	per := uint64(n.opts.connsPerPeer)
+	warm := func() {
+		t.Helper()
+		for i := 0; i < 4*int(per); i++ {
+			if err := a.Send(2, ping(i)); err != nil {
+				t.Fatal(err)
+			}
+			recvOne(t, b)
+		}
+	}
+	warm()
+	if st := a.Stats(); st.Dials != per || st.Evictions != 0 {
+		t.Fatalf("warm dialer: %+v, want %d dials and no eviction", st, per)
+	}
+	if st := b.Stats(); st.Dials != 0 || st.Evictions != 0 {
+		t.Fatalf("warm listener: %+v, want no dial and no eviction", st)
+	}
+
+	a.mu.Lock()
+	broken := append([]*wireConn(nil), a.routes[2].conns...)
+	a.mu.Unlock()
+	for _, wc := range broken {
+		wc.shutdown()
+	}
+	waitStats(t, a, func(st TCPStats) bool { return st.Evictions >= per })
+	waitStats(t, b, func(st TCPStats) bool { return st.Evictions >= per })
+	warm()
+	if st := a.Stats(); st.Dials != 2*per || st.Evictions != per {
+		t.Errorf("dialer after %d broken connections: %+v, want %d dials and %d evictions", per, st, 2*per, per)
+	}
+	if st := b.Stats(); st.Dials != 0 || st.Evictions != per {
+		t.Errorf("listener after %d broken connections: %+v, want %d evictions", per, st, per)
+	}
+
+	// An endpoint's own close evicts nothing there; its peer, still open,
+	// evicts the connections that ended.
+	a.close()
+	waitStats(t, b, func(st TCPStats) bool { return st.Evictions >= 2*per })
+	if ea, eb := a.Stats().Evictions, b.Stats().Evictions; ea != per || eb != 2*per {
+		t.Errorf("evictions after the dialer closed: %d and %d, want %d and %d", ea, eb, per, 2*per)
 	}
 }
 

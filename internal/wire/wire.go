@@ -71,9 +71,9 @@ type VersionReq struct {
 	// discovery quorum.
 	ForWrite bool
 	// DeadlineMillis is the caller's remaining budget in milliseconds at
-	// send time; zero means no deadline. Replicas fast-fail work whose
-	// budget is already spent instead of serving an answer nobody is
-	// waiting for. Every request type carries this field (it rides at the
+	// send time; zero means no deadline. Replicas do not act on it: a
+	// request is served or shed on arrival, never queued, so none outlives
+	// its budget waiting for a slot. Every request type carries this field (it rides at the
 	// end of the frame, so version-1 peers simply never see it).
 	DeadlineMillis uint64
 }
