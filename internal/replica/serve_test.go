@@ -122,6 +122,13 @@ func TestFailPointFiresOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
+// allStacks returns every goroutine's stack, so a stalled test shows what
+// was stuck, not only that something was.
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
 // tcpClient is one dial-only endpoint with a single connection to site 1.
 type tcpClient struct {
 	id    int
@@ -131,10 +138,17 @@ type tcpClient struct {
 
 // TestStopUnderLoad races Crash/Recover, Drain and finally Stop against
 // four connections of mixed traffic over loopback TCP, where every handler
-// runs on its connection's read loop. phase is even while the test knows
-// nothing about the replica being down and odd from the moment Crash, Drain
-// or Stop has returned until the test calls Recover.
+// runs on its connection's read loop. phase counts the test's steps, and
+// phase%3 says what a request sent in it may expect until the phase moves
+// on: phaseLive from Recover's return on, an answer; phaseDown from the
+// moment Crash, Drain or Stop has returned, silence; phaseRecovering, while
+// Recover runs, either.
 func TestStopUnderLoad(t *testing.T) {
+	const (
+		phaseLive = iota
+		phaseDown
+		phaseRecovering
+	)
 	net := transport.NewTCPNetwork(transport.WithConnsPerPeer(1))
 	defer net.Close()
 	ep, err := net.Register(1)
@@ -153,7 +167,7 @@ func TestStopUnderLoad(t *testing.T) {
 	var (
 		phase     atomic.Int64 // see above
 		answered  atomic.Int64 // replies matched to their request
-		downSends atomic.Int64 // requests sent in an odd phase
+		downSends atomic.Int64 // requests sent in a phaseDown phase
 		quit      = make(chan struct{})
 		wg        sync.WaitGroup
 	)
@@ -192,7 +206,7 @@ func TestStopUnderLoad(t *testing.T) {
 					t.Errorf("client %d: send: %v", c.id, err)
 					return
 				}
-				if p0%2 == 1 {
+				if p0%3 == phaseDown {
 					downSends.Add(1)
 				}
 				deadline := time.After(20 * time.Second)
@@ -203,7 +217,7 @@ func TestStopUnderLoad(t *testing.T) {
 						if id, _ := rpc.ReqIDOf(m.Payload); id != n {
 							continue // a reply to a request given up on in an earlier down window
 						}
-						if p0%2 == 1 && phase.Load() == p0 {
+						if p0%3 == phaseDown && phase.Load() == p0 {
 							t.Errorf("client %d: request %d, sent after the replica was down and before Recover, was answered: %#v", c.id, n, m.Payload)
 						}
 						answered.Add(1)
@@ -218,7 +232,7 @@ func TestStopUnderLoad(t *testing.T) {
 					case <-quit:
 						return
 					case <-deadline:
-						t.Errorf("client %d: request %d unanswered though the replica was never down", c.id, n)
+						t.Errorf("client %d: request %d unanswered, and phase %d unchanged, for 20s; goroutines:\n%s", c.id, n, p0, allStacks())
 						return
 					}
 				}
@@ -226,32 +240,38 @@ func TestStopUnderLoad(t *testing.T) {
 		}(c)
 	}
 
-	// waitFor blocks until the counter has grown by n.
-	waitFor := func(counter *atomic.Int64, n int64, what string) {
+	// waitFor blocks until the counter reaches target.
+	waitFor := func(counter *atomic.Int64, target int64, what string) {
 		t.Helper()
-		target := counter.Load() + n
 		deadline := time.Now().Add(20 * time.Second)
 		for counter.Load() < target {
 			if time.Now().After(deadline) {
+				stacks := allStacks() // before quit releases what was stuck
 				close(quit)
 				wg.Wait()
-				t.Fatalf("timed out waiting for %s", what)
+				t.Fatalf("timed out waiting for %s; goroutines:\n%s", what, stacks)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
 	down := func(fault func()) {
-		waitFor(&answered, 200, "traffic while live")
+		waitFor(&answered, answered.Load()+200, "traffic while live")
 		fault()
-		phase.Add(1) // odd: the fault has returned
 		// Each client sends one request into the down window, then waits
-		// for the phase to move on.
-		waitFor(&downSends, int64(len(clients)), "requests sent while down")
+		// for the phase to move on. Count from before the phase says so: a
+		// client may send the moment it does.
+		target := downSends.Load() + int64(len(clients))
+		phase.Add(1) // phaseDown: the fault has returned
+		waitFor(&downSends, target, "requests sent while down")
+	}
+	revive := func() {
+		phase.Add(1) // phaseRecovering: a request sent now may find the replica still down
+		r.Recover()
+		phase.Add(1) // phaseLive
 	}
 	for cycle := 0; cycle < 3; cycle++ {
 		down(r.Crash)
-		phase.Add(1)
-		r.Recover()
+		revive()
 	}
 	down(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -260,13 +280,11 @@ func TestStopUnderLoad(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	phase.Add(1)
-	r.Recover()
+	revive()
 
 	// A served TCP replica has no goroutine of its own between the socket
 	// and the handler.
-	buf := make([]byte, 1<<20)
-	dump := string(buf[:runtime.Stack(buf, true)])
+	dump := allStacks()
 	if strings.Contains(dump, "transport.Serve.func") || strings.Contains(dump, "(*Replica).run") {
 		t.Errorf("a pump or event-loop goroutine exists beside the TCP read loops:\n%s", dump)
 	}

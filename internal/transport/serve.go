@@ -38,14 +38,17 @@ func Serve(c Conn, h func(Message)) (stop func()) {
 
 // setHandler swaps the consumer with the read loops locked out: removing it
 // waits out every call in flight; installing one hands it the inbox's
-// backlog first, so a connection's queued frames reach h before its next.
+// backlog first, if there is an inbox, so a connection's queued frames reach
+// h before its next. Only deliver fills the inbox, under the shared lock, so
+// an inbox Recv makes meanwhile is empty.
 func (e *TCPEndpoint) setHandler(h func(Message)) {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
 	e.handler = h
-	for h != nil {
+	in := e.in.Load()
+	for h != nil && in != nil {
 		select {
-		case m := <-e.in:
+		case m := <-*in:
 			h(m)
 		default:
 			return
@@ -63,7 +66,7 @@ func (e *TCPEndpoint) deliver(m Message) {
 		return
 	}
 	select {
-	case e.in <- m:
+	case e.inbox() <- m:
 	default:
 		e.inboxDrops.Add(1) // full and unserved: drop, like the in-memory transport
 	}

@@ -84,10 +84,28 @@ func TestServe(t *testing.T) {
 		}
 	})
 
+	t.Run("endpoints served before any traffic make no inbox", func(t *testing.T) {
+		a, b := newServedPair(t)
+		pong := make(chan struct{})
+		defer Serve(a, func(Message) { close(pong) })()
+		defer Serve(b, func(m Message) {
+			if err := b.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
+				t.Error(err)
+			}
+		})()
+		if err := a.Send(2, ping(1)); err != nil {
+			t.Fatal(err)
+		}
+		within(t, pong, "the reply")
+		if a.in.Load() != nil || b.in.Load() != nil {
+			t.Error("a served endpoint made an inbox")
+		}
+	})
+
 	t.Run("backlog queued before Serve is delivered first", func(t *testing.T) {
 		_, b := newServedPair(t)
 		for i := 0; i < 3; i++ {
-			b.in <- Message{From: 1, To: 2, Payload: ping(i)}
+			b.inbox() <- Message{From: 1, To: 2, Payload: ping(i)}
 		}
 		var got []uint64
 		stop := Serve(b, func(m Message) { got = append(got, pingID(m)) })

@@ -41,7 +41,7 @@ const (
 	tcpMaxFrame = 1 << 26
 	// defaultConnsPerPeer is the outbound pool size per destination.
 	defaultConnsPerPeer = 2
-	// tcpReadBuf is each connection's read buffer.
+	// tcpReadBuf is the size of a read loop's buffer (see readBufPool).
 	tcpReadBuf = 64 << 10
 	// acceptBackoffMin and acceptBackoffMax bound the pause after a failed
 	// Accept (EMFILE and the like): it doubles from the first to the second
@@ -56,6 +56,11 @@ var helloMagic = [4]byte{'A', 'R', 'B', 'W'}
 // frameBufPool recycles encode buffers; framing sits on every message, so
 // the hot path must not allocate per frame.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBufPool lends read loops their buffers: a loop holds one only while
+// bytes of a frame are pending (frameReader.release), so a parked
+// connection holds none.
+var readBufPool = sync.Pool{New: func() any { return new([tcpReadBuf]byte) }}
 
 // putFrameBuf returns an encode buffer to the pool, unless it grew too large.
 func putFrameBuf(bp *[]byte, buf []byte) {
@@ -130,9 +135,11 @@ type TCPEndpoint struct {
 	addr Addr
 	net  *TCPNetwork
 	ln   net.Listener // nil for dial-only (client) endpoints
-	in   chan Message
-	// handler is Serve's consumer (nil: messages go to in). Read loops hold
-	// serveMu shared across a delivery; swapping the handler takes it whole.
+	// in is Recv's channel, made on first use (inbox): an endpoint Served
+	// before any traffic never holds one.
+	in atomic.Pointer[chan Message]
+	// handler is Serve's consumer (nil: messages go to the inbox). Read loops
+	// hold serveMu shared across a delivery; swapping the handler takes it whole.
 	serveMu sync.RWMutex
 	handler func(Message)
 
@@ -268,7 +275,6 @@ func (n *TCPNetwork) newEndpoint(addr Addr) *TCPEndpoint {
 	return &TCPEndpoint{
 		addr:   addr,
 		net:    n,
-		in:     make(chan Message, 1024),
 		routes: make(map[Addr]*peerRoute),
 		live:   make(map[*wireConn]struct{}),
 	}
@@ -308,7 +314,21 @@ func (n *TCPNetwork) Close() {
 func (e *TCPEndpoint) Addr() Addr { return e.addr }
 
 // Recv returns the endpoint's delivery channel, idle while a Serve handler is installed.
-func (e *TCPEndpoint) Recv() <-chan Message { return e.in }
+func (e *TCPEndpoint) Recv() <-chan Message { return e.inbox() }
+
+// inbox returns the delivery channel, making it on first use. It holds what
+// arrives while nobody Serves or receives, up to a burst of 1024 messages;
+// beyond that, deliveries are dropped and counted (TCPStats.InboxDrops).
+func (e *TCPEndpoint) inbox() chan Message {
+	if in := e.in.Load(); in != nil {
+		return *in
+	}
+	in := make(chan Message, 1024)
+	if e.in.CompareAndSwap(nil, &in) {
+		return in
+	}
+	return *e.in.Load()
+}
 
 // Conns reports how many live connections the endpoint currently pools
 // across all peers — observability for tests and operators (a pipelined
@@ -551,12 +571,12 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 // frameReader splits one connection's byte stream into frame bodies, in a
-// buffer it owns and reads into straight from the socket.
+// buffer it borrows from readBufPool and reads into straight from the socket.
 type frameReader struct {
-	buf  []byte // tcpReadBuf bytes; never grown
-	r, w int    // buf[r:w] is read and not yet delivered
-	need int    // body length of the frame whose header was taken; 0: none
-	big  []byte // a body larger than buf, filled up to its capacity
+	buf  *[tcpReadBuf]byte // nil while parked with nothing pending (see release)
+	r, w int               // buf[r:w] is read and not yet delivered
+	need int               // body length of the frame whose header was taken; 0: none
+	big  []byte            // a body larger than buf, filled up to its capacity
 }
 
 // run hands every frame body to frame, in order, until the connection fails
@@ -582,36 +602,55 @@ func (fr *frameReader) run(c *net.TCPConn, reads *atomic.Uint64, frame func([]by
 			case err == syscall.EINTR:
 				continue
 			case err == syscall.EAGAIN:
+				fr.release()
 				return false // drained after all: park
 			case err != nil || n == 0: // failed, or EOF
 				return true
 			case fr.got(n, frame) != nil:
 				return true
 			case n < len(p):
+				fr.release()
 				return false // drained: park until the next edge
 			}
 		}
 	})
+	fr.release()
 }
 
 // space returns where the next read goes: the rest of a large body, or buf
-// behind what it holds, compacted to its start first. A partial frame in buf
-// needs at most len(buf) bytes, so the space is never empty.
+// behind what it holds, compacted to its start first — borrowed from the
+// pool if the loop parked without one. A partial frame in buf needs at most
+// len(buf) bytes, so the space is never empty.
 func (fr *frameReader) space() []byte {
 	if fr.big != nil {
 		return fr.big[len(fr.big):cap(fr.big)]
 	}
+	if fr.buf == nil {
+		fr.buf = readBufPool.Get().(*[tcpReadBuf]byte)
+	}
 	if fr.r > 0 {
-		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.w = copy(fr.buf[:], fr.buf[fr.r:fr.w])
 		fr.r = 0
 	}
 	return fr.buf[fr.w:]
 }
 
+// release returns buf to the pool unless it holds bytes of a partial frame:
+// a header already taken lives on in need and a large body in big, so only
+// buf[r:w] pins it. Bodies handed to frame are dead by then, and must be:
+// the next holder of buf overwrites them.
+func (fr *frameReader) release() {
+	if fr.buf != nil && fr.r == fr.w {
+		readBufPool.Put(fr.buf)
+		fr.buf, fr.r, fr.w = nil, 0, 0
+	}
+}
+
 // got takes n bytes just read into space and passes every body they complete
 // to frame. A body is valid only during the call: a view into buf when it
 // fits (Codec.Decode never aliases its input, so nothing decoded outlives
-// it), else a buffer of exactly its size.
+// it — not even on another connection, whose loop may borrow buf next),
+// else a buffer of exactly its size.
 func (fr *frameReader) got(n int, frame func([]byte) error) error {
 	if fr.big != nil {
 		if fr.big = fr.big[:len(fr.big)+n]; len(fr.big) < cap(fr.big) {
@@ -658,7 +697,7 @@ func (fr *frameReader) got(n int, frame func([]byte) error) error {
 // then finds EOF, evicts the connection and closes it. A handler whose
 // failed reply evicted its own connection would deadlock otherwise.
 func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
-	fr := frameReader{buf: make([]byte, tcpReadBuf)}
+	var fr frameReader
 	fr.run(wc.c, &e.reads, func(frame []byte) error {
 		if hello {
 			p, err := e.parseHello(frame)

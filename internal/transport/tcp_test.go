@@ -325,7 +325,8 @@ func waitStats(t *testing.T, ep *TCPEndpoint, ok func(TCPStats) bool) TCPStats {
 // other drop counter.
 func TestTCPStatsCountInboxDrop(t *testing.T) {
 	_, a, b := newTCPPair(t)
-	frames := uint64(cap(b.in) + 1)
+	in := b.inbox()
+	frames := uint64(cap(in) + 1)
 	for i := uint64(0); i < frames; i++ {
 		if err := a.Send(2, ping(int(i))); err != nil {
 			t.Fatal(err)
@@ -336,13 +337,13 @@ func TestTCPStatsCountInboxDrop(t *testing.T) {
 	}
 	// A frame is counted in before it is delivered or dropped: wait for both.
 	st := waitStats(t, b, func(st TCPStats) bool {
-		return st.FramesIn == frames && uint64(len(b.in))+st.InboxDrops+st.DecodeDrops == frames
+		return st.FramesIn == frames && uint64(len(in))+st.InboxDrops+st.DecodeDrops == frames
 	})
 	if st.InboxDrops != 1 || st.DecodeDrops != 0 {
-		t.Errorf("after %d frames into a %d-slot inbox: %+v, want exactly one inbox drop", frames, cap(b.in), st)
+		t.Errorf("after %d frames into a %d-slot inbox: %+v, want exactly one inbox drop", frames, cap(in), st)
 	}
-	if len(b.in) != cap(b.in) {
-		t.Errorf("inbox holds %d messages, want it full at %d", len(b.in), cap(b.in))
+	if len(in) != cap(in) {
+		t.Errorf("inbox holds %d messages, want it full at %d", len(in), cap(in))
 	}
 }
 
@@ -642,6 +643,171 @@ func TestTCPNoLostWakeup(t *testing.T) {
 	if st := b.Stats(); st.FramesIn != conns*frames || st.DecodeDrops != 0 || st.InboxDrops != 0 {
 		t.Errorf("stats = %+v, want %d frames in and no drops", st, conns*frames)
 	}
+}
+
+// TestTCPPartialFrameKeepsItsBuffer: one connection's frames arrive a byte
+// per write, so its read loop parks mid-header and mid-body with those bytes
+// in its buffer, while 8 other connections stream frames of up to half a
+// buffer, in chunks of up to 8 KiB, through the same pool of buffers. A loop
+// that gave its buffer back with bytes pending would resume on a buffer
+// another loop had written over: a frame would arrive corrupted, or the
+// connection would end.
+func TestTCPPartialFrameKeepsItsBuffer(t *testing.T) {
+	const (
+		streamers = 8
+		trickled  = 40 // frames on connection 0
+	)
+	n := NewTCPNetwork()
+	t.Cleanup(n.Close)
+	b, err := n.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame id of connection c carries a ReadResp with ReqID id and a value
+	// cut from pat by both; the trickled frames are small.
+	pat := make([]byte, tcpReadBuf/2+4096)
+	rand.New(rand.NewSource(1)).Read(pat)
+	value := func(c int, id uint64) []byte {
+		size := 1 + int(id*7919%(tcpReadBuf/2))
+		if c == 0 {
+			size = 1 + int(id*13%100)
+		}
+		return pat[(uint64(c)*131+id)%4096:][:size]
+	}
+	next := make([]atomic.Uint64, streamers+1)
+	defer Serve(b, func(m Message) {
+		c := -int(m.From) - 1
+		id := next[c].Load() // only connection c's read loop moves next[c]
+		if p, ok := m.Payload.(wire.ReadResp); !ok || p.ReqID != id || !bytes.Equal(p.Value, value(c, id)) {
+			t.Errorf("connection %d, frame %d: got %T id %d with %d bytes, want %d bytes", c, id, m.Payload, p.ReqID, len(p.Value), len(value(c, id)))
+		}
+		next[c].Add(1)
+	})()
+
+	var (
+		trickling atomic.Bool
+		senders   sync.WaitGroup
+		sent      = make([]uint64, streamers+1)
+	)
+	trickling.Store(true)
+	for c := 0; c <= streamers; c++ {
+		conn, err := net.Dial("tcp", b.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		senders.Add(1)
+		go func(c int) {
+			defer senders.Done()
+			from := Addr(-c - 1)
+			pending := (&TCPEndpoint{addr: from, net: n}).hello()
+			frame := func(id uint64) {
+				payload, err := n.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Value: value(c, id), Found: true})
+				if err != nil {
+					t.Error(err)
+				}
+				pending = append(pending, rawFrame(from, b.addr, payload)...)
+			}
+			write := func(p []byte) bool {
+				if _, err := conn.Write(p); err != nil {
+					t.Errorf("connection %d: %v", c, err)
+					return false
+				}
+				return true
+			}
+			if c == 0 {
+				defer trickling.Store(false)
+				for id := uint64(0); id < trickled; id++ {
+					frame(id)
+				}
+				for i := range pending {
+					if !write(pending[i : i+1]) {
+						return
+					}
+					time.Sleep(20 * time.Microsecond)
+				}
+				sent[c] = trickled
+				return
+			}
+			r := rand.New(rand.NewSource(int64(c)))
+			for ; trickling.Load(); sent[c]++ {
+				frame(sent[c])
+				for p := pending; len(p) > 0; {
+					chunk := min(1+r.Intn(8192), len(p))
+					if !write(p[:chunk]) {
+						return
+					}
+					p = p[chunk:]
+				}
+				pending = pending[:0]
+				runtime.Gosched()
+			}
+		}(c)
+	}
+	senders.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for c := range next {
+		for next[c].Load() < sent[c] {
+			if time.Now().After(deadline) {
+				t.Fatalf("connection %d: %d of %d frames delivered", c, next[c].Load(), sent[c])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if sent[0] != trickled {
+		t.Errorf("%d of %d trickled frames were written", sent[0], trickled)
+	}
+}
+
+// TestTCPIdleConnsHoldNoBuffers: 64 dial-only endpoints each exchange one
+// frame with a served listener and go idle. The read loops at both ends of
+// their connections then hold no read buffer, and no endpoint an inbox: the
+// heap stays within 1 MiB of what it was before they dialed, where a buffer
+// per loop would add 128 × 64 KiB.
+func TestTCPIdleConnsHoldNoBuffers(t *testing.T) {
+	const clients = 64
+	n := NewTCPNetwork()
+	t.Cleanup(n.Close)
+	srv, err := n.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer Serve(srv, func(m Message) {
+		if err := srv.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
+			t.Error(err)
+		}
+	})()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second drops what the pools kept over the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	pongs := make(chan struct{}, clients)
+	for i := 0; i < clients; i++ {
+		cli, err := n.Dial(Addr(-1 - i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer Serve(cli, func(Message) { pongs <- struct{}{} })()
+		if err := cli.Send(1, ping(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < clients; i++ {
+		within(t, pongs, "every reply")
+	}
+	// The last loops to deliver may not have parked yet: give them a moment.
+	grew := heap() - before
+	for deadline := time.Now().Add(time.Second); grew >= 1<<20 && time.Now().Before(deadline); grew = heap() - before {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if grew >= 1<<20 {
+		t.Errorf("%d idle connections grew the heap by %d KiB, want under 1024 KiB", clients, grew>>10)
+	}
+	t.Logf("%d idle connections: heap %+d KiB", clients, grew>>10)
 }
 
 // TestTCPReadsPerFrame: over sequential ping-pongs the served endpoint's

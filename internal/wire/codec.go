@@ -21,8 +21,9 @@ type Codec interface {
 	// the message set is closed.
 	Encode(dst []byte, payload any) ([]byte, error)
 	// Decode parses one encoded message. The returned payload must never
-	// alias data: the TCP read loop passes a view into its read buffer
-	// that the next frame overwrites, and replicas store decoded
+	// alias data: the TCP read loop passes a view into a read buffer that
+	// the next frame overwrites, on its connection or on whichever borrows
+	// the buffer from the shared pool next, and replicas store decoded
 	// values as they are — each an allocation of exactly its size.
 	Decode(data []byte) (any, error)
 }
