@@ -146,17 +146,6 @@ var (
 	WithMaxInflight = cluster.WithMaxInflight
 )
 
-// Codec is a wire codec: a versioned, self-contained encoding of the
-// protocol's message set. BinaryCodec is the default length-prefixed binary
-// format.
-type Codec = rpc.Codec
-
-// Wire codec constructors, re-exported from internal/rpc.
-var (
-	// BinaryCodec returns the hand-rolled length-prefixed binary codec.
-	BinaryCodec = rpc.BinaryCodec
-)
-
 // Observer bundles a metrics registry and an operation trace recorder.
 // Attach one to a cluster with WithObserver; read it with
 // Observer.Registry.WritePrometheus and Observer.Traces.Last.

@@ -287,7 +287,10 @@ func TestAssemblyTransitions(t *testing.T) {
 		check  func(t *testing.T, h *scriptHarness, r result)
 	}{
 		{
-			name:   "healthy: one contact, no hedge",
+			name: "healthy: one contact, no hedge",
+			// Not a hedging case: the harness's 2ms hedge delay would fire on
+			// a reply the scheduler happens to hold up that long.
+			opts:   []Option{WithHedgeDelay(time.Hour)},
 			warm:   true,
 			script: byArrival(),
 			check: func(t *testing.T, h *scriptHarness, r result) {

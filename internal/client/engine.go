@@ -581,12 +581,16 @@ func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, span *obs.L
 	return a
 }
 
-// flight is one in-progress coalesced read assembly.
+// flight is one in-progress coalesced read assembly. The first follower to
+// join makes done, under flightMu; a flight nobody joined goes back to
+// flightPool, for no other goroutine ever saw it.
 type flight struct {
 	done chan struct{}
 	res  ReadResult
 	err  error
 }
+
+var flightPool = sync.Pool{New: func() any { return new(flight) }}
 
 // readShared coalesces concurrent reads of one key through this client
 // into a single quorum assembly (singleflight): the first caller becomes
@@ -598,6 +602,9 @@ func (c *Client) readShared(ctx context.Context, key string) (ReadResult, error)
 	for {
 		c.flightMu.Lock()
 		if f, ok := c.flights[key]; ok {
+			if f.done == nil {
+				f.done = make(chan struct{})
+			}
 			c.flightMu.Unlock()
 			select {
 			case <-f.done:
@@ -612,16 +619,21 @@ func (c *Client) readShared(ctx context.Context, key string) (ReadResult, error)
 				return ReadResult{}, ctx.Err()
 			}
 		}
-		f := &flight{done: make(chan struct{})}
+		f := flightPool.Get().(*flight)
 		c.flights[key] = f
 		c.flightMu.Unlock()
 
-		f.res, f.err = c.readDirect(ctx, key, c.readDefaults())
+		res, err := c.readDirect(ctx, key, c.readDefaults())
 		c.flightMu.Lock()
-		delete(c.flights, key)
+		delete(c.flights, key) // no follower can join after this
 		c.flightMu.Unlock()
+		if f.done == nil {
+			flightPool.Put(f)
+			return res, err
+		}
+		f.res, f.err = res, err // published to the followers by close
 		close(f.done)
-		return f.res, f.err
+		return res, err
 	}
 }
 

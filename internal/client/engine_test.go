@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -278,6 +279,55 @@ func TestReadCoalescing(t *testing.T) {
 	}
 	if h.cli.instr.coalesced.Value() == 0 {
 		t.Error("no reads accounted as coalesced")
+	}
+}
+
+// TestReadCoalescingLateJoin: a follower that joins once the leader's quorum
+// is under way — its request sent, its reply held back — makes the flight's
+// done channel then, and leader and follower return the same result from
+// the one contact.
+func TestReadCoalescingLateJoin(t *testing.T) {
+	h := newScriptHarness(t, "1-2", byArrivalAlways(silent), WithHedgeDelay(time.Hour))
+	ctx := context.Background()
+	type result struct {
+		res ReadResult
+		err error
+	}
+	leader, follower := make(chan result, 1), make(chan result, 1)
+	go func() {
+		res, err := h.cli.Read(ctx, "k")
+		leader <- result{res, err}
+	}()
+	<-h.conn.seen // the leader's one request is out
+	go func() {
+		res, err := h.cli.Read(ctx, "k")
+		follower <- result{res, err}
+	}()
+	for joined := false; !joined; {
+		h.cli.flightMu.Lock()
+		f := h.cli.flights["k"]
+		joined = f != nil && f.done != nil
+		h.cli.flightMu.Unlock()
+		if f == nil {
+			t.Fatal("the leader's flight ended before its reply was sent")
+		}
+		runtime.Gosched()
+	}
+	req := h.conn.requests()[0]
+	h.conn.in <- transport.Message{From: req.To, To: -1, Payload: h.conn.replyFrom(req.To, req.Payload, false)}
+
+	l, f := <-leader, <-follower
+	if l.err != nil || f.err != nil {
+		t.Fatalf("leader: %v, follower: %v", l.err, f.err)
+	}
+	if string(l.res.Value) != "v" || string(f.res.Value) != "v" || l.res.TS != f.res.TS || !f.res.Found {
+		t.Errorf("leader read %q@%v, follower %q@%v", l.res.Value, l.res.TS, f.res.Value, f.res.TS)
+	}
+	if l.res.Contacts != 1 || f.res.Contacts != 0 || len(h.conn.requests()) != 1 {
+		t.Errorf("contacts: leader %d, follower %d, sent %d; want 1, 0, 1", l.res.Contacts, f.res.Contacts, len(h.conn.requests()))
+	}
+	if n := h.cli.instr.coalesced.Value(); n != 1 {
+		t.Errorf("coalesced reads = %d, want 1", n)
 	}
 }
 

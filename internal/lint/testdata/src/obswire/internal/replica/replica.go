@@ -33,6 +33,18 @@ func (r *Replica) Probe(peer transport.Addr) error { // want `exported entry poi
 	return r.ep.Send(peer, "ping")
 }
 
+// Reply answers through the package-level sender with no instrumentation:
+// transport.Send is wire traffic as much as a Conn's Send.
+func (r *Replica) Reply(peer transport.Addr) error { // want `exported entry point Reply sends replica traffic but records no metrics or trace`
+	return transport.Send(r.ep, peer, "resp", 0)
+}
+
+// ReplyCounted is Reply with its counter.
+func (r *Replica) ReplyCounted(peer transport.Addr) error {
+	r.sheds.Inc()
+	return transport.Send(r.ep, peer, "resp", 0)
+}
+
 // Health reads local state only; nothing to instrument.
 func (r *Replica) Health() int { return 0 }
 

@@ -16,17 +16,20 @@ var wireScope = segSuffix(`internal/wire`)
 
 // WireClosed enforces that the protocol's message set stays closed and the
 // encoding stays in one place. Inside internal/wire it cross-checks the
-// registry the binary codec is built around: every tag constant must have a
+// registry the encoding is built around: every tag constant must have a
 // unique value, a message type, a case in the encode type switch, a case in
 // the decode tag switch, and a golden vector in testdata/golden_*.txt (the
 // byte-level compatibility contract — a message that can be encoded but has
-// no pinned vector can change layout silently). In every package, the wire
+// no pinned vector can change layout silently). Every request (a message
+// named *Req) must also have a case that calls Stamp.apply in every stamping
+// type switch — a switch any of whose cases does — or a request would go out
+// without its ID on one send path and with it on the other. In every package, the wire
 // package included, an encoding/gob import is a finding: a second
 // serialization path is exactly how version skew slipped into the pre-codec
 // WAL.
 var WireClosed = &Analyzer{
 	Name: "wireclosed",
-	Doc:  "the wire message set is closed: tags, switches and golden vectors in lockstep; no encoding/gob anywhere",
+	Doc:  "the wire message set is closed: tags, switches, stamping cases and golden vectors in lockstep; no encoding/gob anywhere",
 	Run:  runWireClosed,
 }
 
@@ -34,7 +37,7 @@ func runWireClosed(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, imp := range f.Imports {
 			if strings.Trim(imp.Path.Value, `"`) == "encoding/gob" {
-				pass.Reportf(imp.Pos(), "encoding/gob opens a second serialization path; route through wire.Codec instead")
+				pass.Reportf(imp.Pos(), "encoding/gob opens a second serialization path; route through wire.Append and wire.Decode instead")
 			}
 		}
 	}
@@ -68,7 +71,7 @@ func checkWireRegistry(pass *Pass) {
 		byValue[t.value] = t.name
 	}
 
-	encodeCases := collectTypeSwitchCases(pass)
+	encodeCases, stamping := collectTypeSwitchCases(pass)
 	decodeCases := collectTagSwitchCases(pass)
 	golden := collectGoldenNames(pass)
 
@@ -88,6 +91,11 @@ func checkWireRegistry(pass *Pass) {
 		}
 		if golden != nil && !goldenCovers(golden, snakeCase(msg)) {
 			pass.Reportf(t.pos.Pos(), "message %s has no golden vector in testdata/golden_*.txt; pin its byte layout", msg)
+		}
+		for _, sw := range stamping {
+			if strings.HasSuffix(msg, "Req") && !sw.stamps[msg] {
+				pass.Reportf(t.pos.Pos(), "request %s is not stamped in the stamping switch on line %d; every request case must call Stamp.apply", msg, sw.line)
+			}
 		}
 	}
 }
@@ -131,31 +139,64 @@ func collectWireTags(pass *Pass) []wireTag {
 	return tags
 }
 
+// stampingSwitch is a type switch with a case that calls Stamp.apply:
+// stamps holds the types whose case does.
+type stampingSwitch struct {
+	line   int
+	stamps map[string]bool
+}
+
 // collectTypeSwitchCases unions the package-local type names appearing as
-// cases of any type switch — the encode side of the registry.
-func collectTypeSwitchCases(pass *Pass) map[string]bool {
+// cases of any type switch — the encode side of the registry — and returns
+// the stamping switches among them.
+func collectTypeSwitchCases(pass *Pass) (map[string]bool, []stampingSwitch) {
 	cases := make(map[string]bool)
+	var stamping []stampingSwitch
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSwitchStmt)
 			if !ok {
 				return true
 			}
+			sw := stampingSwitch{line: pass.Pkg.Fset.Position(ts.Pos()).Line, stamps: make(map[string]bool)}
 			for _, stmt := range ts.Body.List {
 				cc, ok := stmt.(*ast.CaseClause)
 				if !ok {
 					continue
 				}
+				stamps := callsStampApply(pass.Pkg.Info, cc)
 				for _, e := range cc.List {
 					if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 						cases[id.Name] = true
+						if stamps {
+							sw.stamps[id.Name] = true
+						}
 					}
 				}
+			}
+			if len(sw.stamps) > 0 {
+				stamping = append(stamping, sw)
 			}
 			return true
 		})
 	}
-	return cases
+	return cases, stamping
+}
+
+// callsStampApply reports whether the case calls a method apply of a type
+// named Stamp.
+func callsStampApply(info *types.Info, cc *ast.CaseClause) bool {
+	found := false
+	ast.Inspect(cc, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := calleeFunc(info, call); fn != nil && fn.Name() == "apply" && fn.Type().(*types.Signature).Recv() != nil {
+				named, ok := fn.Type().(*types.Signature).Recv().Type().(*types.Named)
+				found = found || ok && named.Obj().Name() == "Stamp"
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // collectTagSwitchCases unions the tagXxx identifiers appearing as cases of

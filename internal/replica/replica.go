@@ -8,6 +8,7 @@ import (
 
 	"arbor/internal/obs"
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // lockState tracks a prepared (phase-one) transaction on one key.
@@ -473,7 +474,7 @@ func (r *Replica) refuse(to transport.Addr, payload any) {
 // reply sends best-effort: the requester's timeout covers a lost reply, so a
 // failed Send is counted and the handler (over TCP, a read loop) carries on.
 func (r *Replica) reply(to transport.Addr, payload any) {
-	if err := r.ep.Send(to, payload); err != nil {
+	if err := transport.Send(r.ep, to, payload, wire.Stamp{}); err != nil {
 		r.instr.replyErrors.Inc()
 	}
 }

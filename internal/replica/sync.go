@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // Anti-entropy catch-up. A replica that was down missed writes; under the
@@ -233,9 +234,7 @@ func (r *Replica) syncPage(li int, peers []transport.Addr, cfg SyncConfig, stop 
 // The fetch goes to the same peer that served the digest so the fetched
 // timestamps can only be newer than the digested ones.
 func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (bool, error) {
-	resp, err := r.syncCall(peer, cfg.CallTimeout, stop, func(reqID uint64) any {
-		return SyncDigestReq{ReqID: reqID, StartAfter: cursor, Limit: cfg.BatchSize}
-	})
+	resp, err := r.syncCall(peer, cfg.CallTimeout, stop, SyncDigestReq{StartAfter: cursor, Limit: cfg.BatchSize})
 	if err != nil {
 		return false, err
 	}
@@ -251,9 +250,7 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 		}
 	}
 	if len(need) > 0 {
-		resp, err := r.syncCall(peer, cfg.CallTimeout, stop, func(reqID uint64) any {
-			return SyncFetchReq{ReqID: reqID, Keys: need}
-		})
+		resp, err := r.syncCall(peer, cfg.CallTimeout, stop, SyncFetchReq{Keys: need})
 		if err != nil {
 			return false, err
 		}
@@ -278,10 +275,10 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 	return !dig.More, nil
 }
 
-// syncCall sends one sync request and waits for deliver to route the
-// matching reply back (the syncer shares the replica's endpoint, so replies
-// arrive as ordinary inbound messages keyed by ReqID).
-func (r *Replica) syncCall(to transport.Addr, timeout time.Duration, stop <-chan struct{}, build func(reqID uint64) any) (any, error) {
+// syncCall sends one sync request, stamped with a fresh ReqID, and waits for
+// deliver to route the matching reply back (the syncer shares the replica's
+// endpoint, so replies arrive as ordinary inbound messages keyed by ReqID).
+func (r *Replica) syncCall(to transport.Addr, timeout time.Duration, stop <-chan struct{}, req wire.Request) (any, error) {
 	id := r.syncReqID.Add(1)
 	ch := make(chan any, 1)
 	r.syncMu.Lock()
@@ -295,7 +292,7 @@ func (r *Replica) syncCall(to transport.Addr, timeout time.Duration, stop <-chan
 		delete(r.syncPending, id)
 		r.syncMu.Unlock()
 	}()
-	if err := r.ep.Send(to, build(id)); err != nil {
+	if err := transport.Send(r.ep, to, req, wire.Stamp{ReqID: id}); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)

@@ -26,6 +26,10 @@ var ErrClosed = errors.New("rpc: caller closed")
 // detector firing) from other failures with errors.Is.
 var ErrTimeout = errors.New("rpc: timed out")
 
+// Request is a protocol request: one of the wire request types, which Start
+// stamps with a request ID (and the deadline) as it sends it.
+type Request = wire.Request
+
 // Option configures a Caller.
 type Option func(*Caller)
 
@@ -144,8 +148,9 @@ func deliver(w waiter, r Reply) {
 	}
 }
 
-// Start sends one request — req, stamped with the allocated request ID, so
-// one request value can be fanned out to many sites — and returns at once;
+// Start sends one request — req, stamped with the allocated request ID as it
+// is sent, so one request value can be fanned out to many sites, and never
+// retained — and returns at once;
 // the reply arrives on inbox carrying tag. The inbox must have buffer room
 // for every request started on it and not yet received from it: a reply
 // that finds no room is dropped. A Pending returned with a nil error must
@@ -186,16 +191,13 @@ func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbo
 	if c.callDur != nil {
 		p.start = time.Now()
 	}
-	payload := req.WithReqID(p.ID)
+	st := wire.Stamp{ReqID: p.ID}
 	if budget > 0 {
-		if dc, ok := payload.(wire.DeadlineCarrier); ok {
-			// Round up so a sub-millisecond budget still rides as 1ms
-			// rather than degenerating to "no deadline".
-			millis := uint64((budget + time.Millisecond - 1) / time.Millisecond)
-			payload = dc.WithDeadline(millis)
-		}
+		// Round up so a sub-millisecond budget still rides as 1ms rather
+		// than degenerating to "no deadline".
+		st.DeadlineMillis = uint64((budget + time.Millisecond - 1) / time.Millisecond)
 	}
-	if err := c.ep.Send(to, payload); err != nil {
+	if err := transport.Send(c.ep, to, req, st); err != nil {
 		c.forget(p.ID)
 		return p, fmt.Errorf("rpc: send to %d: %w", to, err)
 	}
@@ -276,7 +278,7 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any,
 // Send transmits a payload without awaiting a reply (fire-and-forget).
 func (c *Caller) Send(to transport.Addr, payload any) error {
 	c.sends.Inc()
-	err := c.ep.Send(to, payload)
+	err := transport.Send(c.ep, to, payload, wire.Stamp{})
 	if hook := c.sendHook.Load(); hook != nil {
 		(*hook)(to, payload)
 	}

@@ -1,5 +1,7 @@
 package transport
 
+import "arbor/internal/wire"
+
 // Conn is one attachment point on a message transport — the interface
 // replicas and clients speak. The in-memory Endpoint and the TCPEndpoint
 // both implement it.
@@ -28,6 +30,24 @@ type Transport interface {
 	Dial(addr Addr) (Conn, error)
 	// Close shuts the transport and every endpoint down.
 	Close()
+}
+
+// Send sends payload from c to the endpoint at to, st written into it if it
+// is a request; rpc and replica send through nothing else. It never retains
+// payload, so a payload literal can live on the sender's stack: a
+// *TCPEndpoint encodes it in place, and any other Conn, which may keep what
+// it is given, gets a stamped copy (wire.Stamped).
+//
+//lint:ignore obswire the last hop, not an entry point: its callers in rpc and replica count every send, and TCPStats counts frames
+func Send(c Conn, to Addr, payload any, st wire.Stamp) error {
+	if e, ok := c.(*TCPEndpoint); ok {
+		return e.send(to, payload, st)
+	}
+	cp, err := wire.Stamped(payload, st)
+	if err != nil {
+		return err
+	}
+	return c.Send(to, cp)
 }
 
 var (

@@ -15,17 +15,17 @@ import (
 
 // TCP framing. Every frame is
 //
-//	[4-byte big-endian length][varint from][varint to][codec bytes]
+//	[4-byte big-endian length][varint from][varint to][wire.Append bytes]
 //
 // where the length counts everything after itself. Addresses are signed
 // varints (clients are negative). The first frame a dialer writes on a new
 // connection is a HELLO instead:
 //
-//	[4-byte length]["ARBW"][codec version byte][uvarint name length][codec name][varint dialer addr]
+//	[4-byte length]["ARBW"][wire.Version byte][varint dialer addr]
 //
-// which both negotiates the wire format (the acceptor closes the
-// connection on a codec name/version mismatch — a format change is a loud
-// handshake failure, not a silent mis-decode) and registers the dialer's
+// which both checks the wire format (the acceptor closes the connection on
+// a version mismatch — a format change is a loud handshake failure, not a
+// silent mis-decode) and registers the dialer's
 // address, so replies ride back over the same connection: clients need no
 // listener of their own.
 //
@@ -62,48 +62,21 @@ var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // connection holds none.
 var readBufPool = sync.Pool{New: func() any { return new([tcpReadBuf]byte) }}
 
-// putFrameBuf returns an encode buffer to the pool, unless it grew too large.
-func putFrameBuf(bp *[]byte, buf []byte) {
-	if cap(buf) <= wire.MaxPooledBuf {
-		*bp = buf
-		frameBufPool.Put(bp)
-	}
-}
-
 // TCPOption configures a TCPNetwork.
-type TCPOption interface {
-	applyTCP(*tcpOptions)
-}
-
-type tcpOptions struct {
-	codec        wire.Codec
-	connsPerPeer int
-}
-
-type tcpCodecOption struct{ c wire.Codec }
-
-func (o tcpCodecOption) applyTCP(opts *tcpOptions) { opts.codec = o.c }
-
-// WithTCPCodec selects the wire codec (default: the binary codec). Both
-// ends of every connection must agree; the HELLO handshake enforces it.
-func WithTCPCodec(c wire.Codec) TCPOption { return tcpCodecOption{c: c} }
-
-type connsPerPeerOption int
-
-func (o connsPerPeerOption) applyTCP(opts *tcpOptions) { opts.connsPerPeer = int(o) }
+type TCPOption func(*TCPNetwork)
 
 // WithConnsPerPeer sets how many connections an endpoint dials per
 // destination (default 2). Accepted inbound connections are pooled for
 // replies regardless.
-func WithConnsPerPeer(n int) TCPOption { return connsPerPeerOption(n) }
+func WithConnsPerPeer(n int) TCPOption { return func(t *TCPNetwork) { t.connsPerPeer = n } }
 
 // TCPNetwork is a real-sockets counterpart to Network: listeners bind
 // ephemeral loopback ports, an in-process registry maps logical addresses
-// to them, and frames carry codec-encoded protocol messages. arbord and the
+// to them, and frames carry wire-encoded protocol messages. arbord and the
 // benchmark run over it; the in-memory Network remains the simulator's
 // because it can inject faults deterministically.
 type TCPNetwork struct {
-	opts tcpOptions
+	connsPerPeer int
 
 	mu        sync.Mutex
 	endpoints map[Addr]*TCPEndpoint // every endpoint, for Close and duplicate detection
@@ -113,22 +86,17 @@ type TCPNetwork struct {
 
 // NewTCPNetwork creates an empty TCP transport registry.
 func NewTCPNetwork(opts ...TCPOption) *TCPNetwork {
-	o := tcpOptions{codec: wire.Binary(), connsPerPeer: defaultConnsPerPeer}
+	n := &TCPNetwork{
+		connsPerPeer: defaultConnsPerPeer,
+		endpoints:    make(map[Addr]*TCPEndpoint),
+		listeners:    make(map[Addr]*TCPEndpoint),
+	}
 	for _, opt := range opts {
-		opt.applyTCP(&o)
+		opt(n)
 	}
-	if o.connsPerPeer < 1 {
-		o.connsPerPeer = 1
-	}
-	return &TCPNetwork{
-		opts:      o,
-		endpoints: make(map[Addr]*TCPEndpoint),
-		listeners: make(map[Addr]*TCPEndpoint),
-	}
+	n.connsPerPeer = max(n.connsPerPeer, 1)
+	return n
 }
-
-// Codec returns the codec this network frames messages with.
-func (n *TCPNetwork) Codec() wire.Codec { return n.opts.codec }
 
 // TCPEndpoint is one TCP-backed attachment point.
 type TCPEndpoint struct {
@@ -344,16 +312,19 @@ func (e *TCPEndpoint) Conns() int {
 	return total
 }
 
-// Send encodes the payload with the network's codec and writes one frame
-// to a pooled connection. A broken connection is dropped and the frame
-// retried once on a fresh pick. Encode buffers are pooled: steady-state
-// sends do not allocate in the framing layer.
-func (e *TCPEndpoint) Send(to Addr, payload any) error {
+// Send implements Conn: send with no stamp.
+func (e *TCPEndpoint) Send(to Addr, payload any) error { return e.send(to, payload, wire.Stamp{}) }
+
+// send encodes the payload, st written into it, and writes one frame to a
+// pooled connection. A broken connection is dropped and the frame retried
+// once on a fresh pick. Encode buffers are pooled: steady-state sends do not
+// allocate in the framing layer. Nothing of payload outlives the call.
+func (e *TCPEndpoint) send(to Addr, payload any, st wire.Stamp) error {
 	bp := frameBufPool.Get().(*[]byte)
 	buf := append((*bp)[:0], 0, 0, 0, 0)
 	buf = binary.AppendVarint(buf, int64(e.addr))
 	buf = binary.AppendVarint(buf, int64(to))
-	buf, err := e.net.opts.codec.Encode(buf, payload)
+	buf, err := wire.Append(buf, payload, st)
 	if err == nil && len(buf)-4 > tcpMaxFrame {
 		err = fmt.Errorf("transport: frame to %d exceeds %d bytes", to, tcpMaxFrame)
 	}
@@ -377,7 +348,10 @@ func (e *TCPEndpoint) Send(to Addr, payload any) error {
 			err = fmt.Errorf("transport: send to %d: %w", to, werr)
 		}
 	}
-	putFrameBuf(bp, buf)
+	if cap(buf) <= wire.MaxPooledBuf { // a buffer grown larger is dropped
+		*bp = buf
+		frameBufPool.Put(bp)
+	}
 	return err
 }
 
@@ -392,7 +366,7 @@ func (e *TCPEndpoint) pick(to Addr) (*wireConn, error) {
 		return nil, ErrClosed
 	}
 	r := e.routeLocked(to)
-	grow := r.dialed < e.net.opts.connsPerPeer && len(r.conns) == r.dialed
+	grow := r.dialed < e.net.connsPerPeer && len(r.conns) == r.dialed
 	if wc := r.pickLocked(); wc != nil && !grow {
 		e.mu.Unlock()
 		return wc, nil
@@ -427,7 +401,7 @@ func (e *TCPEndpoint) growRoute(to Addr, r *peerRoute) error {
 	r.dialMu.Lock()
 	defer r.dialMu.Unlock()
 	e.mu.Lock()
-	need := r.dialed < e.net.opts.connsPerPeer && len(r.conns) == r.dialed
+	need := r.dialed < e.net.connsPerPeer && len(r.conns) == r.dialed
 	e.mu.Unlock()
 	if !need {
 		return nil
@@ -480,40 +454,27 @@ func (e *TCPEndpoint) startLocked(wc *wireConn, peer Addr, hello bool) bool {
 }
 
 // hello builds the handshake frame announcing this endpoint's address and
-// the codec it will frame messages with.
+// the wire version it will frame messages in.
 func (e *TCPEndpoint) hello() []byte {
-	codec := e.net.opts.codec
-	name := codec.Name()
-	body := make([]byte, 0, 4+1+1+len(name)+binary.MaxVarintLen64+4)
+	body := make([]byte, 0, 4+len(helloMagic)+1+binary.MaxVarintLen64)
 	body = append(body, 0, 0, 0, 0)
 	body = append(body, helloMagic[:]...)
-	body = append(body, codec.Version())
-	body = binary.AppendUvarint(body, uint64(len(name)))
-	body = append(body, name...)
+	body = append(body, wire.Version)
 	body = binary.AppendVarint(body, int64(e.addr))
 	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
 	return body
 }
 
-// parseHello validates a HELLO body against this endpoint's codec and
+// parseHello validates a HELLO body against this end's wire version and
 // returns the dialer's address.
-func (e *TCPEndpoint) parseHello(body []byte) (Addr, error) {
+func parseHello(body []byte) (Addr, error) {
 	if len(body) < 5 || [4]byte(body[:4]) != helloMagic {
 		return 0, errors.New("transport: not a hello frame")
 	}
-	codec := e.net.opts.codec
-	version := body[4]
+	if v := body[4]; v != wire.Version {
+		return 0, fmt.Errorf("transport: wire version mismatch: peer speaks v%d, this end v%d", v, wire.Version)
+	}
 	rest := body[5:]
-	nameLen, k := binary.Uvarint(rest)
-	if k <= 0 || nameLen > uint64(len(rest)-k) {
-		return 0, errors.New("transport: malformed hello")
-	}
-	name := string(rest[k : k+int(nameLen)])
-	rest = rest[k+int(nameLen):]
-	if name != codec.Name() || version != codec.Version() {
-		return 0, fmt.Errorf("transport: codec mismatch: peer speaks %s/v%d, this end %s/v%d",
-			name, version, codec.Name(), codec.Version())
-	}
 	peer, k := binary.Varint(rest)
 	if k <= 0 || k != len(rest) {
 		return 0, errors.New("transport: malformed hello")
@@ -648,7 +609,7 @@ func (fr *frameReader) release() {
 
 // got takes n bytes just read into space and passes every body they complete
 // to frame. A body is valid only during the call: a view into buf when it
-// fits (Codec.Decode never aliases its input, so nothing decoded outlives
+// fits (wire.Decode never aliases its input, so nothing decoded outlives
 // it — not even on another connection, whose loop may borrow buf next),
 // else a buffer of exactly its size.
 func (fr *frameReader) got(n int, frame func([]byte) error) error {
@@ -700,7 +661,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
 	var fr frameReader
 	fr.run(wc.c, &e.reads, func(frame []byte) error {
 		if hello {
-			p, err := e.parseHello(frame)
+			p, err := parseHello(frame)
 			if err != nil {
 				return err
 			}
@@ -715,7 +676,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
 		from, k1 := binary.Varint(frame)
 		to, k2 := binary.Varint(frame[max(k1, 0):])
 		if k1 > 0 && k2 > 0 {
-			if payload, err := e.net.opts.codec.Decode(frame[k1+k2:]); err == nil {
+			if payload, err := wire.Decode(frame[k1+k2:]); err == nil {
 				e.deliver(Message{From: Addr(from), To: Addr(to), Payload: payload})
 				return nil
 			}

@@ -101,8 +101,8 @@ func TestTCPManyMessagesReuseConnections(t *testing.T) {
 	}
 	// The pool is bounded: many pipelined messages share the configured
 	// number of connections instead of opening one per request.
-	if conns := a.Conns(); conns > n.opts.connsPerPeer {
-		t.Errorf("pooled %d connections, want at most %d", conns, n.opts.connsPerPeer)
+	if conns := a.Conns(); conns > n.connsPerPeer {
+		t.Errorf("pooled %d connections, want at most %d", conns, n.connsPerPeer)
 	}
 }
 
@@ -178,42 +178,45 @@ func TestTCPDialOnlyEndpointHearsReplies(t *testing.T) {
 	}
 }
 
-// otherCodec is the binary codec under another name: what the HELLO
-// handshake compares.
-type otherCodec struct{ wire.Codec }
-
-func (otherCodec) Name() string { return "other" }
-
-func TestTCPCodecMismatchRefusesConnection(t *testing.T) {
-	nBin := NewTCPNetwork()
-	defer nBin.Close()
-	srv, err := nBin.Register(1)
+// TestTCPHelloVersionMismatchRefusesConnection: a HELLO carrying another
+// wire version is refused — the connection is closed and no frame behind it
+// is delivered — while the same bytes under this end's version are accepted.
+func TestTCPHelloVersionMismatchRefusesConnection(t *testing.T) {
+	_, a, b := newTCPPair(t)
+	req, err := wire.Append(nil, ping(1), wire.Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second registry speaking a codec of another name, sharing the
-	// listener table by dialing the binary listener's port directly:
-	// simulate by pointing the other network's lookup at the same endpoint
-	// via a cross-registered address.
-	nOther := NewTCPNetwork(WithTCPCodec(otherCodec{wire.Binary()}))
-	defer nOther.Close()
-	cli, err := nOther.Dial(-1)
-	if err != nil {
-		t.Fatal(err)
+	dial := func(version byte) net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", b.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := a.hello()
+		hello[4+len(helloMagic)] = version
+		if _, err := c.Write(append(hello, rawFrame(a.addr, b.addr, req)...)); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	// Splice the binary listener into the other registry so Dial can route.
-	nOther.mu.Lock()
-	nOther.listeners[1] = srv
-	nOther.mu.Unlock()
-
-	cep := cli.(*TCPEndpoint)
-	_ = cep.Send(1, ping(1)) // first write may succeed into OS buffers
-	// The acceptor must refuse the handshake: nothing is delivered and the
-	// mismatch surfaces as a dead connection on retry.
+	other := dial(wire.Version + 1)
+	defer other.Close()
+	_ = other.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := other.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("a hello of version %d was answered with %d bytes", wire.Version+1, n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("a hello of another version left the connection open")
+	}
 	select {
-	case msg := <-srv.Recv():
-		t.Fatalf("mismatched codec delivered %#v", msg.Payload)
-	case <-time.After(300 * time.Millisecond):
+	case msg := <-b.Recv():
+		t.Fatalf("a frame behind a mismatched hello was delivered: %#v", msg.Payload)
+	default:
+	}
+	same := dial(wire.Version)
+	defer same.Close()
+	if got := recvOne(t, b); got.Payload.(wire.PingReq).ReqID != 1 {
+		t.Fatalf("frame behind a matching hello = %#v", got.Payload)
 	}
 }
 
@@ -352,7 +355,7 @@ func TestTCPStatsCountInboxDrop(t *testing.T) {
 // dialed again by the next sends; closing the network evicts nothing.
 func TestTCPStatsCountDialsAndEvictions(t *testing.T) {
 	n, a, b := newTCPPair(t)
-	per := uint64(n.opts.connsPerPeer)
+	per := uint64(n.connsPerPeer)
 	warm := func() {
 		t.Helper()
 		for i := 0; i < 4*int(per); i++ {
@@ -416,7 +419,7 @@ func TestTCPStatsCountDecodeDrop(t *testing.T) {
 	}
 	defer c.Close()
 	frame := func(payload []byte) []byte { return rawFrame(a.addr, b.addr, payload) }
-	good, err := b.net.opts.codec.Encode(nil, ping(9))
+	good, err := wire.Append(nil, ping(9), wire.Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +461,7 @@ func TestTCPFrameSizes(t *testing.T) {
 	frame := func(id uint64, bodyLen int) []byte {
 		var buf []byte
 		for vlen := bodyLen - 32; ; vlen += bodyLen - (len(buf) - 4) {
-			payload, err := b.net.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Key: "k", Value: fill(id, make([]byte, vlen)), Found: true})
+			payload, err := wire.Append(nil, wire.ReadResp{ReqID: id, Key: "k", Value: fill(id, make([]byte, vlen)), Found: true}, wire.Stamp{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -581,7 +584,7 @@ func TestTCPNoLostWakeup(t *testing.T) {
 			pending := (&TCPEndpoint{addr: from, net: n}).hello()
 			var id uint64
 			frame := func() {
-				payload, err := n.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Value: value(id, size()), Found: true})
+				payload, err := wire.Append(nil, wire.ReadResp{ReqID: id, Value: value(id, size()), Found: true}, wire.Stamp{})
 				if err != nil {
 					t.Error(err)
 				}
@@ -702,7 +705,7 @@ func TestTCPPartialFrameKeepsItsBuffer(t *testing.T) {
 			from := Addr(-c - 1)
 			pending := (&TCPEndpoint{addr: from, net: n}).hello()
 			frame := func(id uint64) {
-				payload, err := n.opts.codec.Encode(nil, wire.ReadResp{ReqID: id, Value: value(c, id), Found: true})
+				payload, err := wire.Append(nil, wire.ReadResp{ReqID: id, Value: value(c, id), Found: true}, wire.Stamp{})
 				if err != nil {
 					t.Error(err)
 				}
@@ -929,7 +932,7 @@ func TestTCPEviction(t *testing.T) {
 			}
 		})
 		defer stop()
-		req, err := n.opts.codec.Encode(nil, ping(1))
+		req, err := wire.Append(nil, ping(1), wire.Stamp{})
 		if err != nil {
 			t.Fatal(err)
 		}

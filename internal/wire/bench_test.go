@@ -2,8 +2,8 @@ package wire
 
 import "testing"
 
-// The encode/decode benchmarks time the binary codec on the two hot
-// messages of the request path: the read probe and the commit.
+// The encode/decode benchmarks time the encoding on the two hot messages of
+// the request path: the read probe and the commit.
 // go test -bench=Codec -benchmem ./internal/wire/
 
 func benchMessages() (ReadResp, CommitReq) {
@@ -16,59 +16,55 @@ func benchMessages() (ReadResp, CommitReq) {
 	return read, commit
 }
 
-func benchmarkEncode(b *testing.B, c Codec) {
+func BenchmarkCodecEncodeBinary(b *testing.B) {
 	read, commit := benchMessages()
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = c.Encode(buf[:0], read)
+		buf, err = Append(buf[:0], read, Stamp{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf, err = c.Encode(buf[:0], commit)
+		buf, err = Append(buf[:0], commit, Stamp{ReqID: 123457, DeadlineMillis: 250})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchmarkDecode(b *testing.B, c Codec) {
+func BenchmarkCodecDecodeBinary(b *testing.B) {
 	read, commit := benchMessages()
-	encRead, err := c.Encode(nil, read)
+	encRead, err := Append(nil, read, Stamp{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	encCommit, err := c.Encode(nil, commit)
+	encCommit, err := Append(nil, commit, Stamp{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(encRead); err != nil {
+		if _, err := Decode(encRead); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Decode(encCommit); err != nil {
+		if _, err := Decode(encCommit); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCodecEncodeBinary(b *testing.B) { benchmarkEncode(b, Binary()) }
-func BenchmarkCodecDecodeBinary(b *testing.B) { benchmarkDecode(b, Binary()) }
-
 // BenchmarkDecodeReadResp16K times the decode of a large-value read reply:
 // one allocation and one copy of the value, nothing cleared first.
 func BenchmarkDecodeReadResp16K(b *testing.B) {
-	c := Binary()
-	enc, err := c.Encode(nil, ReadResp{ReqID: 123456, Key: "user/profile/42", Value: make([]byte, 16<<10), TS: Timestamp{Version: 987, Site: -3}, Found: true})
+	enc, err := Append(nil, ReadResp{ReqID: 123456, Key: "user/profile/42", Value: make([]byte, 16<<10), TS: Timestamp{Version: 987, Site: -3}, Found: true}, Stamp{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(enc); err != nil {
+		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,16 +7,58 @@ import (
 	"fmt"
 )
 
-// binaryVersion is the current wire-format version of the binary codec.
-// Version 2 appended a deadline (uvarint millis-remaining) to every request
-// type and added OverloadedResp; version 3 appended a floor timestamp to
-// ReadReq. Decode still accepts version-1 and version-2 frames.
-const binaryVersion byte = 3
+// Version is the wire-format version every frame starts with. Version 2
+// appended a deadline (uvarint millis-remaining) to every request type and
+// added OverloadedResp; version 3 appended a floor timestamp to ReadReq. The
+// TCP handshake refuses a peer of any other version, so Decode accepts this
+// one alone. Bump it on any incompatible layout change.
+const Version byte = 3
 
-// binaryVersionLegacy is the oldest frame version Decode still accepts.
-const binaryVersionLegacy byte = 1
+// MaxPooledBuf is the largest encode buffer a pool takes back: frames and
+// journal records reach tens of MiB, and a pool never shrinks what it holds.
+const MaxPooledBuf = 1 << 20
 
-// Binary returns the hand-rolled binary codec, the default wire format.
+// Message type tags. Tag 0 is reserved so a zeroed buffer never decodes.
+const (
+	tagVersionReq byte = iota + 1
+	tagVersionResp
+	tagReadReq
+	tagReadResp
+	tagPrepareReq
+	tagPrepareResp
+	tagCommitReq
+	tagCommitResp
+	tagAbortReq
+	tagAbortResp
+	tagPingReq
+	tagPingResp
+	tagSyncDigestReq
+	tagSyncDigestResp
+	tagSyncFetchReq
+	tagSyncFetchResp
+	tagOverloadedResp
+)
+
+// errNotMessage names no type: formatting the payload would make every
+// payload handed to Append or Stamped escape to the heap.
+var errNotMessage = errors.New("wire: not a protocol message")
+
+// Binary returns Append (unstamped) and Decode as methods, the shape the
+// benchmark module (bench/), its one caller, is written against.
+func Binary() Shim { return Shim{} }
+
+// Shim is what Binary returns; it goes when bench/ calls Append and Decode.
+type Shim struct{}
+
+// Encode is Append with no stamp.
+func (Shim) Encode(dst []byte, payload any) ([]byte, error) { return Append(dst, payload, Stamp{}) }
+
+// Decode is the package's Decode.
+func (Shim) Decode(data []byte) (any, error) { return Decode(data) }
+
+// Append appends payload's encoding to dst, st written into it if it is a
+// request. It retains nothing of payload, even on its error path, so a
+// payload handed to it can live on the caller's stack.
 //
 // Layout: every message is [version byte][tag byte][fields]. Fields are
 // encoded in struct order with four primitives and no padding:
@@ -33,18 +75,11 @@ const binaryVersionLegacy byte = 1
 // uvarint element count followed by the elements. Decode rejects trailing
 // bytes, so encode→decode→encode is a byte-level fixpoint — the property
 // FuzzWireRoundTrip pins down.
-func Binary() Codec { return binaryCodec{} }
-
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string  { return "binary" }
-func (binaryCodec) Version() byte { return binaryVersion }
-
-// Encode appends the message's binary encoding to dst.
-func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
-	dst = append(dst, binaryVersion)
+func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
+	dst = append(dst, Version)
 	switch m := payload.(type) {
 	case VersionReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagVersionReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
@@ -58,6 +93,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Refused)
 	case ReadReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagReadReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
@@ -72,6 +108,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = appendBool(dst, m.Found)
 		dst = appendBool(dst, m.Refused)
 	case PrepareReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagPrepareReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
@@ -85,6 +122,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = appendBool(dst, m.OK)
 		dst = appendString(dst, m.Reason)
 	case CommitReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagCommitReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
@@ -98,6 +136,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendBool(dst, m.OK)
 	case AbortReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagAbortReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
@@ -108,6 +147,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 	case PingReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagPingReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
@@ -120,6 +160,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.RetryAfterMillis)
 	case SyncDigestReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagSyncDigestReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.StartAfter)
@@ -135,6 +176,7 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 		}
 		dst = appendBool(dst, m.More)
 	case SyncFetchReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
 		dst = append(dst, tagSyncFetchReq)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Keys)))
@@ -153,66 +195,56 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 			dst = appendBool(dst, it.Found)
 		}
 	default:
-		return nil, fmt.Errorf("wire: cannot encode %T: not a protocol message", payload)
+		return nil, errNotMessage
 	}
 	return dst, nil
 }
 
-// Decode parses one binary-encoded message. Returned payloads never alias
-// data (byte-slice fields are copied out). Version-1 (pre-deadline) and
-// version-2 (pre-floor) frames still decode, the fields they lack as zero.
-func (binaryCodec) Decode(data []byte) (any, error) {
+// Decode parses one encoded message of the current Version. The returned
+// payload never aliases data (byte-slice fields are copied out): the TCP read
+// loop passes a view into a read buffer that the next frame overwrites, on
+// its connection or on whichever borrows the buffer from the shared pool
+// next, and replicas store decoded values as they are — each an allocation of
+// exactly its size.
+func Decode(data []byte) (any, error) {
 	if len(data) < 2 {
 		return nil, errors.New("wire: short message")
 	}
-	ver := data[0]
-	if ver < binaryVersionLegacy || ver > binaryVersion {
-		return nil, fmt.Errorf("wire: binary version %d, want %d..%d", ver, binaryVersionLegacy, binaryVersion)
+	if data[0] != Version {
+		return nil, fmt.Errorf("wire: version %d, want %d", data[0], Version)
 	}
 	tag := data[1]
 	r := reader{buf: data[2:]}
-	// deadline reads the trailing millis-remaining field on request types;
-	// version-1 frames predate it and decode as "no deadline".
-	deadline := func() uint64 {
-		if ver < 2 {
-			return 0
-		}
-		return r.uvarint()
-	}
 	var out any
 	switch tag {
 	case tagVersionReq:
-		out = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: deadline()}
+		out = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
 	case tagVersionResp:
 		out = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagReadReq:
-		m := ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
-		if ver >= 3 {
-			m.Floor = r.ts()
-		}
-		out = m
+		out = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint(), Floor: r.ts()}
 	case tagReadResp:
 		out = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagPrepareReq:
-		out = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: deadline()}
+		out = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case tagPrepareResp:
 		out = PrepareResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool(), Reason: r.str()}
 	case tagCommitReq:
-		out = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: deadline()}
+		out = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case tagCommitResp:
 		out = CommitResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool()}
 	case tagAbortReq:
-		out = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
+		out = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
 	case tagAbortResp:
 		out = AbortResp{ReqID: r.uvarint(), TxID: r.uvarint()}
 	case tagPingReq:
-		out = PingReq{ReqID: r.uvarint(), DeadlineMillis: deadline()}
+		out = PingReq{ReqID: r.uvarint(), DeadlineMillis: r.uvarint()}
 	case tagPingResp:
 		out = PingResp{ReqID: r.uvarint(), Site: int(r.varint())}
 	case tagOverloadedResp:
 		out = OverloadedResp{ReqID: r.uvarint(), RetryAfterMillis: r.uvarint()}
 	case tagSyncDigestReq:
-		out = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: deadline()}
+		out = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: r.uvarint()}
 	case tagSyncDigestResp:
 		m := SyncDigestResp{ReqID: r.uvarint()}
 		if n := r.count(); n > 0 {
@@ -231,7 +263,7 @@ func (binaryCodec) Decode(data []byte) (any, error) {
 				m.Keys[i] = r.str()
 			}
 		}
-		m.DeadlineMillis = deadline()
+		m.DeadlineMillis = r.uvarint()
 		out = m
 	case tagSyncFetchResp:
 		m := SyncFetchResp{ReqID: r.uvarint()}

@@ -61,25 +61,24 @@ func vectors() []struct {
 // TestRoundTrip: every message survives encode→decode, and the binary
 // encoding is a byte-level fixpoint.
 func TestRoundTrip(t *testing.T) {
-	codec := Binary()
 	for _, v := range vectors() {
-		enc, err := codec.Encode(nil, v.msg)
+		enc, err := Append(nil, v.msg, Stamp{})
 		if err != nil {
-			t.Fatalf("%s/%s: encode: %v", codec.Name(), v.name, err)
+			t.Fatalf("%s: encode: %v", v.name, err)
 		}
-		dec, err := codec.Decode(enc)
+		dec, err := Decode(enc)
 		if err != nil {
-			t.Fatalf("%s/%s: decode: %v", codec.Name(), v.name, err)
+			t.Fatalf("%s: decode: %v", v.name, err)
 		}
 		if !reflect.DeepEqual(dec, v.msg) {
-			t.Errorf("%s/%s: round trip\n got %#v\nwant %#v", codec.Name(), v.name, dec, v.msg)
+			t.Errorf("%s: round trip\n got %#v\nwant %#v", v.name, dec, v.msg)
 		}
-		enc2, err := codec.Encode(nil, dec)
+		enc2, err := Append(nil, dec, Stamp{})
 		if err != nil {
-			t.Fatalf("%s/%s: re-encode: %v", codec.Name(), v.name, err)
+			t.Fatalf("%s: re-encode: %v", v.name, err)
 		}
 		if !bytes.Equal(enc, enc2) {
-			t.Errorf("%s/%s: re-encoding differs:\n %x\n %x", codec.Name(), v.name, enc, enc2)
+			t.Errorf("%s: re-encoding differs:\n %x\n %x", v.name, enc, enc2)
 		}
 	}
 }
@@ -88,12 +87,11 @@ func TestRoundTrip(t *testing.T) {
 // that alters any encoding must bump the codec version and regenerate the
 // file with -update, not slide by silently.
 func TestGoldenVectors(t *testing.T) {
-	path := filepath.Join("testdata", "golden_binary_v3.txt")
-	c := Binary()
+	path := filepath.Join("testdata", fmt.Sprintf("golden_binary_v%d.txt", Version))
 	if *update {
 		var sb strings.Builder
 		for _, v := range vectors() {
-			enc, err := c.Encode(nil, v.msg)
+			enc, err := Append(nil, v.msg, Stamp{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +120,7 @@ func TestGoldenVectors(t *testing.T) {
 		t.Errorf("golden file has %d vectors, test has %d (regenerate with -update)", len(golden), len(vectors()))
 	}
 	for _, v := range vectors() {
-		enc, err := c.Encode(nil, v.msg)
+		enc, err := Append(nil, v.msg, Stamp{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +137,7 @@ func TestGoldenVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decode(raw)
+		dec, err := Decode(raw)
 		if err != nil {
 			t.Errorf("%s: golden bytes do not decode: %v", v.name, err)
 			continue
@@ -150,123 +148,59 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestLegacyV1FramesDecode pins backward compatibility: every byte vector
-// of the version-1 corpus (frozen when the deadline field did not exist) and
-// of the version-2 corpus (frozen when ReadReq had no floor) must still
-// decode — v1 requests with a zero DeadlineMillis, every ReadReq with a zero
-// Floor, v2 frames to exactly the message a current frame of the same name
-// carries — and must re-encode as a stable current frame. The legacy files
-// are never regenerated — they ARE the compatibility contract.
-func TestLegacyV1FramesDecode(t *testing.T) {
-	current := make(map[string]any)
-	for _, v := range vectors() {
-		current[v.name] = v.msg
-	}
-	c := Binary()
-	for _, ver := range []byte{1, 2} {
-		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("golden_binary_v%d.txt", ver)))
-		if err != nil {
-			t.Fatalf("legacy golden file missing: %v", err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			vec, hexEnc, ok := strings.Cut(line, " ")
-			if !ok {
-				t.Fatalf("malformed legacy golden line %q", line)
-			}
-			name := fmt.Sprintf("v%d/%s", ver, vec)
-			raw, err := hex.DecodeString(hexEnc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if raw[0] != ver {
-				t.Fatalf("%s: frame has version byte %d", name, raw[0])
-			}
-			msg, err := c.Decode(raw)
-			if err != nil {
-				t.Errorf("%s: legacy frame no longer decodes: %v", name, err)
-				continue
-			}
-			if dc, ok := msg.(DeadlineCarrier); ok && ver == 1 {
-				if stamped := dc.WithDeadline(0); !reflect.DeepEqual(stamped, msg) {
-					t.Errorf("%s: v1 frame decoded with a non-zero deadline: %#v", name, msg)
-				}
-			}
-			if rr, ok := msg.(ReadReq); ok && rr.Floor != (Timestamp{}) {
-				t.Errorf("%s: legacy frame decoded with a floor: %#v", name, msg)
-			}
-			if want, ok := current[vec]; ver == 2 && ok && !reflect.DeepEqual(msg, want) {
-				t.Errorf("%s: v2 frame decodes to %#v, want %#v", name, msg, want)
-			}
-			// The legacy frame upgrades to a stable current encoding.
-			enc, err := c.Encode(nil, msg)
-			if err != nil {
-				t.Errorf("%s: upgraded message does not re-encode: %v", name, err)
-				continue
-			}
-			dec, err := c.Decode(enc)
-			if err != nil {
-				t.Errorf("%s: upgraded frame does not decode: %v", name, err)
-				continue
-			}
-			if !reflect.DeepEqual(dec, msg) {
-				t.Errorf("%s: upgrade round trip diverged:\n got %#v\nwant %#v", name, dec, msg)
-			}
-		}
-	}
-}
-
 func TestEncodeAppends(t *testing.T) {
-	c := Binary()
 	prefix := []byte{0xAA, 0xBB}
-	enc, err := c.Encode(prefix, PingReq{ReqID: 5})
+	enc, err := Append(prefix, PingReq{ReqID: 5}, Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc[:2], prefix) {
-		t.Errorf("Encode did not append: %x", enc)
+		t.Errorf("Append did not append: %x", enc)
 	}
-	if _, err := c.Decode(enc[2:]); err != nil {
+	if _, err := Decode(enc[2:]); err != nil {
 		t.Errorf("appended encoding does not decode: %v", err)
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	c := Binary()
-	enc, err := c.Encode(nil, ReadResp{ReqID: 1, Key: "k", Value: []byte("v"), Found: true})
+	enc, err := Append(nil, ReadResp{ReqID: 1, Key: "k", Value: []byte("v"), Found: true}, Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
 		"empty":            {},
-		"version_only":     {binaryVersion},
-		"bad_version":      append([]byte{binaryVersion + 1}, enc[1:]...),
+		"version_only":     {Version},
+		"bad_version":      append([]byte{Version + 1}, enc[1:]...),
+		"older_version":    append([]byte{Version - 1}, enc[1:]...),
 		"version_zero":     append([]byte{0}, enc[1:]...),
-		"unknown_tag":      {binaryVersion, 0},
+		"unknown_tag":      {Version, 0},
 		"truncated":        enc[:len(enc)-2],
 		"trailing_bytes":   append(append([]byte(nil), enc...), 0),
 		"bad_bool":         func() []byte { b := append([]byte(nil), enc...); b[len(b)-1] = 7; return b }(),
-		"absurd_slice_len": {binaryVersion, tagSyncFetchReq, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"absurd_slice_len": {Version, tagSyncFetchReq, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 	}
 	for name, data := range cases {
-		if _, err := c.Decode(data); err == nil {
+		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input %x", name, data)
 		}
 	}
 }
 
 func TestEncodeRejectsUnknownType(t *testing.T) {
-	if _, err := Binary().Encode(nil, struct{ X int }{1}); err == nil {
-		t.Error("binary codec encoded a type outside the message set")
+	if _, err := Append(nil, struct{ X int }{1}, Stamp{}); err == nil {
+		t.Error("Append encoded a type outside the message set")
+	}
+	if _, err := Stamped(struct{ X int }{1}, Stamp{ReqID: 1}); err == nil {
+		t.Error("Stamped copied a type outside the message set")
 	}
 }
 
 func TestDecodedValueDoesNotAliasInput(t *testing.T) {
-	c := Binary()
-	enc, err := c.Encode(nil, CommitReq{ReqID: 1, Key: "k", Value: []byte("abc"), TS: Timestamp{Version: 1, Site: 1}})
+	enc, err := Append(nil, CommitReq{ReqID: 1, Key: "k", Value: []byte("abc"), TS: Timestamp{Version: 1, Site: 1}}, Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(enc)
+	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,23 +209,6 @@ func TestDecodedValueDoesNotAliasInput(t *testing.T) {
 	}
 	if got := string(dec.(CommitReq).Value); got != "abc" {
 		t.Errorf("decoded value aliases the input buffer: %q", got)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if c.Name() != want {
-			t.Errorf("ByName(%q).Name() = %q, want %q", name, c.Name(), want)
-		}
-	}
-	for _, name := range []string{"json", "gob"} {
-		if _, err := ByName(name); err == nil {
-			t.Errorf("ByName accepted the unknown codec %q", name)
-		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzWireRoundTrip drives fuzzed field values through every message shape
-// and checks the binary codec's core property: encode→decode→encode is a
+// and checks the encoding's core property: encode→decode→encode is a
 // byte-level fixpoint and the decoded message equals the original.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(2), int64(-3), "key", []byte("value"), true, false)
@@ -37,13 +37,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			PingResp{ReqID: id, Site: int(site)},
 			OverloadedResp{ReqID: id, RetryAfterMillis: tx},
 		}
-		c := Binary()
 		for _, msg := range msgs {
-			enc, err := c.Encode(nil, msg)
+			enc, err := Append(nil, msg, Stamp{})
 			if err != nil {
 				t.Fatalf("encode %T: %v", msg, err)
 			}
-			dec, err := c.Decode(enc)
+			dec, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("decode %T: %v (bytes %x)", msg, err, enc)
 			}
@@ -66,7 +65,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if !reflect.DeepEqual(dec, want) {
 				t.Fatalf("round trip %T:\n got %#v\nwant %#v", msg, dec, want)
 			}
-			enc2, err := c.Encode(nil, dec)
+			enc2, err := Append(nil, dec, Stamp{})
 			if err != nil {
 				t.Fatalf("re-encode %T: %v", msg, err)
 			}
@@ -83,32 +82,31 @@ func FuzzWireRoundTrip(f *testing.F) {
 // encodings beyond varint slack, which re-encoding canonicalizes — assert
 // only on a second round trip).
 func FuzzBinaryDecode(f *testing.F) {
-	c := Binary()
 	for _, v := range vectors() {
-		enc, err := c.Encode(nil, v.msg)
+		enc, err := Append(nil, v.msg, Stamp{})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(enc)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{binaryVersion, tagSyncDigestResp, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	// A version-1 legacy frame (read_req without the trailing deadline):
-	// the decoder must keep accepting the old layout.
-	f.Add([]byte{binaryVersionLegacy, tagReadReq, 1, 1, 'k'})
-	// Version 2 (deadline, no floor) and the current layout with a floor.
-	f.Add([]byte{2, tagReadReq, 1, 1, 'k', 40})
-	f.Add([]byte{binaryVersion, tagReadReq, 1, 1, 'k', 40, 0xAC, 0x02, 3})
+	f.Add([]byte{Version, tagSyncDigestResp, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// The current read_req with a floor, and the same body under the
+	// version before it, which the decoder refuses.
+	f.Add([]byte{Version, tagReadReq, 1, 1, 'k', 40, 0xAC, 0x02, 3})
+	f.Add([]byte{Version - 1, tagReadReq, 1, 1, 'k', 40, 0xAC, 0x02, 3})
+	// A read_req cut before its floor.
+	f.Add([]byte{Version, tagReadReq, 1, 1, 'k', 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := c.Decode(data)
+		msg, err := Decode(data)
 		if err != nil {
 			return
 		}
-		enc, err := c.Encode(nil, msg)
+		enc, err := Append(nil, msg, Stamp{})
 		if err != nil {
 			t.Fatalf("accepted message %#v does not re-encode: %v", msg, err)
 		}
-		dec, err := c.Decode(enc)
+		dec, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-encoded bytes do not decode: %v", err)
 		}

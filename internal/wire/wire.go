@@ -1,17 +1,21 @@
 // Package wire defines the protocol's on-the-wire vocabulary: the message
-// types clients and replicas exchange, the versioned Codec that serializes
-// them, and the self-contained record format the durability layers (WAL,
-// snapshots, checkpoints) share. It is a leaf package — transport, rpc and
-// replica all build on it, so the message set and its encoding live in
-// exactly one place.
+// types clients and replicas exchange, their versioned binary encoding
+// (Append and Decode), and the self-contained record format the durability
+// layers (WAL, snapshots, checkpoints) share. It is a leaf package —
+// transport, rpc and replica all build on it, so the message set and its
+// encoding live in exactly one place.
 //
-// The message set is closed: the binary codec enumerates every type with an
+// The message set is closed: the encoding enumerates every type with an
 // explicit tag byte, so an unknown payload is an encode-time error rather
 // than a silent interoperability break. New messages are added here, with a
-// new tag, a golden vector and a fuzz seed.
+// new tag, a golden vector and a fuzz seed (and, for a request, a stamping
+// case in Append and in Stamped).
 package wire
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Timestamp orders writes: higher version wins, and among equal versions
 // the LOWER site identifier wins (§3.2.1 of the paper: reads retrieve the
@@ -36,23 +40,75 @@ func (t Timestamp) String() string {
 	return fmt.Sprintf("v%d@s%d", t.Version, t.Site)
 }
 
-// Request is a payload that carries a caller-allocated request ID. The rpc
-// layer stamps the ID immediately before sending, so one request value can
-// be fanned out to many sites, each call getting its own ID.
-type Request interface {
-	// WithReqID returns a copy of the request carrying the given ID.
-	WithReqID(id uint64) any
+// Request is one of the eight request types below: a payload the rpc layer
+// sends with a Stamp, so one request value can be fanned out to many sites,
+// each call getting its own ID. The set is closed at compile time.
+type Request interface{ request() }
+
+// Stamp is what a sender writes into a request as it goes out (Append, or
+// Stamped for a copy): its request ID and the budget left in milliseconds. A
+// zero field leaves the request's own value; responses take no stamp.
+type Stamp struct {
+	ReqID          uint64
+	DeadlineMillis uint64
 }
 
-// DeadlineCarrier is a request that propagates the caller's remaining time
-// budget. The rpc layer stamps the budget immediately before sending (like
-// WithReqID), so the value a replica sees is measured from the moment the
-// message left the client, not from when the operation began. Zero means
-// "no deadline" — the replica serves the request unconditionally.
-type DeadlineCarrier interface {
-	// WithDeadline returns a copy of the request carrying the remaining
-	// budget in milliseconds.
-	WithDeadline(millis uint64) any
+// apply writes the stamp's nonzero fields over a request's.
+func (st Stamp) apply(reqID, deadlineMillis *uint64) {
+	*reqID = cmp.Or(st.ReqID, *reqID)
+	*deadlineMillis = cmp.Or(st.DeadlineMillis, *deadlineMillis)
+}
+
+// Stamped returns a copy of payload in a box of its own, st written into it
+// if it is a request: what a Conn that may keep its payload is handed. A
+// payload outside the message set is an error.
+func Stamped(payload any, st Stamp) (any, error) {
+	switch m := payload.(type) {
+	case VersionReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case ReadReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case PrepareReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case CommitReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case AbortReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case PingReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case SyncDigestReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	case SyncFetchReq:
+		st.apply(&m.ReqID, &m.DeadlineMillis)
+		return m, nil
+	// One case per response too: a shared case (typed any) would not copy.
+	case VersionResp:
+		return m, nil
+	case ReadResp:
+		return m, nil
+	case PrepareResp:
+		return m, nil
+	case CommitResp:
+		return m, nil
+	case AbortResp:
+		return m, nil
+	case PingResp:
+		return m, nil
+	case OverloadedResp:
+		return m, nil
+	case SyncDigestResp:
+		return m, nil
+	case SyncFetchResp:
+		return m, nil
+	}
+	return nil, errNotMessage
 }
 
 // Request/response payloads exchanged between clients and replicas. Every
@@ -73,16 +129,12 @@ type VersionReq struct {
 	// DeadlineMillis is the caller's remaining budget in milliseconds at
 	// send time; zero means no deadline. Replicas do not act on it: a
 	// request is served or shed on arrival, never queued, so none outlives
-	// its budget waiting for a slot. Every request type carries this field (it rides at the
-	// end of the frame, so version-1 peers simply never see it).
+	// its budget waiting for a slot. Every request type carries this field,
+	// written from the sender's Stamp.
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m VersionReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m VersionReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (VersionReq) request() {}
 
 // VersionResp answers a VersionReq. Found is false if the key has never
 // been written at this replica. Refused is true when the replica is
@@ -114,11 +166,7 @@ func (m ReadReq) ValueOmitted(ts Timestamp) bool {
 	return m.Floor != (Timestamp{}) && m.Floor.After(ts)
 }
 
-// WithReqID implements Request.
-func (m ReadReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m ReadReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (ReadReq) request() {}
 
 // ReadResp answers a ReadReq. Refused mirrors VersionResp.Refused: the
 // replica is catching up and declines to serve possibly stale state.
@@ -142,11 +190,7 @@ type PrepareReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m PrepareReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m PrepareReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (PrepareReq) request() {}
 
 // PrepareResp acknowledges (or refuses) a prepare.
 type PrepareResp struct {
@@ -171,11 +215,7 @@ type CommitReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m CommitReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m CommitReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (CommitReq) request() {}
 
 // CommitResp acknowledges a commit.
 type CommitResp struct {
@@ -194,11 +234,7 @@ type AbortReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m AbortReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m AbortReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (AbortReq) request() {}
 
 // AbortResp acknowledges an abort.
 type AbortResp struct {
@@ -225,11 +261,7 @@ type SyncDigestReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m SyncDigestReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m SyncDigestReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (SyncDigestReq) request() {}
 
 // DigestEntry is one key/timestamp pair of a digest page.
 type DigestEntry struct {
@@ -253,11 +285,7 @@ type SyncFetchReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m SyncFetchReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m SyncFetchReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (SyncFetchReq) request() {}
 
 // SyncItem is one fetched key: the source's current value and timestamp
 // (which may be newer than the digest that requested it — newer is fine,
@@ -282,11 +310,7 @@ type PingReq struct {
 	DeadlineMillis uint64
 }
 
-// WithReqID implements Request.
-func (m PingReq) WithReqID(id uint64) any { m.ReqID = id; return m }
-
-// WithDeadline implements DeadlineCarrier.
-func (m PingReq) WithDeadline(millis uint64) any { m.DeadlineMillis = millis; return m }
+func (PingReq) request() {}
 
 // PingResp answers a ping.
 type PingResp struct {
