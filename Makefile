@@ -37,7 +37,7 @@ race:
 # LOC_MAX is the committed ceiling on the first column's total: the target
 # fails above it, so a PR that grows the tree has to raise it on purpose
 # (and one that shrinks it should lower it to the new total).
-LOC_MAX = 22776
+LOC_MAX = 22774
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
 		-not -path '*/testdata/*' -not -path './.bench_build/*' -print0 \

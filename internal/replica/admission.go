@@ -189,7 +189,7 @@ func (r *Replica) Drain(ctx context.Context) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
-		if r.quiesced() {
+		if r.gate.inflight.Load() == 0 && !r.store.locked(time.Now()) {
 			r.health.Store(int32(HealthDown))
 			return nil
 		}
@@ -199,21 +199,4 @@ func (r *Replica) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-}
-
-// quiesced reports whether no gated work is in flight and no unexpired
-// prepared transaction still holds a lock.
-func (r *Replica) quiesced() bool {
-	if r.gate.inflight.Load() != 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	for _, l := range r.locks {
-		if now.Before(l.expires) {
-			return false
-		}
-	}
-	return true
 }

@@ -21,8 +21,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Len() != 2 {
-		t.Fatalf("restored %d keys, want 2", fresh.Len())
+	if len(fresh.Keys()) != 2 {
+		t.Fatalf("restored %d keys, want 2", len(fresh.Keys()))
 	}
 	v, ts, ok := fresh.Get("b")
 	if !ok || string(v) != "v2" || ts.Version != 2 || ts.Site != 3 {
@@ -77,8 +77,8 @@ func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	if !errors.Is(err, errLegacyFormat) {
 		t.Fatalf("err = %v, want errLegacyFormat", err)
 	}
-	if s.Len() != 0 {
-		t.Errorf("store holds %d keys after a refused restore", s.Len())
+	if len(s.Keys()) != 0 {
+		t.Errorf("store holds %d keys after a refused restore", len(s.Keys()))
 	}
 }
 
@@ -91,8 +91,8 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Len() != 0 {
-		t.Errorf("empty snapshot produced %d keys", fresh.Len())
+	if len(fresh.Keys()) != 0 {
+		t.Errorf("empty snapshot produced %d keys", len(fresh.Keys()))
 	}
 }
 

@@ -11,12 +11,6 @@ import (
 	"arbor/internal/wire"
 )
 
-// lockState tracks a prepared (phase-one) transaction on one key.
-type lockState struct {
-	txID    uint64
-	expires time.Time
-}
-
 // Stats counts the operations a replica served; the cluster uses them to
 // measure empirical per-replica load.
 type Stats struct {
@@ -56,15 +50,10 @@ type Replica struct {
 	site int
 	ep   transport.Conn
 
-	store *Store
-
-	mu    sync.Mutex
-	locks map[string]lockState
+	store *Store // values and prepare locks, under one mutex
 
 	health    atomic.Int32 // Health lifecycle state; zero value is HealthLive
 	failpoint atomic.Int32 // armed FailPoint, see SetFailPoint
-
-	lockTTL time.Duration
 
 	// syncer state: the anti-entropy driver goroutine and its reply router.
 	// syncMu guards the lifecycle fields; syncPending routes SyncDigestResp/
@@ -126,12 +115,11 @@ type instruments struct {
 	replyErrors       *obs.Counter
 	sheds             *obs.CounterVec // reason-labelled; see Replica.shedBy
 	lockRefusals      *obs.CounterVec // reason: locked | stale
-	lockWait          *obs.Histogram
 }
 
-// instrument binds the instruments to reg's series or, with a nil reg, to
-// private counters and nil handles. The literal's order is the order the
-// families register in, which is the order /metrics lists them.
+// instrument binds the replica's and its store's instruments to reg's series
+// or, with a nil reg, to private counters and nil handles. The calls' order
+// is the order the families register in, and so the order /metrics lists.
 func (r *Replica) instrument(reg *obs.Registry) {
 	site := strconv.Itoa(r.site)
 	// An unobserved replica's counters are one block of its own (sized to
@@ -177,14 +165,14 @@ func (r *Replica) instrument(reg *obs.Registry) {
 		lockRefusals: reg.CounterVec("arbor_replica_lock_refusals_total",
 			"Prepare requests refused, by site and reason (locked = lock contention, stale = superseded timestamp).",
 			"site", "reason"),
-		lockWait: reg.Histogram("arbor_replica_lock_wait_seconds",
-			"Time prepare handlers spent acquiring the replica's lock-table mutex."),
-		sheds: reg.CounterVec("arbor_replica_sheds_total",
-			"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, busy = over the in-flight limit).",
-			"site", "reason"),
-		replyErrors: bySite("arbor_replica_reply_errors_total",
-			"Replies the transport refused to send (requester's connection broken or endpoint closed), by site."),
 	}
+	r.store.lockWait = reg.Histogram("arbor_replica_lock_wait_seconds",
+		"Time prepare handlers spent acquiring the replica's lock-table mutex.")
+	r.instr.sheds = reg.CounterVec("arbor_replica_sheds_total",
+		"Gated requests answered with a typed overload reply, by site and reason (refused = saturated or draining, busy = over the in-flight limit).",
+		"site", "reason")
+	r.instr.replyErrors = bySite("arbor_replica_reply_errors_total",
+		"Replies the transport refused to send (requester's connection broken or endpoint closed), by site.")
 	r.store.journalErrors = bySite("arbor_replica_journal_errors_total",
 		"Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.")
 }
@@ -196,7 +184,7 @@ type Option interface {
 
 type lockTTLOption time.Duration
 
-func (o lockTTLOption) apply(r *Replica) { r.lockTTL = time.Duration(o) }
+func (o lockTTLOption) apply(r *Replica) { r.store.lockTTL = time.Duration(o) }
 
 // WithLockTTL bounds how long a prepared-but-unresolved transaction may hold
 // a key lock before other writers can steal it (protection against crashed
@@ -228,12 +216,10 @@ func WithObserver(reg *obs.Registry) Option { return observerOption{reg: reg} }
 // New creates a replica for the given site ID, attached to the endpoint.
 func New(site int, ep transport.Conn, opts ...Option) *Replica {
 	r := &Replica{
-		site:    site,
-		ep:      ep,
-		store:   NewStore(),
-		locks:   make(map[string]lockState),
-		lockTTL: 2 * time.Second,
-		shedBy:  make(map[string]*obs.Counter),
+		site:   site,
+		ep:     ep,
+		store:  NewStore(),
+		shedBy: make(map[string]*obs.Counter),
 	}
 	r.instrument(nil)
 	for _, opt := range opts {
@@ -311,9 +297,7 @@ func (r *Replica) shouldFail(payload any) bool {
 func (r *Replica) Crash() {
 	r.health.Store(int32(HealthDown))
 	r.abortSync()
-	r.mu.Lock()
-	r.locks = make(map[string]lockState)
-	r.mu.Unlock()
+	r.store.dropLocks()
 }
 
 // Recover brings a crashed replica back instantly, with its stable storage
@@ -404,11 +388,11 @@ func (r *Replica) handle(msg transport.Message) {
 		r.gated(msg, req.ReqID, r.gate.limit)
 	case CommitReq:
 		r.instr.serveCommit.Inc()
-		ok := r.commit(req)
-		r.reply(msg.From, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok})
+		r.store.commit(req)
+		r.reply(msg.From, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: true})
 	case AbortReq:
 		r.instr.serveAbort.Inc()
-		r.abort(req)
+		r.store.abort(req)
 		r.reply(msg.From, AbortResp{ReqID: req.ReqID, TxID: req.TxID})
 	case PingReq:
 		r.instr.servePing.Inc()
@@ -434,7 +418,7 @@ func (r *Replica) handle(msg transport.Message) {
 
 // serveGated answers an admitted read, version probe or prepare. A read
 // whose floor is newer than what is stored gets Found and TS alone; the
-// lock table is mutex-guarded, so concurrent prepares are serialized.
+// store decides prepares one at a time, under its mutex.
 func (r *Replica) serveGated(msg transport.Message) {
 	switch req := msg.Payload.(type) {
 	case ReadReq:
@@ -456,7 +440,7 @@ func (r *Replica) serveGated(msg transport.Message) {
 		r.reply(msg.From, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
 	case PrepareReq:
 		r.instr.servePrepare.Inc()
-		ok, reason := r.prepare(req)
+		ok, reason := r.store.prepare(req, time.Now())
 		if !ok {
 			r.instr.lockRefusals.With(r.instr.site, reason).Inc()
 		}
@@ -476,50 +460,5 @@ func (r *Replica) refuse(to transport.Addr, payload any) {
 func (r *Replica) reply(to transport.Addr, payload any) {
 	if err := transport.Send(r.ep, to, payload, wire.Stamp{}); err != nil {
 		r.instr.replyErrors.Inc()
-	}
-}
-
-// prepare locks the key for the transaction if it is free (or its lock
-// expired) and the proposed timestamp supersedes the stored one.
-func (r *Replica) prepare(req PrepareReq) (bool, string) {
-	if r.instr.lockWait != nil {
-		waitStart := time.Now()
-		r.mu.Lock()
-		r.instr.lockWait.Observe(time.Since(waitStart))
-	} else {
-		r.mu.Lock()
-	}
-	defer r.mu.Unlock()
-	now := time.Now()
-	if l, ok := r.locks[req.Key]; ok && l.txID != req.TxID && now.Before(l.expires) {
-		return false, "locked"
-	}
-	if ts, found := r.store.Version(req.Key); found && !req.TS.After(ts) {
-		return false, "stale"
-	}
-	r.locks[req.Key] = lockState{txID: req.TxID, expires: now.Add(r.lockTTL)}
-	return true, ""
-}
-
-// commit applies the write and releases the lock. Commits are accepted even
-// without a visible lock (the lock may have expired or the replica may have
-// crashed and recovered in between); the timestamped store keeps the
-// operation idempotent and ordered.
-func (r *Replica) commit(req CommitReq) bool {
-	r.mu.Lock()
-	if l, ok := r.locks[req.Key]; ok && l.txID == req.TxID {
-		delete(r.locks, req.Key)
-	}
-	r.mu.Unlock()
-	r.store.Apply(req.Key, req.Value, req.TS)
-	return true
-}
-
-// abort releases the transaction's lock if it still holds it.
-func (r *Replica) abort(req AbortReq) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l, ok := r.locks[req.Key]; ok && l.txID == req.TxID {
-		delete(r.locks, req.Key)
 	}
 }

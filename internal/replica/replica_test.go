@@ -110,8 +110,8 @@ func TestStoreApplyOrdering(t *testing.T) {
 	if !found || string(v) != "v1c" || ts.Version != 1 || ts.Site != 1 {
 		t.Errorf("Get = %q %v %v", v, ts, found)
 	}
-	if s.Len() != 1 || len(s.Keys()) != 1 {
-		t.Errorf("Len=%d Keys=%v", s.Len(), s.Keys())
+	if keys := s.Keys(); len(keys) != 1 {
+		t.Errorf("Keys = %v", keys)
 	}
 }
 
@@ -216,16 +216,44 @@ func TestPrepareRejectsStaleTimestamp(t *testing.T) {
 	}
 }
 
+// TestLockExpiry decides prepares at explicit instants: transaction 10
+// takes a fresh key's lock at t0, then a second prepare comes at t0 + at.
+// Another transaction is refused until the lock's TTL has passed and
+// admitted from then on; the owner may re-prepare at any time; a crash
+// drops the lock however young it is.
 func TestLockExpiry(t *testing.T) {
-	h := newHarness(t, WithLockTTL(30*time.Millisecond))
-	ts := Timestamp{Version: 1, Site: -1}
-	if pr := h.call(t, PrepareReq{ReqID: 1, TxID: 10, Key: "k", TS: ts}).(PrepareResp); !pr.OK {
-		t.Fatal("prepare refused")
+	const ttl = 30 * time.Millisecond
+	h := newHarness(t, WithLockTTL(ttl))
+	s := h.rep.Store()
+	if s.lockTTL != ttl {
+		t.Fatalf("store lock TTL = %v, want WithLockTTL's %v", s.lockTTL, ttl)
 	}
-	time.Sleep(60 * time.Millisecond)
-	// The expired lock no longer blocks another transaction.
-	if pr := h.call(t, PrepareReq{ReqID: 2, TxID: 11, Key: "k", TS: Timestamp{Version: 1, Site: -2}}).(PrepareResp); !pr.OK {
-		t.Errorf("prepare after expiry refused: %s", pr.Reason)
+	t0 := time.Unix(1000, 0)
+	for _, tc := range []struct {
+		name  string
+		txID  uint64
+		at    time.Duration
+		crash bool // crash and recover the replica before the second prepare
+		ok    bool
+	}{
+		{"other tx, live just before expiry", 11, ttl - time.Nanosecond, false, false},
+		{"other tx, at expiry", 11, ttl, false, true},
+		{"other tx, after expiry", 11, 2 * ttl, false, true},
+		{"owner re-prepares while live", 10, ttl / 2, false, true},
+		{"other tx, lock dropped by a crash", 11, 0, true, true},
+	} {
+		if ok, reason := s.prepare(PrepareReq{TxID: 10, Key: tc.name, TS: Timestamp{Version: 1, Site: -10}}, t0); !ok {
+			t.Fatalf("%s: first prepare refused: %s", tc.name, reason)
+		}
+		if tc.crash {
+			h.rep.Crash()
+			h.rep.Recover()
+		}
+		req := PrepareReq{TxID: tc.txID, Key: tc.name, TS: Timestamp{Version: 1, Site: -int(tc.txID)}}
+		ok, reason := s.prepare(req, t0.Add(tc.at))
+		if ok != tc.ok || (!ok && reason != "locked") {
+			t.Errorf("%s: prepare = %v %q, want %v", tc.name, ok, reason, tc.ok)
+		}
 	}
 }
 

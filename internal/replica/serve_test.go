@@ -122,6 +122,78 @@ func TestFailPointFiresOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
+// replyConn hands each reply to its addressee's channel, so a handler
+// called directly has answered by the time it returns.
+type replyConn map[transport.Addr]chan any
+
+func (c replyConn) Addr() transport.Addr           { return 1 }
+func (c replyConn) Recv() <-chan transport.Message { return nil }
+func (c replyConn) Send(to transport.Addr, payload any) error {
+	c[to] <- payload
+	return nil
+}
+
+// TestPrepareRacesCommit races two writers on one key through the replica's
+// handler. A prepares {v+1, site 1} on the version it read and commits it;
+// B prepares {v+1, site 2} on the version it read and, while it holds the
+// lock, checks that what is stored is still older than its timestamp, then
+// aborts. B checks holding the committing token, which A holds across each
+// commit, so a commit B's prepare raced has landed by then. No prepare may
+// be admitted at or below a committed timestamp: a commit that released its
+// lock before installing its value would let B in between, and A's value
+// (site 1 wins the tie) would land above B's admitted prepare.
+func TestPrepareRacesCommit(t *testing.T) {
+	const (
+		rounds = 2000 // each writer's minimum of commits (A) or admitted prepares (B)
+		a, b   = transport.Addr(-1), transport.Addr(-2)
+	)
+	conn := replyConn{a: make(chan any, 1), b: make(chan any, 1)}
+	r := New(1, conn, WithLockTTL(time.Hour))
+	call := func(from transport.Addr, req any) any {
+		r.handle(transport.Message{From: from, To: 1, Payload: req})
+		return <-conn[from]
+	}
+	prepare := func(from transport.Addr, txID uint64, site int) (Timestamp, bool) {
+		v := call(from, VersionReq{Key: "k", ForWrite: true}).(VersionResp).TS.Version
+		ts := Timestamp{Version: v + 1, Site: site}
+		return ts, call(from, PrepareReq{TxID: txID, Key: "k", TS: ts}).(PrepareResp).OK
+	}
+	var commits, admits atomic.Int64
+	running := func() bool { return commits.Load() < rounds || admits.Load() < rounds }
+	committing := make(chan struct{}, 1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // A
+		defer wg.Done()
+		for tx := uint64(1); running(); tx += 2 {
+			if ts, ok := prepare(a, tx, 1); ok {
+				committing <- struct{}{}
+				call(a, CommitReq{TxID: tx, Key: "k", Value: []byte("a"), TS: ts})
+				<-committing
+				commits.Add(1)
+			}
+		}
+	}()
+	go func() { // B
+		defer wg.Done()
+		for tx := uint64(2); running(); tx += 2 {
+			ts, ok := prepare(b, tx, 2)
+			if !ok {
+				continue
+			}
+			committing <- struct{}{}
+			stored, _ := r.Store().Version("k")
+			<-committing
+			if !ts.After(stored) {
+				t.Errorf("prepare admitted at %v, at or below the committed %v", ts, stored)
+			}
+			call(b, AbortReq{TxID: tx, Key: "k"})
+			admits.Add(1)
+		}
+	}()
+	wg.Wait()
+}
+
 // allStacks returns every goroutine's stack, so a stalled test shows what
 // was stuck, not only that something was.
 func allStacks() string {

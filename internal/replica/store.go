@@ -3,6 +3,7 @@ package replica
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"arbor/internal/obs"
 )
@@ -18,18 +19,32 @@ type entry struct {
 // commit application idempotent and reordering-safe. A stored value is
 // immutable: Apply keeps the slice it is given and Get hands that slice out,
 // so neither caller may write to it; a newer Apply replaces the slice.
+//
+// Under the same mutex the store holds the volatile prepare locks of
+// in-flight transactions, so the participant's two-phase-commit rule is
+// decided in one place: see prepare, commit and abort.
 type Store struct {
 	mu      sync.Mutex
 	data    map[string]entry
+	locks   map[string]lockState
+	lockTTL time.Duration // see WithLockTTL
 	journal *WAL
-	// journalErrors counts failed journal appends; a replica rebinds it to
-	// its observer's series.
+	// journalErrors counts failed journal appends and lockWait (nil: off)
+	// times the mutex in prepare; a replica rebinds both to its observer.
 	journalErrors *obs.Counter
+	lockWait      *obs.Histogram
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string]entry), journalErrors: new(obs.Counter)}
+	return &Store{data: make(map[string]entry), locks: make(map[string]lockState),
+		lockTTL: 2 * time.Second, journalErrors: new(obs.Counter)}
+}
+
+// lockState is a transaction's prepare lock on one key.
+type lockState struct {
+	txID    uint64
+	expires time.Time
 }
 
 // Get returns the stored value (shared, read-only) and timestamp for key.
@@ -57,6 +72,12 @@ func (s *Store) Version(key string) (ts Timestamp, found bool) {
 // than what is stored is a no-op, and so ends at the same state.
 func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 	s.mu.Lock()
+	return s.install(key, value, ts)
+}
+
+// install is Apply past its Lock: entered with s.mu held, it stores the
+// write if ts is newer, releases s.mu, and then journals an effective write.
+func (s *Store) install(key string, value []byte, ts Timestamp) bool {
 	if e, ok := s.data[key]; ok && !ts.After(e.ts) {
 		s.mu.Unlock()
 		return false
@@ -68,6 +89,68 @@ func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 		s.journalErrors.Inc()
 	}
 	return true
+}
+
+// prepare admits a transaction's phase one unless another holds a lock on
+// the key live at now ("locked") or its timestamp does not supersede the
+// stored one ("stale"), and then takes or renews its lock until now +
+// lockTTL. The caller reads now before the mutex: lockWait starts there.
+func (s *Store) prepare(req PrepareReq, now time.Time) (ok bool, reason string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lockWait != nil {
+		s.lockWait.Observe(time.Since(now))
+	}
+	if l, held := s.locks[req.Key]; held && l.txID != req.TxID && now.Before(l.expires) {
+		return false, "locked"
+	}
+	if e, found := s.data[req.Key]; found && !req.TS.After(e.ts) {
+		return false, "stale"
+	}
+	s.locks[req.Key] = lockState{txID: req.TxID, expires: now.Add(s.lockTTL)}
+	return true, ""
+}
+
+// commit releases the transaction's lock and installs its write in one
+// critical section. A commit with no visible lock (expired, or dropped by a
+// crash) still applies: the timestamp order keeps it idempotent.
+func (s *Store) commit(req CommitReq) {
+	s.mu.Lock()
+	s.release(req.Key, req.TxID)
+	s.install(req.Key, req.Value, req.TS)
+}
+
+// abort releases the transaction's lock if it still holds it.
+func (s *Store) abort(req AbortReq) {
+	s.mu.Lock()
+	s.release(req.Key, req.TxID)
+	s.mu.Unlock()
+}
+
+// release drops txID's lock on key, if it holds it; s.mu is held.
+func (s *Store) release(key string, txID uint64) {
+	if l, ok := s.locks[key]; ok && l.txID == txID {
+		delete(s.locks, key)
+	}
+}
+
+// dropLocks discards every prepare lock, the volatile state a crash loses.
+func (s *Store) dropLocks() {
+	s.mu.Lock()
+	clear(s.locks)
+	s.mu.Unlock()
+}
+
+// locked reports whether any prepare lock is live at now.
+func (s *Store) locked(now time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, l := range s.locks {
+		if now.Before(l.expires) {
+			return true
+		}
+	}
+	return false
 }
 
 // DigestPage returns up to limit key/timestamp pairs in ascending key
@@ -97,13 +180,6 @@ func (s *Store) DigestPage(after string, limit int) (entries []DigestEntry, more
 	}
 	s.mu.Unlock()
 	return entries, more
-}
-
-// Len returns the number of keys stored.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.data)
 }
 
 // Keys returns all stored keys (unordered).
