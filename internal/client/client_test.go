@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -202,6 +203,50 @@ func TestClientWriteInDoubt(t *testing.T) {
 	// The decision was commit, so the client counts it as a write.
 	if m := cli.Metrics(); m.Writes != 1 || m.WriteFailures != 0 {
 		t.Errorf("metrics = %+v", m)
+	}
+}
+
+// TestClientWriteInDoubtWhenJournalRefuses: a replica whose journal was
+// closed answers every commit OK: false, and the client re-sends it and then
+// reports the write in doubt rather than acknowledged.
+func TestClientWriteInDoubtWhenJournalRefuses(t *testing.T) {
+	tr, err := tree.PhysicalLevelSizes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := transport.NewTCPNetwork()
+	defer n.Close()
+	repEP, err := n.Listen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := replica.New(1, repEP)
+	wal, err := replica.OpenWAL(filepath.Join(t.TempDir(), "site-1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Store().AttachJournal(wal)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep.Start()
+	defer rep.Stop()
+	cliEP, err := n.Dial(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := New(-1, cliEP, proto, WithTimeout(2*time.Second), WithCommitRetries(1))
+	defer cli.Close()
+
+	if _, err := cli.Write(context.Background(), "k", []byte("v")); !errors.Is(err, ErrInDoubt) {
+		t.Errorf("write through a replica whose journal refuses it: err = %v, want ErrInDoubt", err)
+	}
+	if st := rep.Stats(); st.Commits != 2 || st.JournalErrors != 2 {
+		t.Errorf("replica served %d commits with %d journal errors, want the commit and its one re-send, both refused", st.Commits, st.JournalErrors)
 	}
 }
 

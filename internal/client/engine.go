@@ -27,6 +27,7 @@ import (
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // exploreEvery makes one in N level probes promote a random candidate to
@@ -185,11 +186,12 @@ type slot struct {
 	// the rescue pass force-probes them.
 	skipped []transport.Addr
 
-	// The outcome, valid once done: the winning reply and its sender, or
-	// the last candidate's error. contacts counts requests sent.
+	// The outcome, valid once done: the winning reply, held by value, and
+	// its sender, or the last candidate's error. contacts counts requests
+	// sent.
 	done      bool
 	responder transport.Addr
-	resp      any
+	resp      wire.Reply
 	err       error
 	contacts  int
 }
@@ -281,12 +283,13 @@ func (a *assembly) addSlot(now time.Time, level int, sites []transport.Addr, for
 	if a.spanPhase != "" {
 		span = a.op.Level(level, a.spanPhase)
 	}
-	s := slot{level: level, sites: sites, force: force, span: span}
+	a.slots = append(a.slots, slot{}) // filled in place: a slot holds a reply by value
+	s := &a.slots[len(a.slots)-1]
+	s.level, s.sites, s.force, s.span = level, sites, force, span
 	if hedgeAfter > 0 && len(sites) > 1 {
 		s.hedgeAfter, s.hedgeDue = hedgeAfter, now.Add(hedgeAfter)
 		a.wakeBy(s.hedgeDue)
 	}
-	a.slots = append(a.slots, s)
 	a.advance(len(a.slots)-1, false, now)
 }
 
@@ -305,8 +308,8 @@ func (a *assembly) run() {
 		case r := <-a.inbox:
 			// A reply to a contact already resolved another way is dropped.
 			if r.Tag < len(a.contacts) && a.contacts[r.Tag].live && a.contacts[r.Tag].pend.ID == r.ID {
-				resp, err := a.c.caller.Answered(a.contacts[r.Tag].pend, r.Payload)
-				a.resolve(r.Tag, replyOutcome(resp, err), resp, err, time.Now())
+				err := a.c.caller.Answered(a.contacts[r.Tag].pend, &r.Resp)
+				a.resolve(r.Tag, replyOutcome(&r.Resp, err), &r.Resp, err, time.Now())
 			}
 		case <-a.timer.C:
 			a.onTimer(time.Now())
@@ -432,7 +435,7 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 var errSkipped = errors.New("client: circuit breaker open, site skipped")
 
 // replyOutcome classifies what rpc.Caller.Answered made of a reply.
-func replyOutcome(resp any, err error) outcome {
+func replyOutcome(resp *wire.Reply, err error) outcome {
 	switch {
 	case err == nil && refused(resp):
 		return outcomeCatchingUp
@@ -446,8 +449,9 @@ func replyOutcome(resp any, err error) outcome {
 }
 
 // resolve takes contact i out of flight with its outcome and moves its slot
-// on: a served reply wins it, anything else starts the next candidate.
-func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time) {
+// on: a served reply wins it, and the slot keeps a copy; anything else
+// starts the next candidate. resp is nil when no reply arrived.
+func (a *assembly) resolve(i int, o outcome, resp *wire.Reply, err error, now time.Time) {
 	ct := &a.contacts[i]
 	ct.live = false
 	a.live--
@@ -458,7 +462,7 @@ func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time)
 		a.advance(si, false, now)
 		return
 	}
-	s.responder, s.resp, s.err = addr, resp, nil
+	s.responder, s.resp, s.err = addr, *resp, nil
 	if hedge && a.c.instr != nil {
 		a.c.instr.hedgeWins.Inc()
 	}
@@ -468,7 +472,7 @@ func (a *assembly) resolve(i int, o outcome, resp any, err error, now time.Time)
 // record books one finished contact — its outcome on the site book, the
 // contact on the trace — and returns the error that makes its reply
 // unusable, nil for a served reply, which wins the slot.
-func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, resp any, err error) error {
+func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, resp *wire.Reply, err error) error {
 	rtt := now.Sub(start)
 	a.c.book.observe(now, addr, o, rtt)
 	switch o {
@@ -490,25 +494,25 @@ func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now t
 }
 
 // refused reports whether a probe reply is a catching-up refusal.
-func refused(resp any) bool {
-	switch m := resp.(type) {
-	case replica.ReadResp:
-		return m.Refused
-	case replica.VersionResp:
-		return m.Refused
+func refused(resp *wire.Reply) bool {
+	switch resp.Tag {
+	case wire.TagReadResp:
+		return resp.ReadResp.Refused
+	case wire.TagVersionResp:
+		return resp.VersionResp.Refused
 	}
 	return false
 }
 
-// trace records one contact on the slot's span. A read answered with the
-// timestamp alone is labelled read-ts.
-func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, resp any, err error) {
+// trace records one contact on the slot's span (resp nil: no reply). A read
+// answered with the timestamp alone is labelled read-ts.
+func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, resp *wire.Reply, err error) {
 	if !s.span.On() {
 		return
 	}
 	phase := a.phase
-	if m, ok := resp.(replica.ReadResp); ok && m.Found {
-		if req, ok := a.req.(replica.ReadReq); ok && req.ValueOmitted(m.TS) {
+	if resp != nil && resp.Tag == wire.TagReadResp && resp.ReadResp.Found {
+		if req, ok := a.req.(replica.ReadReq); ok && req.ValueOmitted(resp.ReadResp.TS) {
 			phase = "read-ts"
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // ReadResult is the outcome of a successful read quorum operation.
@@ -162,7 +163,7 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 		if s.err != nil {
 			return res, fmt.Errorf("%w: level %d: %w", ErrReadUnavailable, u, s.err)
 		}
-		ts, value, found, err := decodeProbe(s.resp)
+		ts, value, found, err := decodeProbe(&s.resp)
 		if err != nil {
 			return res, fmt.Errorf("%w: level %d: site %d: %w", ErrReadUnavailable, u, s.responder, err)
 		}
@@ -178,14 +179,14 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 }
 
 // decodeProbe extracts a read or version probe's reply.
-func decodeProbe(resp any) (ts replica.Timestamp, value []byte, found bool, err error) {
-	switch m := resp.(type) {
-	case replica.ReadResp:
-		return m.TS, m.Value, m.Found, nil
-	case replica.VersionResp:
-		return m.TS, nil, m.Found, nil
+func decodeProbe(resp *wire.Reply) (ts replica.Timestamp, value []byte, found bool, err error) {
+	switch resp.Tag {
+	case wire.TagReadResp:
+		return resp.ReadResp.TS, resp.ReadResp.Value, resp.ReadResp.Found, nil
+	case wire.TagVersionResp:
+		return resp.VersionResp.TS, nil, resp.VersionResp.Found, nil
 	default:
-		return ts, nil, false, fmt.Errorf("unexpected response %T", resp)
+		return ts, nil, false, fmt.Errorf("unexpected response tag %d", resp.Tag)
 	}
 }
 
@@ -195,7 +196,7 @@ func decodeProbe(resp any) (ts replica.Timestamp, value []byte, found bool, err 
 // the caller) and cannot regress replica state.
 func (c *Client) repair(key string, res ReadResult, levels []slot) {
 	for i := range levels {
-		ts, _, found, _ := decodeProbe(levels[i].resp)
+		ts, _, found, _ := decodeProbe(&levels[i].resp)
 		if found && !res.TS.After(ts) {
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // WriteResult is the outcome of a successful write quorum operation.
@@ -206,9 +207,9 @@ func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *o
 		s := &a.slots[i]
 		err := s.err
 		if err == nil {
-			switch pr, ok := s.resp.(replica.PrepareResp); {
-			case !ok:
-				err = fmt.Errorf("unexpected response %T", s.resp)
+			switch pr := &s.resp.PrepareResp; {
+			case s.resp.Tag != wire.TagPrepareResp:
+				err = fmt.Errorf("unexpected response tag %d", s.resp.Tag)
 			case !pr.OK:
 				err = fmt.Errorf("prepare refused: %s", pr.Reason)
 			}
@@ -222,7 +223,8 @@ func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *o
 
 // pushCommit is phase two for one key: every member of addrs is sent the
 // commit — through open breakers: every prepared member must hear the
-// decision — and those that did not acknowledge are sent it again after a
+// decision — and those that did not acknowledge it, or answered that their
+// journal refused it (CommitResp.OK false), are sent it again after a
 // backoff, until all have or the retries run out. A re-send spends a
 // retry-budget token; with the bucket dry the outcome stays in doubt rather
 // than storming (the decision is durable on every replica that did
@@ -247,7 +249,7 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 		a := c.fanout(ctx, addrs, span, "commit", req, true, false)
 		var unacked []transport.Addr
 		for i := range a.slots {
-			if a.slots[i].err != nil {
+			if s := &a.slots[i]; s.err != nil || s.resp.Tag != wire.TagCommitResp || !s.resp.CommitResp.OK {
 				unacked = append(unacked, addrs[i])
 			}
 		}
@@ -270,12 +272,10 @@ func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
 		start = time.Now()
 	}
 	a := c.fanout(ctx, []transport.Addr{site}, nil, "ping", replica.PingReq{}, false, false)
-	resp, err, contacts := a.slots[0].resp, a.slots[0].err, a.sent
+	tag, err, contacts := a.slots[0].resp.Tag, a.slots[0].err, a.sent
 	a.release()
-	if err == nil {
-		if _, ok := resp.(replica.PingResp); !ok {
-			err = fmt.Errorf("client: unexpected ping response %T", resp)
-		}
+	if err == nil && tag != wire.TagPingResp {
+		err = fmt.Errorf("client: unexpected ping response tag %d", tag)
 	}
 	outcome := obs.OutcomeOK
 	if err != nil {

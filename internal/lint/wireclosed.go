@@ -16,20 +16,25 @@ var wireScope = segSuffix(`internal/wire`)
 
 // WireClosed enforces that the protocol's message set stays closed and the
 // encoding stays in one place. Inside internal/wire it cross-checks the
-// registry the encoding is built around: every tag constant must have a
-// unique value, a message type, a case in the encode type switch, a case in
-// the decode tag switch, and a golden vector in testdata/golden_*.txt (the
-// byte-level compatibility contract — a message that can be encoded but has
-// no pinned vector can change layout silently). Every request (a message
+// registry the encoding is built around: every tag constant (TagXxx) must
+// have a unique value, a message type, a case in the encode type switch, a
+// case in the decode tag switch, and a golden vector in testdata/golden_*.txt
+// (the byte-level compatibility contract — a message that can be encoded but
+// has no pinned vector can change layout silently). Every request (a message
 // named *Req) must also have a case that calls Stamp.apply in every stamping
 // type switch — a switch any of whose cases does — or a request would go out
-// without its ID on one send path and with it on the other. In every package, the wire
+// without its ID on one send path and with it on the other. Some holder (a
+// type with a Tag field: one field per message it can hold) must have a
+// field for every message, and every switch in a holder's methods — the ones
+// that box it into an any, fill it from one or decode into it — must have a
+// case for every message it holds, or that message would be dropped on one
+// receive path only. In every package, the wire
 // package included, an encoding/gob import is a finding: a second
 // serialization path is exactly how version skew slipped into the pre-codec
 // WAL.
 var WireClosed = &Analyzer{
 	Name: "wireclosed",
-	Doc:  "the wire message set is closed: tags, switches, stamping cases and golden vectors in lockstep; no encoding/gob anywhere",
+	Doc:  "the wire message set is closed: tags, switches, stamping cases, holder fields and golden vectors in lockstep; no encoding/gob anywhere",
 	Run:  runWireClosed,
 }
 
@@ -46,7 +51,7 @@ func runWireClosed(pass *Pass) {
 	}
 }
 
-// wireTag is one tagXxx constant from the wire package's registry.
+// wireTag is one TagXxx constant from the wire package's registry.
 type wireTag struct {
 	name  string
 	value uint64
@@ -76,13 +81,15 @@ func checkWireRegistry(pass *Pass) {
 	golden := collectGoldenNames(pass)
 
 	scope := pass.Pkg.Types.Scope()
+	messages := make(map[string]bool)
 	for _, t := range tags {
-		msg := strings.TrimPrefix(t.name, "tag")
+		msg := strings.TrimPrefix(t.name, "Tag")
 		obj := scope.Lookup(msg)
 		if _, ok := obj.(*types.TypeName); !ok {
 			pass.Reportf(t.pos.Pos(), "tag %s has no message type %s; the tag set and the type set must move together", t.name, msg)
 			continue
 		}
+		messages[msg] = true
 		if !encodeCases[msg] {
 			pass.Reportf(t.pos.Pos(), "message %s has no encode case; every message must appear in the encode type switch", msg)
 		}
@@ -98,9 +105,105 @@ func checkWireRegistry(pass *Pass) {
 			}
 		}
 	}
+	checkHolders(pass, tags, messages)
 }
 
-// collectWireTags gathers package-level byte constants named tagXxx.
+// checkHolders finds the package's holders — types with a Tag field, their
+// own or promoted — and checks that some holder has a field for every
+// message and that every switch in a holder's methods has a case for every
+// message the holder has a field for.
+func checkHolders(pass *Pass, tags []wireTag, messages map[string]bool) {
+	pkg := pass.Pkg.Types
+	field := func(t types.Type, name string) *types.Var {
+		obj, _, _ := types.LookupFieldOrMethod(t, false, pkg, name)
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	holds := func(h types.Type, msg string) bool {
+		v := field(h, msg)
+		return v != nil && types.Identical(v.Type(), pkg.Scope().Lookup(msg).Type())
+	}
+	holders := make(map[string]types.Type)
+	for _, name := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && field(tn.Type(), "Tag") != nil {
+			holders[name] = tn.Type()
+		}
+	}
+	if len(holders) == 0 {
+		return
+	}
+	for _, t := range tags {
+		msg := strings.TrimPrefix(t.name, "Tag")
+		if !messages[msg] {
+			continue
+		}
+		held := false
+		for _, h := range holders {
+			held = held || holds(h, msg)
+		}
+		if !held {
+			pass.Reportf(t.pos.Pos(), "message %s has no field in any holder; a holder must be able to hold every message", msg)
+		}
+	}
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Body == nil {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			id, _ := recv.(*ast.Ident)
+			if id == nil || holders[id.Name] == nil {
+				continue
+			}
+			h := holders[id.Name]
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var cases map[string]bool
+				switch sw := n.(type) {
+				case *ast.SwitchStmt:
+					cases = switchCaseNames(sw.Body, "Tag")
+				case *ast.TypeSwitchStmt:
+					cases = switchCaseNames(sw.Body, "")
+				}
+				if len(cases) == 0 {
+					return true // not a switch over messages
+				}
+				for _, t := range tags {
+					if msg := strings.TrimPrefix(t.name, "Tag"); messages[msg] && holds(h, msg) && !cases[msg] {
+						pass.Reportf(n.Pos(), "switch in %s.%s has no case for %s; a switch that boxes, fills or decodes a holder covers every message it holds", id.Name, fd.Name.Name, msg)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// switchCaseNames returns the messages a switch body has cases for: with
+// prefix "Tag", the TagXxx constants of a tag switch, named as messages;
+// with "", the types of a type switch.
+func switchCaseNames(body *ast.BlockStmt, prefix string) map[string]bool {
+	names := make(map[string]bool)
+	for _, stmt := range body.List {
+		cc, ok := stmt.(*ast.CaseClause)
+		if !ok {
+			continue
+		}
+		for _, e := range cc.List {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok && strings.HasPrefix(id.Name, prefix) && len(id.Name) > len(prefix) {
+				names[strings.TrimPrefix(id.Name, prefix)] = true
+			}
+		}
+	}
+	return names
+}
+
+// collectWireTags gathers package-level byte constants named TagXxx.
 func collectWireTags(pass *Pass) []wireTag {
 	var tags []wireTag
 	for _, f := range pass.Pkg.Files {
@@ -115,7 +218,7 @@ func collectWireTags(pass *Pass) []wireTag {
 					continue
 				}
 				for _, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "tag") || len(name.Name) <= len("tag") {
+					if !strings.HasPrefix(name.Name, "Tag") || len(name.Name) <= len("Tag") {
 						continue
 					}
 					c, ok := pass.Pkg.Info.Defs[name].(*types.Const)
@@ -199,7 +302,7 @@ func callsStampApply(info *types.Info, cc *ast.CaseClause) bool {
 	return found
 }
 
-// collectTagSwitchCases unions the tagXxx identifiers appearing as cases of
+// collectTagSwitchCases unions the TagXxx identifiers appearing as cases of
 // any value switch — the decode side of the registry.
 func collectTagSwitchCases(pass *Pass) map[string]bool {
 	cases := make(map[string]bool)
@@ -215,7 +318,7 @@ func collectTagSwitchCases(pass *Pass) map[string]bool {
 					continue
 				}
 				for _, e := range cc.List {
-					if id, ok := ast.Unparen(e).(*ast.Ident); ok && strings.HasPrefix(id.Name, "tag") {
+					if id, ok := ast.Unparen(e).(*ast.Ident); ok && strings.HasPrefix(id.Name, "Tag") {
 						cases[id.Name] = true
 					}
 				}

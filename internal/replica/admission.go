@@ -76,12 +76,12 @@ func newGate(maxInflight int) *gate {
 }
 
 // gated passes a read, version probe or prepare through the gate: it takes
-// a slot and serves msg right here, defers it by the slowsite= delay, or
+// a slot and serves m right here, defers it by the slowsite= delay, or
 // sheds it at once — refused while the site is saturated or draining, busy
 // when limit slots are taken — hinting (in flight + 1) × 2 ms. The slot
 // is taken before the flags are read, so every request a quiescing Drain
 // did not count sees the drain.
-func (r *Replica) gated(msg transport.Message, reqID uint64, limit int64) {
+func (r *Replica) gated(from transport.Addr, m *wire.Msg, reqID uint64, limit int64) {
 	g := r.gate
 	n := g.inflight.Add(1)
 	reason := "busy"
@@ -90,20 +90,21 @@ func (r *Replica) gated(msg transport.Message, reqID uint64, limit int64) {
 		reason = "refused"
 	case n <= limit:
 		if d := time.Duration(r.slowBy.Load()); d > 0 {
-			r.serveAfter(d, msg)
+			r.serveAfter(d, from, *m)
 			return
 		}
-		r.serveGated(msg)
+		r.serveGated(from, m)
 		g.inflight.Add(-1)
 		return
 	}
 	g.inflight.Add(-1)
-	r.shed(msg.From, reqID, reason, time.Duration(n)*admitRetryAfterUnit)
+	r.shed(from, reqID, reason, time.Duration(n)*admitRetryAfterUnit)
 }
 
 // serveAfter serves an admitted request d from now, from a timer, and then
-// releases its slot; a replica that went down meanwhile stays silent.
-func (r *Replica) serveAfter(d time.Duration, msg transport.Message) {
+// releases its slot; a replica that went down meanwhile stays silent. It
+// takes m by value: the served holder is refilled before the timer fires.
+func (r *Replica) serveAfter(d time.Duration, from transport.Addr, m wire.Msg) {
 	g := r.gate
 	g.slowMu.Lock()
 	defer g.slowMu.Unlock()
@@ -114,7 +115,7 @@ func (r *Replica) serveAfter(d time.Duration, msg transport.Message) {
 		delete(g.slowed, t)
 		g.slowMu.Unlock()
 		if r.Health() != HealthDown {
-			r.serveGated(msg)
+			r.serveGated(from, &m)
 		}
 		g.inflight.Add(-1)
 		g.slowWG.Done()

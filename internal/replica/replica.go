@@ -38,7 +38,8 @@ type Stats struct {
 	Sheds uint64
 	// ReplyErrors counts replies whose Send failed (broken connection, closed endpoint).
 	ReplyErrors uint64
-	// JournalErrors counts applied writes the journal failed to append (acknowledged, in memory only).
+	// JournalErrors counts writes the journal failed to append: applied in
+	// memory and, for a commit, answered OK: false.
 	JournalErrors uint64
 	Messages      uint64
 }
@@ -275,18 +276,12 @@ func (r *Replica) SetFailPoint(fp FailPoint) {
 // shouldFail reports whether the armed fail point matches the message, and
 // disarms it — by compare-and-swap, as deliveries race: of the matching
 // messages in flight exactly one is told to fail.
-func (r *Replica) shouldFail(payload any) bool {
+func (r *Replica) shouldFail(tag wire.Tag) bool {
 	fp := FailPoint(r.failpoint.Load())
 	if fp == FailNone {
 		return false
 	}
-	var hit bool
-	switch payload.(type) {
-	case PrepareReq:
-		hit = fp == FailOnPrepare
-	case CommitReq:
-		hit = fp == FailOnCommit
-	}
+	hit := tag == wire.TagPrepareReq && fp == FailOnPrepare || tag == wire.TagCommitReq && fp == FailOnCommit
 	return hit && r.failpoint.CompareAndSwap(int32(fp), int32(FailNone))
 }
 
@@ -349,79 +344,88 @@ func (r *Replica) Stats() Stats {
 	return st
 }
 
-// deliver takes one message from the transport. Over TCP it runs on the
-// arriving connection's read loop, so deliveries are concurrent and nothing
-// below may block on anything but its own reply Send, a mutex or the journal:
-// waiting for another message would stall the connection that carries it.
-func (r *Replica) deliver(msg transport.Message) {
+// deliver takes one message from the transport (a transport.Handler: m is
+// valid only for the call). Over TCP it runs on the arriving connection's
+// read loop, so deliveries are concurrent and nothing below may block on
+// anything but its own reply Send, a mutex or the journal: waiting for
+// another message would stall the connection that carries it.
+func (r *Replica) deliver(from transport.Addr, m *wire.Msg) {
 	if r.Health() == HealthDown {
 		return // fail-stop: no replies while down
 	}
-	if r.shouldFail(msg.Payload) {
+	if r.shouldFail(m.Tag) {
 		r.Crash() // fail point: die before processing the request
 		return
 	}
 	r.messages.Add(1)
-	r.handle(msg)
+	r.handle(from, m)
 }
 
 // handle dispatches one request and sends the reply. Replies are sent
 // best-effort; a send failure means the requester vanished. Reads, version
 // probes and prepares pass through the admission gate (gated), which serves
 // them right here or sheds them at once. Phase-two commits and aborts, pings
-// and sync traffic are never gated and never shed.
-func (r *Replica) handle(msg transport.Message) {
-	switch req := msg.Payload.(type) {
-	case ReadReq:
+// and sync traffic are never gated and never shed. A commit is answered OK
+// only once its write is in the journal (or there is none).
+func (r *Replica) handle(from transport.Addr, m *wire.Msg) {
+	switch m.Tag {
+	case wire.TagReadReq:
+		req := &m.ReadReq
 		if r.Health() == HealthCatchingUp {
-			r.refuse(msg.From, ReadResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
+			r.refuse(from, ReadResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
 			return
 		}
-		r.gated(msg, req.ReqID, r.gate.readLimit)
-	case VersionReq:
+		r.gated(from, m, req.ReqID, r.gate.readLimit)
+	case wire.TagVersionReq:
+		req := &m.VersionReq
 		if r.Health() == HealthCatchingUp {
-			r.refuse(msg.From, VersionResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
+			r.refuse(from, VersionResp{ReqID: req.ReqID, Key: req.Key, Refused: true})
 			return
 		}
-		r.gated(msg, req.ReqID, r.gate.readLimit)
-	case PrepareReq:
-		r.gated(msg, req.ReqID, r.gate.limit)
-	case CommitReq:
+		r.gated(from, m, req.ReqID, r.gate.readLimit)
+	case wire.TagPrepareReq:
+		r.gated(from, m, m.PrepareReq.ReqID, r.gate.limit)
+	case wire.TagCommitReq:
+		req := &m.CommitReq
 		r.instr.serveCommit.Inc()
-		r.store.commit(req)
-		r.reply(msg.From, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: true})
-	case AbortReq:
+		err := r.store.commit(req)
+		r.reply(from, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: err == nil})
+	case wire.TagAbortReq:
+		req := &m.AbortReq
 		r.instr.serveAbort.Inc()
 		r.store.abort(req)
-		r.reply(msg.From, AbortResp{ReqID: req.ReqID, TxID: req.TxID})
-	case PingReq:
+		r.reply(from, AbortResp{ReqID: req.ReqID, TxID: req.TxID})
+	case wire.TagPingReq:
 		r.instr.servePing.Inc()
-		r.reply(msg.From, PingResp{ReqID: req.ReqID, Site: r.site})
-	case SyncDigestReq:
+		r.reply(from, PingResp{ReqID: m.PingReq.ReqID, Site: r.site})
+	case wire.TagSyncDigestReq:
+		req := &m.SyncDigestReq
 		r.instr.serveSyncDigest.Inc()
 		entries, more := r.store.DigestPage(req.StartAfter, req.Limit)
-		r.reply(msg.From, SyncDigestResp{ReqID: req.ReqID, Entries: entries, More: more})
-	case SyncFetchReq:
+		r.reply(from, SyncDigestResp{ReqID: req.ReqID, Entries: entries, More: more})
+	case wire.TagSyncFetchReq:
+		req := &m.SyncFetchReq
 		r.instr.serveSyncFetch.Inc()
 		items := make([]SyncItem, 0, len(req.Keys))
 		for _, key := range req.Keys {
 			value, ts, found := r.store.Get(key)
 			items = append(items, SyncItem{Key: key, Value: value, TS: ts, Found: found})
 		}
-		r.reply(msg.From, SyncFetchResp{ReqID: req.ReqID, Items: items})
-	case SyncDigestResp:
-		r.deliverSyncReply(req.ReqID, req)
-	case SyncFetchResp:
-		r.deliverSyncReply(req.ReqID, req)
+		r.reply(from, SyncFetchResp{ReqID: req.ReqID, Items: items})
+	case wire.TagSyncDigestResp: // boxed: the syncer keeps it past the call
+		r.deliverSyncReply(m.SyncDigestResp.ReqID, m.SyncDigestResp)
+	case wire.TagSyncFetchResp:
+		r.deliverSyncReply(m.SyncFetchResp.ReqID, m.SyncFetchResp)
 	}
 }
 
 // serveGated answers an admitted read, version probe or prepare. A read
 // whose floor is newer than what is stored gets Found and TS alone; the
 // store decides prepares one at a time, under its mutex.
-func (r *Replica) serveGated(msg transport.Message) {
-	switch req := msg.Payload.(type) {
-	case ReadReq:
+func (r *Replica) serveGated(from transport.Addr, m *wire.Msg) {
+	switch m.Tag {
+	case wire.TagReadReq:
+		req := &m.ReadReq
 		value, ts, found := r.store.Get(req.Key)
 		if found && req.ValueOmitted(ts) {
 			value = nil
@@ -429,22 +433,24 @@ func (r *Replica) serveGated(msg transport.Message) {
 		} else {
 			r.instr.serveRead.Inc()
 		}
-		r.reply(msg.From, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
-	case VersionReq:
+		r.reply(from, ReadResp{ReqID: req.ReqID, Key: req.Key, Value: value, TS: ts, Found: found})
+	case wire.TagVersionReq:
+		req := &m.VersionReq
 		if req.ForWrite {
 			r.instr.serveVersionWrite.Inc()
 		} else {
 			r.instr.serveVersionRead.Inc()
 		}
 		ts, found := r.store.Version(req.Key)
-		r.reply(msg.From, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
-	case PrepareReq:
+		r.reply(from, VersionResp{ReqID: req.ReqID, Key: req.Key, TS: ts, Found: found})
+	case wire.TagPrepareReq:
+		req := &m.PrepareReq
 		r.instr.servePrepare.Inc()
 		ok, reason := r.store.prepare(req, time.Now())
 		if !ok {
 			r.instr.lockRefusals.With(r.instr.site, reason).Inc()
 		}
-		r.reply(msg.From, PrepareResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok, Reason: reason})
+		r.reply(from, PrepareResp{ReqID: req.ReqID, TxID: req.TxID, OK: ok, Reason: reason})
 	}
 }
 

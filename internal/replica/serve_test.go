@@ -14,6 +14,7 @@ import (
 
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // brokenConn is a Conn whose every Send fails, as a reply does once the
@@ -68,7 +69,7 @@ func TestFailPointFiresOnceUnderConcurrency(t *testing.T) {
 				for round.Load() < n {
 					runtime.Gosched()
 				}
-				if r.shouldFail(CommitReq{}) {
+				if r.shouldFail(wire.TagCommitReq) {
 					hits.Add(1)
 				}
 				finished.Add(1)
@@ -102,9 +103,9 @@ func TestFailPointFiresOnceUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			r.deliver(transport.Message{From: -1, To: 1, Payload: CommitReq{
+			r.deliver(-1, held(CommitReq{
 				ReqID: uint64(g + 1), TxID: uint64(g + 1), Key: fmt.Sprintf("k%d", g), TS: Timestamp{Version: 1, Site: g},
-			}})
+			}))
 		}(g)
 	}
 	close(start)
@@ -120,6 +121,15 @@ func TestFailPointFiresOnceUnderConcurrency(t *testing.T) {
 		t.Errorf("messages %d, commits %d, replies tried %d: want all equal and at most %d",
 			st.Messages, st.Commits, len(conn.tried), callers-1)
 	}
+}
+
+// held returns payload in a holder, as a transport hands it to a handler.
+func held(payload any) *wire.Msg {
+	m := new(wire.Msg)
+	if err := m.Set(payload); err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // replyConn hands each reply to its addressee's channel, so a handler
@@ -150,7 +160,7 @@ func TestPrepareRacesCommit(t *testing.T) {
 	conn := replyConn{a: make(chan any, 1), b: make(chan any, 1)}
 	r := New(1, conn, WithLockTTL(time.Hour))
 	call := func(from transport.Addr, req any) any {
-		r.handle(transport.Message{From: from, To: 1, Payload: req})
+		r.handle(from, held(req))
 		return <-conn[from]
 	}
 	prepare := func(from transport.Addr, txID uint64, site int) (Timestamp, bool) {

@@ -66,36 +66,45 @@ func (s *Store) Version(key string) (ts Timestamp, found bool) {
 // Apply installs value under key if ts is newer than what is stored. It
 // reports whether the write took effect; the store then owns value. When a
 // journal is attached, effective writes are appended to it (best-effort: a
-// journal failure is counted and does not roll back the in-memory apply).
+// journal failure is counted and does not roll back the in-memory apply;
+// commit reports it).
 // The append runs after the store lock is released, so journal order may
 // differ from apply order; replay goes through Apply, where a record older
 // than what is stored is a no-op, and so ends at the same state.
 func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
 	s.mu.Lock()
-	return s.install(key, value, ts)
+	applied, _ := s.install(key, value, ts, false)
+	return applied
 }
 
 // install is Apply past its Lock: entered with s.mu held, it stores the
-// write if ts is newer, releases s.mu, and then journals an effective write.
-func (s *Store) install(key string, value []byte, ts Timestamp) bool {
-	if e, ok := s.data[key]; ok && !ts.After(e.ts) {
+// write if ts is newer, releases s.mu, and then journals an effective write
+// — with again, also one whose ts is the one stored — and returns the
+// append's error.
+func (s *Store) install(key string, value []byte, ts Timestamp, again bool) (applied bool, err error) {
+	e, ok := s.data[key]
+	switch applied = !ok || ts.After(e.ts); {
+	case applied:
+		s.data[key] = entry{value: value, ts: ts}
+	case !again || ts != e.ts:
 		s.mu.Unlock()
-		return false
+		return false, nil
 	}
-	s.data[key] = entry{value: value, ts: ts}
 	journal := s.journal
 	s.mu.Unlock()
-	if journal != nil && journal.Append(key, value, ts) != nil {
-		s.journalErrors.Inc()
+	if journal != nil {
+		if err = journal.Append(key, value, ts); err != nil {
+			s.journalErrors.Inc()
+		}
 	}
-	return true
+	return applied, err
 }
 
 // prepare admits a transaction's phase one unless another holds a lock on
 // the key live at now ("locked") or its timestamp does not supersede the
 // stored one ("stale"), and then takes or renews its lock until now +
 // lockTTL. The caller reads now before the mutex: lockWait starts there.
-func (s *Store) prepare(req PrepareReq, now time.Time) (ok bool, reason string) {
+func (s *Store) prepare(req *PrepareReq, now time.Time) (ok bool, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lockWait != nil {
@@ -112,16 +121,20 @@ func (s *Store) prepare(req PrepareReq, now time.Time) (ok bool, reason string) 
 }
 
 // commit releases the transaction's lock and installs its write in one
-// critical section. A commit with no visible lock (expired, or dropped by a
-// crash) still applies: the timestamp order keeps it idempotent.
-func (s *Store) commit(req CommitReq) {
+// critical section, and returns the journal append's error. A commit with no
+// visible lock (expired, or dropped by a crash) still applies: the timestamp
+// order keeps it idempotent. A re-sent commit whose timestamp is already
+// stored is journaled again (replay is idempotent too), so its answer
+// reflects its own append; one a newer write superseded appends nothing.
+func (s *Store) commit(req *CommitReq) error {
 	s.mu.Lock()
 	s.release(req.Key, req.TxID)
-	s.install(req.Key, req.Value, req.TS)
+	_, err := s.install(req.Key, req.Value, req.TS, true)
+	return err
 }
 
 // abort releases the transaction's lock if it still holds it.
-func (s *Store) abort(req AbortReq) {
+func (s *Store) abort(req *AbortReq) {
 	s.mu.Lock()
 	s.release(req.Key, req.TxID)
 	s.mu.Unlock()

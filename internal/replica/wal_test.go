@@ -136,30 +136,30 @@ func TestWALAppendAfterClose(t *testing.T) {
 }
 
 // TestJournalErrorsCounted: a commit whose journal append fails is still
-// applied and acknowledged, and the dropped error is counted — in Stats and
-// in the site's metric — once per failed append, never for a rejected apply.
+// applied but answered OK: false, and the error is counted — in Stats and in
+// the site's metric — once per failed append, never for a rejected apply.
 func TestJournalErrorsCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := newHarness(t, WithObserver(reg))
 	w, _ := newWAL(t)
 	h.rep.Store().AttachJournal(w)
-	commit := func(version uint64) {
+	commit := func(version uint64, wantOK bool) {
 		t.Helper()
 		resp := h.call(t, CommitReq{ReqID: version, TxID: version, Key: "k", Value: []byte("v"), TS: Timestamp{Version: version, Site: 1}})
-		if cr, ok := resp.(CommitResp); !ok || !cr.OK {
-			t.Fatalf("commit %d answered %+v", version, resp)
+		if cr, ok := resp.(CommitResp); !ok || cr.OK != wantOK {
+			t.Fatalf("commit %d answered %+v, want OK %v", version, resp, wantOK)
 		}
 	}
-	commit(1)
+	commit(1, true)
 	if got := h.rep.Stats().JournalErrors; got != 0 {
 		t.Fatalf("JournalErrors = %d with the journal open", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	commit(2)
-	commit(3)
-	commit(2) // stale: not applied, so not journaled either
+	commit(2, false)
+	commit(3, false)
+	commit(2, true) // stale: not applied, so not journaled either
 	if got := h.rep.Stats().JournalErrors; got != 2 {
 		t.Errorf("Stats.JournalErrors = %d, want 2", got)
 	}

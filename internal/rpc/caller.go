@@ -59,12 +59,13 @@ func WithMetrics(reg *obs.Registry) Option {
 // Reply is a started request's answer as delivered to its inbox. Tag is the
 // integer the request was started with, so one inbox can serve every
 // request of an operation; ID is the request ID, by which a receiver drops
-// a late reply to a request it already cancelled or expired. A nil Payload
-// means the caller was closed with the request outstanding.
+// a late reply to a request it already cancelled or expired. Resp holds the
+// answer by value, copied out of the served holder; one holding nothing
+// (Resp.Tag 0) means the caller was closed with the request outstanding.
 type Reply struct {
-	Tag     int
-	ID      uint64
-	Payload any
+	Tag  int
+	ID   uint64
+	Resp wire.Reply
 }
 
 // Pending is a started request awaiting its resolve step. Timeout is the
@@ -125,13 +126,13 @@ func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller
 	return c
 }
 
-// Close stops reply routing; every outstanding request is answered with a
-// nil payload, which resolves to ErrClosed.
+// Close stops reply routing; every outstanding request is answered with an
+// empty reply, which resolves to ErrClosed.
 func (c *Caller) Close() {
 	c.mu.Lock()
 	c.closed = true
 	for id, w := range c.pending {
-		deliver(w, Reply{Tag: w.tag, ID: id})
+		deliver(w, &Reply{Tag: w.tag, ID: id})
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
@@ -141,9 +142,9 @@ func (c *Caller) Close() {
 // deliver hands a reply to the request's inbox without ever blocking; the
 // default branch guards route — over TCP it runs on the connection's read
 // loop — against an inbox smaller than Start requires.
-func deliver(w waiter, r Reply) {
+func deliver(w waiter, r *Reply) {
 	select {
-	case w.inbox <- r:
+	case w.inbox <- *r:
 	default:
 	}
 }
@@ -212,21 +213,22 @@ func (c *Caller) forget(id uint64) {
 	c.mu.Unlock()
 }
 
-// Answered resolves p with the payload of the reply received for it. An
-// overload shed maps to an ErrOverloaded error carrying the site's
-// retry-after hint; a nil payload (the caller was closed) yields ErrClosed.
-func (c *Caller) Answered(p Pending, payload any) (any, error) {
-	if payload == nil {
-		return nil, ErrClosed
+// Answered resolves p with the answer received for it: nil if resp is the
+// site's answer to the request. An overload shed maps to an ErrOverloaded
+// error carrying the site's retry-after hint; an empty reply (the caller was
+// closed) yields ErrClosed.
+func (c *Caller) Answered(p Pending, resp *wire.Reply) error {
+	if resp.Tag == 0 {
+		return ErrClosed
 	}
 	if c.callDur != nil {
 		c.callDur.Observe(time.Since(p.start))
 	}
-	if ov, shed := payload.(wire.OverloadedResp); shed {
+	if resp.Tag == wire.TagOverloadedResp {
 		c.overloads.Inc()
-		return nil, &overloadedError{site: p.To, retryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond}
+		return &overloadedError{site: p.To, retryAfter: time.Duration(resp.OverloadedResp.RetryAfterMillis) * time.Millisecond}
 	}
-	return payload, nil
+	return nil
 }
 
 // Expire resolves p as timed out — the failure detector firing — and
@@ -254,7 +256,7 @@ func (c *Caller) Cancel(p Pending) {
 var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
 
 // Call is Start, a wait for the reply, the attempt's timeout or context
-// cancellation, and the matching resolve step.
+// cancellation, and the matching resolve step. The answer comes back boxed.
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any, error) {
 	inbox := replyChanPool.Get().(chan Reply)
 	p, err := c.Start(ctx, to, req, inbox, 0)
@@ -266,7 +268,11 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any,
 	select {
 	case r := <-inbox:
 		replyChanPool.Put(inbox)
-		return c.Answered(p, r.Payload)
+		if err := c.Answered(p, &r.Resp); err != nil {
+			return nil, err
+		}
+		m := wire.Msg{Reply: r.Resp}
+		return m.Box(), nil
 	case <-timer.C:
 		return nil, c.Expire(p)
 	case <-ctx.Done():
@@ -296,11 +302,12 @@ func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
 	c.sendHook.Store(&fn)
 }
 
-// route hands one arrived reply to the inbox of the request it answers. It
-// never blocks, which is what lets a replica's read loop always finish the
-// reply it is writing to this caller.
-func (c *Caller) route(msg transport.Message) {
-	id, ok := ReqIDOf(msg.Payload)
+// route hands one arrived reply to the inbox of the request it answers,
+// copying the answer out of the served holder. It never blocks, which is
+// what lets a replica's read loop always finish the reply it is writing to
+// this caller.
+func (c *Caller) route(_ transport.Addr, m *wire.Msg) {
+	id, ok := m.ReqID()
 	if !ok {
 		return
 	}
@@ -311,28 +318,15 @@ func (c *Caller) route(msg transport.Message) {
 	}
 	c.mu.Unlock()
 	if ok {
-		deliver(w, Reply{Tag: w.tag, ID: id, Payload: msg.Payload})
+		deliver(w, &Reply{Tag: w.tag, ID: id, Resp: m.Reply})
 	}
 }
 
-// ReqIDOf extracts the request ID from any known response payload.
+// ReqIDOf extracts the request ID from any answer to an rpc request.
 func ReqIDOf(payload any) (uint64, bool) {
-	switch m := payload.(type) {
-	case wire.ReadResp:
-		return m.ReqID, true
-	case wire.VersionResp:
-		return m.ReqID, true
-	case wire.PrepareResp:
-		return m.ReqID, true
-	case wire.CommitResp:
-		return m.ReqID, true
-	case wire.AbortResp:
-		return m.ReqID, true
-	case wire.PingResp:
-		return m.ReqID, true
-	case wire.OverloadedResp:
-		return m.ReqID, true
-	default:
+	var m wire.Msg
+	if m.Set(payload) != nil {
 		return 0, false
 	}
+	return m.ReqID()
 }

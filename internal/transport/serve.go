@@ -1,18 +1,30 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+
+	"arbor/internal/wire"
+)
+
+// Handler consumes one served message, decoded into a holder that is valid
+// only for the call: the transport refills it with the next message, so a
+// handler copies out or boxes (m.Box) what it keeps past the call. The
+// strings and byte slices inside are the handler's to keep.
+type Handler func(from Addr, m *wire.Msg)
 
 // Serve makes h the consumer of every message arriving at c until the
 // returned stop is called; it is the one way replicas and callers receive.
 // Who runs h follows from the endpoint's type (DESIGN.md §4k): a
 // *TCPEndpoint's read loops call h themselves, right after decoding a frame
-// — one connection's messages in frame order, different connections
-// concurrently, a blocked handler stalling only its own — and any other
-// Conn is pumped by one goroutine receiving from c.Recv(). Messages that
+// into the holder they borrow with their read buffer — one connection's
+// messages in frame order, different connections concurrently, a blocked
+// handler stalling only its own — and any other Conn is pumped by one
+// goroutine receiving from c.Recv() and filling one holder from each boxed
+// payload (a payload outside the message set is dropped). Messages that
 // reached the endpoint before Serve are delivered first. Once stop returns,
 // h is not running and is never called again; later arrivals are readable
 // on c.Recv(). stop may be called twice, but not from h.
-func Serve(c Conn, h func(Message)) (stop func()) {
+func Serve(c Conn, h Handler) (stop func()) {
 	var once sync.Once
 	if e, ok := c.(*TCPEndpoint); ok {
 		e.setHandler(h)
@@ -21,12 +33,13 @@ func Serve(c Conn, h func(Message)) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
+		var m wire.Msg
 		for {
 			select {
 			case <-quit:
 				return
-			case m := <-c.Recv():
-				h(m)
+			case msg := <-c.Recv():
+				h.serveBoxed(msg, &m)
 			}
 		}
 	}()
@@ -41,32 +54,41 @@ func Serve(c Conn, h func(Message)) (stop func()) {
 // backlog first, if there is an inbox, so a connection's queued frames reach
 // h before its next. Only deliver fills the inbox, under the shared lock, so
 // an inbox Recv makes meanwhile is empty.
-func (e *TCPEndpoint) setHandler(h func(Message)) {
+func (e *TCPEndpoint) setHandler(h Handler) {
 	e.serveMu.Lock()
 	defer e.serveMu.Unlock()
 	e.handler = h
 	in := e.in.Load()
+	var m wire.Msg
 	for h != nil && in != nil {
 		select {
-		case m := <-*in:
-			h(m)
+		case msg := <-*in:
+			h.serveBoxed(msg, &m)
 		default:
 			return
 		}
 	}
 }
 
+// serveBoxed hands h a boxed message, through holder m.
+func (h Handler) serveBoxed(msg Message, m *wire.Msg) {
+	if m.Set(msg.Payload) == nil {
+		h(msg.From, m)
+	}
+}
+
 // deliver hands a decoded message to the Serve handler, on the calling read
-// loop, or else to the inbox. Read loops share the lock they hold across h.
-func (e *TCPEndpoint) deliver(m Message) {
+// loop, or else boxed to the inbox. Read loops share the lock they hold
+// across h.
+func (e *TCPEndpoint) deliver(from, to Addr, m *wire.Msg) {
 	e.serveMu.RLock()
 	defer e.serveMu.RUnlock()
 	if e.handler != nil {
-		e.handler(m)
+		e.handler(from, m)
 		return
 	}
 	select {
-	case e.inbox() <- m:
+	case e.inbox() <- Message{From: from, To: to, Payload: m.Box()}:
 	default:
 		e.inboxDrops.Add(1) // full and unserved: drop, like the in-memory transport
 	}

@@ -17,6 +17,11 @@ func (c *recvOnlyConn) Addr() Addr           { return 9 }
 func (c *recvOnlyConn) Send(Addr, any) error { return nil }
 func (c *recvOnlyConn) Recv() <-chan Message { return c.in }
 func pingID(m Message) uint64                { return m.Payload.(wire.PingReq).ReqID }
+
+// boxing adapts a handler of boxed messages, the shape these tests inspect.
+func boxing(h func(Message)) Handler {
+	return func(from Addr, m *wire.Msg) { h(Message{From: from, Payload: m.Box()}) }
+}
 func within(t *testing.T, ch <-chan struct{}, what string) {
 	t.Helper()
 	select {
@@ -54,7 +59,7 @@ func TestServe(t *testing.T) {
 			stack string
 			done  = make(chan struct{})
 		)
-		stop := Serve(b, func(m Message) {
+		stop := Serve(b, boxing(func(m Message) {
 			if len(got) == 0 {
 				buf := make([]byte, 4096)
 				stack = string(buf[:runtime.Stack(buf, false)])
@@ -63,7 +68,7 @@ func TestServe(t *testing.T) {
 			if len(got) == frames {
 				close(done)
 			}
-		})
+		}))
 		defer stop()
 		for i := 0; i < frames; i++ {
 			if err := a.Send(2, ping(i)); err != nil {
@@ -87,12 +92,12 @@ func TestServe(t *testing.T) {
 	t.Run("endpoints served before any traffic make no inbox", func(t *testing.T) {
 		a, b := newServedPair(t)
 		pong := make(chan struct{})
-		defer Serve(a, func(Message) { close(pong) })()
-		defer Serve(b, func(m Message) {
+		defer Serve(a, boxing(func(Message) { close(pong) }))()
+		defer Serve(b, boxing(func(m Message) {
 			if err := b.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
 				t.Error(err)
 			}
-		})()
+		}))()
 		if err := a.Send(2, ping(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +113,7 @@ func TestServe(t *testing.T) {
 			b.inbox() <- Message{From: 1, To: 2, Payload: ping(i)}
 		}
 		var got []uint64
-		stop := Serve(b, func(m Message) { got = append(got, pingID(m)) })
+		stop := Serve(b, boxing(func(m Message) { got = append(got, pingID(m)) }))
 		defer stop()
 		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 			t.Errorf("backlog reached the handler as %v, want [0 1 2] before Serve returns", got)
@@ -135,14 +140,14 @@ func TestServe(t *testing.T) {
 		}
 		next, done := uint64(1), make(chan struct{})
 		var bad atomic.Int64
-		stop := Serve(b, func(m Message) {
+		stop := Serve(b, boxing(func(m Message) {
 			if pingID(m) != next {
 				bad.Add(1)
 			}
 			if next++; next == frames {
 				close(done)
 			}
-		})
+		}))
 		defer stop()
 		if err := <-sent; err != nil {
 			t.Fatal(err)
@@ -157,11 +162,11 @@ func TestServe(t *testing.T) {
 		a, b := newServedPair(t)
 		entered, release := make(chan struct{}), make(chan struct{})
 		var handled atomic.Int64
-		stop := Serve(b, func(Message) {
+		stop := Serve(b, boxing(func(Message) {
 			handled.Add(1)
 			close(entered)
 			<-release
-		})
+		}))
 		if err := a.Send(2, ping(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +199,7 @@ func TestServe(t *testing.T) {
 		c := &recvOnlyConn{in: make(chan Message, 4)}
 		c.in <- Message{Payload: ping(0)} // queued before Serve
 		got := make(chan uint64, 4)
-		stop := Serve(c, func(m Message) { got <- pingID(m) })
+		stop := Serve(c, boxing(func(m Message) { got <- pingID(m) }))
 		c.in <- Message{Payload: ping(1)}
 		for want := uint64(0); want < 2; want++ {
 			select {
@@ -235,14 +240,14 @@ func TestServe(t *testing.T) {
 			t.Fatal(err)
 		}
 		parked, release, passed := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		stop := Serve(b, func(m Message) {
+		stop := Serve(b, boxing(func(m Message) {
 			if m.From == -1 {
 				close(parked)
 				<-release
 				return
 			}
 			close(passed)
-		})
+		}))
 		if err := slow.Send(2, ping(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -258,10 +263,13 @@ func TestServe(t *testing.T) {
 	t.Run("delivery to the handler allocates nothing", func(t *testing.T) {
 		_, b := newServedPair(t)
 		var n int
-		stop := Serve(b, func(Message) { n++ })
+		stop := Serve(b, func(Addr, *wire.Msg) { n++ })
 		defer stop()
-		m := Message{From: 1, To: 2, Payload: ping(1)}
-		if allocs := testing.AllocsPerRun(1000, func() { b.deliver(m) }); allocs != 0 {
+		var m wire.Msg
+		if err := m.Set(ping(1)); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { b.deliver(1, 2, &m) }); allocs != 0 {
 			t.Errorf("deliver allocates %.1f objects per message, want 0", allocs)
 		}
 	})

@@ -60,7 +60,16 @@ var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // readBufPool lends read loops their buffers: a loop holds one only while
 // bytes of a frame are pending (frameReader.release), so a parked
 // connection holds none.
-var readBufPool = sync.Pool{New: func() any { return new([tcpReadBuf]byte) }}
+var readBufPool = sync.Pool{New: func() any { return &readBuf{b: new([tcpReadBuf]byte)} }}
+
+// readBuf is what a read loop borrows: the buffer it reads into and the
+// holder it decodes each frame into, so a parked connection holds neither.
+// The buffer is an allocation of its own: with the holder beside it, it
+// would no longer fit its 8 pages and take a ninth.
+type readBuf struct {
+	b   *[tcpReadBuf]byte
+	msg wire.Msg
+}
 
 // TCPOption configures a TCPNetwork.
 type TCPOption func(*TCPNetwork)
@@ -109,7 +118,7 @@ type TCPEndpoint struct {
 	// handler is Serve's consumer (nil: messages go to the inbox). Read loops
 	// hold serveMu shared across a delivery; swapping the handler takes it whole.
 	serveMu sync.RWMutex
-	handler func(Message)
+	handler Handler
 
 	mu     sync.Mutex
 	routes map[Addr]*peerRoute
@@ -534,10 +543,10 @@ func (e *TCPEndpoint) acceptLoop() {
 // frameReader splits one connection's byte stream into frame bodies, in a
 // buffer it borrows from readBufPool and reads into straight from the socket.
 type frameReader struct {
-	buf  *[tcpReadBuf]byte // nil while parked with nothing pending (see release)
-	r, w int               // buf[r:w] is read and not yet delivered
-	need int               // body length of the frame whose header was taken; 0: none
-	big  []byte            // a body larger than buf, filled up to its capacity
+	buf  *readBuf // nil while parked with nothing pending (see release)
+	r, w int      // buf[r:w] is read and not yet delivered
+	need int      // body length of the frame whose header was taken; 0: none
+	big  []byte   // a body larger than buf, filled up to its capacity
 }
 
 // run hands every frame body to frame, in order, until the connection fails
@@ -552,7 +561,7 @@ type frameReader struct {
 // sees. Leaving RawConn.Read between frames would clear that edge and park
 // on a socket holding data — which is why a reader over net.Conn, whose
 // every Read re-enters the poller, must read until EAGAIN.
-func (fr *frameReader) run(c *net.TCPConn, reads *atomic.Uint64, frame func([]byte) error) {
+func (fr *frameReader) run(c *net.TCPConn, reads *atomic.Uint64, frame func([]byte, *wire.Msg) error) {
 	rc, _ := c.SyscallConn() // fails only on a nil connection
 	_ = rc.Read(func(fd uintptr) bool {
 		for {
@@ -586,51 +595,59 @@ func (fr *frameReader) space() []byte {
 	if fr.big != nil {
 		return fr.big[len(fr.big):cap(fr.big)]
 	}
-	if fr.buf == nil {
-		fr.buf = readBufPool.Get().(*[tcpReadBuf]byte)
-	}
+	fr.borrow()
 	if fr.r > 0 {
-		fr.w = copy(fr.buf[:], fr.buf[fr.r:fr.w])
+		fr.w = copy(fr.buf.b[:], fr.buf.b[fr.r:fr.w])
 		fr.r = 0
 	}
-	return fr.buf[fr.w:]
+	return fr.buf.b[fr.w:]
+}
+
+// borrow takes a buffer from the pool if the loop holds none.
+func (fr *frameReader) borrow() {
+	if fr.buf == nil {
+		fr.buf = readBufPool.Get().(*readBuf)
+	}
 }
 
 // release returns buf to the pool unless it holds bytes of a partial frame:
 // a header already taken lives on in need and a large body in big, so only
-// buf[r:w] pins it. Bodies handed to frame are dead by then, and must be:
-// the next holder of buf overwrites them.
+// buf[r:w] pins it. Bodies and messages handed to frame are dead by then,
+// and must be: the next holder of buf overwrites them. The holder is
+// cleared, so a pooled buffer pins no message's strings or values.
 func (fr *frameReader) release() {
 	if fr.buf != nil && fr.r == fr.w {
+		fr.buf.msg = wire.Msg{}
 		readBufPool.Put(fr.buf)
 		fr.buf, fr.r, fr.w = nil, 0, 0
 	}
 }
 
 // got takes n bytes just read into space and passes every body they complete
-// to frame. A body is valid only during the call: a view into buf when it
-// fits (wire.Decode never aliases its input, so nothing decoded outlives
-// it — not even on another connection, whose loop may borrow buf next),
-// else a buffer of exactly its size.
-func (fr *frameReader) got(n int, frame func([]byte) error) error {
+// to frame, with buf's holder to decode it into. A body is valid only during
+// the call: a view into buf when it fits (Msg.Decode never aliases its
+// input, so nothing decoded outlives it — not even on another connection,
+// whose loop may borrow buf next), else a buffer of exactly its size.
+func (fr *frameReader) got(n int, frame func([]byte, *wire.Msg) error) error {
 	if fr.big != nil {
 		if fr.big = fr.big[:len(fr.big)+n]; len(fr.big) < cap(fr.big) {
 			return nil
 		}
 		body := fr.big
 		fr.big = nil
-		return frame(body)
+		fr.borrow() // for its holder: buf may have gone back while the body filled
+		return frame(body, &fr.buf.msg)
 	}
 	fr.w += n
 	for {
 		if fr.need == 0 && fr.w-fr.r >= 4 {
-			fr.need = int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+			fr.need = int(binary.BigEndian.Uint32(fr.buf.b[fr.r:]))
 			fr.r += 4
 			if fr.need == 0 || fr.need > tcpMaxFrame {
 				return fmt.Errorf("transport: frame of %d bytes", fr.need)
 			}
-			if fr.need > len(fr.buf) {
-				fr.big = append(make([]byte, 0, fr.need), fr.buf[fr.r:fr.w]...)
+			if fr.need > len(fr.buf.b) {
+				fr.big = append(make([]byte, 0, fr.need), fr.buf.b[fr.r:fr.w]...)
 				fr.r, fr.need = fr.w, 0
 				return nil
 			}
@@ -638,16 +655,17 @@ func (fr *frameReader) got(n int, frame func([]byte) error) error {
 		if fr.need == 0 || fr.w-fr.r < fr.need {
 			return nil
 		}
-		body := fr.buf[fr.r : fr.r+fr.need]
+		body := fr.buf.b[fr.r : fr.r+fr.need]
 		fr.r, fr.need = fr.r+fr.need, 0
-		if err := frame(body); err != nil {
+		if err := frame(body, &fr.buf.msg); err != nil {
 			return err
 		}
 	}
 }
 
-// readLoop decodes one connection's frames and delivers each — to the Serve
-// handler on this goroutine, else the inbox — until the connection dies. On
+// readLoop decodes one connection's frames, each into the holder it borrows
+// with its read buffer, and delivers each — to the Serve handler on this
+// goroutine, else boxed to the inbox — until the connection dies. On
 // an accepted connection (hello) the first frame is the HELLO, which puts
 // the connection on the dialer's route: replies reuse it, which is how
 // dial-only clients hear back.
@@ -659,7 +677,7 @@ func (fr *frameReader) got(n int, frame func([]byte) error) error {
 // failed reply evicted its own connection would deadlock otherwise.
 func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
 	var fr frameReader
-	fr.run(wc.c, &e.reads, func(frame []byte) error {
+	fr.run(wc.c, &e.reads, func(frame []byte, m *wire.Msg) error {
 		if hello {
 			p, err := parseHello(frame)
 			if err != nil {
@@ -675,11 +693,9 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
 		e.framesIn.Add(1)
 		from, k1 := binary.Varint(frame)
 		to, k2 := binary.Varint(frame[max(k1, 0):])
-		if k1 > 0 && k2 > 0 {
-			if payload, err := wire.Decode(frame[k1+k2:]); err == nil {
-				e.deliver(Message{From: Addr(from), To: Addr(to), Payload: payload})
-				return nil
-			}
+		if k1 > 0 && k2 > 0 && m.Decode(frame[k1+k2:]) == nil {
+			e.deliver(Addr(from), Addr(to), m)
+			return nil
 		}
 		// Framing is intact (the length prefix was honored), so a frame that
 		// fails to decode is dropped like a lost message rather than killing

@@ -555,7 +555,7 @@ func TestTCPNoLostWakeup(t *testing.T) {
 	for c := range streams {
 		streams[c].size, streams[c].done = sizeGen(c), make(chan struct{})
 	}
-	stop := Serve(b, func(m Message) {
+	stop := Serve(b, boxing(func(m Message) {
 		s := &streams[-int(m.From)-1] // only this stream's read loop touches s
 		id := s.next.Load()
 		p, ok := m.Payload.(wire.ReadResp)
@@ -565,7 +565,7 @@ func TestTCPNoLostWakeup(t *testing.T) {
 		if s.next.Add(1) == frames {
 			close(s.done)
 		}
-	})
+	}))
 	defer stop()
 
 	var senders sync.WaitGroup
@@ -678,14 +678,14 @@ func TestTCPPartialFrameKeepsItsBuffer(t *testing.T) {
 		return pat[(uint64(c)*131+id)%4096:][:size]
 	}
 	next := make([]atomic.Uint64, streamers+1)
-	defer Serve(b, func(m Message) {
+	defer Serve(b, boxing(func(m Message) {
 		c := -int(m.From) - 1
 		id := next[c].Load() // only connection c's read loop moves next[c]
 		if p, ok := m.Payload.(wire.ReadResp); !ok || p.ReqID != id || !bytes.Equal(p.Value, value(c, id)) {
 			t.Errorf("connection %d, frame %d: got %T id %d with %d bytes, want %d bytes", c, id, m.Payload, p.ReqID, len(p.Value), len(value(c, id)))
 		}
 		next[c].Add(1)
-	})()
+	}))()
 
 	var (
 		trickling atomic.Bool
@@ -775,11 +775,11 @@ func TestTCPIdleConnsHoldNoBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Serve(srv, func(m Message) {
+	defer Serve(srv, boxing(func(m Message) {
 		if err := srv.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
 			t.Error(err)
 		}
-	})()
+	}))()
 	heap := func() int64 {
 		runtime.GC()
 		runtime.GC() // the second drops what the pools kept over the first
@@ -794,7 +794,7 @@ func TestTCPIdleConnsHoldNoBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer Serve(cli, func(Message) { pongs <- struct{}{} })()
+		defer Serve(cli, boxing(func(Message) { pongs <- struct{}{} }))()
 		if err := cli.Send(1, ping(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -828,14 +828,14 @@ func TestTCPReadsPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli := cliConn.(*TCPEndpoint)
-	stopSrv := Serve(srv, func(m Message) {
+	stopSrv := Serve(srv, boxing(func(m Message) {
 		if err := srv.Send(m.From, wire.PingResp{ReqID: pingID(m)}); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
 	defer stopSrv()
 	pongs := make(chan uint64, 1)
-	stopCli := Serve(cli, func(m Message) { pongs <- m.Payload.(wire.PingResp).ReqID })
+	stopCli := Serve(cli, boxing(func(m Message) { pongs <- m.Payload.(wire.PingResp).ReqID }))
 	defer stopCli()
 	const rounds = 2000
 	for i := 0; i < rounds; i++ {
@@ -875,13 +875,13 @@ func TestTCPEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		replied := make(chan error, 1)
-		stop := Serve(srv, func(m Message) {
+		stop := Serve(srv, boxing(func(m Message) {
 			srv.mu.Lock()
 			own := srv.routes[m.From].conns[0] // the client's only connection: the one this handler runs on
 			srv.mu.Unlock()
 			_ = own.c.CloseWrite() // so the reply's write fails
 			replied <- srv.Send(m.From, wire.PingResp{ReqID: pingID(m)})
-		})
+		}))
 		defer stop()
 		if err := cli.Send(2, ping(1)); err != nil {
 			t.Fatal(err)
@@ -921,7 +921,7 @@ func TestTCPEviction(t *testing.T) {
 		}
 		defer peer.Close()
 		entered, sendErr := make(chan struct{}), make(chan error, 1)
-		stop := Serve(srv, func(m Message) {
+		stop := Serve(srv, boxing(func(m Message) {
 			close(entered)
 			big := wire.ReadResp{ReqID: 1, Value: make([]byte, tcpReadBuf), Found: true}
 			for {
@@ -930,7 +930,7 @@ func TestTCPEviction(t *testing.T) {
 					return
 				}
 			}
-		})
+		}))
 		defer stop()
 		req, err := wire.Append(nil, ping(1), wire.Stamp{})
 		if err != nil {

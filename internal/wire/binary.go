@@ -18,25 +18,30 @@ const Version byte = 3
 // journal records reach tens of MiB, and a pool never shrinks what it holds.
 const MaxPooledBuf = 1 << 20
 
-// Message type tags. Tag 0 is reserved so a zeroed buffer never decodes.
+// Tag names a message type: the byte after a frame's version, and the field
+// of a holder (Msg, Reply) that holds the message. Tag 0 is reserved, so a
+// zeroed buffer never decodes and a zero holder holds nothing.
+type Tag byte
+
+// Message type tags.
 const (
-	tagVersionReq byte = iota + 1
-	tagVersionResp
-	tagReadReq
-	tagReadResp
-	tagPrepareReq
-	tagPrepareResp
-	tagCommitReq
-	tagCommitResp
-	tagAbortReq
-	tagAbortResp
-	tagPingReq
-	tagPingResp
-	tagSyncDigestReq
-	tagSyncDigestResp
-	tagSyncFetchReq
-	tagSyncFetchResp
-	tagOverloadedResp
+	TagVersionReq Tag = iota + 1
+	TagVersionResp
+	TagReadReq
+	TagReadResp
+	TagPrepareReq
+	TagPrepareResp
+	TagCommitReq
+	TagCommitResp
+	TagAbortReq
+	TagAbortResp
+	TagPingReq
+	TagPingResp
+	TagSyncDigestReq
+	TagSyncDigestResp
+	TagSyncFetchReq
+	TagSyncFetchResp
+	TagOverloadedResp
 )
 
 // errNotMessage names no type: formatting the payload would make every
@@ -80,13 +85,13 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 	switch m := payload.(type) {
 	case VersionReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagVersionReq)
+		dst = append(dst, byte(TagVersionReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
 		dst = appendBool(dst, m.ForWrite)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case VersionResp:
-		dst = append(dst, tagVersionResp)
+		dst = append(dst, byte(TagVersionResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
 		dst = appendTS(dst, m.TS)
@@ -94,13 +99,13 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 		dst = appendBool(dst, m.Refused)
 	case ReadReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagReadReq)
+		dst = append(dst, byte(TagReadReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 		dst = appendTS(dst, m.Floor)
 	case ReadResp:
-		dst = append(dst, tagReadResp)
+		dst = append(dst, byte(TagReadResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.Key)
 		dst = appendBytes(dst, m.Value)
@@ -109,21 +114,21 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 		dst = appendBool(dst, m.Refused)
 	case PrepareReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagPrepareReq)
+		dst = append(dst, byte(TagPrepareReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendString(dst, m.Key)
 		dst = appendTS(dst, m.TS)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case PrepareResp:
-		dst = append(dst, tagPrepareResp)
+		dst = append(dst, byte(TagPrepareResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendBool(dst, m.OK)
 		dst = appendString(dst, m.Reason)
 	case CommitReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagCommitReq)
+		dst = append(dst, byte(TagCommitReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendString(dst, m.Key)
@@ -131,43 +136,43 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 		dst = appendTS(dst, m.TS)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case CommitResp:
-		dst = append(dst, tagCommitResp)
+		dst = append(dst, byte(TagCommitResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendBool(dst, m.OK)
 	case AbortReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagAbortReq)
+		dst = append(dst, byte(TagAbortReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 		dst = appendString(dst, m.Key)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case AbortResp:
-		dst = append(dst, tagAbortResp)
+		dst = append(dst, byte(TagAbortResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.TxID)
 	case PingReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagPingReq)
+		dst = append(dst, byte(TagPingReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case PingResp:
-		dst = append(dst, tagPingResp)
+		dst = append(dst, byte(TagPingResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendVarint(dst, int64(m.Site))
 	case OverloadedResp:
-		dst = append(dst, tagOverloadedResp)
+		dst = append(dst, byte(TagOverloadedResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, m.RetryAfterMillis)
 	case SyncDigestReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagSyncDigestReq)
+		dst = append(dst, byte(TagSyncDigestReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendString(dst, m.StartAfter)
 		dst = binary.AppendVarint(dst, int64(m.Limit))
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case SyncDigestResp:
-		dst = append(dst, tagSyncDigestResp)
+		dst = append(dst, byte(TagSyncDigestResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Entries)))
 		for _, e := range m.Entries {
@@ -177,7 +182,7 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 		dst = appendBool(dst, m.More)
 	case SyncFetchReq:
 		st.apply(&m.ReqID, &m.DeadlineMillis)
-		dst = append(dst, tagSyncFetchReq)
+		dst = append(dst, byte(TagSyncFetchReq))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Keys)))
 		for _, k := range m.Keys {
@@ -185,7 +190,7 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, m.DeadlineMillis)
 	case SyncFetchResp:
-		dst = append(dst, tagSyncFetchResp)
+		dst = append(dst, byte(TagSyncFetchResp))
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Items)))
 		for _, it := range m.Items {
@@ -200,90 +205,104 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses one encoded message of the current Version. The returned
-// payload never aliases data (byte-slice fields are copied out): the TCP read
-// loop passes a view into a read buffer that the next frame overwrites, on
-// its connection or on whichever borrows the buffer from the shared pool
-// next, and replicas store decoded values as they are — each an allocation of
-// exactly its size.
+// Decode parses one encoded message of the current Version and returns it
+// boxed: Msg.Decode and one allocation for the box, for a consumer that keeps
+// the message.
 func Decode(data []byte) (any, error) {
+	var m Msg
+	if err := m.Decode(data); err != nil {
+		return nil, err
+	}
+	return m.Box(), nil
+}
+
+// Decode parses one encoded message of the current Version into m, the
+// package's one decoder: m.Tag names the message and the field of that name
+// holds it, whole; other fields keep what they held, and on error m holds
+// nothing. The message never aliases data (strings and byte slices are
+// fresh allocations a consumer may keep): the TCP read loop passes a view
+// into a read buffer that the next frame overwrites, on its connection or on
+// whichever borrows the buffer from the shared pool next, and replicas store
+// decoded values as they are — each an allocation of exactly its size.
+func (m *Msg) Decode(data []byte) error {
+	m.Tag = 0
 	if len(data) < 2 {
-		return nil, errors.New("wire: short message")
+		return errors.New("wire: short message")
 	}
 	if data[0] != Version {
-		return nil, fmt.Errorf("wire: version %d, want %d", data[0], Version)
+		return fmt.Errorf("wire: version %d, want %d", data[0], Version)
 	}
-	tag := data[1]
+	tag := Tag(data[1])
 	r := reader{buf: data[2:]}
-	var out any
 	switch tag {
-	case tagVersionReq:
-		out = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
-	case tagVersionResp:
-		out = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
-	case tagReadReq:
-		out = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint(), Floor: r.ts()}
-	case tagReadResp:
-		out = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
-	case tagPrepareReq:
-		out = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: r.uvarint()}
-	case tagPrepareResp:
-		out = PrepareResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool(), Reason: r.str()}
-	case tagCommitReq:
-		out = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
-	case tagCommitResp:
-		out = CommitResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool()}
-	case tagAbortReq:
-		out = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
-	case tagAbortResp:
-		out = AbortResp{ReqID: r.uvarint(), TxID: r.uvarint()}
-	case tagPingReq:
-		out = PingReq{ReqID: r.uvarint(), DeadlineMillis: r.uvarint()}
-	case tagPingResp:
-		out = PingResp{ReqID: r.uvarint(), Site: int(r.varint())}
-	case tagOverloadedResp:
-		out = OverloadedResp{ReqID: r.uvarint(), RetryAfterMillis: r.uvarint()}
-	case tagSyncDigestReq:
-		out = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: r.uvarint()}
-	case tagSyncDigestResp:
-		m := SyncDigestResp{ReqID: r.uvarint()}
+	case TagVersionReq:
+		m.VersionReq = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
+	case TagVersionResp:
+		m.VersionResp = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
+	case TagReadReq:
+		m.ReadReq = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint(), Floor: r.ts()}
+	case TagReadResp:
+		m.ReadResp = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
+	case TagPrepareReq:
+		m.PrepareReq = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: r.uvarint()}
+	case TagPrepareResp:
+		m.PrepareResp = PrepareResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool(), Reason: r.str()}
+	case TagCommitReq:
+		m.CommitReq = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
+	case TagCommitResp:
+		m.CommitResp = CommitResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool()}
+	case TagAbortReq:
+		m.AbortReq = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
+	case TagAbortResp:
+		m.AbortResp = AbortResp{ReqID: r.uvarint(), TxID: r.uvarint()}
+	case TagPingReq:
+		m.PingReq = PingReq{ReqID: r.uvarint(), DeadlineMillis: r.uvarint()}
+	case TagPingResp:
+		m.PingResp = PingResp{ReqID: r.uvarint(), Site: int(r.varint())}
+	case TagOverloadedResp:
+		m.OverloadedResp = OverloadedResp{ReqID: r.uvarint(), RetryAfterMillis: r.uvarint()}
+	case TagSyncDigestReq:
+		m.SyncDigestReq = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: r.uvarint()}
+	case TagSyncDigestResp:
+		d := SyncDigestResp{ReqID: r.uvarint()}
 		if n := r.count(); n > 0 {
-			m.Entries = make([]DigestEntry, n)
-			for i := range m.Entries {
-				m.Entries[i] = DigestEntry{Key: r.str(), TS: r.ts()}
+			d.Entries = make([]DigestEntry, n)
+			for i := range d.Entries {
+				d.Entries[i] = DigestEntry{Key: r.str(), TS: r.ts()}
 			}
 		}
-		m.More = r.bool()
-		out = m
-	case tagSyncFetchReq:
-		m := SyncFetchReq{ReqID: r.uvarint()}
+		d.More = r.bool()
+		m.SyncDigestResp = d
+	case TagSyncFetchReq:
+		f := SyncFetchReq{ReqID: r.uvarint()}
 		if n := r.count(); n > 0 {
-			m.Keys = make([]string, n)
-			for i := range m.Keys {
-				m.Keys[i] = r.str()
+			f.Keys = make([]string, n)
+			for i := range f.Keys {
+				f.Keys[i] = r.str()
 			}
 		}
-		m.DeadlineMillis = r.uvarint()
-		out = m
-	case tagSyncFetchResp:
-		m := SyncFetchResp{ReqID: r.uvarint()}
+		f.DeadlineMillis = r.uvarint()
+		m.SyncFetchReq = f
+	case TagSyncFetchResp:
+		f := SyncFetchResp{ReqID: r.uvarint()}
 		if n := r.count(); n > 0 {
-			m.Items = make([]SyncItem, n)
-			for i := range m.Items {
-				m.Items[i] = SyncItem{Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool()}
+			f.Items = make([]SyncItem, n)
+			for i := range f.Items {
+				f.Items[i] = SyncItem{Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool()}
 			}
 		}
-		out = m
+		m.SyncFetchResp = f
 	default:
-		return nil, fmt.Errorf("wire: unknown message tag %d", tag)
+		return fmt.Errorf("wire: unknown message tag %d", tag)
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("wire: decode tag %d: %w", tag, r.err)
+		return fmt.Errorf("wire: decode tag %d: %w", tag, r.err)
 	}
 	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("wire: decode tag %d: %d trailing bytes", tag, len(r.buf))
+		return fmt.Errorf("wire: decode tag %d: %d trailing bytes", tag, len(r.buf))
 	}
-	return out, nil
+	m.Tag = tag
+	return nil
 }
 
 // Append helpers.

@@ -177,7 +177,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated":        enc[:len(enc)-2],
 		"trailing_bytes":   append(append([]byte(nil), enc...), 0),
 		"bad_bool":         func() []byte { b := append([]byte(nil), enc...); b[len(b)-1] = 7; return b }(),
-		"absurd_slice_len": {Version, tagSyncFetchReq, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"absurd_slice_len": {Version, byte(TagSyncFetchReq), 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {

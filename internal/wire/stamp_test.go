@@ -44,7 +44,8 @@ func wantStamped(msg any, st Stamp) any {
 // TestStampPathsAgree: for every vector and random stamps, the frame Append
 // writes with a stamp is byte for byte the frame of the copy Stamped makes,
 // and both decode to the value the stamp defines. The two stamping switches
-// (Append's, for TCP, and Stamped's, for every other Conn) cannot disagree.
+// (Append's, for TCP, and the holder's, which Stamped fills for every other
+// Conn) cannot disagree.
 func TestStampPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, v := range vectors() {

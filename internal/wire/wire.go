@@ -8,8 +8,9 @@
 // The message set is closed: the encoding enumerates every type with an
 // explicit tag byte, so an unknown payload is an encode-time error rather
 // than a silent interoperability break. New messages are added here, with a
-// new tag, a golden vector and a fuzz seed (and, for a request, a stamping
-// case in Append and in Stamped).
+// new tag, a golden vector, a fuzz seed, a field in a holder (Msg, or Reply
+// for an answer to an rpc request) and a case in every holder switch (and,
+// for a request, a stamping case in Append and in Msg.set).
 package wire
 
 import (
@@ -60,55 +61,15 @@ func (st Stamp) apply(reqID, deadlineMillis *uint64) {
 }
 
 // Stamped returns a copy of payload in a box of its own, st written into it
-// if it is a request: what a Conn that may keep its payload is handed. A
-// payload outside the message set is an error.
+// if it is a request: what a Conn that may keep its payload is handed. It
+// fills a holder and boxes it. A payload outside the message set is an
+// error.
 func Stamped(payload any, st Stamp) (any, error) {
-	switch m := payload.(type) {
-	case VersionReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case ReadReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case PrepareReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case CommitReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case AbortReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case PingReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case SyncDigestReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	case SyncFetchReq:
-		st.apply(&m.ReqID, &m.DeadlineMillis)
-		return m, nil
-	// One case per response too: a shared case (typed any) would not copy.
-	case VersionResp:
-		return m, nil
-	case ReadResp:
-		return m, nil
-	case PrepareResp:
-		return m, nil
-	case CommitResp:
-		return m, nil
-	case AbortResp:
-		return m, nil
-	case PingResp:
-		return m, nil
-	case OverloadedResp:
-		return m, nil
-	case SyncDigestResp:
-		return m, nil
-	case SyncFetchResp:
-		return m, nil
+	var m Msg
+	if err := m.set(payload, st); err != nil {
+		return nil, err
 	}
-	return nil, errNotMessage
+	return m.Box(), nil
 }
 
 // Request/response payloads exchanged between clients and replicas. Every
