@@ -103,8 +103,10 @@ func (r *Replica) gated(from transport.Addr, m *wire.Msg, reqID uint64, limit in
 
 // serveAfter serves an admitted request d from now, from a timer, and then
 // releases its slot; a replica that went down meanwhile stays silent. It
-// takes m by value: the served holder is refilled before the timer fires.
+// takes m by value and owns its key: the served holder is refilled, and the
+// frame its key was a view of overwritten, before the timer fires.
 func (r *Replica) serveAfter(d time.Duration, from transport.Addr, m wire.Msg) {
+	m.Own()
 	g := r.gate
 	g.slowMu.Lock()
 	defer g.slowMu.Unlock()

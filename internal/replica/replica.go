@@ -345,7 +345,8 @@ func (r *Replica) Stats() Stats {
 }
 
 // deliver takes one message from the transport (a transport.Handler: m is
-// valid only for the call). Over TCP it runs on the arriving connection's
+// valid only for the call, and so are its keys when m.Borrowed(); the store
+// clones the one it keeps). Over TCP it runs on the arriving connection's
 // read loop, so deliveries are concurrent and nothing below may block on
 // anything but its own reply Send, a mutex or the journal: waiting for
 // another message would stall the connection that carries it.
@@ -388,7 +389,7 @@ func (r *Replica) handle(from transport.Addr, m *wire.Msg) {
 	case wire.TagCommitReq:
 		req := &m.CommitReq
 		r.instr.serveCommit.Inc()
-		err := r.store.commit(req)
+		err := r.store.commit(req, m.Borrowed())
 		r.reply(from, CommitResp{ReqID: req.ReqID, TxID: req.TxID, OK: err == nil})
 	case wire.TagAbortReq:
 		req := &m.AbortReq
@@ -446,7 +447,7 @@ func (r *Replica) serveGated(from transport.Addr, m *wire.Msg) {
 	case wire.TagPrepareReq:
 		req := &m.PrepareReq
 		r.instr.servePrepare.Inc()
-		ok, reason := r.store.prepare(req, time.Now())
+		ok, reason := r.store.prepare(req, m.Borrowed(), time.Now())
 		if !ok {
 			r.instr.lockRefusals.With(r.instr.site, reason).Inc()
 		}

@@ -242,7 +242,7 @@ func TestLockExpiry(t *testing.T) {
 		{"owner re-prepares while live", 10, ttl / 2, false, true},
 		{"other tx, lock dropped by a crash", 11, 0, true, true},
 	} {
-		if ok, reason := s.prepare(&PrepareReq{TxID: 10, Key: tc.name, TS: Timestamp{Version: 1, Site: -10}}, t0); !ok {
+		if ok, reason := s.prepare(&PrepareReq{TxID: 10, Key: tc.name, TS: Timestamp{Version: 1, Site: -10}}, false, t0); !ok {
 			t.Fatalf("%s: first prepare refused: %s", tc.name, reason)
 		}
 		if tc.crash {
@@ -250,7 +250,7 @@ func TestLockExpiry(t *testing.T) {
 			h.rep.Recover()
 		}
 		req := PrepareReq{TxID: tc.txID, Key: tc.name, TS: Timestamp{Version: 1, Site: -int(tc.txID)}}
-		ok, reason := s.prepare(&req, t0.Add(tc.at))
+		ok, reason := s.prepare(&req, false, t0.Add(tc.at))
 		if ok != tc.ok || (!ok && reason != "locked") {
 			t.Errorf("%s: prepare = %v %q, want %v", tc.name, ok, reason, tc.ok)
 		}

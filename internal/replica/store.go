@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"arbor/internal/obs"
+	"arbor/internal/wire"
 )
 
 // entry is one stored version of a key.
@@ -41,10 +42,22 @@ func NewStore() *Store {
 		lockTTL: 2 * time.Second, journalErrors: new(obs.Counter)}
 }
 
-// lockState is a transaction's prepare lock on one key.
+// lockState is a transaction's prepare lock on one key. key is the string
+// the lock is filed under, which the store owns: commit installs the write
+// under it, so a borrowed key is cloned once per write, by prepare.
 type lockState struct {
+	key     string
 	txID    uint64
 	expires time.Time
+}
+
+// own returns key as one the store may keep, cloned if it is a borrowed view
+// of a frame (wire.Msg.Borrowed). Every map write keeps its key, updates too.
+func own(key string, borrowed bool) string {
+	if borrowed {
+		return wire.Clone(key)
+	}
+	return key
 }
 
 // Get returns the stored value (shared, read-only) and timestamp for key.
@@ -103,33 +116,41 @@ func (s *Store) install(key string, value []byte, ts Timestamp, again bool) (app
 // prepare admits a transaction's phase one unless another holds a lock on
 // the key live at now ("locked") or its timestamp does not supersede the
 // stored one ("stale"), and then takes or renews its lock until now +
-// lockTTL. The caller reads now before the mutex: lockWait starts there.
-func (s *Store) prepare(req *PrepareReq, now time.Time) (ok bool, reason string) {
+// lockTTL. The lock is filed under the key cloned if borrowed, before the
+// mutex: an allocation inside it would hold up every handler of the store.
+// The caller reads now before the mutex: lockWait starts there.
+func (s *Store) prepare(req *PrepareReq, borrowed bool, now time.Time) (ok bool, reason string) {
+	key := own(req.Key, borrowed)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lockWait != nil {
 		s.lockWait.Observe(time.Since(now))
 	}
-	if l, held := s.locks[req.Key]; held && l.txID != req.TxID && now.Before(l.expires) {
+	if l, held := s.locks[key]; held && l.txID != req.TxID && now.Before(l.expires) {
 		return false, "locked"
 	}
-	if e, found := s.data[req.Key]; found && !req.TS.After(e.ts) {
+	if e, found := s.data[key]; found && !req.TS.After(e.ts) {
 		return false, "stale"
 	}
-	s.locks[req.Key] = lockState{txID: req.TxID, expires: now.Add(s.lockTTL)}
+	s.locks[key] = lockState{key: key, txID: req.TxID, expires: now.Add(s.lockTTL)}
 	return true, ""
 }
 
 // commit releases the transaction's lock and installs its write in one
-// critical section, and returns the journal append's error. A commit with no
-// visible lock (expired, or dropped by a crash) still applies: the timestamp
-// order keeps it idempotent. A re-sent commit whose timestamp is already
-// stored is journaled again (replay is idempotent too), so its answer
-// reflects its own append; one a newer write superseded appends nothing.
-func (s *Store) commit(req *CommitReq) error {
+// critical section, under the key the lock was filed under, and returns the
+// journal append's error. A commit with no visible lock (expired, or dropped
+// by a crash; a read repair's) still applies, its key cloned if borrowed:
+// the timestamp order keeps it idempotent. A re-sent commit whose timestamp
+// is already stored is journaled again (replay is idempotent too), so its
+// answer reflects its own append; one a newer write superseded appends
+// nothing.
+func (s *Store) commit(req *CommitReq, borrowed bool) error {
 	s.mu.Lock()
-	s.release(req.Key, req.TxID)
-	_, err := s.install(req.Key, req.Value, req.TS, true)
+	key, held := s.release(req.Key, req.TxID)
+	if !held {
+		key = own(req.Key, borrowed)
+	}
+	_, err := s.install(key, req.Value, req.TS, true)
 	return err
 }
 
@@ -140,11 +161,14 @@ func (s *Store) abort(req *AbortReq) {
 	s.mu.Unlock()
 }
 
-// release drops txID's lock on key, if it holds it; s.mu is held.
-func (s *Store) release(key string, txID uint64) {
-	if l, ok := s.locks[key]; ok && l.txID == txID {
+// release drops txID's lock on key, if it holds it, and returns the key the
+// lock was filed under; s.mu is held.
+func (s *Store) release(key string, txID uint64) (filed string, held bool) {
+	l, ok := s.locks[key]
+	if held = ok && l.txID == txID; held {
 		delete(s.locks, key)
 	}
+	return l.key, held
 }
 
 // dropLocks discards every prepare lock, the volatile state a crash loses.

@@ -78,10 +78,13 @@ type Pending struct {
 	start   time.Time // set only when the latency histogram is on
 }
 
-// waiter is an outstanding request's entry in the pending map.
+// waiter is an outstanding request's entry in the pending map. keyed marks
+// a Call's, whose answer is boxed whole, key included; the engine never
+// reads a reply's key.
 type waiter struct {
 	inbox chan<- Reply
 	tag   int
+	keyed bool
 }
 
 // Caller matches replica replies to outstanding requests by request ID.
@@ -164,6 +167,11 @@ func deliver(w waiter, r *Reply) {
 // as the request's deadline; a spent budget fails locally before any
 // message is sent.
 func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int) (Pending, error) {
+	return c.start(ctx, to, req, waiter{inbox: inbox, tag: tag})
+}
+
+// start is Start with the waiter the reply is routed to.
+func (c *Caller) start(ctx context.Context, to transport.Addr, req Request, w waiter) (Pending, error) {
 	p := Pending{To: to, Timeout: c.timeout}
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
@@ -185,7 +193,7 @@ func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbo
 		c.mu.Unlock()
 		return p, ErrClosed
 	}
-	c.pending[p.ID] = waiter{inbox: inbox, tag: tag}
+	c.pending[p.ID] = w
 	c.mu.Unlock()
 
 	c.calls.Inc()
@@ -259,7 +267,7 @@ var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
 // cancellation, and the matching resolve step. The answer comes back boxed.
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any, error) {
 	inbox := replyChanPool.Get().(chan Reply)
-	p, err := c.Start(ctx, to, req, inbox, 0)
+	p, err := c.start(ctx, to, req, waiter{inbox: inbox, keyed: true})
 	if err != nil {
 		return nil, err
 	}
@@ -303,9 +311,9 @@ func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
 }
 
 // route hands one arrived reply to the inbox of the request it answers,
-// copying the answer out of the served holder. It never blocks, which is
-// what lets a replica's read loop always finish the reply it is writing to
-// this caller.
+// copying the answer out of the served holder: a Call's with its key owned,
+// any other's with no key at all. It never blocks, which is what lets a
+// replica's read loop always finish the reply it is writing to this caller.
 func (c *Caller) route(_ transport.Addr, m *wire.Msg) {
 	id, ok := m.ReqID()
 	if !ok {
@@ -317,9 +325,15 @@ func (c *Caller) route(_ transport.Addr, m *wire.Msg) {
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	if ok {
-		deliver(w, &Reply{Tag: w.tag, ID: id, Resp: m.Reply})
+	if !ok {
+		return
 	}
+	if w.keyed {
+		m.Own()
+	} else {
+		m.DropKeys()
+	}
+	deliver(w, &Reply{Tag: w.tag, ID: id, Resp: m.Reply})
 }
 
 // ReqIDOf extracts the request ID from any answer to an rpc request.

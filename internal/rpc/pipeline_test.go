@@ -136,3 +136,35 @@ func TestPipelinedCallsOverTCP(t *testing.T) {
 		t.Errorf("call after cancellations: %v", err)
 	}
 }
+
+// TestStartedReplyCarriesNoKey: over TCP a reply's key is a view of its
+// frame, and the engine, which never reads it, gets a reply without one;
+// the rest of the answer is its own.
+func TestStartedReplyCarriesNoKey(t *testing.T) {
+	n := transport.NewTCPNetwork()
+	defer n.Close()
+	srv, err := n.Listen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go shuffleEchoServer(srv.(*transport.TCPEndpoint), 1, rand.New(rand.NewSource(7)))
+	cli, err := n.Dial(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCaller(cli, 5*time.Second)
+	defer c.Close()
+
+	inbox := make(chan Reply, 1)
+	p, err := c.Start(context.Background(), 1, replica.ReadReq{Key: "user/42"}, inbox, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-inbox
+	if err := c.Answered(p, &r.Resp); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Resp.ReadResp; r.Tag != 3 || got.Key != "" || string(got.Value) != "user/42" || !got.Found {
+		t.Errorf("started read answered %#v (tag %d), want no key and the value echoed", got, r.Tag)
+	}
+}

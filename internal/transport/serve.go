@@ -6,10 +6,13 @@ import (
 	"arbor/internal/wire"
 )
 
-// Handler consumes one served message, decoded into a holder that is valid
-// only for the call: the transport refills it with the next message, so a
-// handler copies out or boxes (m.Box) what it keeps past the call. The
-// strings and byte slices inside are the handler's to keep.
+// Handler consumes one served message, in a holder that is valid only for
+// the call: the transport refills it with the next message, so a handler
+// copies out or boxes (m.Box) what it keeps past the call. Over TCP the
+// message's key is a view of the frame (wire.Msg.Decode), valid only for the
+// call too: a copy that keeps it is Owned first (m.Own, or wire.Clone where
+// m.Borrowed()); m.Box owns it itself. Every other string and byte slice
+// inside is the handler's to keep.
 type Handler func(from Addr, m *wire.Msg)
 
 // Serve makes h the consumer of every message arriving at c until the
@@ -77,19 +80,29 @@ func (h Handler) serveBoxed(msg Message, m *wire.Msg) {
 	}
 }
 
-// deliver hands a decoded message to the Serve handler, on the calling read
-// loop, or else boxed to the inbox. Read loops share the lock they hold
-// across h.
-func (e *TCPEndpoint) deliver(from, to Addr, m *wire.Msg) {
+// deliver decodes a frame body for whoever consumes it: the Serve handler,
+// on the calling read loop, gets it in holder m, its keys views of body;
+// the inbox gets it owned and boxed (wire.Decode), since a Recv keeps it
+// past any call. Read loops share the lock they hold across h, so the
+// consumer cannot change between the choice and the hand-off.
+func (e *TCPEndpoint) deliver(from, to Addr, body []byte, m *wire.Msg) error {
 	e.serveMu.RLock()
 	defer e.serveMu.RUnlock()
 	if e.handler != nil {
+		if err := m.Decode(body); err != nil {
+			return err
+		}
 		e.handler(from, m)
-		return
+		return nil
+	}
+	payload, err := wire.Decode(body)
+	if err != nil {
+		return err
 	}
 	select {
-	case e.inbox() <- Message{From: from, To: to, Payload: m.Box()}:
+	case e.inbox() <- Message{From: from, To: to, Payload: payload}:
 	default:
 		e.inboxDrops.Add(1) // full and unserved: drop, like the in-memory transport
 	}
+	return nil
 }

@@ -265,11 +265,17 @@ func TestServe(t *testing.T) {
 		var n int
 		stop := Serve(b, func(Addr, *wire.Msg) { n++ })
 		defer stop()
-		var m wire.Msg
-		if err := m.Set(ping(1)); err != nil {
+		// A keyed request: its key is decoded as a view of the body.
+		body, err := wire.Append(nil, wire.ReadReq{ReqID: 1, Key: "user/42"}, wire.Stamp{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { b.deliver(1, 2, &m) }); allocs != 0 {
+		var m wire.Msg
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if err := b.deliver(1, 2, body, &m); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
 			t.Errorf("deliver allocates %.1f objects per message, want 0", allocs)
 		}
 	})

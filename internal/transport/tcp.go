@@ -625,9 +625,9 @@ func (fr *frameReader) release() {
 
 // got takes n bytes just read into space and passes every body they complete
 // to frame, with buf's holder to decode it into. A body is valid only during
-// the call: a view into buf when it fits (Msg.Decode never aliases its
-// input, so nothing decoded outlives it — not even on another connection,
-// whose loop may borrow buf next), else a buffer of exactly its size.
+// the call: a view into buf when it fits, else a buffer of exactly its size.
+// So is every key decoded as a view of it (Msg.Decode): the next frame
+// overwrites buf, on this connection or on whichever borrows buf next.
 func (fr *frameReader) got(n int, frame func([]byte, *wire.Msg) error) error {
 	if fr.big != nil {
 		if fr.big = fr.big[:len(fr.big)+n]; len(fr.big) < cap(fr.big) {
@@ -636,7 +636,7 @@ func (fr *frameReader) got(n int, frame func([]byte, *wire.Msg) error) error {
 		body := fr.big
 		fr.big = nil
 		fr.borrow() // for its holder: buf may have gone back while the body filled
-		return frame(body, &fr.buf.msg)
+		return fr.hand(body, frame)
 	}
 	fr.w += n
 	for {
@@ -657,15 +657,26 @@ func (fr *frameReader) got(n int, frame func([]byte, *wire.Msg) error) error {
 		}
 		body := fr.buf.b[fr.r : fr.r+fr.need]
 		fr.r, fr.need = fr.r+fr.need, 0
-		if err := frame(body, &fr.buf.msg); err != nil {
+		if err := fr.hand(body, frame); err != nil {
 			return err
 		}
 	}
 }
 
-// readLoop decodes one connection's frames, each into the holder it borrows
-// with its read buffer, and delivers each — to the Serve handler on this
-// goroutine, else boxed to the inbox — until the connection dies. On
+// hand passes body to frame with buf's holder. A -race build then overwrites
+// body, so a view of it kept past the call reads garbage and races with the
+// write.
+func (fr *frameReader) hand(body []byte, frame func([]byte, *wire.Msg) error) error {
+	err := frame(body, &fr.buf.msg)
+	if raceEnabled {
+		clear(body)
+	}
+	return err
+}
+
+// readLoop delivers one connection's frames — to the Serve handler on this
+// goroutine, decoded into the holder it borrows with its read buffer, else
+// boxed to the inbox — until the connection dies. On
 // an accepted connection (hello) the first frame is the HELLO, which puts
 // the connection on the dialer's route: replies reuse it, which is how
 // dial-only clients hear back.
@@ -693,8 +704,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr, hello bool) {
 		e.framesIn.Add(1)
 		from, k1 := binary.Varint(frame)
 		to, k2 := binary.Varint(frame[max(k1, 0):])
-		if k1 > 0 && k2 > 0 && m.Decode(frame[k1+k2:]) == nil {
-			e.deliver(Addr(from), Addr(to), m)
+		if k1 > 0 && k2 > 0 && e.deliver(Addr(from), Addr(to), frame[k1+k2:], m) == nil {
 			return nil
 		}
 		// Framing is intact (the length prefix was honored), so a frame that

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,35 @@ func TestTCPSendReceive(t *testing.T) {
 	p, ok := msg.Payload.(wire.ReadReq)
 	if !ok || p.Key != "hello" || p.ReqID != 7 {
 		t.Errorf("payload = %#v", msg.Payload)
+	}
+}
+
+// TestTCPRecvKeysOwned: an endpoint nobody serves hands Recv messages it
+// owns, keys included, so each received message keeps its key after the
+// frames behind it have gone through the same read buffer.
+func TestTCPRecvKeysOwned(t *testing.T) {
+	_, a, b := newTCPPair(t)
+	ts := wire.Timestamp{Version: 2, Site: -1}
+	sent := []any{
+		wire.VersionReq{ReqID: 1, Key: "user/α-01"},
+		wire.VersionResp{ReqID: 2, Key: "user/β-02", TS: ts, Found: true},
+		wire.ReadReq{ReqID: 3, Key: "user/γ-03"},
+		wire.ReadResp{ReqID: 4, Key: "user/δ-04", Value: []byte("v"), TS: ts, Found: true},
+		wire.PrepareReq{ReqID: 5, TxID: 9, Key: "user/ε-05", TS: ts},
+		wire.CommitReq{ReqID: 6, TxID: 9, Key: "user/ζ-06", Value: []byte("v"), TS: ts},
+		wire.AbortReq{ReqID: 7, TxID: 9, Key: "user/η-07"},
+	}
+	var got []any
+	for _, m := range sent {
+		if err := a.Send(2, m); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, recvOne(t, b).Payload)
+	}
+	for i := range sent {
+		if !reflect.DeepEqual(got[i], sent[i]) {
+			t.Errorf("received %#v, want %#v", got[i], sent[i])
+		}
 	}
 }
 

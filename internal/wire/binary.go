@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Version is the wire-format version every frame starts with. Version 2
@@ -206,8 +207,8 @@ func Append(dst []byte, payload any, st Stamp) ([]byte, error) {
 }
 
 // Decode parses one encoded message of the current Version and returns it
-// boxed: Msg.Decode and one allocation for the box, for a consumer that keeps
-// the message.
+// boxed, for a consumer that keeps it: Msg.Decode, then Box, which owns the
+// key — one allocation more for the box.
 func Decode(data []byte) (any, error) {
 	var m Msg
 	if err := m.Decode(data); err != nil {
@@ -216,16 +217,17 @@ func Decode(data []byte) (any, error) {
 	return m.Box(), nil
 }
 
-// Decode parses one encoded message of the current Version into m, the
-// package's one decoder: m.Tag names the message and the field of that name
-// holds it, whole; other fields keep what they held, and on error m holds
-// nothing. The message never aliases data (strings and byte slices are
-// fresh allocations a consumer may keep): the TCP read loop passes a view
-// into a read buffer that the next frame overwrites, on its connection or on
-// whichever borrows the buffer from the shared pool next, and replicas store
-// decoded values as they are — each an allocation of exactly its size.
+// Decode parses one encoded message of the current Version into m, for a
+// handler the holder is lent to: m.Tag names the message and the field of
+// that name holds it, whole; other fields keep what they held, and on error
+// m holds nothing. It is the package's one decoder. A Key is a view of data,
+// which the TCP read loop overwrites after the handler call, so whatever
+// keeps one past the call clones it (Msg.Own, Msg.Borrowed). Every other
+// string and every byte slice is a fresh allocation a consumer may keep:
+// replicas store decoded values as they are, each an allocation of exactly
+// its size.
 func (m *Msg) Decode(data []byte) error {
-	m.Tag = 0
+	m.Tag, m.view = 0, true
 	if len(data) < 2 {
 		return errors.New("wire: short message")
 	}
@@ -236,23 +238,23 @@ func (m *Msg) Decode(data []byte) error {
 	r := reader{buf: data[2:]}
 	switch tag {
 	case TagVersionReq:
-		m.VersionReq = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
+		m.VersionReq = VersionReq{ReqID: r.uvarint(), Key: r.key(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
 	case TagVersionResp:
-		m.VersionResp = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
+		m.VersionResp = VersionResp{ReqID: r.uvarint(), Key: r.key(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case TagReadReq:
-		m.ReadReq = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint(), Floor: r.ts()}
+		m.ReadReq = ReadReq{ReqID: r.uvarint(), Key: r.key(), DeadlineMillis: r.uvarint(), Floor: r.ts()}
 	case TagReadResp:
-		m.ReadResp = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
+		m.ReadResp = ReadResp{ReqID: r.uvarint(), Key: r.key(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case TagPrepareReq:
-		m.PrepareReq = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: r.uvarint()}
+		m.PrepareReq = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.key(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case TagPrepareResp:
 		m.PrepareResp = PrepareResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool(), Reason: r.str()}
 	case TagCommitReq:
-		m.CommitReq = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
+		m.CommitReq = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.key(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case TagCommitResp:
 		m.CommitResp = CommitResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool()}
 	case TagAbortReq:
-		m.AbortReq = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
+		m.AbortReq = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.key(), DeadlineMillis: r.uvarint()}
 	case TagAbortResp:
 		m.AbortResp = AbortResp{ReqID: r.uvarint(), TxID: r.uvarint()}
 	case TagPingReq:
@@ -382,33 +384,38 @@ func (r *reader) count() int {
 	return int(n)
 }
 
-func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
+// field takes the next length-prefixed field off buf, as a view of it.
+func (r *reader) field() []byte {
 	n := r.count()
 	if r.err != nil {
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *reader) str() string { return string(r.field()) }
+
+// key is str for a message's Key, but a view of buf: no copy, and valid only
+// as long as buf is.
+func (r *reader) key() string {
+	b := r.field()
+	if len(b) == 0 {
 		return ""
 	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
+	return unsafe.String(&b[0], len(b))
 }
 
 // bytes copies the field out, so the decoded message never aliases the
 // input buffer; a zero length decodes as nil. Clone appends to nil, which
 // does not clear what it is about to overwrite (make+copy does), then clip.
 func (r *reader) bytes() []byte {
-	if r.err != nil {
+	b := r.field()
+	if len(b) == 0 {
 		return nil
 	}
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := bytes.Clone(r.buf[:n])[:n:n]
-	r.buf = r.buf[n:]
-	return b
+	return bytes.Clone(b)[:len(b):len(b)]
 }
 
 func (r *reader) bool() bool {

@@ -1,5 +1,7 @@
 package wire
 
+import "unsafe"
+
 // Reply holds one answer to an rpc request by value: Tag names the field
 // that holds it. It is what the rpc layer hands the client engine, which
 // keeps it in place of a boxed payload; Msg embeds it, so copying a served
@@ -18,9 +20,12 @@ type Reply struct {
 // Msg holds any one message by value: Tag names the field that holds it, and
 // the other fields are stale. It is what a served frame is decoded into
 // (Msg.Decode), so receiving costs no box. A Msg lent to a consumer is valid
-// only for that call: its holder refills it with the next message. The
-// strings and byte slices inside are fresh allocations the consumer may
-// keep; the message itself it must copy out or Box.
+// only for that call: its holder refills it with the next message, so the
+// consumer copies out or Boxes what it keeps. A decoded Msg's keys are views
+// of the frame, valid only for the call too, and are cloned where they are
+// kept (Own, which Box calls); its other strings and its byte slices are fresh allocations
+// the consumer may keep. A Msg filled by Set shares the sender's strings,
+// which are immutable, and clones nothing.
 type Msg struct {
 	Reply
 	VersionReq     VersionReq
@@ -33,11 +38,71 @@ type Msg struct {
 	SyncDigestResp SyncDigestResp
 	SyncFetchReq   SyncFetchReq
 	SyncFetchResp  SyncFetchResp
+
+	view bool // keys are views of the decoded frame (Decode)
 }
 
+// Borrowed reports whether m's keys are views of the frame Decode filled it
+// from, which whatever keeps one past the handler call must clone.
+func (m *Msg) Borrowed() bool { return m.view }
+
+// Clone returns a copy of s, a key that is a view of a frame, that may be
+// kept: it allocates as decoding into a fresh string does, so a key of one
+// byte costs nothing (the runtime has a string for every byte value), where
+// strings.Clone would allocate.
+func Clone(s string) string { return string(unsafe.Slice(unsafe.StringData(s), len(s))) }
+
+// Own makes the message m holds one that may be kept past the handler call:
+// a key that is a view of the frame is cloned, and the keys of stale fields,
+// views of earlier frames, are dropped. One filled by Set owns its keys
+// already, and so does every message with no fixed-place Key (sync keys,
+// like every string but a Key, are fresh allocations).
+func (m *Msg) Own() {
+	if !m.view {
+		return
+	}
+	m.view = false
+	var key *string
+	switch m.Tag {
+	case TagVersionReq:
+		key = &m.VersionReq.Key
+	case TagVersionResp:
+		key = &m.VersionResp.Key
+	case TagReadReq:
+		key = &m.ReadReq.Key
+	case TagReadResp:
+		key = &m.ReadResp.Key
+	case TagPrepareReq:
+		key = &m.PrepareReq.Key
+	case TagCommitReq:
+		key = &m.CommitReq.Key
+	case TagAbortReq:
+		key = &m.AbortReq.Key
+	case TagPrepareResp, TagCommitResp, TagAbortResp, TagPingReq, TagPingResp, TagOverloadedResp,
+		TagSyncDigestReq, TagSyncDigestResp, TagSyncFetchReq, TagSyncFetchResp:
+		// no key that is a view
+	}
+	var own string
+	if key != nil {
+		own = Clone(*key)
+	}
+	m.DropKeys()
+	m.VersionReq.Key, m.ReadReq.Key, m.PrepareReq.Key, m.CommitReq.Key, m.AbortReq.Key = "", "", "", "", ""
+	if key != nil {
+		*key = own
+	}
+}
+
+// DropKeys clears r's answers' keys, stale fields' included: what a consumer
+// that never reads a reply's key does to its copy of a served one, so no
+// view of the frame outlives the handler call.
+func (r *Reply) DropKeys() { r.VersionResp.Key, r.ReadResp.Key = "", "" }
+
 // Box returns the message m holds in an interface of its own — one
-// allocation — or nil if it holds none.
+// allocation, and a clone of a key that is a view of the frame (Own), so the
+// box may be kept — or nil if it holds none.
 func (m *Msg) Box() any {
+	m.Own()
 	switch m.Tag {
 	case TagVersionReq:
 		return m.VersionReq
@@ -85,6 +150,7 @@ func (m *Msg) Set(payload any) error { return m.set(payload, Stamp{}) }
 // set is Set with st written into a request: the one switch that fills a
 // holder from a box.
 func (m *Msg) set(payload any, st Stamp) error {
+	m.view = false
 	switch p := payload.(type) {
 	case VersionReq:
 		st.apply(&p.ReqID, &p.DeadlineMillis)
