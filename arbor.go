@@ -214,30 +214,6 @@ var (
 	// bucket earning perOp tokens per operation up to burst. Disabled by
 	// default; first attempts are never gated.
 	WithRetryBudget = client.WithRetryBudget
-	// WithOpBudget gives every operation that arrives without a context
-	// deadline a default end-to-end budget, propagated on the wire so
-	// replicas can fast-fail work whose deadline already passed.
-	WithOpBudget = client.WithOpBudget
-)
-
-// ReadOption adjusts a single Client.Read call; WriteOption adjusts a
-// single Client.Write call. Both leave the client's defaults untouched.
-type (
-	ReadOption  = client.ReadOption
-	WriteOption = client.WriteOption
-)
-
-// Per-operation options, re-exported from internal/client.
-var (
-	// ReadWithoutHedge disables hedged backup probes for one read.
-	ReadWithoutHedge = client.ReadWithoutHedge
-	// ReadWithHedgeDelay overrides the hedge delay for one read.
-	ReadWithHedgeDelay = client.ReadWithHedgeDelay
-	// WriteToLevel makes one write try the given physical level first.
-	WriteToLevel = client.WriteToLevel
-	// WriteWithoutHedge disables hedged probes for one write's version
-	// discovery.
-	WriteWithoutHedge = client.WriteWithoutHedge
 )
 
 // Controller is the adaptation controller: it samples the cluster's

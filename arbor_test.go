@@ -73,8 +73,8 @@ func TestFacadeAdvise(t *testing.T) {
 	}
 }
 
-// TestFacadeClientOptions exercises the client-construction and
-// per-operation option surface re-exported by the facade.
+// TestFacadeClientOptions exercises the client-construction options
+// re-exported by the facade, and a pinned write.
 func TestFacadeClientOptions(t *testing.T) {
 	tr, err := arbor.ParseTree("1-2-3")
 	if err != nil {
@@ -97,22 +97,18 @@ func TestFacadeClientOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	wr, err := cli.Write(ctx, "k", []byte("v"), arbor.WriteToLevel(1))
+	wr, err := cli.WriteAt(ctx, "k", []byte("v"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wr.Level != 1 {
 		t.Errorf("pinned write landed on level %d, want 1", wr.Level)
 	}
-	if _, err := cli.Write(ctx, "k", []byte("v2"), arbor.WriteWithoutHedge()); err != nil {
+	if _, err := cli.Write(ctx, "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := cli.Read(ctx, "k", arbor.ReadWithoutHedge())
-	if err != nil || string(rd.Value) != "v2" {
-		t.Fatalf("ReadWithoutHedge = %q, %v", rd.Value, err)
-	}
-	if rd, err = cli.Read(ctx, "k", arbor.ReadWithHedgeDelay(time.Millisecond)); err != nil || string(rd.Value) != "v2" {
-		t.Fatalf("ReadWithHedgeDelay = %q, %v", rd.Value, err)
+	if rd, err := cli.Read(ctx, "k"); err != nil || string(rd.Value) != "v2" {
+		t.Fatalf("Read = %q, %v", rd.Value, err)
 	}
 }
 

@@ -167,19 +167,6 @@ func WithRetryBudget(perOp float64, burst int) Option {
 	return retryBudgetOption{perOp: perOp, burst: burst}
 }
 
-type opBudgetOption time.Duration
-
-func (o opBudgetOption) apply(c *Client) { c.opBudget = time.Duration(o) }
-
-// WithOpBudget bounds each operation's total wall-clock time when the
-// caller's context carries no deadline of its own: reads, writes and pings
-// run under a derived context expiring after d. The budget rides the wire
-// with every request (replicas fast-fail work whose budget is already
-// spent) and sizes every retry and rescue attempt, so a single slow site
-// can never stretch an operation past it. Zero (the default) leaves
-// deadline management entirely to the caller.
-func WithOpBudget(d time.Duration) Option { return opBudgetOption(d) }
-
 type readRepairOption bool
 
 func (o readRepairOption) apply(c *Client) { c.readRepair = bool(o) }
@@ -282,7 +269,6 @@ type Client struct {
 	hedging       bool
 	hedgeDelay    time.Duration
 	breaker       bool
-	opBudget      time.Duration
 	seed          int64
 
 	// budget caps optional retry traffic (nil = budgets disabled).
@@ -376,18 +362,6 @@ func (c *Client) Metrics() Metrics {
 // Close stops reply routing. Outstanding calls fail with ErrClosed.
 func (c *Client) Close() {
 	c.caller.Close()
-}
-
-// opCtx derives the context an operation runs under: when WithOpBudget is
-// set and the caller brought no deadline, the operation gets one. The
-// returned cancel must always be called.
-func (c *Client) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.opBudget > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			return context.WithTimeout(ctx, c.opBudget)
-		}
-	}
-	return ctx, func() {}
 }
 
 // backoff sleeps the attempt's share of a jittered exponential schedule —

@@ -12,6 +12,7 @@ import (
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
 	"arbor/internal/tree"
+	"arbor/internal/wire"
 )
 
 // memHarness wires replicas and one client over the in-memory transport.
@@ -247,6 +248,52 @@ func TestClientWriteInDoubtWhenJournalRefuses(t *testing.T) {
 	}
 	if st := rep.Stats(); st.Commits != 2 || st.JournalErrors != 2 {
 		t.Errorf("replica served %d commits with %d journal errors, want the commit and its one re-send, both refused", st.Commits, st.JournalErrors)
+	}
+}
+
+// TestWriteInDoubtWhenContextEndsDuringCommit: once every member of a level
+// has prepared, the decision is commit, so a context that ends while one
+// member's commit is unacknowledged leaves the write in doubt — it is on the
+// members that answered — not unavailable. A write and a one-key
+// transaction run the same 2PC and must agree.
+func TestWriteInDoubtWhenContextEndsDuringCommit(t *testing.T) {
+	// The first member of every level never answers a commit, so the
+	// transaction meets a silent member whichever level it draws.
+	silentTo := map[transport.Addr]bool{}
+	h := newScriptHarness(t, "1-3-5", func(_ int, m transport.Message) reaction {
+		if _, ok := m.Payload.(wire.CommitReq); ok && silentTo[m.To] {
+			return silent
+		}
+		return answer
+	})
+	for u := 0; u < h.proto.NumPhysicalLevels(); u++ {
+		silentTo[transport.Addr(h.proto.LevelSites(u)[0])] = true
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"WriteAt level 0", func(ctx context.Context) error {
+			_, err := h.cli.WriteAt(ctx, "w", []byte("v"), 0)
+			return err
+		}},
+		{"one-key Txn", func(ctx context.Context) error {
+			txn := h.cli.NewTxn()
+			if err := txn.Write("t", []byte("v")); err != nil {
+				return err
+			}
+			return txn.Commit(ctx)
+		}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := tc.run(ctx)
+		cancel()
+		if !errors.Is(err, ErrInDoubt) {
+			t.Errorf("%s: err = %v, want ErrInDoubt", tc.name, err)
+		}
+	}
+	if m := h.cli.Metrics(); m.Writes != 2 || m.WriteFailures != 0 {
+		t.Errorf("metrics = %+v, want 2 writes and no failures", m)
 	}
 }
 

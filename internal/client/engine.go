@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -155,11 +154,12 @@ func stableSortByBucket[T any](items []T, buckets []int8) {
 // levelHedgeDelay decides whether and when this level may hedge: the
 // configured delay, floored at twice the level's best learned round-trip
 // (a uniformly slow level — e.g. a far zone — must not hedge on every
-// probe), or zero — no hedging — while the level is cold or when the floor
-// reaches the client timeout (the sequential fallback fires then anyway).
-func (c *Client) levelHedgeDelay(lv levelHealth, cfg readConfig) time.Duration {
-	d := max(cfg.hedgeDelay, 2*lv.best)
-	if !lv.known || d >= c.timeout {
+// probe), or zero — no hedging — with hedging disabled, while the level is
+// cold, or when the floor reaches the client timeout (the sequential
+// fallback fires then anyway).
+func (c *Client) levelHedgeDelay(lv levelHealth) time.Duration {
+	d := max(c.hedgeDelay, 2*lv.best)
+	if !c.hedging || !lv.known || d >= c.timeout {
 		return 0
 	}
 	return d
@@ -596,51 +596,6 @@ type flight struct {
 
 var flightPool = sync.Pool{New: func() any { return new(flight) }}
 
-// readShared coalesces concurrent reads of one key through this client
-// into a single quorum assembly (singleflight): the first caller becomes
-// the leader and runs the read; everyone else waits for its result. A
-// follower whose own context is still live retries as leader if the shared
-// attempt died of the leader's context, so one cancelled caller cannot
-// fail the others.
-func (c *Client) readShared(ctx context.Context, key string) (ReadResult, error) {
-	for {
-		c.flightMu.Lock()
-		if f, ok := c.flights[key]; ok {
-			if f.done == nil {
-				f.done = make(chan struct{})
-			}
-			c.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					if ctx.Err() != nil {
-						return ReadResult{}, ctx.Err()
-					}
-					continue // the leader's context died, not the quorum
-				}
-				return c.finishCoalesced(key, f)
-			case <-ctx.Done():
-				return ReadResult{}, ctx.Err()
-			}
-		}
-		f := flightPool.Get().(*flight)
-		c.flights[key] = f
-		c.flightMu.Unlock()
-
-		res, err := c.readDirect(ctx, key, c.readDefaults())
-		c.flightMu.Lock()
-		delete(c.flights, key) // no follower can join after this
-		c.flightMu.Unlock()
-		if f.done == nil {
-			flightPool.Put(f)
-			return res, err
-		}
-		f.res, f.err = res, err // published to the followers by close
-		close(f.done)
-		return res, err
-	}
-}
-
 // finishCoalesced accounts a follower's share of a coalesced read: the
 // operation counts as a read (with zero contacts of its own) and records
 // its trace. The value is handed off zero-copy: every follower shares the
@@ -655,73 +610,3 @@ func (c *Client) finishCoalesced(key string, f *flight) (ReadResult, error) {
 	c.finishRead(op, f.err, 0)
 	return res, f.err
 }
-
-// readConfig is the per-operation shape of a read (or of a write's version
-// discovery): whether hedged backup probes may fire and after how long.
-type readConfig struct {
-	hedge      bool
-	hedgeDelay time.Duration
-}
-
-// readDefaults snapshots the client-level read configuration.
-func (c *Client) readDefaults() readConfig {
-	return readConfig{hedge: c.hedging, hedgeDelay: c.hedgeDelay}
-}
-
-// ReadOption adjusts a single Read call without reconfiguring the client.
-// A read carrying any per-operation option bypasses read coalescing (its
-// result may differ from the shared assembly's).
-type ReadOption interface{ applyRead(*readConfig) }
-
-type readNoHedge struct{}
-
-func (readNoHedge) applyRead(cfg *readConfig) { cfg.hedge = false }
-
-// ReadWithoutHedge disables hedged backup probes for this read: each level
-// probes one site at a time, waiting out the full client timeout before
-// falling back — the protocol's plain sequential strategy.
-func ReadWithoutHedge() ReadOption { return readNoHedge{} }
-
-type readHedgeDelay time.Duration
-
-func (o readHedgeDelay) applyRead(cfg *readConfig) {
-	cfg.hedge = true
-	cfg.hedgeDelay = time.Duration(o)
-}
-
-// ReadWithHedgeDelay overrides the hedge delay for this read (and forces
-// hedging on). The per-level floor of twice the best learned round-trip
-// still applies.
-func ReadWithHedgeDelay(d time.Duration) ReadOption { return readHedgeDelay(d) }
-
-// writeConfig is the per-operation shape of a write.
-type writeConfig struct {
-	read  readConfig // version-discovery probing
-	level int        // preferred first level, anyLevel = engine-ordered
-}
-
-// anyLevel is writeConfig.level when no WriteToLevel was given; any other
-// value outside the protocol's levels, negative ones included, is an error.
-const anyLevel = math.MinInt
-
-// WriteOption adjusts a single Write call without reconfiguring the
-// client.
-type WriteOption interface{ applyWrite(*writeConfig) }
-
-type writeToLevel int
-
-func (o writeToLevel) applyWrite(cfg *writeConfig) { cfg.level = int(o) }
-
-// WriteToLevel makes this write try the given physical level's quorum
-// first (0-based index into the protocol's physical levels), falling back
-// to the other levels only if it cannot be fully prepared — e.g. pinning a
-// hot key's writes to the client's local zone.
-func WriteToLevel(u int) WriteOption { return writeToLevel(u) }
-
-type writeNoHedge struct{}
-
-func (writeNoHedge) applyWrite(cfg *writeConfig) { cfg.read.hedge = false }
-
-// WriteWithoutHedge disables hedged backup probes for this write's version
-// discovery.
-func WriteWithoutHedge() WriteOption { return writeNoHedge{} }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,18 +148,19 @@ func TestOrderedLevelsDeprioritizesFailingMember(t *testing.T) {
 	}
 }
 
-// TestLevelHedgeDelayGating checks the three hedge gates: cold levels never
-// hedge, the delay is floored at twice the level's best round-trip, and a
-// floor at or above the client timeout disables hedging entirely.
+// TestLevelHedgeDelayGating checks the hedge gates: cold levels and a client
+// with hedging disabled never hedge, the delay is floored at twice the
+// level's best round-trip, and a floor at or above the client timeout
+// disables hedging entirely.
 func TestLevelHedgeDelayGating(t *testing.T) {
-	h := newMemHarness(t, "1-2") // 80ms client timeout
+	hedge5 := WithHedgeDelay(5 * time.Millisecond)
+	h := newMemHarness(t, "1-2", hedge5) // 80ms client timeout
 	sites := h.proto.LevelSites(0)
 	addrs := []transport.Addr{transport.Addr(sites[0]), transport.Addr(sites[1])}
-	cfg := readConfig{hedge: true, hedgeDelay: 5 * time.Millisecond}
 
 	// levelHedgeDelay judges the level's health as an ordering pass reads it.
 	hedgeDelay := func(c *Client) time.Duration {
-		return c.levelHedgeDelay(c.book.snapshot(time.Now(), addrs, 0, nil), cfg)
+		return c.levelHedgeDelay(c.book.snapshot(time.Now(), addrs, 0, nil))
 	}
 	if d := hedgeDelay(h.cli); d != 0 {
 		t.Error("cold level must not hedge")
@@ -167,8 +169,14 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	if d := hedgeDelay(h.cli); d != 5*time.Millisecond {
 		t.Errorf("warm level: delay = %v; want 5ms", d)
 	}
+	// With hedging disabled, not even a warm level hedges.
+	off := newMemHarness(t, "1-2", hedge5, WithHedging(false))
+	off.cli.book.observe(time.Now(), addrs[0], outcomeServed, time.Millisecond)
+	if d := hedgeDelay(off.cli); d != 0 {
+		t.Errorf("hedging disabled: delay = %v; want 0", d)
+	}
 	// A best round-trip of 10ms floors the 5ms configured delay to 20ms.
-	h2 := newMemHarness(t, "1-2")
+	h2 := newMemHarness(t, "1-2", hedge5)
 	for i := 0; i < 20; i++ {
 		h2.cli.book.observe(time.Now(), addrs[0], outcomeServed, 10*time.Millisecond)
 	}
@@ -176,7 +184,7 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 		t.Errorf("floored delay = %v; want 20ms", d)
 	}
 	// A uniformly slow level (floor >= timeout) must not hedge at all.
-	h3 := newMemHarness(t, "1-2")
+	h3 := newMemHarness(t, "1-2", hedge5)
 	for i := 0; i < 20; i++ {
 		h3.cli.book.observe(time.Now(), addrs[0], outcomeServed, 60*time.Millisecond)
 	}
@@ -331,19 +339,18 @@ func TestReadCoalescingLateJoin(t *testing.T) {
 	}
 }
 
-// TestWriteToLevelRejectsNegative: a negative level is an error on both
-// write paths, the same error, and nothing is written.
+// TestWriteToLevelRejectsNegative: a negative pinned level is an error that
+// names the level, and nothing is written.
 func TestWriteToLevelRejectsNegative(t *testing.T) {
 	h := newMemHarness(t, "1-2-3")
 	ctx := context.Background()
 	for _, u := range []int{-1, -2} {
-		_, err := h.cli.Write(ctx, "k", []byte("v"), WriteToLevel(u))
+		_, err := h.cli.WriteAt(ctx, "k", []byte("v"), u)
 		if err == nil {
-			t.Fatalf("Write with WriteToLevel(%d) succeeded", u)
+			t.Fatalf("WriteAt(%d) succeeded", u)
 		}
-		_, atErr := h.cli.WriteAt(ctx, "k", []byte("v"), u)
-		if atErr == nil || atErr.Error() != err.Error() {
-			t.Errorf("WriteAt(%d) = %v, Write with WriteToLevel(%d) = %v: want the same error", u, atErr, u, err)
+		if want := fmt.Sprintf("level %d outside", u); !strings.Contains(err.Error(), want) {
+			t.Errorf("WriteAt(%d) = %v; want it to say %q", u, err, want)
 		}
 	}
 	if _, err := h.cli.Read(ctx, "k"); !errors.Is(err, ErrNotFound) {
@@ -351,14 +358,14 @@ func TestWriteToLevelRejectsNegative(t *testing.T) {
 	}
 }
 
-// TestPerOpReadWriteOptions exercises the per-operation options end to end:
-// pinned write levels, out-of-range rejection, and hedge control per read
-// and per write.
+// TestPerOpReadWriteOptions exercises the choices an operation still has end
+// to end: a pinned write level per write, out-of-range rejection, and hedge
+// control, which is set per client (hedging off, or a short hedge delay).
 func TestPerOpReadWriteOptions(t *testing.T) {
 	h := newMemHarness(t, "1-2-3")
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		wr, err := h.cli.Write(ctx, "k", []byte("v"), WriteToLevel(1))
+		wr, err := h.cli.WriteAt(ctx, "k", []byte("v"), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,29 +373,37 @@ func TestPerOpReadWriteOptions(t *testing.T) {
 			t.Fatalf("write %d landed on level %d, want 1", i, wr.Level)
 		}
 	}
-	if _, err := h.cli.Write(ctx, "k", []byte("v"), WriteToLevel(2)); err == nil {
-		t.Error("WriteToLevel(2) on a 2-level protocol must fail")
+	if _, err := h.cli.WriteAt(ctx, "k", []byte("v"), 2); err == nil {
+		t.Error("WriteAt(2) on a 2-level protocol must fail")
 	}
 	if _, err := h.cli.WriteAt(ctx, "k", []byte("v"), -1); err == nil {
 		t.Error("WriteAt(-1) must fail")
 	}
-	if _, err := h.cli.Write(ctx, "k", []byte("v2"), WriteWithoutHedge()); err != nil {
+	if _, err := h.cli.Write(ctx, "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := h.cli.Read(ctx, "k", ReadWithoutHedge())
-	if err != nil || string(rd.Value) != "v2" {
-		t.Fatalf("ReadWithoutHedge = %q, %v", rd.Value, err)
-	}
-	rd, err = h.cli.Read(ctx, "k", ReadWithHedgeDelay(time.Millisecond))
-	if err != nil || string(rd.Value) != "v2" {
-		t.Fatalf("ReadWithHedgeDelay = %q, %v", rd.Value, err)
-	}
-	// Zero-option reads and writes keep their original signatures.
-	if _, err := h.cli.Write(ctx, "k2", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.cli.Read(ctx, "k2"); err != nil {
-		t.Fatal(err)
+	for i, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"hedging off", WithHedging(false)},
+		{"1ms hedge delay", WithHedgeDelay(time.Millisecond)},
+	} {
+		// A second client over the same replicas, configured per case.
+		id := -2 - i
+		ep, err := h.net.Register(transport.Addr(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := New(id, ep, h.proto, WithTimeout(80*time.Millisecond), WithSeed(1), tc.opt)
+		rd, err := cli.Read(ctx, "k")
+		if err != nil || string(rd.Value) != "v2" {
+			t.Fatalf("%s: read = %q, %v; want \"v2\"", tc.name, rd.Value, err)
+		}
+		if _, err := cli.Write(ctx, "k", []byte("v2")); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		cli.Close()
 	}
 }
 
@@ -450,7 +465,7 @@ func TestHedgedVersionDiscovery(t *testing.T) {
 	h2.replicaFor(t, transport.Addr(sites[0])).Crash()
 	for i := 0; i < 10; i++ {
 		start := time.Now()
-		if _, err := h2.cli.Write(ctx, fmt.Sprintf("w%d", i), []byte("v"), WriteToLevel(1)); err != nil {
+		if _, err := h2.cli.WriteAt(ctx, fmt.Sprintf("w%d", i), []byte("v"), 1); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		if d := time.Since(start); d > 120*time.Millisecond {

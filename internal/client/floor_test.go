@@ -145,17 +145,17 @@ func TestHintedReadIsAPlainRead(t *testing.T) {
 			h.cli.floors.put(keyHash(key), floor)
 			before := h.cli.Metrics().ReadRefetches
 
-			got, err := h.cli.readQuorum(ctx, key, nil, h.cli.readDefaults())
+			got, err := h.cli.readQuorum(ctx, key, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-quorum", nil, ref.readDefaults())
+			want, err := ref.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-quorum", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantRefetch := want.Found && floor != (replica.Timestamp{}) && floor.After(want.TS)
 			if wantRefetch {
-				if want, err = ref.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-quorum", nil, ref.readDefaults()); err != nil {
+				if want, err = ref.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-quorum", nil); err != nil {
 					t.Fatal(err)
 				}
 				want.Contacts += levels
@@ -226,7 +226,7 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 	ctx := context.Background()
 	floorOf := func(key string) replica.Timestamp { return h.cli.floors.get(keyHash(key)) }
 
-	clean, err := h.cli.Write(ctx, "k", []byte("v1"), WriteToLevel(0))
+	clean, err := h.cli.WriteAt(ctx, "k", []byte("v1"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 		t.Errorf("floor after a clean write = %v, want %v", got, clean.TS)
 	}
 	h.replicas[0].SetFailPoint(replica.FailOnCommit) // site 1, level 0: votes yes, dies on the commit
-	doubt, err := h.cli.Write(ctx, "k", []byte("v2"), WriteToLevel(0))
+	doubt, err := h.cli.WriteAt(ctx, "k", []byte("v2"), 0)
 	if !errors.Is(err, ErrInDoubt) || !doubt.TS.After(clean.TS) {
 		t.Fatalf("write through a member failing on commit = %v, %v; want in doubt above %v", doubt.TS, err, clean.TS)
 	}
@@ -273,12 +273,12 @@ func TestReadRefetchEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	member, sibling := h.replicas[0], h.replicas[1] // sites 1 and 2: level 0
 
-	old, err := h.cli.Write(ctx, "k", []byte("old"), WriteToLevel(0))
+	old, err := h.cli.WriteAt(ctx, "k", []byte("old"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	member.SetFailPoint(replica.FailOnCommit)
-	if _, err := h.cli.Write(ctx, "k", []byte("new"), WriteToLevel(0)); !errors.Is(err, ErrInDoubt) {
+	if _, err := h.cli.WriteAt(ctx, "k", []byte("new"), 0); !errors.Is(err, ErrInDoubt) {
 		t.Fatalf("write = %v, want in doubt", err)
 	}
 	if !member.Crashed() {

@@ -30,33 +30,64 @@ type ReadResult struct {
 // responsive physical node of every physical level (candidates ordered by
 // the quorum engine's learned site scores, with hedged backup probes when
 // the outstanding probe is overdue) and returns the value with the most
-// recent timestamp. Concurrent option-free reads of the same key through
-// one client coalesce into a single quorum assembly. It fails with
-// ErrReadUnavailable when some level has no responsive replica, and
-// ErrNotFound when the quorum assembled but nobody stores the key.
-func (c *Client) Read(ctx context.Context, key string, opts ...ReadOption) (ReadResult, error) {
-	if len(opts) == 0 {
-		return c.readShared(ctx, key)
+// recent timestamp. It fails with ErrReadUnavailable when some level has no
+// responsive replica, and ErrNotFound when the quorum assembled but nobody
+// stores the key.
+//
+// Concurrent reads of one key through one client coalesce into a single
+// quorum assembly (singleflight): the first caller becomes the leader and
+// runs the read; everyone else waits for its result. A follower whose own
+// context is still live retries as leader if the shared attempt died of the
+// leader's context, so one cancelled caller cannot fail the others.
+func (c *Client) Read(ctx context.Context, key string) (ReadResult, error) {
+	for {
+		c.flightMu.Lock()
+		if f, ok := c.flights[key]; ok {
+			if f.done == nil {
+				f.done = make(chan struct{})
+			}
+			c.flightMu.Unlock()
+			select {
+			case <-f.done:
+				if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+					if ctx.Err() != nil {
+						return ReadResult{}, ctx.Err()
+					}
+					continue // the leader's context died, not the quorum
+				}
+				return c.finishCoalesced(key, f)
+			case <-ctx.Done():
+				return ReadResult{}, ctx.Err()
+			}
+		}
+		f := flightPool.Get().(*flight)
+		c.flights[key] = f
+		c.flightMu.Unlock()
+
+		res, err := c.leadRead(ctx, key)
+		c.flightMu.Lock()
+		delete(c.flights, key) // no follower can join after this
+		c.flightMu.Unlock()
+		if f.done == nil {
+			flightPool.Put(f)
+			return res, err
+		}
+		f.res, f.err = res, err // published to the followers by close
+		close(f.done)
+		return res, err
 	}
-	cfg := c.readDefaults()
-	for _, o := range opts {
-		o.applyRead(&cfg)
-	}
-	return c.readDirect(ctx, key, cfg)
 }
 
-// readDirect runs one full read operation (trace, metrics, quorum) under
-// the given configuration, bypassing coalescing.
-func (c *Client) readDirect(ctx context.Context, key string, cfg readConfig) (ReadResult, error) {
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
+// leadRead runs the leader's read: one full read operation (trace, metrics,
+// quorum).
+func (c *Client) leadRead(ctx context.Context, key string) (ReadResult, error) {
 	c.budget.earnOp()
 	op := c.traces.Start("read", key, c.id)
 	var start time.Time
 	if c.instr != nil {
 		start = time.Now()
 	}
-	res, err := c.readQuorum(ctx, key, op, cfg)
+	res, err := c.readQuorum(ctx, key, op)
 	if err == nil && !res.Found {
 		err = ErrNotFound
 	}
@@ -104,17 +135,17 @@ func (c *Client) finishRead(op *obs.Op, err error, contacts int) {
 // floor it carried its value; below it the floor was wrong for this quorum
 // (a shared table entry, a member that missed a write this client saw) and
 // the quorum is read once more without one, as if there were no table.
-func (c *Client) readQuorum(ctx context.Context, key string, op *obs.Op, cfg readConfig) (ReadResult, error) {
+func (c *Client) readQuorum(ctx context.Context, key string, op *obs.Op) (ReadResult, error) {
 	h := keyHash(key)
 	req := replica.ReadReq{Key: key, Floor: c.floors.get(h)}
-	res, err := c.probeLevels(ctx, req, "read", "read-quorum", op, cfg)
+	res, err := c.probeLevels(ctx, req, "read", "read-quorum", op)
 	if err == nil && res.Found && req.ValueOmitted(res.TS) {
 		c.metrics.readRefetches.Add(1)
 		if c.instr != nil {
 			c.instr.readRefetches.Inc()
 		}
 		hinted := res.Contacts
-		res, err = c.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-refetch", op, cfg)
+		res, err = c.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-refetch", op)
 		res.Contacts += hinted
 	}
 	if err == nil && res.Found {
@@ -125,15 +156,15 @@ func (c *Client) readQuorum(ctx context.Context, key string, op *obs.Op, cfg rea
 
 // discoverVersion is the version-discovery quorum of a write. It neither
 // consults nor feeds the floor table: a write's floor is its clean commit.
-func (c *Client) discoverVersion(ctx context.Context, key string, op *obs.Op, cfg readConfig) (ReadResult, error) {
-	return c.probeLevels(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", "version-discovery", op, cfg)
+func (c *Client) discoverVersion(ctx context.Context, key string, op *obs.Op) (ReadResult, error) {
+	return c.probeLevels(ctx, replica.VersionReq{Key: key, ForWrite: true}, "version", "version-discovery", op)
 }
 
 // probeLevels gathers one response to req per physical level: one assembly
 // with a slot per level, its sites engine-ordered and hedged when warranted.
 // When op is live, every level probe is a LevelAttempt labelled spanPhase on
 // it. The contact count covers every level, failed ones included.
-func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPhase string, op *obs.Op, cfg readConfig) (ReadResult, error) {
+func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPhase string, op *obs.Op) (ReadResult, error) {
 	lt := c.levels.Load()
 	levels, total := len(lt.addrs), lt.sites
 	a := c.newAssembly(ctx, req, phase, total)
@@ -147,11 +178,7 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 		lo, now := len(a.sites), time.Now()
 		var lv levelHealth
 		a.sites, lv = c.orderedSites(now, a.sites, lt, u)
-		var hedgeAfter time.Duration
-		if cfg.hedge {
-			hedgeAfter = c.levelHedgeDelay(lv, cfg)
-		}
-		a.addSlot(now, u, a.sites[lo:len(a.sites):len(a.sites)], false, hedgeAfter, nil)
+		a.addSlot(now, u, a.sites[lo:len(a.sites):len(a.sites)], false, c.levelHedgeDelay(lv), nil)
 	}
 	a.run()
 

@@ -49,15 +49,20 @@ func (p *pinRun) did() {
 
 // ops runs count operations on four keys, every fifth a write. Operations
 // may fail — the script makes some — and only where they sent requests is
-// recorded. With read options every operation is a read.
-func (p *pinRun) ops(count int, opts ...ReadOption) {
+// recorded.
+func (p *pinRun) ops(count int) { p.run(count, true) }
+
+// reads runs count reads on the keys ops would use.
+func (p *pinRun) reads(count int) { p.run(count, false) }
+
+func (p *pinRun) run(count int, writes bool) {
 	ctx := context.Background()
 	for i := 0; i < count; i++ {
 		key := string(rune('w' + p.n%4))
-		if p.n%5 == 4 && len(opts) == 0 {
+		if p.n%5 == 4 && writes {
 			_, _ = p.h.cli.Write(ctx, key, []byte("v"))
 		} else {
-			_, _ = p.h.cli.Read(ctx, key, opts...)
+			_, _ = p.h.cli.Read(ctx, key)
 		}
 		p.did()
 	}
@@ -115,8 +120,11 @@ func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	p.end() // warm
 
 	// A silent primary loses hedge races: scored failed, breaker untouched.
+	// Only this phase hedges, with reads alone.
 	p.mode[hedged] = silent
-	p.ops(15, ReadWithHedgeDelay(pinHedge))
+	p.h.cli.hedgeDelay = pinHedge
+	p.reads(15)
+	p.h.cli.hedgeDelay = time.Hour
 	p.end()
 	p.mode[hedged] = answer
 	p.ops(25)

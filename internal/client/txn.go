@@ -111,8 +111,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(t.writes) == 0 {
 		return nil
 	}
-	ctx, cancel := t.c.opCtx(ctx)
-	defer cancel()
 	t.c.budget.earnOp()
 
 	traceKey := t.order[0]
@@ -135,11 +133,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Per-key timestamps: cached read versions where available, fresh
 	// version discovery otherwise.
-	tss := make(map[string]replica.Timestamp, len(t.writes))
+	var itemBuf [8]commitItem // on the stack unless the transaction is large
+	items := itemBuf[:0]
 	for _, key := range t.order {
 		base, ok := t.reads[key]
 		if !ok {
-			v, err := t.c.discoverVersion(ctx, key, op, t.c.readDefaults())
+			v, err := t.c.discoverVersion(ctx, key, op)
 			if err != nil {
 				err = fmt.Errorf("%w: version discovery for %q: %w", ErrWriteUnavailable, key, err)
 				finish(obs.OutcomeUnavailable, err)
@@ -147,20 +146,20 @@ func (t *Txn) Commit(ctx context.Context) error {
 			}
 			base = v
 		}
-		tss[key] = replica.Timestamp{Version: base.TS.Version + 1, Site: t.c.id}
+		items = append(items, commitItem{key: key, value: t.writes[key], ts: replica.Timestamp{Version: base.TS.Version + 1, Site: t.c.id}})
 	}
 
 	var err error
 	var orderBuf [maxStackLevels]int
 	_, contacts, err = t.c.tryLevels(ctx, t.c.orderedLevels(t.levels, orderBuf[:0], -1), func(u int) (int, error) {
-		return t.commitLevel(ctx, u, tss, op)
+		return t.c.commitLevel(ctx, t.levels.addrs[u], u, items, op)
 	})
 	t.c.metrics.writeContacts.Add(uint64(contacts))
 	switch {
 	case err == nil:
 		t.c.metrics.writes.Add(1)
-		for _, key := range t.order {
-			t.c.floors.put(keyHash(key), tss[key])
+		for _, it := range items {
+			t.c.floors.put(keyHash(it.key), it.ts)
 		}
 		finish(obs.OutcomeOK, nil)
 	case errors.Is(err, ErrInDoubt):
@@ -172,43 +171,4 @@ func (t *Txn) Commit(ctx context.Context) error {
 		finish(obs.OutcomeConflict, err)
 	}
 	return err
-}
-
-// commitLevel prepares every (key, site) pair of level u, then commits them
-// all, aborting everything on any prepare failure. contacts is every
-// prepare sent.
-func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, op *obs.Op) (contacts int, err error) {
-	addrs := t.levels.addrs[u]
-	txID := t.c.txID.Add(1)
-	span := op.Level(u, "write-2pc")
-
-	// Phase 1: prepare every key on every member of the level.
-	for i, key := range t.order {
-		n, err := t.c.prepareAll(ctx, addrs, span, replica.PrepareReq{TxID: txID, Key: key, TS: tss[key]})
-		contacts += n
-		if err != nil {
-			for _, locked := range t.order[:i+1] {
-				t.c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: locked}, false, false).release()
-			}
-			err = fmt.Errorf("level %d key %q: %w", u, key, err)
-			span.Done(false, err)
-			return contacts, err
-		}
-	}
-
-	// Phase 2: the whole transaction is committed; push every key's commit
-	// until acknowledged. A context that ends midway leaves the commit
-	// decision standing and the outcome in doubt.
-	inDoubt := false
-	for _, key := range t.order {
-		acked, _ := t.c.pushCommit(ctx, addrs, span, replica.CommitReq{TxID: txID, Key: key, Value: t.writes[key], TS: tss[key]})
-		inDoubt = inDoubt || !acked
-	}
-	if inDoubt {
-		err := fmt.Errorf("level %d: %w", u, ErrInDoubt)
-		span.Done(false, err)
-		return contacts, err
-	}
-	span.Done(true, nil)
-	return contacts, nil
 }

@@ -34,26 +34,13 @@ type WriteResult struct {
 // engine like a read), increments it, and runs two-phase commit on all
 // physical nodes of one physical level. Levels are tried in the paper's
 // uniform rotation, with levels containing a known-failing member
-// deprioritized (their 2PC would stall on a timeout); per-operation
-// options can pin the first level (WriteToLevel) or disable discovery
-// hedging (WriteWithoutHedge). What is sent is a copy of value: replicas on a
-// by-reference transport store the very slice a commit carries.
-func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...WriteOption) (WriteResult, error) {
+// deprioritized (their 2PC would stall on a timeout). What is sent is a copy
+// of value: replicas on a by-reference transport store the very slice a
+// commit carries.
+func (c *Client) Write(ctx context.Context, key string, value []byte) (WriteResult, error) {
 	lt := c.levels.Load()
-	cfg := writeConfig{read: c.readDefaults(), level: anyLevel}
-	for _, o := range opts {
-		o.applyWrite(&cfg)
-	}
-	pin := -1
-	if cfg.level != anyLevel {
-		if cfg.level < 0 || cfg.level >= len(lt.addrs) {
-			return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, len(lt.addrs))
-		}
-		pin = cfg.level
-	}
 	var orderBuf [maxStackLevels]int
-	order := c.orderedLevels(lt, orderBuf[:0], pin)
-	return c.writeWithOrder(ctx, key, bytes.Clone(value), lt, order, cfg.read)
+	return c.write(ctx, key, bytes.Clone(value), lt, c.orderedLevels(lt, orderBuf[:0], -1))
 }
 
 // WriteAt performs a write preferring the given physical level's quorum
@@ -61,16 +48,18 @@ func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...Wr
 // other levels only if that level cannot be fully prepared. Pinning hot
 // keys' writes to a specific level (e.g. the client's local zone in a
 // geo-replicated layout) trades the uniform strategy's balanced load for
-// locality. It is shorthand for Write with WriteToLevel(level).
+// locality. A level outside the protocol's is an error.
 func (c *Client) WriteAt(ctx context.Context, key string, value []byte, level int) (WriteResult, error) {
-	return c.Write(ctx, key, value, WriteToLevel(level))
+	lt := c.levels.Load()
+	if level < 0 || level >= len(lt.addrs) {
+		return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", level, len(lt.addrs))
+	}
+	var orderBuf [maxStackLevels]int
+	return c.write(ctx, key, bytes.Clone(value), lt, c.orderedLevels(lt, orderBuf[:0], level))
 }
 
-// writeWithOrder runs the write protocol trying levels in the given order,
-// with version discovery shaped by rcfg.
-func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, lt *levelTable, order []int, rcfg readConfig) (res WriteResult, err error) {
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
+// write runs the write protocol trying levels in the given order.
+func (c *Client) write(ctx context.Context, key string, value []byte, lt *levelTable, order []int) (res WriteResult, err error) {
 	c.budget.earnOp()
 	op := c.traces.Start("write", key, c.id)
 	var start time.Time
@@ -95,7 +84,7 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, l
 	// Phase 0 (§3.2.2): obtain the highest version number. This needs a
 	// read-shaped quorum, so a write inherits the read operation's
 	// availability requirement for its version-discovery step.
-	ver, err := c.discoverVersion(ctx, key, op, rcfg)
+	ver, err := c.discoverVersion(ctx, key, op)
 	res.Contacts = ver.Contacts
 	if err != nil {
 		c.metrics.writeFailures.Add(1)
@@ -105,8 +94,9 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, l
 	}
 	ts := replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}
 
+	items := [1]commitItem{{key: key, value: value, ts: ts}}
 	level, contacts, err := c.tryLevels(ctx, order, func(u int) (int, error) {
-		return c.writeLevel(ctx, lt.addrs[u], u, key, value, ts, op)
+		return c.commitLevel(ctx, lt.addrs[u], u, items[:], op)
 	})
 	res.Contacts += contacts
 	c.metrics.writeContacts.Add(uint64(contacts))
@@ -165,29 +155,49 @@ func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int)
 	return 0, contacts, err
 }
 
-// writeLevel runs two-phase commit over addrs, every physical node of level u,
-// recording the attempt (prepare, commit and abort contacts) on the trace.
-// contacts is every replica a prepare was sent to; phase two targets the
-// same members and is not counted again.
-func (c *Client) writeLevel(ctx context.Context, addrs []transport.Addr, u int, key string, value []byte, ts replica.Timestamp, op *obs.Op) (contacts int, err error) {
+// commitItem is one key of a two-phase commit: its prepare locks key at ts,
+// its commit installs value.
+type commitItem struct {
+	key   string
+	value []byte
+	ts    replica.Timestamp
+}
+
+// commitLevel runs two-phase commit of items over addrs, every physical node
+// of level u, recording the attempt (prepare, commit and abort contacts) on
+// the trace: it prepares each item on every member in turn, aborts the
+// items prepared so far on the first refusal, and once all are prepared
+// pushes every commit. contacts is every prepare sent; phase two targets
+// the same members and is not counted again.
+func (c *Client) commitLevel(ctx context.Context, addrs []transport.Addr, u int, items []commitItem, op *obs.Op) (contacts int, err error) {
 	txID := c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
 
-	// Phase 1: prepare everywhere, in parallel.
-	contacts, err = c.prepareAll(ctx, addrs, span, replica.PrepareReq{TxID: txID, Key: key, TS: ts})
-	if err != nil {
-		// Release whatever we locked and report the level as unusable. Best
-		// effort: a member that cannot be reached (its breaker open, its
-		// reply late) drops the lock when it expires.
-		c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: key}, false, false).release()
-		err = fmt.Errorf("level %d: %w", u, err)
-		span.Done(false, err)
-		return contacts, err
+	// Phase 1: prepare each item everywhere, in parallel.
+	for i := range items {
+		n, err := c.prepareAll(ctx, addrs, span, replica.PrepareReq{TxID: txID, Key: items[i].key, TS: items[i].ts})
+		contacts += n
+		if err != nil {
+			// Release whatever we locked and report the level as unusable.
+			// Best effort: a member that cannot be reached (its breaker
+			// open, its reply late) drops the lock when it expires.
+			for _, it := range items[:i+1] {
+				c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: it.key}, false, false).release()
+			}
+			err = fmt.Errorf("level %d key %q: %w", u, items[i].key, err)
+			span.Done(false, err)
+			return contacts, err
+		}
 	}
 
-	// Phase 2: all replicas prepared — the transaction is committed.
-	acked, err := c.pushCommit(ctx, addrs, span, replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts})
-	if err == nil && !acked {
+	// Phase 2: every member prepared every item — the transaction is
+	// committed, so a commit not acknowledged, even for want of time, leaves
+	// the outcome in doubt, never unavailable.
+	acked := true
+	for _, it := range items {
+		acked = c.pushCommit(ctx, addrs, span, replica.CommitReq{TxID: txID, Key: it.key, Value: it.value, TS: it.ts}) && acked
+	}
+	if !acked {
 		err = fmt.Errorf("level %d: %w", u, ErrInDoubt)
 	}
 	span.Done(err == nil, err)
@@ -225,12 +235,11 @@ func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *o
 // commit — through open breakers: every prepared member must hear the
 // decision — and those that did not acknowledge it, or answered that their
 // journal refused it (CommitResp.OK false), are sent it again after a
-// backoff, until all have or the retries run out. A re-send spends a
-// retry-budget token; with the bucket dry the outcome stays in doubt rather
-// than storming (the decision is durable on every replica that did
+// backoff, until all have, the retries run out or ctx ends. A re-send spends
+// a retry-budget token; with the bucket dry the outcome stays in doubt
+// rather than storming (the decision is durable on every replica that did
 // acknowledge, and lock expiry plus anti-entropy finish the stragglers).
-// err is non-nil when ctx ended before a round could be sent.
-func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.CommitReq) (acked bool, err error) {
+func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.CommitReq) (acked bool) {
 	for attempt := 0; attempt <= c.commitRetries; attempt++ {
 		if attempt > 0 {
 			if !c.budget.spend() {
@@ -239,12 +248,12 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 				}
 				break
 			}
-			if err := c.backoff(ctx, attempt-1, "commit", 0); err != nil {
-				return false, err
+			if c.backoff(ctx, attempt-1, "commit", 0) != nil {
+				return false
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			return false, err
+		if ctx.Err() != nil {
+			return false
 		}
 		a := c.fanout(ctx, addrs, span, "commit", req, true, false)
 		var unacked []transport.Addr
@@ -255,17 +264,15 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 		}
 		a.release()
 		if len(unacked) == 0 {
-			return true, nil
+			return true
 		}
 		addrs = unacked
 	}
-	return false, nil
+	return false
 }
 
 // Ping probes one replica site, returning nil if it answers in time.
 func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
 	op := c.traces.Start("ping", "", c.id)
 	var start time.Time
 	if c.instr != nil {

@@ -66,7 +66,7 @@ func TestInFlightWriteFaultWindows(t *testing.T) {
 				c.Replica(s).SetFailPoint(tc.point)
 			}
 
-			wr, err := cli.Write(ctx, "k", []byte("v1"), client.WriteToLevel(0))
+			wr, err := cli.WriteAt(ctx, "k", []byte("v1"), 0)
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("write error = %v, want errors.Is(err, %v)", err, tc.wantErr)

@@ -34,7 +34,7 @@ func TestRetryBudgetBoundsRetryStorm(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			// Level 1 contains the saturated site 8, so every write sheds
 			// there and needs a fallback to succeed.
-			_, err := cli.Write(ctx, fmt.Sprintf("k%d", i), []byte("v"), client.WriteToLevel(1))
+			_, err := cli.WriteAt(ctx, fmt.Sprintf("k%d", i), []byte("v"), 1)
 			if err != nil {
 				lastErr = err
 			}

@@ -1,8 +1,7 @@
 // Package rpc provides the request/response plumbing protocol clients use
 // over the message transport: request-ID allocation, reply routing,
 // asynchronous requests (Start and its resolve step) and the blocking Call
-// built on them. Both the arbitrary-protocol client and the tree-quorum
-// comparator client use it.
+// built on them. The protocol client (internal/client) uses it.
 package rpc
 
 import (
