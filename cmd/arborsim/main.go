@@ -51,84 +51,78 @@ func main() {
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("arborsim", flag.ContinueOnError)
-	var (
-		runs    = fs.Int("runs", 20, "campaign runs; run i uses seed+i")
-		seed    = fs.Int64("seed", 1, "base seed")
-		spec    = fs.String("spec", "1-3-5", "replica tree spec")
-		profile = fs.String("profile", "balanced", "workload profile: mostly-read|mostly-write|balanced")
-		ops     = fs.Int("ops", 60, "client operations per run")
-		faults  = fs.Int("faults", 6, "fault events per run")
-		clients = fs.Int("clients", 2, "protocol clients per run")
-		keys    = fs.Int("keys", 4, "key-population size")
-		timeout = fs.Duration("timeout", 40*time.Millisecond, "client failure-detection deadline")
-		ae      = fs.Bool("antientropy", false, "recover replicas through anti-entropy catch-up and enforce the durability margin")
-		over    = fs.Bool("overload", false, "add a derived overload stretch per run (saturate window + occasional graceful drain)")
-		adapt   = fs.Bool("adapt", false, "run the adaptation controller during each run (live migrations under chaos)")
-		every   = fs.Int("adapt-every", 0, "op stride between controller steps (default 10)")
-		phases  = fs.String("phases", "", `workload phases "profile:ops[,profile:ops...]" (overrides -profile and -ops)`)
-		scen    = fs.String("scenario", "", "replay a .arb scenario file (or every *.arb in a directory) and check its expect assertions")
-		artDir  = fs.String("artifacts", ".", "directory for failing scenarios' decision journals (with -scenario)")
-		out     = fs.String("o", "arborsim-repro.arb", "write the shrunk reproducer here on campaign failure (replay it with -scenario)")
-		journal = fs.String("journal", "arborsim-journal.json", "write the failing run's decision journal here on campaign failure (with -adapt)")
-		trace   = fs.Bool("trace", false, "print the per-op trace")
-		self    = fs.Bool("selftest", false, "inject a WAL-replay bug and verify the campaign catches it")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *scen != "" {
-		return replayScenarios(*scen, *artDir, *trace)
-	}
-	cfg := sim.Config{
-		Spec:        *spec,
-		Seed:        *seed,
-		Profile:     sim.Profile(*profile),
-		Ops:         *ops,
-		Faults:      *faults,
-		Clients:     *clients,
-		Keys:        *keys,
-		Timeout:     *timeout,
-		AntiEntropy: *ae,
-		Overload:    *over,
-		Adapt:       *adapt,
-		AdaptEvery:  *every,
-	}
-	if _, err := cfg.Profile.ReadFraction(); err != nil {
-		return err
-	}
-	if *phases != "" {
-		ps, err := sim.ParsePhases(*phases)
-		if err != nil {
-			return err
-		}
-		cfg.Phases = ps
-	}
-	if *self {
-		return selftest(cfg, *runs)
-	}
-	return campaign(cfg, *runs, *out, *journal, *trace)
+// options are the command line: a run spec plus what to do with it.
+type options struct {
+	spec                sim.Spec
+	runs                int
+	scenario, artifacts string
+	out, journal        string
+	trace, selftest     bool
 }
 
-func campaign(cfg sim.Config, runs int, out, journal string, trace bool) error {
-	rep, err := sim.Campaign(cfg, runs)
+// parseFlags fills the run spec from the flags, the same sim.Spec a .arb
+// file describes.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("arborsim", flag.ContinueOnError)
+	fs.IntVar(&o.runs, "runs", 20, "campaign runs; run i uses seed+i")
+	fs.Int64Var(&o.spec.Seed, "seed", 1, "base seed")
+	fs.StringVar(&o.spec.Tree, "spec", "1-3-5", "replica tree spec")
+	fs.StringVar((*string)(&o.spec.Profile), "profile", "balanced", "workload profile: mostly-read|mostly-write|balanced")
+	fs.IntVar(&o.spec.Ops, "ops", 60, "client operations per run")
+	fs.IntVar(&o.spec.Faults, "faults", 6, "fault events per run (0: none)")
+	fs.IntVar(&o.spec.Clients, "clients", 2, "protocol clients per run")
+	fs.IntVar(&o.spec.Keys, "keys", 4, "key-population size")
+	fs.DurationVar(&o.spec.Timeout, "timeout", 40*time.Millisecond, "client failure-detection deadline")
+	fs.BoolVar(&o.spec.AntiEntropy, "antientropy", false, "recover replicas through anti-entropy catch-up and enforce the durability margin")
+	fs.BoolVar(&o.spec.Overload, "overload", false, "add a derived overload stretch per run (saturate window + occasional graceful drain)")
+	fs.BoolVar(&o.spec.Adapt, "adapt", false, "run the adaptation controller during each run (live migrations under chaos)")
+	fs.IntVar(&o.spec.AdaptEvery, "adapt-every", 0, "op stride between controller steps (default 10)")
+	fs.Func("phases", `workload phases "profile:ops[,profile:ops...]" (overrides -profile and -ops)`, func(v string) (err error) {
+		o.spec.Phases, err = sim.ParsePhases(v)
+		return err
+	})
+	fs.StringVar(&o.scenario, "scenario", "", "replay a .arb scenario file (or every *.arb in a directory) and check its expect assertions")
+	fs.StringVar(&o.artifacts, "artifacts", ".", "directory for failing scenarios' decision journals (with -scenario)")
+	fs.StringVar(&o.out, "o", "arborsim-repro.arb", "write the shrunk reproducer here on campaign failure (replay it with -scenario)")
+	fs.StringVar(&o.journal, "journal", "arborsim-journal.json", "write the failing run's decision journal here on campaign failure (with -adapt)")
+	fs.BoolVar(&o.trace, "trace", false, "print the per-op trace")
+	fs.BoolVar(&o.selftest, "selftest", false, "inject a WAL-replay bug and verify the campaign catches it")
+	err := fs.Parse(args)
+	return o, err
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	switch {
+	case err != nil:
+		return err
+	case o.scenario != "":
+		return replayScenarios(o.scenario, o.artifacts, o.trace)
+	case o.selftest:
+		return selftest(o.spec, o.runs)
+	}
+	return campaign(o.spec, o.runs, o.out, o.journal, o.trace)
+}
+
+func campaign(spec sim.Spec, runs int, out, journal string, trace bool) error {
+	rep, err := sim.Campaign(spec, runs)
 	if err != nil {
 		return err
 	}
 	mode := "instant recovery"
-	if cfg.AntiEntropy {
+	if spec.AntiEntropy {
 		mode = "anti-entropy recovery"
 	}
 	fmt.Printf("campaign: %d runs, %d ops, %d faults injected (spec %s, profile %s, seed %d, %s)\n",
-		rep.Runs, rep.OpsExecuted, rep.FaultsInjected, rep.Cfg.Spec, rep.Cfg.Profile, rep.Cfg.Seed, mode)
-	if !cfg.AntiEntropy {
+		rep.Runs, rep.OpsExecuted, rep.FaultsInjected, spec.Tree, spec.Profile, spec.Seed, mode)
+	if !spec.AntiEntropy {
 		fmt.Printf("campaign: %d durability-margin gap(s) across %d run(s)\n", rep.MarginGaps, rep.GappedRuns)
 	}
-	if cfg.Adapt {
+	if spec.Adapt {
 		fmt.Printf("campaign: %d controller-driven reconfiguration(s)\n", rep.Reconfigurations)
 	}
-	if cfg.Overload {
+	if spec.Overload {
 		fmt.Printf("campaign: %d replica shed(s), %d op(s) failed overloaded\n", rep.Sheds, rep.Overloaded)
 	}
 	if rep.Failure == nil {
@@ -148,7 +142,7 @@ func campaign(cfg sim.Config, runs int, out, journal string, trace bool) error {
 	// With the controller live, the failing run's decision journal is part
 	// of the evidence: persist it next to the reproducer so CI can archive
 	// both and a human can see which migrations surrounded the violation.
-	if cfg.Adapt {
+	if spec.Adapt {
 		data, err := json.MarshalIndent(f.Decisions, "", "  ")
 		if err != nil {
 			return fmt.Errorf("encode decision journal: %w", err)
@@ -203,7 +197,7 @@ func replayScenario(path, artifacts string, trace bool) error {
 	if err != nil {
 		return err
 	}
-	in, err := spec.Compile()
+	in, err := sim.BuildInput(spec.Spec)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -235,7 +229,7 @@ func replayScenario(path, artifacts string, trace bool) error {
 	for _, f := range fails {
 		fmt.Printf("scenario %s: FAIL %s\n", name, f)
 	}
-	if in.Cfg.Adapt {
+	if spec.Adapt {
 		data, err := json.MarshalIndent(res.AdaptDecisions, "", "  ")
 		if err != nil {
 			return fmt.Errorf("%s: encode decision journal: %w", path, err)
@@ -251,9 +245,9 @@ func replayScenario(path, artifacts string, trace bool) error {
 // selftest proves the harness end to end: with WAL replay skipped on
 // restart, a campaign must find a lost acknowledged write and shrink the
 // fault schedule to at most five events.
-func selftest(cfg sim.Config, runs int) error {
-	cfg.SkipWALReplay = true
-	rep, err := sim.Campaign(cfg, runs)
+func selftest(spec sim.Spec, runs int) error {
+	spec.SkipWALReplay = true
+	rep, err := sim.Campaign(spec, runs)
 	if err != nil {
 		return err
 	}

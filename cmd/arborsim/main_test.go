@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -95,7 +97,7 @@ func TestRunAdaptiveCampaignClean(t *testing.T) {
 // that -scenario replays to the same failure.
 func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	cfg := sim.Config{
+	spec := sim.Spec{
 		Seed:          1,
 		Ops:           25,
 		Faults:        5,
@@ -107,7 +109,7 @@ func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 	}
 	out := filepath.Join(dir, "repro.arb")
 	journal := filepath.Join(dir, "journal.json")
-	err := campaign(cfg, 15, out, journal, false)
+	err := campaign(spec, 15, out, journal, false)
 	if err == nil {
 		t.Fatal("campaign missed the injected WAL-replay bug")
 	}
@@ -123,11 +125,87 @@ func TestCampaignWritesDecisionJournalOnFailure(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("reproducer not written: %v", rerr)
 	}
-	spec, perr := scenario.Parse(string(text))
-	if perr != nil || spec.String() != string(text) {
+	repro, perr := scenario.Parse(string(text))
+	if perr != nil || repro.String() != string(text) {
 		t.Fatalf("reproducer is not a canonical scenario (parse err %v):\n%s", perr, text)
 	}
 	if err := run([]string{"-scenario", out, "-artifacts", dir}); err == nil {
 		t.Errorf("replaying the written reproducer reported no violation:\n%s", text)
 	}
+}
+
+// TestRunFaultsZeroInjectsNone: -faults 0 generates no fault events, as a
+// scenario without a faults line does.
+func TestRunFaultsZeroInjectsNone(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"-runs", "2", "-ops", "20", "-faults", "0", "-timeout", "30ms",
+			"-o", filepath.Join(t.TempDir(), "repro.arb")})
+	})
+	if !strings.Contains(out, "2 runs, 40 ops, 0 faults injected") {
+		t.Errorf("campaign with -faults 0 reported:\n%s", out)
+	}
+}
+
+// TestFlagsMatchScenario: a flag set and the .arb text saying the same
+// build the identical run, because both fill the one sim.Spec.
+func TestFlagsMatchScenario(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		arb  string
+	}{
+		{"defaults", nil, "tree 1-3-5\nseed 1\nops 60\nprofile balanced\nfaults 6\ntimeout 40ms\n"},
+		{"plain", []string{"-seed", "3", "-ops", "50", "-faults", "4", "-profile", "mostly-read", "-keys", "3",
+			"-clients", "3", "-timeout", "30ms", "-antientropy", "-overload"},
+			"tree 1-3-5\nseed 3\nops 50\nprofile mostly-read\nkeys 3\nclients 3\nfaults 4\ntimeout 30ms\nantientropy\noverload\n"},
+		{"phased", []string{"-spec", "1-8", "-seed", "7", "-adapt", "-adapt-every", "5",
+			"-phases", "mostly-read:40,mostly-write:30:zipf1.2"},
+			"tree 1-8\nseed 7\nfaults 6\nadapt every 5\nphase mostly-read 40\nphase mostly-write 30 zipf 1.2\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := parseFlags(c.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := scenario.Parse(c.arb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromFlags, err := sim.BuildInput(o.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromFile, err := sim.BuildInput(spec.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromFlags, fromFile) {
+				t.Errorf("flags and .arb build different runs:\n%+v\n%+v", fromFlags.Spec, fromFile.Spec)
+			}
+		})
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	return out
 }

@@ -36,27 +36,38 @@ func (c *Cluster) Checkpoint(dir string) error {
 }
 
 // writeSnapshot snapshots the store into path atomically (temp file +
-// rename).
+// rename) and durably: the file is synced before the rename, so the new
+// name never points at data a power loss could drop, and the directory is
+// synced after it, so the rename itself survives.
 func writeSnapshot(path string, st *replica.Store) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := st.Snapshot(f); err != nil {
-		_ = f.Close()
+	err = st.Snapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // RestoreCheckpoint merges per-site snapshots from dir into the replicas.

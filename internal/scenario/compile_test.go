@@ -13,13 +13,12 @@ import (
 	"arbor/internal/adapt"
 	"arbor/internal/cluster"
 	"arbor/internal/sim"
-	"arbor/internal/tree"
 )
 
 // TestCompileLowersOntoSim pins the lowering contract: unset faults mean
-// none, latency classes become the per-site RTT map over the physical
-// levels, and explicit fault lines merge tick-ordered with the generated
-// schedule (here: with the phase markers).
+// none, the latency matrix reaches the run as declared (sim lowers it onto
+// sites when it builds the cluster), and explicit fault lines merge
+// tick-ordered with the generated schedule (here: with the phase markers).
 func TestCompileLowersOntoSim(t *testing.T) {
 	spec, err := Parse(strings.Join([]string{
 		"tree 1-3-5",
@@ -35,33 +34,20 @@ func TestCompileLowersOntoSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := spec.Compile()
+	c, err := sim.BuildInput(spec.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Cfg.Faults != -1 {
-		t.Errorf("Faults = %d, want -1 (scenarios inject only what they declare)", c.Cfg.Faults)
+	if c.Spec.Faults != 0 {
+		t.Errorf("Faults = %d, want 0 (scenarios inject only what they declare)", c.Spec.Faults)
 	}
-	if c.Cfg.Latency != time.Millisecond {
-		t.Errorf("Latency = %v, want 1ms", c.Cfg.Latency)
+	want := sim.Latency{
+		Base:   time.Millisecond,
+		Levels: []sim.LevelRTT{{Level: 0, RTT: 2 * time.Millisecond}, {Level: 1, RTT: 4 * time.Millisecond}},
+		Sites:  []sim.SiteRTT{{Site: 4, RTT: 8 * time.Millisecond}},
 	}
-	// Tree 1-3-5: level-0 sites get 2ms, level-1 sites 4ms, site 4's
-	// override wins.
-	tr, err := tree.ParseSpec("1-3-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	phys := tr.PhysicalLevels()
-	want := map[tree.SiteID]time.Duration{}
-	for _, s := range tr.LevelSites(phys[0]) {
-		want[s] = 2 * time.Millisecond
-	}
-	for _, s := range tr.LevelSites(phys[1]) {
-		want[s] = 4 * time.Millisecond
-	}
-	want[4] = 8 * time.Millisecond
-	if !reflect.DeepEqual(c.Cfg.SiteRTT, want) {
-		t.Errorf("SiteRTT = %v, want %v", c.Cfg.SiteRTT, want)
+	if !reflect.DeepEqual(c.Spec.Latency, want) {
+		t.Errorf("Latency = %+v, want %+v", c.Spec.Latency, want)
 	}
 	// The merged schedule holds the two phase markers and the crash, in
 	// tick order.
@@ -87,50 +73,57 @@ func TestCompileLowersOntoSim(t *testing.T) {
 }
 
 // TestCompileExpandsRamps: a ramp becomes interpolated numeric-profile
-// steps whose endpoints are the From and To fractions and whose op
-// counts sum to the ramp's.
+// steps — visible as one workload= marker per step — whose endpoints are
+// the From and To fractions and whose op counts sum to the ramp's.
 func TestCompileExpandsRamps(t *testing.T) {
-	spec, err := Parse("tree 1-8\nramp mostly-read mostly-write 42 steps 4\n")
-	if err != nil {
-		t.Fatal(err)
+	steps := func(text string) (profiles []sim.Profile, ops []int) {
+		t.Helper()
+		spec, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sim.BuildInput(spec.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range c.Events {
+			if sim.IsMarker(ev) {
+				profiles = append(profiles, sim.Profile(ev.Workload))
+				ops = append(ops, int(ev.At/time.Millisecond))
+			}
+		}
+		ops = append(ops, len(c.Ops))
+		for i := range profiles {
+			ops[i] = ops[i+1] - ops[i]
+		}
+		return profiles, ops[:len(profiles)]
 	}
-	c, err := spec.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := c.Cfg.Phases
+	ps, ops := steps("tree 1-8\nramp mostly-read mostly-write 42 steps 4\n")
 	if len(ps) != 4 {
-		t.Fatalf("ramp expanded to %d phases, want 4: %+v", len(ps), ps)
+		t.Fatalf("ramp expanded to %d phases, want 4: %v", len(ps), ps)
 	}
 	total := 0
-	for _, p := range ps {
-		total += p.Ops
+	for _, n := range ops {
+		total += n
 	}
 	if total != 42 {
 		t.Errorf("ramp ops sum to %d, want 42", total)
 	}
-	first, err := ps[0].Profile.ReadFraction()
+	first, err := ps[0].ReadFraction()
 	if err != nil || first != 0.9 {
 		t.Errorf("first step reads %v of the time (err %v), want 0.9", first, err)
 	}
-	last, err := ps[3].Profile.ReadFraction()
+	last, err := ps[3].ReadFraction()
 	if err != nil || last != 0.1 {
 		t.Errorf("last step reads %v of the time (err %v), want 0.1", last, err)
 	}
-	mid, err := ps[1].Profile.ReadFraction()
+	mid, err := ps[1].ReadFraction()
 	if err != nil || mid <= 0.1 || mid >= 0.9 {
 		t.Errorf("middle step reads %v of the time (err %v), want strictly between", mid, err)
 	}
 	// A default-steps ramp shorter than the default still expands.
-	spec, err = Parse("tree 1-8\nramp mostly-read mostly-write 2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, err = spec.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Cfg.Phases) != 2 {
-		t.Errorf("2-op ramp expanded to %d phases, want 2", len(c.Cfg.Phases))
+	if ps, _ := steps("tree 1-8\nramp mostly-read mostly-write 2\n"); len(ps) != 2 {
+		t.Errorf("2-op ramp expanded to %d phases, want 2", len(ps))
 	}
 }
 
@@ -207,7 +200,7 @@ func TestScenarioGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := spec.Compile()
+			c, err := sim.BuildInput(spec.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +247,7 @@ func reproduce(t *testing.T, in sim.Input) (string, sim.Input) {
 	if len(back.Expects) != 0 || back.Faults != 0 {
 		t.Errorf("reproducer declares expects or generated faults:\n%s", text)
 	}
-	c, err := back.Compile()
+	c, err := sim.BuildInput(back.Spec)
 	if err != nil {
 		t.Fatalf("reproducer does not compile: %v\n%s", err, text)
 	}
@@ -295,7 +288,7 @@ func TestReproducerRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := spec.Compile()
+			c, err := sim.BuildInput(spec.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,46 +298,41 @@ func TestReproducerRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	base := sim.Config{
+	base := sim.Spec{
 		Seed: 9, Ops: 30, Faults: 4, Keys: 3, Clients: 2,
 		Timeout: 30 * time.Millisecond, LockTTL: 500 * time.Millisecond,
 	}
 	generated := []struct {
 		name  string
-		tweak func(*sim.Config)
+		tweak func(*sim.Spec)
 		lines []string
 	}{
-		{"antientropy", func(c *sim.Config) { c.AntiEntropy = true }, []string{"antientropy"}},
-		{"phases+adapt", func(c *sim.Config) {
-			c.Spec, c.Adapt = "1-8", true
-			c.Phases = []sim.PhaseSpec{{Profile: sim.ProfileMostlyRead, Ops: 40}, {Ops: 30}, {Profile: "r0.7", Ops: 20, Zipf: 1.2}}
+		{"antientropy", func(c *sim.Spec) { c.AntiEntropy = true }, []string{"antientropy"}},
+		{"phases+adapt", func(c *sim.Spec) {
+			c.Tree, c.Adapt = "1-8", true
+			c.Phases = []sim.Phase{{Profile: sim.ProfileMostlyRead, Ops: 40}, {Ops: 30}, {Profile: "r0.7", Ops: 20, Zipf: 1.2}}
 		}, []string{"tree 1-8", "adapt every 10", "phase mostly-read 40", "phase balanced 30", "phase r0.7 20 zipf 1.2"}},
-		{"latency+zipf+sitertt", func(c *sim.Config) {
-			c.Zipf, c.Latency, c.Jitter, c.JitterDist = 1.4, time.Millisecond, 500*time.Microsecond, "pareto"
-			c.SiteRTT = map[tree.SiteID]time.Duration{5: 8 * time.Millisecond, 1: 2 * time.Millisecond}
+		{"latency+zipf+sitertt", func(c *sim.Spec) {
+			c.Zipf = 1.4
+			c.Latency = sim.Latency{Base: time.Millisecond, Jitter: 500 * time.Microsecond, Dist: "pareto",
+				Sites: []sim.SiteRTT{{Site: 1, RTT: 2 * time.Millisecond}, {Site: 5, RTT: 8 * time.Millisecond}}}
 		}, []string{"zipf 1.4", "latency base 1ms", "latency jitter 500µs", "latency dist pareto", "latency site 1 2ms", "latency site 5 8ms"}},
-		{"overload", func(c *sim.Config) { c.Overload = true }, nil},
-		{"bug", func(c *sim.Config) { c.SkipWALReplay = true }, []string{"bug skip-wal-replay"}},
+		{"overload", func(c *sim.Spec) { c.Overload = true }, nil},
+		{"bug", func(c *sim.Spec) { c.SkipWALReplay = true }, []string{"bug skip-wal-replay"}},
 	}
 	for _, g := range generated {
 		t.Run(g.name, func(t *testing.T) {
-			cfg := base
-			g.tweak(&cfg)
-			in, err := sim.BuildInput(cfg)
+			spec := base
+			g.tweak(&spec)
+			in, err := sim.BuildInput(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			again := check(t, in, g.lines...)
-			got, want := again.Cfg, in.Cfg
-			got.Faults, got.Overload, want.Faults, want.Overload = 0, false, 0, false // carried as explicit events
-			want.Phases = append([]sim.PhaseSpec(nil), want.Phases...)
-			for i, p := range want.Phases {
-				if p.Profile == "" {
-					want.Phases[i].Profile = sim.ProfileBalanced // what the empty profile means
-				}
-			}
+			got, want := again.Spec, in.Spec
+			want.Faults, want.Overload = 0, false // carried as explicit events
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("config differs after the round trip:\n%+v\n%+v", want, got)
+				t.Errorf("spec differs after the round trip:\n%+v\n%+v", want, got)
 			}
 			// What the shrinker does: fewer ops and fewer faults, both by
 			// removal only; the phase markers stay.
@@ -369,13 +357,13 @@ func TestReproducerRoundTrip(t *testing.T) {
 // and the same trace, line for line, as the input it was written from —
 // with a phased workload too, whose markers the file does not carry.
 func TestShrunkReproducerReplays(t *testing.T) {
-	for name, phases := range map[string][]sim.PhaseSpec{
+	for name, phases := range map[string][]sim.Phase{
 		"plain":  nil,
 		"phased": {{Profile: sim.ProfileMostlyWrite, Ops: 15}, {Profile: sim.ProfileBalanced, Ops: 10}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := sim.Campaign(sim.Config{
+			rep, err := sim.Campaign(sim.Spec{
 				Seed: 1, Ops: 25, Faults: 5, Keys: 3, Clients: 2, Phases: phases,
 				Timeout: 30 * time.Millisecond, SkipWALReplay: true,
 			}, 15)
@@ -440,7 +428,7 @@ func TestScenarioCorpusReplaysGreen(t *testing.T) {
 			if !reflect.DeepEqual(spec, reparsed) {
 				t.Fatalf("canonical round trip changed the spec of %s", name)
 			}
-			c, err := spec.Compile()
+			c, err := sim.BuildInput(spec.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}

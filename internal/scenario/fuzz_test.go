@@ -27,6 +27,7 @@ func FuzzParseScenario(f *testing.F) {
 		"tree 1-x\nops 10\n",
 		"tree 1-3-5\nops 10\nexpect margin-gaps >=\n",
 		"tree 1-3-5\nops 10\nlatency level 9 1ms\n",
+		"tree 1-3-5\nops 40\nfaults 3\nantientropy\noverload\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

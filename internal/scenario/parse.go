@@ -172,14 +172,18 @@ func Parse(text string) (*Spec, error) {
 				}
 				s.Keep = append(s.Keep, k)
 			}
-		case "antientropy":
-			if err := once("antientropy"); err != nil {
+		case "antientropy", "overload":
+			if err := once(f[0]); err != nil {
 				return nil, err
 			}
 			if len(f) != 1 {
-				return nil, errf("antientropy takes no argument")
+				return nil, errf("%s takes no argument", f[0])
 			}
-			s.AntiEntropy = true
+			if f[0] == "antientropy" {
+				s.AntiEntropy = true
+			} else {
+				s.Overload = true
+			}
 		case "adapt":
 			if err := once("adapt"); err != nil {
 				return nil, err
@@ -341,7 +345,7 @@ func parseLatency(f []string, s *Spec, seen map[string]bool, errf func(string, .
 		if err != nil || d <= 0 {
 			return errf("latency level %d needs a positive rtt, not %q", lv, f[3])
 		}
-		s.Latency.Levels = append(s.Latency.Levels, LevelRTT{Level: lv, RTT: d})
+		s.Latency.Levels = append(s.Latency.Levels, sim.LevelRTT{Level: lv, RTT: d})
 	case "site":
 		if len(f) != 4 {
 			return errf("latency site needs <site> <rtt>")
@@ -357,60 +361,60 @@ func parseLatency(f []string, s *Spec, seen map[string]bool, errf func(string, .
 		if err != nil || d <= 0 {
 			return errf("latency site %d needs a positive rtt, not %q", site, f[3])
 		}
-		s.Latency.Sites = append(s.Latency.Sites, SiteRTT{Site: tree.SiteID(site), RTT: d})
+		s.Latency.Sites = append(s.Latency.Sites, sim.SiteRTT{Site: tree.SiteID(site), RTT: d})
 	default:
 		return errf("unknown latency subdirective %q (want base, jitter, dist, level or site)", f[1])
 	}
 	return nil
 }
 
-func parsePhase(f []string, errf func(string, ...any) error) (Phase, error) {
+func parsePhase(f []string, errf func(string, ...any) error) (sim.Phase, error) {
 	if len(f) != 3 && !(len(f) == 5 && f[3] == "zipf") {
-		return Phase{}, errf("phase needs <profile> <ops> [zipf <s>]")
+		return sim.Phase{}, errf("phase needs <profile> <ops> [zipf <s>]")
 	}
-	p := Phase{Profile: sim.Profile(f[1])}
+	p := sim.Phase{Profile: sim.Profile(f[1])}
 	if _, err := p.Profile.ReadFraction(); err != nil {
-		return Phase{}, errf("phase: %v", err)
+		return sim.Phase{}, errf("phase: %v", err)
 	}
 	ops, err := strconv.Atoi(f[2])
 	if err != nil || ops <= 0 {
-		return Phase{}, errf("phase needs a positive op count, not %q", f[2])
+		return sim.Phase{}, errf("phase needs a positive op count, not %q", f[2])
 	}
 	p.Ops = ops
 	if len(f) == 5 {
 		z, err := strconv.ParseFloat(f[4], 64)
 		if err != nil || z <= 1 {
-			return Phase{}, errf("phase zipf needs a skew > 1, not %q", f[4])
+			return sim.Phase{}, errf("phase zipf needs a skew > 1, not %q", f[4])
 		}
 		p.Zipf = z
 	}
 	return p, nil
 }
 
-func parseRamp(f []string, errf func(string, ...any) error) (Phase, error) {
-	p := Phase{Ramp: true}
+func parseRamp(f []string, errf func(string, ...any) error) (sim.Phase, error) {
+	p := sim.Phase{Ramp: true}
 	if len(f) < 4 {
-		return Phase{}, errf("ramp needs <from> <to> <ops> [steps <n>] [zipf <s>]")
+		return sim.Phase{}, errf("ramp needs <from> <to> <ops> [steps <n>] [zipf <s>]")
 	}
 	p.From, p.To = sim.Profile(f[1]), sim.Profile(f[2])
 	for _, prof := range []sim.Profile{p.From, p.To} {
 		if _, err := prof.ReadFraction(); err != nil {
-			return Phase{}, errf("ramp: %v", err)
+			return sim.Phase{}, errf("ramp: %v", err)
 		}
 	}
 	ops, err := strconv.Atoi(f[3])
 	if err != nil || ops < 2 {
-		return Phase{}, errf("ramp needs an op count >= 2, not %q", f[3])
+		return sim.Phase{}, errf("ramp needs an op count >= 2, not %q", f[3])
 	}
 	p.Ops = ops
 	rest := f[4:]
 	if len(rest) >= 2 && rest[0] == "steps" {
 		n, err := strconv.Atoi(rest[1])
 		if err != nil || n < 2 {
-			return Phase{}, errf("ramp steps needs a count >= 2, not %q", rest[1])
+			return sim.Phase{}, errf("ramp steps needs a count >= 2, not %q", rest[1])
 		}
 		if n > p.Ops {
-			return Phase{}, errf("ramp steps %d exceeds its %d ops", n, p.Ops)
+			return sim.Phase{}, errf("ramp steps %d exceeds its %d ops", n, p.Ops)
 		}
 		p.Steps = n
 		rest = rest[2:]
@@ -418,13 +422,13 @@ func parseRamp(f []string, errf func(string, ...any) error) (Phase, error) {
 	if len(rest) >= 2 && rest[0] == "zipf" {
 		z, err := strconv.ParseFloat(rest[1], 64)
 		if err != nil || z <= 1 {
-			return Phase{}, errf("ramp zipf needs a skew > 1, not %q", rest[1])
+			return sim.Phase{}, errf("ramp zipf needs a skew > 1, not %q", rest[1])
 		}
 		p.Zipf = z
 		rest = rest[2:]
 	}
 	if len(rest) != 0 {
-		return Phase{}, errf("ramp needs <from> <to> <ops> [steps <n>] [zipf <s>]")
+		return sim.Phase{}, errf("ramp needs <from> <to> <ops> [steps <n>] [zipf <s>]")
 	}
 	return p, nil
 }
@@ -488,10 +492,7 @@ func (s *Spec) validate() error {
 	if len(s.Phases) > 0 && (s.Ops != 0 || s.Profile != "" || s.Zipf != 0) {
 		return fmt.Errorf("scenario: ops, profile and zipf conflict with phase/ramp lines (phases define the workload)")
 	}
-	ops := s.Ops
-	for _, p := range s.Phases {
-		ops += p.Ops
-	}
+	ops := s.TotalOps()
 	if n := len(s.Keep); n > 0 && s.Keep[n-1] >= ops {
 		return fmt.Errorf("scenario: keep index %d: the workload has ops 0..%d", s.Keep[n-1], ops-1)
 	}

@@ -79,6 +79,11 @@ func TestParseScenarioTable(t *testing.T) {
 			want: "tree 1-3-5\nops 10\nantientropy\n",
 		},
 		{
+			name: "overload renders after antientropy",
+			in:   "tree 1-3-5\noverload\nops 10\nantientropy\n",
+			want: "tree 1-3-5\nops 10\nantientropy\noverload\n",
+		},
+		{
 			name: "reproducer: bug and keep render in canonical position",
 			in:   "tree 1-2\nfault 4ms:restart\nkeep 0,2,3\nbug skip-wal-replay\nops 4\n",
 			want: "tree 1-2\nops 4\nbug skip-wal-replay\nkeep 0,2,3\nfault 4ms:restart\n",
@@ -208,6 +213,16 @@ func TestParseScenarioTable(t *testing.T) {
 			name: "antientropy with an argument",
 			in:   "tree 1-3-5\nops 10\nantientropy on\n",
 			err:  "scenario: line 3: antientropy takes no argument",
+		},
+		{
+			name: "overload with an argument",
+			in:   "tree 1-3-5\nops 10\noverload 3\n",
+			err:  "scenario: line 3: overload takes no argument",
+		},
+		{
+			name: "duplicate overload",
+			in:   "tree 1-3-5\nops 10\noverload\noverload\n",
+			err:  "scenario: line 4: duplicate overload directive",
 		},
 		{
 			name: "adapt with garbage",
@@ -544,6 +559,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 		"lockttl 2s",
 		"bug skip-wal-replay",
 		"antientropy",
+		"overload",
 		"adapt every 10",
 		"latency base 1ms",
 		"latency jitter 500us",
@@ -561,7 +577,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != -7 || !spec.AntiEntropy || spec.AdaptEvery != 10 || !spec.SkipWALReplay {
+	if spec.Seed != -7 || !spec.AntiEntropy || !spec.Overload || spec.AdaptEvery != 10 || !spec.SkipWALReplay {
 		t.Errorf("scalar fields wrong: %+v", spec)
 	}
 	if len(spec.Phases) != 2 || !spec.Phases[1].Ramp || spec.Phases[1].Steps != 4 {

@@ -5,13 +5,14 @@
 // fault schedule, and the expected outcome. Parse reads the line-oriented
 // syntax with the same closed-world rigor as internal/wire (unknown or
 // duplicate directives are errors, every reference is validated against
-// the declared tree), String renders the canonical form (parse→format→
-// parse is a fixpoint, fuzz-verified), and Compile lowers the spec onto
-// the deterministic chaos harness: a fully-derived sim.Input whose
-// generated events are merged with the scenario's explicit fault lines. Check then judges a finished run against the expect
-// assertions, so a scenarios/ corpus replays green or explains why not.
-// FromInput goes the other way — a shrunk failing run written back as a
-// scenario — so the .arb file is the only textual description of a run.
+// the declared tree), and String renders the canonical form (parse→format→
+// parse is a fixpoint, fuzz-verified). What a file describes is a sim.Spec,
+// the harness's one run type, which sim.BuildInput turns into a
+// fully-derived run; a scenario adds only its name and its expect lines.
+// Check judges a finished run against the expect assertions, so a
+// scenarios/ corpus replays green or explains why not. FromInput goes the
+// other way — a shrunk failing run written back as a scenario — so the
+// .arb file is the only textual description of a run.
 //
 // A scenario file looks like:
 //
@@ -48,108 +49,28 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"arbor/internal/cluster"
 	"arbor/internal/sim"
-	"arbor/internal/tree"
 )
 
-// Spec is one parsed scenario. The zero value of every field means "not
-// written in the file": String omits it and Compile falls back to the
-// harness defaults, so a Spec round-trips structurally through its
-// canonical rendering.
+// Spec is one parsed scenario: a named run description plus the outcome
+// it expects. The zero value of every run field means "not written in the
+// file": String omits it and sim.BuildInput falls back to the harness
+// defaults, so a Spec round-trips structurally through its canonical
+// rendering.
 type Spec struct {
 	// Name is the scenario's identifier (the scenario directive).
 	Name string
-	// Tree is the canonical replica-tree spec, e.g. "1-3-5". Required.
-	Tree string
-	// Seed drives every generator in the lowered run.
-	Seed int64
-	// Ops/Profile/Zipf describe a plain (unphased) workload; they conflict
-	// with phase and ramp lines.
-	Ops     int
-	Profile sim.Profile
-	Zipf    float64
-	// Keys and Clients size the workload population.
-	Keys    int
-	Clients int
-	// Faults asks the harness for that many generated fault events on top
-	// of the explicit fault lines. Unset means none: a scenario injects
-	// only what it declares.
-	Faults int
-	// Timeout and LockTTL tune the cluster.
-	Timeout time.Duration
-	LockTTL time.Duration
-	// SkipWALReplay arms the self-test's durability defect (the bug
-	// skip-wal-replay directive): restarts discard the journals.
-	SkipWALReplay bool
-	// AntiEntropy recovers replicas through the catch-up path and turns
-	// durability-margin gaps into hard violations.
-	AntiEntropy bool
-	// Adapt runs the adaptation controller, stepped every AdaptEvery ops.
-	Adapt      bool
-	AdaptEvery int
-	// Latency is the network geometry.
-	Latency Latency
-	// Phases is the workload timeline, in file order.
-	Phases []Phase
-	// Keep lists, ascending, the op indices a shrunk run retains of the
-	// generated stream (ops keep their index, so write values and fault
-	// ticks stay aligned). Nil keeps every op; empty ("keep -") keeps none.
-	Keep []int
-	// Schedule is the explicit fault schedule, the concatenation of the
-	// file's fault lines in cluster.Schedule syntax.
-	Schedule cluster.Schedule
+	// Spec is the run. Tree is required; ops/profile/zipf conflict with
+	// phase and ramp lines, and faults asks for generated fault events on
+	// top of the explicit fault lines (unset means none: a scenario
+	// injects only what it declares).
+	sim.Spec
 	// Expects are the outcome assertions, in file order.
 	Expects []Expect
 }
 
-// Latency is the scenario's network geometry: a base+jitter pair applied
-// to every message, plus per-level and per-site round-trip classes that
-// lower onto the transport's link-latency hook (a message to or from a
-// listed site pays RTT/2 each way; site entries override level entries).
-type Latency struct {
-	Base   time.Duration
-	Jitter time.Duration
-	// Dist names the jitter distribution (uniform, exponential, pareto).
-	Dist string
-	// Levels holds per-physical-level RTT classes, ascending by level.
-	Levels []LevelRTT
-	// Sites holds per-site RTT overrides, ascending by site.
-	Sites []SiteRTT
-}
-
-// LevelRTT assigns one RTT class to every site of physical level Level
-// (0-based over the tree's physical levels, root side first).
-type LevelRTT struct {
-	Level int
-	RTT   time.Duration
-}
-
-// SiteRTT assigns an RTT class to a single site.
-type SiteRTT struct {
-	Site tree.SiteID
-	RTT  time.Duration
-}
-
-// Phase is one workload timeline entry: either a plain phase drawing from
-// Profile for Ops operations, or (Ramp set) a diurnal ramp interpolating
-// the read fraction from From to To across Steps equal slices of Ops.
-type Phase struct {
-	Ramp    bool
-	Profile sim.Profile // plain phase
-	From    sim.Profile // ramp endpoints
-	To      sim.Profile
-	Ops     int
-	// Steps is the ramp's interpolation resolution; 0 means the compile
-	// default (4, clamped to Ops).
-	Steps int
-	// Zipf, when > 1, skews the phase's key popularity (flash crowd).
-	Zipf float64
-}
-
-func (p Phase) line() string {
+func phaseLine(p sim.Phase) string {
 	if p.Ramp {
 		s := fmt.Sprintf("ramp %s %s %d", p.From, p.To, p.Ops)
 		if p.Steps != 0 {
@@ -236,6 +157,9 @@ func (s *Spec) String() string {
 	if s.AntiEntropy {
 		b.WriteString("antientropy\n")
 	}
+	if s.Overload {
+		b.WriteString("overload\n")
+	}
 	if s.Adapt {
 		if s.AdaptEvery != 0 {
 			fmt.Fprintf(&b, "adapt every %d\n", s.AdaptEvery)
@@ -259,7 +183,7 @@ func (s *Spec) String() string {
 		fmt.Fprintf(&b, "latency site %d %s\n", sr.Site, sr.RTT)
 	}
 	for _, p := range s.Phases {
-		b.WriteString(p.line())
+		b.WriteString(phaseLine(p))
 		b.WriteByte('\n')
 	}
 	if s.Keep != nil {

@@ -10,20 +10,19 @@ import (
 	"arbor/internal/cluster"
 )
 
-// flipConfig is a fault-free phased run: read-heavy on the read-optimized
+// flipSpec is a fault-free phased run: read-heavy on the read-optimized
 // tree, a write-heavy flip, then back. Steps land every 10 ops with a
 // 3-sample window, so each phase is long enough for warm-up, hysteresis
 // and (after the first migration) probation plus cooldown.
-func flipConfig(seed int64) Config {
-	return Config{
-		Spec:    "1-8",
+func flipSpec(seed int64) Spec {
+	return Spec{
+		Tree:    "1-8",
 		Seed:    seed,
-		Faults:  -1,
 		Keys:    3,
 		Clients: 2,
 		Timeout: 30 * time.Millisecond,
 		LockTTL: 500 * time.Millisecond,
-		Phases: []PhaseSpec{
+		Phases: []Phase{
 			{Profile: ProfileMostlyRead, Ops: 40},
 			{Profile: ProfileMostlyWrite, Ops: 60},
 			{Profile: ProfileMostlyRead, Ops: 80},
@@ -37,7 +36,7 @@ func flipConfig(seed int64) Config {
 // MOSTLY-WRITE when the phase flips, and back when it flips again, with
 // zero invariant violations and every reconfiguration journaled.
 func TestSimAdaptationFollowsWorkloadFlip(t *testing.T) {
-	in, err := BuildInput(flipConfig(11))
+	in, err := BuildInput(flipSpec(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +81,9 @@ func TestSimAdaptationFollowsWorkloadFlip(t *testing.T) {
 // TestSimAdaptationDeterministic extends the harness's determinism promise
 // to controller decisions: identical inputs yield identical journals.
 func TestSimAdaptationDeterministic(t *testing.T) {
-	cfg := flipConfig(5)
-	cfg.Faults = 3 // chaos on, so controller retries are exercised too
-	in, err := BuildInput(cfg)
+	spec := flipSpec(5)
+	spec.Faults = 3 // chaos on, so controller retries are exercised too
+	in, err := BuildInput(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +111,20 @@ func TestSimAdaptationDeterministic(t *testing.T) {
 // controller live: crashes, partitions and restarts interleave with live
 // migrations, and one-copy semantics must survive all of it.
 func TestSimAdaptationCampaignHoldsInvariants(t *testing.T) {
-	cfg := Config{
+	spec := Spec{
 		Seed:    1,
 		Faults:  4,
 		Keys:    3,
 		Clients: 2,
 		Timeout: 30 * time.Millisecond,
 		LockTTL: 500 * time.Millisecond,
-		Phases: []PhaseSpec{
+		Phases: []Phase{
 			{Profile: ProfileMostlyRead, Ops: 30},
 			{Profile: ProfileMostlyWrite, Ops: 50},
 		},
 		Adapt: true,
 	}
-	rep, err := Campaign(cfg, 3)
+	rep, err := Campaign(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestParsePhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []PhaseSpec{{Profile: ProfileMostlyRead, Ops: 30}, {Profile: ProfileMostlyWrite, Ops: 50}}
+	want := []Phase{{Profile: ProfileMostlyRead, Ops: 30}, {Profile: ProfileMostlyWrite, Ops: 50}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Errorf("ParsePhases = %+v, want %+v", ps, want)
 	}
@@ -157,7 +156,7 @@ func TestParsePhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = []PhaseSpec{{Profile: ProfileBalanced, Ops: 20, Zipf: 1.4}, {Profile: "r0.7", Ops: 10}}
+	want = []Phase{{Profile: ProfileBalanced, Ops: 20, Zipf: 1.4}, {Profile: "r0.7", Ops: 10}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Errorf("ParsePhases with zipf = %+v, want %+v", ps, want)
 	}
@@ -172,14 +171,15 @@ func TestParsePhases(t *testing.T) {
 // TestPhasedOpsShiftMix: the generated stream actually changes mix at the
 // phase boundary.
 func TestPhasedOpsShiftMix(t *testing.T) {
-	cfg := Config{
-		Seed: 2,
-		Phases: []PhaseSpec{
+	spec := Spec{
+		Seed:   2,
+		Faults: 6,
+		Phases: []Phase{
 			{Profile: ProfileMostlyRead, Ops: 100},
 			{Profile: ProfileMostlyWrite, Ops: 100},
 		},
 	}
-	in, err := BuildInput(cfg)
+	in, err := BuildInput(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

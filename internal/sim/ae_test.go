@@ -8,18 +8,18 @@ import (
 	"arbor/internal/cluster"
 )
 
-// aeConfig is testConfig with the anti-entropy recovery path armed.
-func aeConfig(seed int64) Config {
-	cfg := testConfig(seed)
-	cfg.AntiEntropy = true
-	return cfg
+// aeSpec is testSpec with the anti-entropy recovery path armed.
+func aeSpec(seed int64) Spec {
+	spec := testSpec(seed)
+	spec.AntiEntropy = true
+	return spec
 }
 
 // TestSimAntiEntropyDeterministic: catch-up runs to completion at event
 // boundaries, so arming anti-entropy must not cost the harness its core
 // promise — identical traces and verdicts across identical runs.
 func TestSimAntiEntropyDeterministic(t *testing.T) {
-	in, err := BuildInput(aeConfig(3))
+	in, err := BuildInput(aeSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSimAntiEntropyDeterministic(t *testing.T) {
 // holds the newest acknowledged version of every key — the campaign must see
 // zero durability-margin violations.
 func TestSimAntiEntropyCampaignHoldsMargin(t *testing.T) {
-	rep, err := Campaign(aeConfig(1), 3)
+	rep, err := Campaign(aeSpec(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSimAntiEntropyCampaignHoldsMargin(t *testing.T) {
 // nothing ever back-fills it. The gaps are reported, not violations: the
 // protocol stays correct, which is exactly what makes them worth measuring.
 func TestSimInstantRecoveryLeavesGaps(t *testing.T) {
-	rep, err := Campaign(testConfig(1), 3)
+	rep, err := Campaign(testSpec(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestSimInstantRecoveryLeavesGaps(t *testing.T) {
 // ticks against the same sites and differ only in the recovery verb, so an
 // experiment comparing them is apples-to-apples.
 func TestAntiEntropySchedulesAlign(t *testing.T) {
-	off, err := BuildInput(testConfig(5))
+	off, err := BuildInput(testSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := BuildInput(aeConfig(5))
+	on, err := BuildInput(aeSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,13 @@ type Failure struct {
 	// replayable .arb file.
 	Input Input
 	// Decisions is the adaptation controller's journal from the shrunken
-	// failing run (nil without Config.Adapt) — the evidence trail for "what
+	// failing run (nil without Spec.Adapt) — the evidence trail for "what
 	// was the controller doing when the invariant broke".
 	Decisions []adapt.Decision
 }
 
 // Report summarizes a campaign.
 type Report struct {
-	Cfg            Config
 	Runs           int
 	OpsExecuted    int
 	FaultsInjected int
@@ -33,11 +32,11 @@ type Report struct {
 	// GappedRuns counts the runs that ended with at least one margin gap.
 	GappedRuns int
 	// Reconfigurations totals the controller-driven migrations across all
-	// runs (zero without Config.Adapt).
+	// runs (zero without Spec.Adapt).
 	Reconfigurations int
 	// Sheds and Overloaded total the replica-side typed refusals and the
 	// operations that failed overloaded across all runs (zero unless the
-	// schedules armed overload faults — see Config.Overload).
+	// schedules armed overload faults — see Spec.Overload).
 	Sheds      uint64
 	Overloaded int
 	// Failure is nil when every run satisfied every invariant.
@@ -45,16 +44,13 @@ type Report struct {
 }
 
 // Campaign executes up to the given number of runs, deriving run i's seed
-// as cfg.Seed+i, and stops at the first invariant violation. The failing
+// as spec.Seed+i, and stops at the first invariant violation. The failing
 // input is shrunk to a minimal reproducer before returning; the runs
 // executed so far stay counted in the report either way.
-func Campaign(cfg Config, runs int) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rep := &Report{Cfg: cfg}
+func Campaign(spec Spec, runs int) (*Report, error) {
+	rep := &Report{}
 	for run := 0; run < runs; run++ {
-		rcfg := cfg
-		rcfg.Seed = cfg.Seed + int64(run)
-		in, err := BuildInput(rcfg)
+		in, err := BuildInput(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -80,13 +76,14 @@ func Campaign(cfg Config, runs int) (*Report, error) {
 			}
 			rep.Failure = &Failure{
 				Run:        run,
-				Seed:       rcfg.Seed,
+				Seed:       in.Spec.Seed,
 				Violations: sres.Violations,
 				Input:      shrunk,
 				Decisions:  sres.AdaptDecisions,
 			}
 			return rep, nil
 		}
+		spec.Seed++
 	}
 	return rep, nil
 }

@@ -26,7 +26,7 @@ import (
 // injected SkipWALReplay bug is armed, in which case each restart moves to
 // a fresh directory, simulating journals that were never replayed.
 type world struct {
-	cfg     Config
+	spec    Spec
 	root    string
 	gen     int
 	cluster *cluster.Cluster
@@ -38,30 +38,35 @@ func (w *world) walDir() string {
 }
 
 func (w *world) build() error {
-	tr, err := tree.ParseSpec(w.cfg.Spec)
+	tr, err := tree.ParseSpec(w.spec.Tree)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	opts := []cluster.Option{
-		cluster.WithSeed(w.cfg.Seed),
-		cluster.WithClientTimeout(w.cfg.Timeout),
-		cluster.WithLockTTL(w.cfg.LockTTL),
+		cluster.WithSeed(w.spec.Seed),
+		cluster.WithClientTimeout(w.spec.Timeout),
+		cluster.WithLockTTL(w.spec.LockTTL),
 		cluster.WithWALDir(w.walDir()),
 	}
-	if w.cfg.Latency > 0 || w.cfg.Jitter > 0 {
-		opts = append(opts, cluster.WithLatency(w.cfg.Latency, w.cfg.Jitter))
+	lat := w.spec.Latency
+	if lat.Base > 0 || lat.Jitter > 0 {
+		opts = append(opts, cluster.WithLatency(lat.Base, lat.Jitter))
 	}
-	if w.cfg.JitterDist != "" {
-		dist, err := transport.ParseJitterDist(w.cfg.JitterDist)
+	if lat.Dist != "" {
+		dist, err := transport.ParseJitterDist(lat.Dist)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 		opts = append(opts, cluster.WithJitterDistribution(dist))
 	}
-	if len(w.cfg.SiteRTT) > 0 {
+	if len(lat.Levels)+len(lat.Sites) > 0 {
 		// Geo model: the map is read-only after build, so the derived link
 		// fn is safe for concurrent use.
-		opts = append(opts, cluster.WithSiteRTT(w.cfg.SiteRTT))
+		rtt, err := siteRTT(tr, lat)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, cluster.WithSiteRTT(rtt))
 	}
 	c, err := cluster.New(tr, opts...)
 	if err != nil {
@@ -69,7 +74,7 @@ func (w *world) build() error {
 	}
 	w.cluster = c
 	w.clients = w.clients[:0]
-	for i := 0; i < w.cfg.Clients; i++ {
+	for i := 0; i < w.spec.Clients; i++ {
 		// Circuit breakers are off under simulation: their cooldowns are
 		// wall-clock, so whether a call fast-fails would depend on host
 		// scheduling speed and break trace determinism. Hedged backup
@@ -84,6 +89,25 @@ func (w *world) build() error {
 		w.clients = append(w.clients, cli)
 	}
 	return nil
+}
+
+// siteRTT lowers the latency matrix onto the tree's sites: a level's class
+// applies to every site on it, and a site entry overrides it.
+func siteRTT(tr *tree.Tree, lat Latency) (map[tree.SiteID]time.Duration, error) {
+	rtt := make(map[tree.SiteID]time.Duration)
+	phys := tr.PhysicalLevels()
+	for _, lv := range lat.Levels {
+		if lv.Level < 0 || lv.Level >= len(phys) {
+			return nil, fmt.Errorf("sim: latency level %d: tree %s has physical levels 0..%d", lv.Level, tr.Spec(), len(phys)-1)
+		}
+		for _, site := range tr.LevelSites(phys[lv.Level]) {
+			rtt[site] = lv.RTT
+		}
+	}
+	for _, sr := range lat.Sites {
+		rtt[sr.Site] = sr.RTT
+	}
+	return rtt, nil
 }
 
 // newController builds the run's adaptation controller on the current
@@ -104,12 +128,12 @@ func (w *world) newController() (*adapt.Controller, error) {
 // awaitSync blocks until every replica's catch-up has settled, converting a
 // blown bound into a catch-up-bound violation rather than an error.
 func (w *world) awaitSync(res *Result, what string) {
-	ctx, cancel := context.WithTimeout(context.Background(), w.cfg.SyncBound)
+	ctx, cancel := context.WithTimeout(context.Background(), syncBound)
 	defer cancel()
 	if err := w.cluster.AwaitSync(ctx); err != nil {
 		res.Violations = append(res.Violations, Violation{
 			Rule:   "catch-up-bound",
-			Detail: fmt.Sprintf("%s: catch-up did not converge within %s", what, w.cfg.SyncBound),
+			Detail: fmt.Sprintf("%s: catch-up did not converge within %s", what, syncBound),
 		})
 	}
 }
@@ -119,7 +143,7 @@ func (w *world) awaitSync(res *Result, what string) {
 // rebuilt from the write-ahead journals.
 func (w *world) restart() error {
 	w.cluster.Close()
-	if w.cfg.SkipWALReplay {
+	if w.spec.SkipWALReplay {
 		w.gen++ // fresh directory: journals silently lost
 	}
 	return w.build()
@@ -130,13 +154,13 @@ func (w *world) restart() error {
 // no request is in flight, which is what makes the client-visible trace a
 // pure function of the Input.
 func Execute(in Input) (*Result, error) {
-	cfg := in.Cfg.withDefaults()
+	spec := in.Spec
 	root, err := os.MkdirTemp("", "arborsim-*")
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	defer os.RemoveAll(root)
-	w := &world{cfg: cfg, root: root}
+	w := &world{spec: spec, root: root}
 	if err := w.build(); err != nil {
 		return nil, err
 	}
@@ -164,7 +188,7 @@ func Execute(in Input) (*Result, error) {
 			res.Sheds += w.cluster.Replica(site).Stats().Sheds
 		}
 	}
-	if cfg.Adapt {
+	if spec.Adapt {
 		if ctl, err = w.newController(); err != nil {
 			return nil, err
 		}
@@ -184,7 +208,7 @@ func Execute(in Input) (*Result, error) {
 				if err := w.restart(); err != nil {
 					return err
 				}
-				if cfg.Adapt {
+				if spec.Adapt {
 					var cerr error
 					if ctl, cerr = w.newController(); cerr != nil {
 						return cerr
@@ -219,7 +243,7 @@ func Execute(in Input) (*Result, error) {
 	// drown it), and every successful reconfiguration re-checks the
 	// quorum-structure invariants on the new tree.
 	stepAdapt := func() {
-		if ctl == nil || res.OpsRun%cfg.AdaptEvery != 0 {
+		if ctl == nil || res.OpsRun%spec.AdaptEvery != 0 {
 			return
 		}
 		d, ok := ctl.Step()
@@ -320,7 +344,7 @@ func Execute(in Input) (*Result, error) {
 	if err := w.cluster.Heal(); err != nil {
 		return nil, err
 	}
-	if cfg.AntiEntropy {
+	if spec.AntiEntropy {
 		w.cluster.SyncAll()
 		w.awaitSync(res, "final recovery")
 	} else {
@@ -333,7 +357,7 @@ func Execute(in Input) (*Result, error) {
 	}
 	res.Violations = append(res.Violations, durabilityViolations(ctx, w, ops)...)
 	gaps := marginGaps(w, ops)
-	if cfg.AntiEntropy {
+	if spec.AntiEntropy {
 		for _, g := range gaps {
 			res.Violations = append(res.Violations, Violation{Rule: "durability-margin", Detail: g})
 		}

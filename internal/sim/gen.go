@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"arbor/internal/cluster"
@@ -16,42 +18,103 @@ import (
 const faultSeedSalt = 0x5deece66d
 
 // BuildInput derives the run's concrete op stream and fault schedule from
-// the configuration. The same Config always yields the same Input.
-func BuildInput(cfg Config) (Input, error) {
-	cfg = cfg.withDefaults()
-	ops, err := buildOps(cfg)
+// the spec, and returns them with the effective spec, every default
+// applied. The same Spec always yields the same Input.
+func BuildInput(spec Spec) (Input, error) {
+	spec = spec.withDefaults()
+	tr, err := tree.ParseSpec(spec.Tree)
+	if err != nil {
+		return Input{}, fmt.Errorf("sim: %w", err)
+	}
+	spec.Tree = tr.Spec()
+	phases, err := spec.timeline()
 	if err != nil {
 		return Input{}, err
 	}
-	events, err := buildEvents(cfg)
+	ops, err := buildOps(spec, phases)
 	if err != nil {
 		return Input{}, err
 	}
-	// Markers sort ahead of the faults of their tick, wherever those come
-	// from (generated here, or explicit lines a scenario merges in later).
-	events = append(phaseMarkers(cfg), events...)
+	// Markers sort ahead of the faults of their tick, generated or
+	// explicit. A plain workload is one phase but declares none, so it has
+	// no marker.
+	var events []cluster.Event
+	if len(spec.Phases) > 0 {
+		events = phaseMarkers(phases)
+	}
+	events = append(events, buildEvents(spec, tr.Sites(), len(ops))...)
+	events = append(events, spec.Schedule...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	return Input{Cfg: cfg, Ops: ops, Events: events}, nil
+	if spec.Keep != nil {
+		kept := make([]OpSpec, len(spec.Keep))
+		for i, k := range spec.Keep {
+			if k < 0 || k >= len(ops) {
+				return Input{}, fmt.Errorf("sim: keep index %d: the workload has ops 0..%d", k, len(ops)-1)
+			}
+			kept[i] = ops[k]
+		}
+		ops = kept
+	}
+	spec.Keep, spec.Schedule = nil, nil
+	return Input{Spec: spec, Ops: ops, Events: events}, nil
 }
 
-// phaseMarkers derives the workload= marker events from the phase list:
-// one at each phase's first tick. The markers carry no cluster action —
-// the op stream itself is generated phase-aware — but they make the shift
-// visible in traces and keep the schedule self-describing. The op stream
-// deliberately does NOT depend on these events, and a run written out as a
-// scenario leaves them out: BuildInput derives them again on replay.
-func phaseMarkers(cfg Config) []cluster.Event {
-	var out []cluster.Event
-	tick := 0
-	for _, p := range cfg.Phases {
-		profile := p.Profile
-		if profile == "" {
-			profile = ProfileBalanced
+// timeline lowers the workload onto plain phases. A plain workload is its
+// one phase; a ramp becomes Steps consecutive phases whose read fractions
+// interpolate linearly from the From profile's to the To profile's, the
+// ramp's ops split as evenly as possible (earlier steps absorb the
+// remainder).
+func (s Spec) timeline() ([]Phase, error) {
+	if len(s.Phases) == 0 {
+		return []Phase{{Profile: s.Profile, Ops: s.Ops, Zipf: s.Zipf}}, nil
+	}
+	var out []Phase
+	for _, p := range s.Phases {
+		if !p.Ramp {
+			out = append(out, p)
+			continue
 		}
-		out = append(out, cluster.Event{
-			At:       time.Duration(tick) * time.Millisecond,
-			Workload: string(profile),
-		})
+		from, err := p.From.ReadFraction()
+		if err != nil {
+			return nil, err
+		}
+		to, err := p.To.ReadFraction()
+		if err != nil {
+			return nil, err
+		}
+		if p.Steps <= 0 {
+			return nil, fmt.Errorf("sim: ramp of %d ops in %d steps", p.Ops, p.Steps)
+		}
+		base, rem := p.Ops/p.Steps, p.Ops%p.Steps
+		for i := 0; i < p.Steps; i++ {
+			f := from
+			if p.Steps > 1 {
+				f = from + (to-from)*float64(i)/float64(p.Steps-1)
+			}
+			// Rounded, so interpolated fractions render short and stable.
+			f = math.Round(f*1e4) / 1e4
+			ops := base
+			if i < rem {
+				ops++
+			}
+			out = append(out, Phase{Profile: Profile("r" + strconv.FormatFloat(f, 'g', -1, 64)), Ops: ops, Zipf: p.Zipf})
+		}
+	}
+	return out, nil
+}
+
+// phaseMarkers derives the workload= marker events from the lowered
+// phases: one at each phase's first tick. The markers carry no cluster
+// action — the op stream itself is generated phase-aware — but they make
+// the shift visible in traces and keep the schedule self-describing. The
+// op stream deliberately does NOT depend on these events, and a run written
+// out as a scenario leaves them out: BuildInput derives them again on
+// replay.
+func phaseMarkers(phases []Phase) []cluster.Event {
+	out := make([]cluster.Event, len(phases))
+	tick := 0
+	for i, p := range phases {
+		out[i] = cluster.Event{At: time.Duration(tick) * time.Millisecond, Workload: string(p.Profile)}
 		tick += p.Ops
 	}
 	return out
@@ -63,97 +126,63 @@ func IsMarker(ev cluster.Event) bool {
 	return ev.Workload != "" && ev.String() == cluster.Event{At: ev.At, Workload: ev.Workload}.String()
 }
 
-// opSource is the common face of the plain and phased generators.
-type opSource interface {
-	Next() workload.Op
-}
-
 // buildOps generates the full operation stream. Write values encode the
 // seed and op index, so they are reconstructible from a reproducer's
-// keep list without shipping payloads. With Phases set, the stream is
-// phase-aware: each phase draws from its own profile, with a per-phase
-// salted seed so consecutive phases don't mirror each other's key picks.
-func buildOps(cfg Config) ([]OpSpec, error) {
-	var gen opSource
-	if len(cfg.Phases) > 0 {
-		phases := make([]workload.Phase, len(cfg.Phases))
-		for i, p := range cfg.Phases {
-			rf, err := p.Profile.ReadFraction()
-			if err != nil {
-				return nil, err
-			}
-			phases[i] = workload.Phase{
-				Config: workload.Config{
-					ReadFraction: rf,
-					Keys:         cfg.Keys,
-					ZipfS:        p.Zipf,
-					Seed:         cfg.Seed + int64(i),
-				},
-				Ops: p.Ops,
-			}
-		}
-		pg, err := workload.NewPhasedGenerator(phases)
-		if err != nil {
-			return nil, fmt.Errorf("sim: workload: %w", err)
-		}
-		gen = pg
-	} else {
-		rf, err := cfg.Profile.ReadFraction()
+// keep list without shipping payloads. Each phase draws from its own
+// profile, with a per-phase salted seed so consecutive phases don't mirror
+// each other's key picks; a plain workload is the one phase it lowers to.
+func buildOps(spec Spec, phases []Phase) ([]OpSpec, error) {
+	wp := make([]workload.Phase, len(phases))
+	for i, p := range phases {
+		rf, err := p.Profile.ReadFraction()
 		if err != nil {
 			return nil, err
 		}
-		g, err := workload.NewGenerator(workload.Config{
-			ReadFraction: rf,
-			Keys:         cfg.Keys,
-			ZipfS:        cfg.Zipf,
-			Seed:         cfg.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: workload: %w", err)
+		wp[i] = workload.Phase{
+			Config: workload.Config{ReadFraction: rf, Keys: spec.Keys, ZipfS: p.Zipf, Seed: spec.Seed + int64(i)},
+			Ops:    p.Ops,
 		}
-		gen = g
 	}
-	ops := make([]OpSpec, cfg.Ops)
+	gen, err := workload.NewPhasedGenerator(wp)
+	if err != nil {
+		return nil, fmt.Errorf("sim: workload: %w", err)
+	}
+	ops := make([]OpSpec, gen.TotalOps())
 	for i := range ops {
 		op := gen.Next()
 		ops[i] = OpSpec{Index: i, Read: op.IsRead, Key: op.Key}
 		if !op.IsRead {
-			ops[i].Value = fmt.Sprintf("s%d.%d", cfg.Seed, i)
+			ops[i].Value = fmt.Sprintf("s%d.%d", spec.Seed, i)
 		}
 	}
 	return ops, nil
 }
 
-// buildEvents generates the fault schedule: cfg.Faults events at ticks in
-// [0, cfg.Ops], each drawn from a weighted mix of crash, recover,
+// buildEvents generates the fault schedule: spec.Faults events at ticks in
+// [0, n] for a run of n ops, each drawn from a weighted mix of crash, recover,
 // recover-all, partition, heal and whole-cluster restart. Quick recoveries
 // outweigh crashes slightly less than half the time, so runs spend real
 // stretches degraded without starving the workload entirely. With
 // AntiEntropy on, recoveries go through the catch-up path instead of being
 // instant — the same ticks and the same sites, so the two modes differ only
 // in how a replica rejoins.
-func buildEvents(cfg Config) ([]cluster.Event, error) {
-	tr, err := tree.ParseSpec(cfg.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	sites := tr.Sites()
-	rng := rand.New(rand.NewSource(cfg.Seed ^ faultSeedSalt))
+func buildEvents(spec Spec, sites []tree.SiteID, n int) []cluster.Event {
+	rng := rand.New(rand.NewSource(spec.Seed ^ faultSeedSalt))
 	var events []cluster.Event
-	for i := 0; i < cfg.Faults; i++ {
-		ev := cluster.Event{At: time.Duration(rng.Intn(cfg.Ops+1)) * time.Millisecond}
+	for i := 0; i < spec.Faults; i++ {
+		ev := cluster.Event{At: time.Duration(rng.Intn(n+1)) * time.Millisecond}
 		switch k := rng.Intn(100); {
 		case k < 35:
 			ev.Crash = []tree.SiteID{sites[rng.Intn(len(sites))]}
 		case k < 55:
 			target := []tree.SiteID{sites[rng.Intn(len(sites))]}
-			if cfg.AntiEntropy {
+			if spec.AntiEntropy {
 				ev.RecoverSync = target
 			} else {
 				ev.Recover = target
 			}
 		case k < 65:
-			if cfg.AntiEntropy {
+			if spec.AntiEntropy {
 				ev.RecoverAllSync = true
 			} else {
 				ev.RecoverAll = true
@@ -176,20 +205,20 @@ func buildEvents(cfg Config) ([]cluster.Event, error) {
 		}
 		events = append(events, ev)
 	}
-	if cfg.Overload {
-		events = append(events, buildOverloadEvents(cfg, sites, rng)...)
+	if spec.Overload {
+		events = append(events, buildOverloadEvents(spec, sites, n, rng)...)
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	return events, nil
+	return events
 }
 
-// buildOverloadEvents derives the Config.Overload stretch: one bounded
+// buildOverloadEvents derives the Spec.Overload stretch: one bounded
 // saturate window over a random site subset, and on half the runs a
 // graceful drain with a later recovery. It draws from the tail of the
 // fault rng, so turning overload on never reshuffles the base schedule.
-func buildOverloadEvents(cfg Config, sites []tree.SiteID, rng *rand.Rand) []cluster.Event {
-	start := rng.Intn(cfg.Ops/2 + 1)
-	end := start + 1 + rng.Intn(cfg.Ops-start)
+func buildOverloadEvents(spec Spec, sites []tree.SiteID, ops int, rng *rand.Rand) []cluster.Event {
+	start := rng.Intn(ops/2 + 1)
+	end := start + 1 + rng.Intn(ops-start)
 	perm := rng.Perm(len(sites))
 	n := 1 + rng.Intn((len(sites)+1)/2)
 	sat := make([]tree.SiteID, n)
@@ -203,10 +232,10 @@ func buildOverloadEvents(cfg Config, sites []tree.SiteID, rng *rand.Rand) []clus
 	}
 	if rng.Intn(2) == 0 {
 		site := []tree.SiteID{sites[rng.Intn(len(sites))]}
-		at := rng.Intn(cfg.Ops + 1)
+		at := rng.Intn(ops + 1)
 		ev := cluster.Event{At: time.Duration(at) * time.Millisecond, Drain: site}
-		rec := cluster.Event{At: time.Duration(at+1+rng.Intn(cfg.Ops-at+1)) * time.Millisecond}
-		if cfg.AntiEntropy {
+		rec := cluster.Event{At: time.Duration(at+1+rng.Intn(ops-at+1)) * time.Millisecond}
+		if spec.AntiEntropy {
 			rec.RecoverSync = site
 		} else {
 			rec.Recover = site

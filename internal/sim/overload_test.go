@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,28 +16,27 @@ import (
 // overload faults before final judgment, so the checker must stay green.
 func overloadInput(t *testing.T, seed int64) Input {
 	t.Helper()
-	cfg := testConfig(seed)
-	cfg.Faults = -1
-	in, err := BuildInput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := testSpec(seed)
+	spec.Faults = 0
 	sched, err := cluster.ParseSchedule("5ms:saturate=1,2,3;20ms:unsaturate=1,2,3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Events = append(in.Events, sched...)
-	sort.SliceStable(in.Events, func(i, j int) bool { return in.Events[i].At < in.Events[j].At })
+	spec.Schedule = sched
+	in, err := BuildInput(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return in
 }
 
-// TestBuildInputOverloadEvents pins the Config.Overload generator: the
+// TestBuildInputOverloadEvents pins the Spec.Overload generator: the
 // derived stretch always closes its saturate window with a matching
 // unsaturate, pairs any drain with a later recovery, and — because it
 // draws from the tail of the fault rng — never reshuffles the base
 // schedule the same seed generates with overload off.
 func TestBuildInputOverloadEvents(t *testing.T) {
-	base := testConfig(3)
+	base := testSpec(3)
 	over := base
 	over.Overload = true
 

@@ -65,34 +65,31 @@ func (p Profile) ReadFraction() (float64, error) {
 	return 0, fmt.Errorf("sim: unknown profile %q (want mostly-read, mostly-write, balanced or r<fraction>)", string(p))
 }
 
-// NumericProfile renders a read fraction as the canonical numeric profile.
-func NumericProfile(readFraction float64) Profile {
-	return Profile("r" + strconv.FormatFloat(readFraction, 'g', -1, 64))
-}
-
-// Config parameterizes one simulated run. Everything a run does derives
-// deterministically from these fields.
-type Config struct {
-	// Spec is the replica tree, e.g. "1-3-5" (default).
-	Spec string
+// Spec describes one simulated run; everything a run does derives
+// deterministically from it. It is what a .arb scenario file says
+// (internal/scenario reads and writes it) and what cmd/arborsim's flags
+// fill. A zero field is unset: BuildInput applies the defaults once, and
+// the Input it returns carries the effective Spec.
+type Spec struct {
+	// Tree is the replica tree, e.g. "1-3-5" (default).
+	Tree string
 	// Seed drives the workload and fault generators and the cluster's
 	// internal randomness.
 	Seed int64
-	// Profile shapes the read/write mix (default balanced).
+	// Ops, Profile and Zipf describe a plain workload: Ops operations
+	// (default 60) of one read/write mix (default balanced), with key
+	// popularity Zipf-skewed when Zipf > 1. Phases, when set, define the
+	// workload instead and these three are ignored.
+	Ops     int
 	Profile Profile
-	// Zipf, when > 1, skews the plain workload's key popularity with a
-	// Zipf distribution of that parameter (hot keys). Phased runs carry
-	// the skew per phase instead.
-	Zipf float64
-	// Ops is the number of client operations per run (default 60).
-	Ops int
-	// Faults is the number of fault events injected per run (default 6;
-	// negative injects none, for fault-free adaptation runs).
-	Faults int
-	// Clients is the number of protocol clients ops rotate over (default 2).
-	Clients int
+	Zipf    float64
 	// Keys is the key-population size (default 4).
 	Keys int
+	// Clients is the number of protocol clients ops rotate over (default 2).
+	Clients int
+	// Faults is the number of fault events generated on top of Schedule;
+	// zero generates none.
+	Faults int
 	// Timeout is the clients' failure-detection deadline (default 40ms).
 	// Smaller is faster but risks spurious timeouts on loaded machines.
 	Timeout time.Duration
@@ -109,64 +106,102 @@ type Config struct {
 	// acknowledged version of every key — is enforced as an invariant.
 	// Without it, recovery is instant and margin gaps are only reported.
 	AntiEntropy bool
-	// SyncBound caps how long any single catch-up may take before the run
-	// records a catch-up-bound violation (default 5s).
-	SyncBound time.Duration
-	// Phases splits the op stream into consecutive workload phases — e.g. a
-	// read-heavy stretch flipping to write-heavy mid-run, the scenario the
-	// adaptation controller exists for. When set, Ops is derived as the
-	// phase total (overriding any explicit value), Profile is ignored, and
-	// BuildInput adds a workload= marker event at each phase boundary so
-	// the shift is visible in traces and rendered schedules.
-	Phases []PhaseSpec
-	// Overload adds a derived overload stretch to the generated fault
-	// schedule: a saturate window over a random subset of sites (closed by
-	// a matching unsaturate) and, some runs, a graceful drain with a later
-	// recovery. Sheds are clean typed refusals, so campaigns with overload
-	// on still demand zero history violations — the axis checks that load
-	// shedding composes with crashes, partitions and migrations.
+	// Overload adds a generated overload stretch to the fault schedule: a
+	// saturate window over a random subset of sites (closed by a matching
+	// unsaturate) and, some runs, a graceful drain with a later recovery.
+	// Sheds are clean typed refusals, so campaigns with overload on still
+	// demand zero history violations — the axis checks that load shedding
+	// composes with crashes, partitions and migrations.
 	Overload bool
 	// Adapt runs the adaptation controller during the run: it is stepped
-	// deterministically every AdaptEvery operations on a logical clock, so
-	// live reconfigurations interleave with the chaos schedule and the
-	// history checker judges one-copy semantics across migrations.
-	Adapt bool
-	// AdaptEvery is the op stride between controller steps (default 10).
+	// deterministically every AdaptEvery operations (default 10) on a
+	// logical clock, so live reconfigurations interleave with the chaos
+	// schedule and the history checker judges one-copy semantics across
+	// migrations.
+	Adapt      bool
 	AdaptEvery int
-	// Latency and Jitter add per-message delivery delay in the simulated
-	// network; JitterDist names the random component's distribution
-	// (uniform, exponential or pareto — transport.ParseJitterDist). The
-	// draws come from the cluster's seeded RNG, but delivery itself is
-	// wall-clock timers: keep delays well below Timeout or operations
-	// will time out, and expect trace determinism only while the margin
-	// between delay and Timeout is generous.
-	Latency    time.Duration
-	Jitter     time.Duration
-	JitterDist string
-	// SiteRTT adds per-site geographic delay: a message to or from site s
-	// pays SiteRTT[s]/2 each way (clients and unlisted sites pay none).
-	// Scenario latency matrices lower onto it.
-	SiteRTT map[tree.SiteID]time.Duration
+	// Latency is the simulated network's geometry.
+	Latency Latency
+	// Phases splits the op stream into consecutive workload phases — e.g. a
+	// read-heavy stretch flipping to write-heavy mid-run, the scenario the
+	// adaptation controller exists for. BuildInput adds a workload= marker
+	// event at each phase boundary so the shift is visible in traces.
+	Phases []Phase
+	// Keep lists, ascending, the op indices a shrunk run retains of the
+	// generated stream (ops keep their index, so write values and fault
+	// ticks stay aligned). Nil keeps every op; empty keeps none.
+	Keep []int
+	// Schedule is the explicit fault schedule, merged tick-ordered with the
+	// generated events.
+	Schedule cluster.Schedule
 }
 
-// PhaseSpec is one workload phase: a profile, how many operations it
-// lasts, and an optional hot-key skew.
-type PhaseSpec struct {
-	Profile Profile
+// Latency is the network geometry: a base+jitter pair applied to every
+// message, plus per-level and per-site round-trip classes (a message to or
+// from a listed site pays RTT/2 each way; site entries override level
+// entries). The draws come from the cluster's seeded RNG, but delivery
+// itself is wall-clock timers: keep delays well below Timeout or
+// operations will time out, and expect trace determinism only while the
+// margin between delay and Timeout is generous.
+type Latency struct {
+	Base   time.Duration
+	Jitter time.Duration
+	// Dist names the jitter distribution (uniform, exponential or pareto —
+	// transport.ParseJitterDist).
+	Dist string
+	// Levels holds per-physical-level RTT classes, ascending by level.
+	Levels []LevelRTT
+	// Sites holds per-site RTT overrides, ascending by site.
+	Sites []SiteRTT
+}
+
+// LevelRTT assigns one RTT class to every site of physical level Level
+// (0-based over the tree's physical levels, root side first).
+type LevelRTT struct {
+	Level int
+	RTT   time.Duration
+}
+
+// SiteRTT assigns an RTT class to a single site.
+type SiteRTT struct {
+	Site tree.SiteID
+	RTT  time.Duration
+}
+
+// Phase is one workload timeline entry: either a plain phase drawing from
+// Profile (default balanced) for Ops operations, or (Ramp set) a diurnal
+// ramp interpolating the read fraction from From to To across Steps equal
+// slices of Ops.
+type Phase struct {
+	Ramp    bool
+	Profile Profile // plain phase
+	From    Profile // ramp endpoints
+	To      Profile
 	Ops     int
+	// Steps is the ramp's interpolation resolution (default 4, clamped to
+	// Ops).
+	Steps int
 	// Zipf, when > 1, skews the phase's key popularity with a Zipf
 	// distribution of that parameter — the flash-crowd ingredient.
 	Zipf float64
 }
 
+// defaultRampSteps is the interpolation resolution for ramps that don't
+// set Steps (clamped to the ramp's op count).
+const defaultRampSteps = 4
+
+// syncBound caps how long any single catch-up may take before the run
+// records a catch-up-bound violation.
+const syncBound = 5 * time.Second
+
 // ParsePhases parses the compact phase syntax
 // "profile:ops[:zipf<s>][,profile:ops[:zipf<s>]...]", e.g.
 // "mostly-read:30,mostly-write:30" or "balanced:20:zipf1.4".
-func ParsePhases(s string) ([]PhaseSpec, error) {
+func ParsePhases(s string) ([]Phase, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	var out []PhaseSpec
+	var out []Phase
 	for _, part := range strings.Split(s, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) < 2 || len(fields) > 3 {
@@ -180,7 +215,7 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 		if err != nil || ops <= 0 {
 			return nil, fmt.Errorf("sim: phase %q needs a positive op count", part)
 		}
-		ps := PhaseSpec{Profile: p, Ops: ops}
+		ps := Phase{Profile: p, Ops: ops}
 		if len(fields) == 3 {
 			zs, ok := strings.CutPrefix(strings.TrimSpace(fields[2]), "zipf")
 			if !ok {
@@ -197,45 +232,58 @@ func ParsePhases(s string) ([]PhaseSpec, error) {
 	return out, nil
 }
 
-func (c Config) withDefaults() Config {
-	if c.Spec == "" {
-		c.Spec = "1-3-5"
+// TotalOps is the length of the generated op stream: the phases' total, or
+// Ops for a plain workload.
+func (s Spec) TotalOps() int {
+	if len(s.Phases) == 0 {
+		return s.Ops
 	}
-	if c.Profile == "" {
-		c.Profile = ProfileBalanced
+	n := 0
+	for _, p := range s.Phases {
+		n += p.Ops
 	}
-	if c.Ops == 0 {
-		c.Ops = 60
+	return n
+}
+
+func (s Spec) withDefaults() Spec {
+	if s.Tree == "" {
+		s.Tree = "1-3-5"
 	}
-	if c.Faults == 0 {
-		c.Faults = 6
-	}
-	if c.Clients == 0 {
-		c.Clients = 2
-	}
-	if c.Keys == 0 {
-		c.Keys = 4
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 40 * time.Millisecond
-	}
-	if c.LockTTL == 0 {
-		c.LockTTL = time.Second
-	}
-	if c.SyncBound == 0 {
-		c.SyncBound = 5 * time.Second
-	}
-	if len(c.Phases) > 0 {
-		total := 0
-		for _, p := range c.Phases {
-			total += p.Ops
+	if len(s.Phases) > 0 {
+		s.Ops, s.Profile, s.Zipf = 0, "", 0
+	} else {
+		if s.Ops == 0 {
+			s.Ops = 60
 		}
-		c.Ops = total
+		if s.Profile == "" {
+			s.Profile = ProfileBalanced
+		}
 	}
-	if c.AdaptEvery == 0 {
-		c.AdaptEvery = 10
+	if s.Keys == 0 {
+		s.Keys = 4
 	}
-	return c
+	if s.Clients == 0 {
+		s.Clients = 2
+	}
+	if s.Timeout == 0 {
+		s.Timeout = 40 * time.Millisecond
+	}
+	if s.LockTTL == 0 {
+		s.LockTTL = time.Second
+	}
+	if s.AdaptEvery == 0 {
+		s.AdaptEvery = 10
+	}
+	s.Phases = append([]Phase(nil), s.Phases...) // the caller's stay as they are
+	for i, p := range s.Phases {
+		switch {
+		case p.Ramp && p.Steps == 0:
+			s.Phases[i].Steps = min(defaultRampSteps, p.Ops)
+		case !p.Ramp && p.Profile == "":
+			s.Phases[i].Profile = ProfileBalanced
+		}
+	}
+	return s
 }
 
 // OpSpec is one pre-generated client operation. Index is the op's position
@@ -249,14 +297,15 @@ type OpSpec struct {
 	Value string
 }
 
-// Input is a fully-determined run: the configuration plus the concrete op
-// stream and fault events derived from it (or shrunk from a failure).
-// Events use cluster.Event with At encoding the logical tick: an event at
+// Input is a fully-determined run: the effective spec plus the concrete op
+// stream and fault events derived from it (or shrunk from a failure). The
+// spec's Keep and Schedule are folded into Ops and Events, and left nil, so
+// the run has one copy of each. Events use cluster.Event with At encoding the logical tick: an event at
 // tick t fires after op t-1 completes and before op t starts, with one
 // millisecond per tick, so the schedule serializes through
 // cluster.Schedule's textual syntax.
 type Input struct {
-	Cfg    Config
+	Spec   Spec
 	Ops    []OpSpec
 	Events []cluster.Event
 }
@@ -269,7 +318,7 @@ func tickOf(ev cluster.Event) int { return int(ev.At / time.Millisecond) }
 // acknowledged write unreadable or stale after full recovery),
 // "quorum-intersection" (a physical level with no sites),
 // "level-partition" (a site on two physical levels), "catch-up-bound" (a
-// recover-with-sync did not converge within Config.SyncBound) or
+// recover-with-sync did not converge within syncBound) or
 // "durability-margin" (with anti-entropy on, a physical level that does not
 // hold the newest acknowledged version of some key after convergence).
 type Violation struct {
@@ -297,7 +346,7 @@ type Result struct {
 	MarginGaps []string
 	// AdaptDecisions is the adaptation controller's decision journal,
 	// accumulated across cluster incarnations (a Restart rebuilds the
-	// controller, but its decisions are kept). Nil without Config.Adapt.
+	// controller, but its decisions are kept). Nil without Spec.Adapt.
 	AdaptDecisions []adapt.Decision
 	// Reconfigurations counts the controller-driven migrations that
 	// succeeded during the run (reverts included).

@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"arbor/internal/cluster"
+	"arbor/internal/tree"
+	"arbor/internal/workload"
 )
 
-// testConfig keeps runs small enough for the tier-1 suite while still
+// testSpec keeps runs small enough for the tier-1 suite while still
 // exercising faults. The 30ms timeout leaves headroom over in-memory
 // delivery so loaded CI machines don't produce spurious unavailability.
-func testConfig(seed int64) Config {
-	return Config{
+func testSpec(seed int64) Spec {
+	return Spec{
 		Seed:    seed,
 		Ops:     30,
 		Faults:  4,
@@ -45,12 +47,12 @@ func TestProfileReadFraction(t *testing.T) {
 }
 
 func TestBuildInputDeterministic(t *testing.T) {
-	cfg := Config{Seed: 7, Ops: 50, Faults: 8}
-	a, err := BuildInput(cfg)
+	spec := Spec{Seed: 7, Ops: 50, Faults: 8}
+	a, err := BuildInput(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildInput(cfg)
+	b, err := BuildInput(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestBuildInputDeterministic(t *testing.T) {
 // TestSimDeterministic is the harness's core promise: executing the same
 // input twice yields the identical op-by-op trace and verdict.
 func TestSimDeterministic(t *testing.T) {
-	in, err := BuildInput(testConfig(3))
+	in, err := BuildInput(testSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestSimDeterministic(t *testing.T) {
 // TestSimSmoke runs a short bounded campaign on the real protocol and
 // expects every invariant to hold.
 func TestSimSmoke(t *testing.T) {
-	rep, err := Campaign(testConfig(1), 2)
+	rep, err := Campaign(testSpec(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,10 @@ func TestSimSmoke(t *testing.T) {
 // (Its round trip through a .arb file is internal/scenario's
 // TestShrunkReproducerReplays.)
 func TestSimFindsInjectedWALBug(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.SkipWALReplay = true
-	cfg.Faults = 5
-	rep, err := Campaign(cfg, 15)
+	spec := testSpec(1)
+	spec.SkipWALReplay = true
+	spec.Faults = 5
+	rep, err := Campaign(spec, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +146,11 @@ func TestSimFindsInjectedWALBug(t *testing.T) {
 // phases and carry no action, so minimizing a failure leaves all of them in
 // place — a reproducer that derives them again then replays the same trace.
 func TestShrinkKeepsPhaseMarkers(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.SkipWALReplay = true
-	cfg.Faults = 5
-	cfg.Phases = []PhaseSpec{{Profile: ProfileMostlyWrite, Ops: 15}, {Profile: ProfileBalanced, Ops: 10}}
-	rep, err := Campaign(cfg, 15)
+	spec := testSpec(1)
+	spec.SkipWALReplay = true
+	spec.Faults = 5
+	spec.Phases = []Phase{{Profile: ProfileMostlyWrite, Ops: 15}, {Profile: ProfileBalanced, Ops: 10}}
+	rep, err := Campaign(spec, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,5 +187,72 @@ func TestShrinkSliceMinimizes(t *testing.T) {
 	}
 	if got := shrinkSlice([]int{5}, func(s []int) bool { return len(s) == 1 }); len(got) != 1 {
 		t.Errorf("shrinkSlice single required item = %v, want [5]", got)
+	}
+}
+
+// TestPlainWorkloadIsOnePhase: a plain ops/profile/zipf workload is the
+// one-phase stream it equals — the same ops as the phase declared
+// explicitly, and as the workload generator drawing directly with the run's
+// seed — but, declaring no phase, it carries no workload= marker.
+func TestPlainWorkloadIsOnePhase(t *testing.T) {
+	plain, err := BuildInput(Spec{Seed: 4, Ops: 40, Profile: ProfileMostlyRead, Zipf: 1.3, Faults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phased, err := BuildInput(Spec{Seed: 4, Phases: []Phase{{Profile: ProfileMostlyRead, Ops: 40, Zipf: 1.3}}, Faults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Ops, phased.Ops) {
+		t.Errorf("plain and one-phase streams differ:\n%+v\n%+v", plain.Ops, phased.Ops)
+	}
+	gen, err := workload.NewGenerator(workload.Config{ReadFraction: 0.9, Keys: 4, ZipfS: 1.3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range plain.Ops {
+		if want := gen.Next(); op.Read != want.IsRead || op.Key != want.Key {
+			t.Fatalf("op %d = %+v, the generator drew %+v", i, op, want)
+		}
+	}
+	if n := countMarkers(plain.Events); n != 0 {
+		t.Errorf("plain workload carries %d markers, want none", n)
+	}
+	if n := countMarkers(phased.Events); n != 1 {
+		t.Errorf("one declared phase carries %d markers, want 1", n)
+	}
+	if !reflect.DeepEqual(plain.Events, phased.Events[1:]) {
+		t.Errorf("fault schedules differ:\n%v\n%v", plain.Events, phased.Events)
+	}
+}
+
+// TestSiteRTTLowering: latency classes become the per-site RTT map over the
+// physical levels, a site's own entry winning over its level's.
+func TestSiteRTTLowering(t *testing.T) {
+	tr, err := tree.ParseSpec("1-3-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := siteRTT(tr, Latency{
+		Levels: []LevelRTT{{Level: 0, RTT: 2 * time.Millisecond}, {Level: 1, RTT: 4 * time.Millisecond}},
+		Sites:  []SiteRTT{{Site: 4, RTT: 8 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := tr.PhysicalLevels()
+	want := map[tree.SiteID]time.Duration{}
+	for _, s := range tr.LevelSites(phys[0]) {
+		want[s] = 2 * time.Millisecond
+	}
+	for _, s := range tr.LevelSites(phys[1]) {
+		want[s] = 4 * time.Millisecond
+	}
+	want[4] = 8 * time.Millisecond
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("siteRTT = %v, want %v", got, want)
+	}
+	if _, err := siteRTT(tr, Latency{Levels: []LevelRTT{{Level: 2}}}); err == nil {
+		t.Error("a level the tree does not have was accepted")
 	}
 }
