@@ -34,14 +34,14 @@ race:
 # PR to track. Two columns: all lines, and code lines (neither blank nor a
 # // comment), so a drop carried by deleted comments alone shows as such.
 # Tests, testdata, the bench/ module and build output are left out.
-# LOC_MAX is the committed ceiling on the first column's total: the target
-# fails above it, so a PR that grows the tree has to raise it on purpose
-# (and one that shrinks it should lower it to the new total). The last
-# change lowered it by 131 from 22804: the simulator's second description of
-# a run (sim.Config, its phase type and default table, and the scenario
-# compiler's field copies) and the plain workload's second generation path
-# went.
-LOC_MAX = 22673
+# LOC_MAX records the first column's total: the target fails when the tree
+# is larger (a PR that grows it has to raise LOC_MAX on purpose) and when it
+# is smaller (a PR that shrinks it has to lower LOC_MAX to the new total),
+# printing the value to set either way. The last change lowered it by 239
+# from 22673: the option types and constructors of internal/cluster, the
+# in-memory network and internal/adapt went for one Config struct each, and
+# the cluster's copy of the network's settings went with them.
+LOC_MAX = 22428
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
 		-not -path '*/testdata/*' -not -path './.bench_build/*' -print0 \
@@ -49,7 +49,7 @@ loc:
 		!/^[ \t]*($$|\/\/)/ { c[d]++; tc++ } \
 		END { for (d in n) printf "%7d %7d  %s\n", n[d], c[d], d | "sort -k3"; close("sort -k3"); \
 		      printf "%7d %7d  total (lines, code lines)\n", t, tc; \
-		      if (t > max) { printf "loc: %d lines exceed LOC_MAX = %d\n", t, max; exit 1 } }'
+		      if (t != max) { printf "loc: %d lines, LOC_MAX = %d: set LOC_MAX = %d\n", t, max, t; exit 1 } }'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -15,7 +15,7 @@
 //	t, err := arbor.ParseTree("1-3-5") // logical root, levels of 3 and 5
 //	a := arbor.Analyze(t)              // costs, loads, availabilities
 //
-//	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+//	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 //	defer c.Close()
 //	cli, err := c.NewClient()
 //	_, err = cli.Write(ctx, "config", []byte("v1"))
@@ -118,36 +118,16 @@ type WriteResult = client.WriteResult
 // repeatable reads. Create with Client.NewTxn.
 type Txn = client.Txn
 
-// ClusterOption configures NewCluster.
-type ClusterOption = cluster.Option
-
-// Cluster construction options, re-exported from internal/cluster.
-var (
-	// WithSeed makes a cluster's randomness reproducible.
-	WithSeed = cluster.WithSeed
-	// WithLatency adds per-message delivery delay (base plus jitter).
-	WithLatency = cluster.WithLatency
-	// WithLinkLatency adds per-link delay for geographic topologies.
-	WithLinkLatency = cluster.WithLinkLatency
-	// WithDropProbability makes the network lossy.
-	WithDropProbability = cluster.WithDropProbability
-	// WithClientTimeout sets the clients' failure-detection deadline.
-	WithClientTimeout = cluster.WithClientTimeout
-	// WithWALDir gives every replica a write-ahead journal under the
-	// directory, replayed at startup.
-	WithWALDir = cluster.WithWALDir
-	// WithObserver attaches an Observer: metrics from every replica,
-	// client and the cluster itself, plus per-operation traces.
-	WithObserver = cluster.WithObserver
-	// WithMaxInflight bounds each replica's admitted-but-unfinished gated
-	// requests (reads and prepares; commits, aborts and recovery traffic
-	// are never gated). Excess work sheds at once with a typed overload
-	// reply — reads first, prepares only when even their reserve is gone.
-	WithMaxInflight = cluster.WithMaxInflight
-)
+// ClusterConfig configures NewCluster: the seed, the simulated network's
+// latency, jitter and its shape, per-link delay and loss (its Net field),
+// the clients' timeout, the replicas' lock expiry, a write-ahead journal
+// directory, an Observer, each replica's in-flight bound, and TCP, which
+// runs the cluster over loopback sockets instead of the simulated network.
+// Zero durations keep the defaults; the seed is taken as given.
+type ClusterConfig = cluster.Config
 
 // Observer bundles a metrics registry and an operation trace recorder.
-// Attach one to a cluster with WithObserver; read it with
+// Attach one to a cluster through ClusterConfig.Observer; read it with
 // Observer.Registry.WritePrometheus and Observer.Traces.Last.
 type Observer = obs.Observer
 
@@ -224,8 +204,15 @@ var (
 // Controller.Step from a deterministic harness.
 type Controller = adapt.Controller
 
-// ControllerOption configures a Controller.
-type ControllerOption = adapt.Option
+// AdaptConfig configures a Controller: its interval, window, level-delta
+// damping, cooldown, availability assumption, objective, degradation guard,
+// clock (nil: logical, advanced one interval per Step) and initial enabled
+// state. Its fields are taken as given, so start from DefaultAdaptConfig.
+type AdaptConfig = adapt.Config
+
+// DefaultAdaptConfig returns the controller defaults: disabled, a 1s
+// interval, a window of 5, a 30s cooldown, minimizing load.
+func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
 
 // Decision is one adaptation journal entry: the full evidence snapshot
 // behind one act-or-hold verdict.
@@ -234,30 +221,12 @@ type Decision = adapt.Decision
 // ControllerState is a point-in-time summary of a Controller.
 type ControllerState = adapt.State
 
-// Adaptation controller options, re-exported from internal/adapt.
-var (
-	// WithAdaptInterval sets the controller's evaluation period.
-	WithAdaptInterval = adapt.WithInterval
-	// WithAdaptWindow sets the observation window length in samples.
-	WithAdaptWindow = adapt.WithWindow
-	// WithAdaptCooldown sets the minimum time between migrations.
-	WithAdaptCooldown = adapt.WithCooldown
-	// WithAdaptAvailability sets the advisor's availability assumption.
-	WithAdaptAvailability = adapt.WithAvailability
-	// WithAdaptObjective sets the advisor objective.
-	WithAdaptObjective = adapt.WithObjective
-	// WithAdaptMinLevelDelta damps reconfiguration oscillation.
-	WithAdaptMinLevelDelta = adapt.WithMinLevelDelta
-	// WithAdaptEnabled sets the initial enabled state (default off).
-	WithAdaptEnabled = adapt.WithEnabled
-)
-
 // NewController builds an adaptation controller bound to the cluster.
-func NewController(c *Cluster, opts ...ControllerOption) (*Controller, error) {
-	return adapt.New(c, opts...)
+func NewController(c *Cluster, cfg AdaptConfig) (*Controller, error) {
+	return adapt.New(c, cfg)
 }
 
 // NewCluster builds and starts a simulated cluster for the tree.
-func NewCluster(t *Tree, opts ...ClusterOption) (*Cluster, error) {
-	return cluster.New(t, opts...)
+func NewCluster(t *Tree, cfg ClusterConfig) (*Cluster, error) {
+	return cluster.New(t, cfg)
 }

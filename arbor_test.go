@@ -23,7 +23,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		t.Errorf("analysis = %+v", a)
 	}
 
-	c, err := arbor.NewCluster(tr, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(tr, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFacadeClientOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := arbor.NewCluster(tr, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(tr, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFacadeErrTimeoutMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := arbor.NewCluster(tr, arbor.WithSeed(1), arbor.WithClientTimeout(30*time.Millisecond))
+	c, err := arbor.NewCluster(tr, arbor.ClusterConfig{Seed: 1, ClientTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func benchCluster(b *testing.B, spec string) (*arbor.Cluster, *arbor.Client) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func BenchmarkClusterByConfiguration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+		c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func BenchmarkClusterWriteAlgorithm1_64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func BenchmarkClusterReadTailLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := arbor.NewCluster(t, arbor.WithSeed(1), arbor.WithClientTimeout(40*time.Millisecond))
+		c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1, ClientTimeout: 40 * time.Millisecond})
 		if err != nil {
 			b.Fatal(err)
 		}

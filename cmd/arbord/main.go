@@ -63,13 +63,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var extra []cluster.Option
-	if *walDir != "" {
-		extra = append(extra, cluster.WithWALDir(*walDir))
-	}
-	if *inflight > 0 {
-		extra = append(extra, cluster.WithMaxInflight(*inflight))
-	}
 	var cliOpts []client.Option
 	if *budget != "" {
 		perOp, burst, err := parseRetryBudget(*budget)
@@ -78,7 +71,7 @@ func run(args []string) error {
 		}
 		cliOpts = append(cliOpts, client.WithRetryBudget(perOp, burst))
 	}
-	srv, err := newServer(t, *seed, *traceCap, cliOpts, extra...)
+	srv, err := newServer(t, cluster.Config{Seed: *seed, WALDir: *walDir, MaxInflight: *inflight}, *traceCap, cliOpts)
 	if err != nil {
 		return err
 	}

@@ -50,10 +50,10 @@ var _ http.Handler = (*server)(nil)
 // newServer builds the cluster over loopback TCP and its HTTP routes.
 // traceCap bounds the in-memory operation trace ring served by /traces;
 // cliOpts configure the serving client (retry budget, op deadline).
-func newServer(t *tree.Tree, seed int64, traceCap int, cliOpts []client.Option, extra ...cluster.Option) (*server, error) {
+func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.Option) (*server, error) {
 	o := obs.NewObserver(traceCap)
-	opts := append([]cluster.Option{cluster.WithTCP(), cluster.WithSeed(seed), cluster.WithObserver(o)}, extra...)
-	c, err := cluster.New(t, opts...)
+	cfg.TCP, cfg.Observer = true, o
+	c, err := cluster.New(t, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,9 @@ func newServer(t *tree.Tree, seed int64, traceCap int, cliOpts []client.Option, 
 	}
 	// Wall clock injected: the daemon's cooldown and journal timestamps
 	// should read in operator time, unlike the harness's logical clock.
-	ctl, err := adapt.New(c, adapt.WithClock(time.Now))
+	actl := adapt.DefaultConfig()
+	actl.Clock = time.Now
+	ctl, err := adapt.New(c, actl)
 	if err != nil {
 		c.Close()
 		return nil, err

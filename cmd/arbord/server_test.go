@@ -25,7 +25,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(tr, 1, 64, nil)
+	srv, err := newServer(tr, cluster.Config{Seed: 1}, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPutInDoubt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(tr, 1, 64, []client.Option{client.WithTimeout(50 * time.Millisecond)})
+	srv, err := newServer(tr, cluster.Config{Seed: 1}, 64, []client.Option{client.WithTimeout(50 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestServerWithWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(tr, 1, 64, nil, cluster.WithWALDir(dir))
+	srv, err := newServer(tr, cluster.Config{Seed: 1, WALDir: dir}, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestServerWithWAL(t *testing.T) {
 	srv.Close()
 
 	// Restarting on the same WAL directory recovers the data.
-	srv2, err := newServer(tr, 2, 64, nil, cluster.WithWALDir(dir))
+	srv2, err := newServer(tr, cluster.Config{Seed: 2, WALDir: dir}, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func emitLive(w io.Writer) error {
 // measureConfig runs the workload on one configuration and prints measured
 // vs predicted contacts.
 func measureConfig(w io.Writer, name string, t *tree.Tree) error {
-	c, err := cluster.New(t, cluster.WithSeed(liveSeed))
+	c, err := cluster.New(t, cluster.Config{Seed: liveSeed})
 	if err != nil {
 		return err
 	}

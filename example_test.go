@@ -62,7 +62,7 @@ func ExampleNewCluster() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

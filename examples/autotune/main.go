@@ -25,7 +25,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(5))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 5})
 	if err != nil {
 		return err
 	}
@@ -38,12 +38,9 @@ func run() error {
 
 	// The controller is driven by explicit Step calls here, so the example
 	// is deterministic; production code would start ctl.Run(ctx) instead.
-	ctl, err := arbor.NewController(c,
-		arbor.WithAdaptInterval(50*time.Millisecond),
-		arbor.WithAdaptMinLevelDelta(2),
-		arbor.WithAdaptCooldown(0),
-		arbor.WithAdaptEnabled(true),
-	)
+	cfg := arbor.DefaultAdaptConfig()
+	cfg.Interval, cfg.MinLevelDelta, cfg.Cooldown, cfg.Enabled = 50*time.Millisecond, 2, 0, true
+	ctl, err := arbor.NewController(c, cfg)
 	if err != nil {
 		return err
 	}

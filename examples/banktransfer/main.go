@@ -26,7 +26,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(11))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 11})
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	c, err := arbor.NewCluster(t, arbor.WithSeed(7), arbor.WithClientTimeout(100*time.Millisecond))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 7, ClientTimeout: 100 * time.Millisecond})
 	if err != nil {
 		return err
 	}

@@ -52,8 +52,11 @@ func run() error {
 		return d / 2 // half RTT per direction
 	}
 
-	c, err := arbor.NewCluster(t, arbor.WithSeed(9), arbor.WithLinkLatency(link),
-		arbor.WithClientTimeout(2*time.Second))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{
+		Seed:          9,
+		Net:           transport.NetConfig{LinkLatency: link},
+		ClientTimeout: 2 * time.Second,
+	})
 	if err != nil {
 		return err
 	}

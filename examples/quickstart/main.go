@@ -35,7 +35,7 @@ func run() error {
 		a.WriteCostAvg, a.WriteLoad, p, a.WriteAvailability(p))
 
 	// Spin up one goroutine per replica and run the protocol for real.
-	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		return err
 	}

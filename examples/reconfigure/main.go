@@ -25,7 +25,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	c, err := arbor.NewCluster(readShape, arbor.WithSeed(3))
+	c, err := arbor.NewCluster(readShape, arbor.ClusterConfig{Seed: 3})
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func run() error {
 }
 
 func runConfig(name string, t *arbor.Tree) error {
-	c, err := arbor.NewCluster(t, arbor.WithSeed(42))
+	c, err := arbor.NewCluster(t, arbor.ClusterConfig{Seed: 42})
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := arbor.NewCluster(t1, arbor.WithSeed(1), arbor.WithWALDir(dir))
+	c1, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 1, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	c1.Close()
 
 	// Phase 3: cold restart from the WAL on the reshaped tree.
-	c2, err := arbor.NewCluster(t2, arbor.WithSeed(2), arbor.WithWALDir(dir))
+	c2, err := arbor.NewCluster(t2, arbor.ClusterConfig{Seed: 2, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestIntegrationCheckpointThenWALlessRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := arbor.NewCluster(t1, arbor.WithSeed(1))
+	c1, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestIntegrationCheckpointThenWALlessRestart(t *testing.T) {
 	}
 	c1.Close()
 
-	c2, err := arbor.NewCluster(t1, arbor.WithSeed(2))
+	c2, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

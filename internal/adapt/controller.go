@@ -46,71 +46,54 @@ const (
 	DefaultDegradeTolerance = 0.5
 )
 
-// Option configures a Controller.
-type Option interface {
-	apply(*Controller)
+// Config configures a Controller. Every field is taken as given, so start
+// from DefaultConfig: a zero Cooldown, DegradeTolerance or Enabled is a
+// setting, not a request for the default.
+type Config struct {
+	// Interval is the Run loop's evaluation period and the logical clock's
+	// per-step advance.
+	Interval time.Duration
+	// Window is the observation window length in samples: both how many
+	// ticks of evidence a decision aggregates and how many consecutive
+	// drifted ticks the hysteresis demands before acting.
+	Window int
+	// MinLevelDelta is how many physical levels the advised tree must
+	// differ by before drift registers at all (damping oscillation).
+	MinLevelDelta int
+	// Cooldown is the minimum controller-clock time between migrations.
+	Cooldown time.Duration
+	// Availability is the per-replica availability assumption handed to
+	// the advisor.
+	Availability float64
+	// Objective is the advisor objective.
+	Objective config.Objective
+	// DegradeTolerance is the abort-on-degradation guard's threshold: a
+	// migration is reverted when the post-migration windowed load exceeds
+	// the pre-migration one by more than this fraction.
+	DegradeTolerance float64
+	// Clock is the controller's notion of time, used for journal
+	// timestamps and the cooldown. Nil makes it logical: it starts at the
+	// epoch and advances by one interval per Step, which is equivalent to
+	// wall time when Run drives the steps and exactly reproducible when a
+	// harness does.
+	Clock func() time.Time
+	// Enabled is the initial enabled state. A disabled controller observes
+	// and journals nothing until an operator turns it on.
+	Enabled bool
 }
 
-type optionFunc func(*Controller)
-
-func (f optionFunc) apply(c *Controller) { f(c) }
-
-// WithInterval sets the Run loop's evaluation period and the logical
-// clock's per-step advance (default 1s).
-func WithInterval(d time.Duration) Option {
-	return optionFunc(func(c *Controller) { c.interval = d })
-}
-
-// WithWindow sets the observation window length in samples: both how many
-// ticks of evidence a decision aggregates and how many consecutive drifted
-// ticks the hysteresis demands before acting (default 5).
-func WithWindow(n int) Option {
-	return optionFunc(func(c *Controller) { c.window = n })
-}
-
-// WithMinLevelDelta sets how many physical levels the advised tree must
-// differ by before drift registers at all (default 2, damping oscillation).
-func WithMinLevelDelta(d int) Option {
-	return optionFunc(func(c *Controller) { c.minLevelDelta = d })
-}
-
-// WithCooldown sets the minimum controller-clock time between migrations
-// (default 30s).
-func WithCooldown(d time.Duration) Option {
-	return optionFunc(func(c *Controller) { c.cooldown = d })
-}
-
-// WithAvailability sets the per-replica availability assumption handed to
-// the advisor (default 0.9).
-func WithAvailability(p float64) Option {
-	return optionFunc(func(c *Controller) { c.p = p })
-}
-
-// WithObjective sets the advisor objective (default config.MinimizeLoad).
-func WithObjective(obj config.Objective) Option {
-	return optionFunc(func(c *Controller) { c.obj = obj })
-}
-
-// WithDegradeTolerance sets the abort-on-degradation guard's threshold: a
-// migration is reverted when the post-migration windowed load exceeds the
-// pre-migration one by more than this fraction (default 0.5).
-func WithDegradeTolerance(f float64) Option {
-	return optionFunc(func(c *Controller) { c.degradeTol = f })
-}
-
-// WithClock injects the controller's notion of time, used for journal
-// timestamps and the cooldown. Without it the clock is logical: it starts
-// at the epoch and advances by one interval per Step, which is equivalent
-// to wall time when Run drives the steps and exactly reproducible when a
-// harness does.
-func WithClock(fn func() time.Time) Option {
-	return optionFunc(func(c *Controller) { c.clock = fn })
-}
-
-// WithEnabled sets the initial enabled state (default disabled: the
-// controller observes and journals nothing until an operator turns it on).
-func WithEnabled(on bool) Option {
-	return optionFunc(func(c *Controller) { c.enabled = on })
+// DefaultConfig returns the controller defaults: disabled, on a logical
+// clock, minimizing load.
+func DefaultConfig() Config {
+	return Config{
+		Interval:         DefaultInterval,
+		Window:           DefaultWindow,
+		MinLevelDelta:    DefaultMinLevelDelta,
+		Cooldown:         DefaultCooldown,
+		Availability:     DefaultAvailability,
+		Objective:        config.MinimizeLoad,
+		DegradeTolerance: DefaultDegradeTolerance,
+	}
 }
 
 // sample is one tick's worth of deltas against the previous tick.
@@ -124,16 +107,8 @@ type sample struct {
 // Controller is the adaptation loop. All methods are safe for concurrent
 // use; Step is the deterministic core, Run the production driver.
 type Controller struct {
-	c *cluster.Cluster
-
-	interval      time.Duration
-	window        int
-	minLevelDelta int
-	cooldown      time.Duration
-	p             float64
-	obj           config.Objective
-	degradeTol    float64
-	clock         func() time.Time
+	c   *cluster.Cluster
+	cfg Config
 
 	mu      sync.Mutex
 	enabled bool
@@ -165,41 +140,28 @@ type Controller struct {
 // observer, the controller registers its arbor_adapt_* metric families on
 // the observer's registry. Start the production loop with Run, or drive
 // Step directly from a deterministic harness.
-func New(c *cluster.Cluster, opts ...Option) (*Controller, error) {
-	ctl := &Controller{
-		c:             c,
-		interval:      DefaultInterval,
-		window:        DefaultWindow,
-		minLevelDelta: DefaultMinLevelDelta,
-		cooldown:      DefaultCooldown,
-		p:             DefaultAvailability,
-		obj:           config.MinimizeLoad,
-		degradeTol:    DefaultDegradeTolerance,
-		now:           time.Unix(0, 0).UTC(),
+func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
+	if cfg.Interval <= 0 {
+		return nil, fmt.Errorf("adapt: interval %v must be positive", cfg.Interval)
 	}
-	for _, opt := range opts {
-		opt.apply(ctl)
+	if cfg.Window < 1 {
+		return nil, fmt.Errorf("adapt: window %d must be at least 1", cfg.Window)
 	}
-	if ctl.interval <= 0 {
-		return nil, fmt.Errorf("adapt: interval %v must be positive", ctl.interval)
+	if cfg.MinLevelDelta < 1 {
+		return nil, fmt.Errorf("adapt: min level delta %d must be at least 1", cfg.MinLevelDelta)
 	}
-	if ctl.window < 1 {
-		return nil, fmt.Errorf("adapt: window %d must be at least 1", ctl.window)
+	if cfg.Availability <= 0 || cfg.Availability > 1 {
+		return nil, fmt.Errorf("adapt: availability %v outside (0,1]", cfg.Availability)
 	}
-	if ctl.minLevelDelta < 1 {
-		return nil, fmt.Errorf("adapt: min level delta %d must be at least 1", ctl.minLevelDelta)
-	}
-	if ctl.p <= 0 || ctl.p > 1 {
-		return nil, fmt.Errorf("adapt: availability %v outside (0,1]", ctl.p)
-	}
-	switch ctl.obj {
+	switch cfg.Objective {
 	case config.MinimizeLoad, config.MinimizeCost, config.MinimizeLoadCostProduct:
 	default:
-		return nil, fmt.Errorf("adapt: unknown objective %v", ctl.obj)
+		return nil, fmt.Errorf("adapt: unknown objective %v", cfg.Objective)
 	}
-	if ctl.degradeTol < 0 {
-		return nil, fmt.Errorf("adapt: degrade tolerance %v must be non-negative", ctl.degradeTol)
+	if cfg.DegradeTolerance < 0 {
+		return nil, fmt.Errorf("adapt: degrade tolerance %v must be non-negative", cfg.DegradeTolerance)
 	}
+	ctl := &Controller{c: c, cfg: cfg, enabled: cfg.Enabled, now: time.Unix(0, 0).UTC()}
 	ctl.j = newJournal(JournalCap)
 	ctl.registerMetrics(c.Observer().Reg())
 	return ctl, nil
@@ -209,7 +171,7 @@ func New(c *cluster.Cluster, opts ...Option) (*Controller, error) {
 // cancelled. It never returns an error: migration failures are journaled
 // evidence, not loop-fatal conditions.
 func (a *Controller) Run(ctx context.Context) {
-	ticker := time.NewTicker(a.interval)
+	ticker := time.NewTicker(a.cfg.Interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -280,8 +242,8 @@ func (a *Controller) Journal(n int) []Decision {
 
 // readClock returns the controller's current time without advancing it.
 func (a *Controller) readClock() time.Time {
-	if a.clock != nil {
-		return a.clock()
+	if a.cfg.Clock != nil {
+		return a.cfg.Clock()
 	}
 	return a.now
 }
@@ -300,8 +262,8 @@ func (a *Controller) record(d Decision) Decision {
 func (a *Controller) Step() (Decision, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.clock == nil {
-		a.now = a.now.Add(a.interval)
+	if a.cfg.Clock == nil {
+		a.now = a.now.Add(a.cfg.Interval)
 	}
 	snap := a.c.StatsSnapshot()
 	a.push(snap)
@@ -334,8 +296,8 @@ func (a *Controller) push(snap cluster.StatsView) {
 	a.prevOps = snap.Ops
 	a.prevLoad = sites
 	a.samples = append(a.samples, s)
-	if len(a.samples) > a.window {
-		a.samples = a.samples[len(a.samples)-a.window:]
+	if len(a.samples) > a.cfg.Window {
+		a.samples = a.samples[len(a.samples)-a.cfg.Window:]
 	}
 }
 
@@ -410,8 +372,8 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 		return a.judgeMigration(d, w)
 	}
 
-	if w.Samples < a.window {
-		d.Reason = fmt.Sprintf("warming up: %d/%d samples", w.Samples, a.window)
+	if w.Samples < a.cfg.Window {
+		d.Reason = fmt.Sprintf("warming up: %d/%d samples", w.Samples, a.cfg.Window)
 		a.driftStreak = 0
 		return a.record(d)
 	}
@@ -421,7 +383,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 		return a.record(d)
 	}
 
-	adv, err := config.Advise(snap.Tree.N(), a.p, w.ReadFraction, a.obj)
+	adv, err := config.Advise(snap.Tree.N(), a.cfg.Availability, w.ReadFraction, a.cfg.Objective)
 	if err != nil {
 		d.Outcome = err.Error()
 		d.Reason = "advisor failed"
@@ -431,7 +393,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	d.AdvisedSpec = adv.Tree.Spec()
 	d.AdvisedLevels = adv.Tree.NumPhysicalLevels()
 	d.AdvisedScore = adv.Score
-	if cur, err := config.Score(core.Analyze(snap.Tree), a.p, w.ReadFraction, a.obj); err == nil {
+	if cur, err := config.Score(core.Analyze(snap.Tree), a.cfg.Availability, w.ReadFraction, a.cfg.Objective); err == nil {
 		d.CurrentScore = cur
 	}
 
@@ -439,20 +401,20 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	if delta < 0 {
 		delta = -delta
 	}
-	if delta < a.minLevelDelta {
+	if delta < a.cfg.MinLevelDelta {
 		a.driftStreak = 0
 		d.Reason = fmt.Sprintf("shape fits: advised tree within %d level(s) of current", delta)
 		return a.record(d)
 	}
 
 	a.driftStreak++
-	if a.driftStreak < a.window {
-		d.Reason = fmt.Sprintf("hysteresis: drifted %d/%d tick(s)", a.driftStreak, a.window)
+	if a.driftStreak < a.cfg.Window {
+		d.Reason = fmt.Sprintf("hysteresis: drifted %d/%d tick(s)", a.driftStreak, a.cfg.Window)
 		return a.record(d)
 	}
 	if a.hasActed {
-		if since := d.At.Sub(a.lastAction); since < a.cooldown {
-			d.Reason = fmt.Sprintf("cooldown: %v since last migration, need %v", since, a.cooldown)
+		if since := d.At.Sub(a.lastAction); since < a.cfg.Cooldown {
+			d.Reason = fmt.Sprintf("cooldown: %v since last migration, need %v", since, a.cfg.Cooldown)
 			return a.record(d)
 		}
 	}
@@ -477,7 +439,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	a.prevTree = prev
 	a.preScore = weightedLoad(w, w.ReadFraction)
 	a.preFrac = w.ReadFraction
-	a.probation = a.window
+	a.probation = a.cfg.Window
 	a.samples = nil // judge the migration on post-migration evidence only
 	return a.record(d)
 }
@@ -487,14 +449,14 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 // the tolerance. The caller holds the lock.
 func (a *Controller) judgeMigration(d Decision, w WindowStats) Decision {
 	post := weightedLoad(w, a.preFrac)
-	if w.Ops() < MinWindowOps || a.preScore <= 0 || post <= a.preScore*(1+a.degradeTol) {
+	if w.Ops() < MinWindowOps || a.preScore <= 0 || post <= a.preScore*(1+a.cfg.DegradeTolerance) {
 		d.Reason = fmt.Sprintf("probation passed: windowed load %.4f vs %.4f before migration", post, a.preScore)
 		a.prevTree = nil
 		return a.record(d)
 	}
 	d.Action = ActionRevert
 	d.Reason = fmt.Sprintf("degradation: windowed load %.4f exceeds pre-migration %.4f by more than %.0f%%",
-		post, a.preScore, a.degradeTol*100)
+		post, a.preScore, a.cfg.DegradeTolerance*100)
 	d.AdvisedSpec = a.prevTree.Spec()
 	d.AdvisedLevels = a.prevTree.NumPhysicalLevels()
 	if err := a.c.Reconfigure(a.prevTree); err != nil {
@@ -538,13 +500,13 @@ func (a *Controller) State() State {
 	defer a.mu.Unlock()
 	return State{
 		Enabled:          a.enabled,
-		Interval:         a.interval,
-		Window:           a.window,
+		Interval:         a.cfg.Interval,
+		Window:           a.cfg.Window,
 		MinWindowOps:     MinWindowOps,
-		MinLevelDelta:    a.minLevelDelta,
-		Cooldown:         a.cooldown,
-		Availability:     a.p,
-		Objective:        a.obj.String(),
+		MinLevelDelta:    a.cfg.MinLevelDelta,
+		Cooldown:         a.cfg.Cooldown,
+		Availability:     a.cfg.Availability,
+		Objective:        a.cfg.Objective.String(),
 		CurrentSpec:      a.c.Tree().Spec(),
 		DriftStreak:      a.driftStreak,
 		Probation:        a.probation,

@@ -15,14 +15,18 @@ import (
 	"arbor/internal/tree"
 )
 
-func newCluster(t *testing.T, spec string, opts ...cluster.Option) *cluster.Cluster {
+func newCluster(t *testing.T, spec string) *cluster.Cluster {
+	t.Helper()
+	return newObservedCluster(t, spec, nil)
+}
+
+func newObservedCluster(t *testing.T, spec string, o *obs.Observer) *cluster.Cluster {
 	t.Helper()
 	tr, err := tree.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]cluster.Option{cluster.WithSeed(1)}, opts...)
-	c, err := cluster.New(tr, opts...)
+	c, err := cluster.New(tr, cluster.Config{Seed: 1, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +43,12 @@ func newClient(t *testing.T, c *cluster.Cluster) *client.Client {
 	return cli
 }
 
-func newController(t *testing.T, c *cluster.Cluster, opts ...Option) *Controller {
+// newController builds a controller from DefaultConfig as edited by set.
+func newController(t *testing.T, c *cluster.Cluster, set func(*Config)) *Controller {
 	t.Helper()
-	ctl, err := New(c, opts...)
+	cfg := DefaultConfig()
+	set(&cfg)
+	ctl, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +81,11 @@ func doWrites(t *testing.T, cli *client.Client, n int) {
 // MOSTLY-WRITE, the reverse flip migrates it back, and every
 // reconfiguration is explained by a journal entry.
 func TestControllerFlipMigratesAndBack(t *testing.T) {
-	c := newCluster(t, "1-16", cluster.WithObserver(obs.NewObserver(0)))
+	c := newObservedCluster(t, "1-16", obs.NewObserver(0))
 	cli := newClient(t, c)
-	ctl := newController(t, c,
-		WithWindow(3),
-		WithCooldown(0),
-		WithMinLevelDelta(2),
-		WithEnabled(true),
-	)
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Cooldown, cfg.MinLevelDelta, cfg.Enabled = 3, 0, 2, true
+	})
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -178,7 +182,9 @@ func TestControllerFlipMigratesAndBack(t *testing.T) {
 func TestControllerHoldsOnZeroOpWindow(t *testing.T) {
 	c := newCluster(t, "1-16")
 	newClient(t, c)
-	ctl := newController(t, c, WithWindow(2), WithEnabled(true))
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Enabled = 2, true
+	})
 
 	for i := 0; i < 6; i++ {
 		d, ok := ctl.Step()
@@ -210,7 +216,9 @@ func TestControllerMinDeltaSuppression(t *testing.T) {
 	// level away — below the threshold of 2, so the controller holds.
 	c := newCluster(t, "1-8-8")
 	cli := newClient(t, c)
-	ctl := newController(t, c, WithWindow(2), WithCooldown(0), WithMinLevelDelta(2), WithEnabled(true))
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Cooldown, cfg.MinLevelDelta, cfg.Enabled = 2, 0, 2, true
+	})
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -231,7 +239,9 @@ func TestControllerMinDeltaSuppression(t *testing.T) {
 	}
 
 	// Dropping the threshold to 1 turns the same evidence into a migration.
-	ctl2 := newController(t, c, WithWindow(2), WithCooldown(0), WithMinLevelDelta(1), WithEnabled(true))
+	ctl2 := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Cooldown, cfg.MinLevelDelta, cfg.Enabled = 2, 0, 1, true
+	})
 	for tick := 0; tick < 10 && ctl2.Reconfigurations() == 0; tick++ {
 		doReads(t, cli, 25)
 		ctl2.Step()
@@ -249,7 +259,7 @@ func TestControllerMinDeltaSuppression(t *testing.T) {
 func TestControllerDisabledObservesSilently(t *testing.T) {
 	c := newCluster(t, "1-16")
 	cli := newClient(t, c)
-	ctl := newController(t, c, WithWindow(2))
+	ctl := newController(t, c, func(cfg *Config) { cfg.Window = 2 })
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -282,13 +292,9 @@ func TestControllerDisabledObservesSilently(t *testing.T) {
 func TestControllerCooldown(t *testing.T) {
 	c := newCluster(t, "1-16")
 	cli := newClient(t, c)
-	ctl := newController(t, c,
-		WithWindow(2),
-		WithInterval(time.Second),
-		WithCooldown(time.Hour),
-		WithMinLevelDelta(1),
-		WithEnabled(true),
-	)
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Interval, cfg.Cooldown, cfg.MinLevelDelta, cfg.Enabled = 2, time.Second, time.Hour, 1, true
+	})
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -324,7 +330,9 @@ func TestControllerCooldown(t *testing.T) {
 func TestControllerRevertOnDegradation(t *testing.T) {
 	c := newCluster(t, "1-16")
 	cli := newClient(t, c)
-	ctl := newController(t, c, WithWindow(2), WithCooldown(0), WithEnabled(true))
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Cooldown, cfg.Enabled = 2, 0, true
+	})
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -372,7 +380,9 @@ func TestControllerRevertOnDegradation(t *testing.T) {
 func TestControllerProbationPasses(t *testing.T) {
 	c := newCluster(t, "1-16")
 	cli := newClient(t, c)
-	ctl := newController(t, c, WithWindow(2), WithCooldown(0), WithEnabled(true))
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Cooldown, cfg.Enabled = 2, 0, true
+	})
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -403,7 +413,9 @@ func TestControllerProbationPasses(t *testing.T) {
 // TestControllerStateSnapshot sanity-checks the /controller JSON source.
 func TestControllerStateSnapshot(t *testing.T) {
 	c := newCluster(t, "1-3-5")
-	ctl := newController(t, c, WithWindow(4), WithAvailability(0.8), WithObjective(config.MinimizeCost))
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Window, cfg.Availability, cfg.Objective = 4, 0.8, config.MinimizeCost
+	})
 	st := ctl.State()
 	if st.Enabled {
 		t.Error("controller starts enabled")
@@ -419,19 +431,42 @@ func TestControllerStateSnapshot(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigKeepsDefaults: a controller from DefaultConfig carries
+// the Default* knobs, minimizes load, starts disabled on the logical clock,
+// and an explicit zero cooldown stays zero.
+func TestDefaultConfigKeepsDefaults(t *testing.T) {
+	c := newCluster(t, "1-3-5")
+	ctl := newController(t, c, func(*Config) {})
+	got := ctl.cfg
+	if got.Interval != DefaultInterval || got.Window != DefaultWindow ||
+		got.MinLevelDelta != DefaultMinLevelDelta || got.Cooldown != DefaultCooldown ||
+		got.Availability != DefaultAvailability || got.Objective != config.MinimizeLoad ||
+		got.DegradeTolerance != DefaultDegradeTolerance || got.Clock != nil || got.Enabled {
+		t.Errorf("default config = %+v", got)
+	}
+	if st := ctl.State(); st.Enabled || st.Cooldown != DefaultCooldown || st.Objective != "load" {
+		t.Errorf("default state = %+v", st)
+	}
+	if st := newController(t, c, func(cfg *Config) { cfg.Cooldown = 0 }).State(); st.Cooldown != 0 {
+		t.Errorf("explicit zero cooldown became %v", st.Cooldown)
+	}
+}
+
 // TestControllerOptionValidation: nonsense knobs fail construction.
 func TestControllerOptionValidation(t *testing.T) {
 	c := newCluster(t, "1-3-5")
-	for name, opts := range map[string][]Option{
-		"zero interval":    {WithInterval(0)},
-		"zero window":      {WithWindow(0)},
-		"zero level delta": {WithMinLevelDelta(0)},
-		"bad availability": {WithAvailability(1.5)},
-		"bad objective":    {WithObjective(0)},
-		"bad tolerance":    {WithDegradeTolerance(-1)},
+	for name, set := range map[string]func(*Config){
+		"zero interval":    func(cfg *Config) { cfg.Interval = 0 },
+		"zero window":      func(cfg *Config) { cfg.Window = 0 },
+		"zero level delta": func(cfg *Config) { cfg.MinLevelDelta = 0 },
+		"bad availability": func(cfg *Config) { cfg.Availability = 1.5 },
+		"bad objective":    func(cfg *Config) { cfg.Objective = 0 },
+		"bad tolerance":    func(cfg *Config) { cfg.DegradeTolerance = -1 },
 	} {
-		if _, err := New(c, opts...); err == nil {
-			t.Errorf("%s: New accepted invalid option", name)
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := New(c, cfg); err == nil {
+			t.Errorf("%s: New accepted an invalid config", name)
 		}
 	}
 }
@@ -440,12 +475,9 @@ func TestControllerOptionValidation(t *testing.T) {
 func TestControllerRunLoop(t *testing.T) {
 	c := newCluster(t, "1-16")
 	cli := newClient(t, c)
-	ctl := newController(t, c,
-		WithInterval(5*time.Millisecond),
-		WithWindow(2),
-		WithClock(time.Now),
-		WithEnabled(true),
-	)
+	ctl := newController(t, c, func(cfg *Config) {
+		cfg.Interval, cfg.Window, cfg.Clock, cfg.Enabled = 5*time.Millisecond, 2, time.Now, true
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { ctl.Run(ctx); close(done) }()

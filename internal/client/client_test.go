@@ -33,7 +33,7 @@ func newMemHarness(t *testing.T, spec string, opts ...Option) *memHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := transport.NewNetwork(transport.WithSeed(1))
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	h := &memHarness{net: n, proto: proto}
 	for _, site := range tr.Sites() {
 		ep, err := n.Register(transport.Addr(site))
@@ -183,7 +183,7 @@ func TestClientWriteInDoubt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := transport.NewNetwork()
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	defer n.Close()
 	repEP, err := n.Register(1)
 	if err != nil {

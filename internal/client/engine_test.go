@@ -19,7 +19,7 @@ import (
 
 // newEngineHarness is newMemHarness with control over the transport, for
 // engine tests that need message latency to make probes overlap.
-func newEngineHarness(t *testing.T, spec string, netOpts []transport.Option, opts ...Option) *memHarness {
+func newEngineHarness(t *testing.T, spec string, net transport.NetConfig, opts ...Option) *memHarness {
 	t.Helper()
 	tr, err := tree.ParseSpec(spec)
 	if err != nil {
@@ -29,7 +29,7 @@ func newEngineHarness(t *testing.T, spec string, netOpts []transport.Option, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := transport.NewNetwork(append([]transport.Option{transport.WithSeed(1)}, netOpts...)...)
+	n := transport.NewNetwork(1, net)
 	h := &memHarness{net: n, proto: proto}
 	for _, site := range tr.Sites() {
 		ep, err := n.Register(transport.Addr(site))
@@ -243,7 +243,7 @@ func TestHedgedReadRescuesCrashedSite(t *testing.T) {
 func TestReadCoalescing(t *testing.T) {
 	o := obs.NewObserver(64)
 	h := newEngineHarness(t, "1-2-2",
-		[]transport.Option{transport.WithLatency(2*time.Millisecond, 0)},
+		transport.NetConfig{Latency: 2 * time.Millisecond},
 		WithTimeout(250*time.Millisecond), WithObserver(o))
 	ctx := context.Background()
 	if _, err := h.cli.Write(ctx, "k", []byte("v")); err != nil {

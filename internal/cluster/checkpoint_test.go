@@ -32,7 +32,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := New(tr, WithSeed(2))
+	c2, err := New(tr, Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWALDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	c1 := newCluster(t, "1-3-5", WithWALDir(dir))
+	c1 := newConfiguredCluster(t, "1-3-5", Config{WALDir: dir})
 	cli1 := newClient(t, c1)
 	for i := 0; i < 4; i++ {
 		if _, err := cli1.Write(ctx, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -119,7 +119,7 @@ func TestWALDirSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := New(tr, WithSeed(3), WithWALDir(dir))
+	c2, err := New(tr, Config{Seed: 3, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestWALDirCreationFailure(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(tr, WithWALDir(filepath.Join(blocker, "wal"))); err == nil {
+	if _, err := New(tr, Config{WALDir: filepath.Join(blocker, "wal")}); err == nil {
 		t.Error("cluster with unusable WAL dir started")
 	}
 }

@@ -2,7 +2,7 @@
 // servers and protocol clients into a runnable distributed system, with
 // failure injection (crashes, recoveries, partitions) and per-replica load
 // accounting. The network is the simulated in-memory one by default, or
-// loopback TCP with the binary codec under WithTCP.
+// loopback TCP with the binary codec under Config.TCP.
 package cluster
 
 import (
@@ -22,152 +22,60 @@ import (
 	"arbor/internal/tree"
 )
 
-// Option configures a Cluster.
-type Option interface {
-	apply(*options)
+// Config configures a Cluster. A zero duration or size keeps the default;
+// the seed is taken as given.
+type Config struct {
+	// Net configures the in-memory network: latency, jitter, per-link
+	// delay and loss. Under TCP it must stay zero.
+	Net transport.NetConfig
+	// Seed seeds all randomness: the network's, and the i-th client's as
+	// Seed+i.
+	Seed int64
+	// ClientTimeout is the clients' per-request failure-detection deadline
+	// (zero: 250ms).
+	ClientTimeout time.Duration
+	// LockTTL is the replicas' prepared-transaction lock expiry (zero: 2s).
+	LockTTL time.Duration
+	// WALDir gives every replica a write-ahead journal under the directory
+	// (site-<id>.wal). Existing journals are replayed at startup, so a
+	// cluster restarted on the same directory recovers every committed
+	// write without an explicit checkpoint.
+	WALDir string
+	// Observer attaches an observability hook to the whole cluster: every
+	// replica, every client created through NewClient, and the cluster
+	// itself (network counters, per-level load gauges and a live
+	// theory-vs-empirical load comparison) register their metrics on its
+	// registry, and client operations record traces into its recorder. Nil
+	// leaves all hot paths uninstrumented.
+	Observer *obs.Observer
+	// TCP runs the cluster over loopback TCP with the binary codec instead
+	// of the in-memory network: every message crosses a socket through the
+	// same framing and read loops a deployment runs. Faults that are
+	// properties of the simulated network do not exist there: New refuses
+	// a non-zero Net alongside it, and Partition and Heal fail.
+	TCP bool
+	// MaxInflight bounds each replica's concurrently served gated requests
+	// (reads, version probes and phase-one prepares; phase two is never
+	// gated). Work beyond the bound is shed at once with a typed overload
+	// reply — reads before prepares, commits and aborts never. Zero or less
+	// keeps the replica default.
+	MaxInflight int
 }
-
-type options struct {
-	seed          int64
-	latency       time.Duration
-	jitter        time.Duration
-	jitterDist    transport.JitterDist
-	linkFn        func(from, to transport.Addr) time.Duration
-	dropProb      float64
-	clientTimeout time.Duration
-	lockTTL       time.Duration
-	walDir        string
-	observer      *obs.Observer
-	tcp           bool
-	maxInflight   int
-	// simOnly names the last in-memory-only fault option given, which
-	// WithTCP refuses.
-	simOnly string
-}
-
-type seedOption int64
-
-func (o seedOption) apply(opts *options) { opts.seed = int64(o) }
-
-// WithSeed seeds all randomness (network and clients) for reproducible
-// runs.
-func WithSeed(seed int64) Option { return seedOption(seed) }
-
-type latencyOption struct{ base, jitter time.Duration }
-
-func (o latencyOption) apply(opts *options) {
-	opts.latency, opts.jitter, opts.simOnly = o.base, o.jitter, "WithLatency"
-}
-
-// WithLatency adds per-message delivery delay (base plus uniform jitter).
-func WithLatency(base, jitter time.Duration) Option { return latencyOption{base: base, jitter: jitter} }
-
-type jitterDistOption transport.JitterDist
-
-func (o jitterDistOption) apply(opts *options) {
-	opts.jitterDist, opts.simOnly = transport.JitterDist(o), "WithJitterDistribution"
-}
-
-// WithJitterDistribution selects the shape of the random delay component
-// configured by WithLatency (default uniform). Draws come from the
-// network's seeded RNG, so runs stay reproducible per seed.
-func WithJitterDistribution(d transport.JitterDist) Option { return jitterDistOption(d) }
-
-type linkLatencyOption func(from, to transport.Addr) time.Duration
-
-func (o linkLatencyOption) apply(opts *options) {
-	opts.linkFn, opts.simOnly = o, "WithLinkLatency/WithSiteRTT"
-}
-
-// WithLinkLatency adds per-link delay, modeling geographic topologies.
-// Replica sites use positive addresses (their site IDs); clients negative
-// ones. The function must be safe for concurrent use.
-func WithLinkLatency(fn func(from, to transport.Addr) time.Duration) Option {
-	return linkLatencyOption(fn)
-}
-
-// WithSiteRTT adds per-site geographic delay on top of WithLatency: a
-// message to or from site s pays rtt[s]/2 each way, so a link between two
-// listed sites costs the mean of their RTT classes. Clients and unlisted
-// sites pay nothing. The map must not be mutated after the call.
-func WithSiteRTT(rtt map[tree.SiteID]time.Duration) Option {
-	return linkLatencyOption(func(from, to transport.Addr) time.Duration {
-		return rtt[tree.SiteID(from)]/2 + rtt[tree.SiteID(to)]/2
-	})
-}
-
-type dropOption float64
-
-func (o dropOption) apply(opts *options) {
-	opts.dropProb, opts.simOnly = float64(o), "WithDropProbability"
-}
-
-// WithDropProbability makes the network lose each message independently
-// with probability p.
-func WithDropProbability(p float64) Option { return dropOption(p) }
-
-type clientTimeoutOption time.Duration
-
-func (o clientTimeoutOption) apply(opts *options) { opts.clientTimeout = time.Duration(o) }
-
-// WithClientTimeout sets the clients' per-request failure-detection
-// deadline.
-func WithClientTimeout(d time.Duration) Option { return clientTimeoutOption(d) }
-
-type lockTTLOption time.Duration
-
-func (o lockTTLOption) apply(opts *options) { opts.lockTTL = time.Duration(o) }
-
-// WithLockTTL sets the replicas' prepared-transaction lock expiry.
-func WithLockTTL(d time.Duration) Option { return lockTTLOption(d) }
-
-type tcpOption struct{}
-
-func (tcpOption) apply(opts *options) { opts.tcp = true }
-
-// WithTCP runs the cluster over loopback TCP with the binary codec instead
-// of the in-memory network: every message crosses a socket through the same
-// framing and read loops a deployment runs. Faults that are properties of
-// the simulated network do not exist there: New refuses WithLatency,
-// WithJitterDistribution, WithLinkLatency, WithSiteRTT and
-// WithDropProbability alongside it, and Partition and Heal fail.
-func WithTCP() Option { return tcpOption{} }
-
-type maxInflightOption int
-
-func (o maxInflightOption) apply(opts *options) { opts.maxInflight = int(o) }
-
-// WithMaxInflight bounds each replica's concurrently served gated requests
-// (reads, version probes and phase-one prepares; phase two is never gated).
-// Work beyond the bound is shed at once with a typed overload reply — reads
-// before prepares, commits and aborts never. Zero or less keeps the replica
-// default.
-func WithMaxInflight(n int) Option { return maxInflightOption(n) }
-
-type walDirOption string
-
-func (o walDirOption) apply(opts *options) { opts.walDir = string(o) }
-
-// WithWALDir gives every replica a write-ahead journal under dir
-// (site-<id>.wal). Existing journals are replayed at startup, so a cluster
-// restarted on the same directory recovers every committed write without an
-// explicit checkpoint.
-func WithWALDir(dir string) Option { return walDirOption(dir) }
 
 // Cluster is a running replica system. All methods are safe for concurrent
 // use; the replica map is immutable after New, and the mutable fields (tree,
 // protocol, client list, TCP endpoints) are guarded by mu.
 type Cluster struct {
 	net      transport.Transport
-	sim      *transport.Network // the in-memory network; nil under WithTCP
+	sim      *transport.Network // the in-memory network; nil over TCP
 	replicas map[tree.SiteID]*replica.Replica
-	opts     options
+	cfg      Config
 
 	mu      sync.RWMutex
 	tree    *tree.Tree
 	proto   *core.Protocol
 	clients []*client.Client
-	tcpEPs  []*transport.TCPEndpoint // every endpoint under WithTCP, for NetworkStats
+	tcpEPs  []*transport.TCPEndpoint // every endpoint over TCP, for NetworkStats
 	wals    []*replica.WAL
 	nextCli int
 	closed  bool
@@ -175,15 +83,16 @@ type Cluster struct {
 
 // New builds and starts a cluster for the given tree: one replica per
 // physical node, all attached to a fresh network — in-memory, or loopback
-// TCP under WithTCP.
-func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
-	o := options{
-		seed:          1,
-		clientTimeout: 250 * time.Millisecond,
-		lockTTL:       2 * time.Second,
+// TCP under cfg.TCP.
+func New(t *tree.Tree, cfg Config) (*Cluster, error) {
+	if cfg.TCP && !cfg.Net.IsZero() {
+		return nil, errors.New("cluster: Net configures the in-memory network, not TCP")
 	}
-	for _, opt := range opts {
-		opt.apply(&o)
+	if cfg.ClientTimeout == 0 {
+		cfg.ClientTimeout = 250 * time.Millisecond
+	}
+	if cfg.LockTTL == 0 {
+		cfg.LockTTL = 2 * time.Second
 	}
 	proto, err := core.New(t)
 	if err != nil {
@@ -193,28 +102,12 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 		tree:     t,
 		proto:    proto,
 		replicas: make(map[tree.SiteID]*replica.Replica, t.N()),
-		opts:     o,
+		cfg:      cfg,
 	}
-	if o.tcp {
-		if o.simOnly != "" {
-			return nil, fmt.Errorf("cluster: %s needs the in-memory network, not WithTCP", o.simOnly)
-		}
+	if cfg.TCP {
 		c.net = transport.NewTCPNetwork()
 	} else {
-		netOpts := []transport.Option{transport.WithSeed(o.seed)}
-		if o.latency > 0 || o.jitter > 0 {
-			netOpts = append(netOpts, transport.WithLatency(o.latency, o.jitter))
-		}
-		if o.jitterDist != transport.JitterUniform {
-			netOpts = append(netOpts, transport.WithJitterDistribution(o.jitterDist))
-		}
-		if o.dropProb > 0 {
-			netOpts = append(netOpts, transport.WithDropProbability(o.dropProb))
-		}
-		if o.linkFn != nil {
-			netOpts = append(netOpts, transport.WithLinkLatency(o.linkFn))
-		}
-		c.sim = transport.NewNetwork(netOpts...)
+		c.sim = transport.NewNetwork(cfg.Seed, cfg.Net)
 		c.net = c.sim
 	}
 	for _, site := range t.Sites() {
@@ -224,16 +117,16 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: register site %d: %w", site, err)
 		}
 		c.track(ep)
-		ropts := []replica.Option{replica.WithLockTTL(o.lockTTL)}
-		if o.maxInflight > 0 {
-			ropts = append(ropts, replica.WithMaxInflight(o.maxInflight))
+		ropts := []replica.Option{replica.WithLockTTL(cfg.LockTTL)}
+		if cfg.MaxInflight > 0 {
+			ropts = append(ropts, replica.WithMaxInflight(cfg.MaxInflight))
 		}
-		if o.observer != nil {
-			ropts = append(ropts, replica.WithObserver(o.observer.Reg()))
+		if cfg.Observer != nil {
+			ropts = append(ropts, replica.WithObserver(cfg.Observer.Reg()))
 		}
 		r := replica.New(int(site), ep, ropts...)
-		if o.walDir != "" {
-			w, err := attachWAL(r, o.walDir, int(site))
+		if cfg.WALDir != "" {
+			w, err := attachWAL(r, cfg.WALDir, int(site))
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -243,8 +136,8 @@ func New(t *tree.Tree, opts ...Option) (*Cluster, error) {
 		r.Start()
 		c.replicas[site] = r
 	}
-	if o.observer != nil {
-		c.registerMetrics(o.observer.Reg())
+	if cfg.Observer != nil {
+		c.registerMetrics(cfg.Observer.Reg())
 	}
 	return c, nil
 }
@@ -279,7 +172,7 @@ func attachWAL(r *replica.Replica, dir string, site int) (*replica.WAL, error) {
 // Observer returns the observer the cluster was built with (nil when
 // observability is off). Components layered on top of the cluster — the
 // adaptation controller — register their own metric families on it.
-func (c *Cluster) Observer() *obs.Observer { return c.opts.observer }
+func (c *Cluster) Observer() *obs.Observer { return c.cfg.Observer }
 
 // Clients returns the clients attached to this cluster.
 func (c *Cluster) Clients() []*client.Client {
@@ -323,10 +216,12 @@ func (c *Cluster) NewClient(opts ...client.Option) (*client.Client, error) {
 	}
 	c.track(ep)
 	copts := []client.Option{
-		client.WithTimeout(c.opts.clientTimeout),
-		client.WithSeed(c.opts.seed + int64(c.nextCli)),
+		client.WithTimeout(c.cfg.ClientTimeout),
+		client.WithSeed(c.cfg.Seed + int64(c.nextCli)),
 	}
-	copts = append(copts, c.clientObserverOpts()...)
+	if c.cfg.Observer != nil {
+		copts = append(copts, client.WithObserver(c.cfg.Observer))
+	}
 	copts = append(copts, opts...)
 	cli := client.New(id, ep, c.proto, copts...)
 	c.clients = append(c.clients, cli)
@@ -409,13 +304,13 @@ func (c *Cluster) RecoverAll() {
 	}
 }
 
-// errNotSimulated is what a simulated-network fault returns under WithTCP.
-var errNotSimulated = errors.New("cluster: partitions need the in-memory network, not WithTCP")
+// errNotSimulated is what a simulated-network fault returns over TCP.
+var errNotSimulated = errors.New("cluster: partitions need the in-memory network, not over TCP")
 
 // Partition splits the network into the given site groups. Clients not
 // listed (all of them, usually) fall into the implicit extra group, so a
 // partition with all clients on one side is expressed by grouping replica
-// sites only. It fails under WithTCP.
+// sites only. It fails over TCP.
 func (c *Cluster) Partition(groups ...[]tree.SiteID) error {
 	if c.sim == nil {
 		return errNotSimulated
@@ -432,7 +327,7 @@ func (c *Cluster) Partition(groups ...[]tree.SiteID) error {
 	return nil
 }
 
-// Heal removes any network partition. It fails under WithTCP.
+// Heal removes any network partition. It fails over TCP.
 func (c *Cluster) Heal() error {
 	if c.sim == nil {
 		return errNotSimulated
@@ -442,7 +337,7 @@ func (c *Cluster) Heal() error {
 }
 
 // NetworkStats counts what the cluster's network moved: Stats on the
-// in-memory network, TCP summed over every endpoint under WithTCP. The
+// in-memory network, TCP summed over every endpoint over TCP. The
 // other half stays zero.
 type NetworkStats struct {
 	transport.Stats

@@ -12,14 +12,24 @@ import (
 	"arbor/internal/tree"
 )
 
-func newCluster(t *testing.T, spec string, opts ...Option) *Cluster {
+func newCluster(t *testing.T, spec string) *Cluster {
+	t.Helper()
+	return newConfiguredCluster(t, spec, Config{})
+}
+
+// newConfiguredCluster builds the tree's cluster on seed 1, with a 100ms
+// client timeout unless cfg sets one.
+func newConfiguredCluster(t *testing.T, spec string, cfg Config) *Cluster {
 	t.Helper()
 	tr, err := tree.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]Option{WithSeed(1), WithClientTimeout(100 * time.Millisecond)}, opts...)
-	c, err := New(tr, opts...)
+	cfg.Seed = 1
+	if cfg.ClientTimeout == 0 {
+		cfg.ClientTimeout = 100 * time.Millisecond
+	}
+	c, err := New(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestTwoClientsSeeEachOthersWrites(t *testing.T) {
 }
 
 func TestConcurrentWritersConverge(t *testing.T) {
-	c := newCluster(t, "1-3-5", WithLockTTL(200*time.Millisecond))
+	c := newConfiguredCluster(t, "1-3-5", Config{LockTTL: 200 * time.Millisecond})
 	ctx := context.Background()
 	const writers = 4
 	clients := make([]*client.Client, writers)
@@ -356,6 +366,28 @@ func TestClusterAccessors(t *testing.T) {
 	c.Close() // idempotent
 }
 
+// TestDefaultConfigKeepsDefaults: a configuration that sets only the seed
+// builds what an unconfigured cluster always was: seed 1, a 250ms client
+// timeout and a 2s lock TTL on the in-memory network.
+func TestDefaultConfigKeepsDefaults(t *testing.T) {
+	tr, err := tree.ParseSpec("1-2-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(tr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.cfg.Seed != 1 || c.cfg.ClientTimeout != 250*time.Millisecond || c.cfg.LockTTL != 2*time.Second {
+		t.Errorf("seed %d, client timeout %v, lock TTL %v; want 1, 250ms, 2s",
+			c.cfg.Seed, c.cfg.ClientTimeout, c.cfg.LockTTL)
+	}
+	if c.sim == nil {
+		t.Error("default cluster is not on the in-memory network")
+	}
+}
+
 func TestWithLinkLatencyGeoTopology(t *testing.T) {
 	// Level 0 (sites 1..3) is "local" to the client; level 1 (sites 4..8)
 	// sits across a slow 30ms link. Reads must touch both levels, so their
@@ -366,7 +398,7 @@ func TestWithLinkLatencyGeoTopology(t *testing.T) {
 		}
 		return 0
 	}
-	c := newCluster(t, "1-3-5", WithLinkLatency(slow))
+	c := newConfiguredCluster(t, "1-3-5", Config{Net: transport.NetConfig{LinkLatency: slow}})
 	cli := newClient(t, c)
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {

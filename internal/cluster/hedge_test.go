@@ -25,7 +25,7 @@ func TestHedgedProbesNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(tr, WithSeed(1), WithClientTimeout(150*time.Millisecond))
+	c, err := New(tr, Config{Seed: 1, ClientTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEngineDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(tr, WithSeed(9), WithClientTimeout(200*time.Millisecond))
+		c, err := New(tr, Config{Seed: 9, ClientTimeout: 200 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

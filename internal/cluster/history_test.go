@@ -66,7 +66,7 @@ func runHistoryWorkload(t *testing.T, c *Cluster, clients, opsPerClient int, key
 // TestConcurrentHistoryIsOneCopy checks the full stack's one-copy semantics
 // under concurrent clients on a healthy cluster.
 func TestConcurrentHistoryIsOneCopy(t *testing.T) {
-	c := newCluster(t, "1-3-5", WithLockTTL(150*time.Millisecond))
+	c := newConfiguredCluster(t, "1-3-5", Config{LockTTL: 150 * time.Millisecond})
 	keys := []string{"a", "b", "c"}
 	rec := runHistoryWorkload(t, c, 4, 40, keys, nil)
 	if rec.Len() == 0 {
@@ -80,7 +80,7 @@ func TestConcurrentHistoryIsOneCopy(t *testing.T) {
 // TestConcurrentHistoryUnderCrashes injects crash/recover chaos and checks
 // that every operation that did complete still respects one-copy semantics.
 func TestConcurrentHistoryUnderCrashes(t *testing.T) {
-	c := newCluster(t, "1-3-5", WithLockTTL(150*time.Millisecond))
+	c := newConfiguredCluster(t, "1-3-5", Config{LockTTL: 150 * time.Millisecond})
 	keys := []string{"a", "b"}
 
 	var chaosMu sync.Mutex

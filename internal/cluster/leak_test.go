@@ -16,10 +16,10 @@ import (
 func TestCloseStopsAllGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		tcp  bool
 	}{
-		{"in-memory", nil},
-		{"TCP", []Option{WithTCP()}},
+		{"in-memory", false},
+		{"TCP", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runtime.GC()
@@ -30,7 +30,7 @@ func TestCloseStopsAllGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := New(tr, append([]Option{WithSeed(1)}, tc.opts...)...)
+			c, err := New(tr, Config{Seed: 1, TCP: tc.tcp})
 			if err != nil {
 				t.Fatal(err)
 			}

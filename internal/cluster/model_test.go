@@ -34,7 +34,7 @@ func TestQuickSequentialModelEquivalence(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		c, err := New(tr, WithSeed(seed), WithClientTimeout(25*time.Millisecond))
+		c, err := New(tr, Config{Seed: seed, ClientTimeout: 25 * time.Millisecond})
 		if err != nil {
 			return false
 		}

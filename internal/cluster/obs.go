@@ -10,21 +10,9 @@ import (
 	"arbor/internal/tree"
 )
 
-type observerOption struct{ o *obs.Observer }
-
-func (o observerOption) apply(opts *options) { opts.observer = o.o }
-
-// WithObserver attaches an observability hook to the whole cluster: every
-// replica, every client created through NewClient, and the cluster itself
-// (network counters, per-level load gauges and a live theory-vs-empirical
-// load comparison) register their metrics on the observer's registry, and
-// client operations record traces into its recorder. A nil observer (the
-// default) leaves all hot paths uninstrumented.
-func WithObserver(o *obs.Observer) Option { return observerOption{o: o} }
-
 // registerMetrics installs the cluster-scoped metric families: network
 // counters read at scrape time (messages on the in-memory network, frames
-// and drops under WithTCP), per-level participation gauges recomputed
+// and drops over TCP), per-level participation gauges recomputed
 // from replica stats on every collection (Reset-ing first, so a
 // reconfiguration that changes the number of levels never leaves stale
 // series), and the Eq 3.2 closed-form loads next to their measured
@@ -155,6 +143,11 @@ func (c *Cluster) OpTotals() OpTotals {
 	c.mu.RLock()
 	clients := c.clients
 	c.mu.RUnlock()
+	return sumOps(clients)
+}
+
+// sumOps adds up the clients' operation counters.
+func sumOps(clients []*client.Client) OpTotals {
 	var t OpTotals
 	for _, cli := range clients {
 		m := cli.Metrics()
@@ -189,15 +182,7 @@ func (c *Cluster) StatsSnapshot() StatsView {
 	c.mu.RUnlock()
 	snap.Load = c.LoadReport()
 	snap.Network = c.NetworkStats()
-	for _, cli := range clients {
-		m := cli.Metrics()
-		snap.Ops.Reads += m.Reads
-		snap.Ops.ReadFailures += m.ReadFailures
-		snap.Ops.Writes += m.Writes
-		snap.Ops.WriteFailures += m.WriteFailures
-		snap.Ops.ReadContacts += m.ReadContacts
-		snap.Ops.WriteContacts += m.WriteContacts
-	}
+	snap.Ops = sumOps(clients)
 	return snap
 }
 
@@ -238,13 +223,4 @@ func (v StatsView) TheoryCheck() TheoryCheck {
 // TheoryCheck captures a consistent snapshot and runs the comparison.
 func (c *Cluster) TheoryCheck() TheoryCheck {
 	return c.StatsSnapshot().TheoryCheck()
-}
-
-// clientObserverOpts returns the extra client options carrying the
-// cluster's observer, if any.
-func (c *Cluster) clientObserverOpts() []client.Option {
-	if c.opts.observer == nil {
-		return nil
-	}
-	return []client.Option{client.WithObserver(c.opts.observer)}
 }

@@ -20,7 +20,7 @@ func newObservedCluster(t *testing.T, spec string, o *obs.Observer) (*Cluster, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(tr, WithSeed(1), WithClientTimeout(25*time.Millisecond), WithObserver(o))
+	c, err := New(tr, Config{Seed: 1, ClientTimeout: 25 * time.Millisecond, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +347,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := []Option{WithSeed(1)}
-		if o != nil {
-			opts = append(opts, WithObserver(o))
-		}
-		c, err := New(tr, opts...)
+		c, err := New(tr, Config{Seed: 1, Observer: o})
 		if err != nil {
 			b.Fatal(err)
 		}

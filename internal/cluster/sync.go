@@ -22,9 +22,9 @@ func (c *Cluster) syncPlanFor(site tree.SiteID) replica.SyncPlan {
 	proto := c.Protocol()
 	plan := replica.SyncPlan{
 		Config: replica.SyncConfig{
-			CallTimeout: c.opts.clientTimeout,
-			RetryBase:   c.opts.clientTimeout / 4,
-			Seed:        c.opts.seed + int64(site),
+			CallTimeout: c.cfg.ClientTimeout,
+			RetryBase:   c.cfg.ClientTimeout / 4,
+			Seed:        c.cfg.Seed + int64(site),
 		},
 	}
 	for u := 0; u < proto.NumPhysicalLevels(); u++ {

@@ -18,7 +18,7 @@ import (
 // every member of the level it commits on (3 or 5). Hedging is off, so a
 // slow machine cannot add a backup probe the paper does not price.
 func TestTCPClusterCostsMatchTheory(t *testing.T) {
-	c := newCluster(t, "1-3-5", WithTCP())
+	c := newConfiguredCluster(t, "1-3-5", Config{TCP: true})
 	cli, err := c.NewClient(client.WithHedging(false))
 	if err != nil {
 		t.Fatal(err)
@@ -62,14 +62,14 @@ func TestTCPClusterCostsMatchTheory(t *testing.T) {
 		t.Errorf("frames dropped: %+v", st.TCP)
 	}
 	if st.Stats != (transport.Stats{}) {
-		t.Errorf("in-memory counters moved under WithTCP: %+v", st.Stats)
+		t.Errorf("in-memory counters moved over TCP: %+v", st.Stats)
 	}
 }
 
 // TestTCPClusterRoutesAroundCrash crashes a member of the small level over
 // TCP: reads and writes go around it, and after recovery it serves again.
 func TestTCPClusterRoutesAroundCrash(t *testing.T) {
-	c := newCluster(t, "1-3-5", WithTCP(), WithClientTimeout(50*time.Millisecond))
+	c := newConfiguredCluster(t, "1-3-5", Config{TCP: true, ClientTimeout: 50 * time.Millisecond})
 	cli := newClient(t, c)
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v0")); err != nil {
@@ -111,33 +111,42 @@ func TestTCPClusterRoutesAroundCrash(t *testing.T) {
 }
 
 // TestTCPClusterRefusesSimulatedFaults: faults that only the in-memory
-// network can inject are errors under WithTCP, not silent no-ops.
+// network can inject are errors over TCP, not silent no-ops, while a zero Net
+// — zero latency, zero loss, the default uniform jitter shape — is accepted.
 func TestTCPClusterRefusesSimulatedFaults(t *testing.T) {
 	tr, err := tree.ParseSpec("1-2-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []Option{
-		WithLatency(time.Millisecond, 0),
-		WithJitterDistribution(transport.JitterPareto),
-		WithLinkLatency(func(from, to transport.Addr) time.Duration { return 0 }),
-		WithSiteRTT(map[tree.SiteID]time.Duration{1: time.Millisecond}),
-		WithDropProbability(0.1),
+	for _, tc := range []struct {
+		name   string
+		net    transport.NetConfig
+		refuse bool
+	}{
+		{"latency", transport.NetConfig{Latency: time.Millisecond}, true},
+		{"jitter", transport.NetConfig{Jitter: time.Millisecond}, true},
+		{"jitter shape", transport.NetConfig{JitterDist: transport.JitterPareto}, true},
+		{"link latency", transport.NetConfig{LinkLatency: func(from, to transport.Addr) time.Duration { return 0 }}, true},
+		{"drop", transport.NetConfig{DropProb: 0.1}, true},
+		{"zero Net", transport.NetConfig{}, false},
 	} {
-		if c, err := New(tr, WithTCP(), opt); err == nil {
+		c, err := New(tr, Config{TCP: true, Net: tc.net})
+		if err == nil {
 			c.Close()
-			t.Errorf("New(WithTCP, %T) accepted a simulated-network fault", opt)
+		}
+		if refused := err != nil; refused != tc.refuse {
+			t.Errorf("%s: New over TCP refused = %v (%v), want %v", tc.name, refused, err, tc.refuse)
 		}
 	}
 
-	c := newCluster(t, "1-2-2", WithTCP())
+	c := newConfiguredCluster(t, "1-2-2", Config{TCP: true})
 	if err := c.Partition([]tree.SiteID{1, 2}); err == nil {
-		t.Error("Partition accepted under WithTCP")
+		t.Error("Partition accepted over TCP")
 	}
 	if err := c.Heal(); err == nil {
-		t.Error("Heal accepted under WithTCP")
+		t.Error("Heal accepted over TCP")
 	}
 	if err := c.ApplyEvent(Event{Partition: [][]tree.SiteID{{1}}}); err == nil {
-		t.Error("a partition event applied under WithTCP")
+		t.Error("a partition event applied over TCP")
 	}
 }

@@ -76,7 +76,7 @@ func TestEmpiricalAvailabilityMatchesTheory(t *testing.T) {
 		p      = 0.8
 		trials = 120
 	)
-	c := newCluster(t, spec, WithClientTimeout(60*time.Millisecond))
+	c := newConfiguredCluster(t, spec, Config{ClientTimeout: 60 * time.Millisecond})
 	cli := newClient(t, c)
 	ctx := context.Background()
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
@@ -182,7 +182,7 @@ func TestLoadReportOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(tr, WithSeed(1))
+	c, err := New(tr, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type harness struct {
 
 func newHarness(t *testing.T, opts ...Option) *harness {
 	t.Helper()
-	n := transport.NewNetwork()
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	repEP, err := n.Register(1)
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ type syncPair struct {
 
 func newSyncPair(t *testing.T) *syncPair {
 	t.Helper()
-	n := transport.NewNetwork()
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	ep1, err := n.Register(1)
 	if err != nil {
 		t.Fatal(err)

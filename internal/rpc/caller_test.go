@@ -21,7 +21,7 @@ func echoServer(ep *transport.Endpoint, site int) {
 
 func newPair(t *testing.T, timeout time.Duration) (*Caller, *transport.Network) {
 	t.Helper()
-	n := transport.NewNetwork()
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	srv, err := n.Register(1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCallAfterClose(t *testing.T) {
 // TestCloseStopsServe: once Close returns, the caller no longer consumes its
 // endpoint — a reply that arrives later stays readable on it.
 func TestCloseStopsServe(t *testing.T) {
-	n := transport.NewNetwork()
+	n := transport.NewNetwork(1, transport.NetConfig{})
 	defer n.Close()
 	srv, err := n.Register(1)
 	if err != nil {

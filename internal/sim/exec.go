@@ -42,33 +42,32 @@ func (w *world) build() error {
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	opts := []cluster.Option{
-		cluster.WithSeed(w.spec.Seed),
-		cluster.WithClientTimeout(w.spec.Timeout),
-		cluster.WithLockTTL(w.spec.LockTTL),
-		cluster.WithWALDir(w.walDir()),
-	}
 	lat := w.spec.Latency
-	if lat.Base > 0 || lat.Jitter > 0 {
-		opts = append(opts, cluster.WithLatency(lat.Base, lat.Jitter))
+	dist, err := transport.ParseJitterDist(lat.Dist)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	if lat.Dist != "" {
-		dist, err := transport.ParseJitterDist(lat.Dist)
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		opts = append(opts, cluster.WithJitterDistribution(dist))
+	cfg := cluster.Config{
+		Net:           transport.NetConfig{Latency: lat.Base, Jitter: lat.Jitter, JitterDist: dist},
+		Seed:          w.spec.Seed,
+		ClientTimeout: w.spec.Timeout,
+		LockTTL:       w.spec.LockTTL,
+		WALDir:        w.walDir(),
 	}
 	if len(lat.Levels)+len(lat.Sites) > 0 {
-		// Geo model: the map is read-only after build, so the derived link
-		// fn is safe for concurrent use.
+		// Geo model: a message to or from site s pays rtt[s]/2 each way, so
+		// a link between two listed sites costs the mean of their RTT
+		// classes; clients and unlisted sites pay nothing. The map is
+		// read-only after build, so the link fn is safe for concurrent use.
 		rtt, err := siteRTT(tr, lat)
 		if err != nil {
 			return err
 		}
-		opts = append(opts, cluster.WithSiteRTT(rtt))
+		cfg.Net.LinkLatency = func(from, to transport.Addr) time.Duration {
+			return rtt[tree.SiteID(from)]/2 + rtt[tree.SiteID(to)]/2
+		}
 	}
-	c, err := cluster.New(tr, opts...)
+	c, err := cluster.New(tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -117,12 +116,9 @@ func siteRTT(tr *tree.Tree, lat Latency) (map[tree.SiteID]time.Duration, error) 
 // threshold. No wall clock is involved anywhere, so controller decisions
 // are a pure function of the op stream and fault schedule.
 func (w *world) newController() (*adapt.Controller, error) {
-	return adapt.New(w.cluster,
-		adapt.WithInterval(time.Second),
-		adapt.WithWindow(3),
-		adapt.WithCooldown(5*time.Second),
-		adapt.WithEnabled(true),
-	)
+	cfg := adapt.DefaultConfig()
+	cfg.Interval, cfg.Window, cfg.Cooldown, cfg.Enabled = time.Second, 3, 5*time.Second, true
+	return adapt.New(w.cluster, cfg)
 }
 
 // awaitSync blocks until every replica's catch-up has settled, converting a

@@ -32,36 +32,34 @@ var (
 	ErrDuplicateAddr = errors.New("transport: address already registered")
 )
 
-// Option configures a Network.
-type Option interface {
-	apply(*options)
+// inboxSize is each in-memory endpoint's inbox capacity. When an inbox is
+// full further messages to it are dropped (and counted), like a congested
+// link.
+const inboxSize = 1024
+
+// NetConfig configures the in-memory network. The zero value delivers at
+// once and loses nothing.
+type NetConfig struct {
+	// Latency is every delivery's base delay.
+	Latency time.Duration
+	// Jitter is the scale of a random delay added on top of Latency, drawn
+	// from JitterDist.
+	Jitter     time.Duration
+	JitterDist JitterDist
+	// LinkLatency adds a per-link delay on top of the rest, modeling
+	// geographic topologies (fast intra-zone links, slow cross-zone ones).
+	// It must be safe for concurrent use.
+	LinkLatency func(from, to Addr) time.Duration
+	// DropProb loses each message independently with this probability.
+	DropProb float64
 }
 
-type options struct {
-	latency    time.Duration
-	jitter     time.Duration
-	jitterDist JitterDist
-	linkFn     func(from, to Addr) time.Duration
-	dropProb   float64
-	seed       int64
-	bufferSize int
+// IsZero reports whether the configuration is the zero value: no delay, no
+// loss and the default jitter shape.
+func (c NetConfig) IsZero() bool {
+	return c.Latency == 0 && c.Jitter == 0 && c.JitterDist == JitterUniform &&
+		c.LinkLatency == nil && c.DropProb == 0
 }
-
-type latencyOption struct{ base, jitter time.Duration }
-
-func (o latencyOption) apply(opts *options) { opts.latency, opts.jitter = o.base, o.jitter }
-
-// WithLatency makes every delivery wait base plus a uniform random jitter.
-func WithLatency(base, jitter time.Duration) Option { return latencyOption{base: base, jitter: jitter} }
-
-type linkLatencyOption func(from, to Addr) time.Duration
-
-func (o linkLatencyOption) apply(opts *options) { opts.linkFn = o }
-
-// WithLinkLatency adds a per-link delay on top of the base latency, letting
-// tests model geographic topologies (e.g. fast intra-zone links, slow
-// cross-zone ones). The function must be safe for concurrent use.
-func WithLinkLatency(fn func(from, to Addr) time.Duration) Option { return linkLatencyOption(fn) }
 
 // JitterDist shapes the random component of per-message delay. Every draw
 // comes from the network's seeded RNG, so a given seed replays the same
@@ -137,38 +135,6 @@ func drawJitter(rng *rand.Rand, dist JitterDist, jitter time.Duration) time.Dura
 	}
 }
 
-type jitterDistOption JitterDist
-
-func (o jitterDistOption) apply(opts *options) { opts.jitterDist = JitterDist(o) }
-
-// WithJitterDistribution selects the shape of the random delay component
-// configured by WithLatency (default JitterUniform). The draws consume the
-// network's seeded RNG, so runs stay reproducible per seed.
-func WithJitterDistribution(d JitterDist) Option { return jitterDistOption(d) }
-
-type dropOption float64
-
-func (o dropOption) apply(opts *options) { opts.dropProb = float64(o) }
-
-// WithDropProbability drops each message independently with probability p.
-func WithDropProbability(p float64) Option { return dropOption(p) }
-
-type seedOption int64
-
-func (o seedOption) apply(opts *options) { opts.seed = int64(o) }
-
-// WithSeed fixes the RNG used for jitter and message loss, making runs
-// reproducible.
-func WithSeed(seed int64) Option { return seedOption(seed) }
-
-type bufferOption int
-
-func (o bufferOption) apply(opts *options) { opts.bufferSize = int(o) }
-
-// WithBufferSize sets each endpoint's inbox capacity. When an inbox is full
-// further messages to it are dropped (and counted), like a congested link.
-func WithBufferSize(n int) Option { return bufferOption(n) }
-
 // Stats counts network activity. Dropped counts both random loss and
 // partition/congestion drops. Delayed counts messages whose delivery was
 // deferred by latency, jitter or per-link delay.
@@ -182,7 +148,7 @@ type Stats struct {
 // Network is an in-memory message network.
 type Network struct {
 	mu        sync.Mutex
-	opts      options
+	cfg       NetConfig
 	rng       *rand.Rand
 	endpoints map[Addr]*Endpoint
 	groups    map[Addr]int // partition group per address; absent = group 0
@@ -191,16 +157,12 @@ type Network struct {
 	pending   sync.WaitGroup
 }
 
-// NewNetwork creates a network. By default delivery is immediate, lossless
-// and unpartitioned.
-func NewNetwork(opts ...Option) *Network {
-	o := options{bufferSize: 1024, seed: 1}
-	for _, opt := range opts {
-		opt.apply(&o)
-	}
+// NewNetwork creates an unpartitioned network. The seed fixes the RNG
+// behind jitter and message loss, making runs reproducible.
+func NewNetwork(seed int64, cfg NetConfig) *Network {
 	return &Network{
-		opts:      o,
-		rng:       rand.New(rand.NewSource(o.seed)),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
 		endpoints: make(map[Addr]*Endpoint),
 		groups:    make(map[Addr]int),
 	}
@@ -230,7 +192,7 @@ func (n *Network) Register(addr Addr) (*Endpoint, error) {
 	if _, ok := n.endpoints[addr]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrDuplicateAddr, addr)
 	}
-	ep := &Endpoint{addr: addr, net: n, in: make(chan Message, n.opts.bufferSize)}
+	ep := &Endpoint{addr: addr, net: n, in: make(chan Message, inboxSize)}
 	n.endpoints[addr] = ep
 	return ep, nil
 }
@@ -305,17 +267,17 @@ func (e *Endpoint) Send(to Addr, payload any) error {
 		n.mu.Unlock()
 		return nil // partitioned: silently lost, like a real link
 	}
-	if n.opts.dropProb > 0 && n.rng.Float64() < n.opts.dropProb {
+	if n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb {
 		n.stats.Dropped++
 		n.mu.Unlock()
 		return nil
 	}
-	delay := n.opts.latency
-	if n.opts.jitter > 0 {
-		delay += drawJitter(n.rng, n.opts.jitterDist, n.opts.jitter)
+	delay := n.cfg.Latency
+	if n.cfg.Jitter > 0 {
+		delay += drawJitter(n.rng, n.cfg.JitterDist, n.cfg.Jitter)
 	}
-	if n.opts.linkFn != nil {
-		delay += n.opts.linkFn(e.addr, to)
+	if n.cfg.LinkLatency != nil {
+		delay += n.cfg.LinkLatency(e.addr, to)
 	}
 	msg := Message{From: e.addr, To: to, Payload: payload}
 	if delay <= 0 {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSendAndReceive(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, err := n.Register(1)
 	if err != nil {
@@ -80,7 +80,7 @@ func TestDrawJitterBoundsAndTails(t *testing.T) {
 }
 
 func TestJitterDistributionOptionWiring(t *testing.T) {
-	n := NewNetwork(WithSeed(3), WithLatency(0, time.Microsecond), WithJitterDistribution(JitterPareto))
+	n := NewNetwork(3, NetConfig{Jitter: time.Microsecond, JitterDist: JitterPareto})
 	defer n.Close()
 	a, err := n.Register(1)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestJitterDistributionOptionWiring(t *testing.T) {
 }
 
 func TestRegisterDuplicate(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	if _, err := n.Register(1); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRegisterDuplicate(t *testing.T) {
 }
 
 func TestSendUnknownDestination(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, err := n.Register(1)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestSendUnknownDestination(t *testing.T) {
 }
 
 func TestClosedNetwork(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	a, err := n.Register(1)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestClosedNetwork(t *testing.T) {
 }
 
 func TestLatency(t *testing.T) {
-	n := NewNetwork(WithLatency(30*time.Millisecond, 0))
+	n := NewNetwork(1, NetConfig{Latency: 30 * time.Millisecond})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
@@ -170,7 +170,7 @@ func TestLatency(t *testing.T) {
 }
 
 func TestLatencyWithJitter(t *testing.T) {
-	n := NewNetwork(WithLatency(5*time.Millisecond, 10*time.Millisecond), WithSeed(3))
+	n := NewNetwork(3, NetConfig{Latency: 5 * time.Millisecond, Jitter: 10 * time.Millisecond})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
@@ -189,7 +189,7 @@ func TestLatencyWithJitter(t *testing.T) {
 }
 
 func TestDropProbability(t *testing.T) {
-	n := NewNetwork(WithDropProbability(1), WithSeed(1))
+	n := NewNetwork(1, NetConfig{DropProb: 1})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
@@ -207,7 +207,7 @@ func TestDropProbability(t *testing.T) {
 }
 
 func TestPartitionAndHeal(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
@@ -247,7 +247,7 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 func TestUnlistedAddressesFormImplicitGroup(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
@@ -263,25 +263,25 @@ func TestUnlistedAddressesFormImplicitGroup(t *testing.T) {
 }
 
 func TestBufferOverflowDrops(t *testing.T) {
-	n := NewNetwork(WithBufferSize(2))
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, _ := n.Register(1)
 	if _, err := n.Register(2); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < inboxSize+3; i++ {
 		if err := a.Send(2, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := n.Stats()
-	if st.Delivered != 2 || st.Dropped != 3 {
-		t.Errorf("stats = %+v, want 2 delivered / 3 dropped", st)
+	if st.Delivered != inboxSize || st.Dropped != 3 {
+		t.Errorf("stats = %+v, want %d delivered / 3 dropped", st, inboxSize)
 	}
 }
 
 func TestEndpointAddr(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	e, _ := n.Register(7)
 	if e.Addr() != 7 {
@@ -297,12 +297,12 @@ func TestLinkLatencyTopology(t *testing.T) {
 		}
 		return 1
 	}
-	n := NewNetwork(WithLinkLatency(func(from, to Addr) time.Duration {
+	n := NewNetwork(1, NetConfig{LinkLatency: func(from, to Addr) time.Duration {
 		if zone(from) != zone(to) {
 			return 40 * time.Millisecond
 		}
 		return 0
-	}))
+	}})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)

@@ -72,7 +72,7 @@ func TestSendRetainsNothingOverTCP(t *testing.T) {
 // the stamped copy wire.Stamped makes, and a payload outside the message
 // set is refused before it reaches the Conn.
 func TestSendHandsOtherConnsAStampedCopy(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork(1, NetConfig{})
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
