@@ -20,7 +20,7 @@ LINT_BUDGET ?= 90s
 lint:
 	$(GO) run ./cmd/arborvet -budget $(LINT_BUDGET) ./...
 
-# Machine-readable findings for CI artifacts and baselines.
+# Machine-readable findings, as CI uploads them.
 lint-json:
 	$(GO) run ./cmd/arborvet -json ./...
 
@@ -37,11 +37,12 @@ race:
 # LOC_MAX records the first column's total: the target fails when the tree
 # is larger (a PR that grows it has to raise LOC_MAX on purpose) and when it
 # is smaller (a PR that shrinks it has to lower LOC_MAX to the new total),
-# printing the value to set either way. The last change lowered it by 239
-# from 22673: the option types and constructors of internal/cluster, the
-# in-memory network and internal/adapt went for one Config struct each, and
-# the cluster's copy of the network's settings went with them.
-LOC_MAX = 22428
+# printing the value to set either way. The last change lowered it by 151
+# from 22428: the client's read coalescing went (its flight table, the
+# follower's retry loop and the coalesced-reads counter), every read runs
+# its own quorum, arborvet's -baseline flag went, and examples/tcpcluster
+# builds its cluster with cluster.New instead of wiring it by hand.
+LOC_MAX = 22277
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
 		-not -path '*/testdata/*' -not -path './.bench_build/*' -print0 \

@@ -6,21 +6,18 @@
 //
 // Usage:
 //
-//	arborvet [-only a,b] [-list] [-json] [-baseline file] [-github] [-budget d] [packages]
+//	arborvet [-only a,b] [-list] [-json] [-github] [-budget d] [packages]
 //
 // Package patterns are module-relative: ./... (default) analyzes every
 // package, ./internal/... a subtree, ./internal/client one package.
 // Diagnostics print as path:line:col: message [analyzer]; -json prints a
-// machine-readable array instead (the format -baseline consumes). A
-// baseline file suppresses previously accepted findings, matched by
-// (file, analyzer, message) with per-tuple counts so line drift does not
-// resurrect them; regenerate it with `arborvet -json > baseline`.
-// -github additionally emits ::error workflow annotations for CI. -budget
-// fails the run when analysis wall time exceeds the duration, keeping
-// `make lint` honest about its latency.
+// machine-readable array instead. A finding is suppressed only in the
+// source, by a //lint:ignore directive. -github additionally emits ::error
+// workflow annotations for CI. -budget fails the run when analysis wall
+// time exceeds the duration, keeping `make lint` honest about its latency.
 //
-// The exit status is 1 when any non-baselined diagnostic is reported or
-// the budget is blown, 2 on usage or load errors.
+// The exit status is 1 when any diagnostic is reported or the budget is
+// blown, 2 on usage or load errors.
 package main
 
 import (
@@ -41,7 +38,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselinePath := flag.String("baseline", "", "JSON findings file (from -json) whose entries are suppressed")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
 	budget := flag.Duration("budget", 0, "fail if load+analysis exceeds this wall time (0 = no budget)")
 	flag.Parse()
@@ -90,21 +86,12 @@ func main() {
 	diags := lint.RunAnalyzers(selected, analyzers)
 	elapsed := time.Since(start)
 
-	// Relativize paths before baseline matching and output, so baseline
-	// files are portable across checkouts.
+	// Relativize paths for output, so findings read the same in every
+	// checkout.
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
 		}
-	}
-
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "arborvet: %v\n", err)
-			os.Exit(2)
-		}
-		diags = filterBaseline(diags, base)
 	}
 
 	if *jsonOut {
@@ -138,8 +125,7 @@ func main() {
 	}
 }
 
-// jsonDiag is the machine-readable finding shape shared by -json output
-// and -baseline input.
+// jsonDiag is the machine-readable finding shape of -json output.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -164,46 +150,6 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// baselineKey identifies a finding for baseline matching. Line and column
-// are deliberately excluded: edits above a finding move it without
-// changing what it is, and a baseline that rots on every unrelated edit
-// gets deleted rather than maintained.
-func baselineKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// loadBaseline reads a -json findings file into per-key allowances.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var entries []jsonDiag
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	base := make(map[string]int)
-	for _, e := range entries {
-		base[baselineKey(e.File, e.Analyzer, e.Message)]++
-	}
-	return base, nil
-}
-
-// filterBaseline drops findings covered by the baseline, consuming one
-// allowance per match so a finding that multiplies still surfaces.
-func filterBaseline(diags []lint.Diagnostic, base map[string]int) []lint.Diagnostic {
-	var out []lint.Diagnostic
-	for _, d := range diags {
-		key := baselineKey(d.Pos.Filename, d.Analyzer, d.Message)
-		if base[key] > 0 {
-			base[key]--
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // githubAnnotation renders a finding as a GitHub Actions workflow command,

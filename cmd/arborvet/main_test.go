@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/json"
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,56 +42,6 @@ func TestWriteJSONEmpty(t *testing.T) {
 	}
 	if strings.TrimSpace(sb.String()) != "[]" {
 		t.Fatalf("empty run must print [], got %q", sb.String())
-	}
-}
-
-func TestBaselineFilter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	base := []jsonDiag{
-		// Line 99 on purpose: baselines match on (file, analyzer, message)
-		// so drift does not resurrect accepted findings.
-		{File: "internal/a/a.go", Line: 99, Analyzer: "goleak", Message: "known leak"},
-		{File: "internal/a/a.go", Line: 100, Analyzer: "goleak", Message: "known leak"},
-	}
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := loadBaseline(path)
-	if err != nil {
-		t.Fatalf("loadBaseline: %v", err)
-	}
-
-	diags := []lint.Diagnostic{
-		diag("internal/a/a.go", 12, "goleak", "known leak"),
-		diag("internal/a/a.go", 40, "goleak", "known leak"),
-		diag("internal/a/a.go", 77, "goleak", "known leak"), // third copy exceeds the 2 allowances
-		diag("internal/a/a.go", 12, "poolsafe", "known leak"),
-		diag("internal/c/c.go", 12, "goleak", "known leak"),
-	}
-	got := filterBaseline(diags, loaded)
-	if len(got) != 3 {
-		t.Fatalf("filterBaseline kept %d findings, want 3: %v", len(got), got)
-	}
-	if got[0].Pos.Line != 77 || got[1].Analyzer != "poolsafe" || got[2].Pos.Filename != "internal/c/c.go" {
-		t.Fatalf("wrong findings survived: %v", got)
-	}
-}
-
-func TestLoadBaselineErrors(t *testing.T) {
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing baseline file must error, not silently pass everything")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(bad); err == nil {
-		t.Error("malformed baseline must error")
 	}
 }
 

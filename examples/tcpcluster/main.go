@@ -1,7 +1,7 @@
 // Tcpcluster: the identical protocol stack over real loopback TCP sockets
-// with the binary wire codec, wired layer by layer (transport → replicas →
-// client) instead of through the cluster convenience wrapper — showing the
-// components compose against any transport.
+// with the binary wire codec — the cluster arbord runs, with every message
+// crossing a socket through the same framing and read loops a deployment
+// uses.
 package main
 
 import (
@@ -10,10 +10,7 @@ import (
 	"log"
 	"time"
 
-	"arbor/internal/client"
-	"arbor/internal/core"
-	"arbor/internal/replica"
-	"arbor/internal/transport"
+	"arbor/internal/cluster"
 	"arbor/internal/tree"
 )
 
@@ -28,39 +25,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	proto, err := core.New(t)
+	// One TCP listener per replica, all on loopback ephemeral ports.
+	c, err := cluster.New(t, cluster.Config{TCP: true, ClientTimeout: 500 * time.Millisecond})
 	if err != nil {
 		return err
 	}
-
-	// One TCP listener per replica, all on loopback ephemeral ports.
-	net := transport.NewTCPNetwork()
-	defer net.Close()
-	var replicas []*replica.Replica
-	for _, site := range t.Sites() {
-		ep, err := net.Listen(transport.Addr(site))
-		if err != nil {
-			return err
-		}
-		r := replica.New(int(site), ep)
-		r.Start()
-		replicas = append(replicas, r)
-	}
-	defer func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-	}()
+	defer c.Close()
 	fmt.Printf("started %d replicas on TCP loopback (%s)\n", t.N(), t.Spec())
 
 	// The client is dial-only: it needs no listener, replies come back over
 	// the multiplexed connections it opens.
-	cliEP, err := net.Dial(-1)
+	cli, err := c.NewClient()
 	if err != nil {
 		return err
 	}
-	cli := client.New(-1, cliEP, proto, client.WithTimeout(500*time.Millisecond))
-	defer cli.Close()
 
 	ctx := context.Background()
 	start := time.Now()
@@ -78,11 +56,13 @@ func run() error {
 	fmt.Printf("counter = %s (version %s), read touched %d replicas\n", rd.Value, rd.TS, rd.Contacts)
 
 	// Crash a replica: the quorum logic behaves identically over TCP.
-	replicas[0].Crash()
+	if err := c.Crash(t.Sites()[0]); err != nil {
+		return err
+	}
 	wr, err := cli.Write(ctx, "counter", []byte("final"))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after crashing site 1, write re-routed to level %d\n", wr.Level)
+	fmt.Printf("after crashing site %d, write re-routed to level %d\n", t.Sites()[0], wr.Level)
 	return nil
 }

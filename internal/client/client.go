@@ -201,7 +201,7 @@ type instruments struct {
 	siteFallbacks             *obs.Counter
 	levelFallbacks            *obs.Counter
 	hedges, hedgeWins         *obs.Counter
-	coalesced, readRefetches  *obs.Counter
+	readRefetches             *obs.Counter
 	retryCommit, retryLevel   *obs.Counter
 	overloadSkips             *obs.Counter
 	budgetDenied              *obs.Counter
@@ -221,8 +221,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Quorum fallbacks taken: site = another replica of the same level after a failure, level = another physical level after a failed 2PC attempt.", "kind")
 	hedgeEvents := reg.CounterVec("arbor_client_hedges_total",
 		"Hedged backup probes: launched = a backup probe started because the primary was overdue, win = a level was satisfied by a hedge probe's response.", "event")
-	coalesced := reg.Counter("arbor_client_coalesced_reads_total",
-		"Reads served by joining another in-flight read of the same key through the same client (singleflight).")
 	refetches := reg.Counter("arbor_client_read_refetches_total",
 		"Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.")
 	retries := reg.CounterVec("arbor_client_retries_total",
@@ -247,7 +245,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		levelFallbacks:   fallbacks.With("level"),
 		hedges:           hedgeEvents.With("launched"),
 		hedgeWins:        hedgeEvents.With("win"),
-		coalesced:        coalesced,
 		readRefetches:    refetches,
 		retryCommit:      retries.With("commit"),
 		retryLevel:       retries.With("level"),
@@ -275,11 +272,9 @@ type Client struct {
 	budget *retryBudget
 
 	// book is the per-site record behind every ordering and admission
-	// decision; flights holds the in-progress coalesced read assemblies.
-	book     *siteBook
-	flightMu sync.Mutex
-	flights  map[string]*flight
-	floors   floorTable // the per-key floor a read sends along
+	// decision.
+	book   *siteBook
+	floors floorTable // the per-key floor a read sends along
 
 	// obs is the optional observability hook; instr and traces are its
 	// pre-resolved halves (nil when no observer is attached).
@@ -314,7 +309,6 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		breaker:       true,
 		seed:          int64(id),
 		rng:           rand.New(rand.NewSource(int64(id))),
-		flights:       make(map[string]*flight),
 	}
 	c.levels.Store(newLevelTable(proto))
 	for _, opt := range opts {

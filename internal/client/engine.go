@@ -1,5 +1,5 @@
-// The quorum engine: latency-aware site selection, hedged probes and read
-// coalescing shared by the read, version-discovery and write paths.
+// The quorum engine: latency-aware site selection and hedged probes shared
+// by the read, version-discovery and write paths.
 //
 // Every contact's outcome goes into the site book (book.go), the client's
 // one record per site. Within a level, candidates are probed in the paper's
@@ -11,7 +11,6 @@
 // out the full client timeout; the first response wins and the losers are
 // cancelled. All of it — every level of a read, every member of a 2PC
 // round — is one state machine on the calling goroutine (assembly).
-// Concurrent reads of one key through one client coalesce into one of them.
 package client
 
 import (
@@ -583,30 +582,4 @@ func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, span *obs.L
 	}
 	a.run()
 	return a
-}
-
-// flight is one in-progress coalesced read assembly. The first follower to
-// join makes done, under flightMu; a flight nobody joined goes back to
-// flightPool, for no other goroutine ever saw it.
-type flight struct {
-	done chan struct{}
-	res  ReadResult
-	err  error
-}
-
-var flightPool = sync.Pool{New: func() any { return new(flight) }}
-
-// finishCoalesced accounts a follower's share of a coalesced read: the
-// operation counts as a read (with zero contacts of its own) and records
-// its trace. The value is handed off zero-copy: every follower shares the
-// leader's buffer (see ReadResult.Value).
-func (c *Client) finishCoalesced(key string, f *flight) (ReadResult, error) {
-	op := c.traces.Start("read", key, c.id)
-	if c.instr != nil {
-		c.instr.coalesced.Inc()
-	}
-	res := f.res
-	res.Contacts = 0
-	c.finishRead(op, f.err, 0)
-	return res, f.err
 }

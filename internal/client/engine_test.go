@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"arbor/internal/replica"
 	"arbor/internal/transport"
 	"arbor/internal/tree"
+	"arbor/internal/wire"
 )
 
 // newEngineHarness is newMemHarness with control over the transport, for
@@ -237,14 +237,13 @@ func TestHedgedReadRescuesCrashedSite(t *testing.T) {
 	}
 }
 
-// TestReadCoalescing: concurrent reads of one key through one client must
-// collapse into far fewer quorum assemblies than callers, while every
-// caller still gets the value and its own metrics accounting.
-func TestReadCoalescing(t *testing.T) {
-	o := obs.NewObserver(64)
+// TestConcurrentReadsEachRunQuorum: concurrent reads of one key through one
+// client each assemble a quorum of their own — every caller gets the value,
+// counts as a read and pays one contact per physical level.
+func TestConcurrentReadsEachRunQuorum(t *testing.T) {
 	h := newEngineHarness(t, "1-2-2",
 		transport.NetConfig{Latency: 2 * time.Millisecond},
-		WithTimeout(250*time.Millisecond), WithObserver(o))
+		WithTimeout(250*time.Millisecond), WithHedging(false))
 	ctx := context.Background()
 	if _, err := h.cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -280,62 +279,61 @@ func TestReadCoalescing(t *testing.T) {
 	if got := after.Reads - before.Reads; got != callers {
 		t.Errorf("Reads delta = %d, want %d (every caller counts)", got, callers)
 	}
-	// Un-coalesced, 16 reads on two levels cost 32 contacts; coalesced
-	// flights cost 2 each. Allow a few flights for scheduling skew.
-	if delta := after.ReadContacts - before.ReadContacts; delta >= 2*callers {
-		t.Errorf("ReadContacts delta = %d — reads did not coalesce", delta)
-	}
-	if h.cli.instr.coalesced.Value() == 0 {
-		t.Error("no reads accounted as coalesced")
+	// 1-2-2 has two physical levels: every read contacts each once.
+	if delta := after.ReadContacts - before.ReadContacts; delta != 2*callers {
+		t.Errorf("ReadContacts delta = %d, want %d (one quorum per read)", delta, 2*callers)
 	}
 }
 
-// TestReadCoalescingLateJoin: a follower that joins once the leader's quorum
-// is under way — its request sent, its reply held back — makes the flight's
-// done channel then, and leader and follower return the same result from
-// the one contact.
-func TestReadCoalescingLateJoin(t *testing.T) {
-	h := newScriptHarness(t, "1-2", byArrivalAlways(silent), WithHedgeDelay(time.Hour))
+// TestReadBesideHeldReadRunsOwnQuorum: while one read of a key waits on a
+// held reply, a write to the key is acknowledged and a second read of it
+// begins. The second read must send its own level request and return the
+// newer timestamp its own reply carries, not the held read's result: only
+// a quorum assembled after the write is sure to meet the write's level.
+func TestReadBesideHeldReadRunsOwnQuorum(t *testing.T) {
+	// Neither a timeout nor a hedge may move the held read to the level's
+	// other site: its request would pass for the second read's own.
+	h := newScriptHarness(t, "1-2", byArrivalAlways(silent), WithTimeout(10*time.Second), WithHedgeDelay(time.Hour))
 	ctx := context.Background()
 	type result struct {
 		res ReadResult
 		err error
 	}
-	leader, follower := make(chan result, 1), make(chan result, 1)
+	first, second := make(chan result, 1), make(chan result, 1)
 	go func() {
 		res, err := h.cli.Read(ctx, "k")
-		leader <- result{res, err}
+		first <- result{res, err}
 	}()
-	<-h.conn.seen // the leader's one request is out
-	go func() {
-		res, err := h.cli.Read(ctx, "k")
-		follower <- result{res, err}
-	}()
-	for joined := false; !joined; {
-		h.cli.flightMu.Lock()
-		f := h.cli.flights["k"]
-		joined = f != nil && f.done != nil
-		h.cli.flightMu.Unlock()
-		if f == nil {
-			t.Fatal("the leader's flight ended before its reply was sent")
-		}
-		runtime.Gosched()
-	}
-	req := h.conn.requests()[0]
-	h.conn.in <- transport.Message{From: req.To, To: -1, Payload: h.conn.replyFrom(req.To, req.Payload, false)}
+	<-h.conn.seen // the first read's one request is out; its reply is held
+	held := h.conn.requests()[0]
+	heldReply := h.conn.replyFrom(held.To, held.Payload, false)
 
-	l, f := <-leader, <-follower
-	if l.err != nil || f.err != nil {
-		t.Fatalf("leader: %v, follower: %v", l.err, f.err)
+	// Another client's write commits at every site of the level.
+	older, newer := wire.Timestamp{Version: 1, Site: -1}, wire.Timestamp{Version: 2, Site: -2}
+	for _, s := range h.proto.LevelSites(0) {
+		h.conn.replyFrom(transport.Addr(s), wire.CommitReq{Key: "k", TS: newer}, false)
 	}
-	if string(l.res.Value) != "v" || string(f.res.Value) != "v" || l.res.TS != f.res.TS || !f.res.Found {
-		t.Errorf("leader read %q@%v, follower %q@%v", l.res.Value, l.res.TS, f.res.Value, f.res.TS)
+	h.conn.script(byArrivalAlways(answer))
+	go func() {
+		res, err := h.cli.Read(ctx, "k")
+		second <- result{res, err}
+	}()
+	select {
+	case <-h.conn.seen:
+	case <-time.After(time.Second):
+		t.Error("the second read sent no request of its own")
 	}
-	if l.res.Contacts != 1 || f.res.Contacts != 0 || len(h.conn.requests()) != 1 {
-		t.Errorf("contacts: leader %d, follower %d, sent %d; want 1, 0, 1", l.res.Contacts, f.res.Contacts, len(h.conn.requests()))
+	h.conn.in <- transport.Message{From: held.To, To: -1, Payload: heldReply}
+
+	f, s := <-first, <-second
+	if f.err != nil || f.res.TS != older || f.res.Contacts != 1 {
+		t.Errorf("first read: %q@%v, %d contacts, %v; want its held reply's %v from 1 contact", f.res.Value, f.res.TS, f.res.Contacts, f.err, older)
 	}
-	if n := h.cli.instr.coalesced.Value(); n != 1 {
-		t.Errorf("coalesced reads = %d, want 1", n)
+	if s.err != nil || s.res.TS != newer || s.res.Contacts != 1 {
+		t.Errorf("second read: %q@%v, %d contacts, %v; want its own reply's %v from 1 contact", s.res.Value, s.res.TS, s.res.Contacts, s.err, newer)
+	}
+	if n := len(h.conn.requests()); n != 2 {
+		t.Errorf("requests sent = %d, want 2 (one per read)", n)
 	}
 }
 

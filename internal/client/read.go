@@ -16,13 +16,12 @@ import (
 // ReadResult is the outcome of a successful read quorum operation.
 type ReadResult struct {
 	// Value is the winning replica's value and must be treated as
-	// read-only: callers whose reads coalesced into one quorum assembly
-	// share a single buffer (the handoff is zero-copy).
+	// read-only: on the in-memory network it is the very slice the
+	// replica stores (values are immutable once written).
 	Value []byte
 	TS    replica.Timestamp
 	Found bool
-	// Contacts is the number of replica requests the operation sent (zero
-	// for a read coalesced onto another caller's quorum assembly).
+	// Contacts is the number of replica requests the operation sent.
 	Contacts int
 }
 
@@ -34,53 +33,10 @@ type ReadResult struct {
 // responsive replica, and ErrNotFound when the quorum assembled but nobody
 // stores the key.
 //
-// Concurrent reads of one key through one client coalesce into a single
-// quorum assembly (singleflight): the first caller becomes the leader and
-// runs the read; everyone else waits for its result. A follower whose own
-// context is still live retries as leader if the shared attempt died of the
-// leader's context, so one cancelled caller cannot fail the others.
+// Every call assembles its own quorum, even beside a concurrent read of the
+// same key: only a quorum assembled after a write was acknowledged is sure
+// to meet that write's level.
 func (c *Client) Read(ctx context.Context, key string) (ReadResult, error) {
-	for {
-		c.flightMu.Lock()
-		if f, ok := c.flights[key]; ok {
-			if f.done == nil {
-				f.done = make(chan struct{})
-			}
-			c.flightMu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					if ctx.Err() != nil {
-						return ReadResult{}, ctx.Err()
-					}
-					continue // the leader's context died, not the quorum
-				}
-				return c.finishCoalesced(key, f)
-			case <-ctx.Done():
-				return ReadResult{}, ctx.Err()
-			}
-		}
-		f := flightPool.Get().(*flight)
-		c.flights[key] = f
-		c.flightMu.Unlock()
-
-		res, err := c.leadRead(ctx, key)
-		c.flightMu.Lock()
-		delete(c.flights, key) // no follower can join after this
-		c.flightMu.Unlock()
-		if f.done == nil {
-			flightPool.Put(f)
-			return res, err
-		}
-		f.res, f.err = res, err // published to the followers by close
-		close(f.done)
-		return res, err
-	}
-}
-
-// leadRead runs the leader's read: one full read operation (trace, metrics,
-// quorum).
-func (c *Client) leadRead(ctx context.Context, key string) (ReadResult, error) {
 	c.budget.earnOp()
 	op := c.traces.Start("read", key, c.id)
 	var start time.Time

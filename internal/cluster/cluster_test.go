@@ -301,6 +301,65 @@ func TestTwoClientsSeeEachOthersWrites(t *testing.T) {
 	}
 }
 
+// TestReadAfterAckedWriteSeesIt: a read that begins after a write was
+// acknowledged returns that write, even while an earlier read of the key
+// through the same client is still waiting on a slow level. Client A's links
+// to level 1 take 60ms each way; its first read has been served by level 0
+// when client B's write to level 0 is acknowledged, and A's second read
+// begins before the first one's level-1 reply is back. The second read must
+// run its own quorum, which meets the write's level.
+func TestReadAfterAckedWriteSeesIt(t *testing.T) {
+	const a = transport.Addr(-1) // the first client the cluster makes
+	slow := func(from, to transport.Addr) time.Duration {
+		if (from == a && to >= 4) || (from >= 4 && to == a) {
+			return 60 * time.Millisecond
+		}
+		return 0
+	}
+	c := newConfiguredCluster(t, "1-3-5", Config{Net: transport.NetConfig{LinkLatency: slow}, ClientTimeout: time.Second})
+	cliA, err := c.NewClient(client.WithHedging(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliB := newClient(t, c)
+	ctx := context.Background()
+	for u := 0; u < 2; u++ {
+		if _, err := cliB.WriteAt(ctx, "k", []byte("old"), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	levelReads := func() (n uint64) {
+		for _, s := range c.Protocol().LevelSites(0) {
+			n += c.Replica(s).Stats().Reads
+		}
+		return n
+	}
+
+	before := levelReads()
+	first := make(chan client.ReadResult, 1)
+	go func() {
+		rd, _ := cliA.Read(ctx, "k")
+		first <- rd
+	}()
+	for deadline := time.Now().Add(5 * time.Second); levelReads() == before; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("level 0 never served A's first read")
+		}
+	}
+	w, err := cliB.WriteAt(ctx, "k", []byte("new"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := cliA.Read(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rd.Value) != "new" || rd.TS != w.TS || rd.Contacts != 2 {
+		t.Errorf("read after the acknowledged write = %q@%v with %d contacts; want %q@%v with 2", rd.Value, rd.TS, rd.Contacts, "new", w.TS)
+	}
+	<-first
+}
+
 func TestConcurrentWritersConverge(t *testing.T) {
 	c := newConfiguredCluster(t, "1-3-5", Config{LockTTL: 200 * time.Millisecond})
 	ctx := context.Background()

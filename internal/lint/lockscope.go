@@ -7,10 +7,10 @@ import (
 
 // LockScope reports mutexes held across blocking operations. A mutex
 // guarding hot-path state (the site book's records, the caller's pending
-// map, the coalescing flight table) must bound its critical section by CPU
-// work only: a channel send/receive, select, time.Sleep or WaitGroup.Wait
-// under the lock stalls every other operation on the client — and with
-// reply routing also needing the lock, can deadlock the process.
+// map) must bound its critical section by CPU work only: a channel
+// send/receive, select, time.Sleep or WaitGroup.Wait under the lock stalls
+// every other operation on the client — and with reply routing also
+// needing the lock, can deadlock the process.
 // sync.Cond.Wait is exempt (it releases the lock while parked).
 //
 // Since the CFG rewrite the check is path-sensitive: "held" is a forward

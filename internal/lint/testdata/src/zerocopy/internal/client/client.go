@@ -4,8 +4,8 @@
 package client
 
 type ReadResult struct {
-	// Value aliases the replica's internal buffer and must be treated as
-	// read-only; coalesced waiters share one backing array.
+	// Value aliases the replica's stored buffer and must be treated as
+	// read-only.
 	Value []byte
 }
 

@@ -73,7 +73,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 // exprString renders a short dotted form of an expression (for diagnostic
-// messages and as a lock identity key): "c.mu", "s.flightMu".
+// messages and as a lock identity key): "c.mu", "c.rngMu".
 func exprString(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:

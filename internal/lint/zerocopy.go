@@ -10,9 +10,9 @@ import (
 // API boundary and documented read-only. Doc markers cover the defining
 // package (the analyzer sees its comments); the registry covers callers in
 // other packages, where comments of the defining package are out of reach.
-// ReadResult.Value is the canonical entry: the coalescing engine hands
-// every waiter the same backing array, so one waiter appending to it
-// corrupts the others' reads.
+// ReadResult.Value is the canonical entry: on the in-memory network it is
+// the very slice the replica stores, so a caller appending to it corrupts
+// every later read of the key.
 var zeroCopyRegistry = []struct {
 	pkg   *regexp.Regexp
 	typ   string
@@ -26,8 +26,8 @@ var zeroCopyRegistry = []struct {
 var zeroCopyMarker = regexp.MustCompile(`(?i)read[- ]only`)
 
 // ZeroCopy reports mutations of values documented as shared and read-only.
-// Zero-copy hand-offs (the engine's coalesced read results, pooled frame
-// buffers surfaced through decode) trade an allocation for a contract the
+// Zero-copy hand-offs (read results that are the store's own slice, pooled
+// frame buffers surfaced through decode) trade an allocation for a contract the
 // compiler cannot check: the receiver must not write. Flagged shapes:
 // indexed writes into the field, append with the field as base (growth in
 // place clobbers the shared array when capacity allows), copy with the
