@@ -240,7 +240,7 @@ func (h *scriptHarness) tripAll(t *testing.T) {
 				wg.Add(1)
 				go func(site transport.Addr) {
 					defer wg.Done()
-					_ = h.cli.Ping(context.Background(), site)
+					_ = ping(h.cli, site)
 				}(transport.Addr(s))
 			}
 		}
@@ -384,8 +384,8 @@ func TestAssemblyTransitions(t *testing.T) {
 				if r.err != nil || r.elapsed > 200*time.Millisecond {
 					t.Fatalf("read err = %v after %v", r.err, r.elapsed)
 				}
-				if r.res.Contacts != 2 || h.cli.instr.overloadSkips.Value() != 1 {
-					t.Errorf("contacts = %d, overload skips = %d, want 2 and 1", r.res.Contacts, h.cli.instr.overloadSkips.Value())
+				if r.res.Contacts != 2 || h.cli.instr.overloads.Value() != 1 {
+					t.Errorf("contacts = %d, overloaded = %d, want 2 and 1", r.res.Contacts, h.cli.instr.overloads.Value())
 				}
 				shedder := r.reqs[0].To
 				if !h.cli.book.peek(shedder).refusing {
@@ -409,8 +409,8 @@ func TestAssemblyTransitions(t *testing.T) {
 				if d, ok := rpc.RetryAfter(r.err); !ok || d != shedRetryAfter {
 					t.Errorf("retry-after = %v, %v, want %v", d, ok, shedRetryAfter)
 				}
-				if r.res.Contacts != 2 || h.cli.instr.overloadSkips.Value() != 2 {
-					t.Errorf("contacts = %d, overload skips = %d, want 2 and 2", r.res.Contacts, h.cli.instr.overloadSkips.Value())
+				if r.res.Contacts != 2 || h.cli.instr.overloads.Value() != 2 {
+					t.Errorf("contacts = %d, overloaded = %d, want 2 and 2", r.res.Contacts, h.cli.instr.overloads.Value())
 				}
 			},
 		},

@@ -192,19 +192,21 @@ func WithObserver(o *obs.Observer) Option { return observerOption{o: o} }
 // observer is attached.
 type instruments struct {
 	readDur, writeDur, txnDur *obs.Histogram
-	pingDur                   *obs.Histogram
 	ops                       *obs.CounterVec // labels: op, outcome
 	readOK, readNotFound      *obs.Counter
 	readUnavailable           *obs.Counter
 	writeOK, writeInDoubt     *obs.Counter
 	writeUnavailable          *obs.Counter
 	siteFallbacks             *obs.Counter
-	levelFallbacks            *obs.Counter
 	hedges, hedgeWins         *obs.Counter
 	readRefetches             *obs.Counter
 	retryCommit, retryLevel   *obs.Counter
-	overloadSkips             *obs.Counter
 	budgetDenied              *obs.Counter
+
+	// The contact series (bindContacts), fed by the engine and read repair.
+	callDur                           *obs.Histogram
+	calls, timeouts, sends, overloads *obs.Counter
+	deadlineSkips                     *obs.Counter
 }
 
 // newInstruments resolves the client metric families against reg (nil reg
@@ -218,22 +220,19 @@ func newInstruments(reg *obs.Registry) *instruments {
 	ops := reg.CounterVec("arbor_client_ops_total",
 		"Client operations completed, by operation and outcome.", "op", "outcome")
 	fallbacks := reg.CounterVec("arbor_client_fallbacks_total",
-		"Quorum fallbacks taken: site = another replica of the same level after a failure, level = another physical level after a failed 2PC attempt.", "kind")
+		"Quorum fallbacks taken: site = another replica of the same level after a failure (a fallback to another physical level is a level retry, arbor_client_retries_total).", "kind")
 	hedgeEvents := reg.CounterVec("arbor_client_hedges_total",
 		"Hedged backup probes: launched = a backup probe started because the primary was overdue, win = a level was satisfied by a hedge probe's response.", "event")
 	refetches := reg.Counter("arbor_client_read_refetches_total",
 		"Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.")
 	retries := reg.CounterVec("arbor_client_retries_total",
 		"Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.", "kind")
-	overloadSkips := reg.Counter("arbor_client_overload_skips_total",
-		"Probes answered by a replica's admission gate with a load-shed reply; the engine moved on to a sibling site without waiting out a timeout.")
 	budgetDenied := reg.Counter("arbor_client_retry_budget_denied_total",
 		"Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.")
 	return &instruments{
 		readDur:          dur.With("read"),
 		writeDur:         dur.With("write"),
 		txnDur:           dur.With("txn"),
-		pingDur:          dur.With("ping"),
 		ops:              ops,
 		readOK:           ops.With("read", obs.OutcomeOK),
 		readNotFound:     ops.With("read", obs.OutcomeNotFound),
@@ -242,15 +241,36 @@ func newInstruments(reg *obs.Registry) *instruments {
 		writeInDoubt:     ops.With("write", obs.OutcomeInDoubt),
 		writeUnavailable: ops.With("write", obs.OutcomeUnavailable),
 		siteFallbacks:    fallbacks.With("site"),
-		levelFallbacks:   fallbacks.With("level"),
 		hedges:           hedgeEvents.With("launched"),
 		hedgeWins:        hedgeEvents.With("win"),
 		readRefetches:    refetches,
 		retryCommit:      retries.With("commit"),
 		retryLevel:       retries.With("level"),
-		overloadSkips:    overloadSkips,
 		budgetDenied:     budgetDenied,
 	}
+}
+
+// bindContacts resolves the contact series: one request message per call,
+// fed by the engine (assembly.advance and assembly.record) and by read
+// repair. They keep the arbor_rpc_* names, help and place in /metrics they
+// had when rpc.Caller counted them, so they are bound after the site book's
+// families.
+func (in *instruments) bindContacts(reg *obs.Registry) {
+	if in == nil {
+		return
+	}
+	in.callDur = reg.Histogram("arbor_rpc_call_duration_seconds",
+		"Round-trip latency of replica calls, including timed-out calls.")
+	in.calls = reg.Counter("arbor_rpc_calls_total",
+		"Replica calls issued (each is one request message awaiting a reply).")
+	in.timeouts = reg.Counter("arbor_rpc_timeouts_total",
+		"Replica calls whose reply deadline expired (failure-detector hits).")
+	in.sends = reg.Counter("arbor_rpc_sends_total",
+		"Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).")
+	in.overloads = reg.Counter("arbor_rpc_overloaded_total",
+		"Calls answered by a replica's admission gate with a load-shed reply.")
+	in.deadlineSkips = reg.Counter("arbor_rpc_deadline_skips_total",
+		"Calls failed locally because the caller's deadline budget was already spent.")
 }
 
 // Client is a protocol client bound to one endpoint. It is safe for
@@ -318,10 +338,12 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		c.hedgeDelay = c.timeout / 8
 	}
 	c.backoffRng = rand.New(rand.NewSource(c.seed ^ 0x9e3779b9))
-	c.instr = newInstruments(c.obs.Reg())
+	reg := c.obs.Reg()
+	c.instr = newInstruments(reg)
 	c.traces = c.obs.Rec()
-	c.book = newSiteBook(c.breaker, c.timeout, c.seed, c.obs.Reg())
-	c.caller = rpc.NewCaller(ep, c.timeout, rpc.WithMetrics(c.obs.Reg()))
+	c.book = newSiteBook(c.breaker, c.timeout, c.seed, reg)
+	c.instr.bindContacts(reg)
+	c.caller = rpc.NewCaller(ep, c.timeout)
 	return c
 }
 

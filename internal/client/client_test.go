@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -86,18 +87,6 @@ func TestClientWriteReadRoundTrip(t *testing.T) {
 	}
 	if h.cli.ID() != -1 {
 		t.Errorf("ID = %d", h.cli.ID())
-	}
-}
-
-func TestClientPing(t *testing.T) {
-	h := newMemHarness(t, "1-2-3")
-	ctx := context.Background()
-	if err := h.cli.Ping(ctx, 1); err != nil {
-		t.Errorf("ping live replica: %v", err)
-	}
-	h.replicas[0].Crash()
-	if err := h.cli.Ping(ctx, 1); err == nil {
-		t.Error("ping to crashed replica succeeded")
 	}
 }
 
@@ -345,9 +334,20 @@ func TestClientOverTCP(t *testing.T) {
 	if string(rd.Value) != "e" {
 		t.Errorf("TCP read = %q, want \"e\"", rd.Value)
 	}
-	if err := cli.Ping(ctx, 1); err != nil {
+	if err := ping(cli, 1); err != nil {
 		t.Errorf("TCP ping: %v", err)
 	}
+}
+
+// ping sends site one PingReq through the engine's one-site fan-out.
+func ping(c *Client, site transport.Addr) error {
+	a := c.fanout(context.Background(), []transport.Addr{site}, nil, "ping", replica.PingReq{}, false, false)
+	defer a.release()
+	s := &a.slots[0]
+	if s.err == nil && s.resp.Tag != wire.TagPingResp {
+		return fmt.Errorf("unexpected ping response tag %d", s.resp.Tag)
+	}
+	return s.err
 }
 
 func TestReqIDOfUnknownPayload(t *testing.T) {

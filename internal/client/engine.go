@@ -216,7 +216,7 @@ type assembly struct {
 	c     *Client
 	ctx   context.Context
 	req   rpc.Request
-	phase string // contact label on the trace: read | version | prepare | commit | abort | ping
+	phase string // contact label on the trace: read | version | prepare | commit | abort
 	// op and spanPhase are set for read-shaped phases, whose every slot
 	// pass (first and rescue) is a level attempt of its own on the trace; a
 	// fan-out records into the span its slots were given.
@@ -378,28 +378,31 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 			if !a.c.book.admit(now, addr, s.force) {
 				s.skipped = append(s.skipped, addr)
 				s.err = fmt.Errorf("site %d: %w", addr, errSkipped)
-				a.trace(s, addr, hedge, now, 0, nil, s.err)
+				a.trace(s, addr, hedge, now, 0, nil, s.err, false)
 				hedge = false
 				continue
 			}
-			p, err := a.c.caller.Start(a.ctx, addr, a.req, a.inbox, len(a.contacts))
-			if err == nil {
+			p, fail := a.c.caller.Start(a.ctx, addr, a.req, a.inbox, len(a.contacts))
+			if fail == nil {
 				due := now.Add(p.Timeout)
 				a.contacts = append(a.contacts, contact{pend: p, slot: si, start: now, due: due, hedge: hedge, live: true})
 				a.live++
 				a.sent++
 				s.pending++
 				s.contacts++
+				if a.c.instr != nil {
+					a.c.instr.calls.Inc()
+				}
 				a.wakeBy(due)
 				return
 			}
 			a.stray = true
-			o := outcomeSendFailed
-			switch {
-			case errors.Is(err, rpc.ErrClosed):
-				o = outcomeClosed
-			case errors.Is(err, rpc.ErrTimeout), errors.Is(err, a.ctx.Err()):
-				o = outcomeCancelled // the deadline was spent before anything was sent
+			o := outcomeClosed
+			switch fail.Kind {
+			case rpc.StartDeadlineSpent:
+				o = outcomeCancelled // nothing was sent
+			case rpc.StartSendFailed:
+				o = outcomeSendFailed
 			}
 			// A start on a closed caller is not a contact; every other
 			// failed start counts as one, like the failed send it usually is.
@@ -407,7 +410,7 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 				a.sent++
 				s.contacts++
 			}
-			a.record(s, addr, hedge, now, now, o, nil, err)
+			a.record(s, addr, hedge, now, now, o, nil, fail.Err)
 			hedge = false
 		}
 		if s.pending > 0 {
@@ -468,21 +471,19 @@ func (a *assembly) resolve(i int, o outcome, resp *wire.Reply, err error, now ti
 	a.cancel(si, context.Canceled, now, hedge)
 }
 
-// record books one finished contact — its outcome on the site book, the
-// contact on the trace — and returns the error that makes its reply
-// unusable, nil for a served reply, which wins the slot.
+// record books one contact that ended in a reply, an expiry or a failed
+// start — its outcome on the site book and the contact series, the contact
+// on the trace — and returns the error that makes its reply unusable, nil
+// for a served reply, which wins the slot. (A contact cancelled in flight
+// is booked by cancel.)
 func (a *assembly) record(s *slot, addr transport.Addr, hedge bool, start, now time.Time, o outcome, resp *wire.Reply, err error) error {
 	rtt := now.Sub(start)
 	a.c.book.observe(now, addr, o, rtt)
-	switch o {
-	case outcomeClosed:
+	a.c.instr.contact(o, rtt)
+	if o == outcomeClosed {
 		err = ErrClosed
-	case outcomeShed:
-		if a.c.instr != nil {
-			a.c.instr.overloadSkips.Inc()
-		}
 	}
-	a.trace(s, addr, hedge, start, rtt, resp, err)
+	a.trace(s, addr, hedge, start, rtt, resp, err, o == outcomeTimedOut)
 	if o == outcomeCatchingUp {
 		err = fmt.Errorf("site %d: %w", addr, ErrCatchingUp)
 	}
@@ -503,9 +504,34 @@ func refused(resp *wire.Reply) bool {
 	return false
 }
 
+// contact books a recorded contact on the contact series: every answered or
+// expired call is timed; a shed, an expiry and a spent deadline are
+// counted, and a failed send is a call (it reached the transport). In
+// record an outcomeCancelled is always a start whose deadline was spent.
+func (in *instruments) contact(o outcome, rtt time.Duration) {
+	if in == nil {
+		return
+	}
+	switch o {
+	case outcomeShed:
+		in.overloads.Inc()
+	case outcomeTimedOut:
+		in.timeouts.Inc()
+	case outcomeSendFailed:
+		in.calls.Inc()
+		return
+	case outcomeCancelled:
+		in.deadlineSkips.Inc()
+		return
+	case outcomeClosed:
+		return
+	}
+	in.callDur.Observe(rtt)
+}
+
 // trace records one contact on the slot's span (resp nil: no reply). A read
 // answered with the timestamp alone is labelled read-ts.
-func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, resp *wire.Reply, err error) {
+func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Time, rtt time.Duration, resp *wire.Reply, err error, timedOut bool) {
 	if !s.span.On() {
 		return
 	}
@@ -518,7 +544,7 @@ func (a *assembly) trace(s *slot, addr transport.Addr, hedge bool, start time.Ti
 	if hedge {
 		phase += "-hedge"
 	}
-	s.span.Contact(int(addr), phase, start, rtt, err, errors.Is(err, rpc.ErrTimeout))
+	s.span.Contact(int(addr), phase, start, rtt, err, timedOut)
 }
 
 // cancel decides slot si, cancelling whatever it still has in flight. That
@@ -543,7 +569,7 @@ func (a *assembly) cancel(si int, why error, now time.Time, hedgeWon bool) {
 			o = outcomeOverdue
 		}
 		a.c.book.observe(now, ct.pend.To, o, now.Sub(ct.start))
-		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), nil, why)
+		a.trace(s, ct.pend.To, ct.hedge, ct.start, now.Sub(ct.start), nil, why, false)
 	}
 	a.decide(s)
 }

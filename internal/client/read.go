@@ -183,6 +183,9 @@ func (c *Client) repair(key string, res ReadResult, levels []slot) {
 		if found && !res.TS.After(ts) {
 			continue
 		}
+		if c.instr != nil {
+			c.instr.sends.Inc()
+		}
 		_ = c.caller.Send(levels[i].responder, replica.CommitReq{
 			TxID:  0,
 			Key:   key,

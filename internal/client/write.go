@@ -137,9 +137,6 @@ func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int)
 				}
 				return u, contacts, fmt.Errorf("retry budget exhausted: %w", err)
 			}
-			if c.instr != nil {
-				c.instr.levelFallbacks.Inc()
-			}
 			floor, _ := rpc.RetryAfter(err)
 			if c.backoff(ctx, i-1, "level", floor) != nil {
 				return u, contacts, err
@@ -269,29 +266,4 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 		addrs = unacked
 	}
 	return false
-}
-
-// Ping probes one replica site, returning nil if it answers in time.
-func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
-	op := c.traces.Start("ping", "", c.id)
-	var start time.Time
-	if c.instr != nil {
-		start = time.Now()
-	}
-	a := c.fanout(ctx, []transport.Addr{site}, nil, "ping", replica.PingReq{}, false, false)
-	tag, err, contacts := a.slots[0].resp.Tag, a.slots[0].err, a.sent
-	a.release()
-	if err == nil && tag != wire.TagPingResp {
-		err = fmt.Errorf("client: unexpected ping response tag %d", tag)
-	}
-	outcome := obs.OutcomeOK
-	if err != nil {
-		outcome = obs.OutcomeError
-	}
-	if c.instr != nil {
-		c.instr.pingDur.Observe(time.Since(start))
-		c.instr.ops.With("ping", outcome).Inc()
-	}
-	op.Finish(outcome, err, contacts)
-	return err
 }

@@ -1,0 +1,226 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"arbor/internal/client"
+	"arbor/internal/obs"
+	"arbor/internal/tree"
+)
+
+// newPinnedCluster builds a seeded in-memory cluster whose clients run on
+// the default 250 ms timeout with hedging off: no healthy reply can expire
+// or be hedged, however busy the machine, so every count a scripted run
+// leaves is a function of the script and the seed alone. A crashed site
+// still costs a full timeout and a fallback.
+func newPinnedCluster(t *testing.T, spec string, o *obs.Observer) (*Cluster, *tree.Tree) {
+	t.Helper()
+	tr, err := tree.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(tr, Config{Seed: 1, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, tr
+}
+
+// pinnedClient is a client of newPinnedCluster: hedging off, opts on top.
+func pinnedClient(t *testing.T, c *Cluster, opts ...client.Option) *client.Client {
+	t.Helper()
+	cli, err := c.NewClient(append([]client.Option{client.WithHedging(false)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cli
+}
+
+// TestClientCountersPinned drives a scripted, seeded run through the paths
+// that move a client or contact series — plain reads and writes, a two-key
+// transaction, a read that repairs a stale level, a saturated site and then
+// a saturated level shedding, a crashed site timing out (site and level
+// fallbacks, and the budgeted client's breaker opening), a write denied its
+// level fallback by the retry budget, and a transaction whose deadline ran
+// out between its reads and its commit — and holds every arbor_client_* and
+// arbor_rpc_* line of /metrics, and every client's Metrics(), to literals.
+// Histogram buckets and sums, which are timings, are left out; their counts
+// are held. Commit re-sends and in-doubt writes are not scripted: nothing
+// here can make a prepared member miss a commit deterministically.
+func TestClientCountersPinned(t *testing.T) {
+	o := obs.NewObserver(16)
+	c, _ := newPinnedCluster(t, "1-2-2", o)
+	cli := pinnedClient(t, c)
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Plain traffic, a read of a key nobody stores, a two-key transaction.
+	keys := []string{"a", "b", "c"}
+	for i := 0; i < 9; i++ {
+		k := keys[i%len(keys)]
+		if i < len(keys) {
+			_, err := cli.Write(ctx, k, []byte(fmt.Sprint("v", i)))
+			must(err)
+		} else {
+			_, err := cli.Read(ctx, k)
+			must(err)
+		}
+	}
+	if _, err := cli.Read(ctx, "nobody"); !errors.Is(err, client.ErrNotFound) {
+		t.Fatalf("read of an unwritten key: %v, want ErrNotFound", err)
+	}
+	txn := cli.NewTxn()
+	_, err := txn.Read(ctx, "a")
+	must(err)
+	must(txn.Write("a", []byte("t1")))
+	must(txn.Write("d", []byte("t2")))
+	must(txn.Commit(ctx))
+
+	// Read repair: level 1 never saw "r", so the repairing read pushes it
+	// there.
+	_, err = cli.WriteAt(ctx, "r", []byte("r0"), 0)
+	must(err)
+	repairer := pinnedClient(t, c, client.WithReadRepair(true))
+	_, err = repairer.Read(ctx, "r")
+	must(err)
+
+	// One saturated site sheds and its sibling serves; then the whole level
+	// sheds, and reads and writes fail on it.
+	must(c.Saturate(1, true))
+	for i := 0; i < 4; i++ {
+		_, err := cli.Read(ctx, keys[i%len(keys)])
+		must(err)
+	}
+	must(c.Saturate(2, true))
+	cli.Read(ctx, "a")
+	cli.Write(ctx, "a", []byte("shed"))
+	must(c.Saturate(1, false))
+	must(c.Saturate(2, false))
+
+	// A crashed site: reads that try it first time out and fall back to its
+	// sibling; a write pinned to its level times out there and falls back
+	// to the other level. A client whose retry budget holds one token falls
+	// back once and is denied the second time.
+	must(c.Crash(3))
+	for i := 0; i < 3; i++ {
+		_, err := cli.Read(ctx, keys[i%len(keys)])
+		must(err)
+	}
+	_, err = cli.WriteAt(ctx, "b", []byte("crash"), 1)
+	must(err)
+	budgeted := pinnedClient(t, c, client.WithRetryBudget(0, 1))
+	_, err = budgeted.WriteAt(ctx, "c", []byte("budget"), 1)
+	must(err)
+	if _, err := budgeted.WriteAt(ctx, "c", []byte("denied"), 1); err == nil {
+		t.Fatal("a write with its retry budget spent fell back anyway")
+	}
+
+	// A transaction whose deadline runs out between its reads and its
+	// commit: every request of the commit fails before it is sent.
+	txn = cli.NewTxn()
+	_, err = txn.Read(ctx, "a")
+	must(err)
+	must(txn.Write("a", []byte("late")))
+	late, cancel := context.WithDeadline(ctx, time.Now())
+	defer cancel()
+	if err := txn.Commit(late); err == nil {
+		t.Fatal("a commit past its deadline succeeded")
+	}
+
+	var sb strings.Builder
+	if err := o.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, _, _ := strings.Cut(strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE "), " ")
+		name, _, _ = strings.Cut(name, "{")
+		if !strings.HasPrefix(name, "arbor_client_") && !strings.HasPrefix(name, "arbor_rpc_") ||
+			strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") {
+			continue
+		}
+		got = append(got, line)
+	}
+	if text := strings.Join(got, "\n"); text != pinnedClientMetrics {
+		t.Errorf("arbor_client_* / arbor_rpc_* exposition changed:\n%s", text)
+	}
+	var stats []string
+	for _, cl := range c.Clients() {
+		stats = append(stats, fmt.Sprintf("%d %+v", cl.ID(), cl.Metrics()))
+	}
+	if text := strings.Join(stats, "\n"); text != pinnedClientStats {
+		t.Errorf("clients' Metrics changed:\n%s", text)
+	}
+}
+
+const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:52 WriteContacts:18 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
+-2 {Reads:1 ReadFailures:0 Writes:0 WriteFailures:0 ReadContacts:2 WriteContacts:0 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
+-3 {Reads:0 ReadFailures:0 Writes:1 WriteFailures:1 ReadContacts:4 WriteContacts:6 ReadRefetches:0 RetriesSpent:1 RetriesDenied:1}`
+
+const pinnedClientMetrics = `# HELP arbor_client_op_duration_seconds End-to-end client operation latency, including level fallbacks and retries.
+# TYPE arbor_client_op_duration_seconds histogram
+arbor_client_op_duration_seconds_count{op="read"} 18
+arbor_client_op_duration_seconds_count{op="txn"} 2
+arbor_client_op_duration_seconds_count{op="write"} 8
+# HELP arbor_client_ops_total Client operations completed, by operation and outcome.
+# TYPE arbor_client_ops_total counter
+arbor_client_ops_total{op="read",outcome="not_found"} 1
+arbor_client_ops_total{op="read",outcome="ok"} 16
+arbor_client_ops_total{op="read",outcome="unavailable"} 1
+arbor_client_ops_total{op="txn",outcome="conflict"} 1
+arbor_client_ops_total{op="txn",outcome="ok"} 1
+arbor_client_ops_total{op="write",outcome="in_doubt"} 0
+arbor_client_ops_total{op="write",outcome="ok"} 6
+arbor_client_ops_total{op="write",outcome="unavailable"} 2
+# HELP arbor_client_fallbacks_total Quorum fallbacks taken: site = another replica of the same level after a failure (a fallback to another physical level is a level retry, arbor_client_retries_total).
+# TYPE arbor_client_fallbacks_total counter
+arbor_client_fallbacks_total{kind="site"} 4
+# HELP arbor_client_hedges_total Hedged backup probes: launched = a backup probe started because the primary was overdue, win = a level was satisfied by a hedge probe's response.
+# TYPE arbor_client_hedges_total counter
+arbor_client_hedges_total{event="launched"} 0
+arbor_client_hedges_total{event="win"} 0
+# HELP arbor_client_read_refetches_total Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.
+# TYPE arbor_client_read_refetches_total counter
+arbor_client_read_refetches_total 0
+# HELP arbor_client_retries_total Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.
+# TYPE arbor_client_retries_total counter
+arbor_client_retries_total{kind="commit"} 0
+arbor_client_retries_total{kind="level"} 2
+# HELP arbor_client_retry_budget_denied_total Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.
+# TYPE arbor_client_retry_budget_denied_total counter
+arbor_client_retry_budget_denied_total 1
+# HELP arbor_rpc_breaker_transitions_total Circuit-breaker state transitions, by destination state (open counts re-opens after failed probes).
+# TYPE arbor_rpc_breaker_transitions_total counter
+arbor_rpc_breaker_transitions_total{state="open"} 1
+# HELP arbor_rpc_breaker_fastfails_total Contacts skipped locally because the destination site's circuit breaker was open.
+# TYPE arbor_rpc_breaker_fastfails_total counter
+arbor_rpc_breaker_fastfails_total 0
+# HELP arbor_rpc_call_duration_seconds Round-trip latency of replica calls, including timed-out calls.
+# TYPE arbor_rpc_call_duration_seconds histogram
+arbor_rpc_call_duration_seconds_count 102
+# HELP arbor_rpc_calls_total Replica calls issued (each is one request message awaiting a reply).
+# TYPE arbor_rpc_calls_total counter
+arbor_rpc_calls_total 102
+# HELP arbor_rpc_timeouts_total Replica calls whose reply deadline expired (failure-detector hits).
+# TYPE arbor_rpc_timeouts_total counter
+arbor_rpc_timeouts_total 7
+# HELP arbor_rpc_sends_total Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).
+# TYPE arbor_rpc_sends_total counter
+arbor_rpc_sends_total 1
+# HELP arbor_rpc_overloaded_total Calls answered by a replica's admission gate with a load-shed reply.
+# TYPE arbor_rpc_overloaded_total counter
+arbor_rpc_overloaded_total 5
+# HELP arbor_rpc_deadline_skips_total Calls failed locally because the caller's deadline budget was already spent.
+# TYPE arbor_rpc_deadline_skips_total counter
+arbor_rpc_deadline_skips_total 4`

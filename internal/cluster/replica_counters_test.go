@@ -19,14 +19,12 @@ import (
 // lock-wait histogram's buckets and sum, which are timings, are left out.
 // Since reads carry a floor, a read is counted under type="read" when it
 // shipped the value and under "read_ts_only" when it did not; Stats.Reads is
-// their sum, so the totals are the ones captured then.
+// their sum, so the totals are the ones captured then. It runs on
+// newPinnedCluster, so the counts cannot move with the machine's load.
 func TestReplicaCountersPinned(t *testing.T) {
 	o := obs.NewObserver(16)
-	c, tr := newObservedCluster(t, "1-2-2", o)
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, tr := newPinnedCluster(t, "1-2-2", o)
+	cli := pinnedClient(t, c)
 	ctx := context.Background()
 	keys := []string{"a", "b", "c"}
 	for i := 0; i < 12; i++ {

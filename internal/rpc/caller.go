@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arbor/internal/obs"
 	"arbor/internal/transport"
 	"arbor/internal/wire"
 )
@@ -28,32 +27,6 @@ var ErrTimeout = errors.New("rpc: timed out")
 // Request is a protocol request: one of the wire request types, which Start
 // stamps with a request ID (and the deadline) as it sends it.
 type Request = wire.Request
-
-// Option configures a Caller.
-type Option func(*Caller)
-
-// WithMetrics instruments the caller against the registry: a call-latency
-// histogram and counters for calls issued and timeouts. A nil registry
-// leaves the caller uninstrumented.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(c *Caller) {
-		if reg == nil {
-			return
-		}
-		c.callDur = reg.Histogram("arbor_rpc_call_duration_seconds",
-			"Round-trip latency of replica calls, including timed-out calls.")
-		c.calls = reg.Counter("arbor_rpc_calls_total",
-			"Replica calls issued (each is one request message awaiting a reply).")
-		c.timeouts = reg.Counter("arbor_rpc_timeouts_total",
-			"Replica calls whose reply deadline expired (failure-detector hits).")
-		c.sends = reg.Counter("arbor_rpc_sends_total",
-			"Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).")
-		c.overloads = reg.Counter("arbor_rpc_overloaded_total",
-			"Calls answered by a replica's admission gate with a load-shed reply.")
-		c.deadlineSkips = reg.Counter("arbor_rpc_deadline_skips_total",
-			"Calls failed locally because the caller's deadline budget was already spent.")
-	}
-}
 
 // Reply is a started request's answer as delivered to its inbox. Tag is the
 // integer the request was started with, so one inbox can serve every
@@ -74,7 +47,25 @@ type Pending struct {
 	ID      uint64
 	To      transport.Addr
 	Timeout time.Duration
-	start   time.Time // set only when the latency histogram is on
+}
+
+// StartKind says why Start sent nothing.
+type StartKind int
+
+const (
+	// StartClosed: the caller was closed. Nothing reached the transport.
+	StartClosed StartKind = iota + 1
+	// StartDeadlineSpent: the context's deadline had passed. Nothing
+	// reached the transport.
+	StartDeadlineSpent
+	// StartSendFailed: the transport refused the request.
+	StartSendFailed
+)
+
+// StartError is a failed Start: its kind and the error that says so.
+type StartError struct {
+	Kind StartKind
+	Err  error
 }
 
 // waiter is an outstanding request's entry in the pending map. keyed marks
@@ -87,7 +78,8 @@ type waiter struct {
 }
 
 // Caller matches replica replies to outstanding requests by request ID.
-// It is safe for concurrent use.
+// It keeps no instruments: its one protocol caller, the client's quorum
+// engine, books every contact it starts. It is safe for concurrent use.
 type Caller struct {
 	ep      transport.Conn
 	timeout time.Duration
@@ -102,27 +94,15 @@ type Caller struct {
 	// synchronization for repair traffic).
 	sendHook atomic.Pointer[func(to transport.Addr, payload any)]
 
-	// Optional instruments (nil when observability is off; recording on
-	// nil obs instruments is a no-op, but the guards skip timestamping).
-	callDur       *obs.Histogram
-	calls         *obs.Counter
-	timeouts      *obs.Counter
-	sends         *obs.Counter
-	overloads     *obs.Counter
-	deadlineSkips *obs.Counter
-
 	stopServe func() // detaches route from the endpoint
 }
 
 // NewCaller attaches a caller to the endpoint and starts routing its replies.
-func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller {
+func NewCaller(ep transport.Conn, timeout time.Duration) *Caller {
 	c := &Caller{
 		ep:      ep,
 		timeout: timeout,
 		pending: make(map[uint64]waiter),
-	}
-	for _, opt := range opts {
-		opt(c)
 	}
 	c.stopServe = transport.Serve(ep, c.route)
 	return c
@@ -156,31 +136,33 @@ func deliver(w waiter, r *Reply) {
 // retained — and returns at once;
 // the reply arrives on inbox carrying tag. The inbox must have buffer room
 // for every request started on it and not yet received from it: a reply
-// that finds no room is dropped. A Pending returned with a nil error must
-// be resolved exactly once: Answered when its reply was received, Expire
+// that finds no room is dropped. A Pending returned without a StartError
+// must be resolved exactly once: Answered when its reply was received, Expire
 // when Pending.Timeout passed without one, Cancel when the caller lost
 // interest.
 //
 // The context's remaining budget bounds the attempt — a retry late in an
 // operation never overshoots the operation's deadline — and rides the wire
 // as the request's deadline; a spent budget fails locally before any
-// message is sent.
-func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int) (Pending, error) {
+// message is sent. A failed start's StartError says which way it failed.
+//
+//lint:ignore obswire plumbing: the quorum engine, its one protocol caller, books every contact it starts
+func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int) (Pending, *StartError) {
 	return c.start(ctx, to, req, waiter{inbox: inbox, tag: tag})
 }
 
 // start is Start with the waiter the reply is routed to.
-func (c *Caller) start(ctx context.Context, to transport.Addr, req Request, w waiter) (Pending, error) {
+func (c *Caller) start(ctx context.Context, to transport.Addr, req Request, w waiter) (Pending, *StartError) {
 	p := Pending{To: to, Timeout: c.timeout}
 	var budget time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
 		budget = time.Until(deadline)
 		if budget <= 0 {
-			c.deadlineSkips.Inc()
-			if err := ctx.Err(); err != nil {
-				return p, err
+			err := ctx.Err()
+			if err == nil {
+				err = fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
 			}
-			return p, fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
+			return p, &StartError{Kind: StartDeadlineSpent, Err: err}
 		}
 		if budget < p.Timeout {
 			p.Timeout = budget
@@ -190,15 +172,11 @@ func (c *Caller) start(ctx context.Context, to transport.Addr, req Request, w wa
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return p, ErrClosed
+		return p, &StartError{Kind: StartClosed, Err: ErrClosed}
 	}
 	c.pending[p.ID] = w
 	c.mu.Unlock()
 
-	c.calls.Inc()
-	if c.callDur != nil {
-		p.start = time.Now()
-	}
 	st := wire.Stamp{ReqID: p.ID}
 	if budget > 0 {
 		// Round up so a sub-millisecond budget still rides as 1ms rather
@@ -207,7 +185,7 @@ func (c *Caller) start(ctx context.Context, to transport.Addr, req Request, w wa
 	}
 	if err := transport.Send(c.ep, to, req, st); err != nil {
 		c.forget(p.ID)
-		return p, fmt.Errorf("rpc: send to %d: %w", to, err)
+		return p, &StartError{Kind: StartSendFailed, Err: fmt.Errorf("rpc: send to %d: %w", to, err)}
 	}
 	return p, nil
 }
@@ -228,11 +206,7 @@ func (c *Caller) Answered(p Pending, resp *wire.Reply) error {
 	if resp.Tag == 0 {
 		return ErrClosed
 	}
-	if c.callDur != nil {
-		c.callDur.Observe(time.Since(p.start))
-	}
 	if resp.Tag == wire.TagOverloadedResp {
-		c.overloads.Inc()
 		return &overloadedError{site: p.To, retryAfter: time.Duration(resp.OverloadedResp.RetryAfterMillis) * time.Millisecond}
 	}
 	return nil
@@ -242,10 +216,6 @@ func (c *Caller) Answered(p Pending, resp *wire.Reply) error {
 // returns the ErrTimeout error naming the site.
 func (c *Caller) Expire(p Pending) error {
 	c.forget(p.ID)
-	c.timeouts.Inc()
-	if c.callDur != nil {
-		c.callDur.Observe(time.Since(p.start))
-	}
 	return fmt.Errorf("site %d: %w", p.To, ErrTimeout)
 }
 
@@ -264,11 +234,13 @@ var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
 
 // Call is Start, a wait for the reply, the attempt's timeout or context
 // cancellation, and the matching resolve step. The answer comes back boxed.
+//
+//lint:ignore obswire plumbing for tools that time one call themselves; no protocol path calls it
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any, error) {
 	inbox := replyChanPool.Get().(chan Reply)
-	p, err := c.start(ctx, to, req, waiter{inbox: inbox, keyed: true})
-	if err != nil {
-		return nil, err
+	p, fail := c.start(ctx, to, req, waiter{inbox: inbox, keyed: true})
+	if fail != nil {
+		return nil, fail.Err
 	}
 	timer := time.NewTimer(p.Timeout)
 	defer timer.Stop()
@@ -289,8 +261,9 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any,
 }
 
 // Send transmits a payload without awaiting a reply (fire-and-forget).
+//
+//lint:ignore obswire plumbing: its one caller, the client's read repair, counts its sends
 func (c *Caller) Send(to transport.Addr, payload any) error {
-	c.sends.Inc()
 	err := transport.Send(c.ep, to, payload, wire.Stamp{})
 	if hook := c.sendHook.Load(); hook != nil {
 		(*hook)(to, payload)

@@ -121,6 +121,29 @@ func TestCallUnknownDestination(t *testing.T) {
 	}
 }
 
+// TestStartFailureKinds: a start that sends nothing says which way it
+// failed, with the error that names the cause.
+func TestStartFailureKinds(t *testing.T) {
+	c, _ := newPair(t, time.Second)
+	spent, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	inbox := make(chan Reply, 1)
+	check := func(name string, ctx context.Context, to transport.Addr, want StartKind, cause error) {
+		t.Helper()
+		_, fail := c.Start(ctx, to, replica.PingReq{}, inbox, 0)
+		switch {
+		case fail == nil:
+			t.Errorf("%s: start succeeded", name)
+		case fail.Kind != want || fail.Err == nil || cause != nil && !errors.Is(fail.Err, cause):
+			t.Errorf("%s: kind %d, err %v; want kind %d caused by %v", name, fail.Kind, fail.Err, want, cause)
+		}
+	}
+	check("spent deadline", spent, 1, StartDeadlineSpent, context.DeadlineExceeded)
+	check("unknown destination", context.Background(), 99, StartSendFailed, nil)
+	c.Close()
+	check("closed caller", context.Background(), 1, StartClosed, ErrClosed)
+}
+
 func TestFireAndForgetSend(t *testing.T) {
 	c, _ := newPair(t, time.Second)
 	if err := c.Send(1, replica.PingReq{}); err != nil {

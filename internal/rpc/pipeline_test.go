@@ -156,9 +156,9 @@ func TestStartedReplyCarriesNoKey(t *testing.T) {
 	defer c.Close()
 
 	inbox := make(chan Reply, 1)
-	p, err := c.Start(context.Background(), 1, replica.ReadReq{Key: "user/42"}, inbox, 3)
-	if err != nil {
-		t.Fatal(err)
+	p, fail := c.Start(context.Background(), 1, replica.ReadReq{Key: "user/42"}, inbox, 3)
+	if fail != nil {
+		t.Fatal(fail.Err)
 	}
 	r := <-inbox
 	if err := c.Answered(p, &r.Resp); err != nil {
