@@ -6,15 +6,16 @@
 //
 // Usage:
 //
-//	arborvet [-only a,b] [-list] [-json] [-github] [-budget d] [packages]
+//	arborvet [-json] [-github] [-budget d] [packages]
 //
-// Package patterns are module-relative: ./... (default) analyzes every
-// package, ./internal/... a subtree, ./internal/client one package.
-// Diagnostics print as path:line:col: message [analyzer]; -json prints a
-// machine-readable array instead. A finding is suppressed only in the
-// source, by a //lint:ignore directive. -github additionally emits ::error
-// workflow annotations for CI. -budget fails the run when analysis wall
-// time exceeds the duration, keeping `make lint` honest about its latency.
+// Every registered analyzer runs. Package patterns are module-relative:
+// ./... (default) analyzes every package, ./internal/... a subtree,
+// ./internal/client one package. Diagnostics print as path:line:col:
+// message [analyzer]; -json prints a machine-readable array instead. A
+// finding is suppressed only in the source, by a //lint:ignore directive.
+// -github additionally emits ::error workflow annotations for CI. -budget
+// fails the run when analysis wall time exceeds the duration, keeping
+// `make lint` honest about its latency.
 //
 // The exit status is 1 when any diagnostic is reported or the budget is
 // blown, 2 on usage or load errors.
@@ -35,29 +36,10 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
 	budget := flag.Duration("budget", 0, "fail if load+analysis exceeds this wall time (0 = no budget)")
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.All()
-	if *only != "" {
-		sel, ok := lint.ByName(strings.Split(*only, ","))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "arborvet: unknown analyzer in -only=%s\n", *only)
-			os.Exit(2)
-		}
-		analyzers = sel
-	}
 
 	root, modPath, err := findModule()
 	if err != nil {
@@ -83,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.RunAnalyzers(selected, analyzers)
+	diags := lint.RunAnalyzers(selected, lint.All())
 	elapsed := time.Since(start)
 
 	// Relativize paths for output, so findings read the same in every

@@ -46,9 +46,9 @@ func TestWriteJSONEmpty(t *testing.T) {
 }
 
 func TestGithubAnnotation(t *testing.T) {
-	d := diag("internal/a/a.go", 7, "wireclosed", "tag mismatch: 50% drift\nsecond line")
+	d := diag("internal/a/a.go", 7, "goleak", "tag mismatch: 50% drift\nsecond line")
 	got := githubAnnotation(d)
-	want := "::error file=internal/a/a.go,line=7,col=3,title=wireclosed::tag mismatch: 50%25 drift%0Asecond line"
+	want := "::error file=internal/a/a.go,line=7,col=3,title=goleak::tag mismatch: 50%25 drift%0Asecond line"
 	if got != want {
 		t.Errorf("githubAnnotation:\n got %q\nwant %q", got, want)
 	}

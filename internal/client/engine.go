@@ -404,9 +404,9 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 			case rpc.StartSendFailed:
 				o = outcomeSendFailed
 			}
-			// A start on a closed caller is not a contact; every other
-			// failed start counts as one, like the failed send it usually is.
-			if o != outcomeClosed {
+			// Only a failed send is a contact: a closed caller or a spent
+			// deadline sent nothing.
+			if o == outcomeSendFailed {
 				a.sent++
 				s.contacts++
 			}

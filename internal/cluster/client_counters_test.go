@@ -164,7 +164,7 @@ func TestClientCountersPinned(t *testing.T) {
 	}
 }
 
-const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:52 WriteContacts:18 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
+const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:52 WriteContacts:16 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
 -2 {Reads:1 ReadFailures:0 Writes:0 WriteFailures:0 ReadContacts:2 WriteContacts:0 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
 -3 {Reads:0 ReadFailures:0 Writes:1 WriteFailures:1 ReadContacts:4 WriteContacts:6 ReadRefetches:0 RetriesSpent:1 RetriesDenied:1}`
 

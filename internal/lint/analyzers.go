@@ -2,7 +2,8 @@ package lint
 
 // All returns every registered analyzer, in stable order. Each one guards
 // an invariant of the protocol or an engineering rule of this repository;
-// DESIGN.md's "Invariants as analyzers" section documents the mapping.
+// DESIGN.md's "Invariants as analyzers" section documents the mapping and
+// names a mutant of the production code each one flags.
 func All() []*Analyzer {
 	return []*Analyzer{
 		QuorumShape,
@@ -11,26 +12,7 @@ func All() []*Analyzer {
 		DetRand,
 		LockScope,
 		ObsWire,
-		WireClosed,
 		PoolSafe,
 		ZeroCopy,
-		AtomicMix,
 	}
-}
-
-// ByName resolves a comma-separated selection against the registry.
-func ByName(names []string) ([]*Analyzer, bool) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, a)
-	}
-	return out, true
 }

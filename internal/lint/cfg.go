@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the control-flow half of the lint framework: a per-function
-// CFG builder the flow-sensitive analyzers (poolsafe, zerocopy, lockscope,
-// goleak) share. It is deliberately small — blocks hold the statements and
+// CFG builder the flow-sensitive analyzers (poolsafe, lockscope, goleak)
+// share. It is deliberately small — blocks hold the statements and
 // expressions of straight-line runs in evaluation order, edges follow Go's
 // control constructs — and stdlib-only, like the rest of the framework.
 //

@@ -146,16 +146,6 @@ func TestEveryAnalyzerHasFixture(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	got, ok := ByName([]string{"goleak", "detrand"})
-	if !ok || len(got) != 2 || got[0] != GoLeak || got[1] != DetRand {
-		t.Fatalf("ByName(goleak,detrand) = %v, %v", got, ok)
-	}
-	if _, ok := ByName([]string{"nosuch"}); ok {
-		t.Fatal("ByName(nosuch) succeeded")
-	}
-}
-
 func TestVerbForArgs(t *testing.T) {
 	cases := []struct {
 		format string

@@ -12,10 +12,11 @@
 // with //lint:ignore suppression (this file, directive.go), a
 // flow-sensitive layer — a per-function control-flow graph builder
 // (cfg.go) and a forward dataflow framework over it (dataflow.go) — and
-// the project-specific analyzers (quorumshape.go, goleak.go,
-// errwrapped.go, detrand.go, lockscope.go, obswire.go, wireclosed.go,
-// poolsafe.go, zerocopy.go, atomicmix.go). cmd/arborvet is the CLI
-// driver; `make lint` and CI run it over the whole tree.
+// the eight project-specific analyzers (quorumshape.go, goleak.go,
+// errwrapped.go, detrand.go, lockscope.go, obswire.go, poolsafe.go,
+// zerocopy.go). cmd/arborvet is the CLI driver; `make lint` and CI run it
+// over the whole tree. The closed wire message set is not an analyzer: the
+// wire package's tests check it on real values.
 //
 // Analyzers are tested against fixture packages under testdata/src/<name>
 // with `// want "regexp"` expectations, mirroring x/tools' analysistest.

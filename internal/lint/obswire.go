@@ -9,33 +9,33 @@ import (
 // the real module ("arbor/internal/client") and fixtures
 // ("internal/client" under testdata).
 var (
-	obsWireScope = segSuffix(`internal/(client|rpc|replica|adapt|transport)`)
+	obsWireScope = segSuffix(`internal/(client|replica|adapt)`)
 	wirePkgs     = segSuffix(`internal/(rpc|transport)`)
 	obsPkg       = segSuffix(`internal/obs`)
 )
 
-// ObsWire reports exported entry points in the client, rpc and replica
-// packages that send replica traffic but record no observability. PR 1
-// established the discipline: every operation that touches the wire feeds a
-// metric or an operation trace, so production incidents can be read off
-// /metrics and /traces instead of reconstructed from logs. A new exported
-// call path that dodges instrumentation silently un-observes part of the
-// workload. The replica package entered the scope with the anti-entropy
-// syncer: catch-up is replica-initiated wire traffic, so StartSync-style
-// entry points carry the same obligation as client operations. The
-// adaptation controller entered it with live migrations: a controller
-// action that drove replica traffic without journaling or metrics would be
-// exactly the unexplained reconfiguration the decision journal exists to
-// rule out. The transport package entered with the pipelined TCP endpoint:
-// its exported send paths are the last hop every operation shares, so an
-// uninstrumented one blinds every metric above it.
+// ObsWire reports exported entry points in the client, replica and adapt
+// packages that send replica traffic but record no observability. Every
+// operation that touches the wire feeds a metric or an operation trace, so
+// production incidents can be read off /metrics and /traces instead of
+// reconstructed from logs; a new exported call path that dodges
+// instrumentation silently un-observes part of the workload. The replica
+// package is in scope for the anti-entropy syncer (catch-up is
+// replica-initiated wire traffic), the adaptation controller for live
+// migrations (a controller action that drove replica traffic without
+// journaling or metrics would be exactly the unexplained reconfiguration
+// the decision journal exists to rule out). The rpc and transport packages
+// are not: they keep no instruments by design, and their callers book every
+// contact and send.
 //
 // "Sends traffic" means (transitively, through same-package calls) invoking
-// Call or Send on the rpc or transport packages; "records observability"
-// means (transitively) referencing anything from internal/obs.
+// Start, Call or Send on the rpc or transport packages — Start is how the
+// client's quorum engine sends every read, prepare and commit; "records
+// observability" means (transitively) referencing anything from
+// internal/obs.
 var ObsWire = &Analyzer{
 	Name: "obswire",
-	Doc:  "exported client/rpc/replica/adapt/transport entry points that touch the wire must be instrumented",
+	Doc:  "exported client/replica/adapt entry points that touch the wire must be instrumented",
 	Run:  runObsWire,
 }
 
@@ -73,8 +73,7 @@ func runObsWire(pass *Pass) {
 				if callee == nil {
 					return true
 				}
-				cp := pkgPathOf(callee)
-				if (callee.Name() == "Call" || callee.Name() == "Send") && pathMatches(cp, wirePkgs) {
+				if n := callee.Name(); (n == "Start" || n == "Call" || n == "Send") && pathMatches(pkgPathOf(callee), wirePkgs) {
 					f.wire = true
 				}
 				if callee.Pkg() == pass.Pkg.Types {

@@ -5,27 +5,30 @@ import (
 	"go/types"
 )
 
-// Scopes: quorum construction is canonical only inside internal/core and
-// internal/quorum; level-site accessors live on internal/core's Protocol
-// and internal/tree's Tree.
+// Scopes: internal/core and internal/quorum define the quorum shapes and
+// may build site sets across levels; level-site accessors live on
+// internal/core's Protocol and internal/tree's Tree.
 var (
 	quorumShapeExempt = segSuffix(`internal/(core|quorum)`)
 	levelSitePkgs     = segSuffix(`internal/(core|tree)`)
 )
 
-// QuorumShape reports ad-hoc quorum assembly outside the canonical
-// constructors. The paper's bi-coterie guarantees (§3.1–3.2) hold only for
-// the two shapes internal/core builds: a read quorum takes one physical
-// node from every physical level, a write quorum all nodes of one level.
-// Code that loops over levels unioning LevelSites results — or hand-picking
-// one site per level into an accumulator — is constructing a quorum whose
+// QuorumShape reports ad-hoc quorum assembly. The paper's bi-coterie
+// guarantees (§3.1–3.2) hold only for two shapes: a read quorum takes one
+// physical node from every physical level, a write quorum all nodes of one
+// level. The client's quorum engine, the one executor, builds both from its
+// levelTable, which keeps each level's members apart: one slot per level
+// for a read, one level's members for a write. internal/analysis samples
+// them through core.Protocol's PickReadQuorum and PickWriteQuorum. Code
+// that loops over levels unioning LevelSites results — or hand-picking one
+// site per level into an accumulator — is constructing a quorum whose
 // intersection property nobody checks; one wrong bound and two writes can
 // commit on disjoint site sets. Consuming LevelSites inside the loop
 // (summing loads, printing, health checks) is fine; only cross-level
 // accumulation into a quorum-shaped slice or map is flagged.
 var QuorumShape = &Analyzer{
 	Name: "quorumshape",
-	Doc:  "quorums must come from the canonical constructors in internal/core",
+	Doc:  "quorums keep each physical level apart, as the engine's levelTable does; only internal/core and internal/quorum build cross-level site sets",
 	Run:  runQuorumShape,
 }
 
@@ -168,7 +171,7 @@ func checkLoopQuorumAssembly(pass *Pass, loop ast.Node, body *ast.BlockStmt) {
 					for _, arg := range call.Args[1:] {
 						if carriesDerived(arg) {
 							pass.Reportf(asg.Pos(),
-								"ad-hoc cross-level quorum assembly into %s; use the canonical constructors (core.Protocol PickReadQuorum/WriteQuorum)", acc.Name())
+								"ad-hoc cross-level quorum assembly into %s; keep levels apart as the client engine's levelTable does, or sample with core.Protocol's PickReadQuorum/PickWriteQuorum", acc.Name())
 							return true
 						}
 					}
@@ -179,7 +182,7 @@ func checkLoopQuorumAssembly(pass *Pass, loop ast.Node, body *ast.BlockStmt) {
 		if idx, ok := ast.Unparen(asg.Lhs[0]).(*ast.IndexExpr); ok {
 			if acc := outerObj(idx.X); acc != nil && carriesDerived(asg.Rhs[0]) {
 				pass.Reportf(asg.Pos(),
-					"ad-hoc per-level quorum assembly into %s; use the canonical constructors (core.Protocol PickReadQuorum/WriteQuorum)", acc.Name())
+					"ad-hoc per-level quorum assembly into %s; keep levels apart as the client engine's levelTable does, or sample with core.Protocol's PickReadQuorum/PickWriteQuorum", acc.Name())
 			}
 		}
 		return true

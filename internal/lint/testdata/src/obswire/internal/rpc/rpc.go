@@ -1,28 +1,28 @@
-// Package rpc exercises the obswire analyzer inside its own scope: it is
-// both a dependency of the client fixture and a test subject.
+// Package rpc is a stand-in for the real rpc package. It is outside the
+// obswire scope — it keeps no instruments, and its callers book every
+// contact — so its uninstrumented senders are not findings; what calls them
+// in scope is.
 package rpc
 
-import (
-	"internal/obs"
-	"internal/transport"
-)
+import "internal/transport"
 
 // Caller issues calls over a transport connection.
 type Caller struct {
-	ep    transport.Conn
-	calls *obs.Counter
+	ep transport.Conn
 }
 
-// Call is instrumented: wire traffic plus a counter.
-func (c *Caller) Call(to transport.Addr, payload any) error {
-	c.calls.Inc()
+// Start sends a request and returns without waiting for its reply, the way
+// the quorum engine sends every read, prepare and commit.
+func (c *Caller) Start(to transport.Addr, req any) (uint64, error) {
+	return 1, c.ep.Send(to, req)
+}
+
+// Call sends a request and waits for its reply.
+func (c *Caller) Call(to transport.Addr, req any) error {
+	return c.ep.Send(to, req)
+}
+
+// Send transmits a payload without awaiting a reply.
+func (c *Caller) Send(to transport.Addr, payload any) error {
 	return c.ep.Send(to, payload)
 }
-
-// Send touches the wire with no instrumentation at all.
-func (c *Caller) Send(to transport.Addr, payload any) error { // want `exported entry point Send sends replica traffic but records no metrics or trace`
-	return c.ep.Send(to, payload)
-}
-
-// Timeout never touches the wire; nothing to instrument.
-func (c *Caller) Timeout() int { return 0 }

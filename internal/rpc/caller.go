@@ -145,8 +145,6 @@ func deliver(w waiter, r *Reply) {
 // operation never overshoots the operation's deadline — and rides the wire
 // as the request's deadline; a spent budget fails locally before any
 // message is sent. A failed start's StartError says which way it failed.
-//
-//lint:ignore obswire plumbing: the quorum engine, its one protocol caller, books every contact it starts
 func (c *Caller) Start(ctx context.Context, to transport.Addr, req Request, inbox chan<- Reply, tag int) (Pending, *StartError) {
 	return c.start(ctx, to, req, waiter{inbox: inbox, tag: tag})
 }
@@ -234,8 +232,6 @@ var replyChanPool = sync.Pool{New: func() any { return make(chan Reply, 1) }}
 
 // Call is Start, a wait for the reply, the attempt's timeout or context
 // cancellation, and the matching resolve step. The answer comes back boxed.
-//
-//lint:ignore obswire plumbing for tools that time one call themselves; no protocol path calls it
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any, error) {
 	inbox := replyChanPool.Get().(chan Reply)
 	p, fail := c.start(ctx, to, req, waiter{inbox: inbox, keyed: true})
@@ -261,8 +257,6 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any,
 }
 
 // Send transmits a payload without awaiting a reply (fire-and-forget).
-//
-//lint:ignore obswire plumbing: its one caller, the client's read repair, counts its sends
 func (c *Caller) Send(to transport.Addr, payload any) error {
 	err := transport.Send(c.ep, to, payload, wire.Stamp{})
 	if hook := c.sendHook.Load(); hook != nil {

@@ -37,8 +37,6 @@ type Transport interface {
 // payload, so a payload literal can live on the sender's stack: a
 // *TCPEndpoint encodes it in place, and any other Conn, which may keep what
 // it is given, gets a stamped copy (wire.Stamped).
-//
-//lint:ignore obswire the last hop, not an entry point: the client's engine and read repair count every send made through rpc, replica counts its own, and TCPStats counts frames
 func Send(c Conn, to Addr, payload any, st wire.Stamp) error {
 	if e, ok := c.(*TCPEndpoint); ok {
 		return e.send(to, payload, st)

@@ -6,8 +6,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -144,6 +146,52 @@ func TestGoldenVectors(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dec, v.msg) {
 			t.Errorf("%s: golden bytes decode to %#v, want %#v", v.name, dec, v.msg)
+		}
+	}
+}
+
+// TestVectorsCoverEveryTag keeps the message set closed: the vectors' tag
+// bytes are exactly 1…TagOverloadedResp, and the next tag value does not
+// decode. So a message added without a vector fails here, and the tests
+// that run every vector — TestRoundTrip, TestGoldenVectors,
+// TestStampPathsAgree and the holder tests — reach every message's encode,
+// decode, stamping, Set, Box, Own and ReqID case.
+func TestVectorsCoverEveryTag(t *testing.T) {
+	seen := make(map[Tag]bool)
+	for _, v := range vectors() {
+		enc, err := Append(nil, v.msg, Stamp{})
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		seen[Tag(enc[1])] = true
+	}
+	for tag := Tag(1); tag <= TagOverloadedResp; tag++ {
+		if !seen[tag] {
+			t.Errorf("tag %d has no vector", tag)
+		}
+		delete(seen, tag)
+	}
+	if len(seen) != 0 {
+		t.Errorf("vectors encode tags past TagOverloadedResp: %v", seen)
+	}
+	next := TagOverloadedResp + 1
+	if _, err := Decode([]byte{Version, byte(next)}); err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+		t.Errorf("tag %d: decode error %v, want an unknown tag; a new last tag needs a vector and this bound", next, err)
+	}
+}
+
+// TestNoGob: no package of the module reaches encoding/gob. A second
+// serialization path is how version skew slipped into the WAL before this
+// codec; frames and records go through Append and Decode alone.
+func TestNoGob(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}{{range .Deps}} {{.}}{{end}}", "arbor/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, deps, _ := strings.Cut(line, " ")
+		if slices.Contains(strings.Fields(deps), "encoding/gob") {
+			t.Errorf("%s depends on encoding/gob; encode through wire.Append and wire.Decode", pkg)
 		}
 	}
 }
