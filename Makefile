@@ -37,11 +37,11 @@ race:
 # LOC_MAX records the first column's total: the target fails when the tree
 # is larger (a PR that grows it has to raise LOC_MAX on purpose) and when it
 # is smaller (a PR that shrinks it has to lower LOC_MAX to the new total),
-# printing the value to set either way. The last change lowered it by 518
-# from 22273: the atomicmix and wireclosed analyzers went (the wire
-# package's tests keep its message set closed and its only codec on real
-# values), and so did arborvet's -only and -list flags with lint.ByName.
-LOC_MAX = 21755
+# printing the value to set either way. The last change lowered it by 9
+# from 21755: Write and Txn.Commit share one commit driver and every
+# operation ends through one epilogue (the client −25), while quorumshape
+# grew 16 lines to follow field selectors in an append.
+LOC_MAX = 21746
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
 		-not -path '*/testdata/*' -not -path './.bench_build/*' -print0 \

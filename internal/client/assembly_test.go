@@ -602,9 +602,9 @@ func TestFailedReadCountsEveryLevel(t *testing.T) {
 }
 
 // TestFailedDiscoveryCountsContactsOnce: a write whose version discovery
-// fails (level 0 of 1-3-5 down) sent only discovery requests. They are read
-// contacts — readQuorum counts them — and must not be counted again as
-// write contacts: the two counters together are what the transport saw.
+// fails (level 0 of 1-3-5 down) sent only discovery requests. They are the
+// write's contacts, counted once: WriteContacts is what the transport saw,
+// and no read contact was booked.
 func TestFailedDiscoveryCountsContactsOnce(t *testing.T) {
 	var proto *core.Protocol
 	h := newScriptHarness(t, "1-3-5", func(_ int, m transport.Message) reaction {
@@ -624,8 +624,8 @@ func TestFailedDiscoveryCountsContactsOnce(t *testing.T) {
 	if wr.Contacts != saw {
 		t.Errorf("WriteResult.Contacts = %d, transport saw %d", wr.Contacts, saw)
 	}
-	if m := h.cli.Metrics(); m.ReadContacts+m.WriteContacts != uint64(saw) {
-		t.Errorf("ReadContacts %d + WriteContacts %d, transport saw %d", m.ReadContacts, m.WriteContacts, saw)
+	if m := h.cli.Metrics(); m.ReadContacts != 0 || m.WriteContacts != uint64(saw) {
+		t.Errorf("ReadContacts %d, WriteContacts %d, want 0 and the %d the transport saw", m.ReadContacts, m.WriteContacts, saw)
 	}
 }
 

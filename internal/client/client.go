@@ -56,7 +56,8 @@ var (
 
 // Metrics counts the client's operations and replica contacts. Contacts are
 // request messages sent to replicas, the unit in which the paper measures
-// communication cost.
+// communication cost, booked on the operation that sent them: a write's
+// version discovery is a write contact. A transaction counts as a write.
 type Metrics struct {
 	Reads         uint64
 	ReadFailures  uint64
@@ -188,20 +189,39 @@ func (o observerOption) apply(c *Client) { c.obs = o.o }
 // observer (the default) leaves the hot paths uninstrumented.
 func WithObserver(o *obs.Observer) Option { return observerOption{o: o} }
 
-// instruments are the client's pre-resolved metric handles, nil when no
-// observer is attached.
+// opKind is what an operation is: its trace name, its duration and outcome
+// series, and which half of Metrics it books on (a transaction books as a
+// write).
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opWrite
+	opTxn
+	opKinds
+)
+
+var opNames = [opKinds]string{opRead: "read", opWrite: "write", opTxn: "txn"}
+
+// boundOutcomes are the arbor_client_ops_total series bound up front, so
+// /metrics lists them from the first scrape; a read's error and every txn
+// outcome are bound on first use.
+var boundOutcomes = [opKinds][]string{
+	opRead:  {obs.OutcomeOK, obs.OutcomeNotFound, obs.OutcomeUnavailable},
+	opWrite: {obs.OutcomeOK, obs.OutcomeInDoubt, obs.OutcomeUnavailable},
+}
+
+// instruments are the client's pre-resolved metric handles. Without a
+// registry every handle is nil, and a nil handle no-ops.
 type instruments struct {
-	readDur, writeDur, txnDur *obs.Histogram
-	ops                       *obs.CounterVec // labels: op, outcome
-	readOK, readNotFound      *obs.Counter
-	readUnavailable           *obs.Counter
-	writeOK, writeInDoubt     *obs.Counter
-	writeUnavailable          *obs.Counter
-	siteFallbacks             *obs.Counter
-	hedges, hedgeWins         *obs.Counter
-	readRefetches             *obs.Counter
-	retryCommit, retryLevel   *obs.Counter
-	budgetDenied              *obs.Counter
+	dur                     [opKinds]*obs.Histogram
+	ops                     *obs.CounterVec          // labels: op, outcome
+	outcomes                [opKinds][3]*obs.Counter // boundOutcomes' series, in its order
+	siteFallbacks           *obs.Counter
+	hedges, hedgeWins       *obs.Counter
+	readRefetches           *obs.Counter
+	retryCommit, retryLevel *obs.Counter
+	budgetDenied            *obs.Counter
 
 	// The contact series (bindContacts), fed by the engine and read repair.
 	callDur                           *obs.Histogram
@@ -209,12 +229,8 @@ type instruments struct {
 	deadlineSkips                     *obs.Counter
 }
 
-// newInstruments resolves the client metric families against reg (nil reg
-// gives nil instruments — every handle no-ops).
+// newInstruments resolves the client metric families against reg.
 func newInstruments(reg *obs.Registry) *instruments {
-	if reg == nil {
-		return nil
-	}
 	dur := reg.HistogramVec("arbor_client_op_duration_seconds",
 		"End-to-end client operation latency, including level fallbacks and retries.", "op")
 	ops := reg.CounterVec("arbor_client_ops_total",
@@ -229,25 +245,33 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.", "kind")
 	budgetDenied := reg.Counter("arbor_client_retry_budget_denied_total",
 		"Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.")
-	return &instruments{
-		readDur:          dur.With("read"),
-		writeDur:         dur.With("write"),
-		txnDur:           dur.With("txn"),
-		ops:              ops,
-		readOK:           ops.With("read", obs.OutcomeOK),
-		readNotFound:     ops.With("read", obs.OutcomeNotFound),
-		readUnavailable:  ops.With("read", obs.OutcomeUnavailable),
-		writeOK:          ops.With("write", obs.OutcomeOK),
-		writeInDoubt:     ops.With("write", obs.OutcomeInDoubt),
-		writeUnavailable: ops.With("write", obs.OutcomeUnavailable),
-		siteFallbacks:    fallbacks.With("site"),
-		hedges:           hedgeEvents.With("launched"),
-		hedgeWins:        hedgeEvents.With("win"),
-		readRefetches:    refetches,
-		retryCommit:      retries.With("commit"),
-		retryLevel:       retries.With("level"),
-		budgetDenied:     budgetDenied,
+	in := &instruments{
+		ops:           ops,
+		siteFallbacks: fallbacks.With("site"),
+		hedges:        hedgeEvents.With("launched"),
+		hedgeWins:     hedgeEvents.With("win"),
+		readRefetches: refetches,
+		retryCommit:   retries.With("commit"),
+		retryLevel:    retries.With("level"),
+		budgetDenied:  budgetDenied,
 	}
+	for k := range in.dur {
+		in.dur[k] = dur.With(opNames[k])
+		for i, outcome := range boundOutcomes[k] {
+			in.outcomes[k][i] = ops.With(opNames[k], outcome)
+		}
+	}
+	return in
+}
+
+// outcome is the arbor_client_ops_total series of an operation's outcome.
+func (in *instruments) outcome(k opKind, outcome string) *obs.Counter {
+	for i, o := range boundOutcomes[k] {
+		if o == outcome {
+			return in.outcomes[k][i]
+		}
+	}
+	return in.ops.With(opNames[k], outcome)
 }
 
 // bindContacts resolves the contact series: one request message per call,
@@ -256,9 +280,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 // had when rpc.Caller counted them, so they are bound after the site book's
 // families.
 func (in *instruments) bindContacts(reg *obs.Registry) {
-	if in == nil {
-		return
-	}
 	in.callDur = reg.Histogram("arbor_rpc_call_duration_seconds",
 		"Round-trip latency of replica calls, including timed-out calls.")
 	in.calls = reg.Counter("arbor_rpc_calls_total",
@@ -296,8 +317,8 @@ type Client struct {
 	book   *siteBook
 	floors floorTable // the per-key floor a read sends along
 
-	// obs is the optional observability hook; instr and traces are its
-	// pre-resolved halves (nil when no observer is attached).
+	// instr and traces are the optional observer's two halves: handles
+	// that no-op and a nil recorder when no observer is attached.
 	obs    *obs.Observer
 	instr  *instruments
 	traces *obs.TraceRecorder
@@ -380,22 +401,71 @@ func (c *Client) Close() {
 	c.caller.Close()
 }
 
+// opRun is one operation from begin to end: what its epilogue books.
+type opRun struct {
+	kind     opKind
+	op       *obs.Op   // the trace, nil when none is recorded
+	start    time.Time // zero when the client is not observed
+	contacts int       // requests sent, every phase of the operation
+}
+
+// begin starts an operation: it earns the operation's retry-budget share
+// and opens its trace and, on an observed client, its clock.
+func (c *Client) begin(kind opKind, key string) opRun {
+	c.budget.earnOp()
+	r := opRun{kind: kind, op: c.traces.Start(opNames[kind], key, c.id)}
+	if c.obs != nil {
+		r.start = time.Now()
+	}
+	return r
+}
+
+// end is every operation's one epilogue. It derives the outcome from err,
+// books it and the operation's contacts on Metrics (a transaction as a
+// write), counts it on the outcome series, times it, and seals the trace.
+// A not-found read and an in-doubt write completed; anything else failed.
+func (c *Client) end(r *opRun, err error) {
+	outcome := obs.OutcomeError
+	switch {
+	case err == nil:
+		outcome = obs.OutcomeOK
+	case errors.Is(err, ErrNotFound):
+		outcome = obs.OutcomeNotFound
+	case errors.Is(err, ErrInDoubt):
+		outcome = obs.OutcomeInDoubt
+	case errors.Is(err, ErrTxnConflict):
+		outcome = obs.OutcomeConflict
+	case errors.Is(err, ErrReadUnavailable), errors.Is(err, ErrWriteUnavailable):
+		outcome = obs.OutcomeUnavailable
+	}
+	m := &c.metrics
+	done, failed, contacts := &m.writes, &m.writeFailures, &m.writeContacts
+	if r.kind == opRead {
+		done, failed, contacts = &m.reads, &m.readFailures, &m.readContacts
+	}
+	switch outcome {
+	case obs.OutcomeOK, obs.OutcomeNotFound, obs.OutcomeInDoubt:
+		done.Add(1)
+	default:
+		failed.Add(1)
+	}
+	contacts.Add(uint64(r.contacts))
+	if !r.start.IsZero() {
+		c.instr.dur[r.kind].Observe(time.Since(r.start))
+	}
+	c.instr.outcome(r.kind, outcome).Inc()
+	r.op.Finish(outcome, err, r.contacts)
+}
+
 // backoff sleeps the attempt's share of a jittered exponential schedule —
 // retryBase·2ᵃᵗᵗᵉᵐᵖᵗ, capped at 16×retryBase, jittered uniformly over
 // [½d, 1½d) — honoring ctx. The jitter draws from a dedicated seeded RNG
-// so simulated runs stay deterministic. kind labels the retry counter.
+// so simulated runs stay deterministic. retries counts the retry's kind.
 // floor (usually an overloaded replica's retry-after hint) raises the final
 // sleep to at least that long: a site that said "come back in 10ms" must
 // not be re-attacked in 2.
-func (c *Client) backoff(ctx context.Context, attempt int, kind string, floor time.Duration) error {
-	if c.instr != nil {
-		switch kind {
-		case "commit":
-			c.instr.retryCommit.Inc()
-		case "level":
-			c.instr.retryLevel.Inc()
-		}
-	}
+func (c *Client) backoff(ctx context.Context, attempt int, retries *obs.Counter, floor time.Duration) error {
+	retries.Inc()
 	d := retryBase
 	const maxd = 16 * retryBase
 	for i := 0; i < attempt && d < maxd; i++ {

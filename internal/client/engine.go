@@ -349,11 +349,9 @@ func (a *assembly) onTimer(now time.Time) {
 			// trades tail latency for load, never availability.
 			if a.c.budget.spend() {
 				s.hedges++
-				if a.c.instr != nil {
-					a.c.instr.hedges.Inc()
-				}
+				a.c.instr.hedges.Inc()
 				a.advance(si, true, now)
-			} else if a.c.instr != nil {
+			} else {
 				a.c.instr.budgetDenied.Inc()
 			}
 		}
@@ -390,9 +388,7 @@ func (a *assembly) advance(si int, hedge bool, now time.Time) {
 				a.sent++
 				s.pending++
 				s.contacts++
-				if a.c.instr != nil {
-					a.c.instr.calls.Inc()
-				}
+				a.c.instr.calls.Inc()
 				a.wakeBy(due)
 				return
 			}
@@ -465,7 +461,7 @@ func (a *assembly) resolve(i int, o outcome, resp *wire.Reply, err error, now ti
 		return
 	}
 	s.responder, s.resp, s.err = addr, *resp, nil
-	if hedge && a.c.instr != nil {
+	if hedge {
 		a.c.instr.hedgeWins.Inc()
 	}
 	a.cancel(si, context.Canceled, now, hedge)
@@ -509,9 +505,6 @@ func refused(resp *wire.Reply) bool {
 // counted, and a failed send is a call (it reached the transport). In
 // record an outcomeCancelled is always a start whose deadline was spent.
 func (in *instruments) contact(o outcome, rtt time.Duration) {
-	if in == nil {
-		return
-	}
 	switch o {
 	case outcomeShed:
 		in.overloads.Inc()
@@ -589,7 +582,7 @@ func (a *assembly) abandon(why error) {
 // decide closes a slot whose race is over.
 func (a *assembly) decide(s *slot) {
 	s.done = true
-	if n := s.contacts - 1 - s.hedges; n > 0 && a.c.instr != nil {
+	if n := s.contacts - 1 - s.hedges; n > 0 {
 		a.c.instr.siteFallbacks.Add(uint64(n))
 	}
 	if a.spanPhase != "" {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -37,53 +36,14 @@ type ReadResult struct {
 // same key: only a quorum assembled after a write was acknowledged is sure
 // to meet that write's level.
 func (c *Client) Read(ctx context.Context, key string) (ReadResult, error) {
-	c.budget.earnOp()
-	op := c.traces.Start("read", key, c.id)
-	var start time.Time
-	if c.instr != nil {
-		start = time.Now()
-	}
-	res, err := c.readQuorum(ctx, key, op)
+	r := c.begin(opRead, key)
+	res, err := c.readQuorum(ctx, key, r.op)
 	if err == nil && !res.Found {
 		err = ErrNotFound
 	}
-	if c.instr != nil {
-		c.instr.readDur.Observe(time.Since(start))
-	}
-	c.finishRead(op, err, res.Contacts)
+	r.contacts = res.Contacts
+	c.end(&r, err)
 	return res, err
-}
-
-// finishRead books a read's outcome — err is nil, ErrNotFound (the quorum
-// assembled, nobody stores the key: still a completed read) or a failure —
-// on the counters, the instruments and the trace.
-func (c *Client) finishRead(op *obs.Op, err error, contacts int) {
-	switch {
-	case err == nil:
-		c.metrics.reads.Add(1)
-		if c.instr != nil {
-			c.instr.readOK.Inc()
-		}
-		op.Finish(obs.OutcomeOK, nil, contacts)
-	case errors.Is(err, ErrNotFound):
-		c.metrics.reads.Add(1)
-		if c.instr != nil {
-			c.instr.readNotFound.Inc()
-		}
-		op.Finish(obs.OutcomeNotFound, nil, contacts)
-	case errors.Is(err, ErrReadUnavailable):
-		c.metrics.readFailures.Add(1)
-		if c.instr != nil {
-			c.instr.readUnavailable.Inc()
-		}
-		op.Finish(obs.OutcomeUnavailable, err, contacts)
-	default:
-		c.metrics.readFailures.Add(1)
-		if c.instr != nil {
-			c.instr.ops.With("read", obs.OutcomeError).Inc()
-		}
-		op.Finish(obs.OutcomeError, err, contacts)
-	}
 }
 
 // readQuorum runs a read quorum and returns the newest reply. It sends the
@@ -97,9 +57,7 @@ func (c *Client) readQuorum(ctx context.Context, key string, op *obs.Op) (ReadRe
 	res, err := c.probeLevels(ctx, req, "read", "read-quorum", op)
 	if err == nil && res.Found && req.ValueOmitted(res.TS) {
 		c.metrics.readRefetches.Add(1)
-		if c.instr != nil {
-			c.instr.readRefetches.Inc()
-		}
+		c.instr.readRefetches.Inc()
 		hinted := res.Contacts
 		res, err = c.probeLevels(ctx, replica.ReadReq{Key: key}, "read", "read-refetch", op)
 		res.Contacts += hinted
@@ -119,7 +77,9 @@ func (c *Client) discoverVersion(ctx context.Context, key string, op *obs.Op) (R
 // probeLevels gathers one response to req per physical level: one assembly
 // with a slot per level, its sites engine-ordered and hedged when warranted.
 // When op is live, every level probe is a LevelAttempt labelled spanPhase on
-// it. The contact count covers every level, failed ones included.
+// it. The contact count covers every level, failed ones included; the
+// operation it serves books it, a read's as read contacts and a write's
+// discovery as write contacts.
 func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPhase string, op *obs.Op) (ReadResult, error) {
 	lt := c.levels.Load()
 	levels, total := len(lt.addrs), lt.sites
@@ -140,7 +100,6 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 
 	var res ReadResult
 	res.Contacts = a.sent
-	c.metrics.readContacts.Add(uint64(res.Contacts))
 	for u := range a.slots {
 		s := &a.slots[u]
 		if s.err != nil {
@@ -183,9 +142,7 @@ func (c *Client) repair(key string, res ReadResult, levels []slot) {
 		if found && !res.TS.After(ts) {
 			continue
 		}
-		if c.instr != nil {
-			c.instr.sends.Inc()
-		}
+		c.instr.sends.Inc()
 		_ = c.caller.Send(levels[i].responder, replica.CommitReq{
 			TxID:  0,
 			Key:   key,

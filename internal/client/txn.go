@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"arbor/internal/obs"
 	"arbor/internal/replica"
 )
 
@@ -111,64 +109,29 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(t.writes) == 0 {
 		return nil
 	}
-	t.c.budget.earnOp()
-
 	traceKey := t.order[0]
 	if len(t.order) > 1 {
 		traceKey = fmt.Sprintf("%s (+%d keys)", traceKey, len(t.order)-1)
 	}
-	op := t.c.traces.Start("txn", traceKey, t.c.id)
-	var start time.Time
-	var contacts int
-	if t.c.instr != nil {
-		start = time.Now()
-	}
-	finish := func(outcome string, err error) {
-		if t.c.instr != nil {
-			t.c.instr.txnDur.Observe(time.Since(start))
-			t.c.instr.ops.With("txn", outcome).Inc()
-		}
-		op.Finish(outcome, err, contacts)
-	}
+	r := t.c.begin(opTxn, traceKey)
 
 	// Per-key timestamps: cached read versions where available, fresh
 	// version discovery otherwise.
 	var itemBuf [8]commitItem // on the stack unless the transaction is large
 	items := itemBuf[:0]
+	var err error
 	for _, key := range t.order {
 		base, ok := t.reads[key]
 		if !ok {
-			v, err := t.c.discoverVersion(ctx, key, op)
+			base, err = t.c.discoverVersion(ctx, key, r.op)
+			r.contacts += base.Contacts
 			if err != nil {
 				err = fmt.Errorf("%w: version discovery for %q: %w", ErrWriteUnavailable, key, err)
-				finish(obs.OutcomeUnavailable, err)
-				return err
+				break
 			}
-			base = v
 		}
 		items = append(items, commitItem{key: key, value: t.writes[key], ts: replica.Timestamp{Version: base.TS.Version + 1, Site: t.c.id}})
 	}
-
-	var err error
-	var orderBuf [maxStackLevels]int
-	_, contacts, err = t.c.tryLevels(ctx, t.c.orderedLevels(t.levels, orderBuf[:0], -1), func(u int) (int, error) {
-		return t.c.commitLevel(ctx, t.levels.addrs[u], u, items, op)
-	})
-	t.c.metrics.writeContacts.Add(uint64(contacts))
-	switch {
-	case err == nil:
-		t.c.metrics.writes.Add(1)
-		for _, it := range items {
-			t.c.floors.put(keyHash(it.key), it.ts)
-		}
-		finish(obs.OutcomeOK, nil)
-	case errors.Is(err, ErrInDoubt):
-		t.c.metrics.writes.Add(1)
-		finish(obs.OutcomeInDoubt, err)
-	default:
-		t.c.metrics.writeFailures.Add(1)
-		err = fmt.Errorf("%w: %w", ErrTxnConflict, err)
-		finish(obs.OutcomeConflict, err)
-	}
+	_, err = t.c.commit(ctx, &r, t.levels, nil, items, err)
 	return err
 }

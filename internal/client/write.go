@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"arbor/internal/obs"
 	"arbor/internal/replica"
@@ -59,64 +58,61 @@ func (c *Client) WriteAt(ctx context.Context, key string, value []byte, level in
 }
 
 // write runs the write protocol trying levels in the given order.
-func (c *Client) write(ctx context.Context, key string, value []byte, lt *levelTable, order []int) (res WriteResult, err error) {
-	c.budget.earnOp()
-	op := c.traces.Start("write", key, c.id)
-	var start time.Time
-	if c.instr != nil {
-		start = time.Now()
-	}
-	finish := func(outcome string, err error) {
-		if c.instr != nil {
-			c.instr.writeDur.Observe(time.Since(start))
-			switch outcome {
-			case obs.OutcomeOK:
-				c.instr.writeOK.Inc()
-			case obs.OutcomeInDoubt:
-				c.instr.writeInDoubt.Inc()
-			default:
-				c.instr.writeUnavailable.Inc()
-			}
-		}
-		op.Finish(outcome, err, res.Contacts)
-	}
-
+func (c *Client) write(ctx context.Context, key string, value []byte, lt *levelTable, order []int) (WriteResult, error) {
+	r := c.begin(opWrite, key)
 	// Phase 0 (§3.2.2): obtain the highest version number. This needs a
 	// read-shaped quorum, so a write inherits the read operation's
 	// availability requirement for its version-discovery step.
-	ver, err := c.discoverVersion(ctx, key, op)
-	res.Contacts = ver.Contacts
+	ver, err := c.discoverVersion(ctx, key, r.op)
+	r.contacts = ver.Contacts
 	if err != nil {
-		c.metrics.writeFailures.Add(1)
 		err = fmt.Errorf("%w: version discovery: %w", ErrWriteUnavailable, err)
-		finish(obs.OutcomeUnavailable, err)
-		return res, err
 	}
-	ts := replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}
-
-	items := [1]commitItem{{key: key, value: value, ts: ts}}
-	level, contacts, err := c.tryLevels(ctx, order, func(u int) (int, error) {
-		return c.commitLevel(ctx, lt.addrs[u], u, items[:], op)
-	})
-	res.Contacts += contacts
-	c.metrics.writeContacts.Add(uint64(contacts))
-	switch {
-	case err == nil:
-		res.TS, res.Level = ts, level
-		c.metrics.writes.Add(1)
-		c.floors.put(keyHash(key), ts) // every member of the level has it: reads need no older value
-		finish(obs.OutcomeOK, nil)
-	case errors.Is(err, ErrInDoubt):
-		// No floor: a read through a member that missed it would refetch.
-		res.TS, res.Level = ts, level
-		c.metrics.writes.Add(1)
-		finish(obs.OutcomeInDoubt, err)
-	default:
-		c.metrics.writeFailures.Add(1)
-		err = fmt.Errorf("%w: %w", ErrWriteUnavailable, err)
-		finish(obs.OutcomeUnavailable, err)
+	items := [1]commitItem{{key: key, value: value, ts: replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}}}
+	level, err := c.commit(ctx, &r, lt, order, items[:], err)
+	res := WriteResult{Contacts: r.contacts}
+	if level >= 0 {
+		res.TS, res.Level = items[0].ts, level
 	}
 	return res, err
+}
+
+// commit is the one commit driver of Write and Txn.Commit. They hand it
+// their items after version discovery, whose contacts r holds and whose
+// failure, already wrapped, is err. It runs a level's 2PC down order until
+// one commits (a nil order is drawn here, after discovery), adds the
+// prepares to r's contacts, raises the floors on a clean commit, wraps any
+// other failure (ErrTxnConflict for a transaction, else ErrWriteUnavailable)
+// and ends the operation. level is where the decision was commit, cleanly or
+// in doubt, and -1 when there was none.
+func (c *Client) commit(ctx context.Context, r *opRun, lt *levelTable, order []int, items []commitItem, err error) (level int, _ error) {
+	level = -1
+	if err == nil {
+		var orderBuf [maxStackLevels]int
+		if order == nil {
+			order = c.orderedLevels(lt, orderBuf[:0], -1)
+		}
+		var u, n int
+		u, n, err = c.tryLevels(ctx, order, func(u int) (int, error) {
+			return c.commitLevel(ctx, lt.addrs[u], u, items, r.op)
+		})
+		r.contacts += n
+		switch {
+		case err == nil:
+			level = u
+			for _, it := range items {
+				c.floors.put(keyHash(it.key), it.ts) // every member of the level has it: reads need no older value
+			}
+		case errors.Is(err, ErrInDoubt):
+			level = u // no floor: a read through a member that missed it would refetch
+		case r.kind == opTxn:
+			err = fmt.Errorf("%w: %w", ErrTxnConflict, err)
+		default:
+			err = fmt.Errorf("%w: %w", ErrWriteUnavailable, err)
+		}
+	}
+	c.end(r, err)
+	return level, err
 }
 
 // tryLevels attempts a 2PC on each level of order in turn until one commits
@@ -132,13 +128,11 @@ func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int)
 	for i, u := range order {
 		if i > 0 {
 			if !c.budget.spend() {
-				if c.instr != nil {
-					c.instr.budgetDenied.Inc()
-				}
+				c.instr.budgetDenied.Inc()
 				return u, contacts, fmt.Errorf("retry budget exhausted: %w", err)
 			}
 			floor, _ := rpc.RetryAfter(err)
-			if c.backoff(ctx, i-1, "level", floor) != nil {
+			if c.backoff(ctx, i-1, c.instr.retryLevel, floor) != nil {
 				return u, contacts, err
 			}
 		}
@@ -240,12 +234,10 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 	for attempt := 0; attempt <= c.commitRetries; attempt++ {
 		if attempt > 0 {
 			if !c.budget.spend() {
-				if c.instr != nil {
-					c.instr.budgetDenied.Inc()
-				}
+				c.instr.budgetDenied.Inc()
 				break
 			}
-			if c.backoff(ctx, attempt-1, "commit", 0) != nil {
+			if c.backoff(ctx, attempt-1, c.instr.retryCommit, 0) != nil {
 				return false
 			}
 		}

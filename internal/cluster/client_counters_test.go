@@ -164,9 +164,87 @@ func TestClientCountersPinned(t *testing.T) {
 	}
 }
 
-const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:52 WriteContacts:16 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
+// TestContactsBookedByOperation holds Metrics' contact counters to the
+// operations that sent the contacts, as §3.2 costs an operation: a read's
+// contacts are read contacts; a write's version discovery and its prepares,
+// a failed level's included, are write contacts, and so are a
+// transaction's. A transaction's trace counts its discovery beside its
+// prepares. The breaker is off, so every traced contact was sent.
+func TestContactsBookedByOperation(t *testing.T) {
+	o := obs.NewObserver(64)
+	c, _ := newObservedCluster(t, "1-2-2", o)
+	cli := pinnedClient(t, c, client.WithBreaker(false))
+	ctx := context.Background()
+	before := cli.Metrics()
+	var reads, writes uint64
+	for _, k := range []string{"a", "b", "a", "c"} {
+		wr, err := cli.Write(ctx, k, []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := cli.Read(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes += uint64(wr.Contacts)
+		reads += uint64(rd.Contacts)
+	}
+
+	// A write pinned to a level with a crashed member falls back.
+	if err := c.Crash(c.Protocol().LevelSites(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	wr, err := cli.WriteAt(ctx, "b", []byte("fallback"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wr.Level == 1 {
+		t.Fatal("a write pinned to a level with a crashed member committed there")
+	}
+	writes += uint64(wr.Contacts)
+
+	// A two-key transaction discovers both keys' versions.
+	txn := cli.NewTxn()
+	for _, k := range []string{"x", "y"} {
+		if err := txn.Write(k, []byte("t")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr := o.Traces.Last(1)[0]
+	if tr.Op != "txn" {
+		t.Fatalf("last trace is a %s, want the txn", tr.Op)
+	}
+	var discovery, prepares int
+	for _, at := range tr.Attempts {
+		for _, ct := range at.Contacts {
+			switch ct.Phase {
+			case "version":
+				discovery++
+			case "prepare":
+				prepares++
+			}
+		}
+	}
+	if discovery == 0 || tr.Contacts != discovery+prepares {
+		t.Errorf("txn trace counts %d contacts, it sent %d discovery and %d prepares", tr.Contacts, discovery, prepares)
+	}
+	writes += uint64(tr.Contacts)
+
+	after := cli.Metrics()
+	if got := after.ReadContacts - before.ReadContacts; got != reads {
+		t.Errorf("ReadContacts grew by %d, the reads sent %d", got, reads)
+	}
+	if got := after.WriteContacts - before.WriteContacts; got != writes {
+		t.Errorf("WriteContacts grew by %d, the writes and the txn sent %d", got, writes)
+	}
+}
+
+const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:37 WriteContacts:31 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
 -2 {Reads:1 ReadFailures:0 Writes:0 WriteFailures:0 ReadContacts:2 WriteContacts:0 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
--3 {Reads:0 ReadFailures:0 Writes:1 WriteFailures:1 ReadContacts:4 WriteContacts:6 ReadRefetches:0 RetriesSpent:1 RetriesDenied:1}`
+-3 {Reads:0 ReadFailures:0 Writes:1 WriteFailures:1 ReadContacts:0 WriteContacts:10 ReadRefetches:0 RetriesSpent:1 RetriesDenied:1}`
 
 const pinnedClientMetrics = `# HELP arbor_client_op_duration_seconds End-to-end client operation latency, including level fallbacks and retries.
 # TYPE arbor_client_op_duration_seconds histogram

@@ -144,8 +144,9 @@ func checkLoopQuorumAssembly(pass *Pass, loop ast.Node, body *ast.BlockStmt) {
 		}
 		return false
 	}
-	outerObj := func(e ast.Expr) types.Object {
-		id := rootIdent(e)
+	// outerObj is the variable id names when it is declared outside the
+	// loop.
+	outerObj := func(id *ast.Ident) types.Object {
 		if id == nil {
 			return nil
 		}
@@ -163,24 +164,28 @@ func checkLoopQuorumAssembly(pass *Pass, loop ast.Node, body *ast.BlockStmt) {
 		if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
 			return true
 		}
-		// acc = append(acc, <derived>...)
+		// acc = append(acc, <derived>...), acc rooted in a variable declared
+		// outside the loop, through field selectors: lt.flat accumulates
+		// into lt.
 		if call, ok := ast.Unparen(asg.Rhs[0]).(*ast.CallExpr); ok {
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" &&
 				info.Uses[id] == types.Universe.Lookup("append") && len(call.Args) > 0 {
-				if acc := outerObj(call.Args[0]); acc != nil {
+				if acc := outerObj(rootVar(call.Args[0])); acc != nil {
 					for _, arg := range call.Args[1:] {
 						if carriesDerived(arg) {
 							pass.Reportf(asg.Pos(),
-								"ad-hoc cross-level quorum assembly into %s; keep levels apart as the client engine's levelTable does, or sample with core.Protocol's PickReadQuorum/PickWriteQuorum", acc.Name())
+								"ad-hoc cross-level quorum assembly into %s; keep levels apart as the client engine's levelTable does, or sample with core.Protocol's PickReadQuorum/PickWriteQuorum", exprString(call.Args[0]))
 							return true
 						}
 					}
 				}
 			}
 		}
-		// acc[i] = <derived> with acc declared outside the loop.
+		// acc[i] = <derived> with acc declared outside the loop. A field is
+		// not followed: lt.addrs[u][i] keeps level u's sites in level u's
+		// own slot.
 		if idx, ok := ast.Unparen(asg.Lhs[0]).(*ast.IndexExpr); ok {
-			if acc := outerObj(idx.X); acc != nil && carriesDerived(asg.Rhs[0]) {
+			if acc := outerObj(rootIdent(idx.X)); acc != nil && carriesDerived(asg.Rhs[0]) {
 				pass.Reportf(asg.Pos(),
 					"ad-hoc per-level quorum assembly into %s; keep levels apart as the client engine's levelTable does, or sample with core.Protocol's PickReadQuorum/PickWriteQuorum", acc.Name())
 			}

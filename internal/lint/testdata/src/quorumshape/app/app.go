@@ -43,6 +43,38 @@ func badRangeElem(t *tree.Tree) []Addr {
 	return q
 }
 
+// table keeps every site in one flat slice, and each level's sites apart.
+type table struct {
+	flat  []Addr
+	addrs [][]Addr
+}
+
+// badFieldAccumulation accumulates every level's sites into a field of a
+// value declared outside the loop.
+func badFieldAccumulation(t *tree.Tree) *table {
+	lt := &table{}
+	for u := 0; u < t.NumPhysicalLevels(); u++ {
+		for _, s := range t.LevelSites(u) {
+			lt.flat = append(lt.flat, Addr(s)) // want `ad-hoc cross-level quorum assembly into lt\.flat`
+		}
+	}
+	return lt
+}
+
+// goodPerLevelTable keeps each level's sites in that level's own slot, as
+// the client engine's levelTable does.
+func goodPerLevelTable(t *tree.Tree) *table {
+	lt := &table{addrs: make([][]Addr, t.NumPhysicalLevels())}
+	for u := range lt.addrs {
+		sites := t.LevelSites(u)
+		lt.addrs[u] = make([]Addr, len(sites))
+		for i, s := range sites {
+			lt.addrs[u][i] = Addr(s)
+		}
+	}
+	return lt
+}
+
 // goodConsume only consumes sites inside the loop; nothing accumulates.
 func goodConsume(t *tree.Tree, load map[tree.SiteID]int) int {
 	total := 0

@@ -53,7 +53,13 @@ func segSuffix(alternatives string) *regexp.Regexp {
 
 // rootIdent digs through index, slice, star and paren expressions to the
 // base identifier of an expression, or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
+func rootIdent(e ast.Expr) *ast.Ident { return digRoot(e, false) }
+
+// rootVar is rootIdent digging through field selectors too: lt for lt.flat
+// and for lt.levels[u].sites.
+func rootVar(e ast.Expr) *ast.Ident { return digRoot(e, true) }
+
+func digRoot(e ast.Expr, fields bool) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
@@ -65,6 +71,11 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if !fields {
+				return nil
+			}
 			e = x.X
 		default:
 			return nil
