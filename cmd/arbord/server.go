@@ -18,7 +18,6 @@ import (
 	"arbor/internal/cluster"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
-	"arbor/internal/transport"
 	"arbor/internal/tree"
 )
 
@@ -260,14 +259,12 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// healthSite is one site's entry in the /health JSON document. The breaker
-// field is the API client's circuit-breaker verdict on the site; sync fields
-// report anti-entropy catch-up progress and survive into the live state, so
-// an operator can see what the last recovery cost.
+// healthSite is one site's entry in the /health JSON document. The sync
+// fields report anti-entropy catch-up progress and survive into the live
+// state, so an operator can see what the last recovery cost.
 type healthSite struct {
 	Site        int    `json:"site"`
 	Health      string `json:"health"`
-	Breaker     string `json:"breaker,omitempty"`
 	SyncActive  bool   `json:"syncActive,omitempty"`
 	KeysPulled  uint64 `json:"keysPulled,omitempty"`
 	SyncRetries uint64 `json:"syncRetries,omitempty"`
@@ -283,18 +280,13 @@ type healthResponse struct {
 }
 
 // handleHealth reports each replica's lifecycle state (live, catching-up or
-// down), its catch-up progress, and the serving client's breaker state for
-// the site.
+// down) and its catch-up progress.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	healths := s.cluster.Healths()
-	breakers := s.cli.BreakerStates()
 	resp := healthResponse{Sites: make([]healthSite, 0, len(healths))}
 	for site, h := range healths {
 		hs := healthSite{Site: int(site), Health: h.String()}
-		if st, ok := breakers[transport.Addr(site)]; ok {
-			hs.Breaker = st.String()
-		}
 		p := s.cluster.Replica(site).SyncProgress()
 		hs.SyncActive = p.Active
 		hs.KeysPulled = p.KeysPulled

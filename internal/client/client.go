@@ -96,7 +96,7 @@ func (o seedOption) apply(c *Client) {
 }
 
 // WithSeed fixes the client's quorum-selection randomness (and, derived
-// from it, the retry-backoff jitter and circuit-breaker cooldown jitter).
+// from it, the retry-backoff jitter).
 func WithSeed(seed int64) Option { return seedOption(seed) }
 
 type commitRetriesOption int
@@ -126,19 +126,6 @@ func (o hedgingOption) apply(c *Client) { c.hedging = bool(o) }
 // Disabled, reads fall back within a level only after the full client
 // timeout — the protocol's plain sequential strategy.
 func WithHedging(enabled bool) Option { return hedgingOption(enabled) }
-
-type breakerOption bool
-
-func (o breakerOption) apply(c *Client) { c.breaker = bool(o) }
-
-// WithBreaker enables or disables the per-site circuit breaker (default
-// enabled). With it on, a site that fails several contacts in a row is
-// skipped locally — no message, no timeout — until a cooldown expires
-// and a half-open probe re-tests it; the engine orders open-breaker sites
-// last and quorum paths that must reach a site anyway (phase-two commits,
-// last-resort rescues) force through. Disable it where wall-clock cooldowns
-// are unwelcome, e.g. the deterministic simulation harness.
-func WithBreaker(enabled bool) Option { return breakerOption(enabled) }
 
 // retryBase is the base delay of the jittered exponential backoff applied
 // between commit re-sends and level-fallback attempts.
@@ -223,7 +210,7 @@ type instruments struct {
 	retryCommit, retryLevel *obs.Counter
 	budgetDenied            *obs.Counter
 
-	// The contact series (bindContacts), fed by the engine and read repair.
+	// The contact series, fed by the engine and by one-way sends.
 	callDur                           *obs.Histogram
 	calls, timeouts, sends, overloads *obs.Counter
 	deadlineSkips                     *obs.Counter
@@ -245,6 +232,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 		"Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.", "kind")
 	budgetDenied := reg.Counter("arbor_client_retry_budget_denied_total",
 		"Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.")
+	// The contact series: one request message per call, fed by the engine
+	// (assembly.advance and assembly.record) and by Client.send. They keep
+	// the arbor_rpc_* names, help and place in /metrics they had when
+	// rpc.Caller counted them.
 	in := &instruments{
 		ops:           ops,
 		siteFallbacks: fallbacks.With("site"),
@@ -254,6 +245,18 @@ func newInstruments(reg *obs.Registry) *instruments {
 		retryCommit:   retries.With("commit"),
 		retryLevel:    retries.With("level"),
 		budgetDenied:  budgetDenied,
+		callDur: reg.Histogram("arbor_rpc_call_duration_seconds",
+			"Round-trip latency of replica calls, including timed-out calls."),
+		calls: reg.Counter("arbor_rpc_calls_total",
+			"Replica calls issued (each is one request message awaiting a reply)."),
+		timeouts: reg.Counter("arbor_rpc_timeouts_total",
+			"Replica calls whose reply deadline expired (failure-detector hits)."),
+		sends: reg.Counter("arbor_rpc_sends_total",
+			"Fire-and-forget payloads sent without awaiting a reply (read repair, aborts)."),
+		overloads: reg.Counter("arbor_rpc_overloaded_total",
+			"Calls answered by a replica's admission gate with a load-shed reply."),
+		deadlineSkips: reg.Counter("arbor_rpc_deadline_skips_total",
+			"Calls failed locally because the caller's deadline budget was already spent."),
 	}
 	for k := range in.dur {
 		in.dur[k] = dur.With(opNames[k])
@@ -274,26 +277,6 @@ func (in *instruments) outcome(k opKind, outcome string) *obs.Counter {
 	return in.ops.With(opNames[k], outcome)
 }
 
-// bindContacts resolves the contact series: one request message per call,
-// fed by the engine (assembly.advance and assembly.record) and by read
-// repair. They keep the arbor_rpc_* names, help and place in /metrics they
-// had when rpc.Caller counted them, so they are bound after the site book's
-// families.
-func (in *instruments) bindContacts(reg *obs.Registry) {
-	in.callDur = reg.Histogram("arbor_rpc_call_duration_seconds",
-		"Round-trip latency of replica calls, including timed-out calls.")
-	in.calls = reg.Counter("arbor_rpc_calls_total",
-		"Replica calls issued (each is one request message awaiting a reply).")
-	in.timeouts = reg.Counter("arbor_rpc_timeouts_total",
-		"Replica calls whose reply deadline expired (failure-detector hits).")
-	in.sends = reg.Counter("arbor_rpc_sends_total",
-		"Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).")
-	in.overloads = reg.Counter("arbor_rpc_overloaded_total",
-		"Calls answered by a replica's admission gate with a load-shed reply.")
-	in.deadlineSkips = reg.Counter("arbor_rpc_deadline_skips_total",
-		"Calls failed locally because the caller's deadline budget was already spent.")
-}
-
 // Client is a protocol client bound to one endpoint. It is safe for
 // concurrent use.
 type Client struct {
@@ -306,14 +289,12 @@ type Client struct {
 	readRepair    bool
 	hedging       bool
 	hedgeDelay    time.Duration
-	breaker       bool
 	seed          int64
 
 	// budget caps optional retry traffic (nil = budgets disabled).
 	budget *retryBudget
 
-	// book is the per-site record behind every ordering and admission
-	// decision.
+	// book is the per-site record behind every ordering decision.
 	book   *siteBook
 	floors floorTable // the per-key floor a read sends along
 
@@ -347,7 +328,6 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 		timeout:       250 * time.Millisecond,
 		commitRetries: 3,
 		hedging:       true,
-		breaker:       true,
 		seed:          int64(id),
 		rng:           rand.New(rand.NewSource(int64(id))),
 	}
@@ -362,8 +342,7 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 	reg := c.obs.Reg()
 	c.instr = newInstruments(reg)
 	c.traces = c.obs.Rec()
-	c.book = newSiteBook(c.breaker, c.timeout, c.seed, reg)
-	c.instr.bindContacts(reg)
+	c.book = newSiteBook()
 	c.caller = rpc.NewCaller(ep, c.timeout)
 	return c
 }
@@ -485,10 +464,4 @@ func (c *Client) backoff(ctx context.Context, attempt int, retries *obs.Counter,
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// BreakerStates snapshots the per-site circuit-breaker states this client
-// has learned; nil when the breaker is disabled.
-func (c *Client) BreakerStates() map[transport.Addr]BreakerState {
-	return c.book.states(time.Now())
 }

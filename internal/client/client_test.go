@@ -341,7 +341,7 @@ func TestClientOverTCP(t *testing.T) {
 
 // ping sends site one PingReq through the engine's one-site fan-out.
 func ping(c *Client, site transport.Addr) error {
-	a := c.fanout(context.Background(), []transport.Addr{site}, nil, "ping", replica.PingReq{}, false, false)
+	a := c.fanout(context.Background(), []transport.Addr{site}, nil, "ping", replica.PingReq{})
 	defer a.release()
 	s := &a.slots[0]
 	if s.err == nil && s.resp.Tag != wire.TagPingResp {

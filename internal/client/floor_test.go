@@ -269,7 +269,7 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 // write is only partly applied), now counted and labelled on the trace.
 func TestReadRefetchEndToEnd(t *testing.T) {
 	o := obs.NewObserver(16)
-	h := newMemHarness(t, "1-2-3", WithCommitRetries(0), WithTimeout(30*time.Millisecond), WithHedging(false), WithBreaker(false), WithObserver(o))
+	h := newMemHarness(t, "1-2-3", WithCommitRetries(0), WithTimeout(30*time.Millisecond), WithHedging(false), WithObserver(o))
 	ctx := context.Background()
 	member, sibling := h.replicas[0], h.replicas[1] // sites 1 and 2: level 0
 
@@ -303,7 +303,7 @@ func TestReadRefetchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := New(-2, ep, h.proto, WithTimeout(30*time.Millisecond), WithHedging(false), WithBreaker(false))
+	plain := New(-2, ep, h.proto, WithTimeout(30*time.Millisecond), WithHedging(false))
 	defer plain.Close()
 	want, err := plain.Read(ctx, "k")
 	if err != nil {

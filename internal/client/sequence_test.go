@@ -9,11 +9,10 @@ import (
 	"arbor/internal/transport"
 )
 
-// The pinned history's clock classes. A timeout costs pinTimeout; a breaker
-// stays open for at least pinTimeout and less than 3×pinTimeout (cooldown
-// 2×timeout, jittered over [½d, 1½d)). The history keeps every stretch with
-// an open breaker far shorter than the former or sleeps past the latter, so
-// the destination sequence does not depend on how fast the machine is.
+// The pinned history's clock: a timeout costs pinTimeout, and a silent
+// primary loses its level to a hedge after pinHedge. Nothing else in the
+// history reads a clock, so the destination sequence does not depend on how
+// fast the machine is.
 const (
 	pinTimeout = 100 * time.Millisecond
 	pinHedge   = 20 * time.Millisecond
@@ -30,7 +29,6 @@ type pinRun struct {
 	mark   int // requests already written down
 	cur    strings.Builder
 	phases []string
-	opened time.Time // when the phase's breaker opened
 }
 
 // did writes down what the operation just finished sent.
@@ -82,26 +80,16 @@ func (p *pinRun) end() {
 	p.cur.Reset()
 }
 
-// stillOpen skips the test when the stretch since the breaker opened ran so
-// long that its cooldown may have expired: the sequence would then depend on
-// the wall clock, and the test has no verdict to give.
-func (p *pinRun) stillOpen() {
-	if d := time.Since(p.opened); d > pinTimeout/2 {
-		p.t.Skipf("%v with a breaker open, cooldown may be as short as %v: machine too slow for a verdict", d, pinTimeout)
-	}
-}
-
 // pinnedHistory runs the history on spec: ≥300 seeded operations while the
 // script makes chosen sites lose hedge races, refuse, shed, fail sends, time
-// out and recover, so that failure buckets move, two breakers open (one
-// closed by a half-open probe after its cooldown, one by a rescue pass
-// inside it) and refusing marks are set and cleared.
+// out and recover, so that failure buckets move and refusing marks are set
+// and cleared.
 func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	p := &pinRun{t: t, mode: map[transport.Addr]reaction{}}
 	// A client-level hedge delay above the timeout turns hedging off and
 	// keeps every latency EWMA in the healthy bucket (a latency below the
 	// hedge delay is never material), so measured round-trip times cannot
-	// move the order; failure EWMAs, marks and breakers do.
+	// move the order; failure EWMAs and marks do.
 	p.h = newScriptHarness(t, spec, func(_ int, m transport.Message) reaction { return p.mode[m.To] },
 		WithTimeout(pinTimeout), WithHedgeDelay(time.Hour), WithSeed(seed))
 	level := func(u int) []transport.Addr {
@@ -119,8 +107,8 @@ func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	p.ops(40)
 	p.end() // warm
 
-	// A silent primary loses hedge races: scored failed, breaker untouched.
-	// Only this phase hedges, with reads alone.
+	// A silent primary loses hedge races: scored failed. Only this phase
+	// hedges, with reads alone.
 	p.mode[hedged] = silent
 	p.h.cli.hedgeDelay = pinHedge
 	p.reads(15)
@@ -145,39 +133,32 @@ func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	p.ops(20)
 	p.end()
 
-	// Failed sends open the breaker without touching the EWMAs; the site is
-	// then skipped, and its level sorts last for writes.
+	// Failed sends raise the failure EWMA without a round trip: the site
+	// sorts last in its level, and its level last for writes.
 	p.mode[sendFailer] = failSend
 	p.pings(sendFailer, 4)
-	p.opened = time.Now()
 	p.ops(25)
-	p.stillOpen()
 	p.end()
-	// Past the cooldown the recovered site is half-open: its next contact is
-	// the probe, and the reply closes the breaker.
-	time.Sleep(time.Until(p.opened.Add(3*pinTimeout + 20*time.Millisecond)))
+	// The recovered site keeps its failure class until it is contacted
+	// again, which only exploration does: until then it stays last in its
+	// level, and its level last for writes.
 	p.mode[sendFailer] = answer
 	p.ops(30)
 	p.end()
 
-	// Timeouts open the breaker and move the EWMAs; a ping to the open site
-	// sends nothing.
+	// Timeouts move both EWMAs: the silent site sorts last, and every
+	// contact with it waits out the timeout.
 	p.mode[silenced] = silent
-	p.pings(silenced, 4)
-	p.opened = time.Now()
-	p.pings(silenced, 1)
+	p.pings(silenced, 5)
 	p.ops(20)
-	p.stillOpen()
 	p.end()
-	// The site is back but its breaker still open, and its siblings refuse:
-	// the rescue pass force-probes it, and the reply closes the breaker.
+	// The site is back and its siblings refuse: a read falls through to it,
+	// and its replies bring its failure EWMA down.
 	p.mode[silenced] = answer
 	for _, s := range siblings {
 		p.mode[s] = refuse
 	}
-	p.ops(1)
-	p.stillOpen()
-	p.ops(4)
+	p.ops(5)
 	p.end()
 	for _, s := range siblings {
 		p.mode[s] = answer
@@ -190,9 +171,9 @@ func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	return p.phases
 }
 
-// TestSiteSequencePinned holds the engine's site selection — ordering,
-// skipping, rescue, exploration — to the destination sequence the parent of
-// the site-book fold (PR 15) produced for the same seeded histories.
+// TestSiteSequencePinned holds the engine's site selection — ordering and
+// exploration — to the destination sequence pinned for the same seeded
+// histories.
 func TestSiteSequencePinned(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
@@ -227,8 +208,8 @@ var pinned135 = []string{
 	"cf ch bh ag cfabcabc ch bd bg ch afabcabc bh aed ch cd agabcabc cg bd bd bg addefghdefghabcabc cf ch bd cd bgdefghdefghabcabc ad bf ad ad cdabcabc",
 	"ce cf ae ce ahabcabc bf ae ad ae chabcabc bf bd ce be bfdefghdefgh ah ad cd ag bhdefghdefgh",
 	"a a a a cedefghdefgh ch be ch bh cddefghdefgh be cg bd ch bhdefghdefgh cd ce bg bf cgdefghdefgh bh bd cg cg bedefghdefgh bh cg cf bh",
-	"bgdefghdefgh bh be bh cg cfdefghdefgh bh ag ch cf bfabcabc bd bf ag cf chabcabc af ag ce cf bgdefghdefgh ag bf cg ce bfdefghdefgh af ad ah be",
-	"h h h h - beabcabc ae cf bg ag aeabcabc cd ad af ad aeabcabc ad ae be cf bfabcabc ae ae cd cf",
+	"bgdefghdefgh bh be bh cg cfdefghdefgh bh bg ch cf bfdefghdefgh bd bf bg cf chdefghdefgh bf bg ce cf bgdefghdefgh cg bf cg ce bfdefghdefgh cf cd bh be",
+	"h h h h h beabcabc ce cf bg bg beabcabc cd ad af ad aeabcabc ad ae be cf bfabcabc ae ae cd cf",
 	"cfegdhabcabc ah ah ah ah",
 	"ahabcabc ah ah bh ch bhabcabc bh ch ch ch chdefghdefgh bg cg ad ad aeabcabc bh ad bd bg cgdefghdefgh bh ad af bh cddefghdefgh bg bf ad af addefghdefgh be bg cg af aeabcabc bf ad cd ch",
 }
@@ -241,9 +222,9 @@ var pinnedDeep = []string{
 	"acfgiknp acehilmp adehjkmo acfhjlmo acfhikmpghgh acfhilno acehjlno adehikmo adegikno adfhikmoijij adegjlno adehjknp adegjknp adfgilmo acfhjlnocdcd acegjkmp adfhjkmo acehikmo adfhjknp adfhikmpghgh",
 	"adehikmo adfhjknpo acfhjkno adehikmo acegjknoabab adegjkno adfhilmo bdfhjlmo bdfhikmo bcfgjkmomnmn bdegikno adegilno bcehjkno acehikno bdfhjlnoijij acfhjkno bcfhilmo bcfhjlno acehikno acfhjlnoklkl bcegikmo bdfhjlno bdehjkmo acfhjkmo adehjlnoijij acfhjlmo acfgjkno bdegjkmo bdegjkno bcfhjknoghgh",
 	"acfgikmo bdfhikmo adegilmo bcehjkno adegiknocdcd adfgjlmo adehikno bdfhilno bcfhjlno bcegjlnomnmn adehikno bdfhjkmo acehilno bcehjlmo adegjlmoghgh adegjlno bcehilmo bdfgjkmo bdfhjlno bcehjknocdcd",
-	"a a a a bdfgjknoghgh bdfhilmo bdehjkno bcfgjlmo bcfgilmo bdfgjknoefef bdfhikmo bcehilno bcfgikno bcegjlmo bcegjknocdcd bdfhjlmo bdfgikno bcehjlno bdehjkmo bcfhjlmocdcd bcfgilno bcegjkno bcehjlmo bcegikmo bcfhjkmoklkl bcfgilmo bcehjlno bdfgikmo bcehjlmp",
-	"bdfhiknpcdcd bcehjlno bdegjlno bdehjkno bdegilmp bcfhjknpabab acfgjlmo bcegjlno adfhilno bcegikmp acfgilmpghgh acfhjknp acegilmo bcfgilnp bcehjlno bcfgjlnoabab adfhikmp acehiknp acfgjlmp bcegjkmo acfhilmoabab bcehjkmp acfhilmo bcegjlmp bcfhjlmo bcfgilmpefef bdfhjknp bcehjkmo bdegjlnp adehilno",
-	"d d d d - acfhjlnoghgh acfhjlno bcfgiknp acehjlno acfhilnp bcegjkmoopop acfhiknp bcfhilmo acfgilnp acehilno acehikmpabab bcegjlno acfgikmo acehjkno acfgilno bcfgjlmpmnmn acfhjknp bcegjknp bcfgiknp bcfhilno",
-	"acegikmodghgh bcfhjlmod adegikmp adegjkno bdehiknp",
-	"adfgilmomnmn adehiknp adfgjknp adehjlmo adehikno adfgikmpmnmn bdegjkmp bdehjlno bdehjlno adehjlno bcehiknomnmn adfhjlmo adegjknp bdfgikmo adehjkno bdehjlnpghgh adehilmp adehjkmp adfhikno bcegikmp acfhjknoijij adegjlmo acehjkno acehjlnp bdehilmp bcegjlmoabab adegilno bdehilmp bdehjlmo adehilno adfhikmoopop bdegilnp acfgikmp bcfgilno adfhjlno adegjkmpklkl acfgikmp adegikmo acehjkno adfhikmo",
+	"a a a a bdfgjknoghgh bdfhilmo abdehjkno bcfgjlmo bcfgilmo bdfgjknoefef bdfhikmo bcehilno bcfgikno bcegjlmo bcegjknocdcd bdfhjlmo bdfgikno bcehjlno bdehjkmo bcfhjlmocdcd bcfgilno bcegjkno bcehjlmo bcegikmo bcfhjkmoklkl bcfgilmo bcehjlno bdfgikmo bcehjlmp",
+	"bdfhiknpcdcd bcehjlno bdegjlno bdehjkno bdegilmp bcfhjknpcdcd bcfgjlmo bcegjlno adfhilno bcegikmp bcfgilmpghgh bcfhjknp bcegilmo acfgilnp bcehjlno bcfgjlnocdcd bdfhikmp bcehiknp bcfgjlmp bcegjkmo bcfhilmocdcd bcehjkmp bcfhilmo bcegjlmp bcfhjlmo bcfgilmpefef bdfhjknp bcehjkmo bdegjlnp bdehilno",
+	"d d d d d bcfhjlnoghgh bcfhjlno bcfgiknp bcehjlno bcfhilnp bcegjkmoopop bcfhiknp bcfhilmo bcfgilnp bcehilno bcehikmpefef bcegjlno bcfgikmo bcehjkno bcfgilno bcfgjlmpmnmn bcfhjknp bcegjknp bcfgiknp bcfhilno",
+	"bcegikmodghgh bcfhjlmod bdegikmp bdegjkno bdehiknp",
+	"bdfgilmomnmn bdehiknp bdfgjknp bdehjlmo bdehikno bdfgikmpmnmn bdegjkmp bdehjlno bdehjlno bdehjlno bcehiknomnmn bdfhjlmo bdegjknp bdfgikmo bdehjkno bdehjlnpghgh adehilmp bdehjkmp bdfhikno bcegikmp acfhjknoijij adegjlmo acehjkno acehjlnp bdehilmp bcegjlmoabab adegilno bdehilmp bdehjlmo adehilno adfhikmoopop bdegilnp acfgikmp bcfgilno adfhjlno adegjkmpklkl acfgikmp adegikmo acehjkno adfhikmo",
 }

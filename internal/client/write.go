@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"arbor/internal/obs"
 	"arbor/internal/replica"
@@ -170,10 +171,16 @@ func (c *Client) commitLevel(ctx context.Context, addrs []transport.Addr, u int,
 		contacts += n
 		if err != nil {
 			// Release whatever we locked and report the level as unusable.
-			// Best effort: a member that cannot be reached (its breaker
-			// open, its reply late) drops the lock when it expires.
-			for _, it := range items[:i+1] {
-				c.fanout(ctx, addrs, span, "abort", replica.AbortReq{TxID: txID, Key: it.key}, false, false).release()
+			// The aborts are one-way: nothing reads an AbortResp, and a
+			// member the abort does not reach drops the lock when it expires.
+			if contacts > 0 { // a level no prepare reached holds no lock
+				now := time.Now()
+				for _, it := range items[:i+1] {
+					for _, addr := range addrs {
+						serr := c.send(addr, replica.AbortReq{TxID: txID, Key: it.key})
+						span.Contact(int(addr), "abort", now, 0, serr, false)
+					}
+				}
 			}
 			err = fmt.Errorf("level %d key %q: %w", u, items[i].key, err)
 			span.Done(false, err)
@@ -198,11 +205,9 @@ func (c *Client) commitLevel(ctx context.Context, addrs []transport.Addr, u int,
 // prepareAll is phase one of 2PC: it sends the prepare to every member at
 // once and returns the number of contacts made and the first failure — a
 // transport error or a refused prepare — or nil when every member is
-// prepared. A member whose open breaker fast-failed the prepare is
-// force-probed before it counts as failed: the breaker must not cost
-// availability the protocol would have had.
+// prepared.
 func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.PrepareReq) (contacts int, err error) {
-	a := c.fanout(ctx, addrs, span, "prepare", req, false, true)
+	a := c.fanout(ctx, addrs, span, "prepare", req)
 	defer a.release()
 	for i := range a.slots {
 		s := &a.slots[i]
@@ -223,8 +228,7 @@ func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *o
 }
 
 // pushCommit is phase two for one key: every member of addrs is sent the
-// commit — through open breakers: every prepared member must hear the
-// decision — and those that did not acknowledge it, or answered that their
+// commit, and those that did not acknowledge it, or answered that their
 // journal refused it (CommitResp.OK false), are sent it again after a
 // backoff, until all have, the retries run out or ctx ends. A re-send spends
 // a retry-budget token; with the bucket dry the outcome stays in doubt
@@ -244,7 +248,7 @@ func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *o
 		if ctx.Err() != nil {
 			return false
 		}
-		a := c.fanout(ctx, addrs, span, "commit", req, true, false)
+		a := c.fanout(ctx, addrs, span, "commit", req)
 		var unacked []transport.Addr
 		for i := range a.slots {
 			if s := &a.slots[i]; s.err != nil || s.resp.Tag != wire.TagCommitResp || !s.resp.CommitResp.OK {

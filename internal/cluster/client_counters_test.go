@@ -46,7 +46,7 @@ func pinnedClient(t *testing.T, c *Cluster, opts ...client.Option) *client.Clien
 // that move a client or contact series — plain reads and writes, a two-key
 // transaction, a read that repairs a stale level, a saturated site and then
 // a saturated level shedding, a crashed site timing out (site and level
-// fallbacks, and the budgeted client's breaker opening), a write denied its
+// fallbacks, and a failed prepare's one-way aborts), a write denied its
 // level fallback by the retry budget, and a transaction whose deadline ran
 // out between its reads and its commit — and holds every arbor_client_* and
 // arbor_rpc_* line of /metrics, and every client's Metrics(), to literals.
@@ -169,11 +169,11 @@ func TestClientCountersPinned(t *testing.T) {
 // contacts are read contacts; a write's version discovery and its prepares,
 // a failed level's included, are write contacts, and so are a
 // transaction's. A transaction's trace counts its discovery beside its
-// prepares. The breaker is off, so every traced contact was sent.
+// prepares.
 func TestContactsBookedByOperation(t *testing.T) {
 	o := obs.NewObserver(64)
 	c, _ := newObservedCluster(t, "1-2-2", o)
-	cli := pinnedClient(t, c, client.WithBreaker(false))
+	cli := pinnedClient(t, c)
 	ctx := context.Background()
 	before := cli.Metrics()
 	var reads, writes uint64
@@ -278,27 +278,21 @@ arbor_client_retries_total{kind="level"} 2
 # HELP arbor_client_retry_budget_denied_total Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.
 # TYPE arbor_client_retry_budget_denied_total counter
 arbor_client_retry_budget_denied_total 1
-# HELP arbor_rpc_breaker_transitions_total Circuit-breaker state transitions, by destination state (open counts re-opens after failed probes).
-# TYPE arbor_rpc_breaker_transitions_total counter
-arbor_rpc_breaker_transitions_total{state="open"} 1
-# HELP arbor_rpc_breaker_fastfails_total Contacts skipped locally because the destination site's circuit breaker was open.
-# TYPE arbor_rpc_breaker_fastfails_total counter
-arbor_rpc_breaker_fastfails_total 0
 # HELP arbor_rpc_call_duration_seconds Round-trip latency of replica calls, including timed-out calls.
 # TYPE arbor_rpc_call_duration_seconds histogram
-arbor_rpc_call_duration_seconds_count 102
+arbor_rpc_call_duration_seconds_count 96
 # HELP arbor_rpc_calls_total Replica calls issued (each is one request message awaiting a reply).
 # TYPE arbor_rpc_calls_total counter
-arbor_rpc_calls_total 102
+arbor_rpc_calls_total 96
 # HELP arbor_rpc_timeouts_total Replica calls whose reply deadline expired (failure-detector hits).
 # TYPE arbor_rpc_timeouts_total counter
-arbor_rpc_timeouts_total 7
-# HELP arbor_rpc_sends_total Fire-and-forget payloads sent without awaiting a reply (read repair, gossip).
+arbor_rpc_timeouts_total 4
+# HELP arbor_rpc_sends_total Fire-and-forget payloads sent without awaiting a reply (read repair, aborts).
 # TYPE arbor_rpc_sends_total counter
-arbor_rpc_sends_total 1
+arbor_rpc_sends_total 7
 # HELP arbor_rpc_overloaded_total Calls answered by a replica's admission gate with a load-shed reply.
 # TYPE arbor_rpc_overloaded_total counter
 arbor_rpc_overloaded_total 5
 # HELP arbor_rpc_deadline_skips_total Calls failed locally because the caller's deadline budget was already spent.
 # TYPE arbor_rpc_deadline_skips_total counter
-arbor_rpc_deadline_skips_total 4`
+arbor_rpc_deadline_skips_total 2`

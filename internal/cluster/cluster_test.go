@@ -163,6 +163,39 @@ func TestCrashedLevelRedirectsWrites(t *testing.T) {
 	}
 }
 
+// TestFailedPrepareCostsOneTimeout: a write pinned to a level with a dead
+// member waits out one client timeout for that member's prepare, sends the
+// level its aborts without waiting for them, and commits on the next level
+// within two timeouts: an abort reply nothing reads must not cost a second.
+func TestFailedPrepareCostsOneTimeout(t *testing.T) {
+	tr, err := tree.ParseSpec("1-3-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(tr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	cli := newClient(t, c)
+	ctx := context.Background()
+	if _, err := cli.Write(ctx, "k", []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(1); err != nil { // a member of level 0, sites 1..3
+		t.Fatal(err)
+	}
+	start := time.Now()
+	wr, err := cli.WriteAt(ctx, "k", []byte("v"), 0)
+	took := time.Since(start)
+	if err != nil || wr.Level != 1 {
+		t.Fatalf("write pinned to level 0 = level %d, %v; want a commit on level 1", wr.Level, err)
+	}
+	if limit := 2 * c.cfg.ClientTimeout; took >= limit {
+		t.Errorf("write took %v, want under %v: one timeout for the dead member's prepare, none for its abort", took, limit)
+	}
+}
+
 // TestWholeLevelDownBlocksReadsButNotWrites: with level 0 fully crashed,
 // reads (which need every level) fail, while writes proceed on level 1.
 func TestWholeLevelDownBlocksReadsButNotWrites(t *testing.T) {

@@ -74,14 +74,11 @@ func (w *world) build() error {
 	w.cluster = c
 	w.clients = w.clients[:0]
 	for i := 0; i < w.spec.Clients; i++ {
-		// Circuit breakers are off under simulation: their cooldowns are
-		// wall-clock, so whether a call fast-fails would depend on host
-		// scheduling speed and break trace determinism. Hedged backup
-		// probes are off for the same reason: whether the hedge fires (and
-		// which site ends up serving) depends on host timing, which would
-		// leak into the per-site participation counters the adaptation
-		// controller journals.
-		cli, err := c.NewClient(client.WithBreaker(false), client.WithHedging(false))
+		// Hedged backup probes are off under simulation: whether the hedge
+		// fires (and which site ends up serving) depends on host timing,
+		// which would break trace determinism and leak into the per-site
+		// participation counters the adaptation controller journals.
+		cli, err := c.NewClient(client.WithHedging(false))
 		if err != nil {
 			return err
 		}
