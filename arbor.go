@@ -178,22 +178,11 @@ var (
 	WithTimeout = client.WithTimeout
 	// WithClientSeed fixes the client's quorum-selection randomness.
 	WithClientSeed = client.WithSeed
-	// WithCommitRetries sets how many times an unacknowledged commit is
-	// re-sent before a write is reported in doubt.
-	WithCommitRetries = client.WithCommitRetries
-	// WithReadRepair makes reads push the freshest observed value back to
-	// stale replicas.
-	WithReadRepair = client.WithReadRepair
 	// WithHedgeDelay sets how long a level probe may be outstanding
 	// before a hedged backup probe goes to the next candidate site.
 	WithHedgeDelay = client.WithHedgeDelay
 	// WithHedging enables or disables hedged backup probes (default on).
 	WithHedging = client.WithHedging
-	// WithRetryBudget caps the client's retry amplification: level
-	// fallbacks, commit re-sends and hedged probes spend from a token
-	// bucket earning perOp tokens per operation up to burst. Disabled by
-	// default; first attempts are never gated.
-	WithRetryBudget = client.WithRetryBudget
 )
 
 // Controller is the adaptation controller: it samples the cluster's

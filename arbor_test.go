@@ -88,8 +88,6 @@ func TestFacadeClientOptions(t *testing.T) {
 	cli, err := c.NewClient(
 		arbor.WithTimeout(150*time.Millisecond),
 		arbor.WithClientSeed(7),
-		arbor.WithCommitRetries(2),
-		arbor.WithReadRepair(true),
 		arbor.WithHedgeDelay(3*time.Millisecond),
 		arbor.WithHedging(true),
 	)

@@ -27,10 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 
-	"arbor/internal/client"
 	"arbor/internal/cluster"
 	"arbor/internal/obs"
 	"arbor/internal/tree"
@@ -54,7 +51,6 @@ func run(args []string) error {
 		traceCap = fs.Int("trace-cap", obs.DefaultTraceCapacity, "operation traces kept in memory for /traces")
 		adapt    = fs.Bool("adapt", false, "start with the adaptation controller enabled (toggle later via /controller)")
 		inflight = fs.Int("maxinflight", 0, "per-replica admission limit on in-flight gated requests (0 = replica default; excess work sheds with a typed overload reply)")
-		budget   = fs.String("retrybudget", "", `serving client's retry budget as "perOp:burst", e.g. "0.1:10" (empty = retries ungated)`)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,15 +59,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cliOpts []client.Option
-	if *budget != "" {
-		perOp, burst, err := parseRetryBudget(*budget)
-		if err != nil {
-			return err
-		}
-		cliOpts = append(cliOpts, client.WithRetryBudget(perOp, burst))
-	}
-	srv, err := newServer(t, cluster.Config{Seed: *seed, WALDir: *walDir, MaxInflight: *inflight}, *traceCap, cliOpts)
+	srv, err := newServer(t, cluster.Config{Seed: *seed, WALDir: *walDir, MaxInflight: *inflight}, *traceCap, nil)
 	if err != nil {
 		return err
 	}
@@ -88,23 +76,4 @@ func run(args []string) error {
 	defer srv.Close()
 	fmt.Printf("arbord: serving %s on http://%s\n", t, *listen)
 	return http.ListenAndServe(*listen, srv)
-}
-
-// parseRetryBudget reads the -retrybudget "perOp:burst" syntax: tokens
-// earned per operation (a small fraction, SRE-style retry cap) and the
-// bucket's burst capacity in whole retries.
-func parseRetryBudget(s string) (perOp float64, burst int, err error) {
-	rate, after, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf(`retrybudget %q: want "perOp:burst", e.g. "0.1:10"`, s)
-	}
-	perOp, err = strconv.ParseFloat(rate, 64)
-	if err != nil || perOp <= 0 {
-		return 0, 0, fmt.Errorf("retrybudget %q: per-op rate must be a positive number", s)
-	}
-	burst, err = strconv.Atoi(after)
-	if err != nil || burst <= 0 {
-		return 0, 0, fmt.Errorf("retrybudget %q: burst must be a positive integer", s)
-	}
-	return perOp, burst, nil
 }

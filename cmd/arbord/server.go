@@ -48,7 +48,7 @@ var _ http.Handler = (*server)(nil)
 
 // newServer builds the cluster over loopback TCP and its HTTP routes.
 // traceCap bounds the in-memory operation trace ring served by /traces;
-// cliOpts configure the serving client (retry budget, op deadline).
+// cliOpts configure the serving client (tests shorten its timeout).
 func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.Option) (*server, error) {
 	o := obs.NewObserver(traceCap)
 	cfg.TCP, cfg.Observer = true, o

@@ -303,11 +303,6 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
 	}
-	for _, bad := range []string{"nope", "0.1", ":5", "0.1:", "-1:5", "0.1:0"} {
-		if err := run([]string{"-retrybudget", bad}); err == nil {
-			t.Errorf("retrybudget %q accepted", bad)
-		}
-	}
 }
 
 // TestDrainEndpoint drains a site over HTTP, checks it reads as down in

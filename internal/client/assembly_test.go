@@ -364,28 +364,6 @@ func TestAssemblyTransitions(t *testing.T) {
 			},
 		},
 		{
-			name: "retry budget dry: hedge denied, primary still answers",
-			opts: []Option{WithRetryBudget(0, 1)},
-			warm: true,
-			before: func(t *testing.T, h *scriptHarness) {
-				if !h.cli.budget.spend() {
-					t.Fatal("fresh budget has no token")
-				}
-			},
-			script: byArrival(answerLate),
-			check: func(t *testing.T, h *scriptHarness, r result) {
-				if r.err != nil || r.elapsed < lateAfter {
-					t.Fatalf("read err = %v after %v, want the late primary's answer", r.err, r.elapsed)
-				}
-				if len(r.reqs) != 1 || h.cli.instr.hedges.Value() != 0 {
-					t.Errorf("requests = %d, hedges = %d, want 1 and 0", len(r.reqs), h.cli.instr.hedges.Value())
-				}
-				if h.cli.instr.budgetDenied.Value() == 0 {
-					t.Error("no hedge was denied")
-				}
-			},
-		},
-		{
 			name:   "failed send is a contact, and the sibling is tried",
 			script: byArrival(failSend),
 			check: func(t *testing.T, h *scriptHarness, r result) {

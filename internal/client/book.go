@@ -99,10 +99,14 @@ func (s *site) score(rtt time.Duration, failed bool) {
 type siteBook struct {
 	mu    sync.Mutex
 	sites map[transport.Addr]*site
+	// prompt is the round trip below which a served reply proves a failing
+	// site is back (the client's hedge delay: below it, a site's latency is
+	// not material either).
+	prompt time.Duration
 }
 
-func newSiteBook() *siteBook {
-	return &siteBook{sites: make(map[transport.Addr]*site)}
+func newSiteBook(prompt time.Duration) *siteBook {
+	return &siteBook{sites: make(map[transport.Addr]*site), prompt: prompt}
 }
 
 // levelHealth is what an ordering pass learns about a level as a whole.
@@ -201,6 +205,15 @@ func (b *siteBook) observe(addr transport.Addr, o outcome, rtt time.Duration) {
 	}
 	switch o {
 	case outcomeServed:
+		// A failing site that serves promptly is back: one reply clears its
+		// failure class, or its level would stay last for writes for the
+		// several replies a quarter-per-reply EWMA needs, which only
+		// exploration and fallbacks bring. A dead site never replies, and a
+		// slow one, whose lost hedge races put it there, replies late and
+		// keeps its class.
+		if failBucket(s.fail) == 2 && rtt < b.prompt {
+			s.fail = 0
+		}
 		s.score(rtt, false)
 		s.refusing = false
 	case outcomeCatchingUp:

@@ -43,7 +43,7 @@ func TestBookOutcomeTable(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			b := newSiteBook()
+			b := newSiteBook(time.Hour)
 			b.sites[addr] = &site{lat: 1e6, samples: 1, timed: 1, refusing: r.refusing[0]}
 			b.observe(addr, r.o, 9*time.Millisecond)
 			s := b.peek(addr)
@@ -69,7 +69,7 @@ func TestBookOutcomeTable(t *testing.T) {
 // TestBookShedThenServe: the refusing mark a shed sets is cleared by the
 // next served reply, and orders the site last in between.
 func TestBookShedThenServe(t *testing.T) {
-	b := newSiteBook()
+	b := newSiteBook(time.Hour)
 	sites := []transport.Addr{1, 2}
 	order := make([]int8, 2)
 	b.observe(1, outcomeServed, time.Millisecond)
@@ -111,10 +111,30 @@ func TestBookFailedSendsSortLast(t *testing.T) {
 	}
 }
 
+// TestBookPromptServeClearsFailingSite: one served reply faster than the
+// hedge delay takes a site out of failure class 2 at once; one slower than
+// that (a slow site whose lost hedge races put it there) leaves it failing.
+func TestBookPromptServeClearsFailingSite(t *testing.T) {
+	const prompt = 30 * time.Millisecond
+	b := newSiteBook(prompt)
+	for i := 0; i < 4; i++ {
+		b.observe(1, outcomeTimedOut, time.Second)
+		b.observe(2, outcomeOverdue, prompt)
+	}
+	b.observe(1, outcomeServed, time.Millisecond)
+	b.observe(2, outcomeServed, 4*prompt)
+	if c := failBucket(b.peek(1).fail); c != 0 {
+		t.Errorf("failure class after a prompt reply = %d, want 0", c)
+	}
+	if c := failBucket(b.peek(2).fail); c != 2 {
+		t.Errorf("failure class after a slow reply = %d, want 2", c)
+	}
+}
+
 // TestBookConcurrent has eight goroutines observe and snapshot one site at
 // once (run under -race).
 func TestBookConcurrent(t *testing.T) {
-	b := newSiteBook()
+	b := newSiteBook(time.Hour)
 	sites := []transport.Addr{1}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -68,11 +68,6 @@ type Metrics struct {
 	// ReadRefetches counts reads whose every reply was older than the floor
 	// sent (see floorTable) and which were read again without one.
 	ReadRefetches uint64
-	// RetriesSpent and RetriesDenied account the retry budget (always zero
-	// with budgets disabled): tokens spent on admitted retries and retry
-	// attempts denied because the bucket was empty.
-	RetriesSpent  uint64
-	RetriesDenied uint64
 }
 
 // Option configures a Client.
@@ -99,14 +94,6 @@ func (o seedOption) apply(c *Client) {
 // from it, the retry-backoff jitter).
 func WithSeed(seed int64) Option { return seedOption(seed) }
 
-type commitRetriesOption int
-
-func (o commitRetriesOption) apply(c *Client) { c.commitRetries = int(o) }
-
-// WithCommitRetries sets how many times an unacknowledged commit is re-sent
-// before the write is reported in doubt (default 3).
-func WithCommitRetries(n int) Option { return commitRetriesOption(n) }
-
 type hedgeDelayOption time.Duration
 
 func (o hedgeDelayOption) apply(c *Client) { c.hedgeDelay = time.Duration(o) }
@@ -128,43 +115,8 @@ func (o hedgingOption) apply(c *Client) { c.hedging = bool(o) }
 func WithHedging(enabled bool) Option { return hedgingOption(enabled) }
 
 // retryBase is the base delay of the jittered exponential backoff applied
-// between commit re-sends and level-fallback attempts.
+// before a level-fallback attempt.
 const retryBase = 2 * time.Millisecond
-
-type retryBudgetOption struct {
-	perOp float64
-	burst int
-}
-
-func (o retryBudgetOption) apply(c *Client) {
-	if o.burst > 0 {
-		c.budget = newRetryBudget(o.perOp, o.burst)
-	} else {
-		c.budget = nil
-	}
-}
-
-// WithRetryBudget arms a deterministic token-bucket retry budget: each
-// operation earns perOp tokens (capped at burst, the bucket's capacity and
-// starting balance), and each commit re-send, next-level fallback or hedged
-// backup probe spends one. An empty bucket denies the retry — the operation
-// reports its honest outcome instead of amplifying load on an already
-// struggling system (the SRE retry-cap discipline). First attempts are
-// never gated. A burst of zero or less disables budgets (the default).
-func WithRetryBudget(perOp float64, burst int) Option {
-	return retryBudgetOption{perOp: perOp, burst: burst}
-}
-
-type readRepairOption bool
-
-func (o readRepairOption) apply(c *Client) { c.readRepair = bool(o) }
-
-// WithReadRepair makes reads push the freshest observed value back to the
-// contacted replicas that returned stale (or no) data. Repair writes are
-// fire-and-forget timestamped commits, so they never regress state; they
-// spread hot values across levels, improving the chance that later reads
-// survive the written level going down.
-func WithReadRepair(enabled bool) Option { return readRepairOption(enabled) }
 
 type observerOption struct{ o *obs.Observer }
 
@@ -201,14 +153,13 @@ var boundOutcomes = [opKinds][]string{
 // instruments are the client's pre-resolved metric handles. Without a
 // registry every handle is nil, and a nil handle no-ops.
 type instruments struct {
-	dur                     [opKinds]*obs.Histogram
-	ops                     *obs.CounterVec          // labels: op, outcome
-	outcomes                [opKinds][3]*obs.Counter // boundOutcomes' series, in its order
-	siteFallbacks           *obs.Counter
-	hedges, hedgeWins       *obs.Counter
-	readRefetches           *obs.Counter
-	retryCommit, retryLevel *obs.Counter
-	budgetDenied            *obs.Counter
+	dur               [opKinds]*obs.Histogram
+	ops               *obs.CounterVec          // labels: op, outcome
+	outcomes          [opKinds][3]*obs.Counter // boundOutcomes' series, in its order
+	siteFallbacks     *obs.Counter
+	hedges, hedgeWins *obs.Counter
+	readRefetches     *obs.Counter
+	retryLevel        *obs.Counter
 
 	// The contact series, fed by the engine and by one-way sends.
 	callDur                           *obs.Histogram
@@ -229,9 +180,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 	refetches := reg.Counter("arbor_client_read_refetches_total",
 		"Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.")
 	retries := reg.CounterVec("arbor_client_retries_total",
-		"Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.", "kind")
-	budgetDenied := reg.Counter("arbor_client_retry_budget_denied_total",
-		"Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.")
+		"Backed-off retry attempts, by kind: level = a next-level fallback after a failed quorum attempt.", "kind")
 	// The contact series: one request message per call, fed by the engine
 	// (assembly.advance and assembly.record) and by Client.send. They keep
 	// the arbor_rpc_* names, help and place in /metrics they had when
@@ -242,9 +191,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 		hedges:        hedgeEvents.With("launched"),
 		hedgeWins:     hedgeEvents.With("win"),
 		readRefetches: refetches,
-		retryCommit:   retries.With("commit"),
 		retryLevel:    retries.With("level"),
-		budgetDenied:  budgetDenied,
 		callDur: reg.Histogram("arbor_rpc_call_duration_seconds",
 			"Round-trip latency of replica calls, including timed-out calls."),
 		calls: reg.Counter("arbor_rpc_calls_total",
@@ -252,7 +199,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 		timeouts: reg.Counter("arbor_rpc_timeouts_total",
 			"Replica calls whose reply deadline expired (failure-detector hits)."),
 		sends: reg.Counter("arbor_rpc_sends_total",
-			"Fire-and-forget payloads sent without awaiting a reply (read repair, aborts)."),
+			"Fire-and-forget payloads sent without awaiting a reply: one-way aborts of a failed prepare."),
 		overloads: reg.Counter("arbor_rpc_overloaded_total",
 			"Calls answered by a replica's admission gate with a load-shed reply."),
 		deadlineSkips: reg.Counter("arbor_rpc_deadline_skips_total",
@@ -284,15 +231,10 @@ type Client struct {
 	caller *rpc.Caller
 	levels atomic.Pointer[levelTable] // the current protocol, see SetProtocol
 
-	timeout       time.Duration
-	commitRetries int
-	readRepair    bool
-	hedging       bool
-	hedgeDelay    time.Duration
-	seed          int64
-
-	// budget caps optional retry traffic (nil = budgets disabled).
-	budget *retryBudget
+	timeout    time.Duration
+	hedging    bool
+	hedgeDelay time.Duration
+	seed       int64
 
 	// book is the per-site record behind every ordering decision.
 	book   *siteBook
@@ -324,12 +266,11 @@ type Client struct {
 // replies that arrive on it. Call Close when done.
 func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Client {
 	c := &Client{
-		id:            id,
-		timeout:       250 * time.Millisecond,
-		commitRetries: 3,
-		hedging:       true,
-		seed:          int64(id),
-		rng:           rand.New(rand.NewSource(int64(id))),
+		id:      id,
+		timeout: 250 * time.Millisecond,
+		hedging: true,
+		seed:    int64(id),
+		rng:     rand.New(rand.NewSource(int64(id))),
 	}
 	c.levels.Store(newLevelTable(proto))
 	for _, opt := range opts {
@@ -342,7 +283,7 @@ func New(id int, ep transport.Conn, proto *core.Protocol, opts ...Option) *Clien
 	reg := c.obs.Reg()
 	c.instr = newInstruments(reg)
 	c.traces = c.obs.Rec()
-	c.book = newSiteBook()
+	c.book = newSiteBook(c.hedgeDelay)
 	c.caller = rpc.NewCaller(ep, c.timeout)
 	return c
 }
@@ -361,7 +302,6 @@ func (c *Client) SetProtocol(p *core.Protocol) { c.levels.Store(newLevelTable(p)
 
 // Metrics returns a snapshot of the client's counters.
 func (c *Client) Metrics() Metrics {
-	spent, denied := c.budget.stats()
 	return Metrics{
 		Reads:         c.metrics.reads.Load(),
 		ReadFailures:  c.metrics.readFailures.Load(),
@@ -370,8 +310,6 @@ func (c *Client) Metrics() Metrics {
 		ReadContacts:  c.metrics.readContacts.Load(),
 		WriteContacts: c.metrics.writeContacts.Load(),
 		ReadRefetches: c.metrics.readRefetches.Load(),
-		RetriesSpent:  spent,
-		RetriesDenied: denied,
 	}
 }
 
@@ -388,10 +326,9 @@ type opRun struct {
 	contacts int       // requests sent, every phase of the operation
 }
 
-// begin starts an operation: it earns the operation's retry-budget share
-// and opens its trace and, on an observed client, its clock.
+// begin starts an operation: it opens its trace and, on an observed
+// client, its clock.
 func (c *Client) begin(kind opKind, key string) opRun {
-	c.budget.earnOp()
 	r := opRun{kind: kind, op: c.traces.Start(opNames[kind], key, c.id)}
 	if c.obs != nil {
 		r.start = time.Now()
@@ -439,12 +376,12 @@ func (c *Client) end(r *opRun, err error) {
 // backoff sleeps the attempt's share of a jittered exponential schedule —
 // retryBase·2ᵃᵗᵗᵉᵐᵖᵗ, capped at 16×retryBase, jittered uniformly over
 // [½d, 1½d) — honoring ctx. The jitter draws from a dedicated seeded RNG
-// so simulated runs stay deterministic. retries counts the retry's kind.
-// floor (usually an overloaded replica's retry-after hint) raises the final
-// sleep to at least that long: a site that said "come back in 10ms" must
-// not be re-attacked in 2.
-func (c *Client) backoff(ctx context.Context, attempt int, retries *obs.Counter, floor time.Duration) error {
-	retries.Inc()
+// so simulated runs stay deterministic. It counts a level retry. floor (an
+// overloaded replica's retry-after hint) raises the final sleep to at least
+// that long: a site that said "come back in 10ms" must not be re-attacked
+// in 2.
+func (c *Client) backoff(ctx context.Context, attempt int, floor time.Duration) error {
+	c.instr.retryLevel.Inc()
 	d := retryBase
 	const maxd = 16 * retryBase
 	for i := 0; i < attempt && d < maxd; i++ {

@@ -183,7 +183,7 @@ func TestClientWriteInDoubt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := New(-1, cliEP, proto, WithTimeout(40*time.Millisecond), WithCommitRetries(1))
+	cli := New(-1, cliEP, proto, WithTimeout(40*time.Millisecond))
 	defer cli.Close()
 
 	_, err = cli.Write(context.Background(), "k", []byte("v"))
@@ -197,8 +197,8 @@ func TestClientWriteInDoubt(t *testing.T) {
 }
 
 // TestClientWriteInDoubtWhenJournalRefuses: a replica whose journal was
-// closed answers every commit OK: false, and the client re-sends it and then
-// reports the write in doubt rather than acknowledged.
+// closed answers every commit OK: false, and the client reports the write in
+// doubt rather than acknowledged.
 func TestClientWriteInDoubtWhenJournalRefuses(t *testing.T) {
 	tr, err := tree.PhysicalLevelSizes(1)
 	if err != nil {
@@ -229,14 +229,14 @@ func TestClientWriteInDoubtWhenJournalRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := New(-1, cliEP, proto, WithTimeout(2*time.Second), WithCommitRetries(1))
+	cli := New(-1, cliEP, proto, WithTimeout(2*time.Second))
 	defer cli.Close()
 
 	if _, err := cli.Write(context.Background(), "k", []byte("v")); !errors.Is(err, ErrInDoubt) {
 		t.Errorf("write through a replica whose journal refuses it: err = %v, want ErrInDoubt", err)
 	}
-	if st := rep.Stats(); st.Commits != 2 || st.JournalErrors != 2 {
-		t.Errorf("replica served %d commits with %d journal errors, want the commit and its one re-send, both refused", st.Commits, st.JournalErrors)
+	if st := rep.Stats(); st.Commits != 1 || st.JournalErrors != 1 {
+		t.Errorf("replica served %d commits with %d journal errors, want the one commit, refused", st.Commits, st.JournalErrors)
 	}
 }
 

@@ -336,17 +336,9 @@ func (a *assembly) onTimer(now time.Time) {
 		}
 		if !now.Before(s.hedgeDue) {
 			s.hedgeDue = now.Add(s.hedgeAfter)
-			// A hedge is optional retry traffic and spends a retry-budget
-			// token. Denied, the overdue contact still resolves at its
-			// deadline and the failure fallback takes over: the budget
-			// trades tail latency for load, never availability.
-			if a.c.budget.spend() {
-				s.hedges++
-				a.c.instr.hedges.Inc()
-				a.advance(si, true, now)
-			} else {
-				a.c.instr.budgetDenied.Inc()
-			}
+			s.hedges++
+			a.c.instr.hedges.Inc()
+			a.advance(si, true, now)
 		}
 		a.wakeBy(s.hedgeDue)
 	}

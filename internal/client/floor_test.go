@@ -222,7 +222,7 @@ func TestSharedFloorEntryCostsARefetch(t *testing.T) {
 // floor of what they wrote when every member acknowledged the commit, and
 // leave it alone when the outcome is in doubt.
 func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
-	h := newMemHarness(t, "1-2-3", WithCommitRetries(0), WithTimeout(30*time.Millisecond))
+	h := newMemHarness(t, "1-2-3", WithTimeout(30*time.Millisecond))
 	ctx := context.Background()
 	floorOf := func(key string) replica.Timestamp { return h.cli.floors.get(keyHash(key)) }
 
@@ -269,7 +269,7 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 // write is only partly applied), now counted and labelled on the trace.
 func TestReadRefetchEndToEnd(t *testing.T) {
 	o := obs.NewObserver(16)
-	h := newMemHarness(t, "1-2-3", WithCommitRetries(0), WithTimeout(30*time.Millisecond), WithHedging(false), WithObserver(o))
+	h := newMemHarness(t, "1-2-3", WithTimeout(30*time.Millisecond), WithHedging(false), WithObserver(o))
 	ctx := context.Background()
 	member, sibling := h.replicas[0], h.replicas[1] // sites 1 and 2: level 0
 

@@ -121,10 +121,6 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 			res.TS, res.Value, res.Found = ts, value, true
 		}
 	}
-	// Repair pushes the winner's value, so only a winner that carried one.
-	if rr, ok := req.(replica.ReadReq); ok && c.readRepair && res.Found && !rr.ValueOmitted(res.TS) {
-		c.repair(rr.Key, res, a.slots)
-	}
 	return res, nil
 }
 
@@ -138,30 +134,4 @@ func decodeProbe(resp *wire.Reply) (ts replica.Timestamp, value []byte, found bo
 	default:
 		return ts, nil, false, fmt.Errorf("unexpected response tag %d", resp.Tag)
 	}
-}
-
-// repair pushes the winning value to contacted replicas that answered with
-// stale or missing data. Repairs are fire-and-forget timestamped commits
-// (see send) and cannot regress replica state.
-func (c *Client) repair(key string, res ReadResult, levels []slot) {
-	for i := range levels {
-		ts, _, found, _ := decodeProbe(&levels[i].resp)
-		if found && !res.TS.After(ts) {
-			continue
-		}
-		_ = c.send(levels[i].responder, replica.CommitReq{
-			TxID:  0,
-			Key:   key,
-			Value: res.Value,
-			TS:    res.TS,
-		})
-	}
-}
-
-// send transmits req one-way, booked on arbor_rpc_sends_total: read repair
-// and a failed prepare's aborts. Its request ID is 0, which is never
-// registered, so the caller drops whatever the replica answers.
-func (c *Client) send(to transport.Addr, req rpc.Request) error {
-	c.instr.sends.Inc()
-	return c.caller.Send(to, req)
 }

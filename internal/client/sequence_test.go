@@ -2,11 +2,13 @@ package client
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"arbor/internal/transport"
+	"arbor/internal/wire"
 )
 
 // The pinned history's clock: a timeout costs pinTimeout, and a silent
@@ -141,7 +143,8 @@ func pinnedHistory(t *testing.T, spec string, seed int64) []string {
 	p.end()
 	// The recovered site keeps its failure class until it is contacted
 	// again, which only exploration does: until then it stays last in its
-	// level, and its level last for writes.
+	// level, and its level last for writes. Its first reply clears the
+	// class, and its level is back in the write rotation.
 	p.mode[sendFailer] = answer
 	p.ops(30)
 	p.end()
@@ -209,7 +212,7 @@ var pinned135 = []string{
 	"ce cf ae ce ahabcabc bf ae ad ae chabcabc bf bd ce be bfdefghdefgh ah ad cd ag bhdefghdefgh",
 	"a a a a cedefghdefgh ch be ch bh cddefghdefgh be cg bd ch bhdefghdefgh cd ce bg bf cgdefghdefgh bh bd cg cg bedefghdefgh bh cg cf bh",
 	"bgdefghdefgh bh be bh cg cfdefghdefgh bh bg ch cf bfdefghdefgh bd bf bg cf chdefghdefgh bf bg ce cf bgdefghdefgh cg bf cg ce bfdefghdefgh cf cd bh be",
-	"h h h h h beabcabc ce cf bg bg beabcabc cd ad af ad aeabcabc ad ae be cf bfabcabc ae ae cd cf",
+	"h h h h h beabcabc ae cf bg ag aeabcabc cd ad af ad aeabcabc ad ae be cf bfabcabc ae ae cd cf",
 	"cfegdhabcabc ah ah ah ah",
 	"ahabcabc ah ah bh ch bhabcabc bh ch ch ch chdefghdefgh bg cg ad ad aeabcabc bh ad bd bg cgdefghdefgh bh ad af bh cddefghdefgh bg bf ad af addefghdefgh be bg cg af aeabcabc bf ad cd ch",
 }
@@ -223,8 +226,58 @@ var pinnedDeep = []string{
 	"adehikmo adfhjknpo acfhjkno adehikmo acegjknoabab adegjkno adfhilmo bdfhjlmo bdfhikmo bcfgjkmomnmn bdegikno adegilno bcehjkno acehikno bdfhjlnoijij acfhjkno bcfhilmo bcfhjlno acehikno acfhjlnoklkl bcegikmo bdfhjlno bdehjkmo acfhjkmo adehjlnoijij acfhjlmo acfgjkno bdegjkmo bdegjkno bcfhjknoghgh",
 	"acfgikmo bdfhikmo adegilmo bcehjkno adegiknocdcd adfgjlmo adehikno bdfhilno bcfhjlno bcegjlnomnmn adehikno bdfhjkmo acehilno bcehjlmo adegjlmoghgh adegjlno bcehilmo bdfgjkmo bdfhjlno bcehjknocdcd",
 	"a a a a bdfgjknoghgh bdfhilmo abdehjkno bcfgjlmo bcfgilmo bdfgjknoefef bdfhikmo bcehilno bcfgikno bcegjlmo bcegjknocdcd bdfhjlmo bdfgikno bcehjlno bdehjkmo bcfhjlmocdcd bcfgilno bcegjkno bcehjlmo bcegikmo bcfhjkmoklkl bcfgilmo bcehjlno bdfgikmo bcehjlmp",
-	"bdfhiknpcdcd bcehjlno bdegjlno bdehjkno bdegilmp bcfhjknpcdcd bcfgjlmo bcegjlno adfhilno bcegikmp bcfgilmpghgh bcfhjknp bcegilmo acfgilnp bcehjlno bcfgjlnocdcd bdfhikmp bcehiknp bcfgjlmp bcegjkmo bcfhilmocdcd bcehjkmp bcfhilmo bcegjlmp bcfhjlmo bcfgilmpefef bdfhjknp bcehjkmo bdegjlnp bdehilno",
-	"d d d d d bcfhjlnoghgh bcfhjlno bcfgiknp bcehjlno bcfhilnp bcegjkmoopop bcfhiknp bcfhilmo bcfgilnp bcehilno bcehikmpefef bcegjlno bcfgikmo bcehjkno bcfgilno bcfgjlmpmnmn bcfhjknp bcegjknp bcfgiknp bcfhilno",
-	"bcegikmodghgh bcfhjlmod bdegikmp bdegjkno bdehiknp",
-	"bdfgilmomnmn bdehiknp bdfgjknp bdehjlmo bdehikno bdfgikmpmnmn bdegjkmp bdehjlno bdehjlno bdehjlno bcehiknomnmn bdfhjlmo bdegjknp bdfgikmo bdehjkno bdehjlnpghgh adehilmp bdehjkmp bdfhikno bcegikmp acfhjknoijij adegjlmo acehjkno acehjlnp bdehilmp bcegjlmoabab adegilno bdehilmp bdehjlmo adehilno adfhikmoopop bdegilnp acfgikmp bcfgilno adfhjlno adegjkmpklkl acfgikmp adegikmo acehjkno adfhikmo",
+	"bdfhiknpcdcd bcehjlno bdegjlno bdehjkno bdegilmp bcfhjknpcdcd bcfgjlmo bcegjlno adfhilno bcegikmp acfgilmpghgh acfhjknp acegilmo bcfgilnp bcehjlno bcfgjlnoabab adfhikmp acehiknp acfgjlmp bcegjkmo acfhilmoabab bcehjkmp acfhilmo bcegjlmp bcfhjlmo bcfgilmpefef bdfhjknp bcehjkmo bdegjlnp adehilno",
+	"d d d d d acfhjlnoghgh acfhjlno bcfgiknp acehjlno acfhilnp bcegjkmoopop acfhiknp bcfhilmo acfgilnp acehilno acehikmpabab bcegjlno acfgikmo acehjkno acfgilno bcfgjlmpmnmn acfhjknp bcegjknp bcfgiknp bcfhilno",
+	"acegikmodghgh bcfhjlmod adegikmp adegjkno bdehiknp",
+	"adfgilmomnmn adehiknp adfgjknp adehjlmo adehikno adfgikmpmnmn bdegjkmp bdehjlno bdehjlno adehjlno bcehiknomnmn adfhjlmo adegjknp bdfgikmo adehjkno bdehjlnpghgh adehilmp adehjkmp adfhikno bcegikmp acfhjknoijij adegjlmo acehjkno acehjlnp bdehilmp bcegjlmoabab adegilno bdehilmp bdehjlmo adehilno adfhikmoopop bdegilnp acfgikmp bcfgilno adfhjlno adegjkmpklkl acfgikmp adegikmo acehjkno adfhikmo",
+}
+
+// healedWriteDelay runs the send-failure history of pinnedHistory on 1-3-5
+// under seed — 40 operations, 4 failed pings and 25 operations while the
+// first level's first site refuses every send, then the link back — and
+// returns how many operations after the link returned it took until a
+// write's prepare reached that site (limit when none did). As in
+// pinnedHistory, a hedge delay above the timeout keeps hedging off, so no
+// clock reading can move the sequence.
+func healedWriteDelay(t *testing.T, seed int64, limit int) int {
+	p := &pinRun{t: t, mode: map[transport.Addr]reaction{}}
+	p.h = newScriptHarness(t, "1-3-5", func(_ int, m transport.Message) reaction { return p.mode[m.To] },
+		WithTimeout(pinTimeout), WithHedgeDelay(time.Hour), WithSeed(seed))
+	healed := transport.Addr(p.h.proto.LevelSites(0)[0])
+	p.ops(40)
+	p.mode[healed] = failSend
+	p.pings(healed, 4)
+	p.ops(25)
+	p.mode[healed] = answer
+	for n := 1; n <= limit; n++ {
+		from := p.mark
+		p.ops(1)
+		for _, m := range p.h.conn.requests()[from:] {
+			if _, ok := m.Payload.(wire.PrepareReq); ok && m.To == healed {
+				return n
+			}
+		}
+	}
+	return limit
+}
+
+// TestHealedSiteLevelReturnsToWrites: once a site whose sends failed is
+// reachable again, its level is back in the write rotation as soon as the
+// site has served one contact — exploration's, since the site sorts last —
+// rather than after the several replies a quarter-per-reply failure EWMA
+// needs to leave failure class 2. Over 30 seeded histories the median
+// number of operations until a write reaches the site stays below 100 (it
+// was 206 when a served reply only lowered the EWMA by a quarter).
+func TestHealedSiteLevelReturnsToWrites(t *testing.T) {
+	const seeds, limit = 30, 2000
+	delays := make([]int, 0, seeds)
+	for seed := int64(1); seed <= seeds; seed++ {
+		delays = append(delays, healedWriteDelay(t, seed, limit))
+	}
+	sort.Ints(delays)
+	t.Logf("operations until the healed site's level is written: quartiles %d, %d, %d; max %d",
+		delays[seeds/4], delays[seeds/2], delays[3*seeds/4], delays[seeds-1])
+	if med := delays[seeds/2]; med >= 100 {
+		t.Errorf("median %d operations until a write reaches the healed site's level, want < 100 (all: %v)", med, delays)
+	}
 }

@@ -119,21 +119,15 @@ func (c *Client) commit(ctx context.Context, r *opRun, lt *levelTable, order []i
 // tryLevels attempts a 2PC on each level of order in turn until one commits
 // — cleanly, or in doubt (the decision was commit: retrying elsewhere would
 // double-write) — and returns that level, the contacts of every attempt,
-// and the last attempt's error. A fallback to the next level is optional
-// retry traffic: it spends a retry-budget token (with the bucket dry the
-// operation stops with its honest outcome instead of amplifying load) and
-// backs off first — the failed attempt usually means timeouts or
-// contention, and an immediate retry storm only feeds it. An overloaded
-// member's retry-after hint floors the sleep.
+// and the last attempt's error. A fallback to the next level backs off
+// first — the failed attempt usually means timeouts or contention, and an
+// immediate retry storm only feeds it. An overloaded member's retry-after
+// hint floors the sleep.
 func (c *Client) tryLevels(ctx context.Context, order []int, attempt func(u int) (contacts int, err error)) (level, contacts int, err error) {
 	for i, u := range order {
 		if i > 0 {
-			if !c.budget.spend() {
-				c.instr.budgetDenied.Inc()
-				return u, contacts, fmt.Errorf("retry budget exhausted: %w", err)
-			}
 			floor, _ := rpc.RetryAfter(err)
-			if c.backoff(ctx, i-1, c.instr.retryLevel, floor) != nil {
+			if c.backoff(ctx, i-1, floor) != nil {
 				return u, contacts, err
 			}
 		}
@@ -202,6 +196,14 @@ func (c *Client) commitLevel(ctx context.Context, addrs []transport.Addr, u int,
 	return contacts, err
 }
 
+// send transmits a failed prepare's abort one-way, booked on
+// arbor_rpc_sends_total. Its request ID is 0, which is never registered, so
+// the caller drops whatever the replica answers.
+func (c *Client) send(to transport.Addr, req rpc.Request) error {
+	c.instr.sends.Inc()
+	return c.caller.Send(to, req)
+}
+
 // prepareAll is phase one of 2PC: it sends the prepare to every member at
 // once and returns the number of contacts made and the first failure — a
 // transport error or a refused prepare — or nil when every member is
@@ -228,38 +230,21 @@ func (c *Client) prepareAll(ctx context.Context, addrs []transport.Addr, span *o
 }
 
 // pushCommit is phase two for one key: every member of addrs is sent the
-// commit, and those that did not acknowledge it, or answered that their
-// journal refused it (CommitResp.OK false), are sent it again after a
-// backoff, until all have, the retries run out or ctx ends. A re-send spends
-// a retry-budget token; with the bucket dry the outcome stays in doubt
-// rather than storming (the decision is durable on every replica that did
-// acknowledge, and lock expiry plus anti-entropy finish the stragglers).
+// commit once, and it reports whether all of them acknowledged it. One that
+// did not, or whose journal refused it (CommitResp.OK false), leaves the
+// write in doubt: the decision is durable on every replica that did
+// acknowledge, and lock expiry plus anti-entropy finish the stragglers.
+// Under a context already done nothing is sent.
 func (c *Client) pushCommit(ctx context.Context, addrs []transport.Addr, span *obs.LevelSpan, req replica.CommitReq) (acked bool) {
-	for attempt := 0; attempt <= c.commitRetries; attempt++ {
-		if attempt > 0 {
-			if !c.budget.spend() {
-				c.instr.budgetDenied.Inc()
-				break
-			}
-			if c.backoff(ctx, attempt-1, c.instr.retryCommit, 0) != nil {
-				return false
-			}
-		}
-		if ctx.Err() != nil {
+	if ctx.Err() != nil {
+		return false
+	}
+	a := c.fanout(ctx, addrs, span, "commit", req)
+	defer a.release()
+	for i := range a.slots {
+		if s := &a.slots[i]; s.err != nil || s.resp.Tag != wire.TagCommitResp || !s.resp.CommitResp.OK {
 			return false
 		}
-		a := c.fanout(ctx, addrs, span, "commit", req)
-		var unacked []transport.Addr
-		for i := range a.slots {
-			if s := &a.slots[i]; s.err != nil || s.resp.Tag != wire.TagCommitResp || !s.resp.CommitResp.OK {
-				unacked = append(unacked, addrs[i])
-			}
-		}
-		a.release()
-		if len(unacked) == 0 {
-			return true
-		}
-		addrs = unacked
 	}
-	return false
+	return true
 }

@@ -44,15 +44,14 @@ func pinnedClient(t *testing.T, c *Cluster, opts ...client.Option) *client.Clien
 
 // TestClientCountersPinned drives a scripted, seeded run through the paths
 // that move a client or contact series — plain reads and writes, a two-key
-// transaction, a read that repairs a stale level, a saturated site and then
-// a saturated level shedding, a crashed site timing out (site and level
-// fallbacks, and a failed prepare's one-way aborts), a write denied its
-// level fallback by the retry budget, and a transaction whose deadline ran
-// out between its reads and its commit — and holds every arbor_client_* and
-// arbor_rpc_* line of /metrics, and every client's Metrics(), to literals.
-// Histogram buckets and sums, which are timings, are left out; their counts
-// are held. Commit re-sends and in-doubt writes are not scripted: nothing
-// here can make a prepared member miss a commit deterministically.
+// transaction, a saturated site and then a saturated level shedding, a
+// crashed site timing out (site and level fallbacks, and a failed prepare's
+// one-way aborts), and a transaction whose deadline ran out between its
+// reads and its commit — and holds every arbor_client_* and arbor_rpc_* line
+// of /metrics, and every client's Metrics(), to literals. Histogram buckets
+// and sums, which are timings, are left out; their counts are held. In-doubt
+// writes are not scripted: nothing here can make a prepared member miss a
+// commit deterministically.
 func TestClientCountersPinned(t *testing.T) {
 	o := obs.NewObserver(16)
 	c, _ := newPinnedCluster(t, "1-2-2", o)
@@ -87,14 +86,6 @@ func TestClientCountersPinned(t *testing.T) {
 	must(txn.Write("d", []byte("t2")))
 	must(txn.Commit(ctx))
 
-	// Read repair: level 1 never saw "r", so the repairing read pushes it
-	// there.
-	_, err = cli.WriteAt(ctx, "r", []byte("r0"), 0)
-	must(err)
-	repairer := pinnedClient(t, c, client.WithReadRepair(true))
-	_, err = repairer.Read(ctx, "r")
-	must(err)
-
 	// One saturated site sheds and its sibling serves; then the whole level
 	// sheds, and reads and writes fail on it.
 	must(c.Saturate(1, true))
@@ -110,8 +101,7 @@ func TestClientCountersPinned(t *testing.T) {
 
 	// A crashed site: reads that try it first time out and fall back to its
 	// sibling; a write pinned to its level times out there and falls back
-	// to the other level. A client whose retry budget holds one token falls
-	// back once and is denied the second time.
+	// to the other level.
 	must(c.Crash(3))
 	for i := 0; i < 3; i++ {
 		_, err := cli.Read(ctx, keys[i%len(keys)])
@@ -119,12 +109,6 @@ func TestClientCountersPinned(t *testing.T) {
 	}
 	_, err = cli.WriteAt(ctx, "b", []byte("crash"), 1)
 	must(err)
-	budgeted := pinnedClient(t, c, client.WithRetryBudget(0, 1))
-	_, err = budgeted.WriteAt(ctx, "c", []byte("budget"), 1)
-	must(err)
-	if _, err := budgeted.WriteAt(ctx, "c", []byte("denied"), 1); err == nil {
-		t.Fatal("a write with its retry budget spent fell back anyway")
-	}
 
 	// A transaction whose deadline runs out between its reads and its
 	// commit: every request of the commit fails before it is sent.
@@ -242,25 +226,23 @@ func TestContactsBookedByOperation(t *testing.T) {
 	}
 }
 
-const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:6 WriteFailures:2 ReadContacts:37 WriteContacts:31 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
--2 {Reads:1 ReadFailures:0 Writes:0 WriteFailures:0 ReadContacts:2 WriteContacts:0 ReadRefetches:0 RetriesSpent:0 RetriesDenied:0}
--3 {Reads:0 ReadFailures:0 Writes:1 WriteFailures:1 ReadContacts:0 WriteContacts:10 ReadRefetches:0 RetriesSpent:1 RetriesDenied:1}`
+const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:5 WriteFailures:2 ReadContacts:37 WriteContacts:27 ReadRefetches:0}`
 
 const pinnedClientMetrics = `# HELP arbor_client_op_duration_seconds End-to-end client operation latency, including level fallbacks and retries.
 # TYPE arbor_client_op_duration_seconds histogram
-arbor_client_op_duration_seconds_count{op="read"} 18
+arbor_client_op_duration_seconds_count{op="read"} 17
 arbor_client_op_duration_seconds_count{op="txn"} 2
-arbor_client_op_duration_seconds_count{op="write"} 8
+arbor_client_op_duration_seconds_count{op="write"} 5
 # HELP arbor_client_ops_total Client operations completed, by operation and outcome.
 # TYPE arbor_client_ops_total counter
 arbor_client_ops_total{op="read",outcome="not_found"} 1
-arbor_client_ops_total{op="read",outcome="ok"} 16
+arbor_client_ops_total{op="read",outcome="ok"} 15
 arbor_client_ops_total{op="read",outcome="unavailable"} 1
 arbor_client_ops_total{op="txn",outcome="conflict"} 1
 arbor_client_ops_total{op="txn",outcome="ok"} 1
 arbor_client_ops_total{op="write",outcome="in_doubt"} 0
-arbor_client_ops_total{op="write",outcome="ok"} 6
-arbor_client_ops_total{op="write",outcome="unavailable"} 2
+arbor_client_ops_total{op="write",outcome="ok"} 4
+arbor_client_ops_total{op="write",outcome="unavailable"} 1
 # HELP arbor_client_fallbacks_total Quorum fallbacks taken: site = another replica of the same level after a failure (a fallback to another physical level is a level retry, arbor_client_retries_total).
 # TYPE arbor_client_fallbacks_total counter
 arbor_client_fallbacks_total{kind="site"} 4
@@ -271,25 +253,21 @@ arbor_client_hedges_total{event="win"} 0
 # HELP arbor_client_read_refetches_total Reads repeated without a floor because every level answered older than the floor sent: a floor-table entry shared by two keys, or a read older than one this client already returned.
 # TYPE arbor_client_read_refetches_total counter
 arbor_client_read_refetches_total 0
-# HELP arbor_client_retries_total Backed-off retry attempts, by kind: commit = an unacknowledged phase-two commit re-send, level = a next-level fallback after a failed quorum attempt.
+# HELP arbor_client_retries_total Backed-off retry attempts, by kind: level = a next-level fallback after a failed quorum attempt.
 # TYPE arbor_client_retries_total counter
-arbor_client_retries_total{kind="commit"} 0
-arbor_client_retries_total{kind="level"} 2
-# HELP arbor_client_retry_budget_denied_total Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.
-# TYPE arbor_client_retry_budget_denied_total counter
-arbor_client_retry_budget_denied_total 1
+arbor_client_retries_total{kind="level"} 1
 # HELP arbor_rpc_call_duration_seconds Round-trip latency of replica calls, including timed-out calls.
 # TYPE arbor_rpc_call_duration_seconds histogram
-arbor_rpc_call_duration_seconds_count 96
+arbor_rpc_call_duration_seconds_count 76
 # HELP arbor_rpc_calls_total Replica calls issued (each is one request message awaiting a reply).
 # TYPE arbor_rpc_calls_total counter
-arbor_rpc_calls_total 96
+arbor_rpc_calls_total 76
 # HELP arbor_rpc_timeouts_total Replica calls whose reply deadline expired (failure-detector hits).
 # TYPE arbor_rpc_timeouts_total counter
-arbor_rpc_timeouts_total 4
-# HELP arbor_rpc_sends_total Fire-and-forget payloads sent without awaiting a reply (read repair, aborts).
+arbor_rpc_timeouts_total 2
+# HELP arbor_rpc_sends_total Fire-and-forget payloads sent without awaiting a reply: one-way aborts of a failed prepare.
 # TYPE arbor_rpc_sends_total counter
-arbor_rpc_sends_total 7
+arbor_rpc_sends_total 2
 # HELP arbor_rpc_overloaded_total Calls answered by a replica's admission gate with a load-shed reply.
 # TYPE arbor_rpc_overloaded_total counter
 arbor_rpc_overloaded_total 5

@@ -204,7 +204,7 @@ func (c *Cluster) Replica(site tree.SiteID) *replica.Replica { return c.replicas
 // negative transport addresses; their IDs double as the site component of
 // write timestamps. The cluster supplies its timeout, seed and observer as
 // defaults; opts are applied after them, so a caller can override any of
-// it per client (e.g. client.WithHedgeDelay, client.WithReadRepair).
+// it per client (e.g. client.WithHedgeDelay, client.WithTimeout).
 func (c *Cluster) NewClient(opts ...client.Option) (*client.Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -51,7 +51,7 @@ func TestInFlightWriteFaultWindows(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, "1-3-5")
-			cli, err := c.NewClient(client.WithCommitRetries(1))
+			cli, err := c.NewClient()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,7 @@ var keeperKeys = []string{"user/α-01", "user/β-02", "orders/2024/γ", "k-long-
 
 // TestTCPCommitKeepsOwnKeys: prepared and committed over TCP, each key
 // lands in the store under its own name and its lock is released; so does a
-// commit with no lock (a read repair's), and a renewed prepare's.
+// commit with no lock (one whose lock expired), and a renewed prepare's.
 func TestTCPCommitKeepsOwnKeys(t *testing.T) {
 	s := newTCPSite(t)
 	for i, k := range keeperKeys {

@@ -139,7 +139,7 @@ func (s *Store) prepare(req *PrepareReq, borrowed bool, now time.Time) (ok bool,
 // commit releases the transaction's lock and installs its write in one
 // critical section, under the key the lock was filed under, and returns the
 // journal append's error. A commit with no visible lock (expired, or dropped
-// by a crash; a read repair's) still applies, its key cloned if borrowed:
+// by a crash) still applies, its key cloned if borrowed:
 // the timestamp order keeps it idempotent. A re-sent commit whose timestamp
 // is already stored is journaled again (replay is idempotent too), so its
 // answer reflects its own append; one a newer write superseded appends

@@ -90,10 +90,6 @@ type Caller struct {
 
 	reqID atomic.Uint64
 
-	// sendHook, when set, observes every fire-and-forget Send (test
-	// synchronization for repair traffic).
-	sendHook atomic.Pointer[func(to transport.Addr, payload any)]
-
 	stopServe func() // detaches route from the endpoint
 }
 
@@ -258,22 +254,7 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request) (any,
 
 // Send transmits a payload without awaiting a reply (fire-and-forget).
 func (c *Caller) Send(to transport.Addr, payload any) error {
-	err := transport.Send(c.ep, to, payload, wire.Stamp{})
-	if hook := c.sendHook.Load(); hook != nil {
-		(*hook)(to, payload)
-	}
-	return err
-}
-
-// SetSendHook installs fn to be invoked after every fire-and-forget Send
-// (tests use it to wait for repair traffic instead of sleeping). Pass nil
-// to remove it.
-func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
-	if fn == nil {
-		c.sendHook.Store(nil)
-		return
-	}
-	c.sendHook.Store(&fn)
+	return transport.Send(c.ep, to, payload, wire.Stamp{})
 }
 
 // route hands one arrived reply to the inbox of the request it answers,

@@ -190,31 +190,3 @@ func TestReqIDOfAllTypes(t *testing.T) {
 		t.Error("int payload produced a request ID")
 	}
 }
-
-// TestSendHook: SetSendHook observes fire-and-forget sends (the repair-test
-// synchronization point).
-func TestSendHook(t *testing.T) {
-	c, _ := newPair(t, time.Second)
-	got := make(chan transport.Addr, 1)
-	c.SetSendHook(func(to transport.Addr, payload any) { got <- to })
-	if err := c.Send(1, replica.PingReq{ReqID: 99}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case to := <-got:
-		if to != 1 {
-			t.Errorf("hook saw send to %d, want 1", to)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("send hook never fired")
-	}
-	c.SetSendHook(nil)
-	if err := c.Send(1, replica.PingReq{ReqID: 100}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-got:
-		t.Fatal("hook fired after removal")
-	default:
-	}
-}

@@ -17,7 +17,7 @@ import (
 var ErrOverloaded = errors.New("rpc: site overloaded")
 
 // overloadedError carries the shedding site and its retry-after hint; it
-// matches ErrOverloaded under errors.Is.
+// unwraps to ErrOverloaded, so errors.Is matches it.
 type overloadedError struct {
 	site       transport.Addr
 	retryAfter time.Duration
@@ -29,8 +29,6 @@ func (e *overloadedError) Error() string {
 	}
 	return fmt.Sprintf("site %d: %v", e.site, ErrOverloaded)
 }
-
-func (e *overloadedError) Is(target error) bool { return target == ErrOverloaded }
 
 func (e *overloadedError) Unwrap() error { return ErrOverloaded }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,12 +100,42 @@ func TestSimAdaptationDeterministic(t *testing.T) {
 		t.Errorf("traces differ between identical adaptation runs:\nrun1:\n%s\nrun2:\n%s",
 			strings.Join(r1.Trace, "\n"), strings.Join(r2.Trace, "\n"))
 	}
-	if !reflect.DeepEqual(r1.AdaptDecisions, r2.AdaptDecisions) {
-		t.Error("decision journals differ between identical runs")
+	if diff := firstDecisionDiff(r1.AdaptDecisions, r2.AdaptDecisions); diff != "" {
+		t.Errorf("decision journals differ between identical runs: %s", diff)
 	}
 	if r1.Reconfigurations != r2.Reconfigurations {
 		t.Errorf("reconfiguration counts differ: %d vs %d", r1.Reconfigurations, r2.Reconfigurations)
 	}
+}
+
+// firstDecisionDiff names the first field, in journal order, where two
+// decision journals differ, with both values; "" when they are equal.
+func firstDecisionDiff(a, b []adapt.Decision) string {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		if d := firstFieldDiff(reflect.ValueOf(a[i]), reflect.ValueOf(b[i]), ""); d != "" {
+			return fmt.Sprintf("decision %d (%s / %s): %s", i, a[i], b[i], d)
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d decisions against %d", len(a), len(b))
+	}
+	return ""
+}
+
+// firstFieldDiff walks two values of one struct type field by field.
+func firstFieldDiff(a, b reflect.Value, path string) string {
+	if a.Kind() == reflect.Struct && a.Type() != reflect.TypeOf(time.Time{}) {
+		for i := 0; i < a.NumField(); i++ {
+			if d := firstFieldDiff(a.Field(i), b.Field(i), path+a.Type().Field(i).Name+"."); d != "" {
+				return d
+			}
+		}
+		return ""
+	}
+	if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+		return fmt.Sprintf("%s %v != %v", strings.TrimSuffix(path, "."), a.Interface(), b.Interface())
+	}
+	return ""
 }
 
 // TestSimAdaptationCampaignHoldsInvariants runs a chaos campaign with the
