@@ -1,13 +1,13 @@
 // Command arborctl is the HTTP client for an arbord daemon: get/put keys,
-// dump stats, inject failures, checkpoint, and reshape the tree from the
-// command line.
+// dump the metrics, inject faults, checkpoint, and reshape the tree from
+// the command line.
 //
 // Usage:
 //
 //	arborctl [-addr http://127.0.0.1:8080] get KEY
 //	arborctl put KEY VALUE
 //	arborctl stats
-//	arborctl crash SITE | drain SITE | recover SITE|all
+//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recoversync=4, recoverall
 //	arborctl reconfigure SPEC
 //	arborctl checkpoint
 //	arborctl controller [enable|disable]
@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("need a command: get, put, stats, crash, drain, recover, reconfigure, checkpoint, controller")
+		return errors.New("need a command: get, put, stats, fault, reconfigure, checkpoint, controller")
 	}
 	base := strings.TrimRight(*addr, "/")
 
@@ -55,23 +55,13 @@ func run(args []string, out io.Writer) error {
 		}
 		return request(out, http.MethodPut, base+"/put?key="+url.QueryEscape(rest[1]), rest[2])
 	case "stats":
-		return request(out, http.MethodGet, base+"/stats", "")
-	case "crash":
+		return request(out, http.MethodGet, base+"/metrics", "")
+	case "fault":
+		// One event in the schedule syntax, e.g. crash=2 or drain=2+saturate=3.
 		if len(rest) != 2 {
-			return errors.New("usage: crash SITE")
+			return errors.New("usage: fault ACTIONS")
 		}
-		return request(out, http.MethodPost, base+"/crash?site="+url.QueryEscape(rest[1]), "")
-	case "drain":
-		// Graceful: the site finishes in-flight 2PC before going down.
-		if len(rest) != 2 {
-			return errors.New("usage: drain SITE")
-		}
-		return request(out, http.MethodPost, base+"/drain?site="+url.QueryEscape(rest[1]), "")
-	case "recover":
-		if len(rest) != 2 {
-			return errors.New("usage: recover SITE|all")
-		}
-		return request(out, http.MethodPost, base+"/recover?site="+url.QueryEscape(rest[1]), "")
+		return request(out, http.MethodPost, base+"/fault?do="+url.QueryEscape(rest[1]), "")
 	case "reconfigure":
 		if len(rest) != 2 {
 			return errors.New("usage: reconfigure SPEC")

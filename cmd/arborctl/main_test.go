@@ -28,8 +28,8 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		store[r.URL.Query().Get("key")] = string(body)
 		fmt.Fprintln(w, "ok level=0 contacts=2")
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, `{"tree":"1-3-5"}`)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, `arbor_cluster_level_size{level="0"} 3`)
 	})
 	mux.HandleFunc("/controller", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
@@ -38,14 +38,14 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		}
 		fmt.Fprintf(w, "controller %sd\n", r.URL.Query().Get("action"))
 	})
-	for _, route := range []string{"/crash", "/drain", "/recover", "/reconfigure", "/checkpoint"} {
+	for _, route := range []string{"/fault", "/reconfigure", "/checkpoint"} {
 		route := route
 		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
 				http.Error(w, "use POST", http.StatusMethodNotAllowed)
 				return
 			}
-			fmt.Fprintf(w, "done %s %s\n", route, r.URL.RawQuery)
+			fmt.Fprintf(w, "done %s %v\n", route, r.URL.Query())
 		})
 	}
 	ts := httptest.NewServer(mux)
@@ -70,23 +70,26 @@ func TestPutGetStats(t *testing.T) {
 		t.Fatalf("get: %q %v", out, err)
 	}
 	out, err = ctl(t, ts.URL, "stats")
-	if err != nil || !strings.Contains(out, "1-3-5") {
+	if err != nil || !strings.Contains(out, "arbor_cluster_level_size") {
 		t.Fatalf("stats: %q %v", out, err)
 	}
 }
 
 func TestAdminCommands(t *testing.T) {
 	ts := fakeDaemon(t)
-	for _, args := range [][]string{
-		{"crash", "3"},
-		{"drain", "2"},
-		{"recover", "all"},
-		{"reconfigure", "1-4-4"},
-		{"checkpoint"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"fault", "crash=3"}, "done /fault map[do:[crash=3]]"},
+		{[]string{"fault", "drain=2+saturate=3"}, "done /fault map[do:[drain=2+saturate=3]]"},
+		{[]string{"fault", "recoverall"}, "done /fault map[do:[recoverall]]"},
+		{[]string{"reconfigure", "1-4-4"}, "done /reconfigure map[spec:[1-4-4]]"},
+		{[]string{"checkpoint"}, "done /checkpoint map[]"},
 	} {
-		out, err := ctl(t, ts.URL, args...)
-		if err != nil || !strings.Contains(out, "done") {
-			t.Errorf("%v: %q %v", args, out, err)
+		out, err := ctl(t, ts.URL, tc.args...)
+		if err != nil || strings.TrimSpace(out) != tc.want {
+			t.Errorf("%v: %q %v, want %q", tc.args, out, err, tc.want)
 		}
 	}
 }
@@ -123,9 +126,9 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"get"},
 		{"put", "k"},
-		{"crash"},
-		{"drain"},
-		{"recover"},
+		{"fault"},
+		{"fault", "crash=1", "crash=2"},
+		{"crash", "1"},
 		{"reconfigure"},
 		{"explode"},
 	} {

@@ -5,13 +5,11 @@
 //
 //	GET  /get?key=K                 read through a read quorum
 //	PUT  /put?key=K (body = value)  write through a write quorum (2PC)
-//	GET  /stats                     cluster metrics (JSON)
-//	GET  /metrics                   Prometheus text exposition
+//	GET  /metrics                   Prometheus text exposition: every counter, load and health
 //	GET  /traces?last=N             recent per-operation traces (JSON)
 //	POST /checkpoint                persist all replica stores to -data-dir
-//	POST /crash?site=S              fail-stop a replica
-//	POST /drain?site=S              gracefully drain a replica (finish in-flight 2PC, then down)
-//	POST /recover?site=S            recover a replica (or all with site=all; sync=true to catch up first)
+//	POST /fault?do=ACTIONS          one fault event in the schedule syntax: crash=S, drain=S,
+//	                                recover=S, recoversync=S, recoverall, saturate=S, slowsite=S:20ms, …
 //	POST /reconfigure?spec=1-4-4    reshape the tree live
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"arbor/internal/client"
 	"arbor/internal/cluster"
 	"arbor/internal/obs"
-	"arbor/internal/replica"
 	"arbor/internal/tree"
 )
 
@@ -76,13 +74,9 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 	go s.stepController(ctx, adapt.DefaultInterval)
 	s.mux.HandleFunc("/get", s.handleGet)
 	s.mux.HandleFunc("/put", s.handlePut)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/health", s.handleHealth)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/crash", s.handleCrash)
-	s.mux.HandleFunc("/drain", s.handleDrain)
-	s.mux.HandleFunc("/recover", s.handleRecover)
+	s.mux.HandleFunc("/fault", s.handleFault)
 	s.mux.HandleFunc("/reconfigure", s.handleReconfigure)
 	s.mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("/controller", s.handleController)
@@ -96,7 +90,7 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 }
 
 // stepController drives the adaptation loop. Steps take the admin lock so a
-// controller-driven migration serializes with /reconfigure, /stats and
+// controller-driven migration serializes with /reconfigure, /fault and
 // /metrics exactly like an operator-driven one — no scrape ever observes
 // the cluster mid-swap, whoever initiated the swap.
 func (s *server) stepController(ctx context.Context, every time.Duration) {
@@ -180,134 +174,6 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "%s level=%d contacts=%d\n", outcome, res.Level, res.Contacts)
 }
 
-// statsResponse is the /stats JSON document.
-type statsResponse struct {
-	Tree          string              `json:"tree"`
-	N             int                 `json:"replicas"`
-	Levels        int                 `json:"physicalLevels"`
-	Client        client.Metrics      `json:"client"`
-	Network       networkStats        `json:"network"`
-	Participation []participationStat `json:"participation"`
-	Load          loadStats           `json:"load"`
-}
-
-// networkStats sums the TCP counters of every replica and client endpoint.
-type networkStats struct {
-	FramesOut   uint64 `json:"framesOut"`
-	FramesIn    uint64 `json:"framesIn"`
-	InboxDrops  uint64 `json:"inboxDrops"`
-	DecodeDrops uint64 `json:"decodeDrops"`
-	Dials       uint64 `json:"dials"`
-	Evictions   uint64 `json:"evictions"`
-}
-
-type participationStat struct {
-	Site            int    `json:"site"`
-	Crashed         bool   `json:"crashed"`
-	ReadServes      uint64 `json:"readServes"`
-	WriteServes     uint64 `json:"writeServes"`
-	DiscoveryServes uint64 `json:"discoveryServes"`
-}
-
-// loadStats reports the Eq 3.2 closed-form loads of the current tree next
-// to the measured values.
-type loadStats struct {
-	TheoryRead     float64 `json:"theoryRead"`
-	TheoryWrite    float64 `json:"theoryWrite"`
-	EmpiricalRead  float64 `json:"empiricalRead"`
-	EmpiricalWrite float64 `json:"empiricalWrite"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	// The admin lock pairs with /reconfigure: a scrape never observes the
-	// cluster mid-swap, and the snapshot itself pins one (tree, protocol)
-	// pair for the whole response.
-	s.mu.Lock()
-	snap := s.cluster.StatsSnapshot()
-	s.mu.Unlock()
-	check := snap.TheoryCheck()
-	resp := statsResponse{
-		Tree:   snap.Tree.Spec(),
-		N:      snap.Tree.N(),
-		Levels: snap.Proto.NumPhysicalLevels(),
-		Client: s.cli.Metrics(),
-		Network: networkStats{
-			FramesOut:   snap.Network.TCP.FramesOut,
-			FramesIn:    snap.Network.TCP.FramesIn,
-			InboxDrops:  snap.Network.TCP.InboxDrops,
-			DecodeDrops: snap.Network.TCP.DecodeDrops,
-			Dials:       snap.Network.TCP.Dials,
-			Evictions:   snap.Network.TCP.Evictions,
-		},
-		Load: loadStats{
-			TheoryRead:     check.TheoryReadLoad,
-			TheoryWrite:    check.TheoryWriteLoad,
-			EmpiricalRead:  check.EmpiricalReadLoad,
-			EmpiricalWrite: check.EmpiricalWriteLoad,
-		},
-	}
-	for _, sl := range snap.Load.Sites {
-		resp.Participation = append(resp.Participation, participationStat{
-			Site:            int(sl.Site),
-			Crashed:         s.cluster.Replica(sl.Site).Crashed(),
-			ReadServes:      sl.ReadServes,
-			WriteServes:     sl.WriteServes,
-			DiscoveryServes: sl.DiscoveryServes,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// healthSite is one site's entry in the /health JSON document. The sync
-// fields report anti-entropy catch-up progress and survive into the live
-// state, so an operator can see what the last recovery cost.
-type healthSite struct {
-	Site        int    `json:"site"`
-	Health      string `json:"health"`
-	SyncActive  bool   `json:"syncActive,omitempty"`
-	KeysPulled  uint64 `json:"keysPulled,omitempty"`
-	SyncRetries uint64 `json:"syncRetries,omitempty"`
-	Catchups    uint64 `json:"catchups,omitempty"`
-}
-
-// healthResponse is the /health JSON document.
-type healthResponse struct {
-	Live       int          `json:"live"`
-	CatchingUp int          `json:"catchingUp"`
-	Down       int          `json:"down"`
-	Sites      []healthSite `json:"sites"`
-}
-
-// handleHealth reports each replica's lifecycle state (live, catching-up or
-// down) and its catch-up progress.
-func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	healths := s.cluster.Healths()
-	resp := healthResponse{Sites: make([]healthSite, 0, len(healths))}
-	for site, h := range healths {
-		hs := healthSite{Site: int(site), Health: h.String()}
-		p := s.cluster.Replica(site).SyncProgress()
-		hs.SyncActive = p.Active
-		hs.KeysPulled = p.KeysPulled
-		hs.SyncRetries = p.Retries
-		hs.Catchups = p.Completions
-		switch h {
-		case replica.HealthDown:
-			resp.Down++
-		case replica.HealthCatchingUp:
-			resp.CatchingUp++
-		default:
-			resp.Live++
-		}
-		resp.Sites = append(resp.Sites, hs)
-	}
-	s.mu.Unlock()
-	sort.Slice(resp.Sites, func(i, j int) bool { return resp.Sites[i].Site < resp.Sites[j].Site })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
 // handleMetrics serves the registry in Prometheus text exposition format.
 // Holding the admin lock means collection callbacks (which snapshot the
 // cluster) never interleave with a reconfiguration.
@@ -335,106 +201,41 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(traces)
 }
 
-func (s *server) handleCrash(w http.ResponseWriter, r *http.Request) {
+// handleFault applies one fault event, written in the schedule syntax of
+// cluster.ParseSchedule (?do=crash=2, ?do=recoversync=4,
+// ?do=drain=2+saturate=3, …), through cluster.ApplyEvent: the one path the
+// simulator's schedules take too. Drains are bounded: a site that does not
+// quiesce in time stays draining and the request answers 504. Partitions
+// exist only on the in-memory network, so partition and heal answer 409.
+func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
 		return
 	}
-	site, err := strconv.Atoi(r.URL.Query().Get("site"))
+	do := r.URL.Query().Get("do")
+	sched, err := cluster.ParseSchedule("0s:" + do)
+	if err == nil && len(sched) != 1 {
+		err = fmt.Errorf("do=%q is not one event", do)
+	}
 	if err != nil {
-		http.Error(w, "bad site", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.cluster.Crash(tree.SiteID(site)); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	fmt.Fprintf(w, "crashed site %d\n", site)
-}
-
-// handleDrain gracefully takes a replica out of rotation: the site stops
-// admitting new work (gated requests shed with a typed overload reply),
-// finishes its in-flight 2PC participations, then goes down — zero
-// acknowledged writes lost. Bring it back with /recover (plain or
-// sync=true for the catch-up path). The drain is bounded: if in-flight
-// work does not quiesce in time the site stays in the draining state and
-// the request reports a timeout.
-func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	site, err := strconv.Atoi(r.URL.Query().Get("site"))
-	if err != nil {
-		http.Error(w, "bad site", http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
 	defer cancel()
-	if err := s.cluster.Drain(ctx, tree.SiteID(site)); err != nil {
-		code := http.StatusNotFound
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			code = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	fmt.Fprintf(w, "drained site %d\n", site)
-}
-
-func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	arg := r.URL.Query().Get("site")
-	// sync=true rejoins through the anti-entropy catch-up path: the replica
-	// serves 2PC immediately but is excluded from reads until it has pulled
-	// every version it missed. Watch /health for the transition to live. A
-	// value that does not parse is refused rather than read as false, which
-	// would skip the catch-up the caller asked for.
-	withSync := false
-	if v := r.URL.Query().Get("sync"); v != "" {
-		var err error
-		if withSync, err = strconv.ParseBool(v); err != nil {
-			http.Error(w, "bad sync", http.StatusBadRequest)
-			return
-		}
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if arg == "all" {
-		if withSync {
-			s.cluster.RecoverAllWithSync()
-			fmt.Fprintln(w, "recovering all via catch-up")
-		} else {
-			s.cluster.RecoverAll()
-			fmt.Fprintln(w, "recovered all")
-		}
-		return
-	}
-	site, err := strconv.Atoi(arg)
-	if err != nil {
-		http.Error(w, "bad site", http.StatusBadRequest)
-		return
-	}
-	if withSync {
-		if err := s.cluster.RecoverWithSync(tree.SiteID(site)); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		fmt.Fprintf(w, "recovering site %d via catch-up\n", site)
-		return
-	}
-	if err := s.cluster.Recover(tree.SiteID(site)); err != nil {
+	err = s.cluster.ApplyEvent(ctx, sched[0])
+	s.mu.Unlock()
+	switch {
+	case errors.Is(err, cluster.ErrUnknownSite):
 		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusConflict)
+	default:
+		fmt.Fprintf(w, "applied %s\n", do)
 	}
-	fmt.Fprintf(w, "recovered site %d\n", site)
 }
 
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

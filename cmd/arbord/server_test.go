@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -126,73 +125,6 @@ func TestPutValidation(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	_, ts := newTestServer(t)
-	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
-	do(t, http.MethodGet, ts.URL+"/get?key=k", "")
-	code, body := do(t, http.MethodGet, ts.URL+"/stats", "")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	var st statsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("stats json: %v\n%s", err, body)
-	}
-	if st.Tree != "1-3-5" || st.N != 8 || st.Levels != 2 {
-		t.Errorf("stats identity: %+v", st)
-	}
-	if st.Client.Reads != 1 || st.Client.Writes != 1 {
-		t.Errorf("client metrics: %+v", st.Client)
-	}
-	if len(st.Participation) != 8 {
-		t.Errorf("participation rows: %d", len(st.Participation))
-	}
-	if st.Network.Dials == 0 || st.Network.Evictions != 0 {
-		t.Errorf("network: %+v, want dials and no eviction", st.Network)
-	}
-}
-
-func TestCrashRecoverCycle(t *testing.T) {
-	_, ts := newTestServer(t)
-	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
-
-	// Crash all of level 0 (sites 1..3): reads must 503.
-	for _, s := range []string{"1", "2", "3"} {
-		if code, _ := do(t, http.MethodPost, ts.URL+"/crash?site="+s, ""); code != http.StatusOK {
-			t.Fatalf("crash %s: %d", s, code)
-		}
-	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusServiceUnavailable {
-		t.Errorf("get with level down: %d", code)
-	}
-	if code, _ := do(t, http.MethodPost, ts.URL+"/recover?site=all", ""); code != http.StatusOK {
-		t.Error("recover all failed")
-	}
-	if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
-		t.Errorf("get after recovery: %d %q", code, body)
-	}
-
-	// Error paths.
-	if code, _ := do(t, http.MethodPost, ts.URL+"/crash?site=99", ""); code != http.StatusNotFound {
-		t.Error("crash unknown site")
-	}
-	if code, _ := do(t, http.MethodPost, ts.URL+"/crash?site=x", ""); code != http.StatusBadRequest {
-		t.Error("crash bad site")
-	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/crash?site=1", ""); code != http.StatusMethodNotAllowed {
-		t.Error("GET on /crash")
-	}
-	if code, _ := do(t, http.MethodPost, ts.URL+"/recover?site=x", ""); code != http.StatusBadRequest {
-		t.Error("recover bad site")
-	}
-	if code, _ := do(t, http.MethodPost, ts.URL+"/recover?site=99", ""); code != http.StatusNotFound {
-		t.Error("recover unknown site")
-	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/recover?site=1", ""); code != http.StatusMethodNotAllowed {
-		t.Error("GET on /recover")
-	}
-}
-
 func TestReconfigureEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
@@ -205,10 +137,13 @@ func TestReconfigureEndpoint(t *testing.T) {
 	if code != http.StatusOK || body != "v" {
 		t.Errorf("get after reshape: %d %q", code, body)
 	}
-	// Stats reflect the new shape.
-	_, stats := do(t, http.MethodGet, ts.URL+"/stats", "")
-	if !strings.Contains(stats, "1-2-2-4") {
-		t.Errorf("stats tree not updated: %s", stats)
+	// The metrics and the controller's state reflect the new shape.
+	if v := metricValue(t, scrape(t, ts), `arbor_cluster_level_size{level="2"}`); v != 4 {
+		t.Errorf("level 2 of 1-2-2-4 has %v sites on /metrics, want 4", v)
+	}
+	_, ctl := do(t, http.MethodGet, ts.URL+"/controller", "")
+	if !strings.Contains(ctl, `"currentSpec":"1-2-2-4"`) {
+		t.Errorf("controller tree not updated: %s", ctl)
 	}
 
 	// Error paths.
@@ -302,56 +237,6 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
-	}
-}
-
-// TestDrainEndpoint drains a site over HTTP, checks it reads as down in
-// /health while the service keeps answering, and recovers it.
-func TestDrainEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", "v"); code != http.StatusOK {
-		t.Fatalf("put: %d %s", code, body)
-	}
-	if code, body := do(t, http.MethodGet, ts.URL+"/drain?site=2", ""); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /drain: %d %s, want 405", code, body)
-	}
-	if code, body := do(t, http.MethodPost, ts.URL+"/drain?site=99", ""); code != http.StatusNotFound {
-		t.Fatalf("drain of unknown site: %d %s, want 404", code, body)
-	}
-	code, body := do(t, http.MethodPost, ts.URL+"/drain?site=2", "")
-	if code != http.StatusOK || !strings.Contains(body, "drained site 2") {
-		t.Fatalf("drain: %d %s", code, body)
-	}
-
-	var health struct {
-		Down  int `json:"down"`
-		Sites []struct {
-			Site   int    `json:"site"`
-			Health string `json:"health"`
-		} `json:"sites"`
-	}
-	_, hbody := do(t, http.MethodGet, ts.URL+"/health", "")
-	if err := json.Unmarshal([]byte(hbody), &health); err != nil {
-		t.Fatalf("health decode: %v", err)
-	}
-	if health.Down != 1 {
-		t.Errorf("health.down = %d after drain, want 1", health.Down)
-	}
-	for _, s := range health.Sites {
-		if s.Site == 2 && s.Health != "down" {
-			t.Errorf("site 2 health = %q, want down", s.Health)
-		}
-	}
-
-	// The protocol serves around the drained site, acked data intact.
-	if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
-		t.Fatalf("get during drain: %d %q", code, body)
-	}
-	if code, body := do(t, http.MethodPost, ts.URL+"/recover?site=2", ""); code != http.StatusOK {
-		t.Fatalf("recover: %d %s", code, body)
-	}
-	if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
-		t.Fatalf("get after recover: %d %q", code, body)
 	}
 }
 
@@ -506,64 +391,6 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthEndpoint walks a site through the full lifecycle — live, down,
-// catching up via /recover?sync=true, live again — and checks /health
-// reflects each state.
-func TestHealthEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t)
-
-	getHealth := func() healthResponse {
-		t.Helper()
-		code, body := do(t, http.MethodGet, ts.URL+"/health", "")
-		if code != http.StatusOK {
-			t.Fatalf("/health: %d %s", code, body)
-		}
-		var resp healthResponse
-		if err := json.Unmarshal([]byte(body), &resp); err != nil {
-			t.Fatalf("/health JSON: %v in %s", err, body)
-		}
-		return resp
-	}
-
-	resp := getHealth()
-	if resp.Live != 8 || resp.Down != 0 || resp.CatchingUp != 0 {
-		t.Fatalf("fresh cluster health = %+v, want 8 live", resp)
-	}
-	if len(resp.Sites) != 8 || resp.Sites[0].Site != 1 {
-		t.Fatalf("sites = %+v, want 8 entries sorted from site 1", resp.Sites)
-	}
-
-	if code, body := do(t, http.MethodPost, ts.URL+"/crash?site=4", ""); code != http.StatusOK {
-		t.Fatalf("crash: %d %s", code, body)
-	}
-	resp = getHealth()
-	if resp.Down != 1 {
-		t.Fatalf("health after crash = %+v, want 1 down", resp)
-	}
-
-	// Make the crashed site miss a write, then rejoin through catch-up.
-	if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", "v"); code != http.StatusOK {
-		t.Fatalf("put: %d %s", code, body)
-	}
-	if code, body := do(t, http.MethodPost, ts.URL+"/recover?site=4&sync=true", ""); code != http.StatusOK {
-		t.Fatalf("recover sync: %d %s", code, body)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.cluster.AwaitSync(ctx); err != nil {
-		t.Fatalf("await sync: %v", err)
-	}
-	resp = getHealth()
-	if resp.Live != 8 {
-		t.Fatalf("health after catch-up = %+v, want 8 live again", resp)
-	}
-	for _, hs := range resp.Sites {
-		if hs.Site == 4 && hs.Catchups == 0 {
-			t.Errorf("site 4 reports no completed catch-up: %+v", hs)
-		}
-	}
-}
-
 func TestPprofEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, body := do(t, http.MethodGet, ts.URL+"/debug/pprof/goroutine?debug=1", "")
@@ -572,8 +399,9 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
-// metricValue returns the value of the unlabelled series name in a
-// Prometheus text exposition, failing the test when it is absent.
+// metricValue returns the value of the series name (labels included, as
+// the exposition writes them) in a Prometheus text exposition, failing the
+// test when it is absent.
 func metricValue(t *testing.T, text, name string) float64 {
 	t.Helper()
 	for _, line := range strings.Split(text, "\n") {
@@ -614,25 +442,5 @@ func TestMetricsTCPFrames(t *testing.T) {
 	}
 	if v := metricValue(t, after, "arbor_network_dials_total"); v == 0 {
 		t.Error("arbor_network_dials_total = 0 after a PUT and a GET")
-	}
-}
-
-// TestServerRecoverRejectsBadSync: a sync value Go cannot parse is a 400, not
-// an instant recovery that skips the catch-up the caller asked for.
-func TestServerRecoverRejectsBadSync(t *testing.T) {
-	srv, ts := newTestServer(t)
-	if code, body := do(t, http.MethodPost, ts.URL+"/crash?site=4", ""); code != http.StatusOK {
-		t.Fatalf("crash: %d %s", code, body)
-	}
-	for _, q := range []string{"site=4&sync=yes", "site=all&sync=yes"} {
-		if code, body := do(t, http.MethodPost, ts.URL+"/recover?"+q, ""); code != http.StatusBadRequest {
-			t.Errorf("recover?%s: %d %s, want 400", q, code, body)
-		}
-	}
-	if !srv.cluster.Replica(4).Crashed() {
-		t.Fatal("site 4 recovered although sync did not parse")
-	}
-	if code, body := do(t, http.MethodPost, ts.URL+"/recover?site=4&sync=1", ""); code != http.StatusOK || !strings.Contains(body, "catch-up") {
-		t.Errorf("recover?site=4&sync=1: %d %q", code, body)
 	}
 }

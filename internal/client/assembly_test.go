@@ -26,11 +26,13 @@ const (
 	shed                       // reply at once with a load-shed carrying shedRetryAfter
 	failSend                   // Send returns an error
 	answerLate                 // reply after lateAfter
+	answerSlow                 // reply after slowAfter
 )
 
 const (
 	shedRetryAfter = 7 * time.Millisecond
 	lateAfter      = 25 * time.Millisecond
+	slowAfter      = 100 * time.Millisecond
 )
 
 // scriptConn is a transport.Conn whose peers are a script: react decides
@@ -101,7 +103,7 @@ func (c *scriptConn) Send(to transport.Addr, payload any) error {
 	react := c.react
 	c.mu.Unlock()
 	c.seen <- struct{}{}
-	switch react(n, m) {
+	switch r := react(n, m); r {
 	case failSend:
 		return errors.New("script: link down")
 	case answer:
@@ -111,8 +113,12 @@ func (c *scriptConn) Send(to transport.Addr, payload any) error {
 	case shed:
 		id, _ := reqIDOf(payload)
 		c.in <- transport.Message{From: to, To: -1, Payload: wire.OverloadedResp{ReqID: id, RetryAfterMillis: uint64(shedRetryAfter / time.Millisecond)}}
-	case answerLate:
-		time.AfterFunc(lateAfter, func() {
+	case answerLate, answerSlow:
+		after := lateAfter
+		if r == answerSlow {
+			after = slowAfter
+		}
+		time.AfterFunc(after, func() {
 			c.in <- transport.Message{From: to, To: -1, Payload: c.replyFrom(to, payload, false)}
 		})
 	}

@@ -118,9 +118,9 @@ type levelHealth struct {
 	// fail is the worst member's failure class: a level is as available
 	// for a write as its least available member.
 	fail int8
-	// failingFront is set by orderedSites when exploration put a site in
-	// failure class 2 in front of the level's probe order.
-	failingFront bool
+	// demotedFront is set by orderedSites when exploration put in front of
+	// the level's probe order a site the book sorts behind its front.
+	demotedFront bool
 }
 
 // snapshot is the one read of the book an ordering pass makes of a level,

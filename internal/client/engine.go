@@ -30,10 +30,10 @@ import (
 
 // exploreEvery makes one in N level probes promote a random candidate to
 // the front, so stale scores (a recovered or newly fast site) get refreshed.
-// With hedging on, a promoted site in failure class 2 is hedged at the
-// level's floor rather than after the hedge delay (see probeLevels), so
-// exploring a dead site costs a read about twice the level's best round
-// trip; any other bad exploration costs at most the hedge delay.
+// With hedging on, a promoted site the book sorts behind the level's front —
+// failing or slow — is hedged at the level's floor rather than after the
+// hedge delay (see probeLevels), so exploring it costs a read about twice
+// the level's best round trip.
 const exploreEvery = 16
 
 // orderedSites appends level u's sites to dst in probe order: the paper's
@@ -47,7 +47,9 @@ const exploreEvery = 16
 // order on its own goroutine, so a seeded client's site sequence does not
 // depend on scheduling. The level's health comes back with the order (the
 // zero value for a one-site level, which has nothing to sort or hedge),
-// failingFront set when the promoted candidate is in failure class 2.
+// demotedFront set when the promoted candidate sorts behind the front, in
+// a worse health bucket than the level's best candidate. A refusing
+// candidate does not count: it answers at once.
 func (c *Client) orderedSites(dst []transport.Addr, lt *levelTable, u int) ([]transport.Addr, levelHealth) {
 	lo := len(dst)
 	dst = append(dst, lt.addrs[u]...)
@@ -75,7 +77,7 @@ func (c *Client) orderedSites(dst []transport.Addr, lt *levelTable, u int) ([]tr
 	stableSortByBucket(out, buckets)
 	if explore && idx > 0 {
 		picked := out[idx]
-		lv.failingFront = buckets[idx] != refusingBucket && buckets[idx]/3 == 2
+		lv.demotedFront = buckets[idx] != refusingBucket && buckets[idx] > buckets[0]
 		copy(out[1:idx+1], out[:idx])
 		out[0] = picked
 	}

@@ -238,58 +238,74 @@ func TestHedgedReadRescuesCrashedSite(t *testing.T) {
 	}
 }
 
-// TestExploredFailingSiteHedgedAtFloor: when exploration puts a site in
-// failure class 2 in front of its level, its hedge is due at the level's
+// TestExploredFailingSiteHedgedAtFloor: when exploration puts in front of
+// its level a site the book sorts behind the front — one in failure class 2,
+// or a 100ms member in latency class 2 — its hedge is due at the level's
 // floor (twice the best round trip), not after the hedge delay. While the
-// site stays silent no read waits the hedge delay, and losing that early
-// race leaves the site's record alone; once the site answers again,
-// explorations bring it out of class 2.
+// site stays silent or slow no read waits the hedge delay, and losing that
+// early race leaves the site's record alone; once the failing site answers
+// again, explorations bring it out of class 2.
 func TestExploredFailingSiteHedgedAtFloor(t *testing.T) {
-	var down atomic.Bool
-	h := newScriptHarness(t, "1-2", nil, WithHedgeDelay(100*time.Millisecond))
-	sites := h.proto.LevelSites(0)
-	failing := transport.Addr(sites[0])
-	h.conn.script(func(_ int, m transport.Message) reaction {
-		if down.Load() && m.To == failing {
-			return silent
-		}
-		return answer
-	})
-	for _, s := range sites {
-		for i := 0; i < 8; i++ {
-			h.cli.book.observe(transport.Addr(s), outcomeServed, 2*time.Millisecond)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		h.cli.book.observe(failing, outcomeTimedOut, 400*time.Millisecond)
-	}
-	down.Store(true)
-	before := h.cli.book.peek(failing)
-	ctx := context.Background()
-	read := func(i int) {
-		start := time.Now()
-		if _, err := h.cli.Read(ctx, "k"); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if d := time.Since(start); d > 80*time.Millisecond {
-			t.Fatalf("read %d took %v: it waited the hedge delay for an explored failing site", i, d)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		read(i)
-	}
-	if h.cli.instr.hedges.Value() == 0 {
-		t.Fatal("no exploration put the failing site in front")
-	}
-	if got := h.cli.book.peek(failing); got != before {
-		t.Errorf("silent explored site's record moved: %+v, was %+v", got, before)
-	}
-	down.Store(false)
-	for i := 0; failBucket(h.cli.book.peek(failing).fail) == 2; i++ {
-		if i == 1000 {
-			t.Fatalf("recovered site still in failure class 2 after %d reads: %+v", i, h.cli.book.peek(failing))
-		}
-		read(i)
+	for _, tc := range []struct {
+		name string
+		bad  reaction      // how the demoted site answers while it is bad
+		seen outcome       // what the book saw of it, four times
+		rtt  time.Duration // at this round trip
+	}{
+		{"failing", silent, outcomeTimedOut, 400 * time.Millisecond},
+		{"100ms member", answerSlow, outcomeServed, slowAfter},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bad atomic.Bool
+			h := newScriptHarness(t, "1-2", nil, WithHedgeDelay(60*time.Millisecond))
+			sites := h.proto.LevelSites(0)
+			demoted := transport.Addr(sites[0])
+			h.conn.script(func(_ int, m transport.Message) reaction {
+				if bad.Load() && m.To == demoted {
+					return tc.bad
+				}
+				return answer
+			})
+			for _, s := range sites {
+				for i := 0; i < 8; i++ {
+					h.cli.book.observe(transport.Addr(s), outcomeServed, 2*time.Millisecond)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				h.cli.book.observe(demoted, tc.seen, tc.rtt)
+			}
+			bad.Store(true)
+			before := h.cli.book.peek(demoted)
+			ctx := context.Background()
+			read := func(i int) {
+				start := time.Now()
+				if _, err := h.cli.Read(ctx, "k"); err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				if d := time.Since(start); d > 45*time.Millisecond {
+					t.Fatalf("read %d took %v: it waited the hedge delay for an explored %s site", i, d, tc.name)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				read(i)
+			}
+			if h.cli.instr.hedges.Value() == 0 {
+				t.Fatalf("no exploration put the %s site in front", tc.name)
+			}
+			if got := h.cli.book.peek(demoted); got != before {
+				t.Errorf("%s explored site's record moved: %+v, was %+v", tc.name, got, before)
+			}
+			if tc.bad != silent {
+				return
+			}
+			bad.Store(false)
+			for i := 0; failBucket(h.cli.book.peek(demoted).fail) == 2; i++ {
+				if i == 1000 {
+					t.Fatalf("recovered site still in failure class 2 after %d reads: %+v", i, h.cli.book.peek(demoted))
+				}
+				read(i)
+			}
+		})
 	}
 }
 

@@ -93,13 +93,13 @@ func (c *Client) probeLevels(ctx context.Context, req rpc.Request, phase, spanPh
 		lo, now := len(a.sites), time.Now()
 		var lv levelHealth
 		a.sites, lv = c.orderedSites(a.sites, lt, u)
-		// An explored site the book holds failing is most likely still
-		// down: its hedge is due at the level's floor, so the read does not
-		// wait the hedge delay for it, while a recovered site, answering
+		// An explored site the book holds failing or slow is most likely
+		// still so: its hedge is due at the level's floor, so the read does
+		// not wait the hedge delay for it, while a recovered site, answering
 		// at the level's usual speed, still wins and its reply is scored.
 		hedge := c.levelHedgeDelay(lv)
 		first := hedge
-		if lv.failingFront && hedge > 0 {
+		if lv.demotedFront && hedge > 0 {
 			first = 2 * lv.best
 		}
 		a.addSlot(now, u, a.sites[lo:len(a.sites):len(a.sites)], first, hedge, nil)

@@ -228,7 +228,13 @@ func TestContactsBookedByOperation(t *testing.T) {
 
 const pinnedClientStats = `-1 {Reads:16 ReadFailures:1 Writes:5 WriteFailures:2 ReadContacts:37 WriteContacts:27 ReadRefetches:0}`
 
-const pinnedClientMetrics = `# HELP arbor_client_op_duration_seconds End-to-end client operation latency, including level fallbacks and retries.
+const pinnedClientMetrics = `# HELP arbor_client_read_contacts_total Replica contacts sent by the reads of the cluster's clients, failed levels included.
+# TYPE arbor_client_read_contacts_total counter
+arbor_client_read_contacts_total 37
+# HELP arbor_client_write_contacts_total Replica contacts sent by the writes and transactions of the cluster's clients (version discovery and prepares), failed levels included.
+# TYPE arbor_client_write_contacts_total counter
+arbor_client_write_contacts_total 27
+# HELP arbor_client_op_duration_seconds End-to-end client operation latency, including level fallbacks and retries.
 # TYPE arbor_client_op_duration_seconds histogram
 arbor_client_op_duration_seconds_count{op="read"} 17
 arbor_client_op_duration_seconds_count{op="txn"} 2

@@ -228,11 +228,24 @@ func (c *Cluster) NewClient(opts ...client.Option) (*client.Client, error) {
 	return cli, nil
 }
 
-// Crash fail-stops the given site.
-func (c *Cluster) Crash(site tree.SiteID) error {
+// ErrUnknownSite is what every per-site fault and query answers for a site
+// the cluster does not have.
+var ErrUnknownSite = errors.New("cluster: unknown site")
+
+// lookup returns the replica running site, or ErrUnknownSite.
+func (c *Cluster) lookup(site tree.SiteID) (*replica.Replica, error) {
 	r, ok := c.replicas[site]
 	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+		return nil, fmt.Errorf("%w %d", ErrUnknownSite, site)
+	}
+	return r, nil
+}
+
+// Crash fail-stops the given site.
+func (c *Cluster) Crash(site tree.SiteID) error {
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	r.Crash()
 	return nil
@@ -240,9 +253,9 @@ func (c *Cluster) Crash(site tree.SiteID) error {
 
 // Recover brings a crashed site back with its stable storage.
 func (c *Cluster) Recover(site tree.SiteID) error {
-	r, ok := c.replicas[site]
-	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	r.Recover()
 	return nil
@@ -253,9 +266,9 @@ func (c *Cluster) Recover(site tree.SiteID) error {
 // version probes, prepares — with a typed overload reply, while phase-two
 // commits and aborts are still served. Recovering the site also disarms it.
 func (c *Cluster) Saturate(site tree.SiteID, on bool) error {
-	r, ok := c.replicas[site]
-	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	r.Saturate(on)
 	return nil
@@ -264,9 +277,9 @@ func (c *Cluster) Saturate(site tree.SiteID, on bool) error {
 // SlowSite injects d of extra service time into every gated request the
 // site serves (zero clears it) — a brownout rather than a refusal.
 func (c *Cluster) SlowSite(site tree.SiteID, d time.Duration) error {
-	r, ok := c.replicas[site]
-	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	r.SlowBy(d)
 	return nil
@@ -277,9 +290,9 @@ func (c *Cluster) SlowSite(site tree.SiteID, d time.Duration) error {
 // down (stable storage intact — recovery is the usual path back). It
 // returns once the site is quiesced or ctx expires.
 func (c *Cluster) Drain(ctx context.Context, site tree.SiteID) error {
-	r, ok := c.replicas[site]
-	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	return r.Drain(ctx)
 }

@@ -54,6 +54,12 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			"TCP connections removed from a route, broken or ended by the peer, summed over the cluster's endpoints.",
 			func() uint64 { return c.NetworkStats().TCP.Evictions })
 	}
+	reg.CounterFunc("arbor_client_read_contacts_total",
+		"Replica contacts sent by the reads of the cluster's clients, failed levels included.",
+		func() uint64 { return c.OpTotals().ReadContacts })
+	reg.CounterFunc("arbor_client_write_contacts_total",
+		"Replica contacts sent by the writes and transactions of the cluster's clients (version discovery and prepares), failed levels included.",
+		func() uint64 { return c.OpTotals().WriteContacts })
 
 	levelSize := reg.GaugeVec("arbor_cluster_level_size",
 		"Physical nodes on each physical level of the current tree.", "level")
@@ -66,10 +72,19 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 	health := reg.GaugeVec("arbor_replica_health",
 		"Replica health lifecycle state per site: 0=down, 1=catching-up, 2=live.",
 		"site")
+	syncActive := reg.GaugeVec("arbor_replica_sync_active",
+		"1 while the site runs an anti-entropy pass, else 0.",
+		"site")
 
 	reg.OnCollect(func() {
-		for site, h := range c.Healths() {
-			health.With(strconv.Itoa(int(site))).Set(healthGaugeValue(h))
+		for site, r := range c.replicas {
+			p, l := r.SyncProgress(), strconv.Itoa(int(site))
+			health.With(l).Set(healthGaugeValue(p.Health))
+			active := 0.0
+			if p.Active {
+				active = 1
+			}
+			syncActive.With(l).Set(active)
 		}
 		snap := c.StatsSnapshot()
 		levelSize.Reset()
@@ -164,14 +179,13 @@ func sumOps(clients []*client.Client) OpTotals {
 // StatsView is one consistent observation of the cluster: the tree and
 // protocol are the pair that was current at the same instant (taken under
 // the configuration lock, so a concurrent Reconfigure can never show the
-// new tree with the old protocol or vice versa), alongside the load,
-// network and client counters captured right after.
+// new tree with the old protocol or vice versa), alongside the load and
+// client counters captured right after.
 type StatsView struct {
-	Tree    *tree.Tree
-	Proto   *core.Protocol
-	Load    LoadReport
-	Network NetworkStats
-	Ops     OpTotals
+	Tree  *tree.Tree
+	Proto *core.Protocol
+	Load  LoadReport
+	Ops   OpTotals
 }
 
 // StatsSnapshot captures a consistent StatsView.
@@ -181,7 +195,6 @@ func (c *Cluster) StatsSnapshot() StatsView {
 	clients := c.clients
 	c.mu.RUnlock()
 	snap.Load = c.LoadReport()
-	snap.Network = c.NetworkStats()
 	snap.Ops = sumOps(clients)
 	return snap
 }

@@ -69,7 +69,7 @@ func TestDrainPreservesAckedWrites(t *testing.T) {
 			t.Fatalf("recover site %d: %v", site, err)
 		}
 	}
-	if err := c.ApplyEvent(Event{Restart: true}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Restart: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < keys; i++ {

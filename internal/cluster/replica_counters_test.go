@@ -189,4 +189,10 @@ arbor_replica_journal_errors_total{site="4"} 0
 arbor_replica_health{site="1"} 2
 arbor_replica_health{site="2"} 2
 arbor_replica_health{site="3"} 2
-arbor_replica_health{site="4"} 2`
+arbor_replica_health{site="4"} 2
+# HELP arbor_replica_sync_active 1 while the site runs an anti-entropy pass, else 0.
+# TYPE arbor_replica_sync_active gauge
+arbor_replica_sync_active{site="1"} 0
+arbor_replica_sync_active{site="2"} 0
+arbor_replica_sync_active{site="3"} 0
+arbor_replica_sync_active{site="4"} 0`

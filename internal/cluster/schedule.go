@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -348,9 +347,29 @@ func parseSlowdowns(s string) ([]SiteSlowdown, error) {
 }
 
 // ApplyEvent executes one event against the cluster immediately, ignoring
-// its offset. It is the hook a deterministic harness (internal/sim) uses to
-// fire schedule events on its own logical clock.
-func (c *Cluster) ApplyEvent(ev Event) error {
+// its offset. It is the one path every fault takes: the deterministic
+// harness (internal/sim) fires schedule events through it on its own
+// logical clock, and arbord's /fault endpoint on an operator's request. An
+// event the cluster cannot apply — one naming a site it does not have
+// (ErrUnknownSite), or a partition or heal over TCP — is refused before any
+// of its actions applies. ctx bounds the drains; a drain that outlives it
+// leaves its site draining and returns ctx's error.
+func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
+	if c.sim == nil && (len(ev.Partition) > 0 || ev.Heal) {
+		return errNotSimulated
+	}
+	for _, sites := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.RecoverSync, ev.Saturate, ev.Unsaturate, ev.Drain} {
+		for _, s := range sites {
+			if _, err := c.lookup(s); err != nil {
+				return err
+			}
+		}
+	}
+	for _, s := range ev.SlowSite {
+		if _, err := c.lookup(s.Site); err != nil {
+			return err
+		}
+	}
 	for _, s := range ev.Crash {
 		if err := c.Crash(s); err != nil {
 			return err
@@ -405,17 +424,12 @@ func (c *Cluster) ApplyEvent(ev Event) error {
 			return err
 		}
 	}
+	// Every listed site starts draining, even past ctx's deadline.
+	var drainErr error
 	for _, s := range ev.Drain {
-		// A schedule-driven drain is bounded: the replica stays draining
-		// (shedding new work) even if quiescence takes longer than this, and
-		// its prepared transactions still resolve via commit, abort or lock
-		// expiry.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := c.Drain(ctx, s)
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			return err
+		if err := c.Drain(ctx, s); err != nil && drainErr == nil {
+			drainErr = err
 		}
 	}
-	return nil
+	return drainErr
 }

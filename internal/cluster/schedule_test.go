@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"arbor/internal/replica"
 	"arbor/internal/tree"
 )
 
@@ -67,13 +69,13 @@ func TestApplyEventRestart(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if err := c.ApplyEvent(Event{Crash: []tree.SiteID{2}}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Crash: []tree.SiteID{2}}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Replica(tree.SiteID(2)).Crashed() {
 		t.Fatal("ApplyEvent crash did not take effect")
 	}
-	if err := c.ApplyEvent(Event{Restart: true}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Restart: true}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Replica(tree.SiteID(2)).Crashed() {
@@ -128,7 +130,7 @@ func TestApplyEventOverload(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if err := c.ApplyEvent(Event{Saturate: []tree.SiteID{2}}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Saturate: []tree.SiteID{2}}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Replica(tree.SiteID(2)).Saturated() {
@@ -138,13 +140,13 @@ func TestApplyEventOverload(t *testing.T) {
 	if rd, err := cli.Read(ctx, "k"); err != nil || string(rd.Value) != "v" {
 		t.Errorf("read under saturation = %q, %v; want v", rd.Value, err)
 	}
-	if err := c.ApplyEvent(Event{Unsaturate: []tree.SiteID{2}}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Unsaturate: []tree.SiteID{2}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Replica(tree.SiteID(2)).Saturated() {
 		t.Error("unsaturate event did not disarm the overload fault")
 	}
-	if err := c.ApplyEvent(Event{Drain: []tree.SiteID{3}}); err != nil {
+	if err := c.ApplyEvent(context.Background(), Event{Drain: []tree.SiteID{3}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Replica(tree.SiteID(3)).Health(); got.String() != "down" {
@@ -183,7 +185,8 @@ func TestParseScheduleErrors(t *testing.T) {
 }
 
 // TestApplyEventUnknownSite: every verb that names a site refuses one the
-// cluster does not have.
+// cluster does not have with ErrUnknownSite, and an event naming one among
+// known sites applies none of its actions.
 func TestApplyEventUnknownSite(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	bad := []tree.SiteID{99}
@@ -195,10 +198,19 @@ func TestApplyEventUnknownSite(t *testing.T) {
 		{Unsaturate: bad},
 		{SlowSite: []SiteSlowdown{{Site: 99, By: time.Millisecond}}},
 		{Drain: bad},
+		{Crash: []tree.SiteID{1}, Drain: []tree.SiteID{2, 99}},
 	} {
-		if err := c.ApplyEvent(ev); err == nil {
-			t.Errorf("ApplyEvent(%s) accepted site 99", ev)
+		if err := c.ApplyEvent(context.Background(), ev); !errors.Is(err, ErrUnknownSite) {
+			t.Errorf("ApplyEvent(%s) = %v, want ErrUnknownSite", ev, err)
 		}
+	}
+	for _, s := range []tree.SiteID{1, 2} {
+		if h, _ := c.Health(s); h != replica.HealthLive {
+			t.Errorf("site %d is %s after a refused event", s, h)
+		}
+	}
+	if _, err := c.Health(99); !errors.Is(err, ErrUnknownSite) {
+		t.Errorf("Health(99) = %v, want ErrUnknownSite", err)
 	}
 }
 

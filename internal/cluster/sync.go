@@ -54,9 +54,9 @@ func (c *Cluster) syncPlanFor(site tree.SiteID) replica.SyncPlan {
 // every newer version it missed. Recovery of a site that is not down only
 // (re)starts a sync pass.
 func (c *Cluster) RecoverWithSync(site tree.SiteID) error {
-	r, ok := c.replicas[site]
-	if !ok {
-		return fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return err
 	}
 	plan := c.syncPlanFor(site)
 	if r.Health() == replica.HealthDown {
@@ -117,18 +117,9 @@ func (c *Cluster) AwaitSync(ctx context.Context) error {
 
 // Health reports the site's replica health.
 func (c *Cluster) Health(site tree.SiteID) (replica.Health, error) {
-	r, ok := c.replicas[site]
-	if !ok {
-		return 0, fmt.Errorf("cluster: unknown site %d", site)
+	r, err := c.lookup(site)
+	if err != nil {
+		return 0, err
 	}
 	return r.Health(), nil
-}
-
-// Healths snapshots every replica's health.
-func (c *Cluster) Healths() map[tree.SiteID]replica.Health {
-	out := make(map[tree.SiteID]replica.Health, len(c.replicas))
-	for site, r := range c.replicas {
-		out[site] = r.Health()
-	}
-	return out
 }

@@ -189,7 +189,7 @@ func TestScheduleRecoverSyncVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range sched {
-		if err := c.ApplyEvent(ev); err != nil {
+		if err := c.ApplyEvent(context.Background(), ev); err != nil {
 			t.Fatal(err)
 		}
 	}

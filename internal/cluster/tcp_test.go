@@ -146,7 +146,7 @@ func TestTCPClusterRefusesSimulatedFaults(t *testing.T) {
 	if err := c.Heal(); err == nil {
 		t.Error("Heal accepted over TCP")
 	}
-	if err := c.ApplyEvent(Event{Partition: [][]tree.SiteID{{1}}}); err == nil {
+	if err := c.ApplyEvent(context.Background(), Event{Partition: [][]tree.SiteID{{1}}}); err == nil {
 		t.Error("a partition event applied over TCP")
 	}
 }

@@ -33,9 +33,8 @@ type SyncConfig struct {
 	CallTimeout time.Duration
 	// RetryBase is the backoff after a round in which every candidate
 	// source failed (default CallTimeout); it doubles per barren round,
-	// jittered, up to RetryMax (default 16×RetryBase).
+	// jittered, up to 16×RetryBase.
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Seed drives the backoff jitter.
 	Seed int64
 }
@@ -49,9 +48,6 @@ func (c SyncConfig) withDefaults() SyncConfig {
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = c.CallTimeout
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 16 * c.RetryBase
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -201,9 +197,7 @@ func (r *Replica) syncLevel(li int, peers []transport.Addr, cfg SyncConfig, rng 
 			if !sleepInterruptible(d, stop) {
 				return errSyncAborted
 			}
-			if backoff *= 2; backoff > cfg.RetryMax {
-				backoff = cfg.RetryMax
-			}
+			backoff = min(2*backoff, 16*cfg.RetryBase)
 			continue
 		}
 		backoff = cfg.RetryBase

@@ -210,8 +210,16 @@ func Execute(in Input) (*Result, error) {
 			} else if ev.Workload != "" {
 				// Phase markers are trace-only: the op stream is generated
 				// phase-aware, so applying the marker does nothing.
-			} else if err := w.cluster.ApplyEvent(ev); err != nil {
-				return err
+			} else {
+				// Drains are bounded: past 5 s a draining site stays draining
+				// (shedding new work) and its prepared transactions still
+				// resolve via commit, abort or lock expiry, so that is no error.
+				drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				err := w.cluster.ApplyEvent(drainCtx, ev)
+				cancel()
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+					return err
+				}
 			}
 			if len(ev.RecoverSync) > 0 || ev.RecoverAllSync {
 				// Catch-up runs to completion before the next operation, so
