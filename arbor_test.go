@@ -131,8 +131,10 @@ func TestFacadeErrTimeoutMatching(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CrashLevel(0); err != nil {
-		t.Fatal(err)
+	for _, site := range c.Protocol().LevelSites(0) {
+		if err := c.Crash(site); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, err = cli.Read(ctx, "k")
 	if !errors.Is(err, arbor.ErrReadUnavailable) {

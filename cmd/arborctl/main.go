@@ -7,7 +7,7 @@
 //	arborctl [-addr http://127.0.0.1:8080] get KEY
 //	arborctl put KEY VALUE
 //	arborctl stats
-//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recoversync=4, recoverall
+//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recover=4, recoverall
 //	arborctl reconfigure SPEC
 //	arborctl checkpoint
 //	arborctl controller [enable|disable]

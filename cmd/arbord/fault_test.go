@@ -66,6 +66,7 @@ func TestServerFaultTable(t *testing.T) {
 		setup []string
 		do    string
 		code  int
+		body  string // a substring the response must hold, if set
 		check func(t *testing.T, srv *server, ts *httptest.Server)
 	}{
 		{name: "crash", do: "crash=2", code: http.StatusOK,
@@ -74,13 +75,7 @@ func TestServerFaultTable(t *testing.T) {
 					t.Errorf("crashed site 2 has health %v, want 0", h)
 				}
 			}},
-		{name: "recover", setup: []string{"crash=2"}, do: "recover=2", code: http.StatusOK,
-			check: func(t *testing.T, _ *server, ts *httptest.Server) {
-				if h := health(t, scrape(t, ts), "2"); h != 2 {
-					t.Errorf("recovered site 2 has health %v, want 2", h)
-				}
-			}},
-		{name: "recoversync", setup: []string{"crash=1,2,3", "crash=4"}, do: "recoversync=4", code: http.StatusOK,
+		{name: "recover", setup: []string{"crash=1,2,3", "crash=4"}, do: "recover=4", code: http.StatusOK,
 			check: func(t *testing.T, srv *server, ts *httptest.Server) {
 				// With level 1–3 down the catch-up has no source: it stays running.
 				m := scrape(t, ts)
@@ -98,21 +93,29 @@ func TestServerFaultTable(t *testing.T) {
 				}
 			}},
 		{name: "recoverall", setup: []string{"crash=2,5"}, do: "recoverall", code: http.StatusOK,
-			check: func(t *testing.T, _ *server, ts *httptest.Server) {
-				m := scrape(t, ts)
-				for _, s := range []string{"2", "5"} {
-					if h := health(t, m, s); h != 2 {
-						t.Errorf("site %s has health %v after recoverall, want 2", s, h)
-					}
-				}
-			}},
-		{name: "recoverallsync", setup: []string{"crash=4", "crash=5"}, do: "recoverallsync", code: http.StatusOK,
 			check: func(t *testing.T, srv *server, ts *httptest.Server) {
 				awaitSync(t, srv)
 				m := scrape(t, ts)
-				for _, s := range []string{"4", "5"} {
+				for _, s := range []string{"2", "5"} {
 					if h, n := health(t, m, s), metricValue(t, m, `arbor_replica_sync_completions_total{site="`+s+`"}`); h != 2 || n != 1 {
 						t.Errorf("site %s: health %v after %v catch-ups, want 2 after 1", s, h, n)
+					}
+				}
+			}},
+		// The catch-up verbs of old are refused with a pointer to recover,
+		// and nothing comes back up.
+		{name: "recoversync", setup: []string{"crash=4"}, do: "recoversync=4", code: http.StatusBadRequest, body: "recover=<sites>",
+			check: func(t *testing.T, srv *server, ts *httptest.Server) {
+				if h := health(t, scrape(t, ts), "4"); h != 0 || !srv.cluster.Replica(4).Crashed() {
+					t.Errorf("site 4 has health %v after a refused recoversync, want 0", h)
+				}
+			}},
+		{name: "recoverallsync", setup: []string{"crash=4", "crash=5"}, do: "recoverallsync", code: http.StatusBadRequest, body: "recoverall",
+			check: func(t *testing.T, _ *server, ts *httptest.Server) {
+				m := scrape(t, ts)
+				for _, s := range []string{"4", "5"} {
+					if h := health(t, m, s); h != 0 {
+						t.Errorf("site %s has health %v after a refused recoverallsync, want 0", s, h)
 					}
 				}
 			}},
@@ -124,7 +127,8 @@ func TestServerFaultTable(t *testing.T) {
 			}},
 		{name: "heal", do: "heal", code: http.StatusConflict},
 		{name: "restart", setup: []string{"crash=2"}, do: "restart", code: http.StatusOK,
-			check: func(t *testing.T, _ *server, ts *httptest.Server) {
+			check: func(t *testing.T, srv *server, ts *httptest.Server) {
+				awaitSync(t, srv)
 				m := scrape(t, ts)
 				for s := 1; s <= 8; s++ {
 					if h := health(t, m, strconv.Itoa(s)); h != 2 {
@@ -212,8 +216,12 @@ func TestServerFaultTable(t *testing.T) {
 			for _, s := range tc.setup {
 				mustFault(t, ts, s)
 			}
-			if code, body := fault(t, ts, tc.do); code != tc.code {
+			code, body := fault(t, ts, tc.do)
+			if code != tc.code {
 				t.Fatalf("fault %s: %d %s, want %d", tc.do, code, body, tc.code)
+			}
+			if !strings.Contains(body, tc.body) {
+				t.Errorf("fault %s: body %q does not name %q", tc.do, body, tc.body)
 			}
 			if tc.check != nil {
 				tc.check(t, srv, ts)
@@ -290,15 +298,16 @@ func TestStats(t *testing.T) {
 }
 
 // TestCrashRecoverCycle: with all of level 1–3 crashed reads answer 503,
-// and recoverall brings the value back.
+// and recoverall brings the value back from the journals.
 func TestCrashRecoverCycle(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
 	mustFault(t, ts, "crash=1,2,3")
 	if code, _ := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusServiceUnavailable {
 		t.Errorf("get with level down: %d", code)
 	}
 	mustFault(t, ts, "recoverall")
+	awaitSync(t, srv)
 	if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
 		t.Errorf("get after recovery: %d %q", code, body)
 	}
@@ -349,7 +358,7 @@ func TestDrainEndpoint(t *testing.T) {
 }
 
 // TestHealthEndpoint walks a site through the full lifecycle — live, down,
-// catching up via recoversync, live again — and reads each state, and what
+// catching up after recover, live again — and reads each state, and what
 // the catch-up pulled, off /metrics.
 func TestHealthEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
@@ -367,7 +376,7 @@ func TestHealthEndpoint(t *testing.T) {
 	if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", "v"); code != http.StatusOK {
 		t.Fatalf("put: %d %s", code, body)
 	}
-	mustFault(t, ts, "recoversync=4")
+	mustFault(t, ts, "recover=4")
 	awaitSync(t, srv)
 	m = scrape(t, ts)
 	if h := health(t, m, "4"); h != 2 {
@@ -386,11 +395,11 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 // TestServerRecoverRejectsBadSync: a recovery that does not parse is a 400,
-// not an instant recovery that skips the catch-up the caller asked for.
+// and recovers nothing.
 func TestServerRecoverRejectsBadSync(t *testing.T) {
 	srv, ts := newTestServer(t)
 	mustFault(t, ts, "crash=4")
-	for _, q := range []string{"recoversnc=4", "recoversync=4x", "recoversync"} {
+	for _, q := range []string{"recoversnc=4", "recover=4x", "recover"} {
 		if code, body := fault(t, ts, q); code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", q, code, body)
 		}
@@ -398,9 +407,9 @@ func TestServerRecoverRejectsBadSync(t *testing.T) {
 	if !srv.cluster.Replica(4).Crashed() {
 		t.Fatal("site 4 recovered although the recovery did not parse")
 	}
-	mustFault(t, ts, "recoversync=4")
+	mustFault(t, ts, "recover=4")
 	awaitSync(t, srv)
 	if h := health(t, scrape(t, ts), "4"); h != 2 {
-		t.Errorf("site 4 health %v after recoversync, want 2", h)
+		t.Errorf("site 4 health %v after recover, want 2", h)
 	}
 }

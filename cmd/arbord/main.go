@@ -9,7 +9,9 @@
 //	GET  /traces?last=N             recent per-operation traces (JSON)
 //	POST /checkpoint                persist all replica stores to -data-dir
 //	POST /fault?do=ACTIONS          one fault event in the schedule syntax: crash=S, drain=S,
-//	                                recover=S, recoversync=S, recoverall, saturate=S, slowsite=S:20ms, …
+//	                                recover=S, recoverall, saturate=S, slowsite=S:20ms, …
+//	                                (a crash loses the site's memory; recover replays its journal,
+//	                                then catches up from the other levels)
 //	POST /reconfigure?spec=1-4-4    reshape the tree live
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller
@@ -45,7 +47,7 @@ func run(args []string) error {
 		listen   = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		seed     = fs.Int64("seed", 1, "random seed")
 		data     = fs.String("data-dir", "", "checkpoint directory (restored at startup when present)")
-		walDir   = fs.String("wal-dir", "", "write-ahead-log directory (replayed at startup)")
+		walDir   = fs.String("wal-dir", "", "write-ahead-log directory, replayed at startup and by every recovery (default: journals in memory)")
 		traceCap = fs.Int("trace-cap", obs.DefaultTraceCapacity, "operation traces kept in memory for /traces")
 		adapt    = fs.Bool("adapt", false, "start with the adaptation controller enabled (toggle later via /controller)")
 		inflight = fs.Int("maxinflight", 0, "per-replica admission limit on in-flight gated requests (0 = replica default; excess work sheds with a typed overload reply)")

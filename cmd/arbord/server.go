@@ -202,7 +202,7 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFault applies one fault event, written in the schedule syntax of
-// cluster.ParseSchedule (?do=crash=2, ?do=recoversync=4,
+// cluster.ParseSchedule (?do=crash=2, ?do=recover=4,
 // ?do=drain=2+saturate=3, …), through cluster.ApplyEvent: the one path the
 // simulator's schedules take too. Drains are bounded: a site that does not
 // quiesce in time stays draining and the request answers 504. Partitions

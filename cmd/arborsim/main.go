@@ -26,8 +26,8 @@
 // corpus.
 //
 // Self-test mode (-selftest) arms a deliberate durability bug — restarts
-// skip write-ahead-journal replay — and fails unless the campaign both
-// catches it and shrinks the schedule to at most five events.
+// and recoveries skip write-ahead-journal replay — and fails unless the
+// campaign both catches it and shrinks the schedule to at most five events.
 package main
 
 import (
@@ -74,7 +74,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.spec.Clients, "clients", 2, "protocol clients per run")
 	fs.IntVar(&o.spec.Keys, "keys", 4, "key-population size")
 	fs.DurationVar(&o.spec.Timeout, "timeout", 40*time.Millisecond, "client failure-detection deadline")
-	fs.BoolVar(&o.spec.AntiEntropy, "antientropy", false, "recover replicas through anti-entropy catch-up and enforce the durability margin")
 	fs.BoolVar(&o.spec.Overload, "overload", false, "add a derived overload stretch per run (saturate window + occasional graceful drain)")
 	fs.BoolVar(&o.spec.Adapt, "adapt", false, "run the adaptation controller during each run (live migrations under chaos)")
 	fs.IntVar(&o.spec.AdaptEvery, "adapt-every", 0, "op stride between controller steps (default 10)")
@@ -110,15 +109,8 @@ func campaign(spec sim.Spec, runs int, out, journal string, trace bool) error {
 	if err != nil {
 		return err
 	}
-	mode := "instant recovery"
-	if spec.AntiEntropy {
-		mode = "anti-entropy recovery"
-	}
-	fmt.Printf("campaign: %d runs, %d ops, %d faults injected (spec %s, profile %s, seed %d, %s)\n",
-		rep.Runs, rep.OpsExecuted, rep.FaultsInjected, spec.Tree, spec.Profile, spec.Seed, mode)
-	if !spec.AntiEntropy {
-		fmt.Printf("campaign: %d durability-margin gap(s) across %d run(s)\n", rep.MarginGaps, rep.GappedRuns)
-	}
+	fmt.Printf("campaign: %d runs, %d ops, %d faults injected (spec %s, profile %s, seed %d)\n",
+		rep.Runs, rep.OpsExecuted, rep.FaultsInjected, spec.Tree, spec.Profile, spec.Seed)
 	if spec.Adapt {
 		fmt.Printf("campaign: %d controller-driven reconfiguration(s)\n", rep.Reconfigurations)
 	}
@@ -214,8 +206,8 @@ func replayScenario(path, artifacts string, trace bool) error {
 			fmt.Println(line)
 		}
 	}
-	fmt.Printf("scenario %s: %d ops, %d faults applied, %d unavailable, %d margin gap(s), %d reconfiguration(s), final spec %s\n",
-		name, res.OpsRun, res.FaultsApplied, res.Failures, len(res.MarginGaps), res.Reconfigurations, res.FinalSpec)
+	fmt.Printf("scenario %s: %d ops, %d faults applied, %d unavailable, %d reconfiguration(s), final spec %s\n",
+		name, res.OpsRun, res.FaultsApplied, res.Failures, res.Reconfigurations, res.FinalSpec)
 	fails := spec.Check(res)
 	if len(spec.Expects) == 0 {
 		for _, v := range res.Violations {
@@ -243,7 +235,7 @@ func replayScenario(path, artifacts string, trace bool) error {
 }
 
 // selftest proves the harness end to end: with WAL replay skipped on
-// restart, a campaign must find a lost acknowledged write and shrink the
+// restart and recovery, a campaign must find a lost acknowledged write and shrink the
 // fault schedule to at most five events.
 func selftest(spec sim.Spec, runs int) error {
 	spec.SkipWALReplay = true

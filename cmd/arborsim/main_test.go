@@ -156,8 +156,8 @@ func TestFlagsMatchScenario(t *testing.T) {
 	}{
 		{"defaults", nil, "tree 1-3-5\nseed 1\nops 60\nprofile balanced\nfaults 6\ntimeout 40ms\n"},
 		{"plain", []string{"-seed", "3", "-ops", "50", "-faults", "4", "-profile", "mostly-read", "-keys", "3",
-			"-clients", "3", "-timeout", "30ms", "-antientropy", "-overload"},
-			"tree 1-3-5\nseed 3\nops 50\nprofile mostly-read\nkeys 3\nclients 3\nfaults 4\ntimeout 30ms\nantientropy\noverload\n"},
+			"-clients", "3", "-timeout", "30ms", "-overload"},
+			"tree 1-3-5\nseed 3\nops 50\nprofile mostly-read\nkeys 3\nclients 3\nfaults 4\ntimeout 30ms\noverload\n"},
 		{"phased", []string{"-spec", "1-8", "-seed", "7", "-adapt", "-adapt-every", "5",
 			"-phases", "mostly-read:40,mostly-write:30:zipf1.2"},
 			"tree 1-8\nseed 7\nfaults 6\nadapt every 5\nphase mostly-read 40\nphase mostly-write 30 zipf 1.2\n"},

@@ -75,7 +75,11 @@ func run() error {
 
 	// Recovery restores service with the last committed value intact.
 	fmt.Println("\n-- recovering all replicas --")
+	// Each replays its journal and catches up before it serves reads again.
 	c.RecoverAll()
+	if err := c.AwaitSync(ctx); err != nil {
+		return err
+	}
 	rd, err = cli.Read(ctx, "ledger")
 	if err != nil {
 		return err

@@ -78,13 +78,18 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	}
 
 	// Phase 4: failure handling still behaves per the protocol.
-	if err := c2.CrashLevel(0); err != nil {
-		t.Fatal(err)
+	for _, site := range c2.Protocol().LevelSites(0) {
+		if err := c2.Crash(site); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := cli2.Read(ctx, "acct-0"); !errors.Is(err, arbor.ErrReadUnavailable) {
 		t.Errorf("read with a level down = %v, want ErrReadUnavailable", err)
 	}
 	c2.RecoverAll()
+	if err := c2.AwaitSync(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cli2.Read(ctx, "acct-0"); err != nil {
 		t.Errorf("read after recovery: %v", err)
 	}

@@ -28,27 +28,32 @@ import (
 	"arbor/internal/tree"
 )
 
-// Defaults for the controller knobs, and its two fixed parameters.
+// Defaults for the controller knobs, and its fixed parameters.
 const (
 	DefaultInterval      = time.Second
 	DefaultWindow        = 5
 	DefaultMinLevelDelta = 2
 	DefaultCooldown      = 30 * time.Second
-	DefaultAvailability  = 0.9
+	// Availability is the per-replica availability assumption handed to
+	// the advisor.
+	Availability = 0.9
+	// Objective is the advisor objective.
+	Objective = config.MinimizeLoad
 	// MinWindowOps is the minimum operations a window must contain to
 	// count as signal; quieter windows always hold.
 	MinWindowOps = 20
 	// JournalCap bounds the decision journal.
 	JournalCap = 256
-	// DefaultDegradeTolerance is how much worse (fractionally) the windowed
-	// weighted empirical load may get after a migration before the guard
-	// reverts it; windowed maxima are noisy, so the bar is generous.
-	DefaultDegradeTolerance = 0.5
+	// DegradeTolerance is the abort-on-degradation guard's threshold: how
+	// much worse (fractionally) the windowed weighted empirical load may
+	// get after a migration before the guard reverts it; windowed maxima
+	// are noisy, so the bar is generous.
+	DegradeTolerance = 0.5
 )
 
 // Config configures a Controller. Every field is taken as given, so start
-// from DefaultConfig: a zero Cooldown, DegradeTolerance or Enabled is a
-// setting, not a request for the default.
+// from DefaultConfig: a zero Cooldown or Enabled is a setting, not a
+// request for the default.
 type Config struct {
 	// Interval is the Run loop's evaluation period and the logical clock's
 	// per-step advance.
@@ -62,15 +67,6 @@ type Config struct {
 	MinLevelDelta int
 	// Cooldown is the minimum controller-clock time between migrations.
 	Cooldown time.Duration
-	// Availability is the per-replica availability assumption handed to
-	// the advisor.
-	Availability float64
-	// Objective is the advisor objective.
-	Objective config.Objective
-	// DegradeTolerance is the abort-on-degradation guard's threshold: a
-	// migration is reverted when the post-migration windowed load exceeds
-	// the pre-migration one by more than this fraction.
-	DegradeTolerance float64
 	// Clock is the controller's notion of time, used for journal
 	// timestamps and the cooldown. Nil makes it logical: it starts at the
 	// epoch and advances by one interval per Step, which is equivalent to
@@ -86,13 +82,10 @@ type Config struct {
 // clock, minimizing load.
 func DefaultConfig() Config {
 	return Config{
-		Interval:         DefaultInterval,
-		Window:           DefaultWindow,
-		MinLevelDelta:    DefaultMinLevelDelta,
-		Cooldown:         DefaultCooldown,
-		Availability:     DefaultAvailability,
-		Objective:        config.MinimizeLoad,
-		DegradeTolerance: DefaultDegradeTolerance,
+		Interval:      DefaultInterval,
+		Window:        DefaultWindow,
+		MinLevelDelta: DefaultMinLevelDelta,
+		Cooldown:      DefaultCooldown,
 	}
 }
 
@@ -149,17 +142,6 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 	}
 	if cfg.MinLevelDelta < 1 {
 		return nil, fmt.Errorf("adapt: min level delta %d must be at least 1", cfg.MinLevelDelta)
-	}
-	if cfg.Availability <= 0 || cfg.Availability > 1 {
-		return nil, fmt.Errorf("adapt: availability %v outside (0,1]", cfg.Availability)
-	}
-	switch cfg.Objective {
-	case config.MinimizeLoad, config.MinimizeCost, config.MinimizeLoadCostProduct:
-	default:
-		return nil, fmt.Errorf("adapt: unknown objective %v", cfg.Objective)
-	}
-	if cfg.DegradeTolerance < 0 {
-		return nil, fmt.Errorf("adapt: degrade tolerance %v must be non-negative", cfg.DegradeTolerance)
 	}
 	ctl := &Controller{c: c, cfg: cfg, enabled: cfg.Enabled, now: time.Unix(0, 0).UTC()}
 	ctl.j = newJournal(JournalCap)
@@ -383,7 +365,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 		return a.record(d)
 	}
 
-	adv, err := config.Advise(snap.Tree.N(), a.cfg.Availability, w.ReadFraction, a.cfg.Objective)
+	adv, err := config.Advise(snap.Tree.N(), Availability, w.ReadFraction, Objective)
 	if err != nil {
 		d.Outcome = err.Error()
 		d.Reason = "advisor failed"
@@ -393,7 +375,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	d.AdvisedSpec = adv.Tree.Spec()
 	d.AdvisedLevels = adv.Tree.NumPhysicalLevels()
 	d.AdvisedScore = adv.Score
-	if cur, err := config.Score(core.Analyze(snap.Tree), a.cfg.Availability, w.ReadFraction, a.cfg.Objective); err == nil {
+	if cur, err := config.Score(core.Analyze(snap.Tree), Availability, w.ReadFraction, Objective); err == nil {
 		d.CurrentScore = cur
 	}
 
@@ -449,14 +431,14 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 // the tolerance. The caller holds the lock.
 func (a *Controller) judgeMigration(d Decision, w WindowStats) Decision {
 	post := weightedLoad(w, a.preFrac)
-	if w.Ops() < MinWindowOps || a.preScore <= 0 || post <= a.preScore*(1+a.cfg.DegradeTolerance) {
+	if w.Ops() < MinWindowOps || a.preScore <= 0 || post <= a.preScore*(1+DegradeTolerance) {
 		d.Reason = fmt.Sprintf("probation passed: windowed load %.4f vs %.4f before migration", post, a.preScore)
 		a.prevTree = nil
 		return a.record(d)
 	}
 	d.Action = ActionRevert
 	d.Reason = fmt.Sprintf("degradation: windowed load %.4f exceeds pre-migration %.4f by more than %.0f%%",
-		post, a.preScore, a.cfg.DegradeTolerance*100)
+		post, a.preScore, DegradeTolerance*100)
 	d.AdvisedSpec = a.prevTree.Spec()
 	d.AdvisedLevels = a.prevTree.NumPhysicalLevels()
 	if err := a.c.Reconfigure(a.prevTree); err != nil {
@@ -505,8 +487,8 @@ func (a *Controller) State() State {
 		MinWindowOps:     MinWindowOps,
 		MinLevelDelta:    a.cfg.MinLevelDelta,
 		Cooldown:         a.cfg.Cooldown,
-		Availability:     a.cfg.Availability,
-		Objective:        a.cfg.Objective.String(),
+		Availability:     Availability,
+		Objective:        Objective.String(),
 		CurrentSpec:      a.c.Tree().Spec(),
 		DriftStreak:      a.driftStreak,
 		Probation:        a.probation,

@@ -10,7 +10,6 @@ import (
 
 	"arbor/internal/client"
 	"arbor/internal/cluster"
-	"arbor/internal/config"
 	"arbor/internal/obs"
 	"arbor/internal/tree"
 )
@@ -414,13 +413,13 @@ func TestControllerProbationPasses(t *testing.T) {
 func TestControllerStateSnapshot(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	ctl := newController(t, c, func(cfg *Config) {
-		cfg.Window, cfg.Availability, cfg.Objective = 4, 0.8, config.MinimizeCost
+		cfg.Window = 4
 	})
 	st := ctl.State()
 	if st.Enabled {
 		t.Error("controller starts enabled")
 	}
-	if st.Window != 4 || st.Availability != 0.8 || st.Objective != "cost" {
+	if st.Window != 4 || st.Availability != Availability || st.Objective != "load" {
 		t.Errorf("state = %+v", st)
 	}
 	if st.CurrentSpec != "1-3-5" {
@@ -440,8 +439,7 @@ func TestDefaultConfigKeepsDefaults(t *testing.T) {
 	got := ctl.cfg
 	if got.Interval != DefaultInterval || got.Window != DefaultWindow ||
 		got.MinLevelDelta != DefaultMinLevelDelta || got.Cooldown != DefaultCooldown ||
-		got.Availability != DefaultAvailability || got.Objective != config.MinimizeLoad ||
-		got.DegradeTolerance != DefaultDegradeTolerance || got.Clock != nil || got.Enabled {
+		got.Clock != nil || got.Enabled {
 		t.Errorf("default config = %+v", got)
 	}
 	if st := ctl.State(); st.Enabled || st.Cooldown != DefaultCooldown || st.Objective != "load" {
@@ -459,9 +457,6 @@ func TestControllerOptionValidation(t *testing.T) {
 		"zero interval":    func(cfg *Config) { cfg.Interval = 0 },
 		"zero window":      func(cfg *Config) { cfg.Window = 0 },
 		"zero level delta": func(cfg *Config) { cfg.MinLevelDelta = 0 },
-		"bad availability": func(cfg *Config) { cfg.Availability = 1.5 },
-		"bad objective":    func(cfg *Config) { cfg.Objective = 0 },
-		"bad tolerance":    func(cfg *Config) { cfg.DegradeTolerance = -1 },
 	} {
 		cfg := DefaultConfig()
 		set(&cfg)

@@ -61,10 +61,11 @@ type site struct {
 	samples uint64  // contacts folded into the failure EWMA; 0 = cold
 	timed   uint64  // of them, those whose round trip was folded into lat
 
-	// refusing: the last reply was a catching-up refusal or a shed. Kept out
-	// of the EWMAs — a refusal is neither slow nor dead, and folding it in
-	// would poison the site's scores long after it rejoins.
-	refusing bool
+	// refusing: the last reply was a catching-up refusal or a shed; shedding:
+	// it was a shed, which turns prepares away too. Kept out of the EWMAs —
+	// a refusal is neither slow nor dead, and folding it in would poison the
+	// site's scores long after it rejoins.
+	refusing, shedding bool
 }
 
 // score folds one contact into the failure EWMA and, unless it never left
@@ -116,8 +117,10 @@ type levelHealth struct {
 	best  time.Duration
 	known bool
 	// fail is the worst member's failure class: a level is as available
-	// for a write as its least available member.
-	fail int8
+	// for a write as its least available member. shedding is set when some
+	// member's last reply was a shed: the level's 2PC would be turned away.
+	fail     int8
+	shedding bool
 	// demotedFront is set by orderedSites when exploration put in front of
 	// the level's probe order a site the book sorts behind its front.
 	demotedFront bool
@@ -142,6 +145,7 @@ func (b *siteBook) snapshot(sites []transport.Addr, material float64, order []in
 			low, lv.known = s.lat, true
 		}
 		lv.fail = max(lv.fail, int8(failBucket(s.fail)))
+		lv.shedding = lv.shedding || s.shedding
 	}
 	if lv.known {
 		lv.best = time.Duration(low)
@@ -215,12 +219,12 @@ func (b *siteBook) observe(addr transport.Addr, o outcome, rtt time.Duration) {
 			s.fail = 0
 		}
 		s.score(rtt, false)
-		s.refusing = false
+		s.refusing, s.shedding = false, false
 	case outcomeCatchingUp:
 		s.score(rtt, false)
-		s.refusing = true
+		s.refusing, s.shedding = true, false
 	case outcomeShed:
-		s.refusing = true
+		s.refusing, s.shedding = true, true
 	case outcomeTimedOut, outcomeOverdue:
 		s.score(rtt, true)
 	case outcomeSendFailed:

@@ -87,7 +87,8 @@ func (c *Client) orderedSites(dst []transport.Addr, lt *levelTable, u int) ([]tr
 // orderedLevels appends physical level indices to order in write-attempt
 // order: the paper's uniform rotation stable-sorted by each level's worst
 // member failure bucket, so a level whose 2PC would stall on a known-failing
-// member is tried last. Healthy levels keep the uniform rotation,
+// member is tried last, and one with a shedding member after that: its
+// prepare would be turned away. Healthy levels keep the uniform rotation,
 // preserving the optimal write load. (A level is as available as its least
 // available member — the write quorum needs all of them — so the bucket is
 // the max over members. Latency is deliberately ignored: a uniformly far
@@ -109,7 +110,11 @@ func (c *Client) orderedLevels(lt *levelTable, order []int, pin int) []int {
 	var bucketBuf [maxStackLevels]int8
 	buckets := bucketBuf[:0]
 	for _, u := range order {
-		buckets = append(buckets, c.book.snapshot(lt.addrs[u], 0, nil).fail)
+		lv := c.book.snapshot(lt.addrs[u], 0, nil)
+		if lv.shedding {
+			lv.fail = refusingBucket
+		}
+		buckets = append(buckets, lv.fail)
 	}
 	stableSortByBucket(order, buckets)
 	return order

@@ -585,7 +585,7 @@ func TestCatchingUpRefusalFallsThrough(t *testing.T) {
 	}
 	// Pin site 2 in the catching-up state via an unreachable sync peer.
 	h.replicas[1].Crash()
-	h.replicas[1].RecoverCatchingUp(replica.SyncPlan{
+	h.replicas[1].Recover(replica.SyncPlan{
 		Peers:  [][]transport.Addr{{transport.Addr(9999)}},
 		Config: replica.SyncConfig{CallTimeout: 10 * time.Millisecond},
 	})
@@ -603,5 +603,33 @@ func TestCatchingUpRefusalFallsThrough(t *testing.T) {
 	defer a.release()
 	if err := a.slots[0].err; !errors.Is(err, ErrCatchingUp) {
 		t.Errorf("direct probe err = %v, want ErrCatchingUp", err)
+	}
+}
+
+// TestRefusingMemberSortsItsLevelLast: a member that sheds every prepare
+// blocks its level's write quorum, so once the book has seen it shed,
+// writes stop starting on that level.
+func TestRefusingMemberSortsItsLevelLast(t *testing.T) {
+	h := newMemHarness(t, "1-2-3", WithHedging(false))
+	ctx := context.Background()
+	shedder, sibling := h.replicas[0], h.replicas[1] // sites 1 and 2: level 0
+	shedder.Saturate(true)
+	for i := 0; shedder.Stats().Sheds == 0; i++ {
+		if i == 50 {
+			t.Fatal("50 writes and the saturated member was never asked")
+		}
+		if _, err := h.cli.Write(ctx, fmt.Sprint("warm-", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sibling.Stats().Prepares
+	const writes = 20
+	for i := 0; i < writes; i++ {
+		if _, err := h.cli.Write(ctx, fmt.Sprint("k-", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if started := sibling.Stats().Prepares - before; started != 0 {
+		t.Errorf("%d of %d writes started on the level of a member that refuses prepares, want 0", started, writes)
 	}
 }

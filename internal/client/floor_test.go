@@ -241,7 +241,7 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 	if got := floorOf("k"); got != clean.TS {
 		t.Errorf("floor after a write in doubt = %v, want it left at %v", got, clean.TS)
 	}
-	h.replicas[0].Recover()
+	h.replicas[0].Recover(replica.SyncPlan{})
 
 	txn := h.cli.NewTxn()
 	for _, key := range []string{"a", "b"} {
@@ -262,8 +262,9 @@ func TestFloorRaisedByCleanCommitOnly(t *testing.T) {
 // TestReadRefetchEndToEnd walks the one way a correct table entry ends up
 // above a whole quorum: a member votes yes and crashes on the commit, the
 // client then reads the new version from the member's sibling — that sets
-// the floor — and the member comes back without catch-up and is the only
-// one of its level left to ask. Every level answers below the floor, the
+// the floor — and the member comes back without catching up (an empty
+// plan: it replays its journal and rejoins live) and is the only one of its
+// level left to ask. Every level answers below the floor, the
 // quorum is read again without one, and the client returns the old version:
 // the stale read a client without a table returns here too (the in-doubt
 // write is only partly applied), now counted and labelled on the trace.
@@ -291,7 +292,7 @@ func TestReadRefetchEndToEnd(t *testing.T) {
 	if n := h.cli.Metrics().ReadRefetches; n != 0 {
 		t.Fatalf("%d refetches before anything was stale", n)
 	}
-	member.Recover()
+	member.Recover(replica.SyncPlan{})
 	sibling.Crash()
 
 	rd, err = h.cli.Read(ctx, "k")

@@ -208,7 +208,7 @@ var pinned135 = []string{
 	"be ag cf cf chabcabc bh ag bg be beabcabc ad ad bh ch bdabcabc ah ae bf bd cgdefghdefgh bf be af ch ceabcabc",
 	"bga ae cf cg aedefghdefgh cf af cd ch adabcabc cg bda cd ah cgdefghdefgh cf ah af cf cdabcabc ag bea ce cg ceabcabc bfc cf ah ad cfabcabc",
 	"ad cg af ce cgdefghdefgh bh bd ch ag addefghdefgh bg be cg bf bgdefghdefgh cg cg af bh ceabcabc",
-	"cf ch bh ag cfabcabc ch bd bg ch afabcabc bh aed ch cd agabcabc cg bd bd bg addefghdefghabcabc cf ch bd cd bgdefghdefghabcabc ad bf ad ad cdabcabc",
+	"cf ch bh ag cfabcabc ch bd bg ch afabcabc bh aed ch cd agabcabc cg bd bd bg adabcabc cf ch bd cd bgabcabc ad bf ad ad cdabcabc",
 	"ce cf ae ce ahabcabc bf ae ad ae chabcabc bf bd ce be bfdefghdefgh ah ad cd ag bhdefghdefgh",
 	"a a a a cedefghdefgh ch be ch bh cddefghdefgh be cg bd ch bhdefghdefgh cd ce bg bf cgdefghdefgh bh bd cg cg bedefghdefgh bh cg cf bh",
 	"bgdefghdefgh bh be bh cg cfdefghdefgh bh bg ch cf bfdefghdefgh bd bf bg cf chdefghdefgh bf bg ce cf bgdefghdefgh cg bf cg ce bfdefghdefgh cf cd bh be",

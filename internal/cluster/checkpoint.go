@@ -15,13 +15,13 @@ func snapshotName(site int) string {
 	return fmt.Sprintf("site-%d.snap", site)
 }
 
-// Checkpoint writes every replica's stable storage to dir (one snapshot of
+// Checkpoint writes every replica's store to dir (one snapshot of
 // length-prefixed binary records per site), creating the directory if
 // needed. Each snapshot is written to a temporary file and renamed into
 // place, so a crash mid-checkpoint leaves the previous snapshot intact
 // instead of a truncated one. The snapshots are crash-consistent per
 // replica; a cluster restored from them behaves like one whose replicas all
-// recovered from stable storage.
+// recovered from their journals.
 func (c *Cluster) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cluster: checkpoint: %w", err)

@@ -37,9 +37,9 @@ type Config struct {
 	// LockTTL is the replicas' prepared-transaction lock expiry (zero: 2s).
 	LockTTL time.Duration
 	// WALDir gives every replica a write-ahead journal under the directory
-	// (site-<id>.wal). Existing journals are replayed at startup, so a
-	// cluster restarted on the same directory recovers every committed
-	// write without an explicit checkpoint.
+	// (site-<id>.wal) in place of its in-memory one. Existing journals are
+	// replayed at startup, so a cluster restarted on the same directory
+	// recovers every committed write without an explicit checkpoint.
 	WALDir string
 	// Observer attaches an observability hook to the whole cluster: every
 	// replica, every client created through NewClient, and the cluster
@@ -251,20 +251,23 @@ func (c *Cluster) Crash(site tree.SiteID) error {
 	return nil
 }
 
-// Recover brings a crashed site back with its stable storage.
+// Recover brings the site back the one way there is: a site that is down
+// replays its journal and rejoins catching up from one member of every
+// other physical level; a site that is up runs the catch-up in place (see
+// replica.Recover). AwaitSync waits for the catch-up.
 func (c *Cluster) Recover(site tree.SiteID) error {
 	r, err := c.lookup(site)
 	if err != nil {
 		return err
 	}
-	r.Recover()
+	r.Recover(c.syncPlanFor(site))
 	return nil
 }
 
 // Saturate arms (or, with on=false, disarms) the deterministic overload
 // fault on the site: its admission gate sheds every gated request — reads,
 // version probes, prepares — with a typed overload reply, while phase-two
-// commits and aborts are still served. Recovering the site also disarms it.
+// commits and aborts are still served. A recovery after a crash disarms it.
 func (c *Cluster) Saturate(site tree.SiteID, on bool) error {
 	r, err := c.lookup(site)
 	if err != nil {
@@ -286,8 +289,9 @@ func (c *Cluster) SlowSite(site tree.SiteID, d time.Duration) error {
 }
 
 // Drain gracefully removes the site from service: new gated work is shed,
-// in-flight work and prepared transactions resolve, then the replica goes
-// down (stable storage intact — recovery is the usual path back). It
+// in-flight work and prepared transactions resolve, then the replica
+// crashes (its journal keeps every acknowledged write; Recover brings it
+// back). It
 // returns once the site is quiesced or ctx expires.
 func (c *Cluster) Drain(ctx context.Context, site tree.SiteID) error {
 	r, err := c.lookup(site)
@@ -297,23 +301,12 @@ func (c *Cluster) Drain(ctx context.Context, site tree.SiteID) error {
 	return r.Drain(ctx)
 }
 
-// CrashLevel fail-stops every replica of the u-th physical level (of the
-// current configuration).
-func (c *Cluster) CrashLevel(u int) error {
-	proto := c.Protocol()
-	if u < 0 || u >= proto.NumPhysicalLevels() {
-		return fmt.Errorf("cluster: physical level %d out of range", u)
-	}
-	for _, site := range proto.LevelSites(u) {
-		c.replicas[site].Crash()
-	}
-	return nil
-}
-
-// RecoverAll recovers every crashed replica.
+// RecoverAll recovers every crashed replica (see Recover).
 func (c *Cluster) RecoverAll() {
-	for _, r := range c.replicas {
-		r.Recover()
+	for site, r := range c.replicas {
+		if r.Health() == replica.HealthDown {
+			r.Recover(c.syncPlanFor(site))
+		}
 	}
 }
 

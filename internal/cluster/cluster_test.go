@@ -12,6 +12,16 @@ import (
 	"arbor/internal/tree"
 )
 
+// crashLevel fail-stops every member of the cluster's u-th physical level.
+func crashLevel(t *testing.T, c *Cluster, u int) {
+	t.Helper()
+	for _, site := range c.Protocol().LevelSites(u) {
+		if err := c.Crash(site); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func newCluster(t *testing.T, spec string) *Cluster {
 	t.Helper()
 	return newConfiguredCluster(t, spec, Config{})
@@ -206,9 +216,7 @@ func TestWholeLevelDownBlocksReadsButNotWrites(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CrashLevel(0); err != nil {
-		t.Fatal(err)
-	}
+	crashLevel(t, c, 0)
 	if _, err := cli.Read(ctx, "k"); !errors.Is(err, client.ErrReadUnavailable) {
 		t.Errorf("read err = %v, want ErrReadUnavailable", err)
 	}
@@ -218,6 +226,7 @@ func TestWholeLevelDownBlocksReadsButNotWrites(t *testing.T) {
 	}
 	// Recovery restores service and stable storage.
 	c.RecoverAll()
+	awaitSync(t, c)
 	rd, err := cli.Read(ctx, "k")
 	if err != nil {
 		t.Fatal(err)
@@ -446,9 +455,6 @@ func TestClusterAccessors(t *testing.T) {
 	}
 	if err := c.Recover(99); err == nil {
 		t.Error("Recover(99) accepted")
-	}
-	if err := c.CrashLevel(5); err == nil {
-		t.Error("CrashLevel(5) accepted")
 	}
 	st := c.NetworkStats()
 	if st.Sent != 0 {

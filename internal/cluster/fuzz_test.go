@@ -15,8 +15,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"50ms:crash=1,2;150ms:recoverall",
 		"1s:partition=1,2/3,4;2s:heal",
 		"10ms:recover=3",
-		"10ms:recoversync=3",
-		"50ms:crash=1;120ms:recoverallsync",
+		"10ms:recoverfast=3",
+		"50ms:crash=1;120ms:recoverall+recover=2",
 		"7ms:restart",
 		"10ms:crash=1,2+heal+workload=calm",
 		"1s:recoverall+restart",
@@ -50,8 +50,8 @@ func FuzzParseSchedule(f *testing.F) {
 			if i > 0 && ev.At < sched[i-1].At {
 				t.Fatalf("schedule %q not sorted", input)
 			}
-			if !ev.RecoverAll && !ev.RecoverAllSync && !ev.Heal && !ev.Restart && ev.Workload == "" &&
-				len(ev.Crash) == 0 && len(ev.Recover) == 0 && len(ev.RecoverSync) == 0 && len(ev.Partition) == 0 &&
+			if !ev.RecoverAll && !ev.Heal && !ev.Restart && ev.Workload == "" &&
+				len(ev.Crash) == 0 && len(ev.Recover) == 0 && len(ev.Partition) == 0 &&
 				len(ev.Saturate) == 0 && len(ev.Unsaturate) == 0 && len(ev.SlowSite) == 0 && len(ev.Drain) == 0 {
 				t.Fatalf("schedule %q produced an empty event", input)
 			}

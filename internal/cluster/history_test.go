@@ -92,6 +92,7 @@ func TestConcurrentHistoryUnderCrashes(t *testing.T) {
 		// read quorums available (never crash a whole level).
 		if chaosRng.Intn(10) == 0 {
 			c.RecoverAll()
+			_ = c.AwaitSync(context.Background())
 			// Sites 1-3 form level 0, sites 4-8 level 1 in the 1-3-5 tree;
 			// crashing a single site keeps both levels readable.
 			_ = c.Crash(tree.SiteID(1 + chaosRng.Intn(8)))

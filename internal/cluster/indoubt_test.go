@@ -76,6 +76,7 @@ func TestInFlightWriteFaultWindows(t *testing.T) {
 			}
 
 			c.RecoverAll()
+			awaitSync(t, c)
 			rd, err := cli.Read(ctx, "k")
 			switch {
 			case tc.wantVisible:

@@ -68,6 +68,9 @@ func TestQuickSequentialModelEquivalence(t *testing.T) {
 				}
 			case 1: // recover everyone
 				c.RecoverAll()
+				if err := c.AwaitSync(ctx); err != nil {
+					return false
+				}
 				crashed = make(map[tree.SiteID]bool)
 			default:
 				key := keys[rng.Intn(len(keys))]

@@ -258,11 +258,10 @@ func TestClientMetricsSumToRegistry(t *testing.T) {
 		}
 	}
 	run(30)
-	if err := c.CrashLevel(0); err != nil {
-		t.Fatal(err)
-	}
+	crashLevel(t, c, 0)
 	run(4)
 	c.RecoverAll()
+	awaitSync(t, c)
 
 	var sum client.Metrics
 	for _, cli := range c.Clients() {

@@ -72,6 +72,7 @@ func TestDrainPreservesAckedWrites(t *testing.T) {
 	if err := c.ApplyEvent(context.Background(), Event{Restart: true}); err != nil {
 		t.Fatal(err)
 	}
+	awaitSync(t, c)
 	for i := 0; i < keys; i++ {
 		rd, err := cli.Read(ctx, fmt.Sprintf("k%d", i))
 		if err != nil || string(rd.Value) != fmt.Sprintf("v%d", i) {

@@ -53,7 +53,7 @@ func TestReplicaCountersPinned(t *testing.T) {
 	// A crashed site misses a write and catches up.
 	c.Crash(3)
 	cli.Write(ctx, "b", []byte("missed"))
-	if err := c.RecoverWithSync(3); err != nil {
+	if err := c.Recover(3); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AwaitSync(ctx); err != nil {
@@ -178,7 +178,7 @@ arbor_replica_reply_errors_total{site="1"} 0
 arbor_replica_reply_errors_total{site="2"} 0
 arbor_replica_reply_errors_total{site="3"} 0
 arbor_replica_reply_errors_total{site="4"} 0
-# HELP arbor_replica_journal_errors_total Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.
+# HELP arbor_replica_journal_errors_total Applied writes the write-ahead journal failed to append (kept in memory until the replica crashes, then lost), by site.
 # TYPE arbor_replica_journal_errors_total counter
 arbor_replica_journal_errors_total{site="1"} 0
 arbor_replica_journal_errors_total{site="2"} 0

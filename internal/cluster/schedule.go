@@ -18,31 +18,26 @@ type Event struct {
 	At time.Duration
 	// Crash lists sites to fail-stop.
 	Crash []tree.SiteID
-	// Recover lists sites to bring back instantly (idealized recovery:
-	// immediately live, serving reads with whatever state survived).
+	// Recover lists sites to bring back: a crashed one replays its journal
+	// and catches up, serving 2PC at once but refusing reads until its
+	// catch-up has pulled every version it missed; a live one catches up
+	// in place (Cluster.Recover).
 	Recover []tree.SiteID
-	// RecoverSync lists sites to bring back through the catching-up state:
-	// the replica serves 2PC at once but refuses reads until its
-	// anti-entropy pass has pulled every version it missed.
-	RecoverSync []tree.SiteID
-	// RecoverAll recovers every replica instantly.
+	// RecoverAll recovers every crashed replica.
 	RecoverAll bool
-	// RecoverAllSync recovers every crashed replica through the
-	// catching-up state.
-	RecoverAllSync bool
 	// Partition splits the network into the given site groups.
 	Partition [][]tree.SiteID
 	// Heal removes any partition.
 	Heal bool
-	// Restart power-cycles the whole cluster: every replica fail-stops
-	// (losing volatile lock state) and comes back with its stable storage.
+	// Restart power-cycles the whole cluster: every replica crashes and
+	// recovers from its journal.
 	// Harnesses that own the replica processes (internal/sim) instead tear
 	// the cluster down and rebuild it from the write-ahead journals.
 	Restart bool
 	// Saturate arms the deterministic overload fault on the sites: their
 	// admission gates shed every gated request (reads, version probes,
-	// prepares) with a typed overload reply until unsaturated or recovered.
-	// Phase-two commits and aborts are still served.
+	// prepares) with a typed overload reply until unsaturated, or recovered
+	// after a crash. Phase-two commits and aborts are still served.
 	Saturate []tree.SiteID
 	// Unsaturate disarms the overload fault on the sites.
 	Unsaturate []tree.SiteID
@@ -51,7 +46,7 @@ type Event struct {
 	SlowSite []SiteSlowdown
 	// Drain gracefully removes the sites from service: new gated work is
 	// shed, in-flight work and prepared transactions resolve, then the
-	// replica goes down with its stable storage intact.
+	// replica crashes, its journal intact.
 	Drain []tree.SiteID
 	// Workload marks a workload-phase shift (e.g. "mostly-write"). The
 	// cluster itself takes no action — clients generate the operations —
@@ -95,18 +90,9 @@ func (ev Event) String() string {
 		b.WriteString("recover=")
 		b.WriteString(formatSites(ev.Recover))
 	}
-	if len(ev.RecoverSync) > 0 {
-		sep()
-		b.WriteString("recoversync=")
-		b.WriteString(formatSites(ev.RecoverSync))
-	}
 	if ev.RecoverAll {
 		sep()
 		b.WriteString("recoverall")
-	}
-	if ev.RecoverAllSync {
-		sep()
-		b.WriteString("recoverallsync")
 	}
 	if len(ev.Partition) > 0 {
 		sep()
@@ -187,9 +173,7 @@ func formatSites(sites []tree.SiteID) string {
 //
 //	crash=<site>[,<site>...]
 //	recover=<site>[,<site>...]
-//	recoversync=<site>[,<site>...]
 //	recoverall
-//	recoverallsync
 //	partition=<site>,...[/<site>,...]
 //	heal
 //	restart
@@ -199,8 +183,8 @@ func formatSites(sites []tree.SiteID) string {
 //	drain=<site>[,<site>...]
 //	workload=<name>
 //
-// The sync variants recover through the catching-up state with anti-entropy
-// catch-up; the plain ones are instant (idealized) recovery. saturate arms
+// A recovery replays the site's journal and then catches up from the other
+// levels; recoverall recovers every crashed site. saturate arms
 // the deterministic overload fault (the site sheds all gated work until
 // unsaturate or recover), slowsite injects per-request service delay (a
 // zero duration clears it) and drain gracefully removes sites from service.
@@ -244,14 +228,8 @@ func ParseSchedule(s string) (Schedule, error) {
 				if ev.Recover, err = parseSites(args); err != nil {
 					return nil, err
 				}
-			case "recoversync":
-				if ev.RecoverSync, err = parseSites(args); err != nil {
-					return nil, err
-				}
 			case "recoverall":
 				ev.RecoverAll = true
-			case "recoverallsync":
-				ev.RecoverAllSync = true
 			case "partition":
 				for _, group := range strings.Split(args, "/") {
 					sites, err := parseSites(group)
@@ -287,6 +265,9 @@ func ParseSchedule(s string) (Schedule, error) {
 				}
 				ev.Workload = name
 			default:
+				if strings.HasPrefix(verb, "recover") {
+					return nil, fmt.Errorf("cluster: unknown schedule action %q: a recovery is recover=<sites> or recoverall, and it always catches up", verb)
+				}
 				return nil, fmt.Errorf("cluster: unknown schedule action %q", verb)
 			}
 		}
@@ -358,7 +339,7 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 	if c.sim == nil && (len(ev.Partition) > 0 || ev.Heal) {
 		return errNotSimulated
 	}
-	for _, sites := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.RecoverSync, ev.Saturate, ev.Unsaturate, ev.Drain} {
+	for _, sites := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.Saturate, ev.Unsaturate, ev.Drain} {
 		for _, s := range sites {
 			if _, err := c.lookup(s); err != nil {
 				return err
@@ -380,16 +361,8 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 			return err
 		}
 	}
-	for _, s := range ev.RecoverSync {
-		if err := c.RecoverWithSync(s); err != nil {
-			return err
-		}
-	}
 	if ev.RecoverAll {
 		c.RecoverAll()
-	}
-	if ev.RecoverAllSync {
-		c.RecoverAllWithSync()
 	}
 	if len(ev.Partition) > 0 {
 		if err := c.Partition(ev.Partition...); err != nil {
@@ -402,8 +375,7 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 		}
 	}
 	if ev.Restart {
-		// Power-cycle: every replica fail-stops (volatile lock state is
-		// lost) and immediately recovers with its stable storage.
+		// Power-cycle: every replica crashes and recovers from its journal.
 		for _, r := range c.replicas {
 			r.Crash()
 		}

@@ -81,6 +81,7 @@ func TestApplyEventRestart(t *testing.T) {
 	if c.Replica(tree.SiteID(2)).Crashed() {
 		t.Error("restart left site 2 crashed")
 	}
+	awaitSync(t, c)
 	rd, err := cli.Read(ctx, "k")
 	if err != nil || string(rd.Value) != "v" {
 		t.Errorf("read after restart = %q, %v; want v", rd.Value, err)
@@ -133,8 +134,10 @@ func TestApplyEventOverload(t *testing.T) {
 	if err := c.ApplyEvent(context.Background(), Event{Saturate: []tree.SiteID{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Replica(tree.SiteID(2)).Saturated() {
-		t.Fatal("saturate event did not arm the overload fault")
+	// A write pinned to site 2's level is shed there and falls back.
+	if wr, err := cli.WriteAt(ctx, "k", []byte("v"), 0); err != nil || wr.Level == 0 || c.Replica(2).Stats().Sheds == 0 {
+		t.Fatalf("write pinned to a saturated level landed on level %d (%v) after %d sheds; want a shed and a fallback",
+			wr.Level, err, c.Replica(2).Stats().Sheds)
 	}
 	// The protocol reads around the shedding site.
 	if rd, err := cli.Read(ctx, "k"); err != nil || string(rd.Value) != "v" {
@@ -143,8 +146,8 @@ func TestApplyEventOverload(t *testing.T) {
 	if err := c.ApplyEvent(context.Background(), Event{Unsaturate: []tree.SiteID{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Replica(tree.SiteID(2)).Saturated() {
-		t.Error("unsaturate event did not disarm the overload fault")
+	if wr, err := cli.WriteAt(ctx, "k", []byte("v"), 0); err != nil || wr.Level != 0 {
+		t.Errorf("write pinned to level 0 after unsaturate landed on level %d (%v)", wr.Level, err)
 	}
 	if err := c.ApplyEvent(context.Background(), Event{Drain: []tree.SiteID{3}}); err != nil {
 		t.Fatal(err)
@@ -193,7 +196,6 @@ func TestApplyEventUnknownSite(t *testing.T) {
 	for _, ev := range []Event{
 		{Crash: bad},
 		{Recover: bad},
-		{RecoverSync: bad},
 		{Saturate: bad},
 		{Unsaturate: bad},
 		{SlowSite: []SiteSlowdown{{Site: 99, By: time.Millisecond}}},
@@ -205,12 +207,9 @@ func TestApplyEventUnknownSite(t *testing.T) {
 		}
 	}
 	for _, s := range []tree.SiteID{1, 2} {
-		if h, _ := c.Health(s); h != replica.HealthLive {
+		if h := c.Replica(s).Health(); h != replica.HealthLive {
 			t.Errorf("site %d is %s after a refused event", s, h)
 		}
-	}
-	if _, err := c.Health(99); !errors.Is(err, ErrUnknownSite) {
-		t.Errorf("Health(99) = %v, want ErrUnknownSite", err)
 	}
 }
 
@@ -250,20 +249,18 @@ func TestMultiActionEventRoundTrip(t *testing.T) {
 // checks nothing is dropped on the way back.
 func TestMultiActionEveryAction(t *testing.T) {
 	ev := Event{
-		At:             time.Second,
-		Crash:          []tree.SiteID{1},
-		Recover:        []tree.SiteID{2},
-		RecoverSync:    []tree.SiteID{3},
-		RecoverAll:     true,
-		RecoverAllSync: true,
-		Partition:      [][]tree.SiteID{{4}},
-		Heal:           true,
-		Restart:        true,
-		Saturate:       []tree.SiteID{5},
-		Unsaturate:     []tree.SiteID{6},
-		SlowSite:       []SiteSlowdown{{Site: 7, By: 50 * time.Millisecond}},
-		Drain:          []tree.SiteID{8},
-		Workload:       "storm",
+		At:         time.Second,
+		Crash:      []tree.SiteID{1},
+		Recover:    []tree.SiteID{2},
+		RecoverAll: true,
+		Partition:  [][]tree.SiteID{{4}},
+		Heal:       true,
+		Restart:    true,
+		Saturate:   []tree.SiteID{5},
+		Unsaturate: []tree.SiteID{6},
+		SlowSite:   []SiteSlowdown{{Site: 7, By: 50 * time.Millisecond}},
+		Drain:      []tree.SiteID{8},
+		Workload:   "storm",
 	}
 	sched, err := ParseSchedule(ev.String())
 	if err != nil {

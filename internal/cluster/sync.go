@@ -48,58 +48,28 @@ func (c *Cluster) syncPlanFor(site tree.SiteID) replica.SyncPlan {
 	return plan
 }
 
-// RecoverWithSync brings a crashed site back through the catching-up state:
-// the replica serves 2PC immediately but refuses reads until an anti-entropy
-// pass against one live member of every other physical level has pulled
-// every newer version it missed. Recovery of a site that is not down only
-// (re)starts a sync pass.
-func (c *Cluster) RecoverWithSync(site tree.SiteID) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	plan := c.syncPlanFor(site)
-	if r.Health() == replica.HealthDown {
-		r.RecoverCatchingUp(plan)
-	} else {
-		r.StartSync(plan)
-	}
-	return nil
-}
-
-// RecoverAllWithSync recovers every crashed replica through the
-// catching-up state (see RecoverWithSync).
-func (c *Cluster) RecoverAllWithSync() {
-	for site, r := range c.replicas {
-		if r.Health() == replica.HealthDown {
-			r.RecoverCatchingUp(c.syncPlanFor(site))
-		}
-	}
-}
-
-// SyncAll starts an anti-entropy pass on every replica: crashed replicas
-// recover through the catching-up state, live ones sync in place (closing
-// gaps left by partitions or dropped repair traffic). Use AwaitSync to wait
-// for convergence.
+// SyncAll starts a catch-up on every replica: crashed replicas recover
+// (replay, then catch up), live ones sync in place, closing gaps left by
+// partitions. Use AwaitSync to wait for convergence.
 func (c *Cluster) SyncAll() {
 	for site, r := range c.replicas {
-		if r.Health() == replica.HealthDown {
-			r.RecoverCatchingUp(c.syncPlanFor(site))
-		} else {
-			r.StartSync(c.syncPlanFor(site))
-		}
+		r.Recover(c.syncPlanFor(site))
 	}
 }
 
 // AwaitSync blocks until no replica is catching up or running a sync pass,
-// or the context expires. It polls: sync passes are replica-internal
-// goroutines and completion is observable only through their progress.
+// or the context expires. A sync that cannot progress is blocked, not
+// pending, and AwaitSync does not wait for it: some level of its plan has
+// no member that is up and reachable from the syncing site, so only a
+// recovery or a heal can unblock it. AwaitSync polls: sync passes are
+// replica-internal goroutines and completion is observable only through
+// their progress.
 func (c *Cluster) AwaitSync(ctx context.Context) error {
 	for {
 		settled := true
-		for _, r := range c.replicas {
+		for site, r := range c.replicas {
 			p := r.SyncProgress()
-			if p.Health == replica.HealthCatchingUp || p.Active {
+			if (p.Health == replica.HealthCatchingUp || p.Active) && !c.syncBlocked(site) {
 				settled = false
 				break
 			}
@@ -115,11 +85,21 @@ func (c *Cluster) AwaitSync(ctx context.Context) error {
 	}
 }
 
-// Health reports the site's replica health.
-func (c *Cluster) Health(site tree.SiteID) (replica.Health, error) {
-	r, err := c.lookup(site)
-	if err != nil {
-		return 0, err
+// syncBlocked reports whether some level of site's catch-up plan has no
+// member that is up and in site's partition group.
+func (c *Cluster) syncBlocked(site tree.SiteID) bool {
+	for _, peers := range c.syncPlanFor(site).Peers {
+		open := false
+		for _, p := range peers {
+			r := c.replicas[tree.SiteID(p)]
+			if r != nil && r.Health() != replica.HealthDown && (c.sim == nil || c.sim.Reachable(transport.Addr(site), p)) {
+				open = true
+				break
+			}
+		}
+		if !open {
+			return true
+		}
 	}
-	return r.Health(), nil
+	return false
 }

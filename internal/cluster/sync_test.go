@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,10 +23,10 @@ func awaitSync(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestRecoverWithSyncCatchesUp: a site that slept through a series of
-// writes comes back through the catching-up state and ends live with every
-// missed version installed.
-func TestRecoverWithSyncCatchesUp(t *testing.T) {
+// TestRecoverCatchesUp: a site that slept through a series of writes comes
+// back through the catching-up state and ends live with every missed
+// version installed.
+func TestRecoverCatchesUp(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	cli := newClient(t, c)
 	ctx := context.Background()
@@ -50,12 +51,12 @@ func TestRecoverWithSyncCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.RecoverWithSync(1); err != nil {
+	if err := c.Recover(1); err != nil {
 		t.Fatal(err)
 	}
 	awaitSync(t, c)
 
-	if h, _ := c.Health(1); h != replica.HealthLive {
+	if h := c.Replica(1).Health(); h != replica.HealthLive {
 		t.Fatalf("health after sync = %v, want live", h)
 	}
 	_, ts, found := c.Replica(1).Store().Get("k")
@@ -68,32 +69,6 @@ func TestRecoverWithSyncCatchesUp(t *testing.T) {
 	rd, err := cli.Read(ctx, "k")
 	if err != nil || string(rd.Value) != "v6" {
 		t.Errorf("read after sync = %q, %v; want v6", rd.Value, err)
-	}
-}
-
-// TestInstantRecoveryLeavesGap guards the premise of the anti-entropy
-// experiment: legacy instant recovery brings the site back live without the
-// versions it slept through.
-func TestInstantRecoveryLeavesGap(t *testing.T) {
-	c := newCluster(t, "1-3-5")
-	cli := newClient(t, c)
-	ctx := context.Background()
-
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
-	wr, err := cli.Write(ctx, "k", []byte("v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Recover(1); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := c.Health(1); h != replica.HealthLive {
-		t.Fatalf("health after instant recovery = %v, want live", h)
-	}
-	if _, ts, found := c.Replica(1).Store().Get("k"); found && ts == wr.TS {
-		t.Error("instant recovery unexpectedly produced the missed write")
 	}
 }
 
@@ -121,7 +96,7 @@ func TestReadsSucceedWhileCatchingUp(t *testing.T) {
 		Peers:  [][]transport.Addr{{transport.Addr(9999)}},
 		Config: replica.SyncConfig{CallTimeout: 20 * time.Millisecond},
 	}
-	r.RecoverCatchingUp(stuck)
+	r.Recover(stuck)
 	if h := r.Health(); h != replica.HealthCatchingUp {
 		t.Fatalf("health = %v, want catching-up", h)
 	}
@@ -137,64 +112,134 @@ func TestReadsSucceedWhileCatchingUp(t *testing.T) {
 	if h := r.Health(); h != replica.HealthCatchingUp {
 		t.Fatalf("health drifted to %v mid-test", h)
 	}
-	// Point it at the real peers (Crash aborts the stuck pass, cursors
-	// survive) and let it finish.
+	// Point it at the real peers (Crash aborts the stuck pass) and let it
+	// finish.
 	r.Crash()
-	r.RecoverCatchingUp(c.syncPlanFor(2))
+	r.Recover(c.syncPlanFor(2))
 	awaitSync(t, c)
-	if h, _ := c.Health(2); h != replica.HealthLive {
+	if h := r.Health(); h != replica.HealthLive {
 		t.Fatalf("health = %v, want live after sync", h)
 	}
 }
 
 // TestSyncAllClosesPartitionGaps: SyncAll also repairs live replicas that
-// missed commits (e.g. behind a healed partition), restoring the full
-// durability margin without any crash involved.
+// missed commits behind a healed partition, restoring the full durability
+// margin without any crash involved.
 func TestSyncAllClosesPartitionGaps(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	cli := newClient(t, c)
 	ctx := context.Background()
 
-	if err := c.Crash(1); err != nil {
+	if err := c.Partition([]tree.SiteID{1}); err != nil {
 		t.Fatal(err)
 	}
 	wr, err := cli.Write(ctx, "k", []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Recover(1); err != nil { // instant: live but stale
+	if err := c.Heal(); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, found := c.Replica(1).Store().Get("k"); found {
+		t.Fatal("site 1 has k although it was partitioned away from the write")
 	}
 	c.SyncAll()
 	awaitSync(t, c)
-	for _, site := range []tree.SiteID{1} {
-		if _, ts, found := c.Replica(site).Store().Get("k"); !found || ts != wr.TS {
-			t.Errorf("site %d has k at %v (found=%v), want %v", site, ts, found, wr.TS)
-		}
+	if _, ts, found := c.Replica(1).Store().Get("k"); !found || ts != wr.TS {
+		t.Errorf("site 1 has k at %v (found=%v), want %v", ts, found, wr.TS)
 	}
 }
 
-// TestScheduleRecoverSyncVerbs drives the sync verbs through the schedule
-// machinery end to end.
+// TestScheduleRecoverSyncVerbs drives recovery through the schedule
+// machinery end to end, and holds the refusal of the sync verbs that went
+// when every recovery began to catch up.
 func TestScheduleRecoverSyncVerbs(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	cli := newClient(t, c)
 	ctx := context.Background()
 
-	sched, err := ParseSchedule("0ms:crash=1;0ms:recoversync=1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range sched {
-		if err := c.ApplyEvent(context.Background(), ev); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	wr, err := cli.Write(ctx, "k", []byte("v2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := ParseSchedule("0ms:recover=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyEvent(context.Background(), sched[0]); err != nil {
+		t.Fatal(err)
 	}
 	awaitSync(t, c)
-	if h, _ := c.Health(1); h != replica.HealthLive {
+	if h := c.Replica(1).Health(); h != replica.HealthLive {
 		t.Fatalf("health = %v, want live", h)
+	}
+	if _, ts, _ := c.Replica(1).Store().Get("k"); ts != wr.TS {
+		t.Errorf("recovered site 1 has k at %v, want the write it missed, %v", ts, wr.TS)
+	}
+	for _, suffix := range []string{"sync=1", "allsync"} {
+		_, err := ParseSchedule("0ms:recover" + suffix)
+		if err == nil || !strings.Contains(err.Error(), "recover=<sites> or recoverall") {
+			t.Errorf("recover%s: err = %v, want a refusal that names recover= and recoverall", suffix, err)
+		}
+	}
+}
+
+// TestAwaitSyncSkipsBlockedCatchUp: a catch-up whose plan has a level with
+// no member that is up and reachable cannot progress, so AwaitSync returns
+// at once instead of charging the wait to the protocol; a heal or a
+// recovery unblocks it, and AwaitSync then waits for it.
+func TestAwaitSyncSkipsBlockedCatchUp(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		block   func(c *Cluster) error
+		unblock func(c *Cluster) error
+	}{
+		{"partitioned alone",
+			func(c *Cluster) error { return c.Partition([]tree.SiteID{1}) },
+			func(c *Cluster) error { return c.Heal() }},
+		{"other level down",
+			func(c *Cluster) error {
+				for _, s := range []tree.SiteID{4, 5, 6, 7, 8} {
+					if err := c.Crash(s); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			func(c *Cluster) error { c.RecoverAll(); return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, "1-3-5") // physical levels {1,2,3} and {4,...,8}
+			if err := c.Crash(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.block(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Recover(1); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			if err := c.AwaitSync(ctx); err != nil {
+				t.Fatalf("AwaitSync waited on a blocked catch-up: %v", err)
+			}
+			if h := c.Replica(1).Health(); h != replica.HealthCatchingUp {
+				t.Fatalf("site 1 health = %v while blocked, want catching-up", h)
+			}
+			if err := tc.unblock(c); err != nil {
+				t.Fatal(err)
+			}
+			awaitSync(t, c)
+			if h := c.Replica(1).Health(); h != replica.HealthLive {
+				t.Errorf("site 1 health = %v after the unblock, want live", h)
+			}
+		})
 	}
 }

@@ -105,6 +105,7 @@ func TestEmpiricalAvailabilityMatchesTheory(t *testing.T) {
 			t.Fatalf("unexpected write error: %v", err)
 		}
 		c.RecoverAll()
+		awaitSync(t, c)
 	}
 
 	a := core.Analyze(c.Tree())

@@ -163,9 +163,6 @@ func (r *Replica) Saturate(on bool) {
 	r.saturated.Store(on)
 }
 
-// Saturated reports whether the deterministic overload fault is armed.
-func (r *Replica) Saturated() bool { return r.saturated.Load() }
-
 // SlowBy injects d of extra service time into every gated request (zero
 // clears it) — the sim's slowsite= fault, a brownout rather than a refusal.
 // A slowed request holds its slot for the delay; commits are never slowed.
@@ -173,15 +170,11 @@ func (r *Replica) SlowBy(d time.Duration) {
 	r.slowBy.Store(int64(d))
 }
 
-// Draining reports whether a drain is in progress or complete.
-func (r *Replica) Draining() bool { return r.draining.Load() }
-
 // Drain gracefully removes the replica from service: new gated work (reads,
 // version probes, prepares) is shed immediately, in-flight work and every
-// prepared transaction are allowed to resolve, and the replica then leaves
-// the admission path by going HealthDown — the same lifecycle state a crash
-// produces, so recovery (instant or catch-up) is the existing path back.
-// Stable storage is untouched: every acknowledged write survives.
+// prepared transaction are allowed to resolve, and the replica then stops
+// the one way a replica stops, by Crash, so Recover is the way back. Every
+// acknowledged write is in the journal and survives.
 //
 // Drain returns once the replica is quiesced, or with ctx's error if the
 // deadline expires first (the replica stays draining either way; prepared
@@ -193,7 +186,7 @@ func (r *Replica) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		if r.gate.inflight.Load() == 0 && !r.store.locked(time.Now()) {
-			r.health.Store(int32(HealthDown))
+			r.Crash()
 			return nil
 		}
 		select {

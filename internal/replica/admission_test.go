@@ -131,15 +131,15 @@ func TestDrainQuiescesAndGoesDown(t *testing.T) {
 	if err := h.rep.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !h.rep.Draining() {
-		t.Error("Draining() = false after Drain")
+	if !h.rep.draining.Load() {
+		t.Error("draining = false after Drain")
 	}
 	if got := h.rep.Health(); got != HealthDown {
 		t.Errorf("health after drain = %v, want HealthDown", got)
 	}
 	h.expectSilence(t, ReadReq{ReqID: 1, Key: "k"})
 
-	h.rep.Recover()
+	h.rep.Recover(SyncPlan{})
 	read := h.call(t, ReadReq{ReqID: 2, Key: "k"})
 	if _, ok := read.(ReadResp); !ok {
 		t.Fatalf("post-recover read reply = %T, want ReadResp", read)

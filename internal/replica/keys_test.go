@@ -167,7 +167,7 @@ func TestTCPSyncStoresOwnKeys(t *testing.T) {
 		source.Store().Apply(k, []byte(k), Timestamp{Version: 1, Site: -1})
 	}
 	rec.Crash()
-	rec.RecoverCatchingUp(SyncPlan{
+	rec.Recover(SyncPlan{
 		Peers:  [][]transport.Addr{{1}},
 		Config: SyncConfig{BatchSize: 3, CallTimeout: time.Second},
 	})

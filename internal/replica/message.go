@@ -1,9 +1,10 @@
 // Package replica implements a replica site of the simulated distributed
 // system: a versioned key-value store addressed over the transport network,
 // acting as a read/version server and as a two-phase-commit participant for
-// quorum writes. Sites are fail-stop with stable storage: a crash drops all
-// traffic and volatile lock state, while committed data survives recovery
-// (the paper's transient, detectable failures).
+// quorum writes. Sites are fail-stop with stable storage, the journal: a
+// crash drops all traffic and every byte of memory, and recovery replays
+// the journal and then catches up from the other levels (the paper's
+// transient, detectable failures).
 package replica
 
 import "arbor/internal/wire"

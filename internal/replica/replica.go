@@ -64,8 +64,6 @@ type Replica struct {
 	syncDone    chan struct{} // closes when the syncer goroutine exits; nil if none
 	syncPending map[uint64]chan any
 	syncReqID   atomic.Uint64
-	syncCursors map[int]string // per-source-level resume point (next StartAfter)
-	syncHook    func(level int, cursor string)
 
 	syncActive atomic.Bool
 
@@ -175,7 +173,7 @@ func (r *Replica) instrument(reg *obs.Registry) {
 	r.instr.replyErrors = bySite("arbor_replica_reply_errors_total",
 		"Replies the transport refused to send (requester's connection broken or endpoint closed), by site.")
 	r.store.journalErrors = bySite("arbor_replica_journal_errors_total",
-		"Applied writes the write-ahead journal failed to append (kept in memory, lost by a process crash), by site.")
+		"Applied writes the write-ahead journal failed to append (kept in memory until the replica crashes, then lost), by site.")
 }
 
 // Option configures a Replica.
@@ -215,6 +213,7 @@ func (o observerOption) apply(r *Replica) {
 func WithObserver(reg *obs.Registry) Option { return observerOption{reg: reg} }
 
 // New creates a replica for the given site ID, attached to the endpoint.
+// It journals to memory until Store().AttachJournal gives it a file.
 func New(site int, ep transport.Conn, opts ...Option) *Replica {
 	r := &Replica{
 		site:   site,
@@ -222,6 +221,7 @@ func New(site int, ep transport.Conn, opts ...Option) *Replica {
 		store:  NewStore(),
 		shedBy: make(map[string]*obs.Counter),
 	}
+	r.store.journal = &WAL{f: new(memFile)}
 	r.instrument(nil)
 	for _, opt := range opts {
 		opt.apply(r)
@@ -233,8 +233,8 @@ func New(site int, ep transport.Conn, opts ...Option) *Replica {
 // Site returns the replica's site ID.
 func (r *Replica) Site() int { return r.site }
 
-// Store exposes the replica's stable storage (used by tests and by the
-// cluster to inspect state).
+// Store exposes the replica's store (used by tests and by the cluster to
+// inspect state).
 func (r *Replica) Store() *Store { return r.store }
 
 // Start begins serving the endpoint's messages.
@@ -285,29 +285,40 @@ func (r *Replica) shouldFail(tag wire.Tag) bool {
 	return hit && r.failpoint.CompareAndSwap(int32(fp), int32(FailNone))
 }
 
-// Crash makes the replica fail-stop: all incoming messages are ignored and
-// volatile lock state is discarded. Stable storage is retained, and so are
-// the anti-entropy cursors — a crash mid-catch-up resumes where it left off
-// on the next RecoverCatchingUp.
+// Crash makes the replica fail-stop: it ignores every message and loses
+// everything but its journal — the store's contents, the prepare locks and
+// any catch-up in progress. Recover is the one way back.
 func (r *Replica) Crash() {
 	r.health.Store(int32(HealthDown))
 	r.abortSync()
-	r.store.dropLocks()
+	r.store.reset()
 }
 
-// Recover brings a crashed replica back instantly, with its stable storage
-// intact but without reconciling state it missed while down (the paper's
-// idealized model). RecoverCatchingUp is the anti-entropy path. Recovery
-// restores full admission: any saturate/slowsite fault or drain state is
-// cleared.
-func (r *Replica) Recover() {
-	r.abortSync()
+// Recover brings a replica back. One that is down has its overload faults
+// and drain cleared and its store rebuilt from the journal, and rejoins
+// catching up: it serves two-phase commit at once but refuses reads until a
+// catch-up pass over plan has pulled every version it missed. With an
+// empty plan (a single-level tree: no write can have committed without
+// this site) it rejoins live. On a replica that is up, Recover starts a
+// catch-up pass in place, and the replica stays as it is meanwhile.
+func (r *Replica) Recover(plan SyncPlan) {
+	if r.Health() != HealthDown {
+		r.startSync(plan)
+		return
+	}
 	r.clearOverload()
-	r.health.Store(int32(HealthLive))
+	// A journal that cannot be read back leaves the store to the catch-up.
+	_ = r.store.reload()
+	if len(plan.Peers) == 0 {
+		r.health.Store(int32(HealthLive))
+		return
+	}
+	r.health.Store(int32(HealthCatchingUp))
+	r.startSync(plan)
 }
 
-// clearOverload resets the overload faults and drain state; every recovery
-// path calls it so a recovered replica admits work again.
+// clearOverload resets the overload faults and drain state, so a recovered
+// replica admits work again.
 func (r *Replica) clearOverload() {
 	r.saturated.Store(false)
 	r.draining.Store(false)

@@ -247,7 +247,7 @@ func TestLockExpiry(t *testing.T) {
 		}
 		if tc.crash {
 			h.rep.Crash()
-			h.rep.Recover()
+			h.rep.Recover(SyncPlan{})
 		}
 		req := PrepareReq{TxID: tc.txID, Key: tc.name, TS: Timestamp{Version: 1, Site: -int(tc.txID)}}
 		ok, reason := s.prepare(&req, false, t0.Add(tc.at))
@@ -265,7 +265,7 @@ func TestCrashSilenceAndRecovery(t *testing.T) {
 		t.Error("Crashed() = false after Crash")
 	}
 	h.expectSilence(t, ReadReq{ReqID: 1, Key: "k"})
-	h.rep.Recover()
+	h.rep.Recover(SyncPlan{})
 	if h.rep.Crashed() {
 		t.Error("Crashed() = true after Recover")
 	}
@@ -283,7 +283,7 @@ func TestCrashDropsLocks(t *testing.T) {
 		t.Fatal("prepare refused")
 	}
 	h.rep.Crash()
-	h.rep.Recover()
+	h.rep.Recover(SyncPlan{})
 	// Volatile lock state is gone: a new transaction can prepare.
 	if pr := h.call(t, PrepareReq{ReqID: 2, TxID: 11, Key: "k", TS: Timestamp{Version: 1, Site: -2}}).(PrepareResp); !pr.OK {
 		t.Errorf("prepare after crash refused: %s", pr.Reason)

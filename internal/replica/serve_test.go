@@ -348,7 +348,7 @@ func TestStopUnderLoad(t *testing.T) {
 	}
 	revive := func() {
 		phase.Add(1) // phaseRecovering: a request sent now may find the replica still down
-		r.Recover()
+		r.Recover(SyncPlan{})
 		phase.Add(1) // phaseLive
 	}
 	for cycle := 0; cycle < 3; cycle++ {

@@ -15,9 +15,10 @@ type entry struct {
 	ts    Timestamp
 }
 
-// Store is the replica's stable storage: a timestamped key-value map.
-// Writes only apply if their timestamp is newer than the stored one, making
-// commit application idempotent and reordering-safe. A stored value is
+// Store is the replica's volatile state: a timestamped key-value map, lost
+// by a crash and rebuilt from the journal (the replica's stable storage) on
+// recovery. Writes only apply if their timestamp is newer than the stored
+// one, making commit application idempotent and reordering-safe. A stored value is
 // immutable: Apply keeps the slice it is given and Get hands that slice out,
 // so neither caller may write to it; a newer Apply replaces the slice.
 //
@@ -171,11 +172,37 @@ func (s *Store) release(key string, txID uint64) (filed string, held bool) {
 	return l.key, held
 }
 
-// dropLocks discards every prepare lock, the volatile state a crash loses.
-func (s *Store) dropLocks() {
+// reset discards the store's contents and every prepare lock: what a crash
+// loses. The journal stays attached.
+func (s *Store) reset() {
 	s.mu.Lock()
+	clear(s.data)
 	clear(s.locks)
 	s.mu.Unlock()
+}
+
+// load installs a replayed record if it is newer than what is stored,
+// without journaling it again.
+func (s *Store) load(key string, value []byte, ts Timestamp) {
+	s.mu.Lock()
+	if e, ok := s.data[key]; !ok || ts.After(e.ts) {
+		s.data[key] = entry{value: value, ts: ts}
+	}
+	s.mu.Unlock()
+}
+
+// reload rebuilds the store from its journal after a crash: reset, then
+// replay.
+func (s *Store) reload() error {
+	s.reset()
+	s.mu.Lock()
+	journal := s.journal
+	s.mu.Unlock()
+	if journal == nil {
+		return nil
+	}
+	_, err := journal.replayInto(s)
+	return err
 }
 
 // locked reports whether any prepare lock is live at now.
@@ -192,9 +219,9 @@ func (s *Store) locked(now time.Time) bool {
 
 // DigestPage returns up to limit key/timestamp pairs in ascending key
 // order, starting strictly after the given key; more reports whether
-// further keys remain. It is the server side of anti-entropy catch-up:
-// stable pagination lets a recovering peer resume mid-digest after its own
-// repeated crashes. The full key set is sorted per page — fine at the
+// further keys remain. It is the server side of anti-entropy catch-up,
+// which walks a source's keys one page at a time. The full key set is
+// sorted per page — fine at the
 // simulated scale; a production store would keep an ordered index.
 func (s *Store) DigestPage(after string, limit int) (entries []DigestEntry, more bool) {
 	if limit <= 0 {

@@ -19,11 +19,9 @@ import (
 // The syncer pages through each source's key/timestamp digest in key order,
 // fetches exactly the keys whose source timestamp beats the local one, and
 // applies them through the normal store path (so pulled values hit the
-// write-ahead journal and survive further crashes). Per-level cursors are
-// kept across crashes: a replica that dies mid-catch-up resumes where it
-// stopped, finishes the interrupted pass, and then runs one fresh full pass
-// — keys already paged past may have taken newer writes during the second
-// outage, so cursor-resume alone would not converge.
+// write-ahead journal and survive further crashes). A crash aborts the pass
+// and keeps nothing of it; the next recovery starts a fresh full pass, which
+// is always correct.
 
 // SyncConfig bounds one anti-entropy catch-up.
 type SyncConfig struct {
@@ -79,27 +77,10 @@ var (
 	errSyncBadReply = errors.New("replica: unexpected sync reply type")
 )
 
-// RecoverCatchingUp brings a crashed replica back through the anti-entropy
-// path: it enters the catching-up state — serving 2PC participation but
-// refusing read/version probes — and promotes itself to live only once a
-// full catch-up pass converges. With an empty plan (single-level tree:
-// there is nowhere state could have gone without this site) it degenerates
-// to instant Recover. On an already-live replica it starts a background
-// reconciliation pass without leaving the live state.
-func (r *Replica) RecoverCatchingUp(plan SyncPlan) {
-	if len(plan.Peers) == 0 {
-		r.Recover()
-		return
-	}
-	r.clearOverload()
-	r.health.CompareAndSwap(int32(HealthDown), int32(HealthCatchingUp))
-	r.StartSync(plan)
-}
-
-// StartSync launches an anti-entropy pass in the background; it reports
-// false if one is already running. Completion promotes a catching-up
-// replica to live; a live replica stays live throughout.
-func (r *Replica) StartSync(plan SyncPlan) bool {
+// startSync launches an anti-entropy pass in the background unless one is
+// already running. Completion promotes a catching-up replica to live; a
+// live replica stays live throughout.
+func (r *Replica) startSync(plan SyncPlan) {
 	r.syncMu.Lock()
 	if r.syncDone != nil {
 		select {
@@ -107,7 +88,7 @@ func (r *Replica) StartSync(plan SyncPlan) bool {
 			// previous syncer already exited; start a new one
 		default:
 			r.syncMu.Unlock()
-			return false
+			return
 		}
 	}
 	stop := make(chan struct{})
@@ -116,7 +97,6 @@ func (r *Replica) StartSync(plan SyncPlan) bool {
 	r.syncMu.Unlock()
 	r.syncActive.Store(true)
 	go r.runSync(plan, stop, done)
-	return true
 }
 
 // SyncProgress returns the syncer's lifecycle state and counters.
@@ -132,7 +112,6 @@ func (r *Replica) SyncProgress() SyncProgress {
 }
 
 // abortSync stops a running syncer (if any) and waits for it to exit.
-// Cursors are left in place so the next recovery resumes.
 func (r *Replica) abortSync() {
 	r.syncMu.Lock()
 	stop, done := r.syncStop, r.syncDone
@@ -150,28 +129,17 @@ func (r *Replica) abortSync() {
 	}
 }
 
-// runSync is the syncer goroutine: one (possibly resumed) pass over every
-// source level, plus a fresh full pass if the first was a resume.
+// runSync is the syncer goroutine: one full pass over every source level.
 func (r *Replica) runSync(plan SyncPlan, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	defer r.syncActive.Store(false)
 	cfg := plan.Config.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	passes := 1
-	if r.hasCursors() {
-		passes = 2
-	}
-	for p := 0; p < passes; p++ {
-		if p > 0 {
-			r.resetCursors()
-		}
-		for li, peers := range plan.Peers {
-			if err := r.syncLevel(li, peers, cfg, rng, stop); err != nil {
-				return // aborted; cursors persist for the next resume
-			}
+	for _, peers := range plan.Peers {
+		if err := r.syncLevel(peers, cfg, rng, stop); err != nil {
+			return // aborted
 		}
 	}
-	r.resetCursors()
 	r.instr.syncCompletions.Inc()
 	r.health.CompareAndSwap(int32(HealthCatchingUp), int32(HealthLive))
 }
@@ -179,15 +147,16 @@ func (r *Replica) runSync(plan SyncPlan, stop <-chan struct{}, done chan<- struc
 // syncLevel pulls digest pages from one source level until its digest is
 // exhausted, backing off (jittered, doubling) whenever every candidate
 // source fails in a round.
-func (r *Replica) syncLevel(li int, peers []transport.Addr, cfg SyncConfig, rng *rand.Rand, stop <-chan struct{}) error {
+func (r *Replica) syncLevel(peers []transport.Addr, cfg SyncConfig, rng *rand.Rand, stop <-chan struct{}) error {
 	backoff := cfg.RetryBase
+	cursor := ""
 	for {
 		select {
 		case <-stop:
 			return errSyncAborted
 		default:
 		}
-		done, err := r.syncPage(li, peers, cfg, stop)
+		next, done, err := r.syncPage(peers, cursor, cfg, stop)
 		if errors.Is(err, errSyncAborted) {
 			return err
 		}
@@ -202,39 +171,38 @@ func (r *Replica) syncLevel(li int, peers []transport.Addr, cfg SyncConfig, rng 
 		}
 		backoff = cfg.RetryBase
 		if done {
-			r.clearCursor(li)
 			return nil
 		}
+		cursor = next
 	}
 }
 
-// syncPage tries one digest+fetch round at the level's cursor against each
-// candidate source in turn; done reports the level's digest is exhausted.
-func (r *Replica) syncPage(li int, peers []transport.Addr, cfg SyncConfig, stop <-chan struct{}) (done bool, err error) {
-	cursor := r.cursor(li)
+// syncPage tries one digest+fetch round after cursor against each candidate
+// source in turn. It returns the cursor for the next page; done reports the
+// level's digest is exhausted.
+func (r *Replica) syncPage(peers []transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (next string, done bool, err error) {
 	err = errSyncTimeout // reported when peers is empty
 	for _, peer := range peers {
-		var pageDone bool
-		pageDone, err = r.syncPageFrom(li, peer, cursor, cfg, stop)
+		next, done, err = r.syncPageFrom(peer, cursor, cfg, stop)
 		if err == nil || errors.Is(err, errSyncAborted) {
-			return pageDone, err
+			return next, done, err
 		}
 	}
-	return false, err
+	return cursor, false, err
 }
 
 // syncPageFrom pulls one page from a single source: digest the keys after
 // cursor, fetch the ones whose source timestamp beats ours, apply them.
 // The fetch goes to the same peer that served the digest so the fetched
 // timestamps can only be newer than the digested ones.
-func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (bool, error) {
+func (r *Replica) syncPageFrom(peer transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (string, bool, error) {
 	resp, err := r.syncCall(peer, cfg.CallTimeout, stop, SyncDigestReq{StartAfter: cursor, Limit: cfg.BatchSize})
 	if err != nil {
-		return false, err
+		return cursor, false, err
 	}
 	dig, ok := resp.(SyncDigestResp)
 	if !ok {
-		return false, errSyncBadReply
+		return cursor, false, errSyncBadReply
 	}
 	need := make([]string, 0, len(dig.Entries))
 	for _, e := range dig.Entries {
@@ -246,11 +214,11 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 	if len(need) > 0 {
 		resp, err := r.syncCall(peer, cfg.CallTimeout, stop, SyncFetchReq{Keys: need})
 		if err != nil {
-			return false, err
+			return cursor, false, err
 		}
 		fetch, ok := resp.(SyncFetchResp)
 		if !ok {
-			return false, errSyncBadReply
+			return cursor, false, errSyncBadReply
 		}
 		for _, it := range fetch.Items {
 			if !it.Found {
@@ -263,10 +231,9 @@ func (r *Replica) syncPageFrom(li int, peer transport.Addr, cursor string, cfg S
 	}
 	r.instr.syncBatches.Inc()
 	if n := len(dig.Entries); n > 0 {
-		r.setCursor(li, dig.Entries[n-1].Key)
+		cursor = dig.Entries[n-1].Key
 	}
-	r.notifySyncHook(li)
-	return !dig.More, nil
+	return cursor, !dig.More, nil
 }
 
 // syncCall sends one sync request, stamped with a fresh ReqID, and waits for
@@ -312,56 +279,6 @@ func (r *Replica) deliverSyncReply(reqID uint64, payload any) {
 		case ch <- payload:
 		default:
 		}
-	}
-}
-
-func (r *Replica) cursor(li int) string {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	return r.syncCursors[li]
-}
-
-func (r *Replica) setCursor(li int, key string) {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	if r.syncCursors == nil {
-		r.syncCursors = make(map[int]string)
-	}
-	r.syncCursors[li] = key
-}
-
-func (r *Replica) clearCursor(li int) {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	delete(r.syncCursors, li)
-}
-
-func (r *Replica) hasCursors() bool {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	return len(r.syncCursors) > 0
-}
-
-func (r *Replica) resetCursors() {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	r.syncCursors = nil
-}
-
-// setSyncHook installs a test-only callback invoked after every applied
-// page with the level index and its new cursor.
-func (r *Replica) setSyncHook(fn func(level int, cursor string)) {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	r.syncHook = fn
-}
-
-func (r *Replica) notifySyncHook(li int) {
-	r.syncMu.Lock()
-	fn, cur := r.syncHook, r.syncCursors[li]
-	r.syncMu.Unlock()
-	if fn != nil {
-		fn(li, cur)
 	}
 }
 

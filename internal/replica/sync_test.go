@@ -73,7 +73,7 @@ func TestCatchingUpServes(t *testing.T) {
 			h.rep.Crash()
 			// A plan against an unregistered address pins the replica in
 			// the catching-up state for the duration of the test.
-			h.rep.RecoverCatchingUp(SyncPlan{
+			h.rep.Recover(SyncPlan{
 				Peers:  [][]transport.Addr{{transport.Addr(9999)}},
 				Config: SyncConfig{CallTimeout: 10 * time.Millisecond},
 			})
@@ -102,7 +102,7 @@ func TestHealthString(t *testing.T) {
 func TestCatchingUpRefusalsCounted(t *testing.T) {
 	h := newHarness(t)
 	h.rep.Crash()
-	h.rep.RecoverCatchingUp(SyncPlan{
+	h.rep.Recover(SyncPlan{
 		Peers:  [][]transport.Addr{{transport.Addr(9999)}},
 		Config: SyncConfig{CallTimeout: 10 * time.Millisecond},
 	})
@@ -176,7 +176,7 @@ func TestSyncPullsNewerVersionsOnly(t *testing.T) {
 	p.rec.Store().Apply("local-only", []byte("mine"), Timestamp{Version: 1, Site: -2})
 
 	p.rec.Crash()
-	p.rec.RecoverCatchingUp(SyncPlan{
+	p.rec.Recover(SyncPlan{
 		Peers:  [][]transport.Addr{{1}},
 		Config: SyncConfig{BatchSize: 3, CallTimeout: 100 * time.Millisecond},
 	})
@@ -203,9 +203,9 @@ func TestSyncPullsNewerVersionsOnly(t *testing.T) {
 	}
 }
 
-// TestSyncResumesAfterCrash: a replica that dies mid-catch-up keeps its
-// per-level cursors, resumes from them on the next recovery, and does not
-// re-pull the keys it already applied.
+// TestSyncResumesAfterCrash: a replica that crashes mid-catch-up keeps
+// nothing of the pass; the next recovery runs a fresh full pass and
+// converges.
 func TestSyncResumesAfterCrash(t *testing.T) {
 	p := newSyncPair(t)
 	const total = 9
@@ -213,50 +213,25 @@ func TestSyncResumesAfterCrash(t *testing.T) {
 		key := fmt.Sprintf("k%02d", i)
 		p.source.Store().Apply(key, []byte("v"), Timestamp{Version: 1, Site: -1})
 	}
-	p.rec.Crash()
-
-	// Block the syncer after its first applied page so the crash lands at
-	// a deterministic point (cursor set, 3 of 9 keys pulled).
-	firstPage := make(chan string, 1)
-	proceed := make(chan struct{})
-	pages := 0
-	p.rec.setSyncHook(func(level int, cursor string) {
-		pages++
-		if pages == 1 {
-			firstPage <- cursor
-			select {
-			case <-proceed:
-			case <-time.After(5 * time.Second):
-			}
-		}
-	})
 	plan := SyncPlan{
 		Peers:  [][]transport.Addr{{1}},
-		Config: SyncConfig{BatchSize: 3, CallTimeout: 100 * time.Millisecond, RetryBase: 5 * time.Millisecond},
+		Config: SyncConfig{BatchSize: 3, CallTimeout: 10 * time.Millisecond, RetryBase: 5 * time.Millisecond},
 	}
-	p.rec.RecoverCatchingUp(plan)
-	var cursor string
-	select {
-	case cursor = <-firstPage:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first page never completed")
-	}
-	if cursor != "k02" {
-		t.Fatalf("cursor after first page = %q, want k02", cursor)
-	}
-	// Fail the source before releasing the syncer: page 2 can only time
-	// out, so the crash below interrupts the pass at exactly one applied
-	// page no matter how the goroutines interleave.
+	// With its source down the pass can only retry; the crash interrupts it.
 	p.source.Crash()
-	close(proceed)
-	p.rec.Crash() // interrupts the pass; cursors survive
-	p.source.Recover()
-
-	if got := p.rec.SyncProgress().KeysPulled; got != 3 {
-		t.Fatalf("KeysPulled after interrupted pass = %d, want 3", got)
+	p.rec.Crash()
+	p.rec.Recover(plan)
+	for deadline := time.Now().Add(5 * time.Second); p.rec.SyncProgress().Retries == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the pass without a source never retried")
+		}
 	}
-
-	p.rec.RecoverCatchingUp(plan)
+	p.rec.Crash()
+	if p.rec.SyncProgress().Active {
+		t.Fatal("a crash left the pass running")
+	}
+	p.source.Recover(SyncPlan{})
+	p.rec.Recover(plan)
 	p.await(t)
 
 	if h := p.rec.Health(); h != HealthLive {
@@ -265,26 +240,24 @@ func TestSyncResumesAfterCrash(t *testing.T) {
 	for i := 0; i < total; i++ {
 		key := fmt.Sprintf("k%02d", i)
 		if _, _, found := p.rec.Store().Get(key); !found {
-			t.Errorf("%s missing after resumed sync", key)
+			t.Errorf("%s missing after the fresh pass", key)
 		}
 	}
-	// The resume starts at the saved cursor and the follow-up full pass
-	// re-digests everything but fetches nothing already current, so every
-	// key is pulled exactly once.
-	if got := p.rec.SyncProgress().KeysPulled; got != total {
-		t.Errorf("total KeysPulled = %d, want %d (no re-pulls on resume)", got, total)
+	if got := p.rec.SyncProgress(); got.KeysPulled != total || got.Completions != 1 {
+		t.Errorf("KeysPulled = %d, Completions = %d; want %d and 1", got.KeysPulled, got.Completions, total)
 	}
 }
 
-// TestSyncOnLiveReplicaStaysLive: StartSync on a live replica reconciles
-// without ever leaving the live state.
+// TestSyncOnLiveReplicaStaysLive: Recover on a live replica reconciles in
+// place without ever leaving the live state.
 func TestSyncOnLiveReplicaStaysLive(t *testing.T) {
 	p := newSyncPair(t)
 	p.source.Store().Apply("k", []byte("v"), Timestamp{Version: 3, Site: -1})
-	if !p.rec.StartSync(SyncPlan{Peers: [][]transport.Addr{{1}}, Config: SyncConfig{CallTimeout: 100 * time.Millisecond}}) {
-		t.Fatal("StartSync refused with no syncer running")
-	}
+	p.rec.Recover(SyncPlan{Peers: [][]transport.Addr{{1}}, Config: SyncConfig{CallTimeout: 100 * time.Millisecond}})
 	p.await(t)
+	if n := p.rec.SyncProgress().Completions; n != 1 {
+		t.Fatalf("Recover on a live replica completed %d passes, want 1", n)
+	}
 	if h := p.rec.Health(); h != HealthLive {
 		t.Fatalf("health = %v, want live", h)
 	}

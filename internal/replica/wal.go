@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,16 +17,36 @@ import (
 // write, so the encode must not allocate per record.
 var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// WAL is a write-ahead journal of committed writes, complementing the
-// coarse-grained Snapshot: a replica that journals every Apply can rebuild
-// its store after a process crash by replaying the log (entries are
-// timestamp-ordered and idempotent, so replaying over a snapshot — or
-// twice — is harmless).
+// WAL is a write-ahead journal of committed writes: the replica's stable
+// storage. Every effective Apply is journaled, so a replica that crashes
+// (Crash discards the store) rebuilds it by replaying the journal; entries
+// are timestamp-ordered and idempotent, so replaying over a snapshot — or
+// twice — is harmless. The journal is a file (OpenWAL) or, for a replica
+// with none attached, in memory: a disk that survives the replica's crashes
+// but not its process.
 type WAL struct {
 	mu   sync.Mutex
-	f    *os.File
-	path string
+	f    file
+	path string // empty for the in-memory journal
 }
+
+// file is what a journal writes through: an *os.File or a memFile.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// memFile is the in-memory journal's storage.
+type memFile struct{ buf []byte }
+
+func (m *memFile) Write(p []byte) (int, error) {
+	m.buf = append(m.buf, p...)
+	return len(p), nil
+}
+
+func (m *memFile) Sync() error  { return nil }
+func (m *memFile) Close() error { return nil }
 
 // OpenWAL opens (creating if needed) the journal at path for appending.
 func OpenWAL(path string) (*WAL, error) {
@@ -79,25 +101,46 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// ReplayWAL reads the journal at path and applies every decodable record to
-// the store, stopping silently at a truncated tail (the record being
-// written when the process died). It returns the number of records applied.
-// A whole record body that does not open with the record magic byte is not a
-// torn tail but a journal from before the binary format: replay stops there
-// with errLegacyFormat rather than quietly dropping the rest of the journal.
+// replayInto rebuilds s from the journal: the in-memory journal's records,
+// or the file's as they are on disk.
+func (w *WAL) replayInto(s *Store) (int, error) {
+	w.mu.Lock()
+	m, inMemory := w.f.(*memFile)
+	var records []byte
+	if inMemory {
+		records = m.buf // appends never touch the bytes below len
+	}
+	w.mu.Unlock()
+	if inMemory {
+		return replay(bytes.NewReader(records), s)
+	}
+	return ReplayWAL(w.path, s)
+}
+
+// ReplayWAL reads the journal at path into the store; see replay.
 func ReplayWAL(path string, s *Store) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("replica: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	return replay(bufio.NewReader(f), s)
+}
+
+// replay loads every decodable record into the store without journaling it
+// again, stopping silently at a truncated tail (the record being written
+// when the process died). It returns the number of records read. A whole
+// record body that does not open with the record magic byte is not a torn
+// tail but a journal from before the binary format: replay stops there with
+// errLegacyFormat rather than quietly dropping the rest of the journal.
+func replay(r io.Reader, s *Store) (int, error) {
 	applied := 0
 	for {
 		// A torn tail — short header, short payload, undecodable record or
 		// an implausible length — is expected after a crash: anything
 		// already decoded is applied, the rest is unrecoverable noise.
 		var hdr [4]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return applied, nil
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
@@ -105,7 +148,7 @@ func ReplayWAL(path string, s *Store) (int, error) {
 			return applied, nil
 		}
 		buf := make([]byte, n)
-		if _, err := io.ReadFull(f, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return applied, nil
 		}
 		if buf[0] != wire.RecordMagic {
@@ -115,13 +158,14 @@ func ReplayWAL(path string, s *Store) (int, error) {
 		if err != nil {
 			return applied, nil
 		}
-		s.Apply(rec.Key, rec.Value, rec.TS)
+		s.load(rec.Key, rec.Value, rec.TS)
 		applied++
 	}
 }
 
-// AttachJournal makes the store append every successful Apply to the WAL.
-// Attach after replay, before serving traffic.
+// AttachJournal makes the store append every successful Apply to the WAL,
+// in place of the journal it had. Attach after replay, before serving
+// traffic.
 func (s *Store) AttachJournal(w *WAL) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

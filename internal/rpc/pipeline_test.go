@@ -126,8 +126,8 @@ func TestPipelinedCallsOverTCP(t *testing.T) {
 
 	// 200 pipelined calls must share the small fixed pool, not a socket
 	// per request.
-	if conns := cli.Conns(); conns == 0 || conns > 2 {
-		t.Errorf("client pools %d connections, want 1-2", conns)
+	if dials := cli.Stats().Dials; dials == 0 || dials > 2 {
+		t.Errorf("client dialed %d connections, want 1-2", dials)
 	}
 
 	// The connections survived the cancellations: a fresh call on the same

@@ -70,8 +70,6 @@ func (s *Spec) Check(res *sim.Result) []string {
 			if n > 0 {
 				failf("expect no-history-violations: got %d (first: %v)", n, first)
 			}
-		case "margin-gaps":
-			checkCount(e, len(res.MarginGaps), failf)
 		case "adapt-decisions":
 			checkCount(e, len(res.AdaptDecisions), failf)
 		case "reconfigurations":

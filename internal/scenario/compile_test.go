@@ -135,7 +135,6 @@ func TestCheckExpectations(t *testing.T) {
 		"ops 10",
 		"adapt",
 		"expect no-history-violations",
-		"expect margin-gaps <=2",
 		"expect adapt-decisions >=1",
 		"expect reconfigurations 1",
 		"expect failures <=3",
@@ -146,7 +145,6 @@ func TestCheckExpectations(t *testing.T) {
 	}
 	pass := &sim.Result{
 		Violations:       []sim.Violation{{Rule: "durability", Detail: "not a history rule"}},
-		MarginGaps:       []string{"a", "b"},
 		AdaptDecisions:   []adapt.Decision{{}},
 		Reconfigurations: 1,
 		Failures:         3,
@@ -157,18 +155,16 @@ func TestCheckExpectations(t *testing.T) {
 	}
 	fail := &sim.Result{
 		Violations:       []sim.Violation{{Rule: "monotonic-reads", Detail: "went backwards"}},
-		MarginGaps:       []string{"a", "b", "c"},
 		Reconfigurations: 2,
 		Failures:         4,
 		FinalSpec:        "1-8",
 	}
 	fails := spec.Check(fail)
-	if len(fails) != 6 {
-		t.Fatalf("Check found %d failures, want 6:\n%s", len(fails), strings.Join(fails, "\n"))
+	if len(fails) != 5 {
+		t.Fatalf("Check found %d failures, want 5:\n%s", len(fails), strings.Join(fails, "\n"))
 	}
 	for _, want := range []string{
 		"expect no-history-violations: got 1 (first: sim: monotonic-reads: went backwards)",
-		"expect margin-gaps <=2: got 3",
 		"expect adapt-decisions >=1: got 0",
 		"expect reconfigurations 1: got 2",
 		"expect failures <=3: got 4",
@@ -212,10 +208,13 @@ func TestScenarioGoldenTraces(t *testing.T) {
 // goldenTraces pins the trace hash of four corpus scenarios. The last one's
 // was taken on the parent of the floor-hinted read (ISSUE 20), where every
 // level of a read shipped its value: what a read returns did not change.
+// partition-anti-entropy's was re-pinned once when every recovery began to
+// catch up: the one line that moved is its recovery event, now written
+// "! 30ms:recover=2".
 var goldenTraces = map[string]string{
 	"chaos-mostly-read":      "6fcabaa0b34ae4ece47c2978d3929510bce591fa3100f4a7affa79c5c364ece6",
 	"workload-flip-adapt":    "9142b9c7f83caa7eece015384cb500fc199f11d30ca804217e0723bb45fe9535",
-	"partition-anti-entropy": "44e727710d33915a4899c194b11cea41e7dfcfaa5df23c5422a0dda554948943",
+	"partition-anti-entropy": "128436982a39d949a3d53ba24fef0b1ed7232cbc8926e4317fba9f3c5b74babd",
 	"hinted-read-instant":    "3e36ae99a67c1d3d6c76cc1d0881a8735fdcd24118780a4f08d860ec0e46d3be",
 }
 
@@ -307,7 +306,6 @@ func TestReproducerRoundTrip(t *testing.T) {
 		tweak func(*sim.Spec)
 		lines []string
 	}{
-		{"antientropy", func(c *sim.Spec) { c.AntiEntropy = true }, []string{"antientropy"}},
 		{"phases+adapt", func(c *sim.Spec) {
 			c.Tree, c.Adapt = "1-8", true
 			c.Phases = []sim.Phase{{Profile: sim.ProfileMostlyRead, Ops: 40}, {Ops: 30}, {Profile: "r0.7", Ops: 20, Zipf: 1.2}}

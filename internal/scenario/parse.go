@@ -19,7 +19,6 @@ import (
 var expectKinds = map[string]bool{
 	"no-violations":         false,
 	"no-history-violations": false,
-	"margin-gaps":           true,
 	"adapt-decisions":       true,
 	"reconfigurations":      true,
 	"failures":              true,
@@ -172,18 +171,14 @@ func Parse(text string) (*Spec, error) {
 				}
 				s.Keep = append(s.Keep, k)
 			}
-		case "antientropy", "overload":
-			if err := once(f[0]); err != nil {
+		case "overload":
+			if err := once("overload"); err != nil {
 				return nil, err
 			}
 			if len(f) != 1 {
-				return nil, errf("%s takes no argument", f[0])
+				return nil, errf("overload takes no argument")
 			}
-			if f[0] == "antientropy" {
-				s.AntiEntropy = true
-			} else {
-				s.Overload = true
-			}
+			s.Overload = true
 		case "adapt":
 			if err := once("adapt"); err != nil {
 				return nil, err
@@ -440,7 +435,7 @@ func parseExpect(f []string, errf func(string, ...any) error) (Expect, error) {
 	kind := f[1]
 	numeric, ok := expectKinds[kind]
 	if !ok {
-		return Expect{}, errf("unknown expect %q (want no-violations, no-history-violations, margin-gaps, adapt-decisions, reconfigurations, failures, sheds or final-spec)", kind)
+		return Expect{}, errf("unknown expect %q (want no-violations, no-history-violations, adapt-decisions, reconfigurations, failures, sheds or final-spec)", kind)
 	}
 	e := Expect{Kind: kind}
 	switch {
@@ -516,7 +511,7 @@ func (s *Spec) validate() error {
 		}
 	}
 	for _, ev := range s.Schedule {
-		for _, group := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.RecoverSync, ev.Saturate, ev.Unsaturate, ev.Drain} {
+		for _, group := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.Saturate, ev.Unsaturate, ev.Drain} {
 			for _, site := range group {
 				if tr.SiteNode(site) == nil {
 					return fmt.Errorf("scenario: fault schedule references site %d, not in tree %s", site, s.Tree)
@@ -539,9 +534,6 @@ func (s *Spec) validate() error {
 	for _, e := range s.Expects {
 		if (e.Kind == "adapt-decisions" || e.Kind == "reconfigurations") && !s.Adapt {
 			return fmt.Errorf("scenario: expect %s requires adapt", e.Kind)
-		}
-		if e.Kind == "margin-gaps" && s.AntiEntropy {
-			return fmt.Errorf("scenario: expect margin-gaps conflicts with antientropy (gaps are hard violations there)")
 		}
 	}
 	return nil

@@ -74,14 +74,10 @@ func TestParseScenarioTable(t *testing.T) {
 			want: "tree 1-8\nops 10\nadapt every 5\n",
 		},
 		{
+			// Every recovery catches up, so the directive that chose it went.
 			name: "antientropy",
 			in:   "tree 1-3-5\nops 10\nantientropy\n",
-			want: "tree 1-3-5\nops 10\nantientropy\n",
-		},
-		{
-			name: "overload renders after antientropy",
-			in:   "tree 1-3-5\noverload\nops 10\nantientropy\n",
-			want: "tree 1-3-5\nops 10\nantientropy\noverload\n",
+			err:  `scenario: line 3: unknown directive "antientropy"`,
 		},
 		{
 			name: "reproducer: bug and keep render in canonical position",
@@ -135,8 +131,8 @@ func TestParseScenarioTable(t *testing.T) {
 		},
 		{
 			name: "expect spectrum",
-			in:   "tree 1-8\nops 10\nadapt\nexpect no-violations\nexpect margin-gaps 0\nexpect adapt-decisions >=1\nexpect failures <=3\nexpect final-spec 1-8\n",
-			want: "tree 1-8\nops 10\nadapt\nexpect no-violations\nexpect margin-gaps 0\nexpect adapt-decisions >=1\nexpect failures <=3\nexpect final-spec 1-8\n",
+			in:   "tree 1-8\nops 10\nadapt\nexpect no-violations\nexpect adapt-decisions >=1\nexpect failures <=3\nexpect final-spec 1-8\n",
+			want: "tree 1-8\nops 10\nadapt\nexpect no-violations\nexpect adapt-decisions >=1\nexpect failures <=3\nexpect final-spec 1-8\n",
 		},
 		// --- rejections: directive syntax ---
 		{
@@ -208,11 +204,6 @@ func TestParseScenarioTable(t *testing.T) {
 			name: "lockttl malformed",
 			in:   "tree 1-3-5\nops 10\nlockttl fast\n",
 			err:  `scenario: line 3: lockttl needs a positive duration, not "fast"`,
-		},
-		{
-			name: "antientropy with an argument",
-			in:   "tree 1-3-5\nops 10\nantientropy on\n",
-			err:  "scenario: line 3: antientropy takes no argument",
 		},
 		{
 			name: "overload with an argument",
@@ -426,7 +417,7 @@ func TestParseScenarioTable(t *testing.T) {
 		{
 			name: "expect unknown kind",
 			in:   "tree 1-3-5\nops 10\nexpect perfection\n",
-			err:  `scenario: line 3: unknown expect "perfection" (want no-violations, no-history-violations, margin-gaps, adapt-decisions, reconfigurations, failures, sheds or final-spec)`,
+			err:  `scenario: line 3: unknown expect "perfection" (want no-violations, no-history-violations, adapt-decisions, reconfigurations, failures, sheds or final-spec)`,
 		},
 		{
 			name: "expect flag kind with argument",
@@ -435,8 +426,8 @@ func TestParseScenarioTable(t *testing.T) {
 		},
 		{
 			name: "expect numeric kind without count",
-			in:   "tree 1-3-5\nops 10\nexpect margin-gaps\n",
-			err:  "scenario: line 3: expect margin-gaps needs a count like 0, >=1 or <=3",
+			in:   "tree 1-3-5\nops 10\nexpect failures\n",
+			err:  "scenario: line 3: expect failures needs a count like 0, >=1 or <=3",
 		},
 		{
 			name: "expect numeric kind bad count",
@@ -505,9 +496,10 @@ func TestParseScenarioTable(t *testing.T) {
 			err:  "scenario: expect reconfigurations requires adapt",
 		},
 		{
-			name: "expect margin-gaps with antientropy",
-			in:   "tree 1-3-5\nops 10\nantientropy\nexpect margin-gaps 0\n",
-			err:  "scenario: expect margin-gaps conflicts with antientropy (gaps are hard violations there)",
+			// The durability margin is an invariant of every run now.
+			name: "expect margin-gaps",
+			in:   "tree 1-3-5\nops 10\nexpect margin-gaps 0\n",
+			err:  `scenario: line 3: unknown expect "margin-gaps" (want no-violations, no-history-violations, adapt-decisions, reconfigurations, failures, sheds or final-spec)`,
 		},
 	}
 	for _, tc := range cases {
@@ -558,7 +550,6 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 		"timeout 100ms",
 		"lockttl 2s",
 		"bug skip-wal-replay",
-		"antientropy",
 		"overload",
 		"adapt every 10",
 		"latency base 1ms",
@@ -569,7 +560,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 		"phase mostly-read 40",
 		"ramp mostly-read mostly-write 40 steps 4",
 		"keep 0,39,40,79",
-		"fault 5ms:crash=2;20ms:recoversync=2",
+		"fault 5ms:crash=2;20ms:recover=2",
 		"expect no-violations",
 		"expect final-spec 1-3-5",
 	}, "\n")
@@ -577,7 +568,7 @@ func TestParseScenarioKitchenSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != -7 || !spec.AntiEntropy || !spec.Overload || spec.AdaptEvery != 10 || !spec.SkipWALReplay {
+	if spec.Seed != -7 || !spec.Overload || spec.AdaptEvery != 10 || !spec.SkipWALReplay {
 		t.Errorf("scalar fields wrong: %+v", spec)
 	}
 	if len(spec.Phases) != 2 || !spec.Phases[1].Ramp || spec.Phases[1].Steps != 4 {

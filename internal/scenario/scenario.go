@@ -89,8 +89,8 @@ func phaseLine(p sim.Phase) string {
 }
 
 // Expect is one outcome assertion. Kind is one of no-violations,
-// no-history-violations, margin-gaps, adapt-decisions, reconfigurations,
-// failures, sheds or final-spec. Numeric kinds compare via Cmp ("==",
+// no-history-violations, adapt-decisions, reconfigurations, failures,
+// sheds or final-spec. Numeric kinds compare via Cmp ("==",
 // ">=", "<=") against N; sheds counts typed overload rejections from the
 // replica admission gates; final-spec compares the run's ending tree
 // spec.
@@ -153,9 +153,6 @@ func (s *Spec) String() string {
 	}
 	if s.SkipWALReplay {
 		b.WriteString("bug skip-wal-replay\n")
-	}
-	if s.AntiEntropy {
-		b.WriteString("antientropy\n")
 	}
 	if s.Overload {
 		b.WriteString("overload\n")

@@ -25,12 +25,6 @@ type Report struct {
 	Runs           int
 	OpsExecuted    int
 	FaultsInjected int
-	// MarginGaps totals the durability-margin gaps reported across all runs
-	// (always zero with anti-entropy on — there the same gaps would be
-	// violations and stop the campaign).
-	MarginGaps int
-	// GappedRuns counts the runs that ended with at least one margin gap.
-	GappedRuns int
 	// Reconfigurations totals the controller-driven migrations across all
 	// runs (zero without Spec.Adapt).
 	Reconfigurations int
@@ -61,10 +55,6 @@ func Campaign(spec Spec, runs int) (*Report, error) {
 		rep.Runs++
 		rep.OpsExecuted += res.OpsRun
 		rep.FaultsInjected += res.FaultsApplied
-		rep.MarginGaps += len(res.MarginGaps)
-		if len(res.MarginGaps) > 0 {
-			rep.GappedRuns++
-		}
 		rep.Reconfigurations += res.Reconfigurations
 		rep.Sheds += res.Sheds
 		rep.Overloaded += res.Overloaded

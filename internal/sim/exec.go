@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +25,8 @@ import (
 // Write-ahead journals live under root; a restart rebuilds the cluster on
 // the same directory so replay restores every committed write — unless the
 // injected SkipWALReplay bug is armed, in which case each restart moves to
-// a fresh directory, simulating journals that were never replayed.
+// a fresh directory, and a crashed site's journal is emptied before it
+// recovers, simulating journals that were never replayed.
 type world struct {
 	spec    Spec
 	root    string
@@ -118,8 +120,10 @@ func (w *world) newController() (*adapt.Controller, error) {
 	return adapt.New(w.cluster, cfg)
 }
 
-// awaitSync blocks until every replica's catch-up has settled, converting a
-// blown bound into a catch-up-bound violation rather than an error.
+// awaitSync blocks until every catch-up that can progress has settled,
+// converting a blown bound into a catch-up-bound violation rather than an
+// error. A catch-up blocked by the fault schedule (cluster.AwaitSync) is
+// not waited for.
 func (w *world) awaitSync(res *Result, what string) {
 	ctx, cancel := context.WithTimeout(context.Background(), syncBound)
 	defer cancel()
@@ -129,6 +133,20 @@ func (w *world) awaitSync(res *Result, what string) {
 			Detail: fmt.Sprintf("%s: catch-up did not converge within %s", what, syncBound),
 		})
 	}
+}
+
+// skipReplay is the SkipWALReplay bug on a per-site recovery: it empties
+// the journal of every crashed site the event recovers.
+func (w *world) skipReplay(ev cluster.Event) error {
+	for _, site := range w.cluster.Tree().Sites() {
+		recovered := ev.RecoverAll || slices.Contains(ev.Recover, site)
+		if recovered && w.cluster.Replica(site).Crashed() {
+			if err := os.Truncate(filepath.Join(w.walDir(), fmt.Sprintf("site-%d.wal", site)), 0); err != nil {
+				return fmt.Errorf("sim: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // restart power-cycles the whole system: the cluster (and with it every
@@ -211,6 +229,11 @@ func Execute(in Input) (*Result, error) {
 				// Phase markers are trace-only: the op stream is generated
 				// phase-aware, so applying the marker does nothing.
 			} else {
+				if spec.SkipWALReplay {
+					if err := w.skipReplay(ev); err != nil {
+						return err
+					}
+				}
 				// Drains are bounded: past 5 s a draining site stays draining
 				// (shedding new work) and its prepared transactions still
 				// resolve via commit, abort or lock expiry, so that is no error.
@@ -221,13 +244,12 @@ func Execute(in Input) (*Result, error) {
 					return err
 				}
 			}
-			if len(ev.RecoverSync) > 0 || ev.RecoverAllSync {
-				// Catch-up runs to completion before the next operation, so
-				// the op-by-op trace stays a pure function of the Input (a
-				// read racing a catching-up replica would otherwise depend
-				// on host timing).
-				w.awaitSync(res, ev.String())
-			}
+			// Catch-up runs to completion before the next operation, so the
+			// op-by-op trace stays a pure function of the Input (a read
+			// racing a catching-up replica would otherwise depend on host
+			// timing). Every event is awaited: a heal or a recovery can
+			// unblock a catch-up that an earlier fault held up.
+			w.awaitSync(res, ev.String())
 			res.FaultsApplied++
 		}
 		return nil
@@ -331,13 +353,12 @@ func Execute(in Input) (*Result, error) {
 	collectAdapt()
 	collectSheds()
 
-	// Full recovery, then judge the run. With anti-entropy, recovery is a
-	// final converging sync pass and the per-level durability margin is an
-	// invariant; without it, recovery is instant and the gaps it leaves
-	// are only reported. Overload faults are disarmed first: the final
-	// durability reads judge the protocol, not a dangling saturate or
-	// slowsite the schedule never cleared. (Drained sites are HealthDown
-	// and come back through the normal recovery below.)
+	// Full recovery, then judge the run: every site recovers or syncs in
+	// place, and the per-level durability margin is an invariant. Overload
+	// faults are disarmed and the network healed first, so no catch-up is
+	// blocked and the bound is strict here, and the final durability reads
+	// judge the protocol, not a dangling saturate or slowsite the schedule
+	// never cleared. (Drained sites are down and recover like the others.)
 	for _, site := range w.cluster.Tree().Sites() {
 		_ = w.cluster.Saturate(site, false)
 		_ = w.cluster.SlowSite(site, 0)
@@ -345,25 +366,21 @@ func Execute(in Input) (*Result, error) {
 	if err := w.cluster.Heal(); err != nil {
 		return nil, err
 	}
-	if spec.AntiEntropy {
-		w.cluster.SyncAll()
-		w.awaitSync(res, "final recovery")
-	} else {
-		w.cluster.RecoverAll()
+	if spec.SkipWALReplay {
+		if err := w.skipReplay(cluster.Event{RecoverAll: true}); err != nil {
+			return nil, err
+		}
 	}
+	w.cluster.SyncAll()
+	w.awaitSync(res, "final recovery")
 	res.FinalSpec = w.cluster.Tree().Spec()
 	ops := rec.Ops()
 	for _, v := range history.Check(ops) {
 		res.Violations = append(res.Violations, Violation{Rule: v.Rule, Detail: v.Detail})
 	}
 	res.Violations = append(res.Violations, durabilityViolations(ctx, w, ops)...)
-	gaps := marginGaps(w, ops)
-	if spec.AntiEntropy {
-		for _, g := range gaps {
-			res.Violations = append(res.Violations, Violation{Rule: "durability-margin", Detail: g})
-		}
-	} else {
-		res.MarginGaps = gaps
+	for _, g := range marginGaps(w, ops) {
+		res.Violations = append(res.Violations, Violation{Rule: "durability-margin", Detail: g})
 	}
 	return res, nil
 }
@@ -425,10 +442,10 @@ func newestAcked(ops []history.Op) (best map[string]acked, keys []string) {
 
 // marginGaps inspects every replica's store directly and reports each
 // (key, physical level) pair where no member of the level holds a version
-// at least as new as the newest acknowledged write. A gap is not a protocol
-// violation by itself — reads still intersect some level that has the
-// version — but each gapped level is one the system could not afford to
-// lose, i.e. a thinner durability margin.
+// at least as new as the newest acknowledged write. Reads would still
+// intersect some level that has the version, but each gapped level is one
+// the system could not afford to lose: after every site has replayed its
+// journal and caught up, there must be none.
 func marginGaps(w *world, ops []history.Op) []string {
 	best, keys := newestAcked(ops)
 	proto := w.cluster.Protocol()

@@ -162,10 +162,7 @@ func buildOps(spec Spec, phases []Phase) ([]OpSpec, error) {
 // [0, n] for a run of n ops, each drawn from a weighted mix of crash, recover,
 // recover-all, partition, heal and whole-cluster restart. Quick recoveries
 // outweigh crashes slightly less than half the time, so runs spend real
-// stretches degraded without starving the workload entirely. With
-// AntiEntropy on, recoveries go through the catch-up path instead of being
-// instant — the same ticks and the same sites, so the two modes differ only
-// in how a replica rejoins.
+// stretches degraded without starving the workload entirely.
 func buildEvents(spec Spec, sites []tree.SiteID, n int) []cluster.Event {
 	rng := rand.New(rand.NewSource(spec.Seed ^ faultSeedSalt))
 	var events []cluster.Event
@@ -175,18 +172,9 @@ func buildEvents(spec Spec, sites []tree.SiteID, n int) []cluster.Event {
 		case k < 35:
 			ev.Crash = []tree.SiteID{sites[rng.Intn(len(sites))]}
 		case k < 55:
-			target := []tree.SiteID{sites[rng.Intn(len(sites))]}
-			if spec.AntiEntropy {
-				ev.RecoverSync = target
-			} else {
-				ev.Recover = target
-			}
+			ev.Recover = []tree.SiteID{sites[rng.Intn(len(sites))]}
 		case k < 65:
-			if spec.AntiEntropy {
-				ev.RecoverAllSync = true
-			} else {
-				ev.RecoverAll = true
-			}
+			ev.RecoverAll = true
 		case k < 75 && len(sites) > 1:
 			// Isolate a random non-empty strict subset from the clients and
 			// the remaining sites.
@@ -206,7 +194,7 @@ func buildEvents(spec Spec, sites []tree.SiteID, n int) []cluster.Event {
 		events = append(events, ev)
 	}
 	if spec.Overload {
-		events = append(events, buildOverloadEvents(spec, sites, n, rng)...)
+		events = append(events, buildOverloadEvents(sites, n, rng)...)
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	return events
@@ -216,7 +204,7 @@ func buildEvents(spec Spec, sites []tree.SiteID, n int) []cluster.Event {
 // saturate window over a random site subset, and on half the runs a
 // graceful drain with a later recovery. It draws from the tail of the
 // fault rng, so turning overload on never reshuffles the base schedule.
-func buildOverloadEvents(spec Spec, sites []tree.SiteID, ops int, rng *rand.Rand) []cluster.Event {
+func buildOverloadEvents(sites []tree.SiteID, ops int, rng *rand.Rand) []cluster.Event {
 	start := rng.Intn(ops/2 + 1)
 	end := start + 1 + rng.Intn(ops-start)
 	perm := rng.Perm(len(sites))
@@ -234,12 +222,7 @@ func buildOverloadEvents(spec Spec, sites []tree.SiteID, ops int, rng *rand.Rand
 		site := []tree.SiteID{sites[rng.Intn(len(sites))]}
 		at := rng.Intn(ops + 1)
 		ev := cluster.Event{At: time.Duration(at) * time.Millisecond, Drain: site}
-		rec := cluster.Event{At: time.Duration(at+1+rng.Intn(ops-at+1)) * time.Millisecond}
-		if spec.AntiEntropy {
-			rec.RecoverSync = site
-		} else {
-			rec.Recover = site
-		}
+		rec := cluster.Event{At: time.Duration(at+1+rng.Intn(ops-at+1)) * time.Millisecond, Recover: site}
 		events = append(events, ev, rec)
 	}
 	return events

@@ -74,7 +74,7 @@ func TestBuildInputOverloadEvents(t *testing.T) {
 	}
 	if drain > 0 {
 		for _, ev := range in.Events {
-			if len(ev.Recover) > 0 || len(ev.RecoverSync) > 0 {
+			if len(ev.Recover) > 0 {
 				recovered++
 			}
 		}

@@ -96,16 +96,10 @@ type Spec struct {
 	// LockTTL is the replicas' prepared-lock expiry (default 1s).
 	LockTTL time.Duration
 	// SkipWALReplay injects a durability bug for self-tests: every Restart
-	// event discards the write-ahead journals instead of replaying them,
-	// which a campaign must detect as a lost acknowledged write.
+	// discards the write-ahead journals instead of replaying them, and a
+	// crashed site's journal is emptied before it recovers, which a
+	// campaign must detect as a lost acknowledged write.
 	SkipWALReplay bool
-	// AntiEntropy switches recovery to the catch-up path: generated recover
-	// events become recover-with-sync (the replica rejoins through the
-	// catching-up state and pulls missed versions before serving reads),
-	// and the end-of-run durability margin — every level holding the newest
-	// acknowledged version of every key — is enforced as an invariant.
-	// Without it, recovery is instant and margin gaps are only reported.
-	AntiEntropy bool
 	// Overload adds a generated overload stretch to the fault schedule: a
 	// saturate window over a random subset of sites (closed by a matching
 	// unsaturate) and, some runs, a graceful drain with a later recovery.
@@ -318,9 +312,9 @@ func tickOf(ev cluster.Event) int { return int(ev.At / time.Millisecond) }
 // acknowledged write unreadable or stale after full recovery),
 // "quorum-intersection" (a physical level with no sites),
 // "level-partition" (a site on two physical levels), "catch-up-bound" (a
-// recover-with-sync did not converge within syncBound) or
-// "durability-margin" (with anti-entropy on, a physical level that does not
-// hold the newest acknowledged version of some key after convergence).
+// catch-up that could progress did not converge within syncBound) or
+// "durability-margin" (a physical level that does not hold the newest
+// acknowledged version of some key after the final recovery).
 type Violation struct {
 	Rule   string
 	Detail string
@@ -337,13 +331,6 @@ type Result struct {
 	Trace []string
 	// Violations lists every invariant failure; empty means the run passed.
 	Violations []Violation
-	// MarginGaps lists, for runs WITHOUT anti-entropy, the (key, level)
-	// pairs where a physical level ended the run missing the newest
-	// acknowledged version. Instant recovery makes such gaps expected (the
-	// protocol stays correct — reads still intersect a level that has the
-	// version — but the durability margin is thinner); with anti-entropy on
-	// the same gaps are hard durability-margin violations instead.
-	MarginGaps []string
 	// AdaptDecisions is the adaptation controller's decision journal,
 	// accumulated across cluster incarnations (a Restart rebuilds the
 	// controller, but its decisions are kept). Nil without Spec.Adapt.

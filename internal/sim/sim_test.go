@@ -105,8 +105,9 @@ func TestSimSmoke(t *testing.T) {
 }
 
 // TestSimFindsInjectedWALBug arms the deliberate durability bug (restarts
-// discard the journals) and requires the campaign to catch it, shrink the
-// schedule to a handful of events, and reproduce it from the shrunk input.
+// discard the journals, recoveries skip their replay) and requires the
+// campaign to catch it, shrink the schedule to a handful of events, and
+// reproduce it from the shrunk input.
 // (Its round trip through a .arb file is internal/scenario's
 // TestShrunkReproducerReplays.)
 func TestSimFindsInjectedWALBug(t *testing.T) {
@@ -124,14 +125,8 @@ func TestSimFindsInjectedWALBug(t *testing.T) {
 	if n := len(sched); n > 5 {
 		t.Errorf("shrunk schedule has %d events, want ≤ 5: %q", n, sched)
 	}
-	restarts := 0
-	for _, ev := range sched {
-		if ev.Restart {
-			restarts++
-		}
-	}
-	if restarts == 0 {
-		t.Errorf("shrunk schedule %q kept no restart event, but the bug needs one", sched)
+	if len(sched) == 0 {
+		t.Error("shrunk schedule kept no event, but the bug needs a restart or a recovery")
 	}
 	res, err := Execute(rep.Failure.Input)
 	if err != nil {

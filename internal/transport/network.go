@@ -211,6 +211,14 @@ func (n *Network) Partition(groups ...[]Addr) {
 	}
 }
 
+// Reachable reports whether the current partition lets a message from a
+// reach b.
+func (n *Network) Reachable(a, b Addr) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.groups[a] == n.groups[b]
+}
+
 // Heal removes any partition.
 func (n *Network) Heal() {
 	n.mu.Lock()

@@ -307,20 +307,6 @@ func (e *TCPEndpoint) inbox() chan Message {
 	return *e.in.Load()
 }
 
-// Conns reports how many live connections the endpoint currently pools
-// across all peers — observability for tests and operators (a pipelined
-// workload should hold it at the configured pool size, not one per
-// request).
-func (e *TCPEndpoint) Conns() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, r := range e.routes {
-		total += len(r.conns)
-	}
-	return total
-}
-
 // Send implements Conn: send with no stamp.
 func (e *TCPEndpoint) Send(to Addr, payload any) error { return e.send(to, payload, wire.Stamp{}) }
 
