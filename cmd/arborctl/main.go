@@ -1,15 +1,14 @@
 // Command arborctl is the HTTP client for an arbord daemon: get/put keys,
-// dump the metrics, inject faults, checkpoint, and reshape the tree from
-// the command line.
+// dump the metrics, inject faults (a checkpoint among them), and reshape
+// the tree from the command line.
 //
 // Usage:
 //
 //	arborctl [-addr http://127.0.0.1:8080] get KEY
 //	arborctl put KEY VALUE
 //	arborctl stats
-//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recover=4, recoverall
+//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recover=4, recoverall, checkpoint
 //	arborctl reconfigure SPEC
-//	arborctl checkpoint
 //	arborctl controller [enable|disable]
 package main
 
@@ -39,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("need a command: get, put, stats, fault, reconfigure, checkpoint, controller")
+		return errors.New("need a command: get, put, stats, fault, reconfigure, controller")
 	}
 	base := strings.TrimRight(*addr, "/")
 
@@ -67,8 +66,6 @@ func run(args []string, out io.Writer) error {
 			return errors.New("usage: reconfigure SPEC")
 		}
 		return request(out, http.MethodPost, base+"/reconfigure?spec="+url.QueryEscape(rest[1]), "")
-	case "checkpoint":
-		return request(out, http.MethodPost, base+"/checkpoint", "")
 	case "controller":
 		// Bare "controller" inspects; "enable"/"disable" toggles.
 		switch {

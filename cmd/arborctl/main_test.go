@@ -38,7 +38,7 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		}
 		fmt.Fprintf(w, "controller %sd\n", r.URL.Query().Get("action"))
 	})
-	for _, route := range []string{"/fault", "/reconfigure", "/checkpoint"} {
+	for _, route := range []string{"/fault", "/reconfigure"} {
 		route := route
 		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
@@ -85,7 +85,7 @@ func TestAdminCommands(t *testing.T) {
 		{[]string{"fault", "drain=2+saturate=3"}, "done /fault map[do:[drain=2+saturate=3]]"},
 		{[]string{"fault", "recoverall"}, "done /fault map[do:[recoverall]]"},
 		{[]string{"reconfigure", "1-4-4"}, "done /reconfigure map[spec:[1-4-4]]"},
-		{[]string{"checkpoint"}, "done /checkpoint map[]"},
+		{[]string{"fault", "checkpoint"}, "done /fault map[do:[checkpoint]]"},
 	} {
 		out, err := ctl(t, ts.URL, tc.args...)
 		if err != nil || strings.TrimSpace(out) != tc.want {
@@ -128,6 +128,7 @@ func TestUsageErrors(t *testing.T) {
 		{"put", "k"},
 		{"fault"},
 		{"fault", "crash=1", "crash=2"},
+		{"checkpoint"},
 		{"crash", "1"},
 		{"reconfigure"},
 		{"explode"},

@@ -2,13 +2,19 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"arbor/internal/cluster"
 )
 
 // scrape returns the daemon's /metrics exposition.
@@ -35,6 +41,24 @@ func mustFault(t *testing.T, ts *httptest.Server, actions string) {
 	}
 }
 
+// records counts the whole records in a site's journal under dir.
+func records(t *testing.T, dir string, site int) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("site-%d.wal", site)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; len(data) >= 4; n++ {
+		size := 4 + int(binary.BigEndian.Uint32(data))
+		if len(data) < size {
+			break
+		}
+		data = data[size:]
+	}
+	return n
+}
+
 // health is the site's arbor_replica_health gauge: 0 down, 1 catching up,
 // 2 live.
 func health(t *testing.T, metrics, site string) float64 {
@@ -59,15 +83,17 @@ func awaitSync(t *testing.T, srv *server) {
 // with nothing applied, 400 for anything that is not exactly one event,
 // 405 for GET.
 // Every case starts from a fresh 1-3-5 daemon (levels 1–3 and 4–8) holding
-// k = v.
+// k = v; one with a journals check journals to files under -wal-dir, has
+// had k written three times, and has its -wal-dir checked last.
 func TestServerFaultTable(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		setup []string
-		do    string
-		code  int
-		body  string // a substring the response must hold, if set
-		check func(t *testing.T, srv *server, ts *httptest.Server)
+		name     string
+		setup    []string
+		do       string
+		code     int
+		body     string // a substring the response must hold, if set
+		check    func(t *testing.T, srv *server, ts *httptest.Server)
+		journals func(t *testing.T, dir string)
 	}{
 		{name: "crash", do: "crash=2", code: http.StatusOK,
 			check: func(t *testing.T, _ *server, ts *httptest.Server) {
@@ -174,6 +200,29 @@ func TestServerFaultTable(t *testing.T) {
 					t.Errorf("drained site 2 has health %v, want 0", h)
 				}
 			}},
+		{name: "checkpoint", setup: []string{"crash=4"}, do: "checkpoint", code: http.StatusOK,
+			check: func(t *testing.T, _ *server, ts *httptest.Server) {
+				if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
+					t.Errorf("get after checkpoint: %d %q", code, body)
+				}
+			},
+			journals: func(t *testing.T, dir string) {
+				// Every journal that is up holds one record per key — k —
+				// or none; crashed site 4's is left as it was.
+				compacted := 0
+				for s := 1; s <= 8; s++ {
+					switch n := records(t, dir, s); {
+					case s == 4:
+					case n == 1:
+						compacted++
+					case n != 0:
+						t.Errorf("site %d: %d records after checkpoint, want at most 1", s, n)
+					}
+				}
+				if compacted < 3 {
+					t.Errorf("%d journals hold k after checkpoint, want a whole level's", compacted)
+				}
+			}},
 		{name: "workload", do: "workload=calm", code: http.StatusOK,
 			check: func(t *testing.T, _ *server, ts *httptest.Server) {
 				m := scrape(t, ts)
@@ -209,9 +258,15 @@ func TestServerFaultTable(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, ts := newTestServer(t)
-			if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", "v"); code != http.StatusOK {
-				t.Fatalf("put: %d %s", code, body)
+			cfg, puts := cluster.Config{Seed: 1}, []string{"v"}
+			if tc.journals != nil {
+				cfg.WALDir, puts = t.TempDir(), []string{"v1", "v2", "v"}
+			}
+			srv, ts := newConfiguredServer(t, cfg)
+			for _, v := range puts {
+				if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", v); code != http.StatusOK {
+					t.Fatalf("put: %d %s", code, body)
+				}
 			}
 			for _, s := range tc.setup {
 				mustFault(t, ts, s)
@@ -225,6 +280,9 @@ func TestServerFaultTable(t *testing.T) {
 			}
 			if tc.check != nil {
 				tc.check(t, srv, ts)
+			}
+			if tc.journals != nil {
+				tc.journals(t, cfg.WALDir)
 			}
 		})
 	}

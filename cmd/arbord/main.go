@@ -7,11 +7,11 @@
 //	PUT  /put?key=K (body = value)  write through a write quorum (2PC)
 //	GET  /metrics                   Prometheus text exposition: every counter, load and health
 //	GET  /traces?last=N             recent per-operation traces (JSON)
-//	POST /checkpoint                persist all replica stores to -data-dir
 //	POST /fault?do=ACTIONS          one fault event in the schedule syntax: crash=S, drain=S,
 //	                                recover=S, recoverall, saturate=S, slowsite=S:20ms, …
 //	                                (a crash loses the site's memory; recover replays its journal,
-//	                                then catches up from the other levels)
+//	                                then catches up from the other levels; checkpoint compacts
+//	                                every journal to one record per key)
 //	POST /reconfigure?spec=1-4-4    reshape the tree live
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller
@@ -46,7 +46,6 @@ func run(args []string) error {
 		spec     = fs.String("spec", "1-3-5", "replica tree spec")
 		listen   = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		seed     = fs.Int64("seed", 1, "random seed")
-		data     = fs.String("data-dir", "", "checkpoint directory (restored at startup when present)")
 		walDir   = fs.String("wal-dir", "", "write-ahead-log directory, replayed at startup and by every recovery (default: journals in memory)")
 		traceCap = fs.Int("trace-cap", obs.DefaultTraceCapacity, "operation traces kept in memory for /traces")
 		adapt    = fs.Bool("adapt", false, "start with the adaptation controller enabled (toggle later via /controller)")
@@ -62,13 +61,6 @@ func run(args []string) error {
 	srv, err := newServer(t, cluster.Config{Seed: *seed, WALDir: *walDir, MaxInflight: *inflight}, *traceCap, nil)
 	if err != nil {
 		return err
-	}
-	if *data != "" {
-		srv.dataDir = *data
-		if err := srv.cluster.RestoreCheckpoint(*data); err != nil {
-			srv.Close()
-			return err
-		}
 	}
 	if *adapt {
 		srv.ctl.SetEnabled(true)

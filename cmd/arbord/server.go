@@ -23,9 +23,6 @@ import (
 type server struct {
 	mux *http.ServeMux
 
-	// dataDir, when set, is where /checkpoint persists replica stores.
-	dataDir string
-
 	// obs carries the metric registry behind /metrics and the trace
 	// recorder behind /traces.
 	obs *obs.Observer
@@ -78,7 +75,6 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/fault", s.handleFault)
 	s.mux.HandleFunc("/reconfigure", s.handleReconfigure)
-	s.mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("/controller", s.handleController)
 	// Profiles, mounted by name (the package's init knows only DefaultServeMux).
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile: goroutine, heap, …
@@ -236,24 +232,6 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	default:
 		fmt.Fprintf(w, "applied %s\n", do)
 	}
-}
-
-func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dataDir == "" {
-		http.Error(w, "no -data-dir configured", http.StatusConflict)
-		return
-	}
-	if err := s.cluster.Checkpoint(s.dataDir); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	fmt.Fprintf(w, "checkpointed to %s\n", s.dataDir)
 }
 
 func (s *server) handleReconfigure(w http.ResponseWriter, r *http.Request) {

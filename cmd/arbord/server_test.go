@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,11 +19,17 @@ import (
 
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
+	return newConfiguredServer(t, cluster.Config{Seed: 1})
+}
+
+// newConfiguredServer is newTestServer on cfg.
+func newConfiguredServer(t *testing.T, cfg cluster.Config) (*server, *httptest.Server) {
+	t.Helper()
 	tr, err := tree.ParseSpec("1-3-5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(tr, cluster.Config{Seed: 1}, 64, nil)
+	srv, err := newServer(tr, cfg, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,30 +242,6 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
-	}
-}
-
-func TestCheckpointEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t)
-	// No data dir configured: conflict.
-	if code, _ := do(t, http.MethodPost, ts.URL+"/checkpoint", ""); code != http.StatusConflict {
-		t.Errorf("checkpoint without data dir: %d", code)
-	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/checkpoint", ""); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /checkpoint: %d", code)
-	}
-	srv.dataDir = t.TempDir()
-	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
-	if code, body := do(t, http.MethodPost, ts.URL+"/checkpoint", ""); code != http.StatusOK {
-		t.Errorf("checkpoint: %d %s", code, body)
-	}
-	// The snapshots land on disk.
-	entries, err := os.ReadDir(srv.dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 8 {
-		t.Errorf("%d snapshots, want 8", len(entries))
 	}
 }
 

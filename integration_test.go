@@ -95,14 +95,17 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	}
 }
 
-func TestIntegrationCheckpointThenWALlessRestart(t *testing.T) {
+// TestIntegrationCheckpointThenRestart: a checkpoint compacts the journals
+// in place, and a cluster restarted on the same WALDir serves what was
+// written before it and after it.
+func TestIntegrationCheckpointThenRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	t1, err := arbor.ParseTree("1-3-5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 1})
+	c1, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 1, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,25 +116,26 @@ func TestIntegrationCheckpointThenWALlessRestart(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Checkpoint(dir); err != nil {
+	if err := c1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Write(ctx, "j", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	c1.Close()
 
-	c2, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 2})
+	c2, err := arbor.NewCluster(t1, arbor.ClusterConfig{Seed: 2, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.RestoreCheckpoint(dir); err != nil {
-		t.Fatal(err)
-	}
 	cli2, err := c2.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := cli2.Read(ctx, "k")
-	if err != nil || string(rd.Value) != "v" {
-		t.Errorf("read after checkpoint restore: %q, %v", rd.Value, err)
+	for key, want := range map[string]string{"k": "v", "j": "after"} {
+		if rd, err := cli2.Read(ctx, key); err != nil || string(rd.Value) != want {
+			t.Errorf("read %s after checkpoint and restart: %q, %v; want %q", key, rd.Value, err, want)
+		}
 	}
 }

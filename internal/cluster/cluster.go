@@ -39,7 +39,7 @@ type Config struct {
 	// WALDir gives every replica a write-ahead journal under the directory
 	// (site-<id>.wal) in place of its in-memory one. Existing journals are
 	// replayed at startup, so a cluster restarted on the same directory
-	// recovers every committed write without an explicit checkpoint.
+	// recovers every committed write; Checkpoint compacts them.
 	WALDir string
 	// Observer attaches an observability hook to the whole cluster: every
 	// replica, every client created through NewClient, and the cluster
@@ -150,22 +150,20 @@ func (c *Cluster) track(ep transport.Conn) {
 	}
 }
 
-// attachWAL replays and attaches the site's write-ahead journal.
+// attachWAL opens the site's write-ahead journal, replays it and attaches
+// it.
 func attachWAL(r *replica.Replica, dir string, site int) (*replica.WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: wal dir: %w", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("site-%d.wal", site))
-	if _, err := os.Stat(path); err == nil {
-		if _, err := replica.ReplayWAL(path, r.Store()); err != nil {
-			return nil, fmt.Errorf("cluster: replay wal for site %d: %w", site, err)
-		}
-	}
-	w, err := replica.OpenWAL(path)
+	w, err := replica.OpenWAL(filepath.Join(dir, fmt.Sprintf("site-%d.wal", site)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: wal for site %d: %w", site, err)
 	}
-	r.Store().AttachJournal(w)
+	if err := r.Store().AttachJournal(w); err != nil {
+		_ = w.Close()
+		return nil, fmt.Errorf("cluster: replay wal for site %d: %w", site, err)
+	}
 	return w, nil
 }
 
@@ -299,6 +297,21 @@ func (c *Cluster) Drain(ctx context.Context, site tree.SiteID) error {
 		return err
 	}
 	return r.Drain(ctx)
+}
+
+// Checkpoint compacts every replica's journal to one record per key, in
+// place (replica.Store.Compact): a file journal is rewritten and renamed
+// over the old one. A replica that is down, or still replaying its
+// journal, keeps its journal as it is. The error names every site whose
+// compaction failed; each of those keeps its old journal.
+func (c *Cluster) Checkpoint() error {
+	var errs []error
+	for _, site := range c.Tree().Sites() {
+		if err := c.replicas[site].Store().Compact(); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: checkpoint site %d: %w", site, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // RecoverAll recovers every crashed replica (see Recover).

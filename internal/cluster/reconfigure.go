@@ -69,9 +69,13 @@ func (c *Cluster) Reconfigure(newTree *tree.Tree) error {
 	}
 
 	// Install on the target level (idempotent: Apply keeps newer values).
+	// A write the target's journal fails to take is not on stable storage:
+	// the clients stay on the old tree.
 	for key, v := range latest {
 		for _, site := range target {
-			c.replicas[site].Store().Apply(key, v.value, v.ts)
+			if _, err := c.replicas[site].Store().Apply(key, v.value, v.ts); err != nil {
+				return fmt.Errorf("cluster: reconfigure: migrate %q to site %d: %w", key, site, err)
+			}
 		}
 	}
 

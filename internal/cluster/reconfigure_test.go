@@ -151,3 +151,33 @@ func TestReconfigureVersionsKeepIncreasing(t *testing.T) {
 		t.Errorf("post-reconfigure version %d not above %d", wr.TS.Version, last)
 	}
 }
+
+// TestReconfigureRefusesUnjournaledMigration: a migration write the target's
+// journal fails to append fails the reconfiguration before any client
+// leaves the old tree.
+func TestReconfigureRefusesUnjournaledMigration(t *testing.T) {
+	c := newConfiguredCluster(t, "1-3-5", Config{WALDir: t.TempDir()})
+	cli := newClient(t, c)
+	if _, err := cli.Write(context.Background(), "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range c.wals {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 1-8 is one level of all eight sites: half of them lack k.
+	newTree, err := tree.ParseSpec("1-8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Reconfigure(newTree); err == nil {
+		t.Fatal("a migration no journal took was reported done")
+	}
+	if spec := c.Tree().Spec(); spec != "1-3-5" {
+		t.Errorf("cluster tree = %s after a failed reconfigure, want 1-3-5", spec)
+	}
+	if n := cli.Protocol().NumPhysicalLevels(); n != 2 {
+		t.Errorf("client on a %d-level protocol after a failed reconfigure, want the old 2", n)
+	}
+}

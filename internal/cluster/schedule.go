@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -48,6 +49,9 @@ type Event struct {
 	// shed, in-flight work and prepared transactions resolve, then the
 	// replica crashes, its journal intact.
 	Drain []tree.SiteID
+	// Checkpoint compacts every replica's journal to one record per key
+	// (Cluster.Checkpoint); a site that is down keeps its journal as is.
+	Checkpoint bool
 	// Workload marks a workload-phase shift (e.g. "mostly-write"). The
 	// cluster itself takes no action — clients generate the operations —
 	// but harnesses that own the workload (internal/sim) align their phase
@@ -139,6 +143,10 @@ func (ev Event) String() string {
 		b.WriteString("drain=")
 		b.WriteString(formatSites(ev.Drain))
 	}
+	if ev.Checkpoint {
+		sep()
+		b.WriteString("checkpoint")
+	}
 	if ev.Workload != "" {
 		sep()
 		b.WriteString("workload=")
@@ -181,6 +189,7 @@ func formatSites(sites []tree.SiteID) string {
 //	unsaturate=<site>[,<site>...]
 //	slowsite=<site>:<dur>[,<site>:<dur>...]
 //	drain=<site>[,<site>...]
+//	checkpoint
 //	workload=<name>
 //
 // A recovery replays the site's journal and then catches up from the other
@@ -188,6 +197,7 @@ func formatSites(sites []tree.SiteID) string {
 // the deterministic overload fault (the site sheds all gated work until
 // unsaturate or recover), slowsite injects per-request service delay (a
 // zero duration clears it) and drain gracefully removes sites from service.
+// checkpoint compacts every journal that is up to one record per key.
 // workload marks a workload-phase shift for harnesses that own the
 // operation stream; the cluster takes no action on it.
 //
@@ -258,6 +268,8 @@ func ParseSchedule(s string) (Schedule, error) {
 				if ev.Drain, err = parseSites(args); err != nil {
 					return nil, err
 				}
+			case "checkpoint":
+				ev.Checkpoint = true
 			case "workload":
 				name := strings.TrimSpace(args)
 				if name == "" {
@@ -402,6 +414,9 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 		if err := c.Drain(ctx, s); err != nil && drainErr == nil {
 			drainErr = err
 		}
+	}
+	if ev.Checkpoint {
+		return errors.Join(drainErr, c.Checkpoint())
 	}
 	return drainErr
 }

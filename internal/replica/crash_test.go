@@ -1,25 +1,28 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"slices"
 	"testing"
 )
 
-// journalLen is the size of the replica's journal: the in-memory one's
-// bytes, or the file's.
-func journalLen(t *testing.T, r *Replica) int {
+// journalBytes is the replica's journal as it stands: the in-memory
+// buffer, or the file.
+func journalBytes(t *testing.T, r *Replica) []byte {
 	t.Helper()
 	w := r.store.journal
-	if m, ok := w.f.(*memFile); ok {
-		return len(m.buf)
+	if w.path == "" {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return bytes.Clone(w.f.(*memFile).buf)
 	}
-	fi, err := os.Stat(w.path)
+	data, err := os.ReadFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int(fi.Size())
+	return data
 }
 
 // TestCrashLosesMemoryRecoverReplaysJournal: a crash leaves the replica
@@ -35,7 +38,7 @@ func TestCrashLosesMemoryRecoverReplaysJournal(t *testing.T) {
 	}
 	before := h.rep.Store().Keys()
 	slices.Sort(before)
-	n := journalLen(t, h.rep)
+	n := len(journalBytes(t, h.rep))
 	if n == 0 {
 		t.Fatal("the in-memory journal recorded nothing")
 	}
@@ -53,7 +56,7 @@ func TestCrashLosesMemoryRecoverReplaysJournal(t *testing.T) {
 	if _, ts, _ := h.rep.Store().Get("a"); ts.Version != 4 {
 		t.Errorf("a replayed at %v, want the newest version 4", ts)
 	}
-	if got := journalLen(t, h.rep); got != n {
+	if got := len(journalBytes(t, h.rep)); got != n {
 		t.Errorf("journal length %d after crash + recover, want %d", got, n)
 	}
 }

@@ -91,19 +91,27 @@ func TestStoreApplyOrdering(t *testing.T) {
 	if _, _, found := s.Get("k"); found {
 		t.Error("empty store found a key")
 	}
-	if !s.Apply("k", []byte("v1"), Timestamp{Version: 1, Site: 2}) {
+	apply := func(value string, ts Timestamp) bool {
+		t.Helper()
+		applied, err := s.Apply("k", []byte(value), ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return applied
+	}
+	if !apply("v1", Timestamp{Version: 1, Site: 2}) {
 		t.Error("first apply rejected")
 	}
 	// Same version from a higher site loses the tie-break.
-	if s.Apply("k", []byte("v1b"), Timestamp{Version: 1, Site: 3}) {
+	if apply("v1b", Timestamp{Version: 1, Site: 3}) {
 		t.Error("tie-losing apply accepted")
 	}
 	// Same version from a lower site wins.
-	if !s.Apply("k", []byte("v1c"), Timestamp{Version: 1, Site: 1}) {
+	if !apply("v1c", Timestamp{Version: 1, Site: 1}) {
 		t.Error("tie-winning apply rejected")
 	}
 	// Older version never applies.
-	if s.Apply("k", []byte("old"), Timestamp{Version: 0, Site: 0}) {
+	if apply("old", Timestamp{Version: 0, Site: 0}) {
 		t.Error("stale apply accepted")
 	}
 	v, ts, found := s.Get("k")

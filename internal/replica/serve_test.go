@@ -391,8 +391,8 @@ func TestStopUnderLoad(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayed := NewStore()
-	if _, err := ReplayWAL(walPath, replayed); err != nil {
+	replayed, err := replayFile(t, walPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	acks := 0

@@ -31,6 +31,10 @@ type Store struct {
 	locks   map[string]lockState
 	lockTTL time.Duration // see WithLockTTL
 	journal *WAL
+	// lost is set by reset (a crash) and cleared once a replay has rebuilt
+	// the store: meanwhile the store is not its journal's image, and
+	// Compact leaves the journal alone.
+	lost bool
 	// journalErrors counts failed journal appends and lockWait (nil: off)
 	// times the mutex in prepare; a replica rebinds both to its observer.
 	journalErrors *obs.Counter
@@ -77,18 +81,26 @@ func (s *Store) Version(key string) (ts Timestamp, found bool) {
 	return e.ts, ok
 }
 
-// Apply installs value under key if ts is newer than what is stored. It
-// reports whether the write took effect; the store then owns value. When a
-// journal is attached, effective writes are appended to it (best-effort: a
-// journal failure is counted and does not roll back the in-memory apply;
-// commit reports it).
+// Apply installs value under key if ts is newer than what is stored, and
+// reports whether the write took effect; the store then owns value. An
+// effective write is appended to the journal, and Apply returns the
+// append's error (counted too). A failed append does not roll back the
+// in-memory apply, so the write is lost by the next crash unless it is
+// applied again.
 // The append runs after the store lock is released, so journal order may
-// differ from apply order; replay goes through Apply, where a record older
-// than what is stored is a no-op, and so ends at the same state.
-func (s *Store) Apply(key string, value []byte, ts Timestamp) bool {
+// differ from apply order; replay keeps the newest timestamp of a key, and
+// so ends at the same state.
+func (s *Store) Apply(key string, value []byte, ts Timestamp) (applied bool, err error) {
 	s.mu.Lock()
-	applied, _ := s.install(key, value, ts, false)
-	return applied
+	return s.install(key, value, ts, false)
+}
+
+// pull is Apply for a catch-up: it also journals a write whose timestamp is
+// the one stored, as a retried page re-applies the writes a failed append
+// left in memory only (see syncLevel).
+func (s *Store) pull(key string, value []byte, ts Timestamp) (applied bool, err error) {
+	s.mu.Lock()
+	return s.install(key, value, ts, true)
 }
 
 // install is Apply past its Lock: entered with s.mu held, it stores the
@@ -173,11 +185,13 @@ func (s *Store) release(key string, txID uint64) (filed string, held bool) {
 }
 
 // reset discards the store's contents and every prepare lock: what a crash
-// loses. The journal stays attached.
+// loses. The journal stays attached, and the store is lost until a replay
+// rebuilds it.
 func (s *Store) reset() {
 	s.mu.Lock()
 	clear(s.data)
 	clear(s.locks)
+	s.lost = true
 	s.mu.Unlock()
 }
 
@@ -192,7 +206,7 @@ func (s *Store) load(key string, value []byte, ts Timestamp) {
 }
 
 // reload rebuilds the store from its journal after a crash: reset, then
-// replay.
+// replay. A replay that fails leaves the store lost.
 func (s *Store) reload() error {
 	s.reset()
 	s.mu.Lock()
@@ -201,8 +215,42 @@ func (s *Store) reload() error {
 	if journal == nil {
 		return nil
 	}
-	_, err := journal.replayInto(s)
-	return err
+	if err := journal.replayInto(s); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.lost = false
+	s.mu.Unlock()
+	return nil
+}
+
+// Compact rewrites the store's journal as one record per key (see
+// WAL.compact). A store that a crash has reset and no replay has rebuilt
+// yet is not its journal's image: its journal is left as it is.
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	journal := s.journal
+	s.mu.Unlock()
+	if journal == nil {
+		return nil
+	}
+	return journal.compact(s)
+}
+
+// image returns the store's entries as journal records, or false while the
+// store is lost. The values are shared, not copied: stored values are
+// immutable.
+func (s *Store) image() ([]wire.Record, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lost {
+		return nil, false
+	}
+	recs := make([]wire.Record, 0, len(s.data))
+	for k, e := range s.data {
+		recs = append(recs, wire.Record{Key: k, Value: e.value, TS: e.ts})
+	}
+	return recs, true
 }
 
 // locked reports whether any prepare lock is live at now.

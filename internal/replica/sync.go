@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -75,6 +76,7 @@ var (
 	errSyncAborted  = errors.New("replica: sync aborted")
 	errSyncTimeout  = errors.New("replica: sync call timed out")
 	errSyncBadReply = errors.New("replica: unexpected sync reply type")
+	errSyncJournal  = errors.New("replica: sync pull not journaled")
 )
 
 // startSync launches an anti-entropy pass in the background unless one is
@@ -146,21 +148,26 @@ func (r *Replica) runSync(plan SyncPlan, stop <-chan struct{}, done chan<- struc
 
 // syncLevel pulls digest pages from one source level until its digest is
 // exhausted, backing off (jittered, doubling) whenever every candidate
-// source fails in a round.
+// source fails in a round, or the journal fails to append a pulled write.
+// A page retried after a failed append fetches the keys the replica holds
+// at the source's timestamp too, and journals them again: the failed
+// write is already in memory, where the digest alone would skip it.
 func (r *Replica) syncLevel(peers []transport.Addr, cfg SyncConfig, rng *rand.Rand, stop <-chan struct{}) error {
 	backoff := cfg.RetryBase
 	cursor := ""
+	again := false
 	for {
 		select {
 		case <-stop:
 			return errSyncAborted
 		default:
 		}
-		next, done, err := r.syncPage(peers, cursor, cfg, stop)
+		next, done, err := r.syncPage(peers, cursor, cfg, again, stop)
 		if errors.Is(err, errSyncAborted) {
 			return err
 		}
 		if err != nil {
+			again = again || errors.Is(err, errSyncJournal)
 			r.instr.syncRetries.Inc()
 			d := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
 			if !sleepInterruptible(d, stop) {
@@ -169,7 +176,7 @@ func (r *Replica) syncLevel(peers []transport.Addr, cfg SyncConfig, rng *rand.Ra
 			backoff = min(2*backoff, 16*cfg.RetryBase)
 			continue
 		}
-		backoff = cfg.RetryBase
+		backoff, again = cfg.RetryBase, false
 		if done {
 			return nil
 		}
@@ -178,13 +185,14 @@ func (r *Replica) syncLevel(peers []transport.Addr, cfg SyncConfig, rng *rand.Ra
 }
 
 // syncPage tries one digest+fetch round after cursor against each candidate
-// source in turn. It returns the cursor for the next page; done reports the
-// level's digest is exhausted.
-func (r *Replica) syncPage(peers []transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (next string, done bool, err error) {
+// source in turn, until one serves it or the journal fails (which another
+// source cannot mend). It returns the cursor for the next page; done
+// reports the level's digest is exhausted.
+func (r *Replica) syncPage(peers []transport.Addr, cursor string, cfg SyncConfig, again bool, stop <-chan struct{}) (next string, done bool, err error) {
 	err = errSyncTimeout // reported when peers is empty
 	for _, peer := range peers {
-		next, done, err = r.syncPageFrom(peer, cursor, cfg, stop)
-		if err == nil || errors.Is(err, errSyncAborted) {
+		next, done, err = r.syncPageFrom(peer, cursor, cfg, again, stop)
+		if err == nil || errors.Is(err, errSyncAborted) || errors.Is(err, errSyncJournal) {
 			return next, done, err
 		}
 	}
@@ -192,10 +200,11 @@ func (r *Replica) syncPage(peers []transport.Addr, cursor string, cfg SyncConfig
 }
 
 // syncPageFrom pulls one page from a single source: digest the keys after
-// cursor, fetch the ones whose source timestamp beats ours, apply them.
-// The fetch goes to the same peer that served the digest so the fetched
-// timestamps can only be newer than the digested ones.
-func (r *Replica) syncPageFrom(peer transport.Addr, cursor string, cfg SyncConfig, stop <-chan struct{}) (string, bool, error) {
+// cursor, fetch the ones whose source timestamp beats ours (with again,
+// also those it equals), apply them. The fetch goes to the same peer that
+// served the digest so the fetched timestamps can only be newer than the
+// digested ones. A pulled write the journal fails to append ends the round.
+func (r *Replica) syncPageFrom(peer transport.Addr, cursor string, cfg SyncConfig, again bool, stop <-chan struct{}) (string, bool, error) {
 	resp, err := r.syncCall(peer, cfg.CallTimeout, stop, SyncDigestReq{StartAfter: cursor, Limit: cfg.BatchSize})
 	if err != nil {
 		return cursor, false, err
@@ -207,7 +216,7 @@ func (r *Replica) syncPageFrom(peer transport.Addr, cursor string, cfg SyncConfi
 	need := make([]string, 0, len(dig.Entries))
 	for _, e := range dig.Entries {
 		local, found := r.store.Version(e.Key)
-		if !found || e.TS.After(local) {
+		if !found || e.TS.After(local) || again && e.TS == local {
 			need = append(need, e.Key)
 		}
 	}
@@ -224,7 +233,11 @@ func (r *Replica) syncPageFrom(peer transport.Addr, cursor string, cfg SyncConfi
 			if !it.Found {
 				continue
 			}
-			if r.store.Apply(it.Key, it.Value, it.TS) {
+			applied, err := r.store.pull(it.Key, it.Value, it.TS)
+			if err != nil {
+				return cursor, false, fmt.Errorf("%w: %w", errSyncJournal, err)
+			}
+			if applied {
 				r.instr.syncKeysPulled.Inc()
 			}
 		}

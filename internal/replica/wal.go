@@ -8,10 +8,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"arbor/internal/wire"
 )
+
+// errLegacyFormat rejects journals written before the binary record format:
+// their gob decoder is gone. A journal that old has to be rewritten by a
+// release that still read it.
+var errLegacyFormat = errors.New("legacy gob format is no longer supported")
+
+// errWALClosed is what a closed journal answers.
+var errWALClosed = errors.New("replica: wal closed")
 
 // walBufPool recycles append buffers; WAL appends sit on every committed
 // write, so the encode must not allocate per record.
@@ -20,10 +29,11 @@ var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // WAL is a write-ahead journal of committed writes: the replica's stable
 // storage. Every effective Apply is journaled, so a replica that crashes
 // (Crash discards the store) rebuilds it by replaying the journal; entries
-// are timestamp-ordered and idempotent, so replaying over a snapshot — or
-// twice — is harmless. The journal is a file (OpenWAL) or, for a replica
-// with none attached, in memory: a disk that survives the replica's crashes
-// but not its process.
+// are timestamp-ordered and idempotent, so replaying twice, or over a store
+// that holds newer writes, is harmless. Compaction (Store.Compact) rewrites
+// it as one record per key. The journal is a file (OpenWAL) or, for a
+// replica with none attached, in memory: a disk that survives the replica's
+// crashes but not its process.
 type WAL struct {
 	mu   sync.Mutex
 	f    file
@@ -71,7 +81,7 @@ func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		return errors.New("replica: wal closed")
+		return errWALClosed
 	}
 	bp := walBufPool.Get().(*[]byte)
 	buf := wire.AppendFramedRecord((*bp)[:0], wire.Record{Key: key, Value: value, TS: ts})
@@ -103,25 +113,20 @@ func (w *WAL) Close() error {
 
 // replayInto rebuilds s from the journal: the in-memory journal's records,
 // or the file's as they are on disk.
-func (w *WAL) replayInto(s *Store) (int, error) {
+func (w *WAL) replayInto(s *Store) error {
 	w.mu.Lock()
 	m, inMemory := w.f.(*memFile)
 	var records []byte
 	if inMemory {
-		records = m.buf // appends never touch the bytes below len
+		records = m.buf // appends never touch the bytes below len; compact swaps the buffer
 	}
 	w.mu.Unlock()
 	if inMemory {
 		return replay(bytes.NewReader(records), s)
 	}
-	return ReplayWAL(w.path, s)
-}
-
-// ReplayWAL reads the journal at path into the store; see replay.
-func ReplayWAL(path string, s *Store) (int, error) {
-	f, err := os.Open(path)
+	f, err := os.Open(w.path)
 	if err != nil {
-		return 0, fmt.Errorf("replica: open wal for replay: %w", err)
+		return fmt.Errorf("replica: open wal for replay: %w", err)
 	}
 	defer f.Close()
 	return replay(bufio.NewReader(f), s)
@@ -129,45 +134,103 @@ func ReplayWAL(path string, s *Store) (int, error) {
 
 // replay loads every decodable record into the store without journaling it
 // again, stopping silently at a truncated tail (the record being written
-// when the process died). It returns the number of records read. A whole
-// record body that does not open with the record magic byte is not a torn
-// tail but a journal from before the binary format: replay stops there with
-// errLegacyFormat rather than quietly dropping the rest of the journal.
-func replay(r io.Reader, s *Store) (int, error) {
-	applied := 0
-	for {
+// when the process died). A whole record body that does not open with the
+// record magic byte is not a torn tail but a journal from before the binary
+// format: replay stops there with errLegacyFormat rather than quietly
+// dropping the rest of the journal.
+func replay(r io.Reader, s *Store) error {
+	for applied := 0; ; applied++ {
 		// A torn tail — short header, short payload, undecodable record or
 		// an implausible length — is expected after a crash: anything
 		// already decoded is applied, the rest is unrecoverable noise.
 		var hdr [4]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return applied, nil
+			return nil
 		}
 		n := binary.BigEndian.Uint32(hdr[:])
 		if n == 0 || n > wire.MaxRecord {
-			return applied, nil
+			return nil
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return applied, nil
+			return nil
 		}
 		if buf[0] != wire.RecordMagic {
-			return applied, fmt.Errorf("replica: replay wal: record %d starts with %#x, not a binary record: %w", applied, buf[0], errLegacyFormat)
+			return fmt.Errorf("replica: replay wal: record %d starts with %#x, not a binary record: %w", applied, buf[0], errLegacyFormat)
 		}
 		rec, err := wire.DecodeRecord(buf)
 		if err != nil {
-			return applied, nil
+			return nil
 		}
 		s.load(rec.Key, rec.Value, rec.TS)
-		applied++
 	}
 }
 
-// AttachJournal makes the store append every successful Apply to the WAL,
-// in place of the journal it had. Attach after replay, before serving
-// traffic.
-func (s *Store) AttachJournal(w *WAL) {
+// compact rewrites the journal as one record per key of s, the store it
+// journals, unless s is not the journal's image (Store.image): a crashed
+// store, or one whose replay has not ended. It holds the journal's mutex
+// throughout, so no append lands in the old journal once s is copied. A
+// file journal is written to path.tmp, synced and renamed over the journal,
+// and then the directory is synced; appends go on through the descriptor
+// already open on the renamed file, so nothing has to be reopened after
+// the rename. A compaction that fails before the rename leaves the old
+// journal as it was. An in-memory journal swaps its buffer.
+func (w *WAL) compact(s *Store) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return errWALClosed
+	}
+	recs, ok := s.image()
+	if !ok {
+		return nil
+	}
+	var buf []byte
+	for _, rec := range recs {
+		buf = wire.AppendFramedRecord(buf, rec)
+	}
+	if w.path == "" {
+		w.f = &memFile{buf: buf}
+		return nil
+	}
+	tmp := w.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("replica: compact wal: %w", err)
+	}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, w.path)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return fmt.Errorf("replica: compact wal: %w", err)
+	}
+	_ = w.f.Close() // the old journal's file, unlinked by the rename
+	w.f = f
+	d, err := os.Open(filepath.Dir(w.path))
+	if err == nil {
+		err = d.Sync()
+		_ = d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("replica: compact wal: sync dir: %w", err)
+	}
+	return nil
+}
+
+// AttachJournal replays w into the store and then makes it the store's
+// journal in place of the one it had: every effective Apply is appended to
+// it from then on. Attach before serving traffic.
+func (s *Store) AttachJournal(w *WAL) error {
+	if err := w.replayInto(s); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.journal = w
+	return nil
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"arbor/internal/obs"
+	"arbor/internal/wire"
 )
 
 func newWAL(t *testing.T) (*WAL, string) {
@@ -19,6 +21,49 @@ func newWAL(t *testing.T) (*WAL, string) {
 	}
 	t.Cleanup(func() { _ = w.Close() })
 	return w, path
+}
+
+// replayFile rebuilds a fresh store from the journal file at path, as a
+// restarted process does: OpenWAL, then AttachJournal.
+func replayFile(t *testing.T, path string) (*Store, error) {
+	t.Helper()
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() })
+	s := NewStore()
+	return s, s.AttachJournal(w)
+}
+
+// decodeRecords returns the whole records in a journal's bytes, stopping at
+// a torn tail.
+func decodeRecords(t *testing.T, data []byte) []wire.Record {
+	t.Helper()
+	var recs []wire.Record
+	for len(data) >= 4 {
+		n := int(binary.BigEndian.Uint32(data))
+		if len(data) < 4+n {
+			break
+		}
+		rec, err := wire.DecodeRecord(data[4 : 4+n])
+		if err != nil {
+			break
+		}
+		recs = append(recs, rec)
+		data = data[4+n:]
+	}
+	return recs
+}
+
+// fileRecords returns the whole records in the journal file at path.
+func fileRecords(t *testing.T, path string) []wire.Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeRecords(t, data)
 }
 
 func TestWALReplayRebuildsStore(t *testing.T) {
@@ -33,13 +78,12 @@ func TestWALReplayRebuildsStore(t *testing.T) {
 	}
 
 	// Crash-restart: a fresh store replays the log.
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
+	fresh, err := replayFile(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 3 {
-		t.Errorf("replayed %d records, want 3", applied)
+	if n := len(fileRecords(t, path)); n != 3 {
+		t.Errorf("journal holds %d records, want 3", n)
 	}
 	v, ts, _ := fresh.Get("a")
 	if string(v) != "3" || ts.Version != 2 {
@@ -61,13 +105,8 @@ func TestWALIgnoresIneffectiveApplies(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1 {
-		t.Errorf("journal has %d records, want 1", applied)
+	if n := len(fileRecords(t, path)); n != 1 {
+		t.Errorf("journal has %d records, want 1", n)
 	}
 }
 
@@ -89,36 +128,96 @@ func TestWALReplayToleratesTornTail(t *testing.T) {
 	}
 	_ = f.Close()
 
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
+	fresh, err := replayFile(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 1 {
-		t.Errorf("replayed %d records, want the 1 intact one", applied)
+	if n := len(fileRecords(t, path)); n != 1 {
+		t.Errorf("journal holds %d whole records, want the 1 intact one", n)
+	}
+	if v, _, ok := fresh.Get("k"); !ok || string(v) != "v" {
+		t.Errorf("k = %q, %v after replaying past a torn tail", v, ok)
 	}
 }
 
+// TestWALReplayOverSnapshotIsIdempotent: a compacted journal is a snapshot
+// of the store followed by the appends made since; replaying it, twice over
+// the same store, ends at the newest version of every key.
 func TestWALReplayOverSnapshotIsIdempotent(t *testing.T) {
 	w, path := newWAL(t)
 	s := NewStore()
 	s.AttachJournal(w)
 	s.Apply("k", []byte("v1"), Timestamp{Version: 1, Site: 1})
 	s.Apply("k", []byte("v2"), Timestamp{Version: 2, Site: 1})
+	s.Apply("j", []byte("j1"), Timestamp{Version: 1, Site: 1})
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Apply("j", []byte("j2"), Timestamp{Version: 2, Site: 1})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Replay twice: timestamp ordering keeps the result identical.
-	fresh := NewStore()
-	if _, err := ReplayWAL(path, fresh); err != nil {
+	fresh, err := replayFile(t, path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayWAL(path, fresh); err != nil {
+	if err := fresh.AttachJournal(fresh.journal); err != nil { // and once more
 		t.Fatal(err)
 	}
-	v, ts, _ := fresh.Get("k")
-	if string(v) != "v2" || ts.Version != 2 {
-		t.Errorf("k = %q %v", v, ts)
+	for key, want := range map[string]string{"k": "v2", "j": "j2"} {
+		if v, ts, _ := fresh.Get(key); string(v) != want || ts.Version != 2 {
+			t.Errorf("%s = %q %v, want %q at version 2", key, v, ts, want)
+		}
+	}
+}
+
+// TestRestoreNeverRegresses: replaying a journal into a store that holds a
+// newer version of a key keeps the newer one.
+func TestRestoreNeverRegresses(t *testing.T) {
+	w, path := newWAL(t)
+	old := NewStore()
+	old.AttachJournal(w)
+	old.Apply("k", []byte("old"), Timestamp{Version: 1, Site: 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur := NewStore()
+	cur.Apply("k", []byte("new"), Timestamp{Version: 5, Site: 1})
+	w2, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := cur.AttachJournal(w2); err != nil {
+		t.Fatal(err)
+	}
+	if v, ts, _ := cur.Get("k"); string(v) != "new" || ts.Version != 5 {
+		t.Errorf("an older journal regressed the store to %q %v", v, ts)
+	}
+}
+
+// TestRestoreMergesNewerEntries: replaying a journal into a store that holds
+// an older version of a key installs the journal's.
+func TestRestoreMergesNewerEntries(t *testing.T) {
+	w, path := newWAL(t)
+	newer := NewStore()
+	newer.AttachJournal(w)
+	newer.Apply("k", []byte("fresh"), Timestamp{Version: 9, Site: 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur := NewStore()
+	cur.Apply("k", []byte("stale"), Timestamp{Version: 2, Site: 1})
+	w2, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if err := cur.AttachJournal(w2); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := cur.Get("k"); string(v) != "fresh" {
+		t.Errorf("replay did not install the newer entry: %q", v)
 	}
 }
 
@@ -179,12 +278,19 @@ func TestWALErrors(t *testing.T) {
 	if _, err := OpenWAL(filepath.Join(t.TempDir(), "missing", "dir.wal")); err == nil {
 		t.Error("open in missing directory succeeded")
 	}
-	if _, err := ReplayWAL(filepath.Join(t.TempDir(), "absent.wal"), NewStore()); err == nil {
-		t.Error("replay of absent file succeeded")
-	}
 	w, path := newWAL(t)
 	if w.Path() != path {
 		t.Errorf("Path = %q", w.Path())
+	}
+	s := NewStore()
+	if err := s.AttachJournal(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); !errors.Is(err, errWALClosed) {
+		t.Errorf("compacting a closed journal: err = %v, want errWALClosed", err)
 	}
 }
 
@@ -201,23 +307,21 @@ func TestWALAppendAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewStore()
-		if _, err := ReplayWAL(path, s); err != nil {
+		if err := s.AttachJournal(w); err != nil {
 			t.Fatal(err)
 		}
-		s.AttachJournal(w)
 		key := []string{"a", "b", "c"}[session]
 		s.Apply(key, []byte(key), Timestamp{Version: uint64(session + 1), Site: 1})
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
+	fresh, err := replayFile(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 3 {
-		t.Fatalf("replayed %d records across 3 sessions, want 3", applied)
+	if n := len(fileRecords(t, path)); n != 3 {
+		t.Fatalf("journal holds %d records across 3 sessions, want 3", n)
 	}
 	for _, key := range []string{"a", "b", "c"} {
 		if v, _, ok := fresh.Get(key); !ok || string(v) != key {
@@ -249,12 +353,11 @@ func TestReplayRejectsLegacyWAL(t *testing.T) {
 	}
 	_ = f.Close()
 
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
+	fresh, err := replayFile(t, path)
 	if !errors.Is(err, errLegacyFormat) {
 		t.Fatalf("err = %v, want errLegacyFormat", err)
 	}
-	if applied != 1 {
-		t.Errorf("replayed %d records before the legacy one, want 1", applied)
+	if v, _, ok := fresh.Get("k"); !ok || string(v) != "v" {
+		t.Errorf("the record before the legacy one was not replayed: %q, %v", v, ok)
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"fmt"
 )
 
-// Record is one durable store entry — the unit the WAL journals and
-// snapshots stream. Its binary form is self-contained and decodable from
-// any record boundary, the property that keeps multi-session journals
-// replayable (PR 4's WAL bug class: a streaming gob encoder re-emits type
-// descriptors on reopen and poisons everything after the first session).
+// Record is one durable store entry — the unit the WAL journals, and of
+// which a compacted journal holds one per key. Its binary form is
+// self-contained and decodable from any record boundary, the property that
+// keeps multi-session journals replayable (a streaming gob encoder re-emits
+// type descriptors on reopen and poisons everything after the first
+// session).
 type Record struct {
 	Key   string
 	Value []byte
@@ -62,38 +63,12 @@ func DecodeRecord(data []byte) (Record, error) {
 	return rec, nil
 }
 
-// Snapshot framing: a snapshot file is [SnapshotMagic][version] followed by
-// length-prefixed records ([4-byte big-endian length][record]) until EOF.
-// Like RecordMagic, SnapshotMagic can never start a gob stream, so Restore
-// tells a gob-era snapshot from the first byte.
-
-// SnapshotMagic is the first byte of a binary snapshot file.
-const SnapshotMagic byte = 0xA7
-
-// snapshotVersion is the snapshot framing version.
-const snapshotVersion byte = 1
-
-// SnapshotHeader returns the two-byte header that opens a binary snapshot.
-func SnapshotHeader() []byte { return []byte{SnapshotMagic, snapshotVersion} }
-
-// CheckSnapshotHeader validates a snapshot header previously read from a
-// file.
-func CheckSnapshotHeader(hdr []byte) error {
-	if len(hdr) < 2 || hdr[0] != SnapshotMagic {
-		return ErrNotRecord
-	}
-	if hdr[1] != snapshotVersion {
-		return fmt.Errorf("wire: snapshot version %d, want %d", hdr[1], snapshotVersion)
-	}
-	return nil
-}
-
 // MaxRecord bounds one record's encoded size during replay, so a corrupt
 // length prefix cannot ask for an absurd allocation.
 const MaxRecord = 1 << 24
 
-// AppendFramedRecord appends [length][record] to dst — the framing the WAL
-// and snapshots share.
+// AppendFramedRecord appends [length][record] to dst — the WAL's framing:
+// a 4-byte big-endian length, then the record.
 func AppendFramedRecord(dst []byte, r Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)

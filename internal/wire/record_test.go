@@ -49,28 +49,11 @@ func TestDecodeRecordRejects(t *testing.T) {
 
 // TestMagicBytesCannotStartGob pins the load-bearing fact behind the
 // one-byte format sniff: a gob stream's first byte is a single-byte segment
-// length (≤ 0x7F) or a multi-byte length marker (≥ 0xF8), so the magics in
-// between are unambiguous.
+// length (≤ 0x7F) or a multi-byte length marker (≥ 0xF8), so the record
+// magic in between is unambiguous.
 func TestMagicBytesCannotStartGob(t *testing.T) {
-	for _, magic := range []byte{RecordMagic, SnapshotMagic} {
-		if magic <= 0x7F || magic >= 0xF8 {
-			t.Errorf("magic 0x%02X is inside gob's first-byte range", magic)
-		}
-	}
-}
-
-func TestSnapshotHeader(t *testing.T) {
-	if err := CheckSnapshotHeader(SnapshotHeader()); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSnapshotHeader([]byte{SnapshotMagic}); err == nil {
-		t.Error("short header accepted")
-	}
-	if err := CheckSnapshotHeader([]byte{0x00, snapshotVersion}); err != ErrNotRecord {
-		t.Errorf("wrong magic: err = %v, want ErrNotRecord", err)
-	}
-	if err := CheckSnapshotHeader([]byte{SnapshotMagic, snapshotVersion + 1}); err == nil {
-		t.Error("future snapshot version accepted")
+	if RecordMagic <= 0x7F || RecordMagic >= 0xF8 {
+		t.Errorf("magic 0x%02X is inside gob's first-byte range", RecordMagic)
 	}
 }
 

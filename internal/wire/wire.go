@@ -1,7 +1,7 @@
 // Package wire defines the protocol's on-the-wire vocabulary: the message
 // types clients and replicas exchange, their versioned binary encoding
-// (Append and Decode), and the self-contained record format the durability
-// layers (WAL, snapshots, checkpoints) share. It is a leaf package —
+// (Append and Decode), and the self-contained record format of the
+// write-ahead journal, compacted or not. It is a leaf package —
 // transport, rpc and replica all build on it, so the message set and its
 // encoding live in exactly one place.
 //
