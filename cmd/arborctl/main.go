@@ -1,14 +1,14 @@
 // Command arborctl is the HTTP client for an arbord daemon: get/put keys,
-// dump the metrics, inject faults (a checkpoint among them), and reshape
-// the tree from the command line.
+// dump the metrics, and inject faults (a checkpoint and a reshape of the
+// tree among them) from the command line.
 //
 // Usage:
 //
 //	arborctl [-addr http://127.0.0.1:8080] get KEY
 //	arborctl put KEY VALUE
 //	arborctl stats
-//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recover=4, recoverall, checkpoint
-//	arborctl reconfigure SPEC
+//	arborctl fault ACTIONS      e.g. crash=2, drain=2, recover=4, recoverall, checkpoint,
+//	                            reconfigure=1-4-4
 //	arborctl controller [enable|disable]
 package main
 
@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("need a command: get, put, stats, fault, reconfigure, controller")
+		return errors.New("need a command: get, put, stats, fault, controller")
 	}
 	base := strings.TrimRight(*addr, "/")
 
@@ -61,11 +61,6 @@ func run(args []string, out io.Writer) error {
 			return errors.New("usage: fault ACTIONS")
 		}
 		return request(out, http.MethodPost, base+"/fault?do="+url.QueryEscape(rest[1]), "")
-	case "reconfigure":
-		if len(rest) != 2 {
-			return errors.New("usage: reconfigure SPEC")
-		}
-		return request(out, http.MethodPost, base+"/reconfigure?spec="+url.QueryEscape(rest[1]), "")
 	case "controller":
 		// Bare "controller" inspects; "enable"/"disable" toggles.
 		switch {

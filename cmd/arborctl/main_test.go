@@ -38,16 +38,13 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		}
 		fmt.Fprintf(w, "controller %sd\n", r.URL.Query().Get("action"))
 	})
-	for _, route := range []string{"/fault", "/reconfigure"} {
-		route := route
-		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "use POST", http.StatusMethodNotAllowed)
-				return
-			}
-			fmt.Fprintf(w, "done %s %v\n", route, r.URL.Query())
-		})
-	}
+	mux.HandleFunc("/fault", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "use POST", http.StatusMethodNotAllowed)
+			return
+		}
+		fmt.Fprintf(w, "done /fault %v\n", r.URL.Query())
+	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -84,7 +81,7 @@ func TestAdminCommands(t *testing.T) {
 		{[]string{"fault", "crash=3"}, "done /fault map[do:[crash=3]]"},
 		{[]string{"fault", "drain=2+saturate=3"}, "done /fault map[do:[drain=2+saturate=3]]"},
 		{[]string{"fault", "recoverall"}, "done /fault map[do:[recoverall]]"},
-		{[]string{"reconfigure", "1-4-4"}, "done /reconfigure map[spec:[1-4-4]]"},
+		{[]string{"fault", "reconfigure=1-3-5+4"}, "done /fault map[do:[reconfigure=1-3-5+4]]"},
 		{[]string{"fault", "checkpoint"}, "done /fault map[do:[checkpoint]]"},
 	} {
 		out, err := ctl(t, ts.URL, tc.args...)
@@ -131,6 +128,7 @@ func TestUsageErrors(t *testing.T) {
 		{"checkpoint"},
 		{"crash", "1"},
 		{"reconfigure"},
+		{"reconfigure", "1-4-4"},
 		{"explode"},
 	} {
 		if _, err := ctl(t, ts.URL, args...); err == nil {

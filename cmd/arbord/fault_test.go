@@ -223,6 +223,26 @@ func TestServerFaultTable(t *testing.T) {
 					t.Errorf("%d journals hold k after checkpoint, want a whole level's", compacted)
 				}
 			}},
+		{name: "reconfigure", do: "reconfigure=1-2-2-4", code: http.StatusOK,
+			check: func(t *testing.T, _ *server, ts *httptest.Server) {
+				if code, body := do(t, http.MethodGet, ts.URL+"/get?key=k", ""); code != http.StatusOK || body != "v" {
+					t.Errorf("get after reshape: %d %q", code, body)
+				}
+				// The metrics and the controller's state show the new shape.
+				if v := metricValue(t, scrape(t, ts), `arbor_cluster_level_size{level="2"}`); v != 4 {
+					t.Errorf("level 2 of 1-2-2-4 has %v sites on /metrics, want 4", v)
+				}
+				if _, ctl := do(t, http.MethodGet, ts.URL+"/controller", ""); !strings.Contains(ctl, `"currentSpec":"1-2-2-4"`) {
+					t.Errorf("controller tree not updated: %s", ctl)
+				}
+			}},
+		{name: "reconfigure bad spec", do: "reconfigure=bad", code: http.StatusBadRequest},
+		{name: "reconfigure replica count", do: "reconfigure=1-3-4", code: http.StatusConflict, body: "replica count",
+			check: func(t *testing.T, srv *server, _ *httptest.Server) {
+				if spec := srv.cluster.Tree().Spec(); spec != "1-3-5" {
+					t.Errorf("tree %s after a refused reconfigure, want 1-3-5", spec)
+				}
+			}},
 		{name: "workload", do: "workload=calm", code: http.StatusOK,
 			check: func(t *testing.T, _ *server, ts *httptest.Server) {
 				m := scrape(t, ts)

@@ -11,8 +11,8 @@
 //	                                recover=S, recoverall, saturate=S, slowsite=S:20ms, …
 //	                                (a crash loses the site's memory; recover replays its journal,
 //	                                then catches up from the other levels; checkpoint compacts
-//	                                every journal to one record per key)
-//	POST /reconfigure?spec=1-4-4    reshape the tree live
+//	                                every journal to one record per key; reconfigure=1-4-4
+//	                                reshapes the tree live, migrating by catch-up)
 //	GET  /controller?last=N         adaptation controller state + decision journal (JSON)
 //	POST /controller?action=enable  enable (or disable) the adaptation controller
 //	GET  /debug/pprof/              net/http/pprof: goroutine, heap, profile, trace, …
@@ -43,7 +43,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("arbord", flag.ContinueOnError)
 	var (
-		spec     = fs.String("spec", "1-3-5", "replica tree spec")
+		spec     = fs.String("spec", "1-3-5", "replica tree spec; with -wal-dir, for a fresh directory only: one that recorded a tree resumes it")
 		listen   = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		seed     = fs.Int64("seed", 1, "random seed")
 		walDir   = fs.String("wal-dir", "", "write-ahead-log directory, replayed at startup and by every recovery (default: journals in memory)")
@@ -66,6 +66,6 @@ func run(args []string) error {
 		srv.ctl.SetEnabled(true)
 	}
 	defer srv.Close()
-	fmt.Printf("arbord: serving %s on http://%s\n", t, *listen)
+	fmt.Printf("arbord: serving %s on http://%s\n", srv.cluster.Tree(), *listen)
 	return http.ListenAndServe(*listen, srv)
 }

@@ -74,7 +74,6 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/fault", s.handleFault)
-	s.mux.HandleFunc("/reconfigure", s.handleReconfigure)
 	s.mux.HandleFunc("/controller", s.handleController)
 	// Profiles, mounted by name (the package's init knows only DefaultServeMux).
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile: goroutine, heap, …
@@ -86,7 +85,7 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 }
 
 // stepController drives the adaptation loop. Steps take the admin lock so a
-// controller-driven migration serializes with /reconfigure, /fault and
+// controller-driven migration serializes with /fault (reconfigure=) and
 // /metrics exactly like an operator-driven one — no scrape ever observes
 // the cluster mid-swap, whoever initiated the swap.
 func (s *server) stepController(ctx context.Context, every time.Duration) {
@@ -199,10 +198,11 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleFault applies one fault event, written in the schedule syntax of
 // cluster.ParseSchedule (?do=crash=2, ?do=recover=4,
-// ?do=drain=2+saturate=3, …), through cluster.ApplyEvent: the one path the
-// simulator's schedules take too. Drains are bounded: a site that does not
-// quiesce in time stays draining and the request answers 504. Partitions
-// exist only on the in-memory network, so partition and heal answer 409.
+// ?do=drain=2+saturate=3, ?do=reconfigure=1-4-4, …), through
+// cluster.ApplyEvent: the one path the simulator's schedules take too.
+// Drains and migrations are bounded: past the bound the request answers
+// 504. Partitions exist only on the in-memory network, so partition and
+// heal answer 409, as does a refused reconfigure.
 func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
@@ -232,26 +232,6 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	default:
 		fmt.Fprintf(w, "applied %s\n", do)
 	}
-}
-
-func (s *server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	spec := r.URL.Query().Get("spec")
-	t, err := tree.ParseSpec(spec)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.cluster.Reconfigure(t); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	fmt.Fprintf(w, "reconfigured to %s\n", t.Spec())
 }
 
 // controllerResponse is the /controller JSON document: the controller's

@@ -130,39 +130,6 @@ func TestPutValidation(t *testing.T) {
 	}
 }
 
-func TestReconfigureEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	do(t, http.MethodPut, ts.URL+"/put?key=k", "v")
-
-	code, body := do(t, http.MethodPost, ts.URL+"/reconfigure?spec=1-2-2-4", "")
-	if code != http.StatusOK {
-		t.Fatalf("reconfigure: %d %s", code, body)
-	}
-	code, body = do(t, http.MethodGet, ts.URL+"/get?key=k", "")
-	if code != http.StatusOK || body != "v" {
-		t.Errorf("get after reshape: %d %q", code, body)
-	}
-	// The metrics and the controller's state reflect the new shape.
-	if v := metricValue(t, scrape(t, ts), `arbor_cluster_level_size{level="2"}`); v != 4 {
-		t.Errorf("level 2 of 1-2-2-4 has %v sites on /metrics, want 4", v)
-	}
-	_, ctl := do(t, http.MethodGet, ts.URL+"/controller", "")
-	if !strings.Contains(ctl, `"currentSpec":"1-2-2-4"`) {
-		t.Errorf("controller tree not updated: %s", ctl)
-	}
-
-	// Error paths.
-	if code, _ := do(t, http.MethodPost, ts.URL+"/reconfigure?spec=bad", ""); code != http.StatusBadRequest {
-		t.Error("bad spec accepted")
-	}
-	if code, _ := do(t, http.MethodPost, ts.URL+"/reconfigure?spec=1-3-4", ""); code != http.StatusConflict {
-		t.Error("wrong replica count accepted")
-	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/reconfigure?spec=1-3-5", ""); code != http.StatusMethodNotAllowed {
-		t.Error("GET on /reconfigure")
-	}
-}
-
 // TestControllerEndpoint exercises inspection and toggling of the
 // adaptation controller: fresh servers start disabled, enable/disable
 // round-trips (journaling each transition), and malformed requests map to
@@ -273,6 +240,45 @@ func TestServerWithWAL(t *testing.T) {
 	code, body := do(t, http.MethodGet, ts2.URL+"/get?key=k", "")
 	if code != http.StatusOK || body != "durable" {
 		t.Errorf("get after WAL restart: %d %q", code, body)
+	}
+}
+
+// TestServerReconfigureRestart: a daemon restarted with its original -spec
+// on the -wal-dir of a reconfigured one comes back on the new tree, with
+// the data it held.
+func TestServerReconfigureRestart(t *testing.T) {
+	dir := t.TempDir()
+	tr, err := tree.ParseSpec("1-2-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(tr, cluster.Config{Seed: 1, WALDir: dir}, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	do(t, http.MethodPut, ts.URL+"/put?key=k", "v1")
+	if code, body := fault(t, ts, "reconfigure=1-1-4"); code != http.StatusOK {
+		t.Fatalf("reconfigure: %d %s", code, body)
+	}
+	do(t, http.MethodPut, ts.URL+"/put?key=k", "v2")
+	ts.Close()
+	srv.Close()
+
+	srv2, err := newServer(tr, cluster.Config{Seed: 2, WALDir: dir}, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer func() {
+		ts2.Close()
+		srv2.Close()
+	}()
+	if _, ctl := do(t, http.MethodGet, ts2.URL+"/controller", ""); !strings.Contains(ctl, `"currentSpec":"1-1-4"`) {
+		t.Errorf("restart came back off the recorded tree 1-1-4: %s", ctl)
+	}
+	if code, body := do(t, http.MethodGet, ts2.URL+"/get?key=k", ""); code != http.StatusOK || body != "v2" {
+		t.Errorf("get after restart: %d %q, want v2", code, body)
 	}
 }
 

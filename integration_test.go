@@ -45,7 +45,7 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Reconfigure(t2); err != nil {
+	if err := c1.Reconfigure(ctx, t2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli1.Write(ctx, "acct-0", []byte("70")); err != nil {

@@ -49,6 +49,8 @@ const (
 	// get after a migration before the guard reverts it; windowed maxima
 	// are noisy, so the bar is generous.
 	DegradeTolerance = 0.5
+	// MigrationBound bounds each migration's catch-up (Cluster.Reconfigure).
+	MigrationBound = 10 * time.Second
 )
 
 // Config configures a Controller. Every field is taken as given, so start
@@ -406,7 +408,9 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	d.Reason = fmt.Sprintf("workload drifted for a full window (read fraction %.2f): score %.4f -> %.4f",
 		w.ReadFraction, d.CurrentScore, d.AdvisedScore)
 	prev := snap.Tree
-	if err := a.c.Reconfigure(adv.Tree); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), MigrationBound)
+	defer cancel()
+	if err := a.c.Reconfigure(ctx, adv.Tree); err != nil {
 		// Transient conditions (a crashed replica) veto migration; keep the
 		// drift streak so the controller retries as soon as they clear.
 		d.Outcome = err.Error()
@@ -441,7 +445,9 @@ func (a *Controller) judgeMigration(d Decision, w WindowStats) Decision {
 		post, a.preScore, DegradeTolerance*100)
 	d.AdvisedSpec = a.prevTree.Spec()
 	d.AdvisedLevels = a.prevTree.NumPhysicalLevels()
-	if err := a.c.Reconfigure(a.prevTree); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), MigrationBound)
+	defer cancel()
+	if err := a.c.Reconfigure(ctx, a.prevTree); err != nil {
 		d.Outcome = err.Error()
 		a.probation = 1 // re-judge next tick, when the revert may be possible
 		return a.record(d)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,7 +40,10 @@ type Config struct {
 	// WALDir gives every replica a write-ahead journal under the directory
 	// (site-<id>.wal) in place of its in-memory one. Existing journals are
 	// replayed at startup, so a cluster restarted on the same directory
-	// recovers every committed write; Checkpoint compacts them.
+	// recovers every committed write; Checkpoint compacts them. The
+	// directory also records the cluster's tree (tree.spec), which
+	// Reconfigure rewrites: New on a directory with a record resumes that
+	// tree, and its tree argument only seeds a fresh directory.
 	WALDir string
 	// Observer attaches an observability hook to the whole cluster: every
 	// replica, every client created through NewClient, and the cluster
@@ -81,12 +85,19 @@ type Cluster struct {
 	closed  bool
 }
 
-// New builds and starts a cluster for the given tree: one replica per
-// physical node, all attached to a fresh network — in-memory, or loopback
-// TCP under cfg.TCP.
+// New builds and starts a cluster for the given tree — or, under a WALDir
+// that records one, for the recorded tree: one replica per physical node,
+// all attached to a fresh network — in-memory, or loopback TCP under
+// cfg.TCP.
 func New(t *tree.Tree, cfg Config) (*Cluster, error) {
 	if cfg.TCP && !cfg.Net.IsZero() {
 		return nil, errors.New("cluster: Net configures the in-memory network, not TCP")
+	}
+	if cfg.WALDir != "" {
+		var err error
+		if t, err = recordedTree(cfg.WALDir, t); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.ClientTimeout == 0 {
 		cfg.ClientTimeout = 250 * time.Millisecond
@@ -150,12 +161,44 @@ func (c *Cluster) track(ep transport.Conn) {
 	}
 }
 
-// attachWAL opens the site's write-ahead journal, replays it and attaches
-// it.
-func attachWAL(r *replica.Replica, dir string, site int) (*replica.WAL, error) {
+// treeRecord names the file under Config.WALDir that records the tree.
+const treeRecord = "tree.spec"
+
+// recordedTree returns the tree recorded under dir, recording t there
+// first when dir has no record.
+func recordedTree(dir string, t *tree.Tree) (*tree.Tree, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: wal dir: %w", err)
 	}
+	data, err := os.ReadFile(filepath.Join(dir, treeRecord))
+	if errors.Is(err, fs.ErrNotExist) {
+		return t, recordTree(dir, t)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if t, err = tree.ParseSpec(string(data)); err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", treeRecord, err)
+	}
+	return t, nil
+}
+
+// recordTree writes t's spec as dir's tree record, by a journal
+// compaction's steps (replica.ReplaceFile).
+func recordTree(dir string, t *tree.Tree) error {
+	f, err := replica.ReplaceFile(filepath.Join(dir, treeRecord), []byte(t.Spec()+"\n"))
+	if f != nil {
+		_ = f.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: record tree: %w", err)
+	}
+	return nil
+}
+
+// attachWAL opens the site's write-ahead journal, replays it and attaches
+// it. New has made dir (recordedTree).
+func attachWAL(r *replica.Replica, dir string, site int) (*replica.WAL, error) {
 	w, err := replica.OpenWAL(filepath.Join(dir, fmt.Sprintf("site-%d.wal", site)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: wal for site %d: %w", site, err)

@@ -32,6 +32,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"100ms:drain=2",
 		"10ms:drain=1,2+recover=3",
 		"10ms:crash=1+checkpoint;20ms:recover=1+checkpoint",
+		"10ms:reconfigure=1-3-5+4",
+		"10ms:reconfigure=1-8+heal;20ms:reconfigure=1-x",
 		"10ms:slowsite=3",
 		"10ms:slowsite=3:xx",
 		"10ms:saturate=",
@@ -51,7 +53,7 @@ func FuzzParseSchedule(f *testing.F) {
 			if i > 0 && ev.At < sched[i-1].At {
 				t.Fatalf("schedule %q not sorted", input)
 			}
-			if !ev.RecoverAll && !ev.Heal && !ev.Restart && !ev.Checkpoint && ev.Workload == "" &&
+			if !ev.RecoverAll && !ev.Heal && !ev.Restart && !ev.Checkpoint && ev.Workload == "" && ev.Reconfigure == nil &&
 				len(ev.Crash) == 0 && len(ev.Recover) == 0 && len(ev.Partition) == 0 &&
 				len(ev.Saturate) == 0 && len(ev.Unsaturate) == 0 && len(ev.SlowSite) == 0 && len(ev.Drain) == 0 {
 				t.Fatalf("schedule %q produced an empty event", input)

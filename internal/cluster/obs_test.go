@@ -319,7 +319,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 			if i%2 == 1 {
 				next = specA
 			}
-			if err := c.Reconfigure(next); err != nil {
+			if err := c.Reconfigure(context.Background(), next); err != nil {
 				t.Errorf("reconfigure: %v", err)
 				return
 			}

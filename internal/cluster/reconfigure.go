@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"arbor/internal/core"
@@ -16,13 +17,15 @@ import (
 // The new tree must have exactly the same number of replicas; site k of the
 // old tree becomes site k of the new one, possibly on a different physical
 // level. Because read quorums of the new tree need not intersect write
-// quorums of the old one, Reconfigure migrates data before switching: for
-// every key it locates the most recent committed value across all replicas
-// and installs it on every replica of one physical level of the NEW tree,
-// so every new read quorum observes it. All replicas must be up and writes
-// should be quiesced while reconfiguring (it is an administrative
-// operation, like the paper's off-line restructuring).
-func (c *Cluster) Reconfigure(newTree *tree.Tree) error {
+// quorums of the old one, Reconfigure migrates data before switching: each
+// site of the new tree's smallest physical level runs a recovery's catch-up
+// in place, planned on the old tree. Every acknowledged write is on all
+// sites of some old level, so the passes pull it. The clients switch once
+// every pass is done (under ctx), and a WALDir records the new tree first.
+// All replicas must be up and writes should be quiesced while
+// reconfiguring (it is an administrative operation, like the paper's
+// off-line restructuring).
+func (c *Cluster) Reconfigure(ctx context.Context, newTree *tree.Tree) error {
 	if newTree.N() != c.Tree().N() {
 		return fmt.Errorf("cluster: reconfigure needs the same replica count (have %d, new tree has %d)",
 			c.Tree().N(), newTree.N())
@@ -39,43 +42,39 @@ func (c *Cluster) Reconfigure(newTree *tree.Tree) error {
 		}
 	}
 
-	// Choose the smallest physical level of the new tree as the migration
-	// target: installing each key's latest value there guarantees every
-	// new read quorum (one node per new level) sees it, at minimal copy
-	// cost.
+	// The smallest physical level of the new tree is the migration target:
+	// it guarantees every new read quorum sees each key's latest value, at
+	// minimal copy cost.
 	target := newProto.LevelSites(0)
 	for u := 1; u < newProto.NumPhysicalLevels(); u++ {
 		if sites := newProto.LevelSites(u); len(sites) < len(target) {
 			target = sites
 		}
 	}
-
-	// Latest committed version of every key across the whole system.
-	type versioned struct {
-		value []byte
-		ts    replica.Timestamp
-	}
-	latest := make(map[string]versioned)
-	for _, r := range c.replicas {
-		for _, key := range r.Store().Keys() {
-			value, ts, ok := r.Store().Get(key)
-			if !ok {
-				continue
-			}
-			if cur, seen := latest[key]; !seen || ts.After(cur.ts) {
-				latest[key] = versioned{value: value, ts: ts}
-			}
+	for _, site := range target {
+		if c.syncBlocked(site) {
+			return fmt.Errorf("cluster: reconfigure: site %d cannot catch up: a level of its plan is out of reach", site)
 		}
 	}
-
-	// Install on the target level (idempotent: Apply keeps newer values).
-	// A write the target's journal fails to take is not on stable storage:
-	// the clients stay on the old tree.
-	for key, v := range latest {
-		for _, site := range target {
-			if _, err := c.replicas[site].Store().Apply(key, v.value, v.ts); err != nil {
-				return fmt.Errorf("cluster: reconfigure: migrate %q to site %d: %w", key, site, err)
-			}
+	// A pass already running may have walked past keys written since it
+	// began: it is waited out before each target's own pass starts.
+	if err := c.AwaitSync(ctx); err != nil {
+		return fmt.Errorf("cluster: reconfigure: %w", err)
+	}
+	for _, site := range target {
+		c.replicas[site].Recover(c.syncPlanFor(site))
+	}
+	if err := c.AwaitSync(ctx); err != nil {
+		return fmt.Errorf("cluster: reconfigure: migration: %w", err)
+	}
+	for _, site := range target {
+		if p := c.replicas[site].SyncProgress(); p.Active || p.Health != replica.HealthLive {
+			return fmt.Errorf("cluster: reconfigure: site %d did not catch up", site)
+		}
+	}
+	if c.cfg.WALDir != "" {
+		if err := recordTree(c.cfg.WALDir, newTree); err != nil {
+			return err
 		}
 	}
 

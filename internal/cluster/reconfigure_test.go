@@ -2,9 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"arbor/internal/client"
 	"arbor/internal/tree"
 )
 
@@ -25,7 +30,7 @@ func TestReconfigurePreservesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reconfigure(newTree); err != nil {
+	if err := c.Reconfigure(ctx, newTree); err != nil {
 		t.Fatalf("reconfigure: %v", err)
 	}
 	if c.Tree().Spec() != "1-3-5" {
@@ -76,7 +81,7 @@ func TestReconfigureRoundTripSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Reconfigure(nt); err != nil {
+		if err := c.Reconfigure(ctx, nt); err != nil {
 			t.Fatalf("reconfigure to %s: %v", spec, err)
 		}
 		rd, err := cli.Read(ctx, "k")
@@ -95,11 +100,12 @@ func TestReconfigureRoundTripSpectrum(t *testing.T) {
 
 func TestReconfigureValidation(t *testing.T) {
 	c := newCluster(t, "1-3-5")
+	ctx := context.Background()
 	other, err := tree.ParseSpec("1-3-4") // 7 replicas ≠ 8
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reconfigure(other); err == nil {
+	if err := c.Reconfigure(ctx, other); err == nil {
 		t.Error("replica-count mismatch accepted")
 	}
 
@@ -110,11 +116,11 @@ func TestReconfigureValidation(t *testing.T) {
 	if err := c.Crash(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reconfigure(same); err == nil {
+	if err := c.Reconfigure(ctx, same); err == nil {
 		t.Error("reconfigure with a crashed replica accepted")
 	}
 	c.RecoverAll()
-	if err := c.Reconfigure(same); err != nil {
+	if err := c.Reconfigure(ctx, same); err != nil {
 		t.Errorf("reconfigure after recovery: %v", err)
 	}
 }
@@ -140,7 +146,7 @@ func TestReconfigureVersionsKeepIncreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reconfigure(nt); err != nil {
+	if err := c.Reconfigure(ctx, nt); err != nil {
 		t.Fatal(err)
 	}
 	wr, err := cli.Write(ctx, "k", []byte("y"))
@@ -152,9 +158,9 @@ func TestReconfigureVersionsKeepIncreasing(t *testing.T) {
 	}
 }
 
-// TestReconfigureRefusesUnjournaledMigration: a migration write the target's
-// journal fails to append fails the reconfiguration before any client
-// leaves the old tree.
+// TestReconfigureRefusesUnjournaledMigration: a migration whose pulls the
+// target's journal fails to append never ends, and the reconfiguration
+// fails when its ctx does, before any client leaves the old tree.
 func TestReconfigureRefusesUnjournaledMigration(t *testing.T) {
 	c := newConfiguredCluster(t, "1-3-5", Config{WALDir: t.TempDir()})
 	cli := newClient(t, c)
@@ -171,13 +177,181 @@ func TestReconfigureRefusesUnjournaledMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Reconfigure(newTree); err == nil {
-		t.Fatal("a migration no journal took was reported done")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := c.Reconfigure(ctx, newTree); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a migration no journal took ended with %v, want the ctx's deadline", err)
 	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the failed reconfigure took %v, past its 200ms ctx", d)
+	}
+	assertOldConfig(t, c, cli)
+}
+
+// assertOldConfig fails unless the cluster and cli are still on 1-3-5.
+func assertOldConfig(t *testing.T, c *Cluster, cli *client.Client) {
+	t.Helper()
 	if spec := c.Tree().Spec(); spec != "1-3-5" {
 		t.Errorf("cluster tree = %s after a failed reconfigure, want 1-3-5", spec)
 	}
 	if n := cli.Protocol().NumPhysicalLevels(); n != 2 {
 		t.Errorf("client on a %d-level protocol after a failed reconfigure, want the old 2", n)
+	}
+}
+
+// TestReconfigureBlockedTargetFailsAtOnce: a target whose catch-up plan a
+// partition blocks fails the call before any pass starts.
+func TestReconfigureBlockedTargetFailsAtOnce(t *testing.T) {
+	c := newCluster(t, "1-3-5")
+	cli := newClient(t, c)
+	if _, err := cli.Write(context.Background(), "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// 1-2-6's smallest level is sites 1 and 2, whose plan on 1-3-5 is the
+	// level of sites 4–8: out of reach across the partition.
+	if err := c.Partition([]tree.SiteID{1, 2, 3}, []tree.SiteID{4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	newTree, err := tree.ParseSpec("1-2-6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := c.Reconfigure(context.Background(), newTree); err == nil {
+		t.Fatal("a reconfigure whose target cannot catch up succeeded")
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("the blocked reconfigure took %v, want an answer at once", d)
+	}
+	for _, site := range []tree.SiteID{1, 2} {
+		if p := c.Replica(site).SyncProgress(); p.Active || p.Completions != 0 {
+			t.Errorf("site %d started a catch-up for a refused reconfigure: %+v", site, p)
+		}
+	}
+	assertOldConfig(t, c, cli)
+}
+
+// TestReconfigureOverTCP migrates by messages across sockets: 20 keys
+// written on 1-3-5 read back their last values after a reshape to 1-8 and
+// back.
+func TestReconfigureOverTCP(t *testing.T) {
+	c := newConfiguredCluster(t, "1-3-5", Config{TCP: true})
+	cli := newClient(t, c)
+	ctx := context.Background()
+	const keys = 20
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keys; i++ {
+			if _, err := cli.Write(ctx, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d.%d", i, round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, spec := range []string{"1-8", "1-3-5"} {
+		nt, err := tree.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Reconfigure(ctx, nt); err != nil {
+			t.Fatalf("reconfigure to %s: %v", spec, err)
+		}
+		for i := 0; i < keys; i++ {
+			rd, err := cli.Read(ctx, fmt.Sprintf("k%d", i))
+			if err != nil {
+				t.Fatalf("read k%d on %s: %v", i, spec, err)
+			}
+			if want := fmt.Sprintf("v%d.1", i); string(rd.Value) != want {
+				t.Errorf("k%d on %s = %q, want %q", i, spec, rd.Value, want)
+			}
+		}
+	}
+}
+
+// TestApplyEventReconfigure: the reconfigure verb parses — a spec's '+'
+// before a digit included — renders back, and applied reshapes the
+// cluster; a spec that is no tree is refused by the parser.
+func TestApplyEventReconfigure(t *testing.T) {
+	const in = "10ms:reconfigure=1-3-5+4;20ms:drain=1+reconfigure=1-2-6+checkpoint"
+	sched, err := ParseSchedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sched.String(); got != in {
+		t.Fatalf("Schedule.String() = %q, want %q", got, in)
+	}
+	if sched[0].Reconfigure.Spec() != "1-3-5+4" || sched[1].Reconfigure.Spec() != "1-2-6" || !sched[1].Checkpoint {
+		t.Fatalf("reconfigure not parsed: %+v", sched)
+	}
+	if _, err := ParseSchedule("10ms:reconfigure=1-x"); err == nil {
+		t.Error("a reconfigure to no tree parsed")
+	}
+
+	c := newCluster(t, "1-8")
+	cli := newClient(t, c)
+	ctx := context.Background()
+	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyEvent(ctx, sched[0]); err != nil {
+		t.Fatal(err)
+	}
+	if spec := c.Tree().Spec(); spec != "1-3-5+4" {
+		t.Errorf("cluster tree = %s, want 1-3-5+4", spec)
+	}
+	if rd, err := cli.Read(ctx, "k"); err != nil || string(rd.Value) != "v" {
+		t.Errorf("read after the reconfigure event: %q %v", rd.Value, err)
+	}
+	// A drain in the same event leaves a site down: the reconfiguration,
+	// applied after it, is refused.
+	if err := c.ApplyEvent(ctx, sched[1]); err == nil {
+		t.Error("a reconfigure after a drain in the same event applied")
+	}
+	if spec := c.Tree().Spec(); spec != "1-3-5+4" {
+		t.Errorf("cluster tree = %s after a refused reconfigure, want 1-3-5+4", spec)
+	}
+}
+
+// TestNewResumesRecordedTree: New on a WALDir that recorded a tree resumes
+// that tree, whatever tree it is given, and a reconfiguration rewrites the
+// record, so a restart comes back on the tree it left.
+func TestNewResumesRecordedTree(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	c1 := newConfiguredCluster(t, "1-3-5", Config{WALDir: dir})
+	cli1 := newClient(t, c1)
+	if _, err := cli1.Write(ctx, "k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	nt, err := tree.ParseSpec("1-2-2-2-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Reconfigure(ctx, nt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli1.Write(ctx, "k", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+
+	c2 := newConfiguredCluster(t, "1-3-5", Config{WALDir: dir})
+	if spec := c2.Tree().Spec(); spec != "1-2-2-2-2" {
+		t.Fatalf("restart on the directory came back on %s, want the recorded 1-2-2-2-2", spec)
+	}
+	if rd, err := newClient(t, c2).Read(ctx, "k"); err != nil || string(rd.Value) != "v2" {
+		t.Errorf("read after the restart: %q %v, want v2", rd.Value, err)
+	}
+	c2.Close()
+
+	if err := os.WriteFile(filepath.Join(dir, treeRecord), []byte("1-x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.ParseSpec("1-3-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := New(tr, Config{WALDir: dir}); err == nil {
+		c.Close()
+		t.Error("New resumed a record that names no tree")
 	}
 }

@@ -49,6 +49,9 @@ type Event struct {
 	// shed, in-flight work and prepared transactions resolve, then the
 	// replica crashes, its journal intact.
 	Drain []tree.SiteID
+	// Reconfigure reshapes the cluster into this tree of the same replicas,
+	// every one of them up (Cluster.Reconfigure).
+	Reconfigure *tree.Tree
 	// Checkpoint compacts every replica's journal to one record per key
 	// (Cluster.Checkpoint); a site that is down keeps its journal as is.
 	Checkpoint bool
@@ -143,6 +146,10 @@ func (ev Event) String() string {
 		b.WriteString("drain=")
 		b.WriteString(formatSites(ev.Drain))
 	}
+	if ev.Reconfigure != nil {
+		sep()
+		b.WriteString("reconfigure=" + ev.Reconfigure.Spec())
+	}
 	if ev.Checkpoint {
 		sep()
 		b.WriteString("checkpoint")
@@ -189,6 +196,7 @@ func formatSites(sites []tree.SiteID) string {
 //	unsaturate=<site>[,<site>...]
 //	slowsite=<site>:<dur>[,<site>:<dur>...]
 //	drain=<site>[,<site>...]
+//	reconfigure=<tree spec>
 //	checkpoint
 //	workload=<name>
 //
@@ -197,14 +205,15 @@ func formatSites(sites []tree.SiteID) string {
 // the deterministic overload fault (the site sheds all gated work until
 // unsaturate or recover), slowsite injects per-request service delay (a
 // zero duration clears it) and drain gracefully removes sites from service.
-// checkpoint compacts every journal that is up to one record per key.
+// reconfigure reshapes the tree (Cluster.Reconfigure). checkpoint compacts
+// every journal that is up to one record per key.
 // workload marks a workload-phase shift for harnesses that own the
 // operation stream; the cluster takes no action on it.
 //
 // '+' joins several actions into one event, applied in the order the verbs
 // are listed above (the order ApplyEvent uses); each action kind may
-// appear at most once per event. Because '+' separates actions, a workload
-// phase name may not contain it.
+// appear at most once per event. A '+' before a digit continues the
+// argument (reconfigure=1-3-5+4): no verb starts with a digit.
 //
 // Example: "50ms:crash=1,2;150ms:recoverall;200ms:partition=1,2/3,4;300ms:heal+workload=calm"
 func ParseSchedule(s string) (Schedule, error) {
@@ -223,7 +232,7 @@ func ParseSchedule(s string) (Schedule, error) {
 		}
 		ev := Event{At: at}
 		seen := map[string]bool{}
-		for _, action := range strings.Split(actions, "+") {
+		for _, action := range splitActions(actions) {
 			verb, args, _ := strings.Cut(strings.TrimSpace(action), "=")
 			if seen[verb] {
 				return nil, fmt.Errorf("cluster: schedule event %q repeats action %q", part, verb)
@@ -268,6 +277,10 @@ func ParseSchedule(s string) (Schedule, error) {
 				if ev.Drain, err = parseSites(args); err != nil {
 					return nil, err
 				}
+			case "reconfigure":
+				if ev.Reconfigure, err = tree.ParseSpec(args); err != nil {
+					return nil, fmt.Errorf("cluster: reconfigure event %q: %w", part, err)
+				}
 			case "checkpoint":
 				ev.Checkpoint = true
 			case "workload":
@@ -287,6 +300,18 @@ func ParseSchedule(s string) (Schedule, error) {
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
 	return sched, nil
+}
+
+// splitActions splits an event's actions at every '+' no digit follows.
+func splitActions(s string) (out []string) {
+	for _, p := range strings.Split(s, "+") {
+		if n := len(out); n > 0 && p != "" && p[0] >= '0' && p[0] <= '9' {
+			out[n-1] += "+" + p
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func parseSites(s string) ([]tree.SiteID, error) {
@@ -345,8 +370,9 @@ func parseSlowdowns(s string) ([]SiteSlowdown, error) {
 // logical clock, and arbord's /fault endpoint on an operator's request. An
 // event the cluster cannot apply — one naming a site it does not have
 // (ErrUnknownSite), or a partition or heal over TCP — is refused before any
-// of its actions applies. ctx bounds the drains; a drain that outlives it
-// leaves its site draining and returns ctx's error.
+// of its actions applies. ctx bounds the drains and the reconfiguration's
+// migration; a drain that outlives it leaves its site draining and returns
+// ctx's error.
 func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 	if c.sim == nil && (len(ev.Partition) > 0 || ev.Heal) {
 		return errNotSimulated
@@ -409,14 +435,17 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 		}
 	}
 	// Every listed site starts draining, even past ctx's deadline.
-	var drainErr error
+	var lateErr error
 	for _, s := range ev.Drain {
-		if err := c.Drain(ctx, s); err != nil && drainErr == nil {
-			drainErr = err
+		if err := c.Drain(ctx, s); err != nil && lateErr == nil {
+			lateErr = err
 		}
 	}
-	if ev.Checkpoint {
-		return errors.Join(drainErr, c.Checkpoint())
+	if ev.Reconfigure != nil {
+		lateErr = errors.Join(lateErr, c.Reconfigure(ctx, ev.Reconfigure))
 	}
-	return drainErr
+	if ev.Checkpoint {
+		return errors.Join(lateErr, c.Checkpoint())
+	}
+	return lateErr
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -38,10 +39,20 @@ func commitN(t *testing.T, h *harness, n, keys int, from uint64) {
 	}
 }
 
+// storedKeys lists the store's keys in order, read through its digest.
+func storedKeys(s *Store) []string {
+	entries, _ := s.DigestPage("", math.MaxInt)
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return keys
+}
+
 // storeImage is the store's contents as key → "value@ts".
 func storeImage(s *Store) map[string]string {
 	out := make(map[string]string)
-	for _, k := range s.Keys() {
+	for _, k := range storedKeys(s) {
 		v, ts, _ := s.Get(k)
 		out[k] = fmt.Sprintf("%s@%v", v, ts)
 	}

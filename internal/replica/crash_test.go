@@ -36,7 +36,7 @@ func TestCrashLosesMemoryRecoverReplaysJournal(t *testing.T) {
 			t.Fatalf("commit %d refused", i)
 		}
 	}
-	before := h.rep.Store().Keys()
+	before := storedKeys(h.rep.Store())
 	slices.Sort(before)
 	n := len(journalBytes(t, h.rep))
 	if n == 0 {
@@ -44,11 +44,11 @@ func TestCrashLosesMemoryRecoverReplaysJournal(t *testing.T) {
 	}
 
 	h.rep.Crash()
-	if keys := h.rep.Store().Keys(); len(keys) != 0 {
+	if keys := storedKeys(h.rep.Store()); len(keys) != 0 {
 		t.Fatalf("keys after Crash = %q, want none", keys)
 	}
 	h.rep.Recover(SyncPlan{})
-	after := h.rep.Store().Keys()
+	after := storedKeys(h.rep.Store())
 	slices.Sort(after)
 	if !slices.Equal(after, before) {
 		t.Errorf("keys after Recover = %q, want %q", after, before)

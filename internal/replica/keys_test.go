@@ -95,7 +95,7 @@ func TestTCPCommitKeepsOwnKeys(t *testing.T) {
 	s.churn(t, keeperKeys)
 
 	want := append(slices.Clone(keeperKeys), repaired)
-	got := s.rep.Store().Keys()
+	got := storedKeys(s.rep.Store())
 	slices.Sort(want)
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
@@ -174,7 +174,7 @@ func TestTCPSyncStoresOwnKeys(t *testing.T) {
 	p := &syncPair{source: source, rec: rec}
 	p.await(t)
 
-	got := rec.Store().Keys()
+	got := storedKeys(rec.Store())
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("pulled keys = %q, want %q", got, want)
@@ -230,7 +230,7 @@ func TestStoreKeyClones(t *testing.T) {
 		if allocs != tc.wants {
 			t.Errorf("%s holder: prepare + commit allocate %.1f objects, want %.0f", tc.name, allocs, tc.wants)
 		}
-		if keys := s.Keys(); len(keys) != 1 || keys[0] != key || s.locked(now) {
+		if keys := storedKeys(s); len(keys) != 1 || keys[0] != key || s.locked(now) {
 			t.Errorf("%s holder: store keys %q, locked %v", tc.name, keys, s.locked(now))
 		}
 	}

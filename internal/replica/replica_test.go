@@ -118,7 +118,7 @@ func TestStoreApplyOrdering(t *testing.T) {
 	if !found || string(v) != "v1c" || ts.Version != 1 || ts.Site != 1 {
 		t.Errorf("Get = %q %v %v", v, ts, found)
 	}
-	if keys := s.Keys(); len(keys) != 1 {
+	if keys := storedKeys(s); len(keys) != 1 {
 		t.Errorf("Keys = %v", keys)
 	}
 }

@@ -293,14 +293,3 @@ func (s *Store) DigestPage(after string, limit int) (entries []DigestEntry, more
 	s.mu.Unlock()
 	return entries, more
 }
-
-// Keys returns all stored keys (unordered).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.data))
-	for k := range s.data {
-		out = append(out, k)
-	}
-	return out
-}

@@ -193,33 +193,47 @@ func (w *WAL) compact(s *Store) error {
 		w.f = &memFile{buf: buf}
 		return nil
 	}
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := ReplaceFile(w.path, buf)
+	if f != nil {
+		_ = w.f.Close() // the old journal's file, unlinked by the rename
+		w.f = f
+	}
 	if err != nil {
 		return fmt.Errorf("replica: compact wal: %w", err)
 	}
-	if _, err = f.Write(buf); err == nil {
+	return nil
+}
+
+// ReplaceFile writes data to path.tmp, syncs it, renames it over path and
+// then syncs the directory. It returns the renamed file, open for
+// appending, also when only the directory sync failed; a failure before the
+// rename leaves path as it was and returns no file.
+func ReplaceFile(path string, data []byte) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
-		err = os.Rename(tmp, w.path)
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return fmt.Errorf("replica: compact wal: %w", err)
+		return nil, err
 	}
-	_ = w.f.Close() // the old journal's file, unlinked by the rename
-	w.f = f
-	d, err := os.Open(filepath.Dir(w.path))
+	d, err := os.Open(filepath.Dir(path))
 	if err == nil {
 		err = d.Sync()
 		_ = d.Close()
 	}
 	if err != nil {
-		return fmt.Errorf("replica: compact wal: sync dir: %w", err)
+		return f, fmt.Errorf("sync dir: %w", err)
 	}
-	return nil
+	return f, nil
 }
 
 // AttachJournal replays w into the store and then makes it the store's

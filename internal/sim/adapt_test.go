@@ -243,3 +243,26 @@ func TestPhasedOpsShiftMix(t *testing.T) {
 		t.Errorf("input carries %d workload markers, want 2", markers)
 	}
 }
+
+// TestSimAdaptRestart: a restart after a controller migration comes back on
+// the tree the cluster moved to — its write-ahead directory records it — so
+// one-copy semantics hold across the restart (scenarios/adapt-restart.arb).
+func TestSimAdaptRestart(t *testing.T) {
+	spec := flipSpec(11)
+	spec.Timeout, spec.LockTTL = 0, 0 // the harness defaults
+	spec.Schedule = cluster.Schedule{{At: 100 * time.Millisecond, Restart: true}}
+	in, err := BuildInput(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconfigurations == 0 {
+		t.Fatal("no migration before the restart: the test would prove nothing")
+	}
+	if res.Failed() {
+		t.Fatalf("restart after a migration violated invariants: %v", res.Violations)
+	}
+}
