@@ -10,22 +10,30 @@ import (
 	"time"
 
 	"arbor/internal/client"
+	"arbor/internal/replica"
 	"arbor/internal/tree"
 )
 
+// TestReconfigurePreservesData: the writes land on the level the new
+// tree's smallest level shares no site with, so only the migration's
+// catch-up can bring them there.
 func TestReconfigurePreservesData(t *testing.T) {
-	c := newCluster(t, "1-8") // MOSTLY-READ shape: one level of 8
+	c := newCluster(t, "1-4-4") // levels {1..4} and {5..8}
 	cli := newClient(t, c)
 	ctx := context.Background()
 
+	written := make(map[string]replica.Timestamp)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, err := cli.Write(ctx, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("write %s: %v", key, err)
+		wr, err := cli.WriteAt(ctx, key, []byte(fmt.Sprintf("v%d", i)), 1)
+		if err != nil || wr.Level != 1 {
+			t.Fatalf("write %s: level %d, %v; want level 1", key, wr.Level, err)
 		}
+		written[key] = wr.TS
 	}
 
-	// Reshape into the 1-3-5 two-level tree (same 8 replicas).
+	// Reshape into the 1-3-5 two-level tree (same 8 replicas): its smallest
+	// level, {1,2,3}, held none of the writes.
 	newTree, err := tree.ParseSpec("1-3-5")
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +46,9 @@ func TestReconfigurePreservesData(t *testing.T) {
 	}
 	if cli.Protocol().NumPhysicalLevels() != 2 {
 		t.Errorf("client still on old protocol (%d levels)", cli.Protocol().NumPhysicalLevels())
+	}
+	for key, ts := range written {
+		assertHolds(t, c, []tree.SiteID{1, 2, 3}, key, ts)
 	}
 
 	// Every key written before reconfiguration is visible through the new
@@ -65,35 +76,55 @@ func TestReconfigurePreservesData(t *testing.T) {
 	}
 }
 
+// assertHolds fails unless every one of sites holds key at ts.
+func assertHolds(t *testing.T, c *Cluster, sites []tree.SiteID, key string, ts replica.Timestamp) {
+	t.Helper()
+	for _, site := range sites {
+		if got, found := c.Replica(site).Store().Version(key); !found || got != ts {
+			t.Errorf("site %d holds %s at %v (found=%v), want %v", site, key, got, found, ts)
+		}
+	}
+}
+
 func TestReconfigureRoundTripSpectrum(t *testing.T) {
 	// Walk a key through three configurations: read-optimized → balanced →
-	// write-optimized, verifying the latest value at each step.
+	// write-optimized, verifying the latest value at each step. Each write
+	// lands on the current tree's last level, which shares no site with the
+	// next tree's smallest level (target) but on the first step, from 1-9's
+	// one level.
 	c := newCluster(t, "1-9")
 	cli := newClient(t, c)
 	ctx := context.Background()
 
-	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		spec   string
+		target []tree.SiteID
+	}{
+		{"1-4-5", []tree.SiteID{1, 2, 3, 4}},
+		{"1-2-3-4", []tree.SiteID{1, 2}},
+		{"1-2-2-2-3", []tree.SiteID{1, 2}},
 	}
-	shapes := []string{"1-4-5", "1-2-3-4", "1-2-2-2-3"}
-	for i, spec := range shapes {
-		nt, err := tree.ParseSpec(spec)
+	for i, shape := range shapes {
+		last := cli.Protocol().NumPhysicalLevels() - 1
+		value := fmt.Sprintf("v%d", i+1)
+		wr, err := cli.WriteAt(ctx, "k", []byte(value), last)
+		if err != nil || wr.Level != last {
+			t.Fatalf("write before %s: level %d, %v; want level %d", shape.spec, wr.Level, err, last)
+		}
+		nt, err := tree.ParseSpec(shape.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Reconfigure(ctx, nt); err != nil {
-			t.Fatalf("reconfigure to %s: %v", spec, err)
+			t.Fatalf("reconfigure to %s: %v", shape.spec, err)
 		}
+		assertHolds(t, c, shape.target, "k", wr.TS)
 		rd, err := cli.Read(ctx, "k")
 		if err != nil {
-			t.Fatalf("read under %s: %v", spec, err)
+			t.Fatalf("read under %s: %v", shape.spec, err)
 		}
-		want := fmt.Sprintf("v%d", i+1)
-		if string(rd.Value) != want {
-			t.Fatalf("under %s read %q, want %q", spec, rd.Value, want)
-		}
-		if _, err := cli.Write(ctx, "k", []byte(fmt.Sprintf("v%d", i+2))); err != nil {
-			t.Fatalf("write under %s: %v", spec, err)
+		if string(rd.Value) != value {
+			t.Fatalf("under %s read %q, want %q", shape.spec, rd.Value, value)
 		}
 	}
 }

@@ -30,10 +30,8 @@ type Event struct {
 	Partition [][]tree.SiteID
 	// Heal removes any partition.
 	Heal bool
-	// Restart power-cycles the whole cluster: every replica crashes and
-	// recovers from its journal.
-	// Harnesses that own the replica processes (internal/sim) instead tear
-	// the cluster down and rebuild it from the write-ahead journals.
+	// Restart power-cycles the whole cluster: every replica crashes,
+	// replays its journal from stable storage and then catches up.
 	Restart bool
 	// Saturate arms the deterministic overload fault on the sites: their
 	// admission gates shed every gated request (reads, version probes,
@@ -56,10 +54,11 @@ type Event struct {
 	// (Cluster.Checkpoint); a site that is down keeps its journal as is.
 	Checkpoint bool
 	// Workload marks a workload-phase shift (e.g. "mostly-write"). The
-	// cluster itself takes no action — clients generate the operations —
-	// but harnesses that own the workload (internal/sim) align their phase
-	// boundaries with these markers, and the name makes the shift visible
-	// in rendered schedules and traces.
+	// cluster itself takes no action on it — clients generate the
+	// operations — but harnesses that own the workload (internal/sim)
+	// align their phase boundaries with these markers, and the name makes
+	// the shift visible in rendered schedules and traces. The event's other
+	// actions apply as in any event.
 	Workload string
 }
 
@@ -366,8 +365,9 @@ func parseSlowdowns(s string) ([]SiteSlowdown, error) {
 
 // ApplyEvent executes one event against the cluster immediately, ignoring
 // its offset. It is the one path every fault takes: the deterministic
-// harness (internal/sim) fires schedule events through it on its own
-// logical clock, and arbord's /fault endpoint on an operator's request. An
+// harness (internal/sim) fires every schedule event through it on its own
+// logical clock, restarts, phase markers and its final recovery included,
+// and arbord's /fault endpoint on an operator's request. An
 // event the cluster cannot apply — one naming a site it does not have
 // (ErrUnknownSite), or a partition or heal over TCP — is refused before any
 // of its actions applies. ctx bounds the drains and the reconfiguration's

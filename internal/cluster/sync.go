@@ -48,15 +48,6 @@ func (c *Cluster) syncPlanFor(site tree.SiteID) replica.SyncPlan {
 	return plan
 }
 
-// SyncAll starts a catch-up on every replica: crashed replicas recover
-// (replay, then catch up), live ones sync in place, closing gaps left by
-// partitions. Use AwaitSync to wait for convergence.
-func (c *Cluster) SyncAll() {
-	for site, r := range c.replicas {
-		r.Recover(c.syncPlanFor(site))
-	}
-}
-
 // AwaitSync blocks until no replica is catching up or running a sync pass,
 // or the context expires. A sync that cannot progress is blocked, not
 // pending, and AwaitSync does not wait for it: some level of its plan has

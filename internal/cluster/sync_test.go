@@ -122,28 +122,30 @@ func TestReadsSucceedWhileCatchingUp(t *testing.T) {
 	}
 }
 
-// TestSyncAllClosesPartitionGaps: SyncAll also repairs live replicas that
-// missed commits behind a healed partition, restoring the full durability
-// margin without any crash involved.
-func TestSyncAllClosesPartitionGaps(t *testing.T) {
+// TestRecoverClosesPartitionGaps: a recover= event on every site also
+// repairs live replicas that missed commits behind a healed partition,
+// restoring the full durability margin without any crash involved.
+func TestRecoverClosesPartitionGaps(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	cli := newClient(t, c)
 	ctx := context.Background()
 
-	if err := c.Partition([]tree.SiteID{1}); err != nil {
+	if err := c.ApplyEvent(ctx, Event{Partition: [][]tree.SiteID{{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	wr, err := cli.Write(ctx, "k", []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heal(); err != nil {
+	if err := c.ApplyEvent(ctx, Event{Heal: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, found := c.Replica(1).Store().Get("k"); found {
 		t.Fatal("site 1 has k although it was partitioned away from the write")
 	}
-	c.SyncAll()
+	if err := c.ApplyEvent(ctx, Event{Recover: c.Tree().Sites()}); err != nil {
+		t.Fatal(err)
+	}
 	awaitSync(t, c)
 	if _, ts, found := c.Replica(1).Store().Get("k"); !found || ts != wr.TS {
 		t.Errorf("site 1 has k at %v (found=%v), want %v", ts, found, wr.TS)

@@ -244,9 +244,9 @@ func TestPhasedOpsShiftMix(t *testing.T) {
 	}
 }
 
-// TestSimAdaptRestart: a restart after a controller migration comes back on
-// the tree the cluster moved to — its write-ahead directory records it — so
-// one-copy semantics hold across the restart (scenarios/adapt-restart.arb).
+// TestSimAdaptRestart: one-copy semantics hold across a power-cycle after a
+// controller migration — every replica crashes, replays its journal and
+// catches up on the migrated tree (scenarios/adapt-restart.arb).
 func TestSimAdaptRestart(t *testing.T) {
 	spec := flipSpec(11)
 	spec.Timeout, spec.LockTTL = 0, 0 // the harness defaults

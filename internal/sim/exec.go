@@ -21,22 +21,17 @@ import (
 	"arbor/internal/tree"
 )
 
-// world owns the cluster under test and rebuilds it across Restart events.
-// Write-ahead journals live under root; a restart rebuilds the cluster on
-// the same directory so replay restores every committed write — unless the
-// injected SkipWALReplay bug is armed, in which case each restart moves to
-// a fresh directory, and a crashed site's journal is emptied before it
-// recovers, simulating journals that were never replayed.
+// world owns the run's one cluster and its clients. Every replica journals
+// to a file under dir; a restart is cluster.ApplyEvent's power-cycle, so
+// every replica replays its journal there and then catches up. The
+// injected SkipWALReplay bug empties the journals a restart or a recovery
+// of a crashed site would replay, simulating journals that were never
+// replayed.
 type world struct {
 	spec    Spec
-	root    string
-	gen     int
+	dir     string
 	cluster *cluster.Cluster
 	clients []*client.Client
-}
-
-func (w *world) walDir() string {
-	return filepath.Join(w.root, fmt.Sprintf("wal-%d", w.gen))
 }
 
 func (w *world) build() error {
@@ -54,7 +49,7 @@ func (w *world) build() error {
 		Seed:          w.spec.Seed,
 		ClientTimeout: w.spec.Timeout,
 		LockTTL:       w.spec.LockTTL,
-		WALDir:        w.walDir(),
+		WALDir:        w.dir,
 	}
 	if len(lat.Levels)+len(lat.Sites) > 0 {
 		// Geo model: a message to or from site s pays rtt[s]/2 each way, so
@@ -74,7 +69,6 @@ func (w *world) build() error {
 		return err
 	}
 	w.cluster = c
-	w.clients = w.clients[:0]
 	for i := 0; i < w.spec.Clients; i++ {
 		// Hedged backup probes are off under simulation: whether the hedge
 		// fires (and which site ends up serving) depends on host timing,
@@ -108,40 +102,13 @@ func siteRTT(tr *tree.Tree, lat Latency) (map[tree.SiteID]time.Duration, error) 
 	return rtt, nil
 }
 
-// newController builds the run's adaptation controller on the current
-// cluster incarnation. The knobs are tightened for simulation scale: a
-// short window and cooldown (both on the controller's logical clock) so
-// phased runs of tens of operations actually cross the hysteresis
-// threshold. No wall clock is involved anywhere, so controller decisions
-// are a pure function of the op stream and fault schedule.
-func (w *world) newController() (*adapt.Controller, error) {
-	cfg := adapt.DefaultConfig()
-	cfg.Interval, cfg.Window, cfg.Cooldown, cfg.Enabled = time.Second, 3, 5*time.Second, true
-	return adapt.New(w.cluster, cfg)
-}
-
-// awaitSync blocks until every catch-up that can progress has settled,
-// converting a blown bound into a catch-up-bound violation rather than an
-// error. A catch-up blocked by the fault schedule (cluster.AwaitSync) is
-// not waited for.
-func (w *world) awaitSync(res *Result, what string) {
-	ctx, cancel := context.WithTimeout(context.Background(), syncBound)
-	defer cancel()
-	if err := w.cluster.AwaitSync(ctx); err != nil {
-		res.Violations = append(res.Violations, Violation{
-			Rule:   "catch-up-bound",
-			Detail: fmt.Sprintf("%s: catch-up did not converge within %s", what, syncBound),
-		})
-	}
-}
-
-// skipReplay is the SkipWALReplay bug on a per-site recovery: it empties
-// the journal of every crashed site the event recovers.
+// skipReplay is the SkipWALReplay bug: it empties the journal of every
+// site the event power-cycles, and of every crashed site it recovers.
 func (w *world) skipReplay(ev cluster.Event) error {
 	for _, site := range w.cluster.Tree().Sites() {
 		recovered := ev.RecoverAll || slices.Contains(ev.Recover, site)
-		if recovered && w.cluster.Replica(site).Crashed() {
-			if err := os.Truncate(filepath.Join(w.walDir(), fmt.Sprintf("site-%d.wal", site)), 0); err != nil {
+		if ev.Restart || recovered && w.cluster.Replica(site).Crashed() {
+			if err := os.Truncate(filepath.Join(w.dir, fmt.Sprintf("site-%d.wal", site)), 0); err != nil {
 				return fmt.Errorf("sim: %w", err)
 			}
 		}
@@ -149,15 +116,41 @@ func (w *world) skipReplay(ev cluster.Event) error {
 	return nil
 }
 
-// restart power-cycles the whole system: the cluster (and with it every
-// replica's volatile state and any network partition) is torn down and
-// rebuilt from the write-ahead journals.
-func (w *world) restart() error {
-	w.cluster.Close()
+// apply sends one event to the cluster through cluster.ApplyEvent, the one
+// path every fault, restart and phase marker takes, and waits for the
+// catch-ups it starts. An event the cluster refuses — a reconfigure= while
+// a site is down, say — is an outcome of the run, not a harness error: it
+// becomes a trace line naming the error, and the run goes on.
+func (w *world) apply(res *Result, ev cluster.Event) error {
 	if w.spec.SkipWALReplay {
-		w.gen++ // fresh directory: journals silently lost
+		if err := w.skipReplay(ev); err != nil {
+			return err
+		}
 	}
-	return w.build()
+	// Drains are bounded: past 5 s a draining site stays draining (shedding
+	// new work) and its prepared transactions still resolve via commit,
+	// abort or lock expiry, so that is no refusal.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	err := w.cluster.ApplyEvent(ctx, ev)
+	cancel()
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		res.Trace = append(res.Trace, "     ! refused: "+err.Error())
+	}
+	// Catch-up runs to completion before the next operation, so the
+	// op-by-op trace stays a pure function of the Input (a read racing a
+	// catching-up replica would otherwise depend on host timing). Every
+	// event is awaited: a heal or a recovery can unblock a catch-up that an
+	// earlier fault held up. A catch-up blocked by the fault schedule
+	// (cluster.AwaitSync) is not waited for; a blown bound is a violation.
+	ctx, cancel = context.WithTimeout(context.Background(), syncBound)
+	defer cancel()
+	if err := w.cluster.AwaitSync(ctx); err != nil {
+		res.Violations = append(res.Violations, Violation{
+			Rule:   "catch-up-bound",
+			Detail: fmt.Sprintf("%s: catch-up did not converge within %s", ev, syncBound),
+		})
+	}
+	return nil
 }
 
 // Execute runs one fully-determined input and checks every invariant.
@@ -166,41 +159,32 @@ func (w *world) restart() error {
 // pure function of the Input.
 func Execute(in Input) (*Result, error) {
 	spec := in.Spec
-	root, err := os.MkdirTemp("", "arborsim-*")
+	dir, err := os.MkdirTemp("", "arborsim-*")
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	defer os.RemoveAll(root)
-	w := &world{spec: spec, root: root}
+	defer os.RemoveAll(dir)
+	w := &world{spec: spec, dir: dir}
 	if err := w.build(); err != nil {
 		return nil, err
 	}
-	defer func() { w.cluster.Close() }()
+	defer w.cluster.Close()
 
 	res := &Result{}
 	res.Violations = append(res.Violations, structuralViolations(w.cluster.Protocol())...)
 
 	// With adaptation on, the controller lives alongside the cluster and is
-	// stepped between operations on its logical clock. A Restart tears the
-	// controller down with the cluster; its journal is folded into the
-	// result before the next incarnation's controller takes over.
+	// stepped between operations on its logical clock. The knobs are
+	// tightened for simulation scale: a short window and cooldown (both on
+	// that clock) so phased runs of tens of operations actually cross the
+	// hysteresis threshold. No wall clock is involved anywhere, so
+	// controller decisions are a pure function of the op stream and fault
+	// schedule.
 	var ctl *adapt.Controller
-	collectAdapt := func() {
-		if ctl == nil {
-			return
-		}
-		res.AdaptDecisions = append(res.AdaptDecisions, ctl.Journal(0)...)
-		res.Reconfigurations += int(ctl.Reconfigurations())
-	}
-	// Replica shed counters die with each cluster incarnation, so they are
-	// folded into the result before every Restart teardown and at the end.
-	collectSheds := func() {
-		for _, site := range w.cluster.Tree().Sites() {
-			res.Sheds += w.cluster.Replica(site).Stats().Sheds
-		}
-	}
 	if spec.Adapt {
-		if ctl, err = w.newController(); err != nil {
+		cfg := adapt.DefaultConfig()
+		cfg.Interval, cfg.Window, cfg.Cooldown, cfg.Enabled = time.Second, 3, 5*time.Second, true
+		if ctl, err = adapt.New(w.cluster, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -213,43 +197,9 @@ func Execute(in Input) (*Result, error) {
 			ev := events[ei]
 			ei++
 			res.Trace = append(res.Trace, "     ! "+ev.String())
-			if ev.Restart {
-				collectAdapt()
-				collectSheds()
-				if err := w.restart(); err != nil {
-					return err
-				}
-				if spec.Adapt {
-					var cerr error
-					if ctl, cerr = w.newController(); cerr != nil {
-						return cerr
-					}
-				}
-			} else if ev.Workload != "" {
-				// Phase markers are trace-only: the op stream is generated
-				// phase-aware, so applying the marker does nothing.
-			} else {
-				if spec.SkipWALReplay {
-					if err := w.skipReplay(ev); err != nil {
-						return err
-					}
-				}
-				// Drains are bounded: past 5 s a draining site stays draining
-				// (shedding new work) and its prepared transactions still
-				// resolve via commit, abort or lock expiry, so that is no error.
-				drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				err := w.cluster.ApplyEvent(drainCtx, ev)
-				cancel()
-				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-					return err
-				}
+			if err := w.apply(res, ev); err != nil {
+				return err
 			}
-			// Catch-up runs to completion before the next operation, so the
-			// op-by-op trace stays a pure function of the Input (a read
-			// racing a catching-up replica would otherwise depend on host
-			// timing). Every event is awaited: a heal or a recovery can
-			// unblock a catch-up that an earlier fault held up.
-			w.awaitSync(res, ev.String())
 			res.FaultsApplied++
 		}
 		return nil
@@ -350,8 +300,13 @@ func Execute(in Input) (*Result, error) {
 	if err := applyUpTo(math.MaxInt); err != nil {
 		return nil, err
 	}
-	collectAdapt()
-	collectSheds()
+	if ctl != nil {
+		res.AdaptDecisions = ctl.Journal(0)
+		res.Reconfigurations = int(ctl.Reconfigurations())
+	}
+	for _, site := range w.cluster.Tree().Sites() {
+		res.Sheds += w.cluster.Replica(site).Stats().Sheds
+	}
 
 	// Full recovery, then judge the run: every site recovers or syncs in
 	// place, and the per-level durability margin is an invariant. Overload
@@ -359,20 +314,17 @@ func Execute(in Input) (*Result, error) {
 	// blocked and the bound is strict here, and the final durability reads
 	// judge the protocol, not a dangling saturate or slowsite the schedule
 	// never cleared. (Drained sites are down and recover like the others.)
-	for _, site := range w.cluster.Tree().Sites() {
-		_ = w.cluster.Saturate(site, false)
-		_ = w.cluster.SlowSite(site, 0)
+	// Both steps are events on the one path, left out of the trace.
+	sites := w.cluster.Tree().Sites()
+	calm := cluster.Event{Heal: true, Unsaturate: sites}
+	for _, site := range sites {
+		calm.SlowSite = append(calm.SlowSite, cluster.SiteSlowdown{Site: site})
 	}
-	if err := w.cluster.Heal(); err != nil {
-		return nil, err
-	}
-	if spec.SkipWALReplay {
-		if err := w.skipReplay(cluster.Event{RecoverAll: true}); err != nil {
+	for _, ev := range []cluster.Event{calm, {Recover: sites}} {
+		if err := w.apply(res, ev); err != nil {
 			return nil, err
 		}
 	}
-	w.cluster.SyncAll()
-	w.awaitSync(res, "final recovery")
 	res.FinalSpec = w.cluster.Tree().Spec()
 	ops := rec.Ops()
 	for _, v := range history.Check(ops) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,5 +114,87 @@ func TestSkipWALReplayCaughtWithoutRestart(t *testing.T) {
 	}
 	if !res.Failed() {
 		t.Error("a level that lost its journals recovered without a violation")
+	}
+}
+
+// opsFrom returns the trace lines of the ops at index from or later.
+func opsFrom(trace []string, from int) []string {
+	var out []string
+	for _, line := range trace {
+		// Op lines start with their index; event lines ("     ! …") do not.
+		var i int
+		if _, err := fmt.Sscanf(line, "%d", &i); err == nil && i >= from {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestSimAppliesEveryActionOfAnEvent: an event that carries a restart or a
+// phase marker applies its other actions too. A recoverall beside a marker
+// brings the crashed level back, so no op after it fails; a saturate beside
+// a restart outlives the power-cycle, so the saturated level sheds every
+// read after it.
+func TestSimAppliesEveryActionOfAnEvent(t *testing.T) {
+	run := func(t *testing.T, schedule string) *Result {
+		t.Helper()
+		spec := scheduled(t, 3, schedule)
+		spec.Ops, spec.Profile = 40, ProfileMostlyRead
+		in, err := BuildInput(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() {
+			t.Fatalf("violations: %v", res.Violations)
+		}
+		return res
+	}
+	t.Run("recoverall beside a phase marker", func(t *testing.T) {
+		res := run(t, "10ms:crash=1,2,3;20ms:recoverall+workload=calm")
+		for _, line := range opsFrom(res.Trace, 20) {
+			if strings.HasSuffix(line, "-> unavailable") || strings.HasSuffix(line, "-> overloaded") {
+				t.Errorf("an op failed after the recovery: %s", line)
+			}
+		}
+	})
+	t.Run("saturate beside a restart", func(t *testing.T) {
+		res := run(t, "10ms:restart+saturate=1,2,3")
+		if res.Sheds == 0 {
+			t.Error("the saturated level shed nothing")
+		}
+		for _, line := range opsFrom(res.Trace, 10) {
+			if strings.Contains(line, " r ") && !strings.HasSuffix(line, "-> overloaded") {
+				t.Errorf("a read past the saturate was not shed: %s", line)
+			}
+		}
+	})
+}
+
+// TestSimRefusedEventIsTraced: an event the cluster refuses — here a
+// reconfiguration while a site is down — becomes a trace line naming the
+// error, and the run goes on over the tree it had.
+func TestSimRefusedEventIsTraced(t *testing.T) {
+	in, err := BuildInput(scheduled(t, 1, "10ms:crash=2;20ms:reconfigure=1-2-2-2-2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(in)
+	if err != nil {
+		t.Fatalf("a refused event aborted the run: %v", err)
+	}
+	const want = "     ! refused: cluster: reconfigure requires all replicas up; site 2 is crashed"
+	if !slices.Contains(res.Trace, want) {
+		t.Errorf("trace has no line %q:\n%s", want, strings.Join(res.Trace, "\n"))
+	}
+	if res.OpsRun != len(in.Ops) || res.FaultsApplied != 2 || res.FinalSpec != "1-3-5" {
+		t.Errorf("ran %d of %d ops and %d events, final spec %s; want all ops, 2 events, 1-3-5",
+			res.OpsRun, len(in.Ops), res.FaultsApplied, res.FinalSpec)
+	}
+	if res.Failed() {
+		t.Errorf("violations: %v", res.Violations)
 	}
 }

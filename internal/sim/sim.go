@@ -95,10 +95,10 @@ type Spec struct {
 	Timeout time.Duration
 	// LockTTL is the replicas' prepared-lock expiry (default 1s).
 	LockTTL time.Duration
-	// SkipWALReplay injects a durability bug for self-tests: every Restart
-	// discards the write-ahead journals instead of replaying them, and a
-	// crashed site's journal is emptied before it recovers, which a
-	// campaign must detect as a lost acknowledged write.
+	// SkipWALReplay injects a durability bug for self-tests: every site's
+	// write-ahead journal is emptied before a Restart power-cycles it, and
+	// a crashed site's before it recovers, so the replay finds nothing,
+	// which a campaign must detect as a lost acknowledged write.
 	SkipWALReplay bool
 	// Overload adds a generated overload stretch to the fault schedule: a
 	// saturate window over a random subset of sites (closed by a matching
@@ -331,9 +331,9 @@ type Result struct {
 	Trace []string
 	// Violations lists every invariant failure; empty means the run passed.
 	Violations []Violation
-	// AdaptDecisions is the adaptation controller's decision journal,
-	// accumulated across cluster incarnations (a Restart rebuilds the
-	// controller, but its decisions are kept). Nil without Spec.Adapt.
+	// AdaptDecisions is the adaptation controller's decision journal; one
+	// controller lives for the whole run, restarts included. Nil without
+	// Spec.Adapt.
 	AdaptDecisions []adapt.Decision
 	// Reconfigurations counts the controller-driven migrations that
 	// succeeded during the run (reverts included).
@@ -349,9 +349,9 @@ type Result struct {
 	Failures      int // ops that returned unavailable (no history obligation)
 	FaultsApplied int
 	// Sheds counts the requests replicas answered with a typed overload
-	// reply (admission-gate load shedding), accumulated across cluster
-	// incarnations. Zero unless the schedule armed an overload fault
-	// (saturate/drain) or genuinely exceeded a replica's admission limits.
+	// reply (admission-gate load shedding) during the op stream. Zero
+	// unless the schedule armed an overload fault (saturate/drain) or
+	// genuinely exceeded a replica's admission limits.
 	Sheds uint64
 	// Overloaded counts the operations (a subset of Failures) that failed
 	// with every candidate shedding — a clean, typed refusal, never an
