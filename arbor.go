@@ -100,9 +100,18 @@ func Advise(n int, p, readFraction float64, obj Objective) (Advice, error) {
 	return config.Advise(n, p, readFraction, obj)
 }
 
-// Cluster is a running simulated replica system: one goroutine per replica,
-// communicating over an in-memory network with injectable failures.
+// Cluster is a running replica system: over the in-memory network, with
+// injectable latency, loss and partitions, one goroutine serves each
+// replica; over loopback TCP (ClusterConfig.TCP) the connections' read
+// loops serve them. Cluster.ApplyEvent is its one way to inject faults and
+// reshape the tree.
 type Cluster = cluster.Cluster
+
+// Event is one administrative action, or several joined, for
+// Cluster.ApplyEvent: crashes, recoveries, partitions, overload faults,
+// drains, a reconfiguration to another tree, a checkpoint. Its String form
+// is the schedule syntax of arborsim and arbord's /fault.
+type Event = cluster.Event
 
 // Client executes protocol reads and writes against a cluster.
 type Client = client.Client
@@ -194,13 +203,15 @@ var (
 type Controller = adapt.Controller
 
 // AdaptConfig configures a Controller: its interval, window, level-delta
-// damping, cooldown, availability assumption, objective, degradation guard,
-// clock (nil: logical, advanced one interval per Step) and initial enabled
-// state. Its fields are taken as given, so start from DefaultAdaptConfig.
+// damping, cooldown, clock (nil: logical, advanced one interval per Step)
+// and initial enabled state. Its fields are taken as given, so start from
+// DefaultAdaptConfig. The availability assumption, the objective and the
+// degradation guard are the adapt package's constants.
 type AdaptConfig = adapt.Config
 
-// DefaultAdaptConfig returns the controller defaults: disabled, a 1s
-// interval, a window of 5, a 30s cooldown, minimizing load.
+// DefaultAdaptConfig returns the controller defaults: disabled, on a
+// logical clock, a 1s interval, a window of 5, a level delta of 2 and a
+// 30s cooldown.
 func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
 
 // Decision is one adaptation journal entry: the full evidence snapshot

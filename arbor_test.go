@@ -131,10 +131,8 @@ func TestFacadeErrTimeoutMatching(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	for _, site := range c.Protocol().LevelSites(0) {
-		if err := c.Crash(site); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.ApplyEvent(ctx, arbor.Event{Crash: c.Protocol().LevelSites(0)}); err != nil {
+		t.Fatal(err)
 	}
 	_, err = cli.Read(ctx, "k")
 	if !errors.Is(err, arbor.ErrReadUnavailable) {

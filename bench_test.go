@@ -354,10 +354,12 @@ func BenchmarkClusterReadTailLatency(b *testing.B) {
 			}
 		}
 		proto := c.Protocol()
+		var firsts arbor.Event
 		for u := 0; u < proto.NumPhysicalLevels(); u++ {
-			if err := c.Crash(proto.LevelSites(u)[0]); err != nil {
-				b.Fatal(err)
-			}
+			firsts.Crash = append(firsts.Crash, proto.LevelSites(u)[0])
+		}
+		if err := c.ApplyEvent(ctx, firsts); err != nil {
+			b.Fatal(err)
 		}
 		durs := make([]time.Duration, 0, b.N)
 		b.ResetTimer()

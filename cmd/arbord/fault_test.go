@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"arbor/internal/client"
 	"arbor/internal/cluster"
+	"arbor/internal/tree"
 )
 
 // scrape returns the daemon's /metrics exposition.
@@ -489,5 +491,95 @@ func TestServerRecoverRejectsBadSync(t *testing.T) {
 	awaitSync(t, srv)
 	if h := health(t, scrape(t, ts), "4"); h != 2 {
 		t.Errorf("site 4 health %v after recover, want 2", h)
+	}
+}
+
+// TestServerScrapesDuringDrain: no administrative action holds up a
+// scrape. On 1-1-4 every read contacts site 1, the one site of level 0.
+// With site 1 slowed by 2s, a /get is in flight there when a drain of
+// site 1 starts, and the drain waits for it; meanwhile /metrics and
+// /controller each answer within 500ms. Then the drain answers 200.
+func TestServerScrapesDuringDrain(t *testing.T) {
+	tr, err := tree.ParseSpec("1-1-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(tr, cluster.Config{Seed: 1}, 64, []client.Option{client.WithTimeout(10 * time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	if code, body := do(t, http.MethodPut, ts.URL+"/put?key=k", "v"); code != http.StatusOK {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	mustFault(t, ts, "slowsite=1:2s")
+
+	// send runs a request off the test goroutine; its status arrives on
+	// the channel (0 when the request failed).
+	send := func(method, url string) <-chan int {
+		out := make(chan int, 1)
+		go func() {
+			req, _ := http.NewRequest(method, url, nil) // the test server's own URL parses
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				out <- 0
+				return
+			}
+			resp.Body.Close()
+			out <- resp.StatusCode
+		}()
+		return out
+	}
+	// await polls cond every millisecond for up to two seconds.
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	site1 := srv.cluster.Replica(1)
+	before := site1.Stats().Messages
+	read := send(http.MethodGet, ts.URL+"/get?key=k")
+	await("the read to reach site 1", func() bool { return site1.Stats().Messages > before })
+
+	drain := send(http.MethodPost, ts.URL+"/fault?do=drain=1")
+	// A draining site sheds every new read: a probe read shed at site 1
+	// shows the drain has begun.
+	probe, err := srv.cluster.NewClient(client.WithTimeout(50 * time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	await("the drain to begin", func() bool {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_, _ = probe.Read(ctx, "k")
+		return site1.Stats().Sheds > 0
+	})
+
+	for _, path := range []string{"/metrics", "/controller"} {
+		start := time.Now()
+		if code, body := do(t, http.MethodGet, ts.URL+path, ""); code != http.StatusOK {
+			t.Errorf("GET %s during the drain: %d %s", path, code, body)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Errorf("GET %s took %v during the drain, want under 500ms", path, d)
+		}
+	}
+	select {
+	case code := <-drain:
+		t.Fatalf("the drain answered %d before the scrapes ended: the test showed nothing", code)
+	default:
+	}
+	if code := <-drain; code != http.StatusOK {
+		t.Errorf("drain=1 answered %d, want 200", code)
+	}
+	if code := <-read; code != http.StatusOK {
+		t.Errorf("the slowed /get answered %d, want 200", code)
 	}
 }

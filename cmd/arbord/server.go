@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"arbor/internal/adapt"
@@ -29,12 +28,13 @@ type server struct {
 
 	// ctl is the adaptation controller behind /controller. It is always
 	// created (so the endpoint and the arbor_adapt_* metrics exist) but
-	// starts disabled unless -adapt is given; its evaluation loop runs in
-	// stepController until stop is called.
+	// starts disabled unless -adapt is given; its Run loop goes on until
+	// stop is called.
 	ctl  *adapt.Controller
 	stop context.CancelFunc
 
-	mu      sync.Mutex // serializes administrative actions
+	// cluster serializes the administrative actions itself: /fault and the
+	// controller's migrations both go through cluster.ApplyEvent.
 	cluster *cluster.Cluster
 	cli     *client.Client
 }
@@ -68,7 +68,7 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 	s := &server{mux: http.NewServeMux(), obs: o, cluster: c, cli: cli, ctl: ctl}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.stop = cancel
-	go s.stepController(ctx, adapt.DefaultInterval)
+	go ctl.Run(ctx)
 	s.mux.HandleFunc("/get", s.handleGet)
 	s.mux.HandleFunc("/put", s.handlePut)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -82,25 +82,6 @@ func newServer(t *tree.Tree, cfg cluster.Config, traceCap int, cliOpts []client.
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s, nil
-}
-
-// stepController drives the adaptation loop. Steps take the admin lock so a
-// controller-driven migration serializes with /fault (reconfigure=) and
-// /metrics exactly like an operator-driven one — no scrape ever observes
-// the cluster mid-swap, whoever initiated the swap.
-func (s *server) stepController(ctx context.Context, every time.Duration) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			s.mu.Lock()
-			s.ctl.Step()
-			s.mu.Unlock()
-		}
-	}
 }
 
 // ServeHTTP dispatches to the API routes.
@@ -170,11 +151,10 @@ func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the registry in Prometheus text exposition format.
-// Holding the admin lock means collection callbacks (which snapshot the
-// cluster) never interleave with a reconfiguration.
+// It waits for no administrative action, so a scrape during a migration
+// shows its catch-up passes (arbor_replica_sync_active); the cluster's
+// collect callback still reads the tree and protocol as one pair.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obs.Registry.WritePrometheus(w)
 }
@@ -199,10 +179,11 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // handleFault applies one fault event, written in the schedule syntax of
 // cluster.ParseSchedule (?do=crash=2, ?do=recover=4,
 // ?do=drain=2+saturate=3, ?do=reconfigure=1-4-4, …), through
-// cluster.ApplyEvent: the one path the simulator's schedules take too.
-// Drains and migrations are bounded: past the bound the request answers
-// 504. Partitions exist only on the in-memory network, so partition and
-// heal answer 409, as does a refused reconfigure.
+// cluster.ApplyEvent: the one path the simulator's schedules and the
+// controller's migrations take too, so an event waits out any other in
+// progress. Drains and migrations are bounded: past the bound the request
+// answers 504. Partitions exist only on the in-memory network, so
+// partition and heal answer 409, as does a refused reconfigure.
 func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
@@ -219,9 +200,7 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
 	defer cancel()
-	s.mu.Lock()
 	err = s.cluster.ApplyEvent(ctx, sched[0])
-	s.mu.Unlock()
 	switch {
 	case errors.Is(err, cluster.ErrUnknownSite):
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -256,9 +235,8 @@ func (s *server) handleController(w http.ResponseWriter, r *http.Request) {
 			}
 			n = v
 		}
-		s.mu.Lock()
-		resp := controllerResponse{State: s.ctl.State(), Journal: s.ctl.Journal(n)}
-		s.mu.Unlock()
+		var resp controllerResponse
+		resp.State, resp.Journal = s.ctl.Report(n)
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(resp)
 	case http.MethodPost:
@@ -272,9 +250,7 @@ func (s *server) handleController(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "action must be enable or disable", http.StatusBadRequest)
 			return
 		}
-		s.mu.Lock()
 		changed := s.ctl.SetEnabled(on)
-		s.mu.Unlock()
 		state := "disabled"
 		if on {
 			state = "enabled"

@@ -45,7 +45,7 @@ func run() error {
 	// Crash a replica on the first physical level (sites 1–3). Level 0
 	// can no longer form a write quorum, so writes fail over to level 1.
 	fmt.Println("\n-- crashing site 1 (one member of physical level 0) --")
-	if err := c.Crash(1); err != nil {
+	if err := c.ApplyEvent(ctx, arbor.Event{Crash: []arbor.SiteID{1}}); err != nil {
 		return err
 	}
 	wr, err := cli.Write(ctx, "ledger", []byte("balance=90"))
@@ -62,10 +62,8 @@ func run() error {
 	// Crash ALL of level 0: reads need one replica from every level, so
 	// they become unavailable; the data is safe.
 	fmt.Println("\n-- crashing all of physical level 0 --")
-	for _, s := range []arbor.SiteID{2, 3} {
-		if err := c.Crash(s); err != nil {
-			return err
-		}
+	if err := c.ApplyEvent(ctx, arbor.Event{Crash: []arbor.SiteID{2, 3}}); err != nil {
+		return err
 	}
 	if _, err := cli.Read(ctx, "ledger"); errors.Is(err, arbor.ErrReadUnavailable) {
 		fmt.Println("reads unavailable, as the protocol predicts")
@@ -76,7 +74,9 @@ func run() error {
 	// Recovery restores service with the last committed value intact.
 	fmt.Println("\n-- recovering all replicas --")
 	// Each replays its journal and catches up before it serves reads again.
-	c.RecoverAll()
+	if err := c.ApplyEvent(ctx, arbor.Event{RecoverAll: true}); err != nil {
+		return err
+	}
 	if err := c.AwaitSync(ctx); err != nil {
 		return err
 	}

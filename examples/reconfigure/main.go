@@ -58,7 +58,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nphase 2 — workload now 80%% writes; advisor recommends %s\n", adv.Tree.Spec())
-	if err := c.Reconfigure(ctx, adv.Tree); err != nil {
+	if err := c.ApplyEvent(ctx, arbor.Event{Reconfigure: adv.Tree}); err != nil {
 		return err
 	}
 	a = arbor.Analyze(c.Tree())

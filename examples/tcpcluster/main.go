@@ -56,7 +56,7 @@ func run() error {
 	fmt.Printf("counter = %s (version %s), read touched %d replicas\n", rd.Value, rd.TS, rd.Contacts)
 
 	// Crash a replica: the quorum logic behaves identically over TCP.
-	if err := c.Crash(t.Sites()[0]); err != nil {
+	if err := c.ApplyEvent(ctx, cluster.Event{Crash: t.Sites()[:1]}); err != nil {
 		return err
 	}
 	wr, err := cli.Write(ctx, "counter", []byte("final"))

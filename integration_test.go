@@ -45,7 +45,7 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Reconfigure(ctx, t2); err != nil {
+	if err := c1.ApplyEvent(ctx, arbor.Event{Reconfigure: t2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli1.Write(ctx, "acct-0", []byte("70")); err != nil {
@@ -78,15 +78,15 @@ func TestIntegrationDurableReshapedTransactionalStore(t *testing.T) {
 	}
 
 	// Phase 4: failure handling still behaves per the protocol.
-	for _, site := range c2.Protocol().LevelSites(0) {
-		if err := c2.Crash(site); err != nil {
-			t.Fatal(err)
-		}
+	if err := c2.ApplyEvent(ctx, arbor.Event{Crash: c2.Protocol().LevelSites(0)}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := cli2.Read(ctx, "acct-0"); !errors.Is(err, arbor.ErrReadUnavailable) {
 		t.Errorf("read with a level down = %v, want ErrReadUnavailable", err)
 	}
-	c2.RecoverAll()
+	if err := c2.ApplyEvent(ctx, arbor.Event{RecoverAll: true}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c2.AwaitSync(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestIntegrationCheckpointThenRestart(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Checkpoint(); err != nil {
+	if err := c1.ApplyEvent(ctx, arbor.Event{Checkpoint: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Write(ctx, "j", []byte("after")); err != nil {

@@ -3,9 +3,10 @@
 // measured read/write mix, the per-site participation deltas and the live
 // Eq 3.2 theory-vs-empirical gap, and when the workload has drifted past a
 // hysteresis threshold for a full observation window it asks the
-// configuration advisor for a better tree and drives a live Reconfigure
-// migration — with a cooldown between migrations and an abort-on-degradation
-// guard that reverts a migration whose measured load got worse.
+// configuration advisor for a better tree and drives a live migration
+// through cluster.ApplyEvent — with a cooldown between migrations and an
+// abort-on-degradation guard that reverts a migration whose measured load
+// got worse.
 //
 // Every evaluation, whether it acts or holds, appends a Decision carrying
 // the full evidence snapshot to a bounded journal, so "why did the tree
@@ -49,7 +50,7 @@ const (
 	// get after a migration before the guard reverts it; windowed maxima
 	// are noisy, so the bar is generous.
 	DegradeTolerance = 0.5
-	// MigrationBound bounds each migration's catch-up (Cluster.Reconfigure).
+	// MigrationBound bounds each migration's catch-up (a reconfigure= event).
 	MigrationBound = 10 * time.Second
 )
 
@@ -410,7 +411,7 @@ func (a *Controller) evaluate(snap cluster.StatsView) Decision {
 	prev := snap.Tree
 	ctx, cancel := context.WithTimeout(context.Background(), MigrationBound)
 	defer cancel()
-	if err := a.c.Reconfigure(ctx, adv.Tree); err != nil {
+	if err := a.c.ApplyEvent(ctx, cluster.Event{Reconfigure: adv.Tree}); err != nil {
 		// Transient conditions (a crashed replica) veto migration; keep the
 		// drift streak so the controller retries as soon as they clear.
 		d.Outcome = err.Error()
@@ -447,7 +448,7 @@ func (a *Controller) judgeMigration(d Decision, w WindowStats) Decision {
 	d.AdvisedLevels = a.prevTree.NumPhysicalLevels()
 	ctx, cancel := context.WithTimeout(context.Background(), MigrationBound)
 	defer cancel()
-	if err := a.c.Reconfigure(ctx, a.prevTree); err != nil {
+	if err := a.c.ApplyEvent(ctx, cluster.Event{Reconfigure: a.prevTree}); err != nil {
 		d.Outcome = err.Error()
 		a.probation = 1 // re-judge next tick, when the revert may be possible
 		return a.record(d)
@@ -482,8 +483,10 @@ type State struct {
 	WindowStats      WindowStats   `json:"windowStats"`
 }
 
-// State snapshots the controller.
-func (a *Controller) State() State {
+// Report snapshots the controller together with up to n recent decisions,
+// oldest first (n <= 0: all retained entries), at one instant: the state's
+// JournalSeq is the newest decision's, even while Run steps.
+func (a *Controller) Report(n int) (State, []Decision) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return State{
@@ -502,5 +505,5 @@ func (a *Controller) State() State {
 		Reverts:          a.reverts,
 		JournalSeq:       a.j.seq,
 		WindowStats:      a.windowStats(),
-	}
+	}, a.j.last(n)
 }

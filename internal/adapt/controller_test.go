@@ -415,9 +415,9 @@ func TestControllerStateSnapshot(t *testing.T) {
 	ctl := newController(t, c, func(cfg *Config) {
 		cfg.Window = 4
 	})
-	st := ctl.State()
-	if st.Enabled {
-		t.Error("controller starts enabled")
+	st, journal := ctl.Report(0)
+	if st.Enabled || len(journal) != 0 {
+		t.Errorf("controller starts enabled, or with %d decisions", len(journal))
 	}
 	if st.Window != 4 || st.Availability != Availability || st.Objective != "load" {
 		t.Errorf("state = %+v", st)
@@ -427,6 +427,10 @@ func TestControllerStateSnapshot(t *testing.T) {
 	}
 	if st.MinWindowOps != MinWindowOps || st.MinLevelDelta != DefaultMinLevelDelta {
 		t.Errorf("defaults not applied: %+v", st)
+	}
+	ctl.SetEnabled(true)
+	if st, journal := ctl.Report(1); len(journal) != 1 || journal[0].Seq != st.JournalSeq {
+		t.Errorf("state at journal seq %d beside %+v", st.JournalSeq, journal)
 	}
 }
 
@@ -442,10 +446,10 @@ func TestDefaultConfigKeepsDefaults(t *testing.T) {
 		got.Clock != nil || got.Enabled {
 		t.Errorf("default config = %+v", got)
 	}
-	if st := ctl.State(); st.Enabled || st.Cooldown != DefaultCooldown || st.Objective != "load" {
+	if st, _ := ctl.Report(0); st.Enabled || st.Cooldown != DefaultCooldown || st.Objective != "load" {
 		t.Errorf("default state = %+v", st)
 	}
-	if st := newController(t, c, func(cfg *Config) { cfg.Cooldown = 0 }).State(); st.Cooldown != 0 {
+	if st, _ := newController(t, c, func(cfg *Config) { cfg.Cooldown = 0 }).Report(0); st.Cooldown != 0 {
 		t.Errorf("explicit zero cooldown became %v", st.Cooldown)
 	}
 }

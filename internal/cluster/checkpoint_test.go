@@ -56,9 +56,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := c1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c1, "checkpoint")
 	total := 0
 	for _, site := range c1.Tree().Sites() {
 		n := journalRecords(t, dir, site)
@@ -193,13 +191,13 @@ func TestCheckpointRacesCrashRecover(t *testing.T) {
 				}()
 			}
 			loop(func() {
-				_ = c.Crash(1)
+				_ = c.ApplyEvent(ctx, Event{Crash: []tree.SiteID{1}})
 				time.Sleep(2 * time.Millisecond)
-				_ = c.Recover(1)
+				_ = c.ApplyEvent(ctx, Event{Recover: []tree.SiteID{1}})
 				time.Sleep(2 * time.Millisecond)
 			})
 			loop(func() {
-				if err := c.Checkpoint(); err != nil {
+				if err := c.ApplyEvent(ctx, Event{Checkpoint: true}); err != nil {
 					t.Error(err)
 				}
 				time.Sleep(time.Millisecond)
@@ -220,7 +218,7 @@ func TestCheckpointRacesCrashRecover(t *testing.T) {
 
 			check := func(c *Cluster, when string) {
 				t.Helper()
-				c.RecoverAll()
+				apply(t, c, "recoverall")
 				if err := c.AwaitSync(ctx); err != nil {
 					t.Fatal(err)
 				}
@@ -272,9 +270,7 @@ func TestMemJournalHeapBounded(t *testing.T) {
 	if grown < 10*mib {
 		t.Errorf("20,000 writes retained %.1f MiB, want the uncompacted journals' > 10 MiB", float64(grown)/mib)
 	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "checkpoint")
 	if after := int64(heap()) - int64(before); after >= mib {
 		t.Errorf("after Checkpoint the cluster retains %.2f MiB, want < 1 MiB", float64(after)/mib)
 	} else {

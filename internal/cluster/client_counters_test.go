@@ -88,21 +88,20 @@ func TestClientCountersPinned(t *testing.T) {
 
 	// One saturated site sheds and its sibling serves; then the whole level
 	// sheds, and reads and writes fail on it.
-	must(c.Saturate(1, true))
+	apply(t, c, "saturate=1")
 	for i := 0; i < 4; i++ {
 		_, err := cli.Read(ctx, keys[i%len(keys)])
 		must(err)
 	}
-	must(c.Saturate(2, true))
+	apply(t, c, "saturate=2")
 	cli.Read(ctx, "a")
 	cli.Write(ctx, "a", []byte("shed"))
-	must(c.Saturate(1, false))
-	must(c.Saturate(2, false))
+	apply(t, c, "unsaturate=1,2")
 
 	// A crashed site: reads that try it first time out and fall back to its
 	// sibling; a write pinned to its level times out there and falls back
 	// to the other level.
-	must(c.Crash(3))
+	apply(t, c, "crash=3")
 	for i := 0; i < 3; i++ {
 		_, err := cli.Read(ctx, keys[i%len(keys)])
 		must(err)
@@ -175,9 +174,7 @@ func TestContactsBookedByOperation(t *testing.T) {
 	}
 
 	// A write pinned to a level with a crashed member falls back.
-	if err := c.Crash(c.Protocol().LevelSites(1)[0]); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=%d", c.Protocol().LevelSites(1)[0])
 	wr, err := cli.WriteAt(ctx, "b", []byte("fallback"), 1)
 	if err != nil {
 		t.Fatal(err)

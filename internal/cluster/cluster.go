@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -40,10 +39,10 @@ type Config struct {
 	// WALDir gives every replica a write-ahead journal under the directory
 	// (site-<id>.wal) in place of its in-memory one. Existing journals are
 	// replayed at startup, so a cluster restarted on the same directory
-	// recovers every committed write; Checkpoint compacts them. The
-	// directory also records the cluster's tree (tree.spec), which
-	// Reconfigure rewrites: New on a directory with a record resumes that
-	// tree, and its tree argument only seeds a fresh directory.
+	// recovers every committed write; a checkpoint event compacts them.
+	// The directory also records the cluster's tree (tree.spec), which a
+	// reconfiguration rewrites: New on a directory with a record resumes
+	// that tree, and its tree argument only seeds a fresh directory.
 	WALDir string
 	// Observer attaches an observability hook to the whole cluster: every
 	// replica, every client created through NewClient, and the cluster
@@ -56,7 +55,8 @@ type Config struct {
 	// of the in-memory network: every message crosses a socket through the
 	// same framing and read loops a deployment runs. Faults that are
 	// properties of the simulated network do not exist there: New refuses
-	// a non-zero Net alongside it, and Partition and Heal fail.
+	// a non-zero Net alongside it, and ApplyEvent refuses partition and
+	// heal.
 	TCP bool
 	// MaxInflight bounds each replica's concurrently served gated requests
 	// (reads, version probes and phase-one prepares; phase two is never
@@ -68,12 +68,15 @@ type Config struct {
 
 // Cluster is a running replica system. All methods are safe for concurrent
 // use; the replica map is immutable after New, and the mutable fields (tree,
-// protocol, client list, TCP endpoints) are guarded by mu.
+// protocol, client list, TCP endpoints) are guarded by mu. ApplyEvent is
+// the only way to change the cluster's state, and admin serializes it.
 type Cluster struct {
 	net      transport.Transport
 	sim      *transport.Network // the in-memory network; nil over TCP
 	replicas map[tree.SiteID]*replica.Replica
 	cfg      Config
+
+	admin sync.Mutex // held by ApplyEvent for a whole event
 
 	mu      sync.RWMutex
 	tree    *tree.Tree
@@ -269,134 +272,12 @@ func (c *Cluster) NewClient(opts ...client.Option) (*client.Client, error) {
 	return cli, nil
 }
 
-// ErrUnknownSite is what every per-site fault and query answers for a site
-// the cluster does not have.
+// ErrUnknownSite is what ApplyEvent answers for an event naming a site the
+// cluster does not have.
 var ErrUnknownSite = errors.New("cluster: unknown site")
-
-// lookup returns the replica running site, or ErrUnknownSite.
-func (c *Cluster) lookup(site tree.SiteID) (*replica.Replica, error) {
-	r, ok := c.replicas[site]
-	if !ok {
-		return nil, fmt.Errorf("%w %d", ErrUnknownSite, site)
-	}
-	return r, nil
-}
-
-// Crash fail-stops the given site.
-func (c *Cluster) Crash(site tree.SiteID) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	r.Crash()
-	return nil
-}
-
-// Recover brings the site back the one way there is: a site that is down
-// replays its journal and rejoins catching up from one member of every
-// other physical level; a site that is up runs the catch-up in place (see
-// replica.Recover). AwaitSync waits for the catch-up.
-func (c *Cluster) Recover(site tree.SiteID) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	r.Recover(c.syncPlanFor(site))
-	return nil
-}
-
-// Saturate arms (or, with on=false, disarms) the deterministic overload
-// fault on the site: its admission gate sheds every gated request — reads,
-// version probes, prepares — with a typed overload reply, while phase-two
-// commits and aborts are still served. A recovery after a crash disarms it.
-func (c *Cluster) Saturate(site tree.SiteID, on bool) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	r.Saturate(on)
-	return nil
-}
-
-// SlowSite injects d of extra service time into every gated request the
-// site serves (zero clears it) — a brownout rather than a refusal.
-func (c *Cluster) SlowSite(site tree.SiteID, d time.Duration) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	r.SlowBy(d)
-	return nil
-}
-
-// Drain gracefully removes the site from service: new gated work is shed,
-// in-flight work and prepared transactions resolve, then the replica
-// crashes (its journal keeps every acknowledged write; Recover brings it
-// back). It
-// returns once the site is quiesced or ctx expires.
-func (c *Cluster) Drain(ctx context.Context, site tree.SiteID) error {
-	r, err := c.lookup(site)
-	if err != nil {
-		return err
-	}
-	return r.Drain(ctx)
-}
-
-// Checkpoint compacts every replica's journal to one record per key, in
-// place (replica.Store.Compact): a file journal is rewritten and renamed
-// over the old one. A replica that is down, or still replaying its
-// journal, keeps its journal as it is. The error names every site whose
-// compaction failed; each of those keeps its old journal.
-func (c *Cluster) Checkpoint() error {
-	var errs []error
-	for _, site := range c.Tree().Sites() {
-		if err := c.replicas[site].Store().Compact(); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: checkpoint site %d: %w", site, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// RecoverAll recovers every crashed replica (see Recover).
-func (c *Cluster) RecoverAll() {
-	for site, r := range c.replicas {
-		if r.Health() == replica.HealthDown {
-			r.Recover(c.syncPlanFor(site))
-		}
-	}
-}
 
 // errNotSimulated is what a simulated-network fault returns over TCP.
 var errNotSimulated = errors.New("cluster: partitions need the in-memory network, not over TCP")
-
-// Partition splits the network into the given site groups. Clients not
-// listed (all of them, usually) fall into the implicit extra group, so a
-// partition with all clients on one side is expressed by grouping replica
-// sites only. It fails over TCP.
-func (c *Cluster) Partition(groups ...[]tree.SiteID) error {
-	if c.sim == nil {
-		return errNotSimulated
-	}
-	addrGroups := make([][]transport.Addr, len(groups))
-	for i, g := range groups {
-		addrs := make([]transport.Addr, len(g))
-		for j, s := range g {
-			addrs[j] = transport.Addr(s)
-		}
-		addrGroups[i] = addrs
-	}
-	c.sim.Partition(addrGroups...)
-	return nil
-}
-
-// Heal removes any network partition. It fails over TCP.
-func (c *Cluster) Heal() error {
-	if c.sim == nil {
-		return errNotSimulated
-	}
-	c.sim.Heal()
-	return nil
-}
 
 // NetworkStats counts what the cluster's network moved: Stats on the
 // in-memory network, TCP summed over every endpoint over TCP. The

@@ -15,10 +15,33 @@ import (
 // crashLevel fail-stops every member of the cluster's u-th physical level.
 func crashLevel(t *testing.T, c *Cluster, u int) {
 	t.Helper()
-	for _, site := range c.Protocol().LevelSites(u) {
-		if err := c.Crash(site); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.ApplyEvent(context.Background(), Event{Crash: c.Protocol().LevelSites(u)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// event parses one event in the schedule syntax ("crash=2",
+// "drain=1+saturate=3"), the way arbord parses /fault's do=.
+func event(t testing.TB, format string, args ...any) Event {
+	t.Helper()
+	do := fmt.Sprintf(format, args...)
+	sched, err := ParseSchedule("0s:" + do)
+	if err == nil && len(sched) != 1 {
+		err = errors.New("not one event")
+	}
+	if err != nil {
+		t.Fatalf("event %q: %v", do, err)
+	}
+	return sched[0]
+}
+
+// apply applies one event in the schedule syntax and fails the test if the
+// cluster refuses it.
+func apply(t testing.TB, c *Cluster, format string, args ...any) {
+	t.Helper()
+	ev := event(t, format, args...)
+	if err := c.ApplyEvent(context.Background(), ev); err != nil {
+		t.Fatalf("%s: %v", ev, err)
 	}
 }
 
@@ -151,9 +174,7 @@ func TestCrashedLevelRedirectsWrites(t *testing.T) {
 	}
 	// Crash one replica of level 0 (sites 1..3): level 0 can no longer
 	// form a write quorum, but level 1 can.
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1")
 	for i := 0; i < 5; i++ {
 		wr, err := cli.Write(ctx, "k", []byte(fmt.Sprintf("after%d", i)))
 		if err != nil {
@@ -192,9 +213,7 @@ func TestFailedPrepareCostsOneTimeout(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(1); err != nil { // a member of level 0, sites 1..3
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1") // a member of level 0, sites 1..3
 	start := time.Now()
 	wr, err := cli.WriteAt(ctx, "k", []byte("v"), 0)
 	took := time.Since(start)
@@ -225,7 +244,7 @@ func TestWholeLevelDownBlocksReadsButNotWrites(t *testing.T) {
 		t.Errorf("write err = %v, want ErrWriteUnavailable", err)
 	}
 	// Recovery restores service and stable storage.
-	c.RecoverAll()
+	apply(t, c, "recoverall")
 	awaitSync(t, c)
 	rd, err := cli.Read(ctx, "k")
 	if err != nil {
@@ -246,12 +265,8 @@ func TestEveryLevelPartialCrashBlocksWrites(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(1); err != nil { // level 0 member
-		t.Fatal(err)
-	}
-	if err := c.Crash(4); err != nil { // level 1 member
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1") // level 0 member
+	apply(t, c, "crash=4") // level 1 member
 	if _, err := cli.Read(ctx, "k"); err != nil {
 		t.Errorf("read should survive partial crashes: %v", err)
 	}
@@ -279,9 +294,7 @@ func TestReadAfterWriteAcrossFailures(t *testing.T) {
 	if wr.Level == 0 {
 		victim = 3
 	}
-	if err := c.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=%d", victim)
 	rd, err := cli.Read(ctx, "k")
 	if err != nil {
 		t.Fatal(err)
@@ -301,15 +314,11 @@ func TestPartitionBlocksMinorityLevels(t *testing.T) {
 	// Cut level 0 (sites 1,2) away: they form their own partition group,
 	// while the unlisted level-1 sites and all clients share the implicit
 	// group. No read quorum can reach level 0 anymore.
-	if err := c.Partition([]tree.SiteID{1, 2}); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "partition=1,2")
 	if _, err := cli.Read(ctx, "k"); !errors.Is(err, client.ErrReadUnavailable) {
 		t.Errorf("read across partition = %v, want ErrReadUnavailable", err)
 	}
-	if err := c.Heal(); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "heal")
 	if _, err := cli.Read(ctx, "k"); err != nil {
 		t.Errorf("read after heal: %v", err)
 	}
@@ -450,11 +459,10 @@ func TestClusterAccessors(t *testing.T) {
 	if c.Replica(1) == nil || c.Replica(99) != nil {
 		t.Error("Replica accessor mismatch")
 	}
-	if err := c.Crash(99); err == nil {
-		t.Error("Crash(99) accepted")
-	}
-	if err := c.Recover(99); err == nil {
-		t.Error("Recover(99) accepted")
+	for _, do := range []string{"crash=99", "recover=99"} {
+		if err := c.ApplyEvent(context.Background(), event(t, do)); !errors.Is(err, ErrUnknownSite) {
+			t.Errorf("%s: %v, want ErrUnknownSite", do, err)
+		}
 	}
 	st := c.NetworkStats()
 	if st.Sent != 0 {

@@ -44,9 +44,7 @@ func TestHedgedProbesNoGoroutineLeak(t *testing.T) {
 	}
 	proto := c.Protocol()
 	for u := 0; u < proto.NumPhysicalLevels(); u++ {
-		if err := c.Crash(proto.LevelSites(u)[0]); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, c, "crash=%d", proto.LevelSites(u)[0])
 	}
 	for i := 0; i < 30; i++ {
 		if _, err := cli.Read(ctx, "k"); err != nil {

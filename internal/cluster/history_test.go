@@ -91,15 +91,15 @@ func TestConcurrentHistoryUnderCrashes(t *testing.T) {
 		// Occasionally crash one replica per level member set, keeping
 		// read quorums available (never crash a whole level).
 		if chaosRng.Intn(10) == 0 {
-			c.RecoverAll()
+			_ = c.ApplyEvent(context.Background(), Event{RecoverAll: true})
 			_ = c.AwaitSync(context.Background())
 			// Sites 1-3 form level 0, sites 4-8 level 1 in the 1-3-5 tree;
 			// crashing a single site keeps both levels readable.
-			_ = c.Crash(tree.SiteID(1 + chaosRng.Intn(8)))
+			_ = c.ApplyEvent(context.Background(), Event{Crash: []tree.SiteID{tree.SiteID(1 + chaosRng.Intn(8))}})
 		}
 	}
 	rec := runHistoryWorkload(t, c, 3, 30, keys, chaos)
-	c.RecoverAll()
+	apply(t, c, "recoverall")
 	if rec.Len() == 0 {
 		t.Fatal("no operations recorded")
 	}

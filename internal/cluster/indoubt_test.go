@@ -75,7 +75,7 @@ func TestInFlightWriteFaultWindows(t *testing.T) {
 				t.Fatalf("write: %v", err)
 			}
 
-			c.RecoverAll()
+			apply(t, c, "recoverall")
 			awaitSync(t, c)
 			rd, err := cli.Read(ctx, "k")
 			switch {

@@ -62,12 +62,12 @@ func TestQuickSequentialModelEquivalence(t *testing.T) {
 				}
 				if up > 1 {
 					crashed[site] = true
-					if err := c.Crash(site); err != nil {
+					if err := c.ApplyEvent(ctx, Event{Crash: []tree.SiteID{site}}); err != nil {
 						return false
 					}
 				}
 			case 1: // recover everyone
-				c.RecoverAll()
+				apply(t, c, "recoverall")
 				if err := c.AwaitSync(ctx); err != nil {
 					return false
 				}

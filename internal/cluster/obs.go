@@ -178,7 +178,7 @@ func sumOps(clients []*client.Client) OpTotals {
 
 // StatsView is one consistent observation of the cluster: the tree and
 // protocol are the pair that was current at the same instant (taken under
-// the configuration lock, so a concurrent Reconfigure can never show the
+// the configuration lock, so a concurrent reconfiguration can never show the
 // new tree with the old protocol or vice versa), alongside the load and
 // client counters captured right after.
 type StatsView struct {

@@ -45,9 +45,7 @@ func TestTraceReadFallbackDuringOutage(t *testing.T) {
 	}
 
 	crashed := c.Protocol().LevelSites(0)[0]
-	if err := c.Crash(crashed); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=%d", crashed)
 
 	// A warm client learns to avoid the crashed site (and hedges around
 	// it), so drive the fallback with cold clients: a cold level probes
@@ -92,9 +90,7 @@ func TestTraceWriteLevelFallback(t *testing.T) {
 	ctx := context.Background()
 
 	crashed := c.Protocol().LevelSites(1)[0]
-	if err := c.Crash(crashed); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=%d", crashed)
 	// A warm client learns (through version-discovery hedge wins) that the
 	// crashed site makes level 1's 2PC hopeless and stops trying it, so
 	// drive the fallback with cold clients: each picks its first 2PC level
@@ -260,7 +256,7 @@ func TestClientMetricsSumToRegistry(t *testing.T) {
 	run(30)
 	crashLevel(t, c, 0)
 	run(4)
-	c.RecoverAll()
+	apply(t, c, "recoverall")
 	awaitSync(t, c)
 
 	var sum client.Metrics
@@ -319,7 +315,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 			if i%2 == 1 {
 				next = specA
 			}
-			if err := c.Reconfigure(context.Background(), next); err != nil {
+			if err := c.ApplyEvent(context.Background(), Event{Reconfigure: next}); err != nil {
 				t.Errorf("reconfigure: %v", err)
 				return
 			}

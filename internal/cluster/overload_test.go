@@ -23,9 +23,7 @@ func TestSaturatedLevelWritesFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Saturate(8, true); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "saturate=8")
 	ctx := context.Background()
 	for i := 0; i < ops; i++ {
 		// Level 1 contains the saturated site 8, so every write sheds
@@ -56,18 +54,11 @@ func TestDrainPreservesAckedWrites(t *testing.T) {
 		}
 	}
 	for _, site := range c.Tree().Sites() {
-		dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		err := c.Drain(dctx, site)
-		cancel()
-		if err != nil {
-			t.Fatalf("drain site %d: %v", site, err)
-		}
+		apply(t, c, "drain=%d", site)
 		if got := c.Replica(site).Health(); got.String() != "down" {
 			t.Fatalf("site %d health after drain = %v, want down", site, got)
 		}
-		if err := c.Recover(site); err != nil {
-			t.Fatalf("recover site %d: %v", site, err)
-		}
+		apply(t, c, "recover=%d", site)
 	}
 	if err := c.ApplyEvent(context.Background(), Event{Restart: true}); err != nil {
 		t.Fatal(err)
@@ -88,9 +79,7 @@ func TestSlowSiteDelaysGatedWorkNotCommits(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	const slow = tree.SiteID(2)
 	c := newCluster(t, "1-3-5")
-	if err := c.SlowSite(slow, delay); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "slowsite=%d:%v", slow, delay)
 	ep, err := c.sim.Register(-100)
 	if err != nil {
 		t.Fatal(err)

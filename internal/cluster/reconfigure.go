@@ -9,7 +9,7 @@ import (
 	"arbor/internal/tree"
 )
 
-// Reconfigure shifts the cluster from its current tree to a new arrangement
+// reconfigure shifts the cluster from its current tree to a new arrangement
 // of the same replicas — the paper's headline capability: adapting to a
 // changed read/write mix "by just modifying the structure of the tree",
 // with no protocol change.
@@ -17,15 +17,15 @@ import (
 // The new tree must have exactly the same number of replicas; site k of the
 // old tree becomes site k of the new one, possibly on a different physical
 // level. Because read quorums of the new tree need not intersect write
-// quorums of the old one, Reconfigure migrates data before switching: each
+// quorums of the old one, reconfigure migrates data before switching: each
 // site of the new tree's smallest physical level runs a recovery's catch-up
 // in place, planned on the old tree. Every acknowledged write is on all
 // sites of some old level, so the passes pull it. The clients switch once
 // every pass is done (under ctx), and a WALDir records the new tree first.
 // All replicas must be up and writes should be quiesced while
 // reconfiguring (it is an administrative operation, like the paper's
-// off-line restructuring).
-func (c *Cluster) Reconfigure(ctx context.Context, newTree *tree.Tree) error {
+// off-line restructuring). ApplyEvent runs it for Event.Reconfigure.
+func (c *Cluster) reconfigure(ctx context.Context, newTree *tree.Tree) error {
 	if newTree.N() != c.Tree().N() {
 		return fmt.Errorf("cluster: reconfigure needs the same replica count (have %d, new tree has %d)",
 			c.Tree().N(), newTree.N())

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,13 +36,7 @@ func TestReconfigurePreservesData(t *testing.T) {
 
 	// Reshape into the 1-3-5 two-level tree (same 8 replicas): its smallest
 	// level, {1,2,3}, held none of the writes.
-	newTree, err := tree.ParseSpec("1-3-5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Reconfigure(ctx, newTree); err != nil {
-		t.Fatalf("reconfigure: %v", err)
-	}
+	apply(t, c, "reconfigure=1-3-5")
 	if c.Tree().Spec() != "1-3-5" {
 		t.Errorf("cluster tree = %s", c.Tree().Spec())
 	}
@@ -111,13 +107,7 @@ func TestReconfigureRoundTripSpectrum(t *testing.T) {
 		if err != nil || wr.Level != last {
 			t.Fatalf("write before %s: level %d, %v; want level %d", shape.spec, wr.Level, err, last)
 		}
-		nt, err := tree.ParseSpec(shape.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Reconfigure(ctx, nt); err != nil {
-			t.Fatalf("reconfigure to %s: %v", shape.spec, err)
-		}
+		apply(t, c, "reconfigure=%s", shape.spec)
 		assertHolds(t, c, shape.target, "k", wr.TS)
 		rd, err := cli.Read(ctx, "k")
 		if err != nil {
@@ -132,28 +122,15 @@ func TestReconfigureRoundTripSpectrum(t *testing.T) {
 func TestReconfigureValidation(t *testing.T) {
 	c := newCluster(t, "1-3-5")
 	ctx := context.Background()
-	other, err := tree.ParseSpec("1-3-4") // 7 replicas ≠ 8
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Reconfigure(ctx, other); err == nil {
+	if err := c.ApplyEvent(ctx, event(t, "reconfigure=1-3-4")); err == nil { // 7 replicas ≠ 8
 		t.Error("replica-count mismatch accepted")
 	}
-
-	same, err := tree.ParseSpec("1-2-6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Crash(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Reconfigure(ctx, same); err == nil {
+	apply(t, c, "crash=3")
+	if err := c.ApplyEvent(ctx, event(t, "reconfigure=1-2-6")); err == nil {
 		t.Error("reconfigure with a crashed replica accepted")
 	}
-	c.RecoverAll()
-	if err := c.Reconfigure(ctx, same); err != nil {
-		t.Errorf("reconfigure after recovery: %v", err)
-	}
+	apply(t, c, "recoverall")
+	apply(t, c, "reconfigure=1-2-6")
 }
 
 func TestReconfigureVersionsKeepIncreasing(t *testing.T) {
@@ -173,13 +150,7 @@ func TestReconfigureVersionsKeepIncreasing(t *testing.T) {
 		}
 		last = wr.TS.Version
 	}
-	nt, err := tree.ParseSpec("1-2-2-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Reconfigure(ctx, nt); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "reconfigure=1-2-2-4")
 	wr, err := cli.Write(ctx, "k", []byte("y"))
 	if err != nil {
 		t.Fatal(err)
@@ -204,14 +175,10 @@ func TestReconfigureRefusesUnjournaledMigration(t *testing.T) {
 		}
 	}
 	// 1-8 is one level of all eight sites: half of them lack k.
-	newTree, err := tree.ParseSpec("1-8")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if err := c.Reconfigure(ctx, newTree); !errors.Is(err, context.DeadlineExceeded) {
+	if err := c.ApplyEvent(ctx, event(t, "reconfigure=1-8")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a migration no journal took ended with %v, want the ctx's deadline", err)
 	}
 	if d := time.Since(start); d > time.Second {
@@ -241,15 +208,9 @@ func TestReconfigureBlockedTargetFailsAtOnce(t *testing.T) {
 	}
 	// 1-2-6's smallest level is sites 1 and 2, whose plan on 1-3-5 is the
 	// level of sites 4–8: out of reach across the partition.
-	if err := c.Partition([]tree.SiteID{1, 2, 3}, []tree.SiteID{4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	newTree, err := tree.ParseSpec("1-2-6")
-	if err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "partition=1,2,3/4,5,6,7,8")
 	start := time.Now()
-	if err := c.Reconfigure(context.Background(), newTree); err == nil {
+	if err := c.ApplyEvent(context.Background(), event(t, "reconfigure=1-2-6")); err == nil {
 		t.Fatal("a reconfigure whose target cannot catch up succeeded")
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {
@@ -279,13 +240,7 @@ func TestReconfigureOverTCP(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"1-8", "1-3-5"} {
-		nt, err := tree.ParseSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Reconfigure(ctx, nt); err != nil {
-			t.Fatalf("reconfigure to %s: %v", spec, err)
-		}
+		apply(t, c, "reconfigure=%s", spec)
 		for i := 0; i < keys; i++ {
 			rd, err := cli.Read(ctx, fmt.Sprintf("k%d", i))
 			if err != nil {
@@ -353,13 +308,7 @@ func TestNewResumesRecordedTree(t *testing.T) {
 	if _, err := cli1.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	nt, err := tree.ParseSpec("1-2-2-2-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Reconfigure(ctx, nt); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c1, "reconfigure=1-2-2-2-2")
 	if _, err := cli1.Write(ctx, "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
@@ -384,5 +333,67 @@ func TestNewResumesRecordedTree(t *testing.T) {
 	if c, err := New(tr, Config{WALDir: dir}); err == nil {
 		c.Close()
 		t.Error("New resumed a record that names no tree")
+	}
+}
+
+// TestReconfigureSerializesWithCrashRecover applies a reconfigure= event
+// and a crash= or recover= event from two goroutines at once, round after
+// round. Each round must end as one serial order of the two leaves it: the
+// fault applied, and the tree either reshaped (the reconfiguration went
+// first, or after the recovery) or unchanged with the reconfiguration
+// refused for the crashed site. Every write acknowledged before a round
+// reads back after it.
+func TestReconfigureSerializesWithCrashRecover(t *testing.T) {
+	c := newCluster(t, "1-3-5")
+	cli := newClient(t, c)
+	ctx := context.Background()
+	acked := make(map[string]string)
+	for round := 0; round < 8; round++ {
+		key, val := fmt.Sprintf("k%d", round), fmt.Sprintf("v%d", round)
+		if _, err := cli.Write(ctx, key, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		acked[key] = val
+		site, crash := 1+round, round%2 == 0
+		fault := event(t, "crash=%d", site)
+		if !crash {
+			apply(t, c, "crash=%d", site)
+			fault = event(t, "recover=%d", site)
+		}
+		from, to := c.Tree().Spec(), "1-4-4"
+		if from == to {
+			to = "1-3-5"
+		}
+		reshape := event(t, "reconfigure=%s", to)
+
+		var wg sync.WaitGroup
+		var reshapeErr, faultErr error
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; reshapeErr = c.ApplyEvent(ctx, reshape) }()
+		go func() { defer wg.Done(); <-start; faultErr = c.ApplyEvent(ctx, fault) }()
+		close(start)
+		wg.Wait()
+
+		if faultErr != nil {
+			t.Fatalf("round %d: %s: %v", round, fault, faultErr)
+		}
+		if down := c.Replica(tree.SiteID(site)).Crashed(); down != crash {
+			t.Fatalf("round %d: after %s site %d is down = %v", round, fault, site, down)
+		}
+		switch spec := c.Tree().Spec(); {
+		case reshapeErr == nil && spec != to:
+			t.Fatalf("round %d: %s applied, but the tree is %s", round, reshape, spec)
+		case reshapeErr != nil && (spec != from || !strings.Contains(reshapeErr.Error(), "is crashed")):
+			t.Fatalf("round %d: %s refused (%v) with the tree %s; only a crash may refuse it, leaving %s",
+				round, reshape, reshapeErr, spec, from)
+		}
+		for k, v := range acked {
+			if rd, err := cli.Read(ctx, k); err != nil || string(rd.Value) != v {
+				t.Fatalf("round %d: %s = %q, %v; want %q", round, k, rd.Value, err, v)
+			}
+		}
+		apply(t, c, "recoverall")
+		awaitSync(t, c)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"arbor/internal/obs"
-	"arbor/internal/tree"
 )
 
 // TestReplicaCountersPinned drives a scripted, seeded run — plain traffic,
@@ -38,24 +37,16 @@ func TestReplicaCountersPinned(t *testing.T) {
 		}
 	}
 	// Saturate one level: its reads are shed, the others serve.
-	for _, s := range []tree.SiteID{1, 2} {
-		if err := c.Saturate(s, true); err != nil {
-			t.Fatal(err)
-		}
-	}
+	apply(t, c, "saturate=1,2")
 	for i := 0; i < 4; i++ {
 		cli.Read(ctx, keys[i%len(keys)])
 	}
 	cli.Write(ctx, "a", []byte("shed"))
-	for _, s := range []tree.SiteID{1, 2} {
-		c.Saturate(s, false)
-	}
+	apply(t, c, "unsaturate=1,2")
 	// A crashed site misses a write and catches up.
-	c.Crash(3)
+	apply(t, c, "crash=3")
 	cli.Write(ctx, "b", []byte("missed"))
-	if err := c.Recover(3); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "recover=3")
 	if err := c.AwaitSync(ctx); err != nil {
 		t.Fatal(err)
 	}

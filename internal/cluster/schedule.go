@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"arbor/internal/replica"
+	"arbor/internal/transport"
 	"arbor/internal/tree"
 )
 
@@ -22,7 +25,7 @@ type Event struct {
 	// Recover lists sites to bring back: a crashed one replays its journal
 	// and catches up, serving 2PC at once but refusing reads until its
 	// catch-up has pulled every version it missed; a live one catches up
-	// in place (Cluster.Recover).
+	// in place.
 	Recover []tree.SiteID
 	// RecoverAll recovers every crashed replica.
 	RecoverAll bool
@@ -48,10 +51,11 @@ type Event struct {
 	// replica crashes, its journal intact.
 	Drain []tree.SiteID
 	// Reconfigure reshapes the cluster into this tree of the same replicas,
-	// every one of them up (Cluster.Reconfigure).
+	// every one of them up: the new tree's smallest level first catches up
+	// from the old tree's levels.
 	Reconfigure *tree.Tree
 	// Checkpoint compacts every replica's journal to one record per key
-	// (Cluster.Checkpoint); a site that is down keeps its journal as is.
+	// (replica.Store.Compact); a site that is down keeps its journal as is.
 	Checkpoint bool
 	// Workload marks a workload-phase shift (e.g. "mostly-write"). The
 	// cluster itself takes no action on it — clients generate the
@@ -204,7 +208,7 @@ func formatSites(sites []tree.SiteID) string {
 // the deterministic overload fault (the site sheds all gated work until
 // unsaturate or recover), slowsite injects per-request service delay (a
 // zero duration clears it) and drain gracefully removes sites from service.
-// reconfigure reshapes the tree (Cluster.Reconfigure). checkpoint compacts
+// reconfigure reshapes the tree. checkpoint compacts
 // every journal that is up to one record per key.
 // workload marks a workload-phase shift for harnesses that own the
 // operation stream; the cluster takes no action on it.
@@ -364,11 +368,13 @@ func parseSlowdowns(s string) ([]SiteSlowdown, error) {
 }
 
 // ApplyEvent executes one event against the cluster immediately, ignoring
-// its offset. It is the one path every fault takes: the deterministic
-// harness (internal/sim) fires every schedule event through it on its own
-// logical clock, restarts, phase markers and its final recovery included,
-// and arbord's /fault endpoint on an operator's request. An
-// event the cluster cannot apply — one naming a site it does not have
+// its offset. It is the cluster's only way to change state: the
+// deterministic harness (internal/sim) fires every schedule event through
+// it on its own logical clock, restarts, phase markers and its final
+// recovery included; arbord's /fault endpoint sends an operator's events
+// through it, and the adaptation controller its migrations. Events are
+// serialized: two never interleave, whoever sends them. An event the
+// cluster cannot apply — one naming a site it does not have
 // (ErrUnknownSite), or a partition or heal over TCP — is refused before any
 // of its actions applies. ctx bounds the drains and the reconfiguration's
 // migration; a drain that outlives it leaves its site draining and returns
@@ -377,75 +383,88 @@ func (c *Cluster) ApplyEvent(ctx context.Context, ev Event) error {
 	if c.sim == nil && (len(ev.Partition) > 0 || ev.Heal) {
 		return errNotSimulated
 	}
-	for _, sites := range [][]tree.SiteID{ev.Crash, ev.Recover, ev.Saturate, ev.Unsaturate, ev.Drain} {
-		for _, s := range sites {
-			if _, err := c.lookup(s); err != nil {
-				return err
-			}
-		}
-	}
+	named := slices.Concat(ev.Crash, ev.Recover, ev.Saturate, ev.Unsaturate, ev.Drain)
 	for _, s := range ev.SlowSite {
-		if _, err := c.lookup(s.Site); err != nil {
-			return err
+		named = append(named, s.Site)
+	}
+	for _, s := range named {
+		if c.replicas[s] == nil {
+			return fmt.Errorf("%w %d", ErrUnknownSite, s)
 		}
 	}
+	c.admin.Lock()
+	defer c.admin.Unlock()
 	for _, s := range ev.Crash {
-		if err := c.Crash(s); err != nil {
-			return err
-		}
+		c.replicas[s].Crash()
 	}
+	// A site that is down replays its journal and rejoins catching up from
+	// one member of every other physical level; a site that is up runs the
+	// catch-up in place (replica.Recover). AwaitSync waits for it.
 	for _, s := range ev.Recover {
-		if err := c.Recover(s); err != nil {
-			return err
-		}
+		c.replicas[s].Recover(c.syncPlanFor(s))
 	}
 	if ev.RecoverAll {
-		c.RecoverAll()
+		c.recoverAll()
 	}
 	if len(ev.Partition) > 0 {
-		if err := c.Partition(ev.Partition...); err != nil {
-			return err
+		// Clients not listed (all of them, usually) fall into the implicit
+		// extra group.
+		groups := make([][]transport.Addr, len(ev.Partition))
+		for i, g := range ev.Partition {
+			groups[i] = make([]transport.Addr, len(g))
+			for j, s := range g {
+				groups[i][j] = transport.Addr(s)
+			}
 		}
+		c.sim.Partition(groups...)
 	}
 	if ev.Heal {
-		if err := c.Heal(); err != nil {
-			return err
-		}
+		c.sim.Heal()
 	}
 	if ev.Restart {
 		// Power-cycle: every replica crashes and recovers from its journal.
 		for _, r := range c.replicas {
 			r.Crash()
 		}
-		c.RecoverAll()
+		c.recoverAll()
 	}
 	for _, s := range ev.Saturate {
-		if err := c.Saturate(s, true); err != nil {
-			return err
-		}
+		c.replicas[s].Saturate(true)
 	}
 	for _, s := range ev.Unsaturate {
-		if err := c.Saturate(s, false); err != nil {
-			return err
-		}
+		c.replicas[s].Saturate(false)
 	}
 	for _, s := range ev.SlowSite {
-		if err := c.SlowSite(s.Site, s.By); err != nil {
-			return err
-		}
+		c.replicas[s.Site].SlowBy(s.By)
 	}
-	// Every listed site starts draining, even past ctx's deadline.
-	var lateErr error
+	// Every listed site starts draining, even past ctx's deadline; the
+	// first drain that outlives it is reported.
+	var errs []error
 	for _, s := range ev.Drain {
-		if err := c.Drain(ctx, s); err != nil && lateErr == nil {
-			lateErr = err
+		if err := c.replicas[s].Drain(ctx); err != nil && len(errs) == 0 {
+			errs = append(errs, err)
 		}
 	}
 	if ev.Reconfigure != nil {
-		lateErr = errors.Join(lateErr, c.Reconfigure(ctx, ev.Reconfigure))
+		errs = append(errs, c.reconfigure(ctx, ev.Reconfigure))
 	}
 	if ev.Checkpoint {
-		return errors.Join(lateErr, c.Checkpoint())
+		// A replica that is down, or still replaying its journal, keeps its
+		// journal as it is; one whose compaction fails keeps its old one.
+		for _, site := range c.Tree().Sites() {
+			if err := c.replicas[site].Store().Compact(); err != nil {
+				errs = append(errs, fmt.Errorf("cluster: checkpoint site %d: %w", site, err))
+			}
+		}
 	}
-	return lateErr
+	return errors.Join(errs...)
+}
+
+// recoverAll recovers every crashed replica.
+func (c *Cluster) recoverAll() {
+	for site, r := range c.replicas {
+		if r.Health() == replica.HealthDown {
+			r.Recover(c.syncPlanFor(site))
+		}
+	}
 }

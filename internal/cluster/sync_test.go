@@ -34,9 +34,7 @@ func TestRecoverCatchesUp(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1")
 	// Site 1 is physical level 0's only member, so every write now lands
 	// on another level — exactly the writes catch-up must recover.
 	var lastTS replica.Timestamp
@@ -51,9 +49,7 @@ func TestRecoverCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.Recover(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "recover=1")
 	awaitSync(t, c)
 
 	if h := c.Replica(1).Health(); h != replica.HealthLive {
@@ -163,9 +159,7 @@ func TestScheduleRecoverSyncVerbs(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1")
 	wr, err := cli.Write(ctx, "k", []byte("v2"))
 	if err != nil {
 		t.Fatal(err)
@@ -198,35 +192,16 @@ func TestScheduleRecoverSyncVerbs(t *testing.T) {
 // recovery unblocks it, and AwaitSync then waits for it.
 func TestAwaitSyncSkipsBlockedCatchUp(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		block   func(c *Cluster) error
-		unblock func(c *Cluster) error
+		name, block, unblock string
 	}{
-		{"partitioned alone",
-			func(c *Cluster) error { return c.Partition([]tree.SiteID{1}) },
-			func(c *Cluster) error { return c.Heal() }},
-		{"other level down",
-			func(c *Cluster) error {
-				for _, s := range []tree.SiteID{4, 5, 6, 7, 8} {
-					if err := c.Crash(s); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			func(c *Cluster) error { c.RecoverAll(); return nil }},
+		{"partitioned alone", "partition=1", "heal"},
+		{"other level down", "crash=4,5,6,7,8", "recoverall"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, "1-3-5") // physical levels {1,2,3} and {4,...,8}
-			if err := c.Crash(1); err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.block(c); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Recover(1); err != nil {
-				t.Fatal(err)
-			}
+			apply(t, c, "crash=1")
+			apply(t, c, tc.block)
+			apply(t, c, "recover=1")
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			if err := c.AwaitSync(ctx); err != nil {
@@ -235,9 +210,7 @@ func TestAwaitSyncSkipsBlockedCatchUp(t *testing.T) {
 			if h := c.Replica(1).Health(); h != replica.HealthCatchingUp {
 				t.Fatalf("site 1 health = %v while blocked, want catching-up", h)
 			}
-			if err := tc.unblock(c); err != nil {
-				t.Fatal(err)
-			}
+			apply(t, c, tc.unblock)
 			awaitSync(t, c)
 			if h := c.Replica(1).Health(); h != replica.HealthLive {
 				t.Errorf("site 1 health = %v after the unblock, want live", h)

@@ -75,9 +75,7 @@ func TestTCPClusterRoutesAroundCrash(t *testing.T) {
 	if _, err := cli.Write(ctx, "k", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "crash=1")
 	for i := 1; i <= 5; i++ {
 		want := fmt.Sprintf("v%d", i)
 		wr, err := cli.Write(ctx, "k", []byte(want))
@@ -93,9 +91,7 @@ func TestTCPClusterRoutesAroundCrash(t *testing.T) {
 		}
 	}
 
-	if err := c.Recover(1); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, c, "recover=1")
 	// A fresh client has no memory of the outage, so its first writes draw
 	// both levels; one on level 0 needs site 1's vote.
 	fresh := newClient(t, c)
@@ -140,13 +136,9 @@ func TestTCPClusterRefusesSimulatedFaults(t *testing.T) {
 	}
 
 	c := newConfiguredCluster(t, "1-2-2", Config{TCP: true})
-	if err := c.Partition([]tree.SiteID{1, 2}); err == nil {
-		t.Error("Partition accepted over TCP")
-	}
-	if err := c.Heal(); err == nil {
-		t.Error("Heal accepted over TCP")
-	}
-	if err := c.ApplyEvent(context.Background(), Event{Partition: [][]tree.SiteID{{1}}}); err == nil {
-		t.Error("a partition event applied over TCP")
+	for _, do := range []string{"partition=1,2", "heal"} {
+		if err := c.ApplyEvent(context.Background(), event(t, do)); err == nil {
+			t.Errorf("%s applied over TCP", do)
+		}
 	}
 }

@@ -89,9 +89,7 @@ func TestEmpiricalAvailabilityMatchesTheory(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		for _, s := range sites {
 			if rng.Float64() >= p {
-				if err := c.Crash(s); err != nil {
-					t.Fatal(err)
-				}
+				apply(t, c, "crash=%d", s)
 			}
 		}
 		if _, err := cli.Read(ctx, "k"); err == nil {
@@ -104,7 +102,7 @@ func TestEmpiricalAvailabilityMatchesTheory(t *testing.T) {
 		} else if !errors.Is(err, client.ErrWriteUnavailable) {
 			t.Fatalf("unexpected write error: %v", err)
 		}
-		c.RecoverAll()
+		apply(t, c, "recoverall")
 		awaitSync(t, c)
 	}
 

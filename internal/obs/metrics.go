@@ -10,6 +10,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -128,6 +129,10 @@ type Registry struct {
 	families   []*family
 	byName     map[string]*family
 	collectors []func()
+
+	// scrape serializes WritePrometheus, so one exposition's collect
+	// callbacks and rendering never interleave with another's.
+	scrape sync.Mutex
 }
 
 // NewRegistry creates an empty registry.
@@ -329,11 +334,16 @@ func (r *Registry) OnCollect(fn func()) {
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition
-// format (version 0.0.4), running collect callbacks first.
+// format (version 0.0.4), running collect callbacks first. Concurrent calls
+// run one at a time.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// The exposition is rendered whole before w sees it, so a slow reader
+	// holds up no other scrape.
+	var buf bytes.Buffer
+	r.scrape.Lock()
 	r.mu.Lock()
 	var collectors []func()
 	collectors = append(collectors, r.collectors...)
@@ -345,11 +355,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	fams := append([]*family(nil), r.families...)
 	r.mu.Unlock()
 	for _, f := range fams {
-		if err := f.write(w); err != nil {
-			return err
-		}
+		_ = f.write(&buf) // a bytes.Buffer does not fail
 	}
-	return nil
+	r.scrape.Unlock()
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // write renders one family.

@@ -3,6 +3,7 @@ package obs
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -213,4 +214,39 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	if prev != 2 {
 		t.Fatalf("+Inf bucket = %v, want 2", prev)
 	}
+}
+
+// TestConcurrentScrapesConsistent: a collect callback that rebuilds a
+// family (Reset, then one series per level, as the cluster's per-level
+// gauges do) shows every series in every exposition, however many scrapes
+// run at once: one scrape's Reset never lands in another's rendering.
+func TestConcurrentScrapesConsistent(t *testing.T) {
+	const levels = 8
+	reg := NewRegistry()
+	size := reg.GaugeVec("arbor_test_level_size", "Per level.", "level")
+	reg.OnCollect(func() {
+		size.Reset()
+		for u := 0; u < levels; u++ {
+			size.With(strconv.Itoa(u)).Set(1)
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var sb strings.Builder
+				if err := reg.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := strings.Count(sb.String(), "arbor_test_level_size{"); n != levels {
+					t.Errorf("a scrape shows %d of the %d level series", n, levels)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -405,8 +405,7 @@ func (r *Replica) handle(from transport.Addr, m *wire.Msg) {
 	case wire.TagAbortReq:
 		req := &m.AbortReq
 		r.instr.serveAbort.Inc()
-		r.store.abort(req)
-		r.reply(from, AbortResp{ReqID: req.ReqID, TxID: req.TxID})
+		r.store.abort(req) // one-way: no client waits for an answer
 	case wire.TagPingReq:
 		r.instr.servePing.Inc()
 		r.reply(from, PingResp{ReqID: m.PingReq.ReqID, Site: r.site})

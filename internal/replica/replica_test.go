@@ -49,7 +49,8 @@ func (h *harness) call(t *testing.T, payload any) any {
 	}
 }
 
-// expectSilence sends a request and asserts no reply arrives.
+// expectSilence sends a request and asserts no reply arrives: a crashed
+// replica answers nothing, and nobody answers a one-way abort.
 func (h *harness) expectSilence(t *testing.T, payload any) {
 	t.Helper()
 	if err := h.client.Send(1, payload); err != nil {
@@ -57,7 +58,7 @@ func (h *harness) expectSilence(t *testing.T, payload any) {
 	}
 	select {
 	case msg := <-h.client.Recv():
-		t.Fatalf("unexpected reply %+v from crashed replica", msg.Payload)
+		t.Fatalf("unexpected reply %+v", msg.Payload)
 	case <-time.After(50 * time.Millisecond):
 	}
 }
@@ -204,8 +205,8 @@ func TestPrepareConflictAndAbort(t *testing.T) {
 	if pr := h.call(t, PrepareReq{ReqID: 3, TxID: 10, Key: "k", TS: ts}).(PrepareResp); !pr.OK {
 		t.Error("re-prepare by owner refused")
 	}
-	// After abort the lock is free.
-	h.call(t, AbortReq{ReqID: 4, TxID: 10, Key: "k"})
+	// An abort is one-way: it frees the lock and nothing comes back.
+	h.expectSilence(t, AbortReq{TxID: 10, Key: "k"})
 	if pr := h.call(t, PrepareReq{ReqID: 5, TxID: 11, Key: "k", TS: Timestamp{Version: 1, Site: -2}}).(PrepareResp); !pr.OK {
 		t.Errorf("prepare after abort refused: %s", pr.Reason)
 	}

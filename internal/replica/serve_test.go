@@ -197,7 +197,7 @@ func TestPrepareRacesCommit(t *testing.T) {
 			if !ts.After(stored) {
 				t.Errorf("prepare admitted at %v, at or below the committed %v", ts, stored)
 			}
-			call(b, AbortReq{TxID: tx, Key: "k"})
+			r.handle(b, held(AbortReq{TxID: tx, Key: "k"})) // one-way: no reply
 			admits.Add(1)
 		}
 	}()

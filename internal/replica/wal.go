@@ -22,10 +22,6 @@ var errLegacyFormat = errors.New("legacy gob format is no longer supported")
 // errWALClosed is what a closed journal answers.
 var errWALClosed = errors.New("replica: wal closed")
 
-// walBufPool recycles append buffers; WAL appends sit on every committed
-// write, so the encode must not allocate per record.
-var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // WAL is a write-ahead journal of committed writes: the replica's stable
 // storage. Every effective Apply is journaled, so a replica that crashes
 // (Crash discards the store) rebuilds it by replaying the journal; entries
@@ -38,6 +34,9 @@ type WAL struct {
 	mu   sync.Mutex
 	f    file
 	path string // empty for the in-memory journal
+	// buf is the append buffer, reused under mu: appends sit on every
+	// committed write, so the encode must not allocate per record.
+	buf []byte
 }
 
 // file is what a journal writes through: an *os.File or a memFile.
@@ -83,12 +82,10 @@ func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 	if w.f == nil {
 		return errWALClosed
 	}
-	bp := walBufPool.Get().(*[]byte)
-	buf := wire.AppendFramedRecord((*bp)[:0], wire.Record{Key: key, Value: value, TS: ts})
-	_, err := w.f.Write(buf)
-	if cap(buf) <= wire.MaxPooledBuf {
-		*bp = buf
-		walBufPool.Put(bp)
+	w.buf = wire.AppendFramedRecord(w.buf[:0], wire.Record{Key: key, Value: value, TS: ts})
+	_, err := w.f.Write(w.buf)
+	if cap(w.buf) > wire.MaxPooledBuf {
+		w.buf = nil
 	}
 	if err != nil {
 		return fmt.Errorf("replica: wal append: %w", err)

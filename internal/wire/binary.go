@@ -15,8 +15,9 @@ import (
 // one alone. Bump it on any incompatible layout change.
 const Version byte = 3
 
-// MaxPooledBuf is the largest encode buffer a pool takes back: frames and
-// journal records reach tens of MiB, and a pool never shrinks what it holds.
+// MaxPooledBuf is the largest encode buffer a pool or a journal keeps for
+// reuse: frames and journal records reach tens of MiB, and a kept buffer
+// never shrinks.
 const MaxPooledBuf = 1 << 20
 
 // Tag names a message type: the byte after a frame's version, and the field
