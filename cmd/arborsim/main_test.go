@@ -13,7 +13,10 @@ import (
 	"arbor/internal/adapt"
 	"arbor/internal/scenario"
 	"arbor/internal/sim"
+	"arbor/internal/testwatch"
 )
+
+func TestMain(m *testing.M) { testwatch.Main(m, time.Minute) }
 
 func TestRunCampaignClean(t *testing.T) {
 	args := []string{

@@ -1,8 +1,8 @@
 // Command arborvet runs the repository's custom static analyzers over the
 // module: protocol invariants (quorum shapes, deterministic packages) and
-// concurrency/engineering rules (goroutine leaks, lock scopes, error
-// wrapping, observability coverage) that go vet cannot know about. It
-// complements vet, not replaces it.
+// engineering rules (error wrapping, observability coverage, read-only
+// values) that go vet cannot know about. It complements vet, not replaces
+// it.
 //
 // Usage:
 //

@@ -19,8 +19,8 @@ func diag(file string, line int, analyzer, msg string) lint.Diagnostic {
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	diags := []lint.Diagnostic{
-		diag("internal/a/a.go", 10, "goleak", "goroutine loops forever"),
-		diag("internal/b/b.go", 20, "poolsafe", "use of bp after it was returned to the pool"),
+		diag("internal/a/a.go", 10, "detrand", "goroutine loops forever"),
+		diag("internal/b/b.go", 20, "zerocopy", "use of bp after it was returned to the pool"),
 	}
 	var sb strings.Builder
 	if err := writeJSON(&sb, diags); err != nil {
@@ -30,7 +30,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
 	}
-	if len(got) != 2 || got[0].Analyzer != "goleak" || got[1].File != "internal/b/b.go" || got[1].Line != 20 {
+	if len(got) != 2 || got[0].Analyzer != "detrand" || got[1].File != "internal/b/b.go" || got[1].Line != 20 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -46,9 +46,9 @@ func TestWriteJSONEmpty(t *testing.T) {
 }
 
 func TestGithubAnnotation(t *testing.T) {
-	d := diag("internal/a/a.go", 7, "goleak", "tag mismatch: 50% drift\nsecond line")
+	d := diag("internal/a/a.go", 7, "detrand", "tag mismatch: 50% drift\nsecond line")
 	got := githubAnnotation(d)
-	want := "::error file=internal/a/a.go,line=7,col=3,title=goleak::tag mismatch: 50%25 drift%0Asecond line"
+	want := "::error file=internal/a/a.go,line=7,col=3,title=detrand::tag mismatch: 50%25 drift%0Asecond line"
 	if got != want {
 		t.Errorf("githubAnnotation:\n got %q\nwant %q", got, want)
 	}

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"arbor/internal/testwatch"
 )
+
+func TestMain(m *testing.M) { testwatch.Main(m, time.Minute) }
 
 func TestRunSingleExperiments(t *testing.T) {
 	for _, exp := range []string{"table1", "example34", "limits", "lowerbound"} {

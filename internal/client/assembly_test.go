@@ -726,3 +726,30 @@ func TestSiteSequenceIndependentOfScheduling(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseDropsAStrayInbox: an assembly whose request ended any other
+// way than by its reply (a timeout, a cancellation, a failed start) gives
+// up its inbox when released. The caller may still be delivering that
+// reply, so the operation that takes the assembly from the pool next must
+// get an inbox of its own.
+func TestReleaseDropsAStrayInbox(t *testing.T) {
+	var c Client
+	reused := 0
+	for i := 0; i < 100 && reused < 10; i++ {
+		a := c.newAssembly(context.Background(), nil, "read", 1)
+		inbox := a.inbox
+		a.stray = true
+		a.release()
+		b := c.newAssembly(context.Background(), nil, "read", 1)
+		if b == a {
+			reused++
+			if b.inbox == inbox {
+				t.Fatal("the next operation got the inbox a stray reply may still reach")
+			}
+		}
+		b.release()
+	}
+	if reused == 0 {
+		t.Fatal("the pool never handed the released assembly back; nothing was checked")
+	}
+}

@@ -145,13 +145,20 @@ func TestClientSetProtocol(t *testing.T) {
 }
 
 // silentCommitter acks prepares but never answers commits, driving the
-// client's in-doubt path.
+// client's in-doubt path, until stop is closed.
 type silentCommitter struct {
-	ep transport.Conn
+	ep   transport.Conn
+	stop chan struct{}
 }
 
 func (s *silentCommitter) run() {
-	for msg := range s.ep.Recv() {
+	for {
+		var msg transport.Message
+		select {
+		case msg = <-s.ep.Recv():
+		case <-s.stop:
+			return
+		}
 		switch req := msg.Payload.(type) {
 		case replica.VersionReq:
 			_ = s.ep.Send(msg.From, replica.VersionResp{ReqID: req.ReqID, Key: req.Key})
@@ -178,7 +185,9 @@ func TestClientWriteInDoubt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go (&silentCommitter{ep: repEP}).run()
+	stop := make(chan struct{})
+	defer close(stop)
+	go (&silentCommitter{ep: repEP, stop: stop}).run()
 	cliEP, err := n.Register(-1)
 	if err != nil {
 		t.Fatal(err)

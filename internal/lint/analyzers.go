@@ -7,12 +7,9 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		QuorumShape,
-		GoLeak,
 		ErrWrapped,
 		DetRand,
-		LockScope,
 		ObsWire,
-		PoolSafe,
 		ZeroCopy,
 	}
 }

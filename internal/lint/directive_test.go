@@ -21,10 +21,10 @@ func parseOne(t *testing.T, src string) *Package {
 func TestIgnoreDirective(t *testing.T) {
 	pkg := parseOne(t, `package p
 
-//lint:ignore goleak worker drains on close
+//lint:ignore zerocopy worker drains on close
 var a int
 
-var b int //lint:ignore detrand,goleak seeded for the figure
+var b int //lint:ignore detrand,zerocopy seeded for the figure
 
 var c int
 `)
@@ -36,17 +36,17 @@ var c int
 		return Diagnostic{Pos: token.Position{Filename: "p.go", Line: line}, Analyzer: analyzer}
 	}
 	// Line 3 holds the first directive; it covers lines 3 and 4.
-	if !ign.suppresses(diag(4, "goleak")) {
+	if !ign.suppresses(diag(4, "zerocopy")) {
 		t.Error("directive above the line did not suppress")
 	}
 	if ign.suppresses(diag(4, "detrand")) {
 		t.Error("directive suppressed an analyzer it does not name")
 	}
-	if ign.suppresses(diag(5, "goleak")) {
+	if ign.suppresses(diag(5, "zerocopy")) {
 		t.Error("directive leaked past the line below it")
 	}
 	// Line 6 holds the end-of-line directive with two analyzers.
-	if !ign.suppresses(diag(6, "detrand")) || !ign.suppresses(diag(6, "goleak")) {
+	if !ign.suppresses(diag(6, "detrand")) || !ign.suppresses(diag(6, "zerocopy")) {
 		t.Error("end-of-line multi-analyzer directive did not suppress its own line")
 	}
 	if ign.suppresses(diag(8, "detrand")) {
@@ -57,7 +57,7 @@ var c int
 func TestIgnoreDirectiveMalformed(t *testing.T) {
 	pkg := parseOne(t, `package p
 
-//lint:ignore goleak
+//lint:ignore zerocopy
 var a int
 
 //lint:ignore
@@ -73,7 +73,7 @@ var b int
 		}
 	}
 	// A reason-less directive must not suppress anything.
-	if ign.suppresses(Diagnostic{Pos: token.Position{Filename: "p.go", Line: 4}, Analyzer: "goleak"}) {
+	if ign.suppresses(Diagnostic{Pos: token.Position{Filename: "p.go", Line: 4}, Analyzer: "zerocopy"}) {
 		t.Error("malformed directive still suppressed")
 	}
 }

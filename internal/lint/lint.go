@@ -4,19 +4,20 @@
 // rests on invariants the compiler cannot see: read quorums must take one
 // physical node from every physical level and write quorums all nodes of
 // one level (the paper's bi-coterie, §3.1), the deterministic packages must
-// stay seed-reproducible so paper figures regenerate bit-for-bit, and the
-// hedging engine must never leak a loser goroutine.
+// stay seed-reproducible so paper figures regenerate bit-for-bit, and a
+// value documented read-only must never be written into.
 //
-// The framework has four parts: a package loader that walks the module
+// The framework has three parts: a package loader that walks the module
 // and type-checks every package from source (load.go), a diagnostic engine
-// with //lint:ignore suppression (this file, directive.go), a
-// flow-sensitive layer — a per-function control-flow graph builder
-// (cfg.go) and a forward dataflow framework over it (dataflow.go) — and
-// the eight project-specific analyzers (quorumshape.go, goleak.go,
-// errwrapped.go, detrand.go, lockscope.go, obswire.go, poolsafe.go,
-// zerocopy.go). cmd/arborvet is the CLI driver; `make lint` and CI run it
-// over the whole tree. The closed wire message set is not an analyzer: the
-// wire package's tests check it on real values.
+// with //lint:ignore suppression (this file, directive.go), and the five
+// project-specific analyzers, each a walk over the syntax of one package
+// (quorumshape.go, errwrapped.go, detrand.go, obswire.go, zerocopy.go).
+// cmd/arborvet is the CLI driver; `make lint` and CI run it over the whole
+// tree. Goroutine lifetimes, lock scopes and pooled-buffer lifecycles are
+// not analyzers: they are path properties the tests hold by running the
+// code, under internal/testwatch's deadline and leak check (DESIGN.md
+// §4c). The closed wire message set is not an analyzer either: the wire
+// package's tests check it on real values.
 //
 // Analyzers are tested against fixture packages under testdata/src/<name>
 // with `// want "regexp"` expectations, mirroring x/tools' analysistest.

@@ -83,8 +83,8 @@ func digRoot(e ast.Expr, fields bool) *ast.Ident {
 	}
 }
 
-// exprString renders a short dotted form of an expression (for diagnostic
-// messages and as a lock identity key): "c.mu", "c.rngMu".
+// exprString renders a short dotted form of an expression for diagnostic
+// messages: "lt.flat", "c.levels[...]".
 func exprString(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -167,4 +167,17 @@ func inspectSkippingFuncLits(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(node)
 	})
+}
+
+// assignedObj resolves the object an assignment's left-hand identifier
+// binds (covering both := definitions and = uses).
+func assignedObj(info *types.Info, lhs ast.Expr) types.Object {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }

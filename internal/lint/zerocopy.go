@@ -66,9 +66,27 @@ func runZeroCopy(pass *Pass) {
 		}
 		return "", false
 	}
-	funcBodies(pass.Pkg, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+	funcBodies(pass.Pkg, func(body *ast.BlockStmt) {
 		checkZeroCopyBody(pass, body, isReadOnly)
 	})
+}
+
+// funcBodies yields every function body in the package, declarations and
+// literals alike.
+func funcBodies(pkg *Package, fn func(body *ast.BlockStmt)) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(n.Body)
+				}
+			case *ast.FuncLit:
+				fn(n.Body)
+			}
+			return true
+		})
+	}
 }
 
 // collectMarkedFields finds struct fields whose doc or line comment carries

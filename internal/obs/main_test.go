@@ -1,0 +1,10 @@
+package obs
+
+import (
+	"testing"
+	"time"
+
+	"arbor/internal/testwatch"
+)
+
+func TestMain(m *testing.M) { testwatch.Main(m, 30*time.Second) }

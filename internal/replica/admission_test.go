@@ -2,6 +2,8 @@ package replica
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -118,6 +120,55 @@ func TestGateStopCancelsSlowedWork(t *testing.T) {
 		t.Errorf("a cancelled request was answered: %+v", msg.Payload)
 	case <-time.After(20 * time.Millisecond):
 	}
+}
+
+// TestGateStopWaitsOutAFiredTimer: a slowed request whose timer fires while
+// stop is taking the gate's lock is served, and stop returns. The timer's
+// callback needs that lock before it can finish, so stop must release it
+// before it waits for the requests being served. The test holds the lock
+// until both stop and the callback queue on it, stop first.
+func TestGateStopWaitsOutAFiredTimer(t *testing.T) {
+	h := newHarness(t)
+	h.rep.SlowBy(20 * time.Millisecond)
+	g := h.rep.gate
+	if err := h.client.Send(1, ReadReq{ReqID: 1, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	for g.inflight.Load() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	g.slowMu.Lock()
+	stopped := make(chan struct{})
+	go func() {
+		g.stop()
+		close(stopped)
+	}()
+	awaitBlockedOnLock(t, "(*gate).stop")
+	awaitBlockedOnLock(t, "serveAfter.func1")
+	g.slowMu.Unlock()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("gate.stop did not return while a fired timer waited for its lock")
+	}
+	if got := g.inflight.Load(); got != 0 {
+		t.Errorf("in flight after stop = %d, want 0", got)
+	}
+}
+
+// awaitBlockedOnLock waits until a goroutine running fn is blocked taking a
+// mutex.
+func awaitBlockedOnLock(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s blocked on a mutex", fn)
 }
 
 // TestDrainQuiescesAndGoesDown drains an idle replica: Drain returns, the

@@ -85,6 +85,36 @@ func TestCatchingUpServes(t *testing.T) {
 	}
 }
 
+// TestRecoverWhileCatchingUp: Recover on a replica whose catch-up pass is
+// still running (against a source that does not exist) returns at once and
+// leaves that pass running; it does not wait for the pass, whose every
+// sync call needs the lock Recover would hold.
+func TestRecoverWhileCatchingUp(t *testing.T) {
+	h := newHarness(t)
+	h.rep.Crash()
+	plan := SyncPlan{
+		Peers:  [][]transport.Addr{{transport.Addr(9999)}},
+		Config: SyncConfig{CallTimeout: 10 * time.Millisecond},
+	}
+	h.rep.Recover(plan)
+	returned := make(chan struct{})
+	go func() {
+		h.rep.Recover(plan)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recover on a catching-up replica did not return")
+	}
+	if got := h.rep.Health(); got != HealthCatchingUp {
+		t.Errorf("health = %v, want catching-up", got)
+	}
+	if !h.rep.SyncProgress().Active {
+		t.Error("the running catch-up pass stopped")
+	}
+}
+
 func TestHealthString(t *testing.T) {
 	for h, want := range map[Health]string{
 		HealthLive:       "live",

@@ -10,11 +10,17 @@ import (
 	"arbor/internal/transport"
 )
 
-// echoServer answers pings and drops everything else.
-func echoServer(ep *transport.Endpoint, site int) {
-	for msg := range ep.Recv() {
-		if req, ok := msg.Payload.(replica.PingReq); ok {
-			_ = ep.Send(msg.From, replica.PingResp{ReqID: req.ReqID, Site: site})
+// echoServer answers pings and drops everything else, until stop is
+// closed.
+func echoServer(ep *transport.Endpoint, site int, stop <-chan struct{}) {
+	for {
+		select {
+		case msg := <-ep.Recv():
+			if req, ok := msg.Payload.(replica.PingReq); ok {
+				_ = ep.Send(msg.From, replica.PingResp{ReqID: req.ReqID, Site: site})
+			}
+		case <-stop:
+			return
 		}
 	}
 }
@@ -26,7 +32,8 @@ func newPair(t *testing.T, timeout time.Duration) (*Caller, *transport.Network) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	go echoServer(srv, 1)
+	stop := make(chan struct{})
+	go echoServer(srv, 1, stop)
 	cli, err := n.Register(-1)
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +42,7 @@ func newPair(t *testing.T, timeout time.Duration) (*Caller, *transport.Network) 
 	t.Cleanup(func() {
 		c.Close()
 		n.Close()
+		close(stop)
 	})
 	return c, n
 }

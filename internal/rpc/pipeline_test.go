@@ -15,8 +15,9 @@ import (
 
 // shuffleEchoServer answers ReadReqs over a TCP endpoint, batching requests
 // and replying in shuffled order — the adversarial schedule for pipelined
-// response matching. PingReqs are answered immediately and in order.
-func shuffleEchoServer(ep *transport.TCPEndpoint, batch int, rng *rand.Rand) {
+// response matching. PingReqs are answered immediately and in order. It
+// returns when stop is closed.
+func shuffleEchoServer(ep *transport.TCPEndpoint, batch int, rng *rand.Rand, stop <-chan struct{}) {
 	pending := make([]transport.Message, 0, batch)
 	flush := func() {
 		rng.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
@@ -50,6 +51,8 @@ func shuffleEchoServer(ep *transport.TCPEndpoint, batch int, rng *rand.Rand) {
 			}
 		case <-flushTick.C:
 			flush()
+		case <-stop:
+			return
 		}
 	}
 }
@@ -66,7 +69,9 @@ func TestPipelinedCallsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := srvConn.(*transport.TCPEndpoint)
-	go shuffleEchoServer(srv, 16, rand.New(rand.NewSource(7)))
+	stop := make(chan struct{})
+	defer close(stop)
+	go shuffleEchoServer(srv, 16, rand.New(rand.NewSource(7)), stop)
 
 	cliConn, err := n.Dial(-1)
 	if err != nil {
@@ -147,7 +152,9 @@ func TestStartedReplyCarriesNoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go shuffleEchoServer(srv.(*transport.TCPEndpoint), 1, rand.New(rand.NewSource(7)))
+	stop := make(chan struct{})
+	defer close(stop)
+	go shuffleEchoServer(srv.(*transport.TCPEndpoint), 1, rand.New(rand.NewSource(7)), stop)
 	cli, err := n.Dial(-1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -182,14 +182,29 @@ func TestCheckExpectations(t *testing.T) {
 	}
 }
 
-// TestScenarioGoldenTraces replays four checked-in scenarios end to end
-// and pins the hash of the op-by-op trace. These hashes are the
-// harness's determinism promise extended through the scenario compiler:
-// any change to parsing, lowering, generation or execution that alters a
-// single op or fault application shows up here.
+var update = flag.Bool("update", false, "rewrite the golden trace files under testdata/ from this run")
+
+// TestScenarioGoldenTraces replays every corpus scenario that has a trace
+// file under testdata/ and compares its op-by-op trace with the file. The
+// files are the harness's determinism promise extended through the
+// scenario compiler: any change to parsing, lowering, generation or
+// execution that alters a single op or fault application shows up here,
+// at the first line where the traces part. go test -run
+// TestScenarioGoldenTraces -update rewrites them, for a reviewable diff.
+//
+// A file holds the trace lines joined by newlines, with no final newline.
+// workload-flip-adapt's was taken on the parent of the floor-hinted read,
+// where every level of a read shipped its value: what a read returns did
+// not change. partition-anti-entropy's was re-pinned once when every
+// recovery began to catch up: the one line that moved is its recovery
+// event, now written "! 30ms:recover=2".
 func TestScenarioGoldenTraces(t *testing.T) {
-	for name, want := range goldenTraces {
-		name, want := name, want
+	files, err := filepath.Glob(filepath.Join("testdata", "*.trace"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden traces: %v", err)
+	}
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".trace")
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			spec, err := Load(filepath.Join("..", "..", "scenarios", name+".arb"))
@@ -200,34 +215,87 @@ func TestScenarioGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTraceHash(t, c, want)
+			checkTrace(t, c, file)
 		})
 	}
 }
 
-// goldenTraces pins the trace hash of four corpus scenarios. The last one's
-// was taken on the parent of the floor-hinted read (ISSUE 20), where every
-// level of a read shipped its value: what a read returns did not change.
-// partition-anti-entropy's was re-pinned once when every recovery began to
-// catch up: the one line that moved is its recovery event, now written
-// "! 30ms:recover=2".
-var goldenTraces = map[string]string{
-	"chaos-mostly-read":      "6fcabaa0b34ae4ece47c2978d3929510bce591fa3100f4a7affa79c5c364ece6",
-	"workload-flip-adapt":    "9142b9c7f83caa7eece015384cb500fc199f11d30ca804217e0723bb45fe9535",
-	"partition-anti-entropy": "128436982a39d949a3d53ba24fef0b1ed7232cbc8926e4317fba9f3c5b74babd",
-	"hinted-read-instant":    "3e36ae99a67c1d3d6c76cc1d0881a8735fdcd24118780a4f08d860ec0e46d3be",
+// goldenTrace returns the trace file pinning the named scenario, or "" if
+// it has none.
+func goldenTrace(name string) string {
+	file := filepath.Join("testdata", name+".trace")
+	if _, err := os.Stat(file); err != nil {
+		return ""
+	}
+	return file
 }
 
-func checkTraceHash(t *testing.T, in sim.Input, want string) {
+// checkTrace runs in and compares its trace with the golden file, or
+// rewrites the file under -update.
+func checkTrace(t *testing.T, in sim.Input, file string) {
 	t.Helper()
 	res, err := sim.Execute(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.Sum256([]byte(strings.Join(res.Trace, "\n")))
-	if got := hex.EncodeToString(h[:]); got != want {
-		t.Errorf("trace hash = %s, want %s (%d trace lines)\nfirst lines:\n%s",
-			got, want, len(res.Trace), strings.Join(res.Trace[:min(5, len(res.Trace))], "\n"))
+	got := strings.Join(res.Trace, "\n")
+	if *update {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("trace differs from %s:\n%s", file, traceDiff(strings.Split(string(want), "\n"), res.Trace))
+	}
+}
+
+// traceDiff shows where two traces part: the first line that differs, with
+// the three lines before it that agree and the three after it on each side.
+func traceDiff(want, got []string) string {
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "first difference at line %d (want %d lines, got %d):\n", i+1, len(want), len(got))
+	for j := max(0, i-3); j < i; j++ {
+		fmt.Fprintf(&b, "  %5d  %s\n", j+1, want[j])
+	}
+	for j := i; j < min(i+4, len(want)); j++ {
+		fmt.Fprintf(&b, "- %5d  %s\n", j+1, want[j])
+	}
+	for j := i; j < min(i+4, len(got)); j++ {
+		fmt.Fprintf(&b, "+ %5d  %s\n", j+1, got[j])
+	}
+	return b.String()
+}
+
+func TestTraceDiffShowsWhereTracesPart(t *testing.T) {
+	want := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	got := []string{"a", "b", "c", "d", "E", "f", "g", "h", "i"}
+	diff := traceDiff(want, got)
+	for _, line := range []string{
+		"first difference at line 5 (want 9 lines, got 9):",
+		"      2  b", "      4  d",
+		"-     5  e", "-     8  h",
+		"+     5  E", "+     8  h",
+	} {
+		if !strings.Contains(diff, line+"\n") {
+			t.Errorf("diff lacks %q:\n%s", line, diff)
+		}
+	}
+	for _, line := range []string{"      1  a", "-     9  i", "+     9  i"} {
+		if strings.Contains(diff, line+"\n") {
+			t.Errorf("diff shows %q, beyond three lines of context:\n%s", line, diff)
+		}
+	}
+	if diff := traceDiff(want, want[:7]); !strings.Contains(diff, "first difference at line 8 (want 9 lines, got 7):\n") {
+		t.Errorf("a shorter trace parts where it ends:\n%s", diff)
 	}
 }
 
@@ -256,7 +324,7 @@ func reproduce(t *testing.T, in sim.Input) (string, sim.Input) {
 // TestReproducerRoundTrip: a run written as a .arb reproducer and read
 // back is the same run — the same ops and the same events, phase markers
 // included — for every corpus scenario (the golden ones also replay
-// to their pinned trace hashes) and for generated inputs covering each
+// to their trace files) and for generated inputs covering each
 // thing a reproducer has to carry.
 func TestReproducerRoundTrip(t *testing.T) {
 	check := func(t *testing.T, in sim.Input, wantLines ...string) sim.Input {
@@ -292,8 +360,8 @@ func TestReproducerRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			again := check(t, c)
-			if want, ok := goldenTraces[name]; ok {
-				checkTraceHash(t, again, want)
+			if file := goldenTrace(name); file != "" {
+				checkTrace(t, again, file)
 			}
 		})
 	}
