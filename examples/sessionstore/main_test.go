@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"arbor/internal/testwatch"
+)
+
+func TestMain(m *testing.M) { testwatch.Main(m, 30*time.Second) }
 
 // TestRun keeps the example working end to end.
 func TestRun(t *testing.T) {

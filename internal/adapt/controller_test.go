@@ -173,6 +173,16 @@ func TestControllerFlipMigratesAndBack(t *testing.T) {
 			t.Errorf("metrics output missing %s", want)
 		}
 	}
+	// Every journaled decision is counted under its action.
+	counts := make(map[Action]int)
+	for _, d := range ctl.Journal(0) {
+		counts[d.Action]++
+	}
+	for action, n := range counts {
+		if want := fmt.Sprintf("arbor_adapt_decisions_total{action=%q} %d\n", action, n); !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
 }
 
 // TestControllerHoldsOnZeroOpWindow regression-guards the AutoTuner's

@@ -36,6 +36,30 @@ func TestMonteCarloMatchesFormulasSmall(t *testing.T) {
 	}
 }
 
+// TestSamplersRepeatUnderSeed: both estimators draw only from their own
+// seeded source, so a second call with the same seed returns the same
+// estimate, however many draws other code made in between.
+func TestSamplersRepeatUnderSeed(t *testing.T) {
+	tr := mustTree(t, "1-3-5-7")
+	av1, err := MonteCarloAvailability(tr, 0.7, 2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls1, err := SampleLoads(tr, 2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.Int63() // another caller draws from the global source
+	av2, _ := MonteCarloAvailability(tr, 0.7, 2000, 3)
+	ls2, _ := SampleLoads(tr, 2000, 3)
+	if av1 != av2 {
+		t.Errorf("MonteCarloAvailability with one seed: %+v, then %+v", av1, av2)
+	}
+	if ls1 != ls2 {
+		t.Errorf("SampleLoads with one seed: %+v, then %+v", ls1, ls2)
+	}
+}
+
 // TestMonteCarloLargeTree validates the availability formulas at a size
 // (n=400) where exact 2^n enumeration is impossible.
 func TestMonteCarloLargeTree(t *testing.T) {

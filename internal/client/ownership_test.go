@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"arbor/internal/replica"
 )
 
 // TestWriteDoesNotRetainCallerBuffer: on the in-memory transport a message
@@ -91,5 +93,40 @@ func TestWriteDoesNotRetainCallerBuffer(t *testing.T) {
 	}
 	if n := failures.Load(); n != 0 {
 		t.Errorf("%d operations failed", n)
+	}
+}
+
+// TestReadLeavesStoredValuesAlone: on the in-memory network a read's Value
+// is the very slice a replica stores, so the client never writes into it.
+// Level 0 holds an older value of the key and level 1 a newer one of the
+// same length: the read returns the newer one, and the older slice, which
+// an earlier read returned and level 0 still stores, keeps its bytes.
+func TestReadLeavesStoredValuesAlone(t *testing.T) {
+	h := newMemHarness(t, "1-2-3")
+	ctx := context.Background()
+	for _, r := range h.replicas[:2] { // level 0: sites 1 and 2
+		r.Store().Apply("k", []byte("old-1"), replica.Timestamp{Version: 1, Site: 9})
+	}
+	first, err := h.cli.Read(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range h.replicas[2:] { // level 1: sites 3 to 5
+		r.Store().Apply("k", []byte("new-2"), replica.Timestamp{Version: 2, Site: 9})
+	}
+	second, err := h.cli.Read(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(second.Value) != "new-2" {
+		t.Fatalf("read = %q, want the newer level's value", second.Value)
+	}
+	if string(first.Value) != "old-1" {
+		t.Errorf("a later read rewrote the value an earlier one returned: %q", first.Value)
+	}
+	for i, r := range h.replicas[:2] {
+		if v, _, _ := r.Store().Get("k"); string(v) != "old-1" {
+			t.Errorf("site %d stores %q, want the value it was given", i+1, v)
+		}
 	}
 }

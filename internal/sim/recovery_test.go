@@ -117,6 +117,36 @@ func TestSkipWALReplayCaughtWithoutRestart(t *testing.T) {
 	}
 }
 
+// TestSimVerdictRepeats: a failing run's verdict, like its trace, is a
+// function of its input. A level that lost its journals misses the
+// acknowledged writes of many keys, and the durability checks report them
+// in the same order on every replay of the input.
+func TestSimVerdictRepeats(t *testing.T) {
+	spec := scheduled(t, 1, "40ms:crash=1,2,3;41ms:recover=1,2,3")
+	spec.Profile, spec.Keys, spec.Ops = ProfileMostlyWrite, 32, 48
+	spec.SkipWALReplay = true
+	in, err := BuildInput(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Execute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Violations) < 8 {
+		t.Fatalf("want violations on many keys, got %v", first.Violations)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := Execute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Violations, first.Violations) {
+			t.Fatalf("replay %d of one input reports\n%v\nwhere the first run reported\n%v", i+1, res.Violations, first.Violations)
+		}
+	}
+}
+
 // opsFrom returns the trace lines of the ops at index from or later.
 func opsFrom(trace []string, from int) []string {
 	var out []string

@@ -56,8 +56,9 @@ func TestLeakedReportsStuckGoroutine(t *testing.T) {
 }
 
 // TestEveryConcurrentPackageIsWatched: a package of this module whose code
-// starts a goroutine or declares a mutex runs its tests under Main, so a
-// hang in it fails within its deadline and a leak fails the package.
+// starts a goroutine or declares a mutex, or whose tests run a cluster (it
+// imports arbor or arbor/internal/cluster), runs its tests under Main, so
+// a hang in it fails within its deadline and a leak fails the package.
 func TestEveryConcurrentPackageIsWatched(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -68,13 +69,14 @@ func TestEveryConcurrentPackageIsWatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dir := range missing {
-		t.Errorf("%s starts goroutines or takes a mutex, but no test file calls testwatch.Main from TestMain", dir)
+		t.Errorf("%s starts goroutines, takes a mutex or runs a cluster, but no test file calls testwatch.Main from TestMain", dir)
 	}
 }
 
 // TestUnwatchedFindsPackageWithoutMain runs the check on a scratch module:
-// of a package with a go statement, one with a mutex and a TestMain, and
-// one with neither, only the first is reported.
+// of a package with a go statement, one that imports the cluster, one with
+// a mutex and a TestMain, and one with none of them, the first two are
+// reported.
 func TestUnwatchedFindsPackageWithoutMain(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -84,6 +86,7 @@ func TestUnwatchedFindsPackageWithoutMain(t *testing.T) {
 		"locked/main_test.go": "package locked\n\nimport (\n\t\"testing\"\n\t\"time\"\n\n\t\"arbor/internal/testwatch\"\n)\n\n" +
 			"func TestMain(m *testing.M) { testwatch.Main(m, time.Minute) }\n",
 		"plain/plain.go":             "package plain\n\nfunc F() {}\n",
+		"demo/main.go":               "package main\n\nimport \"arbor/internal/cluster\"\n\nvar _ cluster.Config\n\nfunc main() {}\n",
 		"spawn/testdata/x/x.go":      "package x\n\nfunc G() { go G() }\n",
 		"nested/go.mod":              "module nested\n",
 		"nested/inner/inner.go":      "package inner\n\nfunc H() { go H() }\n",
@@ -102,15 +105,16 @@ func TestUnwatchedFindsPackageWithoutMain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"spawn"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"demo", "spawn"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("unwatched = %v, want %v", got, want)
 	}
 }
 
 // unwatched walks the module rooted at root (skipping testdata and nested
 // modules) and returns, relative to root, every package directory whose
-// non-test files have a go statement or name sync.Mutex or sync.RWMutex
-// while none of its test files calls testwatch.Main.
+// non-test files have a go statement or name sync.Mutex or sync.RWMutex, or
+// any of whose files imports arbor or arbor/internal/cluster, while none
+// of its test files calls testwatch.Main.
 func unwatched(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -156,6 +160,11 @@ func scanPackage(dir string) (concurrent, watched bool, err error) {
 			return false, false, err
 		}
 		isTest := strings.HasSuffix(path, "_test.go")
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == "arbor" || p == "arbor/internal/cluster" {
+				concurrent = true
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -203,6 +204,32 @@ func TestDropProbability(t *testing.T) {
 	}
 	if st := n.Stats(); st.Dropped != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestDropsRepeatUnderSeed: random loss draws from the network's seeded
+// source, so two networks seeded alike lose the same messages of one
+// stream, and a chaos schedule replays.
+func TestDropsRepeatUnderSeed(t *testing.T) {
+	delivered := func() []int {
+		n := NewNetwork(9, NetConfig{DropProb: 0.5})
+		defer n.Close()
+		a, _ := n.Register(1)
+		b, _ := n.Register(2)
+		for i := 0; i < 64; i++ {
+			if err := a.Send(2, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []int
+		for len(b.Recv()) > 0 {
+			got = append(got, (<-b.Recv()).Payload.(int))
+		}
+		return got
+	}
+	first, second := delivered(), delivered()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("two networks seeded alike delivered\n%v\nand\n%v", first, second)
 	}
 }
 

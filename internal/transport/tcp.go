@@ -277,7 +277,6 @@ func (n *TCPNetwork) Close() {
 	}
 	n.closed = true
 	eps := make([]*TCPEndpoint, 0, len(n.endpoints))
-	//lint:ignore detrand shutdown fan-out: close order is not observable in any seed-reproducible output
 	for _, ep := range n.endpoints {
 		eps = append(eps, ep)
 	}
@@ -715,7 +714,6 @@ func (e *TCPEndpoint) close() {
 		return
 	}
 	e.closed = true
-	//lint:ignore detrand shutdown fan-out: close order is not observable in any seed-reproducible output
 	for wc := range e.live {
 		wc.shutdown()
 	}
